@@ -15,7 +15,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 # follow everywhere (test fixtures, generated tables).
 STATICCHECK_CHECKS ?= all,-ST1000,-ST1003
 
-.PHONY: build test race bench fmt vet lint lint-tools fuzz-smoke fleet-smoke trace-smoke escapecheck ci
+.PHONY: build test race bench bench-smoke fmt vet lint lint-tools fuzz-smoke fleet-smoke trace-smoke escapecheck ci
 
 build:
 	$(GO) build ./...
@@ -25,15 +25,18 @@ test:
 
 # The engine fans campaigns across goroutines, the build shards its
 # placement/candidate phases, the fleet coordinator serves concurrent
-# HTTP workers, and the obs tracer is written into by every partition
-# worker; keep the concurrent packages honest under the race detector.
+# HTTP workers, the obs tracer is written into by every partition
+# worker, and the DNS seed's lazily built geographic index is read by
+# every ranking shard; keep the concurrent packages honest under the race
+# detector.
 race:
-	$(GO) test -race ./internal/sim ./internal/experiment ./internal/core ./internal/measure ./internal/netnode ./internal/fleet ./internal/p2p ./internal/wire ./internal/obs
+	$(GO) test -race ./internal/sim ./internal/experiment ./internal/core ./internal/topology ./internal/measure ./internal/netnode ./internal/fleet ./internal/p2p ./internal/wire ./internal/obs
 
 # Short fuzz passes over the differential fuzz targets that guard the
-# flat-node and arena-scheduler kernels against their reference
-# implementations. 30s each: enough to shake out shallow divergence
-# regressions on every CI run without burning runner minutes. Set
+# flat-node and arena-scheduler kernels and the DNS seed's pruned
+# k-nearest search against their reference implementations. 30s each:
+# enough to shake out shallow divergence regressions on every CI run
+# without burning runner minutes. Set
 # FUZZ_RACE=-race to also run the fuzz executions under the race
 # detector (the stable CI leg does; slower, so off by default locally).
 FUZZ_RACE ?=
@@ -41,6 +44,7 @@ fuzz-smoke:
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzFlatNodeMatchesReference -fuzztime=30s ./internal/p2p
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzArenaMatchesReference -fuzztime=30s ./internal/sim
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzParallelMatchesSerial -fuzztime=30s ./internal/sim
+	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzRecommendMatchesReference -fuzztime=30s ./internal/topology
 
 # Distributed-campaign smoke: a coordinator + 2 local workers (one
 # induced worker failure) must merge a tiny sweep byte-identical to the
@@ -58,7 +62,8 @@ trace-smoke:
 # Bench smoke: the Figure 3 benchmarks, the serial-vs-sharded Build pair,
 # the arena-vs-reference scheduler pair, and the 2000-node flood, one
 # iteration each (the scheduler microbenches get real benchtime via their
-# internal loops). The engine pair catches campaign-scheduling
+# internal loops, and the DNS ranking kernel runs one query per node of
+# its 3000-node registry). The engine pair catches campaign-scheduling
 # regressions (EngineParallel must beat EngineSerial on multi-core
 # runners); the Build pair catches regressions in the sharded
 # construction path; the scheduler and flood benches run with -benchmem
@@ -69,6 +74,13 @@ trace-smoke:
 bench:
 	$(GO) test -bench='Figure3|^BenchmarkBuild|^BenchmarkFlood' -benchmem -benchtime=1x -timeout=20m .
 	$(GO) test -bench='^BenchmarkScheduler' -benchmem -benchtime=100000x .
+	$(GO) test -bench='^BenchmarkRecommend' -benchmem -benchtime=3000x .
+
+# The repository benchmark (bench/, what BENCHMARK.json runs) is a nested
+# module that root `go test ./...` never sees: vet it and run its tests,
+# which include every workload at smoke scale.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Escape-budget gate: the compiler's escape analysis over the kernel
 # packages, diffed per hot function against the pinned manifest. See
@@ -110,4 +122,4 @@ lint:
 		echo "lint: govulncheck not installed; skipping (make lint-tools)"; \
 	fi
 
-ci: build fmt vet lint escapecheck test race fuzz-smoke fleet-smoke trace-smoke bench
+ci: build fmt vet lint escapecheck test bench-smoke race fuzz-smoke fleet-smoke trace-smoke bench

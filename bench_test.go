@@ -30,6 +30,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/sim"
+	"repro/internal/topology"
 )
 
 // benchOpts is the shared scale for benchmark runs: large enough that the
@@ -161,11 +162,11 @@ func BenchmarkFigure3EngineParallel(b *testing.B) {
 // --- Tentpole: serial vs sharded single-network build ---
 //
 // One 2000-node BCBPT build, once with the sharded phases pinned to a
-// single worker and once spread over GOMAXPROCS. The dominant host-time
-// cost (per-joiner candidate ranking over the whole registry) shards
-// across cores, so on ≥ 4 cores the sharded build should run ≥ 2x faster
-// than the serial one — while TestBuildShardedDeterminism proves the two
-// produce bit-identical networks.
+// single worker and once spread over GOMAXPROCS. Placement and per-joiner
+// candidate ranking shard across cores; together they are a little under
+// half of a build (the serial probe/join event run is the rest), so the
+// sharded build tops out near 1.8x — while TestBuildShardedDeterminism
+// proves the two produce bit-identical networks.
 
 func benchBuild(b *testing.B, workers int) {
 	cfg := fastBCBPT(25 * time.Millisecond)
@@ -190,6 +191,33 @@ func benchBuild(b *testing.B, workers int) {
 
 func BenchmarkBuildSerial(b *testing.B)  { benchBuild(b, 1) }
 func BenchmarkBuildSharded(b *testing.B) { benchBuild(b, runtime.GOMAXPROCS(0)) }
+
+// BenchmarkRecommend3000 is the build's ranking kernel on its own: one
+// DNSSeed.Recommend per op over a 3000-node registry placed like a build
+// places it, each node in turn asking for the 64 nearest (Build's
+// 4 x Candidates). dist-evals/op is how many great-circle distances a query
+// evaluates — the index's pruning, free of host noise; the full-sort
+// Recommend this replaced evaluated all 2999.
+func BenchmarkRecommend3000(b *testing.B) {
+	const n, k = 3000, 64
+	locs := geo.DefaultPlacer().PlaceN(rand.New(rand.NewSource(1)), n)
+	dns := topology.NewDNSSeed()
+	for i, loc := range locs {
+		dns.Register(p2p.NodeID(i+1), loc)
+	}
+	evals := 0
+	for i, loc := range locs {
+		evals += dns.RecommendCost(p2p.NodeID(i+1), loc, k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := dns.Recommend(p2p.NodeID(i%n+1), locs[i%n], k); len(got) != k {
+			b.Fatalf("Recommend returned %d of %d", len(got), k)
+		}
+	}
+	b.ReportMetric(float64(evals)/n, "dist-evals/op")
+}
 
 // --- Tentpole: arena event kernel vs the pre-arena reference kernel ---
 //

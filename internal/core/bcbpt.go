@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -151,11 +152,6 @@ type BCBPT struct {
 	// results (the precompute is a pure function of the registry).
 	workers int
 
-	// recs holds per-node candidate rankings precomputed by Bootstrap,
-	// consumed one-shot by each node's join. Nodes joining later (churn
-	// arrivals) fall back to a live DNS recommendation.
-	recs map[p2p.NodeID][]p2p.NodeID
-
 	clusterOf map[p2p.NodeID]ClusterID
 	members   map[ClusterID][]p2p.NodeID
 	nextID    ClusterID
@@ -240,11 +236,11 @@ func (b *BCBPT) Partitions() [][]p2p.NodeID {
 	for c := range b.members {
 		cids = append(cids, c)
 	}
-	sort.Slice(cids, func(i, j int) bool { return cids[i] < cids[j] })
+	slices.Sort(cids)
 	out := make([][]p2p.NodeID, 0, len(cids))
 	for _, c := range cids {
 		ids := append([]p2p.NodeID(nil), b.members[c]...)
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		out = append(out, ids)
 	}
 	return out
@@ -281,10 +277,12 @@ const recsShardSize = 128
 // afterwards to let it complete; see BootstrapDeadline.
 //
 // Before scheduling any join, Bootstrap precomputes every node's DNS
-// candidate ranking — the dominant host-time cost of a large build — in
+// candidate ranking over the bootstrap registry snapshot, in
 // population-derived shards spread across the worker pool configured by
-// SetBuildWorkers. ctx cancels the precompute between shards; a cancelled
-// Bootstrap returns an error wrapping ctx.Err() having scheduled nothing.
+// SetBuildWorkers, and hands each join its own ranking (churn arrivals,
+// which join later, get a live recommendation instead). ctx cancels the
+// precompute between shards; a cancelled Bootstrap returns an error
+// wrapping ctx.Err() having scheduled nothing.
 func (b *BCBPT) Bootstrap(ctx context.Context, ids []p2p.NodeID) error {
 	for _, id := range ids {
 		if node, ok := b.net.Node(id); ok {
@@ -292,34 +290,34 @@ func (b *BCBPT) Bootstrap(ctx context.Context, ids []p2p.NodeID) error {
 			b.installHandler(node)
 		}
 	}
-	if err := b.precomputeRecs(ctx, ids); err != nil {
+	recs, err := b.precomputeRecs(ctx, ids)
+	if err != nil {
 		return err
 	}
 	lanes := b.cfg.lanesFor(len(ids))
 	for i, id := range ids {
-		id := id
+		id, ranked := id, recs[i]
 		b.net.Scheduler().After(time.Duration(i/lanes)*b.cfg.JoinStagger, func() {
-			b.startJoin(id)
+			b.startJoin(id, ranked)
 		})
 	}
 	return nil
 }
 
 // precomputeRecs ranks every bootstrap node's DNS candidates over the
-// full registry snapshot, sharded across the build worker pool. Each
-// shard calls the exact routine the live join path uses, so a consumed
-// precomputed ranking is indistinguishable from one computed at join
-// time; the registry is read-only for the duration.
-func (b *BCBPT) precomputeRecs(ctx context.Context, ids []p2p.NodeID) error {
-	if len(ids) == 0 {
-		return nil
-	}
+// full registry snapshot, sharded across the build worker pool; the
+// result is indexed like ids. Each shard calls the exact routine the live
+// join path uses, so a precomputed ranking is indistinguishable from one
+// computed at join time. The registry is read-only for the duration: its
+// index is built here, before the fan-out, so the shards only read it.
+func (b *BCBPT) precomputeRecs(ctx context.Context, ids []p2p.NodeID) ([][]p2p.NodeID, error) {
 	locs := make([]geo.Location, len(ids))
 	for i, id := range ids {
 		if node, ok := b.net.Node(id); ok {
 			locs[i] = node.Location()
 		}
 	}
+	b.seed.BuildIndex()
 	slots := make([][]p2p.NodeID, len(ids))
 	shards := (len(ids) + recsShardSize - 1) / recsShardSize
 	err := sim.ParallelFor(ctx, shards, b.workers, func(s int) {
@@ -329,17 +327,13 @@ func (b *BCBPT) precomputeRecs(ctx context.Context, ids []p2p.NodeID) error {
 			hi = len(ids)
 		}
 		for i := lo; i < hi; i++ {
-			slots[i] = b.seed.Recommend(ids[i], locs[i], 4*b.cfg.Candidates)
+			slots[i] = b.recommend(ids[i], locs[i])
 		}
 	})
 	if err != nil {
-		return fmt.Errorf("core: bootstrap candidate precompute (%d shards): %w", shards, err)
+		return nil, fmt.Errorf("core: bootstrap candidate precompute (%d shards): %w", shards, err)
 	}
-	b.recs = make(map[p2p.NodeID][]p2p.NodeID, len(ids))
-	for i, id := range ids {
-		b.recs[id] = slots[i]
-	}
-	return nil
+	return slots, nil
 }
 
 // BootstrapDeadline estimates the virtual time by which an n-node
@@ -363,7 +357,7 @@ func (b *BCBPT) OnJoin(id p2p.NodeID) {
 	}
 	b.seed.Register(id, node.Location())
 	b.installHandler(node)
-	b.startJoin(id)
+	b.startJoin(id, nil)
 }
 
 // OnLeave implements topology.Protocol. Per the paper, departure requires
@@ -425,8 +419,10 @@ func (b *BCBPT) found(id p2p.NodeID) {
 
 // --- join procedure ---
 
-// startJoin launches the measure-then-join procedure for a node.
-func (b *BCBPT) startJoin(id p2p.NodeID) {
+// startJoin launches the measure-then-join procedure for a node. ranked is
+// the node's DNS recommendation if Bootstrap precomputed one; nil asks the
+// seed now.
+func (b *BCBPT) startJoin(id p2p.NodeID, ranked []p2p.NodeID) {
 	node, ok := b.net.Node(id)
 	if !ok {
 		return
@@ -439,7 +435,10 @@ func (b *BCBPT) startJoin(id p2p.NodeID) {
 	}
 	b.joining[id] = true
 
-	cands := b.candidates(id, node.Location())
+	if ranked == nil {
+		ranked = b.recommend(id, node.Location())
+	}
+	cands := b.clusteredPrefix(ranked)
 	if len(cands) == 0 {
 		// First node (or empty world): found the first cluster.
 		b.finishJoin(id, 0, nil)
@@ -457,22 +456,18 @@ func (b *BCBPT) startJoin(id p2p.NodeID) {
 	})
 }
 
-// candidates returns up to Candidates clustered nodes, geographically
-// nearest first (the DNS recommendation of §IV.B). Bootstrap nodes
-// consume the ranking precomputed over the bootstrap registry snapshot
-// (one-shot — the snapshot goes stale once churn begins); everyone else
-// gets a live recommendation.
-func (b *BCBPT) candidates(id p2p.NodeID, loc geo.Location) []p2p.NodeID {
-	recs, precomputed := b.recs[id]
-	if precomputed {
-		delete(b.recs, id)
-	} else {
-		// Ask for extra because unclustered recommendations are filtered
-		// out.
-		recs = b.seed.Recommend(id, loc, 4*b.cfg.Candidates)
-	}
+// recommend asks the DNS seed for the nodes geographically nearest to id
+// (§IV.B) — four times Candidates, because unclustered recommendations
+// are filtered out before probing.
+func (b *BCBPT) recommend(id p2p.NodeID, loc geo.Location) []p2p.NodeID {
+	return b.seed.Recommend(id, loc, 4*b.cfg.Candidates)
+}
+
+// clusteredPrefix returns the first Candidates clustered nodes of a DNS
+// recommendation, keeping its nearest-first order.
+func (b *BCBPT) clusteredPrefix(ranked []p2p.NodeID) []p2p.NodeID {
 	out := make([]p2p.NodeID, 0, b.cfg.Candidates)
-	for _, r := range recs {
+	for _, r := range ranked {
 		if _, clustered := b.clusterOf[r]; !clustered {
 			continue
 		}
@@ -706,11 +701,4 @@ func (b *BCBPT) longCount(node *p2p.Node, cluster ClusterID) int {
 		}
 	}
 	return c
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -489,17 +489,29 @@ func TestBootstrapLanedClusteringCompletes(t *testing.T) {
 
 // TestBootstrapPrecomputeMatchesLive verifies the sharded candidate
 // precompute is invisible to the protocol: a world bootstrapped with the
-// precompute (any worker count) matches one where the precompute results
-// were discarded so every join ranked its candidates live.
+// precompute (any worker count) matches one where every join ranked its
+// candidates live.
 func TestBootstrapPrecomputeMatchesLive(t *testing.T) {
-	run := func(workers int, dropPrecompute bool) map[p2p.NodeID]ClusterID {
+	run := func(workers int, live bool) map[p2p.NodeID]ClusterID {
 		net, proto, ids := buildWorld(t, 180, 33, nil)
 		proto.SetBuildWorkers(workers)
-		if err := proto.Bootstrap(context.Background(), ids); err != nil {
+		if live {
+			// Bootstrap's registration and join schedule, with every join
+			// left to ask the seed when it runs.
+			for _, id := range ids {
+				node, _ := net.Node(id)
+				proto.seed.Register(id, node.Location())
+				proto.installHandler(node)
+			}
+			lanes := proto.cfg.lanesFor(len(ids))
+			for i, id := range ids {
+				id := id
+				net.Scheduler().After(time.Duration(i/lanes)*proto.cfg.JoinStagger, func() {
+					proto.startJoin(id, nil)
+				})
+			}
+		} else if err := proto.Bootstrap(context.Background(), ids); err != nil {
 			t.Fatal(err)
-		}
-		if dropPrecompute {
-			proto.recs = nil // force the live Recommend path at join time
 		}
 		if err := net.RunUntil(context.Background(), proto.BootstrapDeadline(len(ids))); err != nil {
 			t.Fatal(err)
@@ -522,5 +534,18 @@ func TestBootstrapPrecomputeMatchesLive(t *testing.T) {
 				t.Fatalf("workers=%d: node %d cluster %d, live path gives %d", workers, id, pre[id], c)
 			}
 		}
+	}
+}
+
+// TestBootstrapShardsOnlyReadTheSeed is for the race detector: the seed's
+// geographic index is built lazily, so Bootstrap must have built it before
+// its ranking shards fan out, or the first Recommend of every shard would
+// write it. More than recsShardSize nodes, so there are shards to race.
+func TestBootstrapShardsOnlyReadTheSeed(t *testing.T) {
+	net, proto, ids := buildWorld(t, 4*recsShardSize, 41, nil)
+	proto.SetBuildWorkers(4)
+	bootstrap(t, net, proto, ids)
+	if got := proto.NumClustered(); got != len(ids) {
+		t.Errorf("clustered %d of %d nodes", got, len(ids))
 	}
 }

@@ -40,7 +40,7 @@ func (b *BCBPT) reevaluate(id p2p.NodeID) {
 	if !clustered || b.joining[id] {
 		return
 	}
-	cands := b.candidates(id, node.Location())
+	cands := b.clusteredPrefix(b.recommend(id, node.Location()))
 	var outside []p2p.NodeID
 	for _, c := range cands {
 		if b.clusterOf[c] != cluster {

@@ -1,0 +1,195 @@
+package topology
+
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/geo"
+	"repro/internal/p2p"
+)
+
+// referenceRecommend is the routine Recommend replaced, kept as the oracle:
+// the distance to every registered node, one full sort by (distance, id),
+// the first k.
+func referenceRecommend(d *DNSSeed, self p2p.NodeID, loc geo.Location, k int) []p2p.NodeID {
+	type cand struct {
+		id p2p.NodeID
+		d  float64
+	}
+	cands := make([]cand, 0, len(d.locs))
+	for id, l := range d.locs {
+		if id == self {
+			continue
+		}
+		cands = append(cands, cand{id: id, d: geo.DistanceMeters(loc.Coord, l.Coord)})
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].d != cands[j].d {
+			return cands[i].d < cands[j].d
+		}
+		return cands[i].id < cands[j].id
+	})
+	k = max(0, min(k, len(cands)))
+	out := make([]p2p.NodeID, k)
+	for i := range out {
+		out[i] = cands[i].id
+	}
+	return out
+}
+
+// checkRecommend compares Recommend with the oracle for one query.
+func checkRecommend(t *testing.T, d *DNSSeed, self p2p.NodeID, c geo.Coord, k int) {
+	t.Helper()
+	loc := geo.Location{Coord: c}
+	got, want := d.Recommend(self, loc, k), referenceRecommend(d, self, loc, k)
+	if got == nil || !slices.Equal(got, want) {
+		t.Fatalf("Recommend(self=%d, %v, k=%d) over %d nodes\n got %v\nwant %v", self, c, k, d.Len(), got, want)
+	}
+}
+
+// awkwardCoords are where a latitude-pruned search could go wrong: the
+// poles (every longitude is the same point), the antimeridian (neighbours
+// 360° apart in longitude), the equator/prime-meridian origin, and
+// near-antipodal latitudes (where haversine's asin loses the most digits).
+var awkwardCoords = []geo.Coord{
+	{LatDeg: 90, LonDeg: 0}, {LatDeg: 90, LonDeg: 135}, {LatDeg: -90, LonDeg: -60},
+	{LatDeg: 89.9999, LonDeg: 10}, {LatDeg: 89.9999, LonDeg: -170}, {LatDeg: -89.9999, LonDeg: 77},
+	{LatDeg: 12, LonDeg: 180}, {LatDeg: 12, LonDeg: -180}, {LatDeg: 12.0001, LonDeg: 179.9999},
+	{LatDeg: 11.9999, LonDeg: -179.9999}, {LatDeg: 0, LonDeg: 0}, {LatDeg: 0, LonDeg: 180},
+}
+
+// randomCoord draws from the placer's clustered world (so pruning actually
+// cuts the scan short), the awkward set, or a coarse grid (so duplicate
+// coordinates and bit-equal distances are common).
+func randomCoord(r *rand.Rand, placer *geo.Placer) geo.Coord {
+	switch r.Intn(4) {
+	case 0:
+		return awkwardCoords[r.Intn(len(awkwardCoords))]
+	case 1:
+		return geo.Coord{LatDeg: float64(r.Intn(7)-3) * 30, LonDeg: float64(r.Intn(9)-4) * 45}
+	default:
+		return placer.Place(r).Coord
+	}
+}
+
+// TestRecommendMatchesReference drives random registries through
+// interleaved Register / Remove / relocate and, between mutations, requires
+// Recommend to equal the full-sort oracle element for element — ties,
+// absent self, and k at and beyond the population included.
+func TestRecommendMatchesReference(t *testing.T) {
+	placer := geo.DefaultPlacer()
+	for trial := int64(0); trial < 40; trial++ {
+		r := rand.New(rand.NewSource(trial))
+		d := NewDNSSeed()
+		maxID := 1 + r.Intn(400)
+		for step := 0; step < 60; step++ {
+			for m := r.Intn(24); m >= 0; m-- {
+				id := p2p.NodeID(1 + r.Intn(maxID))
+				switch r.Intn(4) {
+				case 0:
+					d.Remove(id)
+				default: // registers a new node or relocates a known one
+					d.Register(id, geo.Location{Coord: randomCoord(r, placer)})
+				}
+			}
+			n := d.Len()
+			for _, k := range []int{-1, 0, 1, 16, 64, n - 1, n, n + 5} {
+				self := p2p.NodeID(r.Intn(maxID + 1)) // 0 is never registered
+				q := randomCoord(r, placer)
+				if loc, ok := d.Location(self); ok && r.Intn(2) == 0 {
+					q = loc.Coord // a node asking about its own surroundings
+				}
+				checkRecommend(t, d, self, q, k)
+			}
+		}
+	}
+}
+
+// TestRecommendSubResolutionSeparation pins the absolute term of latBound:
+// a latitude gap too small for haversine to resolve yields distance 0, so
+// the node across it ties with exact duplicates of the query and must
+// still win on id.
+func TestRecommendSubResolutionSeparation(t *testing.T) {
+	d := NewDNSSeed()
+	d.Register(1, geo.Location{Coord: geo.Coord{LatDeg: 1e-200}})
+	for id := p2p.NodeID(2); id <= 5; id++ {
+		d.Register(id, geo.Location{})
+	}
+	checkRecommend(t, d, 0, geo.Coord{}, 2)
+}
+
+// TestRecommendSeesRelocation: re-registering a known id somewhere else
+// must not leave its old position in the index.
+func TestRecommendSeesRelocation(t *testing.T) {
+	d := NewDNSSeed()
+	tokyo := geo.Coord{LatDeg: 35.68, LonDeg: 139.69}
+	paris := geo.Coord{LatDeg: 48.86, LonDeg: 2.35}
+	d.Register(1, geo.Location{Coord: tokyo})
+	d.Register(2, geo.Location{Coord: geo.Coord{LatDeg: 52.37, LonDeg: 4.90}})
+	london := geo.Location{Coord: geo.Coord{LatDeg: 51.51, LonDeg: -0.13}}
+	if got := d.Recommend(0, london, 1); !slices.Equal(got, []p2p.NodeID{2}) {
+		t.Fatalf("before relocation: %v, want [2]", got)
+	}
+	d.Register(1, geo.Location{Coord: paris})
+	if got := d.Recommend(0, london, 1); !slices.Equal(got, []p2p.NodeID{1}) {
+		t.Fatalf("after relocating 1 to Paris: %v, want [1]", got)
+	}
+}
+
+// TestRecommendPrunes guards the point of the index: on the placer's world
+// a query evaluates a small multiple of k distances, not the registry.
+func TestRecommendPrunes(t *testing.T) {
+	const n, k = 3000, 64
+	placer := geo.DefaultPlacer()
+	r := rand.New(rand.NewSource(1))
+	d := NewDNSSeed()
+	locs := placer.PlaceN(r, n)
+	for i, loc := range locs {
+		d.Register(p2p.NodeID(i+1), loc)
+	}
+	total := 0
+	for i, loc := range locs {
+		total += d.RecommendCost(p2p.NodeID(i+1), loc, k)
+	}
+	if mean := float64(total) / n; mean > n/4 {
+		t.Errorf("mean distance evaluations per query = %.0f over %d nodes; the search is not pruning", mean, n)
+	}
+}
+
+// FuzzRecommendMatchesReference lets the fuzzer write the registry script.
+// Each 4-byte record is (op, id, lat, lon) with coordinates on a 1.4°-ish
+// grid that reaches both poles and the antimeridian, so exact ties and
+// awkward geometry are one byte away; every query record is checked
+// against the oracle for a k taken from the op byte.
+func FuzzRecommendMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 1, 127, 0, 0, 2, 129, 0, 3, 0, 0, 0})
+	f.Add([]byte{0, 1, 10, 127, 0, 2, 10, 129, 0, 3, 10, 127, 7, 0, 10, 128})
+	f.Add([]byte{0, 1, 5, 5, 0, 2, 5, 5, 0, 1, 90, 90, 1, 2, 0, 0, 11, 1, 5, 5})
+	f.Add([]byte{0, 9, 0, 0, 0, 8, 0, 0, 0, 7, 1, 0, 0, 6, 255, 0, 15, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 1024 {
+			script = script[:1024]
+		}
+		d := NewDNSSeed()
+		for ; len(script) >= 4; script = script[4:] {
+			op, id := script[0], p2p.NodeID(script[1]%32)
+			c := geo.Coord{
+				LatDeg: float64(int8(script[2])) / 127 * 90,
+				LonDeg: float64(int8(script[3])) / 127 * 180,
+			}
+			if !c.Valid() { // int8(-128) overshoots the pole
+				c = geo.Coord{LatDeg: -90, LonDeg: -180}
+			}
+			switch {
+			case op%4 == 0 && id != 0:
+				d.Register(id, geo.Location{Coord: c})
+			case op%4 == 1:
+				d.Remove(id)
+			default:
+				checkRecommend(t, d, id, c, int(op/4)-1)
+			}
+		}
+	})
+}

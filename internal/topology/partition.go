@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/p2p"
@@ -37,7 +38,7 @@ func (t *LBC) Partitions() [][]p2p.NodeID {
 	out := make([][]p2p.NodeID, 0, len(keys))
 	for _, k := range keys {
 		ids := append([]p2p.NodeID(nil), t.members[k]...)
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		out = append(out, ids)
 	}
 	return out

@@ -12,8 +12,9 @@
 package topology
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/p2p"
@@ -53,6 +54,10 @@ type DNSSeed struct {
 	// refill consults All on every disconnect, and rebuilding the sort
 	// per call dominated large-build profiles.
 	all []p2p.NodeID
+	// byLat is the geographic index Recommend searches (see nearest.go):
+	// every registered node ordered by (latitude, id). Nil means stale;
+	// mutations only ever drop it, BuildIndex rebuilds it.
+	byLat []latEntry
 }
 
 // NewDNSSeed returns an empty seed registry.
@@ -62,8 +67,12 @@ func NewDNSSeed() *DNSSeed {
 
 // Register adds (or updates) a reachable node.
 func (d *DNSSeed) Register(id p2p.NodeID, loc geo.Location) {
-	if _, known := d.locs[id]; !known {
+	old, known := d.locs[id]
+	if !known {
 		d.all = nil
+	}
+	if !known || old.Coord != loc.Coord {
+		d.byLat = nil
 	}
 	d.locs[id] = loc
 }
@@ -72,6 +81,7 @@ func (d *DNSSeed) Register(id p2p.NodeID, loc geo.Location) {
 func (d *DNSSeed) Remove(id p2p.NodeID) {
 	if _, known := d.locs[id]; known {
 		d.all = nil
+		d.byLat = nil
 	}
 	delete(d.locs, id)
 }
@@ -87,42 +97,52 @@ func (d *DNSSeed) All() []p2p.NodeID {
 		for id := range d.locs {
 			ids = append(ids, id)
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		d.all = ids
 	}
 	return d.all
 }
 
+// BuildIndex brings the geographic index up to date with the registry.
+// Recommend does so itself, which makes it a writer after any
+// Register/Remove: call BuildIndex first when several goroutines are about
+// to call Recommend on an unchanging registry, and they only read.
+func (d *DNSSeed) BuildIndex() {
+	if d.byLat != nil {
+		return
+	}
+	ix := make([]latEntry, 0, len(d.locs))
+	for id, loc := range d.locs {
+		ix = append(ix, latEntry{coord: loc.Coord, id: id})
+	}
+	slices.SortFunc(ix, func(a, b latEntry) int {
+		if c := cmp.Compare(a.coord.LatDeg, b.coord.LatDeg); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	d.byLat = ix
+}
+
 // Recommend returns up to k registered nodes closest to loc by great-
 // circle distance (the "geographical distance calculation methodology" of
-// the paper's ref [6]), excluding the given node. Ties break by ID so
-// results are deterministic.
+// the paper's ref [6]), nearest first, excluding the given node. Ties
+// break by ID so results are deterministic. Registered coordinates must be
+// Valid: the search prunes on latitude, which bounds distance only for
+// latitudes within [-90, 90].
 func (d *DNSSeed) Recommend(self p2p.NodeID, loc geo.Location, k int) []p2p.NodeID {
-	type cand struct {
-		id p2p.NodeID
-		d  float64
-	}
-	cands := make([]cand, 0, len(d.locs))
-	for id, l := range d.locs {
-		if id == self {
-			continue
-		}
-		cands = append(cands, cand{id: id, d: geo.DistanceMeters(loc.Coord, l.Coord)})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
-		}
-		return cands[i].id < cands[j].id
-	})
-	if k > len(cands) {
-		k = len(cands)
-	}
-	out := make([]p2p.NodeID, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].id
-	}
-	return out
+	d.BuildIndex()
+	ids, _ := nearest(d.byLat, self, loc.Coord, k)
+	return ids
+}
+
+// RecommendCost returns how many great-circle distances Recommend
+// evaluates for this query — the unit its cost scales in, which benchmarks
+// report next to the wall time.
+func (d *DNSSeed) RecommendCost(self p2p.NodeID, loc geo.Location, k int) int {
+	d.BuildIndex()
+	_, evals := nearest(d.byLat, self, loc.Coord, k)
+	return evals
 }
 
 // Location returns the registered location of a node.
