@@ -62,7 +62,7 @@ func (nd *Node) announceBlock(hi int32, h chain.Hash, except NodeID) {
 		if nd.holderHas(hi, ref.pos) {
 			continue
 		}
-		nd.net.deliver(nd, ref.node, nd.dctx.newInv(wire.InvBlock, h))
+		nd.sendTo(ref.pos, ref.id, nd.dctx.newInv(wire.InvBlock, h))
 	}
 }
 
@@ -83,17 +83,17 @@ func (nd *Node) handleBlockInv(from NodeID, fromPos int32, items []wire.InvVect)
 		want.Items = append(want.Items, item)
 	}
 	if len(want.Items) > 0 {
-		nd.net.send(nd.id, from, want)
+		nd.sendTo(fromPos, from, want)
 	} else {
 		nd.dctx.recycleMessage(want)
 	}
 }
 
 // handleBlock verifies (with modelled delay) then accepts and relays.
-func (nd *Node) handleBlock(from NodeID, m *wire.MsgBlock) {
+func (nd *Node) handleBlock(from NodeID, fromPos int32, m *wire.MsgBlock) {
 	b := m.Block
 	h := b.Header.Hash()
-	nd.markPeerHas(from, nd.peerPos(from), nd.net.hashSlot(h))
+	nd.markPeerHas(from, fromPos, nd.net.hashSlot(h))
 	if e := nd.entryFor(h); e != nil && e.seenGen == nd.net.invGen {
 		return
 	}
@@ -102,7 +102,7 @@ func (nd *Node) handleBlock(from NodeID, m *wire.MsgBlock) {
 		utxoLen = nd.mempool.Len()
 	}
 	cost := nd.net.cfg.VerifyCost.BlockCost(b, utxoLen)
-	nd.dctx.sched.AfterCall(cost, runVerify, nd.dctx.newVerifyJob(nd.net, nd.id, from, nil, b))
+	nd.dctx.sched.AfterCall(cost, runVerify, nd.dctx.newVerifyJob(nd.net, nd.slot, nd.id, from, nil, b))
 }
 
 // HasBlock reports whether the node holds the block.

@@ -3,6 +3,7 @@ package p2p
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 	"time"
@@ -10,12 +11,14 @@ import (
 	"repro/internal/chain"
 	"repro/internal/geo"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // Differential harness: drive the flat struct-of-arrays Network and the
 // map-based ReferenceNetwork through an identical operation script and
 // require every observable to match bit for bit — first-seen event order
-// and times, final FirstSeen state, traffic counters, and adjacency.
+// and times, final FirstSeen state, traffic counters, adjacency, and the
+// holder facts ("peer P is known to have hash H") behind relay suppression.
 // Both networks derive their randomness from the same named streams with
 // the same seed, so any divergence is a real behavioural difference in
 // the flat layout, not noise.
@@ -211,6 +214,30 @@ func (h *diffHarness) drain() {
 	}
 }
 
+// flatHolders returns the IDs a flat node knows to hold h: the peers whose
+// holder bit is set plus the position-less holders of the spill set —
+// the flat layout's rendering of the oracle's peerInv[h].
+func flatHolders(nd *Node, h chain.Hash) map[NodeID]struct{} {
+	out := map[NodeID]struct{}{}
+	hi, ok := nd.net.findHash(h)
+	if !ok {
+		return out
+	}
+	for _, ref := range nd.sortedPeers() {
+		if nd.holderHas(hi, ref.pos) {
+			out[ref.id] = struct{}{}
+		}
+	}
+	if nd.inv.spillGen == nd.net.invGen {
+		for fact := range nd.inv.spill {
+			if fact.hi == hi {
+				out[fact.holder] = struct{}{}
+			}
+		}
+	}
+	return out
+}
+
 // compare requires every observable to match exactly.
 func (h *diffHarness) compare() {
 	h.t.Helper()
@@ -256,6 +283,9 @@ func (h *diffHarness) compare() {
 			rt, rok := rn.FirstSeen(hash)
 			if fok != rok || ft != rt {
 				h.t.Fatalf("node %d FirstSeen(%x): flat (%v,%v), ref (%v,%v)", id, hash[:4], ft, fok, rt, rok)
+			}
+			if fh, rh := flatHolders(fn, hash), rn.peerInv[hash]; !maps.Equal(fh, rh) {
+				h.t.Fatalf("node %d holders of %x: flat %v, ref %v", id, hash[:4], fh, rh)
 			}
 		}
 	}
@@ -372,15 +402,103 @@ func TestFlatBlockRelayMatchesReference(t *testing.T) {
 	h.compare()
 }
 
+// TestStalePositionMatchesReference holds a message in flight across a
+// Disconnect and whatever reuses the freed adjacency position, for each
+// leg of the Fig. 1 exchange. A delivery carries its sender's position at
+// the receiver; by the time it lands that position may be (freed) empty,
+// (other) recycled for a different peer, (same) recycled for the sender
+// itself, or (moved) taken by another peer with the sender reconnected
+// somewhere else. The handlers must resolve the sender exactly as the
+// by-ID oracle does in every case.
+func TestStalePositionMatchesReference(t *testing.T) {
+	// a floods; b is its only peer and relays on to d; c is the spare
+	// that recycles positions.
+	const a, b, c, d = NodeID(1), NodeID(2), NodeID(3), NodeID(4)
+	legs := []struct {
+		name string
+		cmd  wire.Command
+		recv NodeID // where the in-flight message lands
+	}{
+		{"inv", wire.CmdInv, b},
+		{"getdata", wire.CmdGetData, a},
+		{"tx", wire.CmdTx, b},
+	}
+	variants := []struct {
+		name  string
+		reuse func(h *diffHarness, recv NodeID)
+	}{
+		{"freed", func(h *diffHarness, recv NodeID) {}},
+		{"other", func(h *diffHarness, recv NodeID) { h.connect(c, recv) }},
+		{"same", func(h *diffHarness, recv NodeID) { h.connect(a, b) }},
+		{"moved", func(h *diffHarness, recv NodeID) { h.connect(c, recv); h.connect(a, b) }},
+	}
+	for _, relay := range []RelayMode{RelayInv, RelayDirect} {
+		for _, leg := range legs {
+			if relay == RelayDirect && leg.cmd != wire.CmdTx {
+				continue // direct relay pushes the TX: no INV or GETDATA leg
+			}
+			for _, v := range variants {
+				t.Run(fmt.Sprintf("%v/%s/%s", relay, leg.name, v.name), func(t *testing.T) {
+					h := newDiffHarness(t, diffConfig(ValidationLight, relay, false, 5), 4)
+					h.connect(a, b)
+					h.connect(b, d)
+					h.submitTx(a)
+					// Step until the leg's first message is on the wire
+					// (sent, not yet handled: nothing answers it yet).
+					for i := 0; h.flat.Stats().Messages[leg.cmd] == 0; i++ {
+						if i > 10_000 {
+							t.Fatalf("no %v sent", leg.cmd)
+						}
+						h.runFor(100 * time.Microsecond)
+					}
+					fn, _ := h.flat.Node(leg.recv)
+					sender := a + b - leg.recv
+					carried := fn.peerPos(sender)
+					h.disconnect(a, b)
+					v.reuse(h, leg.recv)
+					if got := fn.peerPos(sender); v.name == "moved" && got == carried {
+						t.Fatalf("sender kept position %d across the reconnect", got)
+					} else if v.name == "same" && got != carried {
+						t.Fatalf("sender moved from position %d to %d", carried, got)
+					}
+					h.drain()
+					h.compare()
+					if _, ok := fn.FirstSeen(h.hashes[0]); !ok {
+						t.Fatalf("node %d never saw the transaction", leg.recv)
+					}
+				})
+			}
+		}
+	}
+}
+
 // FuzzFlatNodeMatchesReference lets the fuzzer search for op sequences
 // where the flat layout diverges from the oracle. The seed corpus covers
-// every opcode, churn around in-flight messages, and back-to-back resets.
+// every opcode, churn around in-flight messages, back-to-back resets, and
+// deliveries whose carried sender position went stale mid-flight.
 func FuzzFlatNodeMatchesReference(f *testing.F) {
 	f.Add(int64(1), []byte{2, 0, 0, 3, 10, 0})
 	f.Add(int64(2), []byte{2, 0, 0, 3, 5, 0, 5, 3, 0, 6, 0, 7, 3, 50, 0})
 	f.Add(int64(3), []byte{2, 0, 0, 4, 0, 0, 2, 1, 0, 3, 200, 0, 4, 0, 0, 2, 2, 0})
 	f.Add(int64(4), []byte{0, 2, 9, 1, 2, 9, 7, 0, 5, 3, 30, 0, 2, 0, 0})
 	f.Add(int64(5), []byte{2, 0, 0, 3, 1, 0, 5, 4, 0, 5, 6, 0, 3, 100, 0, 6, 0, 2})
+	// Stale carried positions: node 1 floods, then loses its ring edges
+	// with messages on the wire, and the freed positions at the receivers
+	// are left empty, recycled for another peer, recycled for node 1, or
+	// taken by another peer with node 1 reconnected elsewhere. Seeds 1 and
+	// 4 cut the edge at once (INV in flight, or the pushed TX under direct
+	// relay); seed 17 cuts it 100 ms in, when both neighbours' GETDATAs
+	// are on their way back.
+	for _, seed := range []int64{1, 4} {
+		f.Add(seed, []byte{2, 0, 0, 1, 0, 1, 3, 5, 0})
+		f.Add(seed, []byte{2, 0, 0, 1, 0, 1, 0, 5, 1, 3, 5, 0})
+		f.Add(seed, []byte{2, 0, 0, 1, 0, 1, 0, 0, 1, 3, 5, 0})
+		f.Add(seed, []byte{2, 0, 0, 1, 0, 1, 0, 5, 1, 0, 0, 1, 3, 5, 0})
+	}
+	f.Add(int64(17), []byte{2, 0, 0, 3, 0, 0, 1, 0, 1, 1, 0, 11, 3, 9, 0})
+	f.Add(int64(17), []byte{2, 0, 0, 3, 0, 0, 1, 0, 1, 0, 5, 0, 1, 0, 11, 0, 6, 0, 3, 9, 0})
+	f.Add(int64(17), []byte{2, 0, 0, 3, 0, 0, 1, 0, 1, 0, 0, 1, 1, 0, 11, 0, 0, 11, 3, 9, 0})
+	f.Add(int64(17), []byte{2, 0, 0, 3, 0, 0, 1, 0, 1, 0, 5, 0, 0, 0, 1, 1, 0, 11, 0, 6, 0, 0, 0, 11, 3, 9, 0})
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
 		if len(script) > 96 {
 			script = script[:96]

@@ -23,20 +23,32 @@ func hashPrefix(h chain.Hash) uint64 { return binary.LittleEndian.Uint64(h[:8]) 
 // of the connection, freed positions are recycled LIFO, and per-hash
 // holder bitsets index by position — so "peer P is known to have hash H"
 // is one bit, not a map entry.
+//
+// The entry is the single owner of per-connection state: besides the
+// peer it names, it holds the edge's link baseline and rpos, this node's
+// position in the peer's own table. Both are fixed when two nodes
+// connect, so a send through the entry needs no map lookup and the
+// delivery it schedules tells the receiver where its sender sits. The
+// zero value is a free position; removePeer restores it, so nothing about
+// a connection outlives the connection.
 type peerEntry struct {
-	id       NodeID
-	node     *Node
+	id   NodeID
+	node *Node
+	// base is the edge's congestion-free RTT (latency.Link.Base), zero
+	// until first use: Network.edgeLink resolves it once per edge and
+	// fills both sides. A duration rather than a latency.Link keeps the
+	// entry at 32 bytes.
+	base     time.Duration
+	rpos     int32
 	outbound bool
 }
 
 // peerRef is one entry of the sorted peer cache: the ascending-ID view
-// the relay loops iterate, carrying the adjacency position (for holder
-// bitset tests) and the peer pointer (so announcing skips the network's
-// by-ID lookup entirely).
+// the relay loops iterate, carrying the adjacency position — the handle
+// for both the holder bitset test and the send through the peer entry.
 type peerRef struct {
-	id   NodeID
-	pos  int32
-	node *Node
+	id  NodeID
+	pos int32
 }
 
 // pendingPing tracks an in-flight ping probe. Probes in flight per node
@@ -164,10 +176,34 @@ func (nd *Node) SetExtraHandler(h func(from NodeID, msg wire.Message)) {
 	nd.extraHandler = h
 }
 
-// Send transmits an arbitrary wire message to any live node. Topology
-// protocols use this for their extension messages.
+// Send transmits an arbitrary wire message to any live node, addressed by
+// ID: the overlay's "any host can dial any other". Topology protocols use
+// it for their extension messages and Probe for its pings; relay traffic
+// between peers goes through the peer entry instead (sendTo).
 func (nd *Node) Send(to NodeID, msg wire.Message) {
-	nd.net.send(nd.id, to, msg)
+	nd.sendTo(-1, to, msg)
+}
+
+// sendTo transmits msg to the node with the given ID. With pos >= 0, that
+// node's adjacency position here, it is reached through the peer entry —
+// destination, link and reverse position all read from it, no map
+// touched. With pos < 0 it is looked up by ID, the link comes from the
+// network's pair table, and the message is silently dropped if either end
+// is gone (matching a TCP RST on a dead host; a removed node has no
+// peers, so only this branch can see one).
+func (nd *Node) sendTo(pos int32, to NodeID, msg wire.Message) {
+	n := nd.net
+	if pos >= 0 {
+		n.deliver(nd, nd.peerTab[pos].node, pos, msg)
+		return
+	}
+	dst, ok := n.nodes[to]
+	if !ok || n.slots[nd.slot] != nd {
+		//bcbptlint:allow partiso — missing-endpoint drop: nodes are only removed by serial-mode churn, so this branch cannot run mid-window
+		n.serial.stats.Dropped++
+		return
+	}
+	n.deliver(nd, dst, -1, msg)
 }
 
 // ID returns the node's identifier.
@@ -183,7 +219,8 @@ func (nd *Node) Location() geo.Location { return nd.loc }
 
 // --- adjacency ---
 
-// addPeer installs peer at a stable position and returns it. Recycled
+// addPeer installs peer at a stable position and returns it; connect
+// links the two sides' positions through rpos once both exist. Recycled
 // positions may carry holder bits or spill facts from an earlier peer,
 // so both are reconciled here: stale bits for the position are cleared,
 // and spill facts about this peer migrate into the bitset.
@@ -250,9 +287,11 @@ func (nd *Node) removePeer(id NodeID) {
 	nd.peersValid = false
 }
 
-// peerPos returns id's adjacency position, or -1 if not a peer. The
-// table is at most MaxPeers entries and usually ~16, so a linear scan
-// stays in one or two cache lines.
+// peerPos returns id's adjacency position, or -1 if not a peer: a linear
+// scan of a table that is at most MaxPeers entries and usually ~16. The
+// relay path does not call it — sends go through positions and deliveries
+// carry the sender's — so it serves connect/disconnect and senderPos's
+// fallback for a position gone stale under churn.
 func (nd *Node) peerPos(id NodeID) int32 {
 	for i := range nd.peerTab {
 		if nd.peerTab[i].id == id {
@@ -279,7 +318,7 @@ func (nd *Node) sortedPeers() []peerRef {
 	for i := range nd.peerTab {
 		if nd.peerTab[i].id != 0 {
 			//bcbptlint:allow partiso — per-node cache rebuilt only by the owning partition's handlers
-			nd.peerList = append(nd.peerList, peerRef{id: nd.peerTab[i].id, pos: int32(i), node: nd.peerTab[i].node})
+			nd.peerList = append(nd.peerList, peerRef{id: nd.peerTab[i].id, pos: int32(i)})
 		}
 	}
 	slices.SortFunc(nd.peerList, func(a, b peerRef) int {
@@ -553,27 +592,45 @@ func (nd *Node) announce(hi int32, h chain.Hash, except NodeID) {
 		if direct {
 			if tx, ok := nd.txFor(hi); ok {
 				nd.setHolderBit(hi, ref.pos)
-				nd.net.deliver(nd, ref.node, nd.dctx.newTxMsg(tx))
+				nd.sendTo(ref.pos, ref.id, nd.dctx.newTxMsg(tx))
 				continue
 			}
 		}
-		nd.net.deliver(nd, ref.node, nd.dctx.newInv(wire.InvTx, h))
+		nd.sendTo(ref.pos, ref.id, nd.dctx.newInv(wire.InvTx, h))
 	}
 }
 
-// handleMessage dispatches a delivered wire message.
-func (nd *Node) handleMessage(from NodeID, msg wire.Message) {
+// senderPos turns the sender position a delivery carried into from's
+// adjacency position here, or -1 if from is not a peer. Positions are
+// stable for the life of a connection, so the entry at pos still naming
+// from is proof enough — the same check Network.nodeAt makes on a slot.
+// Otherwise (the message was addressed by ID, or the edge was torn down
+// mid-flight and the position freed or recycled) it falls back to the
+// scan.
+func (nd *Node) senderPos(from NodeID, pos int32) int32 {
+	if uint(pos) < uint(len(nd.peerTab)) && nd.peerTab[pos].id == from {
+		return pos
+	}
+	return nd.peerPos(from)
+}
+
+// handleMessage dispatches a delivered wire message. srcPos is the sender
+// position the delivery carried; the inventory handlers get it resolved
+// by senderPos, so they mark holder facts and reply through the peer
+// entry without scanning the table. Pings, pongs and address requests
+// are addressed by ID and answered the same way.
+func (nd *Node) handleMessage(from NodeID, srcPos int32, msg wire.Message) {
 	switch m := msg.(type) {
 	case *wire.MsgInv:
-		nd.handleInv(from, m)
+		nd.handleInv(from, nd.senderPos(from, srcPos), m)
 	case *wire.MsgGetData:
-		nd.handleGetData(from, m)
+		nd.handleGetData(from, nd.senderPos(from, srcPos), m)
 	case *wire.MsgTx:
-		nd.handleTx(from, m)
+		nd.handleTx(from, nd.senderPos(from, srcPos), m)
 	case *wire.MsgBlock:
-		nd.handleBlock(from, m)
+		nd.handleBlock(from, nd.senderPos(from, srcPos), m)
 	case *wire.MsgPing:
-		nd.net.send(nd.id, from, nd.dctx.newPong(m.Nonce))
+		nd.Send(from, nd.dctx.newPong(m.Nonce))
 	case *wire.MsgPong:
 		nd.handlePong(from, m)
 	case *wire.MsgGetAddr:
@@ -594,9 +651,8 @@ func (nd *Node) handleMessage(from NodeID, msg wire.Message) {
 // GETDATA (and its item slice) comes from the network's message pool: in
 // a flood every node's first INV triggers exactly one, which used to be
 // one message and one slice allocation per (node, hash).
-func (nd *Node) handleInv(from NodeID, m *wire.MsgInv) {
+func (nd *Node) handleInv(from NodeID, fromPos int32, m *wire.MsgInv) {
 	var blocks []wire.InvVect
-	fromPos := nd.peerPos(from)
 	want := nd.dctx.newGetData()
 	for _, item := range m.Items {
 		if item.Type == wire.InvBlock {
@@ -617,7 +673,7 @@ func (nd *Node) handleInv(from NodeID, m *wire.MsgInv) {
 		want.Items = append(want.Items, item)
 	}
 	if len(want.Items) > 0 {
-		nd.net.send(nd.id, from, want)
+		nd.sendTo(fromPos, from, want)
 	} else {
 		nd.dctx.recycleMessage(want)
 	}
@@ -627,8 +683,7 @@ func (nd *Node) handleInv(from NodeID, m *wire.MsgInv) {
 }
 
 // handleGetData serves full transactions and blocks we hold.
-func (nd *Node) handleGetData(from NodeID, m *wire.MsgGetData) {
-	fromPos := nd.peerPos(from)
+func (nd *Node) handleGetData(from NodeID, fromPos int32, m *wire.MsgGetData) {
 	for _, item := range m.Items {
 		hi, ok := nd.net.findHash(item.Hash)
 		if !ok {
@@ -638,22 +693,22 @@ func (nd *Node) handleGetData(from NodeID, m *wire.MsgGetData) {
 		case wire.InvTx:
 			if tx, ok := nd.txFor(hi); ok {
 				nd.markPeerHas(from, fromPos, hi)
-				nd.net.send(nd.id, from, nd.dctx.newTxMsg(tx))
+				nd.sendTo(fromPos, from, nd.dctx.newTxMsg(tx))
 			}
 		case wire.InvBlock:
 			if b, ok := nd.blockFor(hi); ok {
 				nd.markPeerHas(from, fromPos, hi)
-				nd.net.send(nd.id, from, nd.dctx.newBlockMsg(b))
+				nd.sendTo(fromPos, from, nd.dctx.newBlockMsg(b))
 			}
 		}
 	}
 }
 
 // handleTx verifies (with modelled delay) then accepts and relays.
-func (nd *Node) handleTx(from NodeID, m *wire.MsgTx) {
+func (nd *Node) handleTx(from NodeID, fromPos int32, m *wire.MsgTx) {
 	tx := m.Tx
 	id := tx.ID()
-	nd.markPeerHas(from, nd.peerPos(from), nd.net.hashSlot(id))
+	nd.markPeerHas(from, fromPos, nd.net.hashSlot(id))
 	if e := nd.entryFor(id); e != nil && e.seenGen == nd.net.invGen {
 		return
 	}
@@ -664,7 +719,7 @@ func (nd *Node) handleTx(from NodeID, m *wire.MsgTx) {
 		utxoLen = nd.mempool.Len()
 	}
 	cost := nd.net.cfg.VerifyCost.TxCost(tx, utxoLen)
-	nd.dctx.sched.AfterCall(cost, runVerify, nd.dctx.newVerifyJob(nd.net, nd.id, from, tx, nil))
+	nd.dctx.sched.AfterCall(cost, runVerify, nd.dctx.newVerifyJob(nd.net, nd.slot, nd.id, from, tx, nil))
 }
 
 // --- ping measurement ---
@@ -680,7 +735,7 @@ func (nd *Node) Probe(target NodeID, done func(rtt time.Duration)) {
 	if pad < 0 {
 		pad = 0
 	}
-	nd.net.send(nd.id, target, nd.dctx.newPing(nonce, pad))
+	nd.Send(target, nd.dctx.newPing(nonce, pad))
 }
 
 // ProbeN sends n pings spaced by gap and calls done once all have
@@ -744,5 +799,5 @@ func (nd *Node) handleGetAddr(from NodeID) {
 		}
 		addrs = append(addrs, wire.NetAddr{NodeID: uint64(ref.id)})
 	}
-	nd.net.send(nd.id, from, &wire.MsgAddr{Addrs: addrs})
+	nd.Send(from, &wire.MsgAddr{Addrs: addrs})
 }

@@ -12,8 +12,11 @@
 //
 // Node state is laid out struct-of-arrays style: every node has a dense
 // slot index, inventory state lives in generation-stamped flat arrays
-// keyed by a network-wide dense hash index, and per-hash relay facts are
-// bitsets over stable adjacency positions. ResetInventory is therefore a
+// keyed by a network-wide dense hash index, per-hash relay facts are
+// bitsets over stable adjacency positions, and what is fixed when two
+// nodes connect — peer, link baseline, each side's position at the other
+// — sits in the adjacency entry, so a relay send looks nothing up and a
+// delivery tells the receiver where its sender sits. ResetInventory is a
 // generation bump plus an O(active hashes) registry clear — not a
 // per-node map rebuild — which is what lets a 100k+ node network run
 // thousand-injection campaigns in bounded memory. The retired map-based
@@ -149,7 +152,15 @@ type Network struct {
 
 	nodes  map[NodeID]*Node
 	nextID NodeID
-	links  map[linkKey]latency.Link
+	// links holds the latency links of pairs that reach each other by ID
+	// rather than over a connection — join-time probes of candidates,
+	// JOIN/CLUSTER, BaseRTT queries: non-peer pairs. Relay traffic never
+	// touches it: a connection's link lives in its two peer entries
+	// (peerEntry.base) and dies with them.
+	links map[linkKey]latency.Link
+	// linkDraws counts makeLink calls: one per edge per connection plus
+	// one per pair in links, which the tests pin.
+	linkDraws uint64
 
 	// slots is the dense node table: every live node occupies one slot
 	// for its lifetime, freed slots recycle LIFO. In-flight deliveries
@@ -191,8 +202,10 @@ type Network struct {
 	// is single-threaded and skips it). Index assignment order does not
 	// affect observables — indices only key flat arrays.
 	hashMu sync.Mutex
-	// linksMu guards links in parallel mode only. Link parameters are
-	// keyed by the endpoint pair, so creation order does not matter.
+	// linksMu guards links in parallel mode only, where a message addressed
+	// by ID is the only thing that takes it: every peer entry's link is
+	// resolved when parallel dispatch is enabled. Link parameters are keyed
+	// by the endpoint pair, so creation order does not matter.
 	linksMu sync.RWMutex
 
 	// OnTxFirstSeen fires when a node accepts a transaction it had not
@@ -246,18 +259,17 @@ func NewNetwork(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// Reserve pre-sizes the network's node and link tables for an expected
+// Reserve pre-sizes the network's node tables for an expected
 // population, so a large build does not pay incremental map and slice
 // growth. Calling it after nodes exist, or not at all, only costs
-// amortised growth — behaviour is identical either way.
+// amortised growth — behaviour is identical either way. The links table
+// is not pre-sized: how many non-peer pairs a topology policy will probe
+// (none, for a random overlay) is not something the node count says.
 func (n *Network) Reserve(nodes int) {
 	if nodes <= 0 || len(n.nodes) > 0 {
 		return
 	}
 	n.nodes = make(map[NodeID]*Node, nodes)
-	// Links are created per communicating pair; seed the table at the
-	// expected edge count for a degree-~2×MaxOutbound overlay.
-	n.links = make(map[linkKey]latency.Link, nodes*2*max(n.cfg.MaxOutbound, 1))
 	n.slots = make([]*Node, 0, nodes)
 }
 
@@ -491,14 +503,15 @@ func (n *Network) findHash(h chain.Hash) (int32, bool) {
 // generation — the width of every node's flat inventory arrays.
 func (n *Network) ActiveHashes() int { return int(n.hashN) }
 
-// link returns (creating on first use) the latency link between two
-// nodes. Link parameters are drawn from a keyed source derived from the
-// (seed, endpoint pair), not from a shared sequential stream, so a link's
+// link returns (creating on first use) the latency link of a pair that
+// messages by ID — non-peers; a connection's link is edgeLink's. Link
+// parameters are drawn from a keyed source derived from the (seed,
+// endpoint pair), not from a shared sequential stream, so a link's
 // last-mile draw is independent of creation order — the property that
 // lets partitions create links concurrently (and lets serial and parallel
-// runs agree bit for bit). The lock is taken in parallel mode only; the
-// slow path runs once per pair and is pre-warmed for all peer edges when
-// parallel dispatch is enabled.
+// runs agree bit for bit), and the reason a pair that connects after
+// being probed gets the same link in its entries as it had here. The lock
+// is taken in parallel mode only; the slow path runs once per pair.
 func (n *Network) link(a, b *Node) latency.Link {
 	key := mkLinkKey(a.id, b.id)
 	if n.par == nil {
@@ -525,8 +538,35 @@ func (n *Network) link(a, b *Node) latency.Link {
 	return l
 }
 
+// edgeLink returns the latency link of the connection at nd's adjacency
+// position pos, read from the peer entry. The baseline is resolved on the
+// edge's first use, once, and written to both sides through rpos — so a
+// Connect costs no link draw and a flood pays one per edge, whichever
+// side sends first. EnableParallelDispatch resolves every entry up front:
+// no window ever writes one.
+func (n *Network) edgeLink(nd *Node, pos int32) latency.Link {
+	e := &nd.peerTab[pos]
+	if e.base == 0 {
+		n.resolveEdge(nd, pos)
+	}
+	return n.model.NewLinkWithBase(e.base)
+}
+
+// resolveEdge draws the link of the connection at nd's position pos and
+// stores its baseline in both peer entries.
+func (n *Network) resolveEdge(nd *Node, pos int32) {
+	if n.par != nil {
+		panic("p2p: unresolved peer link while parallel dispatch enabled")
+	}
+	peer, rpos := nd.peerTab[pos].node, nd.peerTab[pos].rpos
+	base := n.makeLink(mkLinkKey(nd.id, peer.id), nd, peer).Base()
+	nd.peerTab[pos].base = base
+	peer.peerTab[rpos].base = base
+}
+
 // makeLink draws the link's latency parameters from the pair-keyed source.
 func (n *Network) makeLink(key linkKey, a, b *Node) latency.Link {
+	n.linkDraws++
 	var ks sim.KeyedSource
 	ks.SeedKey(sim.MixKey3(uint64(n.cfg.Seed)^linkKeyTag, uint64(key.lo), uint64(key.hi)))
 	// Cold path: runs once per node pair at link creation.
@@ -551,11 +591,14 @@ func (n *Network) BaseRTT(a, b NodeID) (time.Duration, bool) {
 
 // delivery is the pooled payload behind one in-flight message event. The
 // destination is addressed by (slot, id): dispatch is an array index plus
-// a liveness check, not a map lookup.
+// a liveness check, not a map lookup. srcPos is the sender's adjacency
+// position at the destination (-1 for a message addressed by ID), read
+// from the sender's peer entry; it sits in what was padding after dstSlot.
 type delivery struct {
 	net     *Network
 	src     NodeID
 	dstSlot int32
+	srcPos  int32
 	dstID   NodeID
 	msg     wire.Message
 }
@@ -569,7 +612,7 @@ type delivery struct {
 // in-flight count bounds them, so steady state still allocates nothing.
 func runDelivery(a any) {
 	d := a.(*delivery)
-	n, src, dstSlot, dstID, msg := d.net, d.src, d.dstSlot, d.dstID, d.msg
+	n, src, dstSlot, srcPos, dstID, msg := d.net, d.src, d.dstSlot, d.srcPos, d.dstID, d.msg
 	d.msg = nil
 	// The destination may have churned away mid-flight (serial mode only;
 	// parallel mode forbids topology mutation).
@@ -585,7 +628,7 @@ func runDelivery(a any) {
 			dc.trace.Record(obs.Event{At: dc.sched.Now(), Kind: obs.KindDeliver, Code: uint8(msg.Command()),
 				P1: uint64(src), P2: uint64(dstID)})
 		}
-		node.handleMessage(src, msg)
+		node.handleMessage(src, srcPos, msg)
 	} else {
 		dc.stats.Dropped++
 		if dc.trace != nil {
@@ -611,7 +654,12 @@ func runDelivery(a any) {
 // runs in the sending node's dispatch context (handlers execute in their
 // own partition); a cross-partition destination is staged at the window
 // barrier with (sender, sendSeq) as the canonical tie-break key.
-func (n *Network) deliver(src, dst *Node, msg wire.Message) {
+//
+// pos is dst's adjacency position at src, or -1 for a message addressed
+// by ID: it selects where the link comes from (the peer entry, or the
+// pair table) and what the delivery tells the receiver about its
+// sender's position.
+func (n *Network) deliver(src, dst *Node, pos int32, msg wire.Message) {
 	dc := src.dctx
 	size := wire.EncodedSize(msg)
 	dc.stats.count(msg.Command(), size)
@@ -636,31 +684,20 @@ func (n *Network) deliver(src, dst *Node, msg wire.Message) {
 		start = src.uplinkFreeAt
 	}
 	src.uplinkFreeAt = start + txTime
-	delay := (start + txTime - now) + n.link(src, dst).SampleOneWay(dc.krand)
-	if ddc := dst.dctx; ddc == dc {
-		dc.sched.AfterCall(delay, runDelivery, dc.newDelivery(n, src.id, dst.slot, dst.id, msg))
+	var link latency.Link
+	srcPos := int32(-1)
+	if pos >= 0 {
+		link, srcPos = n.edgeLink(src, pos), src.peerTab[pos].rpos
 	} else {
-		n.par.ws.Stage(dc.part, now+delay, ddc.part,
-			uint64(src.id), src.sendSeq, runDelivery, dc.newDelivery(n, src.id, dst.slot, dst.id, msg))
+		link = n.link(src, dst)
 	}
-}
-
-// send looks up both endpoints and delivers; it silently drops if either
-// endpoint is gone (matching a TCP RST on a dead host).
-func (n *Network) send(from NodeID, to NodeID, msg wire.Message) {
-	src, ok := n.nodes[from]
-	if !ok {
-		//bcbptlint:allow partiso — missing-endpoint drop: nodes are only removed by serial-mode churn, so this branch cannot run mid-window
-		n.serial.stats.Dropped++
-		return
+	delay := (start + txTime - now) + link.SampleOneWay(dc.krand)
+	d := dc.newDelivery(n, src.id, srcPos, dst.slot, dst.id, msg)
+	if ddc := dst.dctx; ddc == dc {
+		dc.sched.AfterCall(delay, runDelivery, d)
+	} else {
+		n.par.ws.Stage(dc.part, now+delay, ddc.part, uint64(src.id), src.sendSeq, runDelivery, d)
 	}
-	dst, ok := n.nodes[to]
-	if !ok {
-		//bcbptlint:allow partiso — missing-endpoint drop: nodes are only removed by serial-mode churn, so this branch cannot run mid-window
-		n.serial.stats.Dropped++
-		return
-	}
-	n.deliver(src, dst, msg)
 }
 
 // Connection errors.
@@ -721,8 +758,9 @@ func (n *Network) connect(a, b NodeID, enforceOutbound bool) error {
 	n.serial.stats.count(wire.CmdVerack, verackSize)
 	n.serial.stats.count(wire.CmdVersion, versionSize)
 	n.serial.stats.count(wire.CmdVerack, verackSize)
-	na.addPeer(nb, true)
-	nb.addPeer(na, false)
+	pa := na.addPeer(nb, true)
+	pb := nb.addPeer(na, false)
+	na.peerTab[pa].rpos, nb.peerTab[pb].rpos = pb, pa
 	return nil
 }
 
@@ -760,9 +798,11 @@ func (n *Network) teardown(na *Node, b NodeID) {
 
 // verifyJob is the pooled payload behind a deferred verification event:
 // a transaction or block whose modelled verification delay has elapsed.
+// The verifying node is addressed by the churn-safe (slot, id) handle.
 type verifyJob struct {
 	net   *Network
-	node  NodeID
+	slot  int32
+	id    NodeID
 	from  NodeID
 	tx    *chain.Tx
 	block *chain.Block
@@ -773,10 +813,10 @@ type verifyJob struct {
 // round-trips through a single dispatch context.
 func runVerify(a any) {
 	j := a.(*verifyJob)
-	n, nodeID, from, tx, block := j.net, j.node, j.from, j.tx, j.block
+	n, slot, id, from, tx, block := j.net, j.slot, j.id, j.from, j.tx, j.block
 	j.tx, j.block = nil, nil
-	node, ok := n.nodes[nodeID]
-	if !ok {
+	node := n.nodeAt(slot, id)
+	if node == nil {
 		//bcbptlint:allow partiso — churned-verifier fallback: node removal is serial-only, so this branch cannot run mid-window
 		n.serial.verifyPool = append(n.serial.verifyPool, j)
 		return

@@ -486,6 +486,172 @@ func TestBaseRTTSymmetricStable(t *testing.T) {
 	}
 }
 
+// edgesOf lists every connection of the network once, lower ID first.
+func edgesOf(net *Network) [][2]NodeID {
+	var out [][2]NodeID
+	for _, a := range net.NodeIDs() {
+		nd, _ := net.Node(a)
+		for _, b := range nd.Peers() {
+			if a < b {
+				out = append(out, [2]NodeID{a, b})
+			}
+		}
+	}
+	return out
+}
+
+// TestPeerLinkMatchesBaseRTT pins the link baseline the two peer entries
+// of an edge hold: symmetric, equal to what BaseRTT draws for the pair
+// through the by-ID pair table, unchanged by a disconnect + reconnect and
+// by EnableParallelDispatch — and drawn exactly once per edge per
+// connection, whichever side uses it first.
+func TestPeerLinkMatchesBaseRTT(t *testing.T) {
+	net, nodes := testNetwork(t, 40, nil)
+	r := net.Streams().Stream("wire")
+	ids := net.NodeIDs()
+	for _, nd := range nodes {
+		for k := 0; k < 5; k++ {
+			_ = net.Connect(nd.ID(), ids[r.Intn(len(ids))])
+		}
+	}
+	edges := edgesOf(net)
+	// edgeDraws is the makeLink calls made for peer entries: all of them
+	// less the one behind each pair-table entry.
+	edgeDraws := func() int { return int(net.linkDraws) - len(net.links) }
+	if edgeDraws() != 0 {
+		t.Fatalf("Connect drew %d links; resolution must stay lazy", edgeDraws())
+	}
+
+	// check verifies every resolved edge against BaseRTT and returns how
+	// many are resolved.
+	check := func(stage string) (resolved int) {
+		t.Helper()
+		for _, e := range edges {
+			na, _ := net.Node(e[0])
+			nb, _ := net.Node(e[1])
+			ea, eb := &na.peerTab[na.peerPos(e[1])], &nb.peerTab[nb.peerPos(e[0])]
+			if na.peerTab[eb.rpos].id != e[1] || nb.peerTab[ea.rpos].id != e[0] {
+				t.Fatalf("%s: edge %v reverse positions do not point back", stage, e)
+			}
+			if ea.base != eb.base {
+				t.Fatalf("%s: edge %v baselines differ: %v vs %v", stage, e, ea.base, eb.base)
+			}
+			if ea.base == 0 {
+				continue
+			}
+			resolved++
+			ab, _ := net.BaseRTT(e[0], e[1])
+			ba, _ := net.BaseRTT(e[1], e[0])
+			if ea.base != ab || ab != ba {
+				t.Fatalf("%s: edge %v: entries hold %v, BaseRTT %v/%v", stage, e, ea.base, ab, ba)
+			}
+		}
+		return resolved
+	}
+
+	// A flood resolves the edges it uses, each once although both ends send.
+	if err := nodes[0].SubmitTx(testTx(t, 11)); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(net.links) != 0 {
+		t.Fatalf("relay traffic put %d pairs in the pair table", len(net.links))
+	}
+	used := edgeDraws()
+	if got := check("after flood"); used == 0 || got != used || edgeDraws() != used {
+		t.Fatalf("flood over %d edges: %d draws, %d edges resolved, %d draws after BaseRTT", len(edges), used, got, edgeDraws())
+	}
+
+	// Reconnecting drops the baseline with the entry; the next use draws
+	// it again — same value, one more draw.
+	redo := edges[:len(edges)/2]
+	for _, e := range redo {
+		net.Disconnect(e[0], e[1])
+		if err := net.ConnectUnbounded(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := check("after reconnect"); got > len(edges)-len(redo) {
+		t.Fatalf("reconnecting %d of %d edges left %d resolved", len(redo), len(edges), got)
+	}
+
+	// Enabling parallel dispatch resolves every entry up front, so no
+	// window ever writes one; it changes no value.
+	before := check("before parallel")
+	plan := PartitionPlan{Parts: 2, Of: make([]int32, net.SlotCap())}
+	for _, nd := range nodes {
+		plan.Of[nd.Slot()] = int32(nd.Slot() % 2)
+	}
+	if err := net.EnableParallelDispatch(plan, 2); err != nil {
+		t.Fatal(err)
+	}
+	draws := used + len(edges) - before
+	if got := check("parallel"); got != len(edges) || edgeDraws() != draws {
+		t.Fatalf("parallel dispatch resolved %d of %d edges with %d draws, want %d", got, len(edges), edgeDraws(), draws)
+	}
+	floodOnce(t, net, nodes, 12)
+	if edgeDraws() != draws {
+		t.Fatalf("parallel flood drew %d links", edgeDraws()-draws)
+	}
+	if err := net.DisableParallelDispatch(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestChurnLeavesNoLinkState pins that a connection's link state dies
+// with it: after floods under churn every free adjacency position is the
+// zero entry, a departed node holds none, and the network-level pair
+// table holds non-peer pairs only — here, at most the cut edges whose ends
+// answered a message that was in flight when they stopped being peers.
+func TestChurnLeavesNoLinkState(t *testing.T) {
+	net, nodes := testNetwork(t, 30, nil)
+	connectRing(t, net, nodes)
+	for i := range nodes {
+		_ = net.Connect(nodes[i].ID(), nodes[(i+7)%len(nodes)].ID())
+	}
+	cut := map[linkKey]bool{}
+	for round := 0; round < 5; round++ {
+		net.ResetInventory()
+		if err := nodes[(3*round+1)%10].SubmitTx(testTx(t, int64(20+round))); err != nil {
+			t.Fatal(err)
+		}
+		// Cut an edge and drop a node with the flood in flight.
+		if err := net.RunUntil(context.Background(), net.Now()+sim.Time(80*time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		net.Disconnect(nodes[round].ID(), nodes[round+1].ID())
+		cut[mkLinkKey(nodes[round].ID(), nodes[round+1].ID())] = true
+		net.RemoveNode(nodes[29-round].ID())
+		if err := net.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for key := range net.links {
+		if !cut[key] {
+			t.Fatalf("links table holds %v, which only ever talked as peers", key)
+		}
+	}
+	for _, nd := range nodes {
+		free := 0
+		for _, e := range nd.peerTab {
+			if e.id == 0 {
+				free++
+				if e != (peerEntry{}) {
+					t.Fatalf("node %d: freed position keeps state %+v", nd.ID(), e)
+				}
+			}
+		}
+		if free != len(nd.peerFree) {
+			t.Fatalf("node %d: %d empty positions, %d on the free list", nd.ID(), free, len(nd.peerFree))
+		}
+		if _, live := net.Node(nd.ID()); !live && nd.NumPeers() != 0 {
+			t.Fatalf("departed node %d keeps %d peer entries", nd.ID(), nd.NumPeers())
+		}
+	}
+}
+
 func TestNodeIDsSorted(t *testing.T) {
 	net, _ := testNetwork(t, 10, nil)
 	ids := net.NodeIDs()

@@ -204,25 +204,25 @@ func (dc *dispatchCtx) sharedPad(size int) []byte {
 }
 
 // newDelivery pops a pooled payload (or allocates on first use).
-func (dc *dispatchCtx) newDelivery(n *Network, src NodeID, dstSlot int32, dstID NodeID, msg wire.Message) *delivery {
+func (dc *dispatchCtx) newDelivery(n *Network, src NodeID, srcPos, dstSlot int32, dstID NodeID, msg wire.Message) *delivery {
 	if last := len(dc.deliveryPool) - 1; last >= 0 {
 		d := dc.deliveryPool[last]
 		dc.deliveryPool = dc.deliveryPool[:last]
-		d.src, d.dstSlot, d.dstID, d.msg = src, dstSlot, dstID, msg
+		d.src, d.srcPos, d.dstSlot, d.dstID, d.msg = src, srcPos, dstSlot, dstID, msg
 		return d
 	}
-	return &delivery{net: n, src: src, dstSlot: dstSlot, dstID: dstID, msg: msg}
+	return &delivery{net: n, src: src, srcPos: srcPos, dstSlot: dstSlot, dstID: dstID, msg: msg}
 }
 
 // newVerifyJob pops a pooled payload (or allocates on first use).
-func (dc *dispatchCtx) newVerifyJob(n *Network, node, from NodeID, tx *chain.Tx, block *chain.Block) *verifyJob {
+func (dc *dispatchCtx) newVerifyJob(n *Network, slot int32, id, from NodeID, tx *chain.Tx, block *chain.Block) *verifyJob {
 	if last := len(dc.verifyPool) - 1; last >= 0 {
 		j := dc.verifyPool[last]
 		dc.verifyPool = dc.verifyPool[:last]
-		j.node, j.from, j.tx, j.block = node, from, tx, block
+		j.slot, j.id, j.from, j.tx, j.block = slot, id, from, tx, block
 		return j
 	}
-	return &verifyJob{net: n, node: node, from: from, tx: tx, block: block}
+	return &verifyJob{net: n, slot: slot, id: id, from: from, tx: tx, block: block}
 }
 
 // newProbeJob pops a pooled payload (or allocates on first use).
@@ -350,12 +350,13 @@ func (n *Network) ParallelLookahead() (time.Duration, bool) {
 // runs, not mid-flood), at least two partitions, and every live node
 // assigned a valid partition.
 //
-// The lookahead bound is computed as the minimum FloorOneWay over
-// cross-partition peer links, which also pre-creates those links so the
-// flood hot path never takes the creation lock. Traffic between
-// non-peered nodes in different partitions (e.g. cross-partition probes)
-// is not covered by the bound and will panic at the window barrier if it
-// undercuts it — parallel mode is for relay floods over the peer graph.
+// Enabling resolves the link of every peer entry, so no window ever
+// writes an entry or takes the link lock for a peer send, and computes
+// the lookahead bound as the minimum FloorOneWay over the cross-partition
+// ones. Traffic between non-peered nodes in different partitions (e.g.
+// cross-partition probes) is not covered by the bound and will panic at
+// the window barrier if it undercuts it — parallel mode is for relay
+// floods over the peer graph.
 //
 // Results are byte-identical to serial for any plan and worker count;
 // only wall-clock time changes. Topology mutation while enabled panics.
@@ -389,10 +390,11 @@ func (n *Network) EnableParallelDispatch(plan PartitionPlan, workers int) error 
 			if ref.id <= nd.id {
 				continue // each edge once, from its lower endpoint
 			}
-			if plan.Of[ref.node.slot] == p {
+			link := n.edgeLink(nd, ref.pos)
+			if plan.Of[nd.peerTab[ref.pos].node.slot] == p {
 				continue
 			}
-			f := n.link(nd, ref.node).FloorOneWay()
+			f := link.FloorOneWay()
 			if crossEdges == 0 || f < lookahead {
 				lookahead = f
 			}
