@@ -26,8 +26,9 @@ test:
 # The engine fans campaigns across goroutines, the build shards its
 # placement/candidate phases, the fleet coordinator serves concurrent
 # HTTP workers, the obs tracer is written into by every partition
-# worker, and the DNS seed's lazily built geographic index is read by
-# every ranking shard; keep the concurrent packages honest under the race
+# worker, and the DNS seed's geographic index (built once, on its first
+# read, then patched in place by every Register/Remove) is read by every
+# ranking shard; keep the concurrent packages honest under the race
 # detector.
 race:
 	$(GO) test -race ./internal/sim ./internal/experiment ./internal/core ./internal/topology ./internal/measure ./internal/netnode ./internal/fleet ./internal/p2p ./internal/wire ./internal/obs
@@ -62,19 +63,22 @@ trace-smoke:
 # Bench smoke: the Figure 3 benchmarks, the serial-vs-sharded Build pair,
 # the arena-vs-reference scheduler pair, and the 2000-node flood, one
 # iteration each (the scheduler microbenches get real benchtime via their
-# internal loops, and the DNS ranking kernel runs one query per node of
-# its 3000-node registry). The engine pair catches campaign-scheduling
-# regressions (EngineParallel must beat EngineSerial on multi-core
-# runners); the Build pair catches regressions in the sharded
-# construction path; the scheduler and flood benches run with -benchmem
-# so allocs/op lands in the artifact — SchedulerArena must stay at
-# 0 allocs/op. CI stores this output as an artifact and diffs it against
-# the previous run (scripts/benchdiff.sh), flagging wall-clock regressions
-# beyond 30% and ANY allocs/op increase.
+# internal loops, the DNS ranking kernel runs one query per node of its
+# 3000-node registry, and the churn flood runs 25 floods per protocol,
+# about 150 leaves and arrivals each, so ns/op and allocs/op of a
+# membership change are tracked too). The engine pair catches
+# campaign-scheduling regressions (EngineParallel must beat EngineSerial
+# on multi-core runners); the Build pair catches regressions in the
+# sharded construction path; the scheduler and flood benches run with
+# -benchmem so allocs/op lands in the artifact — SchedulerArena must stay
+# at 0 allocs/op. CI stores this output as an artifact and diffs it
+# against the previous run (scripts/benchdiff.sh), flagging wall-clock
+# regressions beyond 30% and ANY allocs/op increase.
 bench:
 	$(GO) test -bench='Figure3|^BenchmarkBuild|^BenchmarkFlood' -benchmem -benchtime=1x -timeout=20m .
 	$(GO) test -bench='^BenchmarkScheduler' -benchmem -benchtime=100000x .
 	$(GO) test -bench='^BenchmarkRecommend' -benchmem -benchtime=3000x .
+	$(GO) test -bench='^BenchmarkChurnFlood' -benchmem -benchtime=25x .
 
 # The repository benchmark (bench/, what BENCHMARK.json runs) is a nested
 # module that root `go test ./...` never sees: vet it and run its tests,

@@ -469,6 +469,51 @@ func BenchmarkFlood2000Parallel(b *testing.B) {
 	benchFlood2000LBC(b, runtime.GOMAXPROCS(0))
 }
 
+// BenchmarkChurnFlood2000 is the flood under the default churn model, one
+// sub-benchmark per Fig. 3 protocol: nodes leave and arrive while the
+// transaction propagates, every departure sends its neighbours to the DNS
+// seed for a refill (Bitcoin and the long links of LBC and BCBPT draw from
+// DNSSeed.All, a BCBPT arrival asks DNSSeed.Recommend), so this is the
+// bench where the cost of a membership change shows: churn-events/op says
+// how many leaves and arrivals one op carried. The churn stream is seeded
+// with the network, so at a fixed -benchtime=Nx the work, and with it
+// allocs/op, repeats exactly.
+func BenchmarkChurnFlood2000(b *testing.B) {
+	campaigns := experiment.Figure3Campaigns(experiment.Options{Nodes: 2000, Seed: 1, ChurnOn: true, BuildWorkers: 1})
+	for _, c := range campaigns {
+		b.Run(string(c.Spec.Protocol), func(b *testing.B) {
+			built, err := experiment.Build(context.Background(), c.Spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer built.Close()
+			key, err := chain.GenerateKey(rand.New(rand.NewSource(99)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			leaves0, arrivals0 := built.ChurnDriver.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				built.Net.ResetInventory()
+				tx := chain.Coinbase(uint64(i)+1, 1000, key.Address())
+				// Under churn a flood may lose samples to departures, so
+				// unlike BenchmarkFlood2000 an empty result is not an error.
+				if _, err := built.Measurer.MeasureOnce(context.Background(), tx, 2*time.Minute); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			leaves, arrivals := built.ChurnDriver.Stats()
+			events := leaves - leaves0 + arrivals - arrivals0
+			if events == 0 {
+				b.Fatal("no node left or arrived — the bench is not exercising churn")
+			}
+			b.ReportMetric(float64(events)/float64(b.N), "churn-events/op")
+		})
+	}
+}
+
 // BenchmarkFlood100kParallel floods a 100,000-node region-clustered
 // overlay — a ring and seven random chords inside each geographic
 // region, one link between consecutive regions — at several dispatch

@@ -385,11 +385,8 @@ func (b *BCBPT) assign(id p2p.NodeID, c ClusterID) {
 	b.unassign(id)
 	b.clusterOf[id] = c
 	m := b.members[c]
-	i := sort.Search(len(m), func(i int) bool { return m[i] >= id })
-	m = append(m, 0)
-	copy(m[i+1:], m[i:])
-	m[i] = id
-	b.members[c] = m
+	i, _ := slices.BinarySearch(m, id)
+	b.members[c] = slices.Insert(m, i, id)
 }
 
 func (b *BCBPT) unassign(id p2p.NodeID) {
@@ -399,9 +396,8 @@ func (b *BCBPT) unassign(id p2p.NodeID) {
 	}
 	delete(b.clusterOf, id)
 	m := b.members[c]
-	i := sort.Search(len(m), func(i int) bool { return m[i] >= id })
-	if i < len(m) && m[i] == id {
-		m = append(m[:i], m[i+1:]...)
+	if i, ok := slices.BinarySearch(m, id); ok {
+		m = slices.Delete(m, i, i+1)
 	}
 	if len(m) == 0 {
 		delete(b.members, c)
@@ -683,22 +679,27 @@ func (b *BCBPT) fillWith(id p2p.NodeID, preferred []p2p.NodeID) {
 	}
 }
 
+// intraCount counts connections to same-cluster peers. EachPeer keeps the
+// scan allocation-free: it runs once per connect attempt of every refill.
 func (b *BCBPT) intraCount(node *p2p.Node, cluster ClusterID) int {
 	c := 0
-	for _, p := range node.Peers() {
+	node.EachPeer(func(p p2p.NodeID) bool {
 		if b.clusterOf[p] == cluster {
 			c++
 		}
-	}
+		return true
+	})
 	return c
 }
 
+// longCount counts connections leaving the cluster.
 func (b *BCBPT) longCount(node *p2p.Node, cluster ClusterID) int {
 	c := 0
-	for _, p := range node.Peers() {
+	node.EachPeer(func(p p2p.NodeID) bool {
 		if b.clusterOf[p] != cluster {
 			c++
 		}
-	}
+		return true
+	})
 	return c
 }

@@ -110,17 +110,18 @@ func (b *BCBPT) maybeMigrate(id p2p.NodeID, outside []p2p.NodeID) {
 // same-cluster peer (0 if it has none).
 func (b *BCBPT) bestIntraRTT(node *p2p.Node, cluster ClusterID) time.Duration {
 	var best time.Duration
-	for _, p := range node.Peers() {
+	node.EachPeer(func(p p2p.NodeID) bool {
 		if b.clusterOf[p] != cluster {
-			continue
+			return true
 		}
 		est, ok := node.Estimator(p)
 		if !ok || !est.Ready() {
-			continue
+			return true
 		}
 		if rtt := est.Min(); best == 0 || rtt < best {
 			best = rtt
 		}
-	}
+		return true
+	})
 	return best
 }

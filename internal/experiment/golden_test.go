@@ -100,6 +100,41 @@ func TestFigure3CSVGoldenTraced(t *testing.T) {
 	}
 }
 
+// TestFigure3ChurnCSVGolden is the same sweep under the default churn
+// model, pinned the same way. Departures and arrivals rewrite the DNS
+// seed's registry while the floods run — Bitcoin refills and LBC long links
+// draw from its ID listing, BCBPT arrivals query its geographic index — so
+// this is the byte pin on how the registry behaves under mutation, which
+// the churn-free golden never exercises. Regenerate with the command above
+// plus -churn, into testdata/figure3_churn_smoke_golden.csv.
+func TestFigure3ChurnCSVGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-replication sweep; skipped in -short")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "figure3_churn_smoke_golden.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig, err := Figure3Ctx(context.Background(), Options{
+		Nodes:        120,
+		Runs:         5,
+		Replications: 2,
+		Seed:         1,
+		ChurnOn:      true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := fig.WriteCSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("figure3 -churn CSV diverged from golden (%d bytes vs %d): first differing region:\n%s",
+			got.Len(), len(want), firstDiff(got.Bytes(), want))
+	}
+}
+
 // firstDiff renders a small window around the first byte difference.
 func firstDiff(a, b []byte) string {
 	n := min(len(a), len(b))

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/p2p"
 )
@@ -126,11 +126,8 @@ func (t *LBC) Bootstrap(ctx context.Context, ids []p2p.NodeID) error {
 func (t *LBC) assign(id p2p.NodeID, key string) {
 	t.clusterOf[id] = key
 	m := t.members[key]
-	i := sort.Search(len(m), func(i int) bool { return m[i] >= id })
-	m = append(m, 0)
-	copy(m[i+1:], m[i:])
-	m[i] = id
-	t.members[key] = m
+	i, _ := slices.BinarySearch(m, id)
+	t.members[key] = slices.Insert(m, i, id)
 }
 
 // unassign removes membership.
@@ -141,9 +138,8 @@ func (t *LBC) unassign(id p2p.NodeID) {
 	}
 	delete(t.clusterOf, id)
 	m := t.members[key]
-	i := sort.Search(len(m), func(i int) bool { return m[i] >= id })
-	if i < len(m) && m[i] == id {
-		m = append(m[:i], m[i+1:]...)
+	if i, ok := slices.BinarySearch(m, id); ok {
+		m = slices.Delete(m, i, i+1)
 	}
 	if len(m) == 0 {
 		delete(t.members, key)

@@ -16,6 +16,15 @@ type latEntry struct {
 	id    p2p.NodeID
 }
 
+// compare is the index order: latitude, then id. Longitude takes no part,
+// so an entry is found by its node's registered coordinate and id alone.
+func (a latEntry) compare(b latEntry) int {
+	if c := cmp.Compare(a.coord.LatDeg, b.coord.LatDeg); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
 // ranked is a candidate with its distance from the query. Candidates are
 // totally ordered by (distance, id).
 type ranked struct {

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -49,6 +50,47 @@ func checkRecommend(t *testing.T, d *DNSSeed, self p2p.NodeID, c geo.Coord, k in
 	}
 }
 
+// rebuiltOrderings is what the registry did after every mutation before it
+// patched its orderings in place, kept as the oracle: both orderings from
+// scratch, straight from the location map.
+func rebuiltOrderings(d *DNSSeed) ([]p2p.NodeID, []latEntry) {
+	all := make([]p2p.NodeID, 0, len(d.locs))
+	byLat := make([]latEntry, 0, len(d.locs))
+	for id, l := range d.locs {
+		all = append(all, id)
+		byLat = append(byLat, latEntry{coord: l.Coord, id: id})
+	}
+	slices.Sort(all)
+	sort.Slice(byLat, func(i, j int) bool {
+		if byLat[i].coord.LatDeg != byLat[j].coord.LatDeg {
+			return byLat[i].coord.LatDeg < byLat[j].coord.LatDeg
+		}
+		return byLat[i].id < byLat[j].id
+	})
+	return all, byLat
+}
+
+// checkOrderings looks inside the registry without reading through it (a
+// read would build what it is about to inspect): an ordering nothing has
+// read must still be nil, and one that has been read must equal the
+// from-scratch rebuild entry for entry, coordinates included.
+func checkOrderings(t *testing.T, d *DNSSeed, read bool) {
+	t.Helper()
+	if !read {
+		if d.all != nil || d.byLat != nil {
+			t.Fatalf("orderings exist before any read: all=%v byLat=%v", d.all, d.byLat)
+		}
+		return
+	}
+	wantAll, wantLat := rebuiltOrderings(d)
+	if d.all == nil || !slices.Equal(d.all, wantAll) {
+		t.Fatalf("all over %d nodes\n got %v\nwant %v", d.Len(), d.all, wantAll)
+	}
+	if d.byLat == nil || !slices.Equal(d.byLat, wantLat) {
+		t.Fatalf("byLat over %d nodes\n got %v\nwant %v", d.Len(), d.byLat, wantLat)
+	}
+}
+
 // awkwardCoords are where a latitude-pruned search could go wrong: the
 // poles (every longitude is the same point), the antimeridian (neighbours
 // 360° apart in longitude), the equator/prime-meridian origin, and
@@ -77,12 +119,22 @@ func randomCoord(r *rand.Rand, placer *geo.Placer) geo.Coord {
 // TestRecommendMatchesReference drives random registries through
 // interleaved Register / Remove / relocate and, between mutations, requires
 // Recommend to equal the full-sort oracle element for element — ties,
-// absent self, and k at and beyond the population included.
+// absent self, and k at and beyond the population included. After every
+// single mutation both orderings must equal the from-scratch rebuild. Even
+// trials read the empty registry first, so every mutation patches built
+// orderings; odd trials run their first round of mutations with nothing
+// read, so the orderings must stay nil until the round's queries build
+// them from the populated map.
 func TestRecommendMatchesReference(t *testing.T) {
 	placer := geo.DefaultPlacer()
 	for trial := int64(0); trial < 40; trial++ {
 		r := rand.New(rand.NewSource(trial))
 		d := NewDNSSeed()
+		read := trial%2 == 0
+		if read {
+			d.All()
+			d.BuildIndex()
+		}
 		maxID := 1 + r.Intn(400)
 		for step := 0; step < 60; step++ {
 			for m := r.Intn(24); m >= 0; m-- {
@@ -93,7 +145,9 @@ func TestRecommendMatchesReference(t *testing.T) {
 				default: // registers a new node or relocates a known one
 					d.Register(id, geo.Location{Coord: randomCoord(r, placer)})
 				}
+				checkOrderings(t, d, read)
 			}
+			d.All()
 			n := d.Len()
 			for _, k := range []int{-1, 0, 1, 16, 64, n - 1, n, n + 5} {
 				self := p2p.NodeID(r.Intn(maxID + 1)) // 0 is never registered
@@ -103,6 +157,63 @@ func TestRecommendMatchesReference(t *testing.T) {
 				}
 				checkRecommend(t, d, self, q, k)
 			}
+			read = true
+			checkOrderings(t, d, read)
+		}
+	}
+}
+
+// TestOrderingsPatchCases names the mutations a patch could get wrong and
+// runs each over a small population twice: with both orderings read before
+// the script (every step patches them) and with nothing read until after it
+// (every step must leave them nil, and the first read then builds them).
+func TestOrderingsPatchCases(t *testing.T) {
+	type op struct {
+		id     p2p.NodeID
+		remove bool
+		at     geo.Coord
+	}
+	home := geo.Coord{LatDeg: 10, LonDeg: 20}
+	cases := []struct {
+		name string
+		ops  []op
+	}{
+		{"relocate along the same latitude", []op{{id: 3, at: geo.Coord{LatDeg: 10, LonDeg: -150}}}},
+		{"relocate to another latitude", []op{{id: 3, at: geo.Coord{LatDeg: -45, LonDeg: 20}}}},
+		{"re-register at the same coordinate", []op{{id: 3, at: home}}},
+		{"remove an unknown id", []op{{id: 99, remove: true}}},
+		{"remove then re-add one id", []op{{id: 3, remove: true}, {id: 3, at: home}}},
+		{"remove then re-add elsewhere", []op{{id: 3, remove: true}, {id: 3, at: geo.Coord{LatDeg: 80, LonDeg: 5}}}},
+		{"arrival below every id", []op{{id: 0, at: geo.Coord{LatDeg: -90}}}},
+		{"empty and refill", []op{{id: 1, remove: true}, {id: 2, remove: true}, {id: 3, remove: true}, {id: 4, remove: true}, {id: 5, remove: true}, {id: 7, at: home}}},
+	}
+	for _, tc := range cases {
+		for _, read := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/readFirst=%v", tc.name, read), func(t *testing.T) {
+				d := NewDNSSeed()
+				for i, lat := range []float64{0, 10, 10, 10, 20} { // id 3 is at home, between two ties
+					d.Register(p2p.NodeID(i+1), geo.Location{Coord: geo.Coord{LatDeg: lat, LonDeg: 20}})
+				}
+				if read {
+					d.All()
+					d.BuildIndex()
+				}
+				for _, o := range tc.ops {
+					if o.remove {
+						d.Remove(o.id)
+					} else {
+						d.Register(o.id, geo.Location{Coord: o.at, Country: "updated"})
+						if loc, _ := d.Location(o.id); loc.Country != "updated" || loc.Coord != o.at {
+							t.Fatalf("Location(%d) = %+v after Register at %v", o.id, loc, o.at)
+						}
+					}
+					checkOrderings(t, d, read)
+				}
+				d.All()
+				d.BuildIndex()
+				checkOrderings(t, d, true)
+				checkRecommend(t, d, 0, home, 3)
+			})
 		}
 	}
 }
@@ -162,7 +273,10 @@ func TestRecommendPrunes(t *testing.T) {
 // Each 4-byte record is (op, id, lat, lon) with coordinates on a 1.4°-ish
 // grid that reaches both poles and the antimeridian, so exact ties and
 // awkward geometry are one byte away; every query record is checked
-// against the oracle for a k taken from the op byte.
+// against the oracle for a k taken from the op byte. A query is also the
+// registry's reader: the mutations before the script's first query must
+// leave both orderings nil, and every mutation after it must leave them
+// equal to the from-scratch rebuild.
 func FuzzRecommendMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 1, 127, 0, 0, 2, 129, 0, 3, 0, 0, 0})
 	f.Add([]byte{0, 1, 10, 127, 0, 2, 10, 129, 0, 3, 10, 127, 7, 0, 10, 128})
@@ -173,6 +287,7 @@ func FuzzRecommendMatchesReference(f *testing.F) {
 			script = script[:1024]
 		}
 		d := NewDNSSeed()
+		read := false
 		for ; len(script) >= 4; script = script[4:] {
 			op, id := script[0], p2p.NodeID(script[1]%32)
 			c := geo.Coord{
@@ -189,7 +304,10 @@ func FuzzRecommendMatchesReference(f *testing.F) {
 				d.Remove(id)
 			default:
 				checkRecommend(t, d, id, c, int(op/4)-1)
+				d.All()
+				read = true
 			}
+			checkOrderings(t, d, read)
 		}
 	})
 }

@@ -12,7 +12,6 @@
 package topology
 
 import (
-	"cmp"
 	"context"
 	"slices"
 
@@ -48,15 +47,21 @@ type Protocol interface {
 // nodes that are geographically close to the joiner ("DNS service nodes
 // should recommend available nodes to the node N based on the proximity in
 // the physical geographical location", §IV.B).
+//
+// The registry keeps two orderings of its nodes, all and byLat, under one
+// rule: an ordering is built by one sort the first time it is read, and
+// from then on every Register/Remove patches it in place. Until that first
+// read it stays nil and mutations skip it, so registering a whole
+// population before anything reads costs one sort whatever order the IDs
+// arrive in (inserting n random latitudes one by one would be quadratic).
 type DNSSeed struct {
 	locs map[p2p.NodeID]geo.Location
-	// all caches the sorted ID listing between membership changes: link
-	// refill consults All on every disconnect, and rebuilding the sort
-	// per call dominated large-build profiles.
+	// all is every registered ID, ascending; nil = never read. Link refill
+	// consults All on every disconnect, so under churn it is read about as
+	// often as it changes.
 	all []p2p.NodeID
 	// byLat is the geographic index Recommend searches (see nearest.go):
-	// every registered node ordered by (latitude, id). Nil means stale;
-	// mutations only ever drop it, BuildIndex rebuilds it.
+	// every registered node ordered by (latitude, id); nil = never read.
 	byLat []latEntry
 }
 
@@ -65,32 +70,63 @@ func NewDNSSeed() *DNSSeed {
 	return &DNSSeed{locs: make(map[p2p.NodeID]geo.Location)}
 }
 
-// Register adds (or updates) a reachable node.
+// Register adds a reachable node, or moves a known one to loc. Each
+// ordering that has been read is patched by a binary search and an insert:
+// IDs from AddNode ascend, so an arrival appends to all; in byLat it shifts
+// at most the index (24 B per node). Re-registering at the same coordinate
+// touches neither.
 func (d *DNSSeed) Register(id p2p.NodeID, loc geo.Location) {
 	old, known := d.locs[id]
-	if !known {
-		d.all = nil
-	}
-	if !known || old.Coord != loc.Coord {
-		d.byLat = nil
-	}
 	d.locs[id] = loc
+	if !known && d.all != nil {
+		i, _ := slices.BinarySearch(d.all, id)
+		d.all = slices.Insert(d.all, i, id)
+	}
+	if d.byLat == nil || (known && old.Coord == loc.Coord) {
+		return
+	}
+	if known {
+		d.dropLat(latEntry{coord: old.Coord, id: id})
+	}
+	e := latEntry{coord: loc.Coord, id: id}
+	i, _ := slices.BinarySearchFunc(d.byLat, e, latEntry.compare)
+	d.byLat = slices.Insert(d.byLat, i, e)
 }
 
-// Remove forgets a node.
+// Remove forgets a node: a binary search and a delete in each ordering that
+// has been read. Removing an unknown ID does nothing.
 func (d *DNSSeed) Remove(id p2p.NodeID) {
-	if _, known := d.locs[id]; known {
-		d.all = nil
-		d.byLat = nil
+	loc, known := d.locs[id]
+	if !known {
+		return
 	}
 	delete(d.locs, id)
+	if d.all != nil {
+		if i, ok := slices.BinarySearch(d.all, id); ok {
+			d.all = slices.Delete(d.all, i, i+1)
+		}
+	}
+	if d.byLat != nil {
+		d.dropLat(latEntry{coord: loc.Coord, id: id})
+	}
+}
+
+// dropLat deletes e from the built index.
+func (d *DNSSeed) dropLat(e latEntry) {
+	if i, ok := slices.BinarySearchFunc(d.byLat, e, latEntry.compare); ok {
+		d.byLat = slices.Delete(d.byLat, i, i+1)
+	}
 }
 
 // Len returns the number of registered nodes.
 func (d *DNSSeed) Len() int { return len(d.locs) }
 
-// All returns every registered node ID, sorted. The slice is shared until
-// the next Register/Remove; callers must not mutate it.
+// All returns every registered node ID, sorted. The slice is the
+// registry's own: callers must not mutate it, and the next Register/Remove
+// edits it in place (it does not merely supersede it), so hold it only
+// while nothing registers or removes. The link-refill loops that call All
+// hold it across p2p.Network.Connect, which evicts nobody and fires no
+// hook.
 func (d *DNSSeed) All() []p2p.NodeID {
 	if d.all == nil {
 		ids := make([]p2p.NodeID, 0, len(d.locs))
@@ -103,10 +139,11 @@ func (d *DNSSeed) All() []p2p.NodeID {
 	return d.all
 }
 
-// BuildIndex brings the geographic index up to date with the registry.
-// Recommend does so itself, which makes it a writer after any
-// Register/Remove: call BuildIndex first when several goroutines are about
-// to call Recommend on an unchanging registry, and they only read.
+// BuildIndex builds the geographic index if nothing has read it yet; once
+// built, Register/Remove keep it current and BuildIndex does nothing.
+// Recommend builds it itself, which makes it a writer on its first call
+// only: call BuildIndex first when several goroutines are about to call
+// Recommend on an unchanging registry, and they only read.
 func (d *DNSSeed) BuildIndex() {
 	if d.byLat != nil {
 		return
@@ -115,12 +152,7 @@ func (d *DNSSeed) BuildIndex() {
 	for id, loc := range d.locs {
 		ix = append(ix, latEntry{coord: loc.Coord, id: id})
 	}
-	slices.SortFunc(ix, func(a, b latEntry) int {
-		if c := cmp.Compare(a.coord.LatDeg, b.coord.LatDeg); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.id, b.id)
-	})
+	slices.SortFunc(ix, latEntry.compare)
 	d.byLat = ix
 }
 
@@ -129,7 +161,9 @@ func (d *DNSSeed) BuildIndex() {
 // the paper's ref [6]), nearest first, excluding the given node. Ties
 // break by ID so results are deterministic. Registered coordinates must be
 // Valid: the search prunes on latitude, which bounds distance only for
-// latitudes within [-90, 90].
+// latitudes within [-90, 90]. The first Recommend (or RecommendCost) on a
+// registry whose index nothing has read builds it; every later one only
+// reads.
 func (d *DNSSeed) Recommend(self p2p.NodeID, loc geo.Location, k int) []p2p.NodeID {
 	d.BuildIndex()
 	ids, _ := nearest(d.byLat, self, loc.Coord, k)
