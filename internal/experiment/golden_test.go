@@ -3,6 +3,8 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -132,6 +134,46 @@ func TestFigure3ChurnCSVGolden(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("figure3 -churn CSV diverged from golden (%d bytes vs %d): first differing region:\n%s",
 			got.Len(), len(want), firstDiff(got.Bytes(), want))
+	}
+}
+
+// TestFigure3ScaleDigest pins figure3 at 1000 nodes, plain and under
+// churn, by the sha256 of its CSV (testdata/figure3_1000.sha256, in
+// sha256sum's format). The smoke goldens above stop at 120 nodes, where an
+// event queue holds a few hundred entries and a peer table a handful; this
+// is the byte pin at a size where the queue holds thousands and tables
+// fill and recycle. A digest cannot show what moved — rerun the
+// smoke goldens for that — only that something did. Regenerate with:
+//
+//	go run ./cmd/bcbpt-sim -experiment figure3 -nodes 1000 -runs 20 -seed 1 -csv figure3_1000.csv
+//	go run ./cmd/bcbpt-sim -experiment figure3 -nodes 1000 -runs 20 -seed 1 -churn -csv figure3_1000_churn.csv
+//	sha256sum figure3_1000.csv figure3_1000_churn.csv > internal/experiment/testdata/figure3_1000.sha256
+func TestFigure3ScaleDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1000-node sweeps; skipped in -short")
+	}
+	pinned, err := os.ReadFile(filepath.Join("testdata", "figure3_1000.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		file  string
+		churn bool
+	}{
+		{"figure3_1000.csv", false},
+		{"figure3_1000_churn.csv", true},
+	} {
+		fig, err := Figure3Ctx(context.Background(), Options{Nodes: 1000, Runs: 20, Seed: 1, ChurnOn: c.churn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.New()
+		if err := fig.WriteCSV(sum); err != nil {
+			t.Fatal(err)
+		}
+		if line := fmt.Sprintf("%x  %s\n", sum.Sum(nil), c.file); !bytes.Contains(pinned, []byte(line)) {
+			t.Errorf("figure3 at 1000 nodes diverged from the pinned digest; got\n%swant one of\n%s", line, pinned)
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ func (nd *Node) acceptBlock(b *chain.Block, from NodeID) error {
 			return chain.ErrBadSignature
 		}
 	}
-	hi := nd.net.hashSlot(h)
+	hi := nd.net.hashSlot(nd.dctx, h)
 	e := nd.invEnsure(hi)
 	e.seenGen = nd.net.invGen
 	e.seenAt = nd.now()
@@ -73,7 +73,7 @@ func (nd *Node) handleBlockInv(from NodeID, fromPos int32, items []wire.InvVect)
 	want := nd.dctx.newGetData()
 	gen := nd.net.invGen
 	for _, item := range items {
-		hi := nd.net.hashSlot(item.Hash)
+		hi := nd.net.hashSlot(nd.dctx, item.Hash)
 		nd.markPeerHas(from, fromPos, hi)
 		e := nd.invEnsure(hi)
 		if e.seenGen == gen || e.reqGen == gen {
@@ -93,7 +93,7 @@ func (nd *Node) handleBlockInv(from NodeID, fromPos int32, items []wire.InvVect)
 func (nd *Node) handleBlock(from NodeID, fromPos int32, m *wire.MsgBlock) {
 	b := m.Block
 	h := b.Header.Hash()
-	nd.markPeerHas(from, fromPos, nd.net.hashSlot(h))
+	nd.markPeerHas(from, fromPos, nd.net.hashSlot(nd.dctx, h))
 	if e := nd.entryFor(h); e != nil && e.seenGen == nd.net.invGen {
 		return
 	}
@@ -107,7 +107,7 @@ func (nd *Node) handleBlock(from NodeID, fromPos int32, m *wire.MsgBlock) {
 
 // HasBlock reports whether the node holds the block.
 func (nd *Node) HasBlock(h chain.Hash) bool {
-	if hi, ok := nd.net.findHash(h); ok {
+	if hi, ok := nd.net.findHash(nd.dctx, h); ok {
 		_, has := nd.blockFor(hi)
 		return has
 	}

@@ -219,7 +219,7 @@ func (h *diffHarness) drain() {
 // the flat layout's rendering of the oracle's peerInv[h].
 func flatHolders(nd *Node, h chain.Hash) map[NodeID]struct{} {
 	out := map[NodeID]struct{}{}
-	hi, ok := nd.net.findHash(h)
+	hi, ok := nd.net.findHash(nd.dctx, h)
 	if !ok {
 		return out
 	}
@@ -405,14 +405,16 @@ func TestFlatBlockRelayMatchesReference(t *testing.T) {
 // TestStalePositionMatchesReference holds a message in flight across a
 // Disconnect and whatever reuses the freed adjacency position, for each
 // leg of the Fig. 1 exchange. A delivery carries its sender's position at
-// the receiver; by the time it lands that position may be (freed) empty,
-// (other) recycled for a different peer, (same) recycled for the sender
-// itself, or (moved) taken by another peer with the sender reconnected
-// somewhere else. The handlers must resolve the sender exactly as the
-// by-ID oracle does in every case.
+// the receiver and the receiver's table epoch; by the time it lands the
+// epoch has moved, and the position may be (freed) empty, (other) recycled
+// for a different peer, (same) recycled for the sender itself, or (moved)
+// taken by another peer with the sender reconnected somewhere else — or
+// (bystander) still the sender's, because the peer that left was another
+// one. The handlers must resolve the sender exactly as the by-ID oracle
+// does in every case.
 func TestStalePositionMatchesReference(t *testing.T) {
 	// a floods; b is its only peer and relays on to d; c is the spare
-	// that recycles positions.
+	// that recycles positions, or the bystander that leaves.
 	const a, b, c, d = NodeID(1), NodeID(2), NodeID(3), NodeID(4)
 	legs := []struct {
 		name string
@@ -423,14 +425,19 @@ func TestStalePositionMatchesReference(t *testing.T) {
 		{"getdata", wire.CmdGetData, a},
 		{"tx", wire.CmdTx, b},
 	}
+	cutThen := func(reuse func(h *diffHarness, recv NodeID)) func(*diffHarness, NodeID) {
+		return func(h *diffHarness, recv NodeID) { h.disconnect(a, b); reuse(h, recv) }
+	}
 	variants := []struct {
-		name  string
-		reuse func(h *diffHarness, recv NodeID)
+		name string
+		// churn runs with the leg's message on the wire.
+		churn func(h *diffHarness, recv NodeID)
 	}{
-		{"freed", func(h *diffHarness, recv NodeID) {}},
-		{"other", func(h *diffHarness, recv NodeID) { h.connect(c, recv) }},
-		{"same", func(h *diffHarness, recv NodeID) { h.connect(a, b) }},
-		{"moved", func(h *diffHarness, recv NodeID) { h.connect(c, recv); h.connect(a, b) }},
+		{"freed", cutThen(func(h *diffHarness, recv NodeID) {})},
+		{"other", cutThen(func(h *diffHarness, recv NodeID) { h.connect(c, recv) })},
+		{"same", cutThen(func(h *diffHarness, recv NodeID) { h.connect(a, b) })},
+		{"moved", cutThen(func(h *diffHarness, recv NodeID) { h.connect(c, recv); h.connect(a, b) })},
+		{"bystander", func(h *diffHarness, recv NodeID) { h.disconnect(c, recv) }},
 	}
 	for _, relay := range []RelayMode{RelayInv, RelayDirect} {
 		for _, leg := range legs {
@@ -442,6 +449,10 @@ func TestStalePositionMatchesReference(t *testing.T) {
 					h := newDiffHarness(t, diffConfig(ValidationLight, relay, false, 5), 4)
 					h.connect(a, b)
 					h.connect(b, d)
+					if v.name == "bystander" {
+						// c dials in, so a still announces to b alone.
+						h.connect(c, leg.recv)
+					}
 					h.submitTx(a)
 					// Step until the leg's first message is on the wire
 					// (sent, not yet handled: nothing answers it yet).
@@ -453,12 +464,15 @@ func TestStalePositionMatchesReference(t *testing.T) {
 					}
 					fn, _ := h.flat.Node(leg.recv)
 					sender := a + b - leg.recv
-					carried := fn.peerPos(sender)
-					h.disconnect(a, b)
-					v.reuse(h, leg.recv)
-					if got := fn.peerPos(sender); v.name == "moved" && got == carried {
+					carried, epoch := fn.peerPos(sender), fn.tabEpoch
+					v.churn(h, leg.recv)
+					if fn.tabEpoch == epoch {
+						t.Fatalf("node %d's table epoch stayed %d: the delivery's position would go unchecked", leg.recv, epoch)
+					}
+					switch got := fn.peerPos(sender); {
+					case v.name == "moved" && got == carried:
 						t.Fatalf("sender kept position %d across the reconnect", got)
-					} else if v.name == "same" && got != carried {
+					case (v.name == "same" || v.name == "bystander") && got != carried:
 						t.Fatalf("sender moved from position %d to %d", carried, got)
 					}
 					h.drain()
@@ -469,6 +483,42 @@ func TestStalePositionMatchesReference(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestHashMemoMatchesReference keeps two hashes in the air at once and
+// resets the inventory under them, so the registry's one-entry memo is
+// evicted by every other lookup and outlives its generation again and
+// again. The messages still on the wire land in the next generation and
+// register their hashes afresh, in arrival order: an answer carried across
+// the ResetInventory hands the first of them its old dense index without
+// registering it, the next hash is assigned the same one, and the two
+// share first-seen times and holders from then on.
+func TestHashMemoMatchesReference(t *testing.T) {
+	for _, relay := range []RelayMode{RelayInv, RelayDirect} {
+		t.Run(relay.String(), func(t *testing.T) {
+			h := newDiffHarness(t, diffConfig(ValidationLight, relay, false, 11), 10)
+			ids := h.liveIDs()
+			for i := range ids {
+				h.connect(ids[i], ids[(i+1)%len(ids)])
+				h.connect(ids[i], ids[(i+3)%len(ids)])
+			}
+			for round := 0; round < 12; round++ {
+				// Two floods from opposite sides meet mid-network; which
+				// one the memo holds when the reset lands, and which one's
+				// message lands first after it, vary with the round.
+				h.submitTx(ids[round%len(ids)])
+				h.submitTx(ids[(round+5)%len(ids)])
+				h.runFor(time.Duration(20+7*round) * time.Millisecond)
+				h.reset()
+				h.runFor(40 * time.Millisecond)
+				h.compare()
+				h.submitTx(ids[(round+2)%len(ids)])
+				h.drain()
+				h.compare()
+				h.reset()
+			}
+		})
 	}
 }
 

@@ -100,9 +100,9 @@ type spillFact struct {
 // bit per adjacency position.
 type nodeInv struct {
 	entries    []invEntry
+	holderBits []uint64
 	tx         []*chain.Tx
 	block      []*chain.Block
-	holderBits []uint64
 	spill      map[spillFact]struct{}
 	spillGen   uint32
 }
@@ -114,44 +114,56 @@ type nodeInv struct {
 // the allocator. The retired map-based layout survives as ReferenceNode,
 // the oracle the differential and fuzz tests pin this one against.
 type Node struct {
+	// What a receive reads comes first and together — identity, dispatch
+	// context, the table epoch and table that place the sender, the
+	// inventory arrays its INV lands in — then what a send adds, then the
+	// cold rest.
 	id   NodeID
 	slot int32
-	loc  geo.Location
-	net  *Network
+	// tabEpoch counts removePeer calls: while it stands still, every
+	// position of peerTab names the peer it named, so a delivery that left
+	// under the current epoch (delivery.dstEpoch) knows its sender's
+	// position without a look at the table. It would take 2^32 removals at
+	// this node within one message's flight for a stale delivery to see
+	// its own epoch again.
+	tabEpoch uint32
+	net      *Network
 	// dctx is the node's dispatch context: &net.serial in serial mode,
 	// the node's partition context in parallel mode. Every event this
 	// node executes — and every send, schedule, pool access and clock
 	// read it makes while executing — goes through dctx, which is what
 	// keeps the parallel hot path free of shared mutable state.
 	dctx *dispatchCtx
+	// peerTab is the stable-position adjacency table (id == 0 marks a
+	// free position, recycled through peerFree LIFO).
+	peerTab []peerEntry
+	// inv is the flat inventory replacing the known/peerInv/requested/
+	// txData/blockData maps of the reference layout.
+	inv nodeInv
+
 	// sendSeq counts this node's deliver calls. It keys the per-send
 	// delivery RNG and canonically orders cross-partition commits; being
 	// per-sender, it is identical in serial and parallel runs.
 	sendSeq uint64
-
-	// peerTab is the stable-position adjacency table (id == 0 marks a
-	// free position, recycled through peerFree LIFO).
-	peerTab  []peerEntry
-	peerFree []int32
-	nPeers   int
-	nOut     int
+	// uplinkFreeAt is when the node's serial uplink finishes its current
+	// transmission; Network.deliver queues sends behind it.
+	uplinkFreeAt sim.Time
 	// peerList caches the ascending-ID peer view; peersValid is flipped
 	// off on every connect/disconnect. The flood hot path walks the peer
 	// set once per (node, hash), so rebuilding the sorted order per call
 	// would allocate per announcement.
 	peerList   []peerRef
 	peersValid bool
-
-	// inv is the flat inventory replacing the known/peerInv/requested/
-	// txData/blockData maps of the reference layout.
-	inv nodeInv
+	peerFree   []int32
+	nPeers     int
+	nOut       int
 
 	// mempool is present in ValidationFull mode only.
 	mempool *chain.Mempool
 
-	// uplinkFreeAt is when the node's serial uplink finishes its current
-	// transmission; Network.deliver queues sends behind it.
-	uplinkFreeAt sim.Time
+	// extraHandler receives messages the base node does not consume
+	// (JOIN/CLUSTER); the topology layer installs it.
+	extraHandler func(from NodeID, msg wire.Message)
 
 	// pending ping probes, appended in send order.
 	pending   []pendingPing
@@ -160,9 +172,7 @@ type Node struct {
 	// ests holds per-target RTT estimators fed by Probe, sorted by target.
 	ests []estEntry
 
-	// extraHandler receives messages the base node does not consume
-	// (JOIN/CLUSTER); the topology layer installs it.
-	extraHandler func(from NodeID, msg wire.Message)
+	loc geo.Location
 }
 
 // now returns the node's current virtual time: its partition clock in
@@ -282,6 +292,7 @@ func (nd *Node) removePeer(id NodeID) {
 		nd.nOut--
 	}
 	nd.peerTab[pos] = peerEntry{}
+	nd.tabEpoch++
 	nd.peerFree = append(nd.peerFree, pos)
 	nd.nPeers--
 	nd.peersValid = false
@@ -290,8 +301,9 @@ func (nd *Node) removePeer(id NodeID) {
 // peerPos returns id's adjacency position, or -1 if not a peer: a linear
 // scan of a table that is at most MaxPeers entries and usually ~16. The
 // relay path does not call it — sends go through positions and deliveries
-// carry the sender's — so it serves connect/disconnect and senderPos's
-// fallback for a position gone stale under churn.
+// carry the sender's — so it serves connect/disconnect and the last step
+// of senderPos, for a delivery that a removePeer at the receiver overtook
+// and whose position no longer names its sender.
 func (nd *Node) peerPos(id NodeID) int32 {
 	for i := range nd.peerTab {
 		if nd.peerTab[i].id == id {
@@ -387,7 +399,7 @@ func (nd *Node) invEnsure(hi int32) *invEntry {
 // entryFor returns the live entry for hash h without assigning a dense
 // index, or nil if h has no index or no entry this generation.
 func (nd *Node) entryFor(h chain.Hash) *invEntry {
-	hi, ok := nd.net.findHash(h)
+	hi, ok := nd.net.findHash(nd.dctx, h)
 	if !ok || int(hi) >= len(nd.inv.entries) {
 		return nil
 	}
@@ -552,7 +564,7 @@ func (nd *Node) acceptTx(tx *chain.Tx, from NodeID) error {
 			return err
 		}
 	}
-	hi := nd.net.hashSlot(id)
+	hi := nd.net.hashSlot(nd.dctx, id)
 	e := nd.invEnsure(hi)
 	e.seenGen = nd.net.invGen
 	e.seenAt = nd.now()
@@ -601,34 +613,39 @@ func (nd *Node) announce(hi int32, h chain.Hash, except NodeID) {
 }
 
 // senderPos turns the sender position a delivery carried into from's
-// adjacency position here, or -1 if from is not a peer. Positions are
-// stable for the life of a connection, so the entry at pos still naming
-// from is proof enough — the same check Network.nodeAt makes on a slot.
-// Otherwise (the message was addressed by ID, or the edge was torn down
+// adjacency position here, or -1 if from is not a peer. A position the
+// sender read from its peer entry under this node's current table epoch
+// is right as it stands: no peer has left since, and positions only move
+// when one does. Under an older epoch the entry at pos still naming from
+// is proof enough — the same check Network.nodeAt makes on a slot — and
+// otherwise (the message was addressed by ID, or the edge was torn down
 // mid-flight and the position freed or recycled) it falls back to the
 // scan.
-func (nd *Node) senderPos(from NodeID, pos int32) int32 {
+func (nd *Node) senderPos(from NodeID, pos int32, epoch uint32) int32 {
+	if pos >= 0 && epoch == nd.tabEpoch {
+		return pos
+	}
 	if uint(pos) < uint(len(nd.peerTab)) && nd.peerTab[pos].id == from {
 		return pos
 	}
 	return nd.peerPos(from)
 }
 
-// handleMessage dispatches a delivered wire message. srcPos is the sender
-// position the delivery carried; the inventory handlers get it resolved
-// by senderPos, so they mark holder facts and reply through the peer
-// entry without scanning the table. Pings, pongs and address requests
-// are addressed by ID and answered the same way.
-func (nd *Node) handleMessage(from NodeID, srcPos int32, msg wire.Message) {
+// handleMessage dispatches a delivered wire message. srcPos and epoch are
+// the sender position and table epoch the delivery carried; the inventory
+// handlers get them resolved by senderPos, so they mark holder facts and
+// reply through the peer entry without scanning the table. Pings, pongs
+// and address requests are addressed by ID and answered the same way.
+func (nd *Node) handleMessage(from NodeID, srcPos int32, epoch uint32, msg wire.Message) {
 	switch m := msg.(type) {
 	case *wire.MsgInv:
-		nd.handleInv(from, nd.senderPos(from, srcPos), m)
+		nd.handleInv(from, nd.senderPos(from, srcPos, epoch), m)
 	case *wire.MsgGetData:
-		nd.handleGetData(from, nd.senderPos(from, srcPos), m)
+		nd.handleGetData(from, nd.senderPos(from, srcPos, epoch), m)
 	case *wire.MsgTx:
-		nd.handleTx(from, nd.senderPos(from, srcPos), m)
+		nd.handleTx(from, nd.senderPos(from, srcPos, epoch), m)
 	case *wire.MsgBlock:
-		nd.handleBlock(from, nd.senderPos(from, srcPos), m)
+		nd.handleBlock(from, nd.senderPos(from, srcPos, epoch), m)
 	case *wire.MsgPing:
 		nd.Send(from, nd.dctx.newPong(m.Nonce))
 	case *wire.MsgPong:
@@ -662,7 +679,7 @@ func (nd *Node) handleInv(from NodeID, fromPos int32, m *wire.MsgInv) {
 		if item.Type != wire.InvTx {
 			continue
 		}
-		hi := nd.net.hashSlot(item.Hash)
+		hi := nd.net.hashSlot(nd.dctx, item.Hash)
 		nd.markPeerHas(from, fromPos, hi)
 		e := nd.invEnsure(hi)
 		gen := nd.net.invGen
@@ -685,7 +702,7 @@ func (nd *Node) handleInv(from NodeID, fromPos int32, m *wire.MsgInv) {
 // handleGetData serves full transactions and blocks we hold.
 func (nd *Node) handleGetData(from NodeID, fromPos int32, m *wire.MsgGetData) {
 	for _, item := range m.Items {
-		hi, ok := nd.net.findHash(item.Hash)
+		hi, ok := nd.net.findHash(nd.dctx, item.Hash)
 		if !ok {
 			continue
 		}
@@ -708,7 +725,7 @@ func (nd *Node) handleGetData(from NodeID, fromPos int32, m *wire.MsgGetData) {
 func (nd *Node) handleTx(from NodeID, fromPos int32, m *wire.MsgTx) {
 	tx := m.Tx
 	id := tx.ID()
-	nd.markPeerHas(from, fromPos, nd.net.hashSlot(id))
+	nd.markPeerHas(from, fromPos, nd.net.hashSlot(nd.dctx, id))
 	if e := nd.entryFor(id); e != nil && e.seenGen == nd.net.invGen {
 		return
 	}

@@ -198,8 +198,9 @@ type Network struct {
 	// Dispatch contexts hold their own shard pointers; this reference
 	// exists so enabling parallel dispatch mid-trace re-shards correctly.
 	tracer *obs.Tracer
-	// hashMu guards hashIdx/hashN in parallel mode only (serial dispatch
-	// is single-threaded and skips it). Index assignment order does not
+	// hashMu guards hashIdx/hashN. Only a dispatch context's memo miss
+	// takes it (see hashSlot), so serial dispatch, where it is never
+	// contended, does not fork around it. Index assignment order does not
 	// affect observables — indices only key flat arrays.
 	hashMu sync.Mutex
 	// linksMu guards links in parallel mode only, where a message addressed
@@ -461,20 +462,17 @@ func (n *Network) RemoveNode(id NodeID) {
 // --- dense hash registry ---
 
 // hashSlot returns (assigning on first use) the dense index for an
-// inventory hash in the current generation. In parallel mode the registry
-// is the one piece of inventory state shared across partitions, so it
-// takes a mutex there; which partition wins an assignment race only
-// decides which dense index a hash gets, and indices never affect
-// observables — they only key flat arrays.
-func (n *Network) hashSlot(h chain.Hash) int32 {
-	if n.par == nil {
-		if hi, ok := n.hashIdx[h]; ok {
-			return hi
-		}
-		hi := n.hashN
-		n.hashN++
-		n.hashIdx[h] = hi
-		return hi
+// inventory hash in the current generation. A flood asks about one hash
+// tens of thousands of times in a row — every INV, GETDATA and TX of it —
+// so the calling node's dispatch context remembers the last answer
+// (dispatchCtx.memoHash) and only a different hash reaches the map. The
+// registry is the one piece of inventory state shared across partitions,
+// hence the mutex (the memo, being per context, needs none); which
+// partition wins an assignment race only decides which dense index a hash
+// gets, and indices never affect observables — they only key flat arrays.
+func (n *Network) hashSlot(dc *dispatchCtx, h chain.Hash) int32 {
+	if dc.memoGen == n.invGen && dc.memoHash == h {
+		return dc.memoIdx
 	}
 	n.hashMu.Lock()
 	hi, ok := n.hashIdx[h]
@@ -484,18 +482,22 @@ func (n *Network) hashSlot(h chain.Hash) int32 {
 		n.hashIdx[h] = hi
 	}
 	n.hashMu.Unlock()
+	dc.memoHash, dc.memoIdx, dc.memoGen = h, hi, n.invGen
 	return hi
 }
 
-// findHash returns the dense index for a hash without assigning one.
-func (n *Network) findHash(h chain.Hash) (int32, bool) {
-	if n.par == nil {
-		hi, ok := n.hashIdx[h]
-		return hi, ok
+// findHash returns the dense index for a hash without assigning one,
+// through the same memo: an index, once assigned, holds for the generation.
+func (n *Network) findHash(dc *dispatchCtx, h chain.Hash) (int32, bool) {
+	if dc.memoGen == n.invGen && dc.memoHash == h {
+		return dc.memoIdx, true
 	}
 	n.hashMu.Lock()
 	hi, ok := n.hashIdx[h]
 	n.hashMu.Unlock()
+	if ok {
+		dc.memoHash, dc.memoIdx, dc.memoGen = h, hi, n.invGen
+	}
 	return hi, ok
 }
 
@@ -593,14 +595,18 @@ func (n *Network) BaseRTT(a, b NodeID) (time.Duration, bool) {
 // destination is addressed by (slot, id): dispatch is an array index plus
 // a liveness check, not a map lookup. srcPos is the sender's adjacency
 // position at the destination (-1 for a message addressed by ID), read
-// from the sender's peer entry; it sits in what was padding after dstSlot.
+// from the sender's peer entry, and dstEpoch the destination's peer-table
+// epoch when the message left: while the two still agree on arrival,
+// srcPos needs no checking (Node.senderPos). The epoch is the 49th byte:
+// the payload is in the allocator's 64-byte class, not the 48-byte one.
 type delivery struct {
-	net     *Network
-	src     NodeID
-	dstSlot int32
-	srcPos  int32
-	dstID   NodeID
-	msg     wire.Message
+	net      *Network
+	src      NodeID
+	dstSlot  int32
+	srcPos   int32
+	dstID    NodeID
+	dstEpoch uint32
+	msg      wire.Message
 }
 
 // runDelivery is the static dispatch target for delivery events: no
@@ -612,7 +618,7 @@ type delivery struct {
 // in-flight count bounds them, so steady state still allocates nothing.
 func runDelivery(a any) {
 	d := a.(*delivery)
-	n, src, dstSlot, srcPos, dstID, msg := d.net, d.src, d.dstSlot, d.srcPos, d.dstID, d.msg
+	n, src, dstSlot, srcPos, dstID, epoch, msg := d.net, d.src, d.dstSlot, d.srcPos, d.dstID, d.dstEpoch, d.msg
 	d.msg = nil
 	// The destination may have churned away mid-flight (serial mode only;
 	// parallel mode forbids topology mutation).
@@ -628,7 +634,7 @@ func runDelivery(a any) {
 			dc.trace.Record(obs.Event{At: dc.sched.Now(), Kind: obs.KindDeliver, Code: uint8(msg.Command()),
 				P1: uint64(src), P2: uint64(dstID)})
 		}
-		node.handleMessage(src, srcPos, msg)
+		node.handleMessage(src, srcPos, epoch, msg)
 	} else {
 		dc.stats.Dropped++
 		if dc.trace != nil {
@@ -692,7 +698,7 @@ func (n *Network) deliver(src, dst *Node, pos int32, msg wire.Message) {
 		link = n.link(src, dst)
 	}
 	delay := (start + txTime - now) + link.SampleOneWay(dc.krand)
-	d := dc.newDelivery(n, src.id, srcPos, dst.slot, dst.id, msg)
+	d := dc.newDelivery(n, src.id, srcPos, dst, msg)
 	if ddc := dst.dctx; ddc == dc {
 		dc.sched.AfterCall(delay, runDelivery, d)
 	} else {
@@ -873,11 +879,14 @@ func (n *Network) ResetInventory() {
 	if n.invGen == 0 {
 		// Generation counter wrapped (after ~4 billion resets): stale
 		// stamps could alias the new generation, so hard-reset every
-		// node's arrays once and restart from generation 1.
+		// node's arrays and every context's hash memo once and restart
+		// from generation 1.
 		n.invGen = 1
+		n.serial.memoGen = 0
 		for _, node := range n.slots {
 			if node != nil {
 				node.inv = nodeInv{}
+				node.dctx.memoGen = 0
 			}
 		}
 	}

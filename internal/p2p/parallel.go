@@ -58,6 +58,13 @@ type dispatchCtx struct {
 	part  int32
 	stats Stats
 
+	// memoHash/memoIdx are the hash registry's last answer to a node of
+	// this context, valid while memoGen is the network's inventory
+	// generation (see Network.hashSlot). Zero is never a generation.
+	memoHash chain.Hash
+	memoIdx  int32
+	memoGen  uint32
+
 	// ksrc/krand are the keyed delivery RNG: ksrc is re-keyed per send
 	// and krand adapts it to Float64/NormFloat64 without allocating.
 	ksrc  sim.KeyedSource
@@ -204,14 +211,14 @@ func (dc *dispatchCtx) sharedPad(size int) []byte {
 }
 
 // newDelivery pops a pooled payload (or allocates on first use).
-func (dc *dispatchCtx) newDelivery(n *Network, src NodeID, srcPos, dstSlot int32, dstID NodeID, msg wire.Message) *delivery {
+func (dc *dispatchCtx) newDelivery(n *Network, src NodeID, srcPos int32, dst *Node, msg wire.Message) *delivery {
 	if last := len(dc.deliveryPool) - 1; last >= 0 {
 		d := dc.deliveryPool[last]
 		dc.deliveryPool = dc.deliveryPool[:last]
-		d.src, d.srcPos, d.dstSlot, d.dstID, d.msg = src, srcPos, dstSlot, dstID, msg
+		d.src, d.srcPos, d.dstSlot, d.dstID, d.dstEpoch, d.msg = src, srcPos, dst.slot, dst.id, dst.tabEpoch, msg
 		return d
 	}
-	return &delivery{net: n, src: src, srcPos: srcPos, dstSlot: dstSlot, dstID: dstID, msg: msg}
+	return &delivery{net: n, src: src, srcPos: srcPos, dstSlot: dst.slot, dstID: dst.id, dstEpoch: dst.tabEpoch, msg: msg}
 }
 
 // newVerifyJob pops a pooled payload (or allocates on first use).

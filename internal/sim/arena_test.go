@@ -17,100 +17,153 @@ type trace struct {
 
 // schedOp is one randomised operation applied identically to both kernels.
 type schedOp struct {
-	kind   int // 0 = schedule, 1 = cancel an earlier schedule, 2 = RunN batch
-	delay  time.Duration
-	target int // for cancels: index of the schedule op to cancel
-	batch  int // for RunN
+	kind   int           // opSchedule, opCancel, opRunN or opRunUntil
+	delay  time.Duration // opSchedule: delay from now; opRunUntil: horizon from now
+	target int           // opCancel: index of the schedule op to cancel
+	batch  int           // opRunN: events to dispatch
 }
+
+const (
+	opSchedule = iota
+	opCancel
+	opRunN
+	opRunUntil
+)
 
 func randomOps(r *rand.Rand, n int) []schedOp {
 	ops := make([]schedOp, n)
 	scheduled := 0
 	for i := range ops {
-		switch k := r.Intn(10); {
-		case k < 6 || scheduled == 0: // bias toward scheduling
-			ops[i] = schedOp{kind: 0, delay: time.Duration(r.Intn(50)) * time.Microsecond}
+		switch k := r.Intn(20); {
+		case k < 12 || scheduled == 0: // bias toward scheduling
+			ops[i] = schedOp{kind: opSchedule, delay: time.Duration(r.Intn(50)) * time.Microsecond}
 			scheduled++
-		case k < 9:
-			ops[i] = schedOp{kind: 1, target: r.Intn(scheduled)}
+		case k < 18:
+			ops[i] = schedOp{kind: opCancel, target: r.Intn(scheduled)}
+		case k < 19:
+			ops[i] = schedOp{kind: opRunN, batch: 1 + r.Intn(5)}
 		default:
-			ops[i] = schedOp{kind: 2, batch: 1 + r.Intn(5)}
+			ops[i] = schedOp{kind: opRunUntil, delay: time.Duration(r.Intn(12)) * time.Microsecond}
 		}
 	}
 	return ops
 }
 
-// replayArena runs ops against the arena Scheduler, returning the
-// dispatch trace and final (now, len) state.
-func replayArena(ops []schedOp) ([]trace, Time, int) {
-	s := NewScheduler()
-	var out []trace
-	var handles []Handle
-	tag := 0
-	for _, op := range ops {
-		switch op.kind {
-		case 0:
-			t := tag
-			handles = append(handles, s.After(op.delay, func() {
-				out = append(out, trace{tag: t, at: s.Now()})
-			}))
-			tag++
-		case 1:
-			s.Cancel(handles[op.target])
-		case 2:
-			_, _ = s.RunN(op.batch)
+// deepOps is a script that holds well over 20 000 events pending: bursts
+// of one to eight events at the same instant, one cancellation per four
+// schedules aimed half the time at the most recent burst and half the
+// time anywhere (so tombstones sit at every depth, the top included), and
+// once the queue is full, short RunN and RunUntil batches between further
+// bursts, so pops descend eight or nine levels of the 4-ary heap with its
+// size passing through every residue mod 4.
+func deepOps(r *rand.Rand) []schedOp {
+	var ops []schedOp
+	scheduled := 0
+	burst := func() {
+		d := time.Duration(r.Intn(4000)) * time.Microsecond
+		for k := 1 + r.Intn(8); k > 0; k-- {
+			ops = append(ops, schedOp{kind: opSchedule, delay: d})
+			scheduled++
+			if scheduled%4 == 0 {
+				target := r.Intn(scheduled)
+				if r.Intn(2) == 0 {
+					target = scheduled - 1 - r.Intn(min(8, scheduled))
+				}
+				ops = append(ops, schedOp{kind: opCancel, target: target})
+			}
 		}
 	}
-	_ = s.Run()
-	return out, s.Now(), s.Len()
+	for scheduled < 32000 {
+		burst()
+	}
+	for i := 0; i < 6000; i++ {
+		switch r.Intn(3) {
+		case 0:
+			ops = append(ops, schedOp{kind: opRunN, batch: 1 + r.Intn(7)})
+		case 1:
+			ops = append(ops, schedOp{kind: opRunUntil, delay: time.Duration(r.Intn(3)) * time.Microsecond})
+		default:
+			burst()
+		}
+	}
+	return ops
 }
 
-// replayReference runs the same ops against the pre-arena kernel.
-func replayReference(ops []schedOp) ([]trace, Time, int) {
-	s := NewReferenceScheduler()
-	var out []trace
+// kernel is what the differential replays drive: both schedulers have it.
+type kernel interface {
+	After(d time.Duration, fn func()) Handle
+	Cancel(h Handle) bool
+	RunN(n int) (int, error)
+	RunUntil(limit Time) error
+	Run() error
+	Now() Time
+	Len() int
+}
+
+// replay runs ops against s and drains it, returning the dispatch trace,
+// the final (now, len) state and the most events ever pending.
+func replay(s kernel, ops []schedOp) (out []trace, now Time, pending, peak int) {
 	var handles []Handle
-	tag := 0
 	for _, op := range ops {
 		switch op.kind {
-		case 0:
-			t := tag
+		case opSchedule:
+			t := len(handles)
 			handles = append(handles, s.After(op.delay, func() {
 				out = append(out, trace{tag: t, at: s.Now()})
 			}))
-			tag++
-		case 1:
+		case opCancel:
 			s.Cancel(handles[op.target])
-		case 2:
+		case opRunN:
 			_, _ = s.RunN(op.batch)
+		case opRunUntil:
+			_ = s.RunUntil(s.Now() + op.delay)
 		}
+		peak = max(peak, s.Len())
 	}
 	_ = s.Run()
-	return out, s.Now(), s.Len()
+	return out, s.Now(), s.Len(), peak
+}
+
+// requireSameReplay replays ops on both kernels and requires bit-identical
+// dispatch order, clocks and queue lengths. It returns the arena kernel's
+// peak pending count.
+func requireSameReplay(t *testing.T, ops []schedOp) int {
+	t.Helper()
+	gotTr, gotNow, gotLen, gotPeak := replay(NewScheduler(), ops)
+	wantTr, wantNow, wantLen, wantPeak := replay(NewReferenceScheduler(), ops)
+	if gotNow != wantNow || gotLen != wantLen || gotPeak != wantPeak {
+		t.Fatalf("state (now=%v len=%d peak=%d), reference (now=%v len=%d peak=%d)",
+			gotNow, gotLen, gotPeak, wantNow, wantLen, wantPeak)
+	}
+	if len(gotTr) != len(wantTr) {
+		t.Fatalf("dispatched %d events, reference %d", len(gotTr), len(wantTr))
+	}
+	for i := range gotTr {
+		if gotTr[i] != wantTr[i] {
+			t.Fatalf("dispatch %d = %+v, reference %+v", i, gotTr[i], wantTr[i])
+		}
+	}
+	return gotPeak
 }
 
 // TestArenaMatchesReference replays thousands of randomised cancel-heavy
-// schedules against both kernels and requires bit-identical dispatch
-// order, clocks, and queue lengths. This is the determinism contract of
-// the arena rewrite: (at, seq) total order, cancellation visibility, and
-// RunN batching must be indistinguishable from the pre-arena kernel.
+// schedules against both kernels. This is the determinism contract of the
+// arena kernel: (at, seq) total order, cancellation visibility, and RunN
+// and RunUntil batching must be indistinguishable from the reference.
 func TestArenaMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(1234))
 	for round := 0; round < 200; round++ {
-		ops := randomOps(r, 50+r.Intn(200))
-		gotTr, gotNow, gotLen := replayArena(ops)
-		wantTr, wantNow, wantLen := replayReference(ops)
-		if gotNow != wantNow || gotLen != wantLen {
-			t.Fatalf("round %d: state (now=%v len=%d), reference (now=%v len=%d)",
-				round, gotNow, gotLen, wantNow, wantLen)
-		}
-		if len(gotTr) != len(wantTr) {
-			t.Fatalf("round %d: dispatched %d events, reference %d", round, len(gotTr), len(wantTr))
-		}
-		for i := range gotTr {
-			if gotTr[i] != wantTr[i] {
-				t.Fatalf("round %d: dispatch %d = %+v, reference %+v", round, i, gotTr[i], wantTr[i])
-			}
+		requireSameReplay(t, randomOps(r, 50+r.Intn(200)))
+	}
+}
+
+// TestDeepHeapMatchesReference is the same contract where the 4-ary heap
+// is deep: the random scripts above never hold more than a few hundred
+// events, three levels, and a flood holds tens of thousands.
+func TestDeepHeapMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		if peak := requireSameReplay(t, deepOps(rand.New(rand.NewSource(seed)))); peak < 20000 {
+			t.Fatalf("seed %d: peak pending %d, want >= 20000", seed, peak)
 		}
 	}
 }
@@ -124,18 +177,7 @@ func FuzzArenaMatchesReference(f *testing.F) {
 		if n < 1 || n > 2000 {
 			t.Skip()
 		}
-		ops := randomOps(rand.New(rand.NewSource(seed)), n)
-		gotTr, gotNow, gotLen := replayArena(ops)
-		wantTr, wantNow, wantLen := replayReference(ops)
-		if gotNow != wantNow || gotLen != wantLen || len(gotTr) != len(wantTr) {
-			t.Fatalf("kernel state diverged: (%v,%d,%d) vs (%v,%d,%d)",
-				gotNow, gotLen, len(gotTr), wantNow, wantLen, len(wantTr))
-		}
-		for i := range gotTr {
-			if gotTr[i] != wantTr[i] {
-				t.Fatalf("dispatch %d = %+v, reference %+v", i, gotTr[i], wantTr[i])
-			}
-		}
+		requireSameReplay(t, randomOps(rand.New(rand.NewSource(seed)), n))
 	})
 }
 

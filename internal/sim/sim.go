@@ -1,8 +1,9 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel is the substrate every experiment in this repository runs on:
-// an arena-backed binary-heap scheduler ordered by virtual time, a virtual
-// clock, and a family of named, independently-seeded random streams.
+// an arena-backed scheduler — a 4-ary heap ordered by virtual time whose
+// pop picks among children without branching — a virtual clock, and a
+// family of named, independently-seeded random streams.
 // Determinism is a hard requirement — given the same seed and the same
 // sequence of schedule calls, a simulation replays identically. Ties in
 // virtual time are broken by schedule order (a monotonically increasing
@@ -32,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -86,21 +88,38 @@ type event struct {
 	st   uint8
 }
 
-// heapEntry is one heap node. The (at, seq) ordering key is duplicated
-// out of the arena slot so sift comparisons stay within the (hot,
-// sequentially laid out) heap array instead of chasing arena indices.
+// heapEntry is one node of the 4-ary heap: the children of entry i are
+// entries 4i+1 .. 4i+4, so a pop descends half the levels of a binary heap
+// and the four children it inspects per level are contiguous. The
+// (at, seq) ordering key is duplicated out of the arena slot so sift
+// comparisons stay within the (hot, sequentially laid out) heap array
+// instead of chasing arena indices.
 type heapEntry struct {
 	at  Time
 	seq uint64
 	idx int32
 }
 
-// before orders heap entries by (at, seq).
-func (e heapEntry) before(o heapEntry) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
+// key is an entry's (at, seq) as the 128-bit number the heap orders by.
+// Schedule times are never negative (schedule rejects at < now, and the
+// clock starts at zero), so at compares unsigned as it does signed.
+type key struct{ at, seq uint64 }
+
+func (e *heapEntry) key() key { return key{uint64(e.at), e.seq} }
+
+// less reports, as 0 or 1, whether a orders before b: one subtraction
+// through a borrow chain, so the answer is a flag to do arithmetic on
+// rather than a branch to predict.
+func less(a, b key) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(a.at, b.at, borrow)
+	return int(borrow)
+}
+
+// pick returns b if takeB is 1 and a if it is 0, without branching.
+func pick(a, b key, takeB int) key {
+	k := uint64(-takeB)
+	return key{a.at ^ (a.at^b.at)&k, a.seq ^ (a.seq^b.seq)&k}
 }
 
 // Scheduler is a single-threaded discrete-event scheduler. It is not safe
@@ -161,8 +180,8 @@ func (s *Scheduler) siftUp(i int) {
 	h := s.heap
 	e := h[i]
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.before(h[parent]) {
+		parent := (i - 1) / 4
+		if less(e.key(), h[parent].key()) == 0 {
 			break
 		}
 		h[i] = h[parent]
@@ -171,25 +190,38 @@ func (s *Scheduler) siftUp(i int) {
 	h[i] = e
 }
 
-// siftDown moves the entry at i toward the leaves (hole insertion).
+// siftDown moves the entry at i toward the leaves (hole insertion). Which
+// of four children is least is close to a coin flip per level, so a full
+// child group is decided without branching: a two-round tournament whose
+// winner's index is computed from less's 0/1 results. Only the partial
+// last group (at most one per descent) and the stop test branch, and the
+// stop test is predictable — the entry sifted is the heap's last, which
+// usually belongs near the bottom.
 func (s *Scheduler) siftDown(i int) {
 	h := s.heap
 	n := len(h)
 	e := h[i]
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := 4*i + 1
+		var m int
+		if c+4 <= n {
+			g := (*[4]heapEntry)(h[c : c+4])
+			k0, k1, k2, k3 := g[0].key(), g[1].key(), g[2].key(), g[3].key()
+			m01, m23 := less(k1, k0), less(k3, k2)
+			m = c + m01 + (2+m23-m01)&-less(pick(k2, k3, m23), pick(k0, k1, m01))
+		} else if c < n {
+			m = c
+			for j := c + 1; j < n; j++ {
+				m += (j - m) & -less(h[j].key(), h[m].key())
+			}
+		} else {
 			break
 		}
-		least := l
-		if r := l + 1; r < n && h[r].before(h[l]) {
-			least = r
-		}
-		if !h[least].before(e) {
+		if less(h[m].key(), e.key()) == 0 {
 			break
 		}
-		h[i] = h[least]
-		i = least
+		h[i] = h[m]
+		i = m
 	}
 	h[i] = e
 }
