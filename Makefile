@@ -25,11 +25,12 @@ test:
 
 # The engine fans campaigns across goroutines, the build shards its
 # placement/candidate phases, the fleet coordinator serves concurrent
-# HTTP workers, the obs tracer is written into by every partition
-# worker, and the DNS seed's geographic index (built once, on its first
-# read, then patched in place by every Register/Remove) is read by every
-# ranking shard; keep the concurrent packages honest under the race
-# detector.
+# HTTP workers and records into the obs tracer from them, and the DNS
+# seed's geographic index (built once, on its first read, then patched in
+# place by every Register/Remove) is read by every ranking shard; keep the
+# concurrent packages honest under the race detector. A p2p.Network is
+# single-goroutine by contract and carries no lock: running its tests here
+# is what holds that claim.
 race:
 	$(GO) test -race ./internal/sim ./internal/experiment ./internal/core ./internal/topology ./internal/measure ./internal/netnode ./internal/fleet ./internal/p2p ./internal/wire ./internal/obs
 
@@ -44,7 +45,6 @@ FUZZ_RACE ?=
 fuzz-smoke:
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzFlatNodeMatchesReference -fuzztime=30s ./internal/p2p
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzArenaMatchesReference -fuzztime=30s ./internal/sim
-	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzParallelMatchesSerial -fuzztime=30s ./internal/sim
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzRecommendMatchesReference -fuzztime=30s ./internal/topology
 
 # Distributed-campaign smoke: a coordinator + 2 local workers (one
@@ -53,10 +53,9 @@ fuzz-smoke:
 fleet-smoke:
 	sh scripts/fleetsmoke.sh
 
-# Observability smoke: a figure3 run traced (serial and parallel kernels)
-# must produce a CDF CSV byte-identical to the untraced run, and both
-# trace exports (Perfetto JSON + binary spool) must validate. See
-# scripts/tracesmoke.sh.
+# Observability smoke: a traced figure3 run must produce a CDF CSV
+# byte-identical to the untraced run, and its trace exports (Perfetto
+# JSON + binary spool) must validate. See scripts/tracesmoke.sh.
 trace-smoke:
 	sh scripts/tracesmoke.sh
 

@@ -13,11 +13,8 @@ package repro_test
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -421,30 +418,19 @@ func BenchmarkFlood100k(b *testing.B) {
 	b.ReportMetric(float64(net.NodeFootprintBytes())/float64(net.NumNodes()), "node-B")
 }
 
-// --- Tentpole: conservative parallel event dispatch ---
-//
-// The serial/parallel pairs share one workload (same spec, same seeds,
-// same floods — parallel dispatch is bit-identical to serial, so the
-// pair differs ONLY in dispatch mode) and the same zero-tolerance
-// allocs/op gating as every ^BenchmarkFlood bench. The LBC 2000-node
-// pair is the campaign inner loop on a cluster-partitioned overlay; the
-// 100k benchmark scales worker counts over a region-clustered overlay
-// whose partition plan is the geographic region map.
-
-func benchFlood2000LBC(b *testing.B, simWorkers int) {
+// BenchmarkFlood2000LBC is the campaign inner loop — one measured flood
+// per op — on a 2000-node cluster-structured (LBC) overlay, held to the
+// same zero-tolerance allocs/op gating as every ^BenchmarkFlood bench.
+func BenchmarkFlood2000LBC(b *testing.B) {
 	built, err := experiment.Build(context.Background(), experiment.Spec{
-		Nodes:      2000,
-		Seed:       1,
-		Protocol:   experiment.ProtoLBC,
-		SimWorkers: simWorkers,
+		Nodes:    2000,
+		Seed:     1,
+		Protocol: experiment.ProtoLBC,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer built.Close()
-	if _, on := built.Net.ParallelLookahead(); on != (simWorkers > 1) {
-		b.Fatalf("parallel dispatch engaged = %v with SimWorkers = %d", on, simWorkers)
-	}
 	key, err := chain.GenerateKey(rand.New(rand.NewSource(99)))
 	if err != nil {
 		b.Fatal(err)
@@ -462,11 +448,6 @@ func benchFlood2000LBC(b *testing.B, simWorkers int) {
 			b.Fatal("flood reached no connections")
 		}
 	}
-}
-
-func BenchmarkFlood2000Serial(b *testing.B) { benchFlood2000LBC(b, 1) }
-func BenchmarkFlood2000Parallel(b *testing.B) {
-	benchFlood2000LBC(b, runtime.GOMAXPROCS(0))
 }
 
 // BenchmarkChurnFlood2000 is the flood under the default churn model, one
@@ -511,116 +492,6 @@ func BenchmarkChurnFlood2000(b *testing.B) {
 			}
 			b.ReportMetric(float64(events)/float64(b.N), "churn-events/op")
 		})
-	}
-}
-
-// BenchmarkFlood100kParallel floods a 100,000-node region-clustered
-// overlay — a ring and seven random chords inside each geographic
-// region, one link between consecutive regions — at several dispatch
-// worker counts over one shared build. The region map doubles as the
-// partition plan, so almost all traffic is partition-local and the
-// cross-partition lookahead is the long-haul latency floor: the
-// best-case shape for conservative windows, which is exactly what a
-// scaling benchmark should pin.
-func BenchmarkFlood100kParallel(b *testing.B) {
-	const n = 100_000
-	cfg := p2p.DefaultConfig()
-	cfg.Validation = p2p.ValidationNone
-	cfg.PingInterval = 0
-	net, err := p2p.NewNetwork(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net.Reserve(n)
-	placer := geo.DefaultPlacer()
-	pr := net.Streams().Stream("placement")
-	nodes := make([]*p2p.Node, n)
-	regionOf := make(map[string][]int, 16)
-	var regions []string
-	for i := range nodes {
-		nodes[i] = net.AddNode(placer.Place(pr))
-		reg := nodes[i].Location().Region
-		if _, seen := regionOf[reg]; !seen {
-			regions = append(regions, reg)
-		}
-		regionOf[reg] = append(regionOf[reg], i)
-	}
-	sort.Strings(regions)
-	if len(regions) < 2 {
-		b.Fatalf("placer produced %d regions; need >= 2 for a partition plan", len(regions))
-	}
-	wires := rand.New(rand.NewSource(1))
-	plan := p2p.PartitionPlan{Parts: len(regions), Of: make([]int32, net.SlotCap())}
-	for p, reg := range regions {
-		members := regionOf[reg]
-		// One long-haul link chains this region to the next, keeping the
-		// overlay connected while the cross-partition edge set — and so
-		// the lookahead — stays long-haul. Wired before the chords so it
-		// cannot lose the outbound-slot race to them.
-		next := regionOf[regions[(p+1)%len(regions)]]
-		if err := net.Connect(nodes[members[0]].ID(), nodes[next[0]].ID()); err != nil {
-			b.Fatal(err)
-		}
-		for k, i := range members {
-			slot, _ := net.SlotOf(nodes[i].ID())
-			plan.Of[slot] = int32(p)
-			if err := net.Connect(nodes[i].ID(), nodes[members[(k+1)%len(members)]].ID()); err != nil {
-				b.Fatal(err)
-			}
-			for c := 0; c < 7; c++ {
-				if j := members[wires.Intn(len(members))]; j != i {
-					_ = net.Connect(nodes[i].ID(), nodes[j].ID()) // dups/full peers skip
-				}
-			}
-		}
-	}
-	key, err := chain.GenerateKey(rand.New(rand.NewSource(99)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var reached atomic.Int64
-	net.OnTxFirstSeen = func(p2p.NodeID, chain.Hash, sim.Time) { reached.Add(1) }
-
-	iter := 0
-	flood := func(b *testing.B) {
-		b.Helper()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			net.ResetInventory()
-			reached.Store(0)
-			iter++
-			tx := chain.Coinbase(uint64(iter), 1000, key.Address())
-			if err := nodes[iter%n].SubmitTx(tx); err != nil {
-				b.Fatal(err)
-			}
-			// A far horizon, not a deadline: with keepalive off the flood
-			// drains completely and the clock jumps to the limit, exactly
-			// like the serial bench's unbounded Run().
-			if err := net.RunUntil(context.Background(), net.Now()+sim.Time(time.Hour)); err != nil {
-				b.Fatal(err)
-			}
-			if got := reached.Load(); got != n {
-				b.Fatalf("flood reached %d of %d nodes", got, n)
-			}
-		}
-	}
-	workerCounts := []int{1, 4}
-	if gmp := runtime.GOMAXPROCS(0); gmp > 4 {
-		workerCounts = append(workerCounts, gmp)
-	}
-	for _, workers := range workerCounts {
-		if workers > 1 {
-			if err := net.EnableParallelDispatch(plan, workers); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.Run(fmt.Sprintf("workers=%d", workers), flood)
-		if workers > 1 {
-			if err := net.DisableParallelDispatch(); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 }
 

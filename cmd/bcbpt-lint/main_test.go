@@ -80,27 +80,34 @@ func TestVetToolSeededViolation(t *testing.T) {
 	}
 }
 
-// TestVetToolPartisoViolation seeds a partition-isolation violation the
-// same way: an overlaid file registers a dispatch handler that touches
-// Network.serial, and go vet must exit nonzero with the partiso message
-// — proving the interprocedural engine runs under the vet protocol too.
-func TestVetToolPartisoViolation(t *testing.T) {
+// TestVetToolLockioViolation seeds an interprocedural violation the same
+// way: an overlaid file in repro/internal/fleet reaches file I/O through a
+// callee while a mutex is held, and go vet must exit nonzero with the
+// lockio message naming the callee — proving the call-graph engine runs
+// under the vet protocol too.
+func TestVetToolLockioViolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the tool and vets packages")
 	}
 	bin, root := buildTool(t)
 
 	dir := t.TempDir()
-	seed := filepath.Join(dir, "zz_partiso_violation.go")
-	src := `package p2p
+	seed := filepath.Join(dir, "zz_lockio_violation.go")
+	src := `package fleet
 
-func zzPartisoViolation(n *Network) {
-	n.sched.AfterCall(0, zzPartisoDeliver, n)
-}
+import (
+	"os"
+	"sync"
+)
 
-func zzPartisoDeliver(a any) {
-	n := a.(*Network)
-	n.serial.stats.Dropped++
+var zzMu sync.Mutex
+
+func zzPublish() error { return os.WriteFile("zz", nil, 0o644) }
+
+func zzLockioViolation() error {
+	zzMu.Lock()
+	defer zzMu.Unlock()
+	return zzPublish()
 }
 `
 	if err := os.WriteFile(seed, []byte(src), 0o644); err != nil {
@@ -108,7 +115,7 @@ func zzPartisoDeliver(a any) {
 	}
 	overlay := filepath.Join(dir, "overlay.json")
 	data, err := json.Marshal(map[string]map[string]string{
-		"Replace": {filepath.Join(root, "internal/p2p/zz_partiso_violation.go"): seed},
+		"Replace": {filepath.Join(root, "internal/fleet/zz_lockio_violation.go"): seed},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,14 +124,14 @@ func zzPartisoDeliver(a any) {
 		t.Fatal(err)
 	}
 
-	cmd := exec.Command("go", "vet", "-overlay="+overlay, "-vettool="+bin, "./internal/p2p")
+	cmd := exec.Command("go", "vet", "-overlay="+overlay, "-vettool="+bin, "./internal/fleet")
 	cmd.Dir = root
 	out, err := cmd.CombinedOutput()
 	if err == nil {
-		t.Fatalf("go vet passed despite seeded partiso violation:\n%s", out)
+		t.Fatalf("go vet passed despite seeded lockio violation:\n%s", out)
 	}
-	if !strings.Contains(string(out), "access to Network.serial in dispatch-reachable zzPartisoDeliver") {
-		t.Fatalf("vet failed but without the partiso diagnostic:\n%s", out)
+	if !strings.Contains(string(out), "I/O call zzPublish (which reaches os.WriteFile) while zzMu is held") {
+		t.Fatalf("vet failed but without the interprocedural lockio diagnostic:\n%s", out)
 	}
 }
 

@@ -24,9 +24,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"sort"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -35,7 +32,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/geo"
 	"repro/internal/measure"
-	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/topology"
 )
@@ -53,14 +49,12 @@ func main() {
 		csvPath      = flag.String("csv", "", "write figure CDF data to this CSV file (figure3/figure4 only)")
 		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "campaign-engine worker pool size")
 		buildWorkers = flag.Int("build-workers", 0, "worker pool size inside each network build (0 = GOMAXPROCS); any value builds an identical network")
-		simWorkers   = flag.Int("sim-workers", 1, "event-dispatch workers inside each simulation (1 = serial kernel; >= 2 enables cluster-partitioned parallel dispatch); any value produces identical output")
 		reps         = flag.Int("replications", 1, "independently seeded networks per series (samples pool)")
 		timeout      = flag.Duration("timeout", 0, "wall-clock budget for the whole experiment (0 = none)")
 		streaming    = flag.Bool("streaming", false, "pool samples into bounded-memory sketches (~1% quantile error) instead of retaining every Δt; use for paper-scale sweeps")
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file (diagnose hot-path regressions from a release binary)")
 		memProfile   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		tracePath    = flag.String("trace", "", "export a sim-time event trace of the first campaign (replication 0) as Chrome trace_event JSON to this file, plus a binary spool at <file>.bin; open in Perfetto (ui.perfetto.dev)")
-		winProfile   = flag.Bool("window-profile", false, "with -sim-workers >= 2: print per-partition PDES window timings (busy, barrier wait, imbalance) after the run")
 	)
 	flag.Parse()
 
@@ -72,16 +66,9 @@ func main() {
 		ChurnOn:      *churnOn,
 		Workers:      *workers,
 		BuildWorkers: *buildWorkers,
-		SimWorkers:   *simWorkers,
 		Replications: *reps,
 		Streaming:    *streaming,
 		Trace:        *tracePath,
-	}
-	if *winProfile {
-		// PDES profiling needs a wall clock and a registry to aggregate
-		// per-unit profiles into; both are observational only.
-		o.Metrics = experiment.NewMetricsRegistry()
-		o.Clock = func() int64 { return time.Now().UnixNano() }
 	}
 
 	// Profiles flush explicitly before every exit path: main leaves via
@@ -113,9 +100,6 @@ func main() {
 	}
 
 	runErr := run(ctx, *exp, o, *threshold, *adversaries, *csvPath)
-	if *winProfile {
-		printWindowProfile(o.Metrics)
-	}
 	flushProfiles()
 	if runErr != nil {
 		if errors.Is(runErr, experiment.ErrPartialResult) {
@@ -167,52 +151,6 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 			fmt.Fprintf(os.Stderr, "(heap profile written to %s)\n", memPath)
 		}
 	}, nil
-}
-
-// printWindowProfile renders the PDES window timings aggregated across
-// every unit of the run: how much wall time partitions spent dispatching
-// inside windows, how much worker capacity idled at barriers, and how
-// unevenly the partitions were loaded (max/mean busy — the factor the
-// slowest partition costs each window).
-func printWindowProfile(m *obs.Registry) {
-	get := func(name string) uint64 { return m.Counter(name).Value() }
-	windows := get("bcbpt_pdes_windows_total")
-	if windows == 0 {
-		fmt.Fprintln(os.Stderr, "(no PDES windows profiled — -window-profile needs -sim-workers >= 2 and an experiment that runs measurement campaigns)")
-		return
-	}
-	busy := time.Duration(get("bcbpt_pdes_busy_nanos_total"))
-	wait := time.Duration(get("bcbpt_pdes_barrier_wait_nanos_total"))
-	fmt.Printf("\n== PDES window profile (all units pooled) ==\n")
-	fmt.Printf("windows dispatched:   %d\n", windows)
-	fmt.Printf("staged cross-events:  %d\n", get("bcbpt_pdes_staged_events_total"))
-	fmt.Printf("partition busy time:  %v\n", busy.Round(time.Millisecond))
-	fmt.Printf("barrier wait (idle):  %v\n", wait.Round(time.Millisecond))
-	const prefix = `bcbpt_pdes_partition_busy_nanos_total{partition="`
-	var parts []obs.CounterValue
-	var max, sum uint64
-	for _, cv := range m.CounterValues() {
-		if strings.HasPrefix(cv.Name, prefix) {
-			parts = append(parts, cv)
-			sum += cv.Value
-			if cv.Value > max {
-				max = cv.Value
-			}
-		}
-	}
-	if len(parts) > 0 && sum > 0 {
-		mean := float64(sum) / float64(len(parts))
-		fmt.Printf("imbalance (max/mean): %.2f over %d partitions\n", float64(max)/mean, len(parts))
-		sort.Slice(parts, func(i, j int) bool {
-			pi, _ := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(parts[i].Name, prefix), `"}`))
-			pj, _ := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(parts[j].Name, prefix), `"}`))
-			return pi < pj
-		})
-		for _, cv := range parts {
-			label := strings.TrimSuffix(strings.TrimPrefix(cv.Name, prefix), `"}`)
-			fmt.Printf("  partition %-4s busy %v\n", label, time.Duration(cv.Value).Round(time.Millisecond))
-		}
-	}
 }
 
 func run(ctx context.Context, exp string, o experiment.Options, dt time.Duration, adversaries int, csvPath string) error {

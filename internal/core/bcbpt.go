@@ -225,27 +225,6 @@ func (b *BCBPT) Clusters() map[ClusterID][]p2p.NodeID {
 // NumClustered returns how many nodes have completed clustering.
 func (b *BCBPT) NumClustered() int { return len(b.clusterOf) }
 
-// Partitions implements topology.Partitioner: one group per proximity
-// cluster, in ascending ClusterID order, members sorted by node ID. BCBPT
-// clusters are the natural event domains for conservative parallel
-// dispatch — the protocol's whole point is that intra-cluster links are
-// short and inter-cluster links long, which is exactly what maximises the
-// dispatcher's cross-partition lookahead.
-func (b *BCBPT) Partitions() [][]p2p.NodeID {
-	cids := make([]ClusterID, 0, len(b.members))
-	for c := range b.members {
-		cids = append(cids, c)
-	}
-	slices.Sort(cids)
-	out := make([][]p2p.NodeID, 0, len(cids))
-	for _, c := range cids {
-		ids := append([]p2p.NodeID(nil), b.members[c]...)
-		slices.Sort(ids)
-		out = append(out, ids)
-	}
-	return out
-}
-
 // lanesFor resolves the effective join-lane width for an n-node
 // bootstrap: the configured JoinLanes, or a population-derived default —
 // serial below 512 nodes (matching the paper's one-at-a-time discovery

@@ -66,16 +66,6 @@ type Spec struct {
 	// means GOMAXPROCS; 1 forces the serial path. Purely a wall-clock
 	// knob: every worker count produces a bit-identical network.
 	BuildWorkers int `json:"build_workers,omitempty"`
-	// SimWorkers selects the event-dispatch mode for the measurement
-	// phase: <= 1 (default) runs the serial kernel; >= 2 enables
-	// conservative parallel dispatch across that many workers, with the
-	// network partitioned along the protocol's cluster structure. Like
-	// BuildWorkers this is purely a wall-clock knob — every worker count
-	// produces bit-identical output — and it silently falls back to the
-	// serial kernel when the build offers no usable partition (churn
-	// enabled, protocol without cluster structure, fewer than two
-	// groups).
-	SimWorkers int `json:"sim_workers,omitempty"`
 	// Churn, when non-nil, enables join/leave dynamics during the
 	// measurement phase.
 	Churn *churn.Model `json:"churn,omitempty"`
@@ -303,60 +293,7 @@ func (b *Built) build(ctx context.Context, spec Spec) error {
 		drv.Start()
 		b.ChurnDriver = drv
 	}
-	if spec.SimWorkers > 1 {
-		if _, err := b.EnableParallelDispatch(spec.SimWorkers); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// EnableParallelDispatch switches the built network onto the conservative
-// parallel event dispatcher (p2p.Network.EnableParallelDispatch),
-// partitioned along the protocol's cluster structure. It reports whether
-// parallel dispatch actually engaged: the serial kernel is kept — not an
-// error — when workers <= 1, churn is active (topology mutation is
-// incompatible with a frozen partition map), the protocol exposes no
-// partition structure, or the structure yields fewer than two groups.
-// Either way the measurement output is bit-identical; this is purely a
-// wall-clock switch.
-func (b *Built) EnableParallelDispatch(workers int) (bool, error) {
-	if workers <= 1 || b.ChurnDriver != nil {
-		return false, nil
-	}
-	part, ok := b.Protocol.(topology.Partitioner)
-	if !ok {
-		return false, nil
-	}
-	groups := part.Partitions()
-	if len(groups) < 2 {
-		return false, nil
-	}
-	// Fold the protocol's groups into contiguous partition blocks. More
-	// partitions than workers keeps the pool busy when cluster sizes are
-	// uneven (a worker finishing a small partition claims the next), but
-	// each extra partition costs a heap and barrier bookkeeping, so cap
-	// at a small multiple of the worker count.
-	parts := 4 * workers
-	if parts > len(groups) {
-		parts = len(groups)
-	}
-	if parts < 2 {
-		parts = 2
-	}
-	plan := p2p.PartitionPlan{Parts: parts, Of: make([]int32, b.Net.SlotCap())}
-	for gi, g := range groups {
-		p := int32(gi * parts / len(groups))
-		for _, id := range g {
-			if slot, ok := b.Net.SlotOf(id); ok {
-				plan.Of[slot] = p
-			}
-		}
-	}
-	if err := b.Net.EnableParallelDispatch(plan, workers); err != nil {
-		return false, fmt.Errorf("experiment: enabling parallel dispatch: %w", err)
-	}
-	return true, nil
 }
 
 // Close releases a built (or part-built) network: churn stops scheduling

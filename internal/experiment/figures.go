@@ -35,10 +35,6 @@ type Options struct {
 	// build (see Spec.BuildWorkers; <= 0 means GOMAXPROCS). Results are
 	// identical for any value.
 	BuildWorkers int
-	// SimWorkers enables conservative parallel event dispatch during the
-	// measurement phase when >= 2 (see Spec.SimWorkers). Results are
-	// identical for any value.
-	SimWorkers int
 	// Replications fans each campaign over this many independently
 	// seeded networks (default 1); samples pool across replications.
 	Replications int
@@ -156,7 +152,6 @@ func buildSpec(o Options, proto ProtocolKind, bcbpt core.Config) Spec {
 		Protocol:     proto,
 		BCBPT:        bcbpt,
 		BuildWorkers: o.BuildWorkers,
-		SimWorkers:   o.SimWorkers,
 	}
 	if o.ChurnOn {
 		m := defaultChurn(o.Nodes)

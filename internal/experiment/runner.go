@@ -102,9 +102,9 @@ func (c CampaignSpec) ReplicationSeed(i int) int64 {
 // campaign defines: an FNV-64a of the canonical JSON of the defaulted
 // spec, with the fields that cannot influence results excluded — Name (a
 // display label), Trace (an observational export path), and the
-// host-parallelism knobs Spec.BuildWorkers and Spec.SimWorkers, both
-// bit-identical for every value. Spec.BaseUTXO is excluded too (it does
-// not serialize); fleet sweeps reject it via CheckShippable.
+// host-parallelism knob Spec.BuildWorkers, bit-identical for every value.
+// Spec.BaseUTXO is excluded too (it does not serialize); fleet sweeps
+// reject it via CheckShippable.
 //
 // The campaign engine stamps every shard result with this fingerprint and
 // measure.MergeCampaignResults refuses to blend shards whose fingerprints
@@ -115,7 +115,6 @@ func (c CampaignSpec) Fingerprint() uint64 {
 	c.Name = ""
 	c.Trace = ""
 	c.Spec.BuildWorkers = 0
-	c.Spec.SimWorkers = 0
 	data, err := json.Marshal(c)
 	if err != nil {
 		// Every serializable field is plain data; Marshal cannot fail.
@@ -257,10 +256,6 @@ type UnitObservation struct {
 	RunNanos   int64
 	// Stats is the unit's total p2p traffic (bootstrap + measurement).
 	Stats p2p.Stats
-	// Profile carries the unit's PDES window timings when the unit ran
-	// parallel dispatch (Spec.SimWorkers > 1) and a clock was supplied;
-	// nil otherwise.
-	Profile *sim.WindowProfile
 }
 
 // RunUnit executes one self-contained unit of a sweep — replication rep
@@ -307,11 +302,6 @@ func RunUnitObserved(ctx context.Context, cs CampaignSpec, rep int, clock func()
 		tracer = obs.NewTracer(obs.DefaultShardEvents, 1)
 		b.Net.EnableTrace(tracer)
 		b.Measurer.Trace = tracer.Shard(0)
-	}
-	if clock != nil {
-		// Profiling costs two clock reads per window and nothing when the
-		// unit dispatches serially (EnableWindowProfile returns nil).
-		uo.Profile = b.Net.EnableWindowProfile(clock)
 	}
 	if clock != nil {
 		t0 = clock()
@@ -374,15 +364,6 @@ func (r *Runner) observeUnit(uo UnitObservation, failed bool) {
 	if r.Clock != nil {
 		r.Metrics.Histogram("bcbpt_sweep_unit_build_seconds").Observe(time.Duration(uo.BuildNanos))
 		r.Metrics.Histogram("bcbpt_sweep_unit_run_seconds").Observe(time.Duration(uo.RunNanos))
-	}
-	if p := uo.Profile; p != nil {
-		r.Metrics.Counter("bcbpt_pdes_windows_total").Add(p.Windows)
-		r.Metrics.Counter("bcbpt_pdes_staged_events_total").Add(p.StagedEvents)
-		r.Metrics.Counter("bcbpt_pdes_busy_nanos_total").Add(uint64(p.BusyNanos()))
-		r.Metrics.Counter("bcbpt_pdes_barrier_wait_nanos_total").Add(uint64(p.BarrierWaitNanos()))
-		for i, busy := range p.PartBusyNanos {
-			r.Metrics.Counter(fmt.Sprintf(`bcbpt_pdes_partition_busy_nanos_total{partition="%d"}`, i)).Add(uint64(busy))
-		}
 	}
 }
 

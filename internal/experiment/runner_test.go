@@ -273,6 +273,12 @@ func TestCampaignSpecFingerprint(t *testing.T) {
 	if fp == 0 {
 		t.Fatal("fingerprint is zero (reserved for unstamped results)")
 	}
+	// Pinned at the commit before Spec lost its always-zeroed omitempty
+	// dispatch-worker field: removing the field must leave every campaign
+	// fingerprint, and so every spooled fleet shard, valid.
+	if want := uint64(0xc33e1069420a8f2c); fp != want {
+		t.Errorf("fingerprint %#016x, want %#016x: spooled shards stamped with the old value no longer merge", fp, want)
+	}
 
 	defaulted := base
 	defaulted.Replications = 1

@@ -236,16 +236,14 @@ func (l Link) Base() time.Duration { return l.base }
 
 // maxWobbleSigma truncates the Gaussian congestion wobble at ±4σ. The
 // truncation is statistically invisible (|z|>4 is ~6e-5 of draws, and the
-// tail mass moved is far below the Pareto spike term) but it makes the
-// sample range certifiable: every RTT sample is at least
-// base·(1 − wobbleFrac·maxWobbleSigma), which FloorRTT exposes as the
-// link's hard lower bound. The parallel dispatcher derives its lookahead
-// window from that bound, so it must hold for every draw, not just with
-// high probability.
+// tail mass moved is far below the Pareto spike term) but it bounds the
+// sample range: every RTT sample is at least
+// base·(1 − wobbleFrac·maxWobbleSigma). The clamp shapes every sampled
+// delay, so changing it changes every simulation output byte.
 const maxWobbleSigma = 4.0
 
 // SampleRTT draws one measured round-trip time: the baseline plus
-// congestion noise. Always positive, and never below FloorRTT.
+// congestion noise. Always positive.
 func (l Link) SampleRTT(r *rand.Rand) time.Duration {
 	m := l.model
 	ms := float64(l.base) / float64(time.Millisecond)
@@ -266,31 +264,10 @@ func (l Link) SampleRTT(r *rand.Rand) time.Duration {
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
-// FloorRTT returns the certified lower bound of SampleRTT: the worst-case
-// downward wobble excursion, clamped to the model's minimum sample. Every
-// SampleRTT draw on this link is >= FloorRTT, for any RNG.
-func (l Link) FloorRTT() time.Duration {
-	m := l.model
-	ms := float64(l.base) / float64(time.Millisecond)
-	ms -= ms * m.wobbleFrac * maxWobbleSigma
-	if ms < m.minSampleMs {
-		ms = m.minSampleMs
-	}
-	return time.Duration(ms * float64(time.Millisecond))
-}
-
 // SampleOneWay draws a one-way delay: half a sampled RTT. The simulator
 // uses this for message delivery on the link.
 func (l Link) SampleOneWay(r *rand.Rand) time.Duration {
 	return l.SampleRTT(r) / 2
-}
-
-// FloorOneWay returns the certified lower bound of SampleOneWay. Integer
-// halving is monotonic, so SampleOneWay >= FloorOneWay always holds; the
-// parallel dispatcher's lookahead is the minimum FloorOneWay over all
-// cross-partition links.
-func (l Link) FloorOneWay() time.Duration {
-	return l.FloorRTT() / 2
 }
 
 func paretoMs(r *rand.Rand, xm, alpha float64) float64 {

@@ -7,13 +7,9 @@ import (
 )
 
 // Package-local interprocedural machinery: a static call graph over the
-// package's declared functions, a forward transitive-reachability
-// closure, and a backward description-propagating fixpoint. This
-// generalizes the ad-hoc fixpoint lockio grew in PR 7 so every analyzer
-// that needs "what does this function reach" gets it from one engine:
-// lockio propagates I/O descriptions backward to call sites, partiso
-// computes the set of functions reachable forward from the PDES dispatch
-// roots. The graph is deliberately conservative and package-local —
+// package's declared functions and a backward description-propagating
+// fixpoint, which lockio uses to propagate I/O descriptions backward to
+// call sites. The graph is deliberately conservative and package-local —
 // calls through function values, interface methods, and other packages
 // are not edges; analyzers that need cross-package facts classify the
 // call site directly instead.
@@ -48,25 +44,17 @@ type CallGraph struct {
 	DeclOf map[*types.Func]*ast.FuncDecl
 	// fnOf is the inverse of DeclOf.
 	fnOf map[*ast.FuncDecl]*types.Func
-	// sameStack records which walk mode built the graph (see NewCallGraph).
-	sameStack bool
 }
 
-// NewCallGraph builds the call graph over pass's lintable files.
-//
-// sameStack selects the edge semantics. When true, calls inside `go`
-// statements and non-invoked function literals are NOT edges: the walk
-// models work performed on the caller's stack, which is what lexical
-// critical-section analyses need. When false, every syntactic call in
-// the body is an edge, including those inside function literals — a
-// literal scheduled for later still executes in whatever domain invokes
-// it, which is what reachability analyses need.
-func NewCallGraph(pass *Pass, sameStack bool) *CallGraph {
+// NewCallGraph builds the call graph over pass's lintable files. Calls
+// inside `go` statements and non-invoked function literals are NOT edges:
+// the walk models work performed on the caller's stack, which is what
+// lexical critical-section analyses need.
+func NewCallGraph(pass *Pass) *CallGraph {
 	g := &CallGraph{
-		info:      pass.TypesInfo(),
-		DeclOf:    map[*types.Func]*ast.FuncDecl{},
-		fnOf:      map[*ast.FuncDecl]*types.Func{},
-		sameStack: sameStack,
+		info:   pass.TypesInfo(),
+		DeclOf: map[*types.Func]*ast.FuncDecl{},
+		fnOf:   map[*ast.FuncDecl]*types.Func{},
 	}
 	for _, f := range pass.Files() {
 		if !pass.Lintable(f) {
@@ -93,53 +81,18 @@ func NewCallGraph(pass *Pass, sameStack bool) *CallGraph {
 // Funcs returns every declared function in source order.
 func (g *CallGraph) Funcs() []*ast.FuncDecl { return g.decls }
 
-// FuncOf returns the *types.Func a declaration defines, or nil.
-func (g *CallGraph) FuncOf(fd *ast.FuncDecl) *types.Func { return g.fnOf[fd] }
-
 // walkCalls visits every call expression in body that the graph's edge
 // semantics include, in source order.
 func (g *CallGraph) walkCalls(body *ast.BlockStmt, visit func(*ast.CallExpr) bool) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit, *ast.GoStmt:
-			if g.sameStack {
-				return false
-			}
+			return false
 		case *ast.CallExpr:
 			return visit(n)
 		}
 		return true
 	})
-}
-
-// Reachable returns the forward transitive closure of roots over the
-// graph: every declared function that a root can reach through static
-// package-local calls, roots included (when declared in this package).
-func (g *CallGraph) Reachable(roots []*types.Func) map[*types.Func]bool {
-	reached := make(map[*types.Func]bool, len(roots))
-	var frontier []*types.Func
-	for _, r := range roots {
-		if _, ok := g.DeclOf[r]; ok && !reached[r] {
-			reached[r] = true
-			frontier = append(frontier, r)
-		}
-	}
-	for len(frontier) > 0 {
-		fn := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		g.walkCalls(g.DeclOf[fn].Body, func(call *ast.CallExpr) bool {
-			callee := Callee(g.info, call)
-			if callee == nil {
-				return true
-			}
-			if _, local := g.DeclOf[callee]; local && !reached[callee] {
-				reached[callee] = true
-				frontier = append(frontier, callee)
-			}
-			return true
-		})
-	}
-	return reached
 }
 
 // Reaches computes, for every declared function, a description of the

@@ -24,16 +24,6 @@ type HeldLock struct {
 	Line int    // line of the acquiring call
 }
 
-// HeldKey reports whether key is in held.
-func HeldKey(held []HeldLock, key string) bool {
-	for _, h := range held {
-		if h.Key == key {
-			return true
-		}
-	}
-	return false
-}
-
 // WalkLockRegions walks body in source order, invoking visit on every
 // expression (and declaration statement) that executes on the caller's
 // stack, with the set of locks lexically held at that point. Lock and

@@ -69,14 +69,6 @@ func mapOrderScope(path string) bool {
 	return deterministicPkgs[path] || lockIOPkgs[path]
 }
 
-// partIsoPkgs scopes partiso: the packages carrying the PDES
-// parallel-dispatch surface, where the single-writer discipline (every
-// delivery touches only partition-local state through its dispatch
-// context) is what makes parallel output bit-identical to serial.
-var partIsoPkgs = map[string]bool{
-	modulePath + "/internal/p2p": true,
-}
-
 // hookCostPkgs scopes hookcost: the packages whose hot paths carry obs
 // hook call sites pinned non-perturbing by the PR 9 bench-parity and
 // traced-vs-untraced golden-CSV gates. A hook site here must stay

@@ -32,11 +32,6 @@ func TestLockio(t *testing.T) {
 		[]*analysis.Analyzer{lint.Lockio}, lint.Names())
 }
 
-func TestPartiso(t *testing.T) {
-	analysistest.Run(t, "testdata/partiso", "repro/internal/p2p",
-		[]*analysis.Analyzer{lint.Partiso}, lint.Names())
-}
-
 func TestSeedflow(t *testing.T) {
 	analysistest.Run(t, "testdata/seedflow", "repro/internal/experiment",
 		[]*analysis.Analyzer{lint.Seedflow}, lint.Names())

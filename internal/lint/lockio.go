@@ -71,9 +71,9 @@ func runLockio(pass *analysis.Pass) error {
 	info := pass.TypesInfo()
 
 	// Pass 1: classify package functions that reach I/O, to a fixpoint.
-	// sameStack: work inside `go` statements and non-invoked literals
-	// does not run inside the caller's critical section.
-	g := analysis.NewCallGraph(pass, true)
+	// Work inside `go` statements and non-invoked literals does not run
+	// inside the caller's critical section (see analysis.NewCallGraph).
+	g := analysis.NewCallGraph(pass)
 	direct := func(call *ast.CallExpr) string { return directIOCall(info, call) }
 	reaches := g.Reaches(direct)
 

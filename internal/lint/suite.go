@@ -6,7 +6,7 @@ import "repro/internal/lint/analysis"
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Detrand, Maporder, Hotalloc, Lockio,
-		Partiso, Seedflow, Hookcost, Ctxpoll,
+		Seedflow, Hookcost, Ctxpoll,
 	}
 }
 

@@ -35,18 +35,12 @@ func everythingTheRulesBan(m map[int]int) []int {
 
 // The v2 rules would all fire on the shapes below were this package in
 // scope: a literal seed at an RNG sink (seedflow), an unguarded
-// allocating hook site (hookcost), an unbounded loop that never polls
-// ctx (ctxpoll), and dispatch-reachable access to Network.serial
-// (partiso — the types mirror the kernel's layout).
-type dispatchCtx struct{ drops int }
-
-type parState struct{}
-
+// allocating hook site (hookcost), and an unbounded loop that never
+// polls ctx (ctxpoll).
 type Network struct {
 	sched  *sim.Scheduler
 	trace  *obs.Shard
-	serial dispatchCtx
-	par    *parState
+	drops  int
 	OnDrop func(code uint8)
 }
 
@@ -56,9 +50,9 @@ func (n *Network) schedule() {
 
 func deliverOutOfScope(a any) {
 	n := a.(*Network)
-	n.serial.drops++
+	n.drops++
 	_ = rand.NewSource(42)
-	n.trace.Record(obs.Event{P1: uint64(len(fmt.Sprintf("d-%d", n.serial.drops)))})
+	n.trace.Record(obs.Event{P1: uint64(len(fmt.Sprintf("d-%d", n.drops)))})
 	n.OnDrop(1)
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/chain"
@@ -38,11 +37,8 @@ type MeasuringNode struct {
 	watchID  []p2p.NodeID
 	watchRun uint32
 	// deltaAt records, per consumed slot, the first-seen time the hook
-	// observed. The hook writes a flat Time cell instead of a map entry so
-	// it stays safe under parallel dispatch, where it fires concurrently
-	// from different partitions: each slot belongs to exactly one
-	// partition, so the per-slot write is single-writer, and the result
-	// map is assembled after the run on the driving goroutine.
+	// observed. The hook writes a flat Time cell instead of a map entry,
+	// and the result map is assembled after the run.
 	deltaAt []sim.Time
 	// deltaPool and missingPool recycle per-run result state in streaming
 	// campaigns, where a run's RunResult is folded into the sketch and
@@ -150,7 +146,7 @@ func (m *MeasuringNode) MeasureOnce(ctx context.Context, tx *chain.Tx, deadline 
 		m.watchID = append(m.watchID, make([]p2p.NodeID, sc-len(m.watchID))...)
 		m.deltaAt = append(m.deltaAt, make([]sim.Time, sc-len(m.deltaAt))...)
 	}
-	var remaining atomic.Int32
+	var remaining int32
 	for _, p := range peers {
 		slot, ok := m.net.SlotOf(p)
 		if !ok {
@@ -159,16 +155,11 @@ func (m *MeasuringNode) MeasureOnce(ctx context.Context, tx *chain.Tx, deadline 
 		if m.watchGen[slot] != m.watchRun {
 			m.watchGen[slot] = m.watchRun
 			m.watchID[slot] = p
-			remaining.Add(1)
+			remaining++
 		}
 	}
 
 	prevHook := m.net.OnTxFirstSeen
-	// Under parallel dispatch this hook fires concurrently from different
-	// partition workers, so it must only touch single-writer state: the
-	// watched slot's cells (a node's slot is touched only by its own
-	// partition) and the atomic remaining counter. The Deltas map is
-	// assembled after the run.
 	m.net.OnTxFirstSeen = func(id p2p.NodeID, h chain.Hash, at sim.Time) {
 		if prevHook != nil {
 			prevHook(id, h, at)
@@ -184,7 +175,8 @@ func (m *MeasuringNode) MeasureOnce(ctx context.Context, tx *chain.Tx, deadline 
 		// without a map lookup.
 		m.watchGen[slot] = m.watchRun - 1
 		m.deltaAt[slot] = at
-		if remaining.Add(-1) == 0 {
+		remaining--
+		if remaining == 0 {
 			m.net.StopRun()
 		}
 	}
@@ -192,8 +184,7 @@ func (m *MeasuringNode) MeasureOnce(ctx context.Context, tx *chain.Tx, deadline 
 
 	// Inject: hand the tx to ONE connection, not to m's relay logic —
 	// m itself does not broadcast (Fig. 2). The submission runs directly at
-	// the current simulation time; it must not detour through the serial
-	// scheduler, which is parked while parallel dispatch is enabled.
+	// the current simulation time.
 	first := peers[m.r.Intn(len(peers))]
 	firstNode, ok := m.net.Node(first)
 	if !ok {
@@ -218,10 +209,9 @@ func (m *MeasuringNode) MeasureOnce(ctx context.Context, tx *chain.Tx, deadline 
 			return RunResult{}, err
 		}
 	}
-	// Assemble the result from the flat slot cells, on the driving
-	// goroutine (the run's barrier established happens-before for every
-	// hook write). A watched slot still stamped with this run's generation
-	// was never consumed: that connection missed the deadline.
+	// Assemble the result from the flat slot cells. A watched slot still
+	// stamped with this run's generation was never consumed: that
+	// connection missed the deadline.
 	for _, p := range peers {
 		if _, dup := res.Deltas[p]; dup {
 			continue

@@ -29,8 +29,6 @@ func eventCat(k Kind) string {
 		return "p2p"
 	case KindFirstSeen, KindInject:
 		return "measure"
-	case KindWindowOpen, KindWindowBarrier, KindWindowCommit:
-		return "pdes"
 	case KindLeaseGrant, KindLeaseRenew, KindLeaseExpire, KindLeaseCommit:
 		return "fleet"
 	default:
@@ -42,9 +40,7 @@ func eventCat(k Kind) string {
 // JSON, loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
 // Timestamps are microseconds of simulation time; events recorded
 // outside the simulation (At zero, Wall set) fall back to wall time
-// relative to the earliest wall stamp. Window-open events are emitted
-// as complete ("X") slices spanning their lookahead window; everything
-// else is an instant.
+// relative to the earliest wall stamp. Every event is an instant.
 //
 // The JSON is handwritten field-by-field — no reflection, no maps — so
 // the byte output is deterministic and cheap even for full rings.
@@ -65,12 +61,6 @@ func (t *Tracer) WriteTraceJSON(w io.Writer) error {
 		if i > 0 {
 			bw.WriteByte(',')
 		}
-		// tid is P1 — the source node for message events, giving one
-		// Perfetto track per sender.
-		ph, tid := "i", ev.P1
-		if ev.Kind == KindWindowOpen {
-			ph = "X"
-		}
 		tsNanos := int64(ev.At)
 		if tsNanos == 0 && ev.Wall != 0 {
 			tsNanos = ev.Wall - wallBase
@@ -79,18 +69,12 @@ func (t *Tracer) WriteTraceJSON(w io.Writer) error {
 		bw.WriteString(eventName(ev))
 		bw.WriteString(`","cat":"`)
 		bw.WriteString(eventCat(ev.Kind))
-		bw.WriteString(`","ph":"`)
-		bw.WriteString(ph)
-		bw.WriteString(`","ts":`)
+		bw.WriteString(`","ph":"i","ts":`)
 		bw.Write(appendMicros(scratch[:0], tsNanos))
-		if ev.Kind == KindWindowOpen {
-			bw.WriteString(`,"dur":`)
-			bw.Write(appendMicros(scratch[:0], int64(ev.P2)))
-		} else if ph == "i" {
-			bw.WriteString(`,"s":"p"`)
-		}
-		bw.WriteString(`,"pid":0,"tid":`)
-		bw.Write(strconv.AppendUint(scratch[:0], tid, 10))
+		// tid is P1 — the source node for message events, giving one
+		// Perfetto track per sender.
+		bw.WriteString(`,"s":"p","pid":0,"tid":`)
+		bw.Write(strconv.AppendUint(scratch[:0], ev.P1, 10))
 		bw.WriteString(`,"args":{"p1":`)
 		bw.Write(strconv.AppendUint(scratch[:0], ev.P1, 10))
 		bw.WriteString(`,"p2":`)

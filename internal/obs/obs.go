@@ -48,18 +48,13 @@ const (
 	// first connection. P1 is the receiving node ID, P2 the hash prefix,
 	// P3 the run index.
 	KindInject
-	// KindWindowOpen is a parallel-dispatch lookahead window opening.
-	// P1 is the window index, P2 the window span in nanoseconds
-	// (horizon − open + 1).
-	KindWindowOpen
-	// KindWindowBarrier is all partition workers reaching the window
-	// barrier. P1 is the window index, P2 the window's wall-clock span
-	// in nanoseconds (zero when no profile clock is installed).
-	KindWindowBarrier
-	// KindWindowCommit is a window's staged cross-partition deliveries
-	// committing in canonical order. P1 is the window index, P2 the
-	// number of staged events committed.
-	KindWindowCommit
+	// Values 7–9 belonged to the retired parallel-dispatch window kinds.
+	// They stay reserved — never reuse or renumber — so the lease kinds
+	// keep values 10–13 and existing binary spools still decode; a spooled
+	// event carrying one renders as "unknown".
+	_
+	_
+	_
 	// KindLeaseGrant is a fleet coordinator granting a unit lease.
 	// P1 is the lease ID, P2 the unit ordinal. Sim time is zero; Wall
 	// carries the coordinator clock.
@@ -78,20 +73,17 @@ const (
 
 // kindNames maps kinds to the names used in trace exports.
 var kindNames = [numKinds]string{
-	KindNone:          "none",
-	KindSend:          "send",
-	KindDeliver:       "deliver",
-	KindDrop:          "drop",
-	KindLoss:          "loss",
-	KindFirstSeen:     "first-seen",
-	KindInject:        "inject",
-	KindWindowOpen:    "window-open",
-	KindWindowBarrier: "window-barrier",
-	KindWindowCommit:  "window-commit",
-	KindLeaseGrant:    "lease-grant",
-	KindLeaseRenew:    "lease-renew",
-	KindLeaseExpire:   "lease-expire",
-	KindLeaseCommit:   "lease-commit",
+	KindNone:        "none",
+	KindSend:        "send",
+	KindDeliver:     "deliver",
+	KindDrop:        "drop",
+	KindLoss:        "loss",
+	KindFirstSeen:   "first-seen",
+	KindInject:      "inject",
+	KindLeaseGrant:  "lease-grant",
+	KindLeaseRenew:  "lease-renew",
+	KindLeaseExpire: "lease-expire",
+	KindLeaseCommit: "lease-commit",
 }
 
 // String names the kind for exports and errors.

@@ -90,7 +90,7 @@ func TestWriteTraceJSONShape(t *testing.T) {
 	tr := NewTracer(16, 1)
 	s := tr.Shard(0)
 	s.Record(Event{At: 1500 * time.Nanosecond, Kind: KindSend, Code: 3, P1: 1, P2: 2, P3: 61})
-	s.Record(Event{At: 2 * time.Microsecond, Kind: KindWindowOpen, P1: 0, P2: 5000})
+	s.Record(Event{At: 2 * time.Microsecond, Kind: KindInject, P1: 4, P2: 5000})
 	s.Record(Event{Wall: 12345, Kind: KindLeaseGrant, P1: 7})
 	var buf bytes.Buffer
 	if err := tr.WriteTraceJSON(&buf); err != nil {
@@ -102,7 +102,6 @@ func TestWriteTraceJSONShape(t *testing.T) {
 			Cat  string  `json:"cat"`
 			Ph   string  `json:"ph"`
 			Ts   float64 `json:"ts"`
-			Dur  float64 `json:"dur"`
 			Tid  uint64  `json:"tid"`
 			Args map[string]uint64
 		} `json:"traceEvents"`
@@ -120,9 +119,10 @@ func TestWriteTraceJSONShape(t *testing.T) {
 	if first.Ts != 1.5 {
 		t.Fatalf("send ts = %v µs, want 1.5", first.Ts)
 	}
-	win := doc.TraceEvents[2]
-	if win.Ph != "X" || win.Dur != 5 {
-		t.Fatalf("window event ph=%q dur=%v, want X / 5µs", win.Ph, win.Dur)
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "i" {
+			t.Fatalf("event %q has phase %q, want an instant", ev.Name, ev.Ph)
+		}
 	}
 }
 
@@ -130,6 +130,19 @@ func TestSpoolRoundTrip(t *testing.T) {
 	tr := NewTracer(16, 2)
 	tr.Shard(0).Record(Event{At: 5, Kind: KindFirstSeen, P1: 9, P2: 0xdeadbeef})
 	tr.Shard(1).Record(Event{At: 3, Wall: 77, Kind: KindDeliver, Code: 4, P1: 1, P2: 2, P3: 3})
+	// Kind values are the spool format. 7–9 are reserved (retired window
+	// kinds), so the lease kinds must keep 10–13 for spools written before
+	// the retirement to decode, and a reserved value must still round-trip.
+	for i, k := range []Kind{KindLeaseGrant, KindLeaseRenew, KindLeaseExpire, KindLeaseCommit} {
+		if want := Kind(10 + i); k != want {
+			t.Fatalf("%v has value %d, want %d: spooled lease events would decode as another kind", k, k, want)
+		}
+		tr.Shard(0).Record(Event{Wall: int64(100 + i), Kind: k, P1: uint64(i)})
+	}
+	tr.Shard(1).Record(Event{At: 4, Kind: Kind(7), P1: 1})
+	if got := Kind(7).String(); got != "unknown" {
+		t.Fatalf("reserved kind 7 renders as %q, want unknown", got)
+	}
 	var buf bytes.Buffer
 	if err := tr.WriteSpool(&buf); err != nil {
 		t.Fatal(err)

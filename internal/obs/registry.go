@@ -49,8 +49,8 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram records durations into a Sketch under a mutex. It is meant
-// for control-plane rates (per-unit timings, per-window profiles), not
-// per-message hot paths — those use the Tracer or flat counters.
+// for control-plane rates (per-unit timings), not per-message hot paths —
+// those use the Tracer or flat counters.
 type Histogram struct {
 	mu sync.Mutex
 	s  Sketch
@@ -131,26 +131,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// CounterValue is one (name, value) pair from CounterValues.
-type CounterValue struct {
-	Name  string
-	Value uint64
-}
-
-// CounterValues snapshots every registered counter, sorted by name — for
-// frontends that render human summaries without scraping the Prometheus
-// text format.
-func (r *Registry) CounterValues() []CounterValue {
-	r.mu.Lock()
-	out := make([]CounterValue, 0, len(r.counters))
-	for name, c := range r.counters {
-		out = append(out, CounterValue{Name: name, Value: c.Value()})
-	}
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // baseName strips an inline label set: `foo{bar="x"}` → `foo`.

@@ -4,10 +4,8 @@ import "sort"
 
 // Shard is a single-writer ring buffer of trace events. Exactly one
 // goroutine may call Record on a given shard at a time; the repo's
-// convention is shard 0 for the driving goroutine (serial dispatch,
-// window control, measurement) and shard 1+i for parallel-dispatch
-// partition i, whose events are only read after a window barrier has
-// established happens-before.
+// convention is shard 0 for the goroutine driving a simulation (dispatch
+// and measurement), and one shard per concurrent writer elsewhere.
 //
 // Record never allocates and never blocks: when the ring is full the
 // oldest event is overwritten and counted as dropped. Capacity is

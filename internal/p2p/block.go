@@ -35,13 +35,13 @@ func (nd *Node) acceptBlock(b *chain.Block, from NodeID) error {
 			return chain.ErrBadSignature
 		}
 	}
-	hi := nd.net.hashSlot(nd.dctx, h)
+	hi := nd.net.hashSlot(h)
 	e := nd.invEnsure(hi)
 	e.seenGen = nd.net.invGen
 	e.seenAt = nd.now()
 	nd.storeBlock(hi, b)
 	e.reqGen = 0
-	if tr := nd.dctx.trace; tr != nil {
+	if tr := nd.net.dc.trace; tr != nil {
 		tr.Record(obs.Event{At: nd.now(), Kind: obs.KindFirstSeen, P1: uint64(nd.id), P2: hashPrefix(h)})
 	}
 	if nd.net.OnBlockFirstSeen != nil {
@@ -62,7 +62,7 @@ func (nd *Node) announceBlock(hi int32, h chain.Hash, except NodeID) {
 		if nd.holderHas(hi, ref.pos) {
 			continue
 		}
-		nd.sendTo(ref.pos, ref.id, nd.dctx.newInv(wire.InvBlock, h))
+		nd.sendTo(ref.pos, ref.id, nd.net.dc.newInv(wire.InvBlock, h))
 	}
 }
 
@@ -70,10 +70,10 @@ func (nd *Node) announceBlock(hi int32, h chain.Hash, except NodeID) {
 // handleInv for InvBlock items; fromPos is the sender's adjacency
 // position (or -1), computed once there.
 func (nd *Node) handleBlockInv(from NodeID, fromPos int32, items []wire.InvVect) {
-	want := nd.dctx.newGetData()
+	want := nd.net.dc.newGetData()
 	gen := nd.net.invGen
 	for _, item := range items {
-		hi := nd.net.hashSlot(nd.dctx, item.Hash)
+		hi := nd.net.hashSlot(item.Hash)
 		nd.markPeerHas(from, fromPos, hi)
 		e := nd.invEnsure(hi)
 		if e.seenGen == gen || e.reqGen == gen {
@@ -85,7 +85,7 @@ func (nd *Node) handleBlockInv(from NodeID, fromPos int32, items []wire.InvVect)
 	if len(want.Items) > 0 {
 		nd.sendTo(fromPos, from, want)
 	} else {
-		nd.dctx.recycleMessage(want)
+		nd.net.dc.recycleMessage(want)
 	}
 }
 
@@ -93,7 +93,7 @@ func (nd *Node) handleBlockInv(from NodeID, fromPos int32, items []wire.InvVect)
 func (nd *Node) handleBlock(from NodeID, fromPos int32, m *wire.MsgBlock) {
 	b := m.Block
 	h := b.Header.Hash()
-	nd.markPeerHas(from, fromPos, nd.net.hashSlot(nd.dctx, h))
+	nd.markPeerHas(from, fromPos, nd.net.hashSlot(h))
 	if e := nd.entryFor(h); e != nil && e.seenGen == nd.net.invGen {
 		return
 	}
@@ -102,12 +102,12 @@ func (nd *Node) handleBlock(from NodeID, fromPos int32, m *wire.MsgBlock) {
 		utxoLen = nd.mempool.Len()
 	}
 	cost := nd.net.cfg.VerifyCost.BlockCost(b, utxoLen)
-	nd.dctx.sched.AfterCall(cost, runVerify, nd.dctx.newVerifyJob(nd.net, nd.slot, nd.id, from, nil, b))
+	nd.net.sched.AfterCall(cost, runVerify, nd.net.dc.newVerifyJob(nd.net, nd.slot, nd.id, from, nil, b))
 }
 
 // HasBlock reports whether the node holds the block.
 func (nd *Node) HasBlock(h chain.Hash) bool {
-	if hi, ok := nd.net.findHash(nd.dctx, h); ok {
+	if hi, ok := nd.net.findHash(h); ok {
 		_, has := nd.blockFor(hi)
 		return has
 	}

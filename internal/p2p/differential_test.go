@@ -219,7 +219,7 @@ func (h *diffHarness) drain() {
 // the flat layout's rendering of the oracle's peerInv[h].
 func flatHolders(nd *Node, h chain.Hash) map[NodeID]struct{} {
 	out := map[NodeID]struct{}{}
-	hi, ok := nd.net.findHash(nd.dctx, h)
+	hi, ok := nd.net.findHash(h)
 	if !ok {
 		return out
 	}

@@ -114,10 +114,9 @@ type nodeInv struct {
 // the allocator. The retired map-based layout survives as ReferenceNode,
 // the oracle the differential and fuzz tests pin this one against.
 type Node struct {
-	// What a receive reads comes first and together — identity, dispatch
-	// context, the table epoch and table that place the sender, the
-	// inventory arrays its INV lands in — then what a send adds, then the
-	// cold rest.
+	// What a receive reads comes first and together — identity, the table
+	// epoch and table that place the sender, the inventory arrays its INV
+	// lands in — then what a send adds, then the cold rest.
 	id   NodeID
 	slot int32
 	// tabEpoch counts removePeer calls: while it stands still, every
@@ -128,12 +127,6 @@ type Node struct {
 	// its own epoch again.
 	tabEpoch uint32
 	net      *Network
-	// dctx is the node's dispatch context: &net.serial in serial mode,
-	// the node's partition context in parallel mode. Every event this
-	// node executes — and every send, schedule, pool access and clock
-	// read it makes while executing — goes through dctx, which is what
-	// keeps the parallel hot path free of shared mutable state.
-	dctx *dispatchCtx
 	// peerTab is the stable-position adjacency table (id == 0 marks a
 	// free position, recycled through peerFree LIFO).
 	peerTab []peerEntry
@@ -142,8 +135,8 @@ type Node struct {
 	inv nodeInv
 
 	// sendSeq counts this node's deliver calls. It keys the per-send
-	// delivery RNG and canonically orders cross-partition commits; being
-	// per-sender, it is identical in serial and parallel runs.
+	// delivery RNG; being per-sender, it does not depend on what other
+	// nodes send in between.
 	sendSeq uint64
 	// uplinkFreeAt is when the node's serial uplink finishes its current
 	// transmission; Network.deliver queues sends behind it.
@@ -175,10 +168,8 @@ type Node struct {
 	loc geo.Location
 }
 
-// now returns the node's current virtual time: its partition clock in
-// parallel mode, the global clock otherwise. Handlers must use it instead
-// of Network.Now, which is only meaningful between runs.
-func (nd *Node) now() sim.Time { return nd.dctx.sched.Now() }
+// now returns the current virtual time.
+func (nd *Node) now() sim.Time { return nd.net.sched.Now() }
 
 // SetExtraHandler installs a handler for protocol-extension messages
 // (JOIN/CLUSTER). Passing nil removes it.
@@ -209,8 +200,7 @@ func (nd *Node) sendTo(pos int32, to NodeID, msg wire.Message) {
 	}
 	dst, ok := n.nodes[to]
 	if !ok || n.slots[nd.slot] != nd {
-		//bcbptlint:allow partiso — missing-endpoint drop: nodes are only removed by serial-mode churn, so this branch cannot run mid-window
-		n.serial.stats.Dropped++
+		n.dc.stats.Dropped++
 		return
 	}
 	n.deliver(nd, dst, -1, msg)
@@ -321,15 +311,9 @@ func (nd *Node) sortedPeers() []peerRef {
 	if nd.peersValid {
 		return nd.peerList
 	}
-	// The cache rebuild below mutates Node state from dispatch-reachable
-	// code, which partiso flags: it is safe because a node's handlers run
-	// only in its owning partition, so the cache has a single writer, and
-	// topology (what the cache reflects) cannot change mid-window.
-	//bcbptlint:allow partiso — per-node cache rebuilt only by the owning partition's handlers
 	nd.peerList = nd.peerList[:0]
 	for i := range nd.peerTab {
 		if nd.peerTab[i].id != 0 {
-			//bcbptlint:allow partiso — per-node cache rebuilt only by the owning partition's handlers
 			nd.peerList = append(nd.peerList, peerRef{id: nd.peerTab[i].id, pos: int32(i)})
 		}
 	}
@@ -343,7 +327,6 @@ func (nd *Node) sortedPeers() []peerRef {
 			return 0
 		}
 	})
-	//bcbptlint:allow partiso — per-node cache rebuilt only by the owning partition's handlers
 	nd.peersValid = true
 	return nd.peerList
 }
@@ -399,7 +382,7 @@ func (nd *Node) invEnsure(hi int32) *invEntry {
 // entryFor returns the live entry for hash h without assigning a dense
 // index, or nil if h has no index or no entry this generation.
 func (nd *Node) entryFor(h chain.Hash) *invEntry {
-	hi, ok := nd.net.findHash(nd.dctx, h)
+	hi, ok := nd.net.findHash(h)
 	if !ok || int(hi) >= len(nd.inv.entries) {
 		return nil
 	}
@@ -564,18 +547,16 @@ func (nd *Node) acceptTx(tx *chain.Tx, from NodeID) error {
 			return err
 		}
 	}
-	hi := nd.net.hashSlot(nd.dctx, id)
+	hi := nd.net.hashSlot(id)
 	e := nd.invEnsure(hi)
 	e.seenGen = nd.net.invGen
 	e.seenAt = nd.now()
 	nd.storeTx(hi, tx)
 	e.reqGen = 0
-	if tr := nd.dctx.trace; tr != nil {
+	if tr := nd.net.dc.trace; tr != nil {
 		tr.Record(obs.Event{At: nd.now(), Kind: obs.KindFirstSeen, P1: uint64(nd.id), P2: hashPrefix(id)})
 	}
 	if nd.net.OnTxFirstSeen != nil {
-		// In parallel mode this fires concurrently from partition
-		// workers; the hook must be safe for concurrent use.
 		nd.net.OnTxFirstSeen(nd.id, id, nd.now())
 	}
 	nd.announce(hi, id, from)
@@ -604,11 +585,11 @@ func (nd *Node) announce(hi int32, h chain.Hash, except NodeID) {
 		if direct {
 			if tx, ok := nd.txFor(hi); ok {
 				nd.setHolderBit(hi, ref.pos)
-				nd.sendTo(ref.pos, ref.id, nd.dctx.newTxMsg(tx))
+				nd.sendTo(ref.pos, ref.id, nd.net.dc.newTxMsg(tx))
 				continue
 			}
 		}
-		nd.sendTo(ref.pos, ref.id, nd.dctx.newInv(wire.InvTx, h))
+		nd.sendTo(ref.pos, ref.id, nd.net.dc.newInv(wire.InvTx, h))
 	}
 }
 
@@ -647,7 +628,7 @@ func (nd *Node) handleMessage(from NodeID, srcPos int32, epoch uint32, msg wire.
 	case *wire.MsgBlock:
 		nd.handleBlock(from, nd.senderPos(from, srcPos, epoch), m)
 	case *wire.MsgPing:
-		nd.Send(from, nd.dctx.newPong(m.Nonce))
+		nd.Send(from, nd.net.dc.newPong(m.Nonce))
 	case *wire.MsgPong:
 		nd.handlePong(from, m)
 	case *wire.MsgGetAddr:
@@ -670,7 +651,7 @@ func (nd *Node) handleMessage(from NodeID, srcPos int32, epoch uint32, msg wire.
 // one message and one slice allocation per (node, hash).
 func (nd *Node) handleInv(from NodeID, fromPos int32, m *wire.MsgInv) {
 	var blocks []wire.InvVect
-	want := nd.dctx.newGetData()
+	want := nd.net.dc.newGetData()
 	for _, item := range m.Items {
 		if item.Type == wire.InvBlock {
 			blocks = append(blocks, item)
@@ -679,7 +660,7 @@ func (nd *Node) handleInv(from NodeID, fromPos int32, m *wire.MsgInv) {
 		if item.Type != wire.InvTx {
 			continue
 		}
-		hi := nd.net.hashSlot(nd.dctx, item.Hash)
+		hi := nd.net.hashSlot(item.Hash)
 		nd.markPeerHas(from, fromPos, hi)
 		e := nd.invEnsure(hi)
 		gen := nd.net.invGen
@@ -692,7 +673,7 @@ func (nd *Node) handleInv(from NodeID, fromPos int32, m *wire.MsgInv) {
 	if len(want.Items) > 0 {
 		nd.sendTo(fromPos, from, want)
 	} else {
-		nd.dctx.recycleMessage(want)
+		nd.net.dc.recycleMessage(want)
 	}
 	if len(blocks) > 0 {
 		nd.handleBlockInv(from, fromPos, blocks)
@@ -702,7 +683,7 @@ func (nd *Node) handleInv(from NodeID, fromPos int32, m *wire.MsgInv) {
 // handleGetData serves full transactions and blocks we hold.
 func (nd *Node) handleGetData(from NodeID, fromPos int32, m *wire.MsgGetData) {
 	for _, item := range m.Items {
-		hi, ok := nd.net.findHash(nd.dctx, item.Hash)
+		hi, ok := nd.net.findHash(item.Hash)
 		if !ok {
 			continue
 		}
@@ -710,12 +691,12 @@ func (nd *Node) handleGetData(from NodeID, fromPos int32, m *wire.MsgGetData) {
 		case wire.InvTx:
 			if tx, ok := nd.txFor(hi); ok {
 				nd.markPeerHas(from, fromPos, hi)
-				nd.sendTo(fromPos, from, nd.dctx.newTxMsg(tx))
+				nd.sendTo(fromPos, from, nd.net.dc.newTxMsg(tx))
 			}
 		case wire.InvBlock:
 			if b, ok := nd.blockFor(hi); ok {
 				nd.markPeerHas(from, fromPos, hi)
-				nd.sendTo(fromPos, from, nd.dctx.newBlockMsg(b))
+				nd.sendTo(fromPos, from, nd.net.dc.newBlockMsg(b))
 			}
 		}
 	}
@@ -725,7 +706,7 @@ func (nd *Node) handleGetData(from NodeID, fromPos int32, m *wire.MsgGetData) {
 func (nd *Node) handleTx(from NodeID, fromPos int32, m *wire.MsgTx) {
 	tx := m.Tx
 	id := tx.ID()
-	nd.markPeerHas(from, fromPos, nd.net.hashSlot(nd.dctx, id))
+	nd.markPeerHas(from, fromPos, nd.net.hashSlot(id))
 	if e := nd.entryFor(id); e != nil && e.seenGen == nd.net.invGen {
 		return
 	}
@@ -736,7 +717,7 @@ func (nd *Node) handleTx(from NodeID, fromPos int32, m *wire.MsgTx) {
 		utxoLen = nd.mempool.Len()
 	}
 	cost := nd.net.cfg.VerifyCost.TxCost(tx, utxoLen)
-	nd.dctx.sched.AfterCall(cost, runVerify, nd.dctx.newVerifyJob(nd.net, nd.slot, nd.id, from, tx, nil))
+	nd.net.sched.AfterCall(cost, runVerify, nd.net.dc.newVerifyJob(nd.net, nd.slot, nd.id, from, tx, nil))
 }
 
 // --- ping measurement ---
@@ -752,7 +733,7 @@ func (nd *Node) Probe(target NodeID, done func(rtt time.Duration)) {
 	if pad < 0 {
 		pad = 0
 	}
-	nd.Send(target, nd.dctx.newPing(nonce, pad))
+	nd.Send(target, nd.net.dc.newPing(nonce, pad))
 }
 
 // ProbeN sends n pings spaced by gap and calls done once all have
@@ -780,7 +761,7 @@ func (nd *Node) ProbeN(target NodeID, n int, gap time.Duration, done func(est *l
 		}
 	}
 	for i := 0; i < n; i++ {
-		nd.dctx.sched.AfterCall(time.Duration(i)*gap, runProbe, nd.dctx.newProbeJob(net, slot, id, target, onPong))
+		nd.net.sched.AfterCall(time.Duration(i)*gap, runProbe, nd.net.dc.newProbeJob(net, slot, id, target, onPong))
 	}
 }
 

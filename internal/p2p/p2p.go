@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/chain"
@@ -143,7 +142,10 @@ func DefaultConfig() Config {
 }
 
 // Network owns the scheduler, all nodes, and the link-latency state.
-// It is single-threaded: all interaction happens through scheduled events.
+// It is single-goroutine: every event, and every call on the network or
+// its nodes, runs on the goroutine driving the scheduler, so no field
+// carries a lock (make race holds the claim). Parallelism lives one level
+// up, across independent networks (experiment.Runner).
 type Network struct {
 	cfg     Config
 	sched   *sim.Scheduler
@@ -184,30 +186,10 @@ type Network struct {
 	// fixed by MaxPeers.
 	peerWords int32
 
-	// serial is the network's default dispatch context: the scheduler,
-	// keyed RNG scratch, message/payload pools and traffic counters every
-	// node routes through in serial mode. Parallel mode (see parallel.go)
-	// gives each partition its own context so the flood hot path stays
-	// lock-free and allocation-free; a node always dispatches through
-	// node.dctx, which points here unless parallel dispatch is enabled.
-	serial dispatchCtx
-
-	// par is non-nil while conservative parallel dispatch is enabled.
-	par *parallelState
-	// tracer is non-nil while event tracing is enabled (EnableTrace).
-	// Dispatch contexts hold their own shard pointers; this reference
-	// exists so enabling parallel dispatch mid-trace re-shards correctly.
-	tracer *obs.Tracer
-	// hashMu guards hashIdx/hashN. Only a dispatch context's memo miss
-	// takes it (see hashSlot), so serial dispatch, where it is never
-	// contended, does not fork around it. Index assignment order does not
-	// affect observables — indices only key flat arrays.
-	hashMu sync.Mutex
-	// linksMu guards links in parallel mode only, where a message addressed
-	// by ID is the only thing that takes it: every peer entry's link is
-	// resolved when parallel dispatch is enabled. Link parameters are keyed
-	// by the endpoint pair, so creation order does not matter.
-	linksMu sync.RWMutex
+	// dc is the network's one dispatch context: the keyed RNG scratch,
+	// message/payload pools, traffic counters and trace shard that every
+	// send and delivery goes through.
+	dc dispatchCtx
 
 	// OnTxFirstSeen fires when a node accepts a transaction it had not
 	// seen before (after verification delay). Measurement hooks in.
@@ -256,7 +238,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		hashIdx:   make(map[chain.Hash]int32, 16),
 		peerWords: int32((cfg.MaxPeers + 63) / 64),
 	}
-	n.serial.init(n.sched, 0)
+	n.dc.krand = rand.New(&n.dc.ksrc)
 	return n, nil
 }
 
@@ -283,27 +265,15 @@ func (n *Network) Streams() *sim.Streams { return n.streams }
 // Config returns the network configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// Stats returns a snapshot of the message counters, summed across
-// dispatch contexts. Partition counters are flat arrays merged by
-// addition, so the parallel total is exact, not approximate.
-func (n *Network) Stats() Stats {
-	s := n.serial.stats
-	if n.par != nil {
-		for _, dc := range n.par.parts {
-			s.add(&dc.stats)
-		}
-	}
-	return s
-}
+// Stats returns a snapshot of the message counters.
+func (n *Network) Stats() Stats { return n.dc.stats }
 
 // EnableTrace attaches an event tracer: message send/loss/deliver/drop
-// and inventory first-sight events are recorded into per-context ring
-// shards, stamped with simulation time. Shard 0 belongs to the driving
-// goroutine (serial dispatch, window control, measurement hooks);
-// partition i of an enabled parallel dispatch records on shard 1+i, so
-// recording is lock-free under any worker count. Tracing is purely
-// observational: enabling it changes no schedule, no RNG draw, and no
-// output byte — the golden-CSV tests pin that.
+// and inventory first-sight events are recorded into the tracer's shard 0,
+// stamped with simulation time. Shard 0 is the driving goroutine's, shared
+// with the measurement hooks (measure.MeasuringNode.Trace) that run on it.
+// Tracing is purely observational: enabling it changes no schedule, no RNG
+// draw, and no output byte — the golden-CSV tests pin that.
 //
 // Enable between runs, not mid-flood. Passing nil disables.
 func (n *Network) EnableTrace(t *obs.Tracer) {
@@ -311,55 +281,25 @@ func (n *Network) EnableTrace(t *obs.Tracer) {
 		n.DisableTrace()
 		return
 	}
-	n.tracer = t
-	n.serial.trace = t.Shard(0)
-	if n.par != nil {
-		for i, dc := range n.par.parts {
-			dc.trace = t.Shard(1 + i)
-		}
-	}
-	n.wireWindowTrace()
+	n.dc.trace = t.Shard(0)
 }
 
 // DisableTrace detaches the tracer. Recorded events remain readable on
 // the tracer itself.
-func (n *Network) DisableTrace() {
-	n.tracer = nil
-	n.serial.trace = nil
-	if n.par != nil {
-		for _, dc := range n.par.parts {
-			dc.trace = nil
-		}
-	}
-	n.wireWindowTrace()
-}
+func (n *Network) DisableTrace() { n.dc.trace = nil }
 
 // ResetStats zeroes the message counters (used between measurement runs).
-func (n *Network) ResetStats() {
-	n.serial.stats = Stats{}
-	if n.par != nil {
-		for _, dc := range n.par.parts {
-			dc.stats = Stats{}
-		}
-	}
-}
+func (n *Network) ResetStats() { n.dc.stats = Stats{} }
 
-// Now returns the current virtual time. Valid between runs in parallel
-// mode (when all partition clocks agree); event handlers use their own
-// partition clock via Node.now instead.
-func (n *Network) Now() sim.Time {
-	if n.par != nil {
-		return n.par.ws.Now()
-	}
-	return n.sched.Now()
-}
+// Now returns the current virtual time.
+func (n *Network) Now() sim.Time { return n.sched.Now() }
 
 // NumNodes returns the number of live nodes.
 func (n *Network) NumNodes() int { return len(n.nodes) }
 
 // SlotCap returns the dense node table size: every live node's Slot() is
-// below it. Flat per-node arrays (measurement watch sets, partition
-// maps) size themselves by it.
+// below it. Flat per-node arrays (measurement watch sets) size themselves
+// by it.
 func (n *Network) SlotCap() int { return len(n.slots) }
 
 // SlotOf returns the dense slot index for a live node ID.
@@ -385,16 +325,12 @@ func (n *Network) nodeAt(slot int32, id NodeID) *Node {
 
 // AddNode creates a node at the given location and returns it.
 func (n *Network) AddNode(loc geo.Location) *Node {
-	if n.par != nil {
-		panic("p2p: AddNode while parallel dispatch enabled")
-	}
 	n.nextID++
 	id := n.nextID
 	node := &Node{
-		id:   id,
-		loc:  loc,
-		net:  n,
-		dctx: &n.serial,
+		id:  id,
+		loc: loc,
+		net: n,
 	}
 	if last := len(n.slotFree) - 1; last >= 0 {
 		node.slot = n.slotFree[last]
@@ -438,9 +374,6 @@ func (n *Network) NodeIDs() []NodeID {
 // callback can never reconnect to the departing node; peers are processed
 // in sorted order for determinism.
 func (n *Network) RemoveNode(id NodeID) {
-	if n.par != nil {
-		panic("p2p: RemoveNode while parallel dispatch enabled")
-	}
 	node, ok := n.nodes[id]
 	if !ok {
 		return
@@ -464,37 +397,32 @@ func (n *Network) RemoveNode(id NodeID) {
 // hashSlot returns (assigning on first use) the dense index for an
 // inventory hash in the current generation. A flood asks about one hash
 // tens of thousands of times in a row — every INV, GETDATA and TX of it —
-// so the calling node's dispatch context remembers the last answer
-// (dispatchCtx.memoHash) and only a different hash reaches the map. The
-// registry is the one piece of inventory state shared across partitions,
-// hence the mutex (the memo, being per context, needs none); which
-// partition wins an assignment race only decides which dense index a hash
-// gets, and indices never affect observables — they only key flat arrays.
-func (n *Network) hashSlot(dc *dispatchCtx, h chain.Hash) int32 {
+// so the dispatch context remembers the last answer (dispatchCtx.memoHash)
+// and only a different hash reaches the map. Index assignment order does
+// not affect observables — indices only key flat arrays.
+func (n *Network) hashSlot(h chain.Hash) int32 {
+	dc := &n.dc
 	if dc.memoGen == n.invGen && dc.memoHash == h {
 		return dc.memoIdx
 	}
-	n.hashMu.Lock()
 	hi, ok := n.hashIdx[h]
 	if !ok {
 		hi = n.hashN
 		n.hashN++
 		n.hashIdx[h] = hi
 	}
-	n.hashMu.Unlock()
 	dc.memoHash, dc.memoIdx, dc.memoGen = h, hi, n.invGen
 	return hi
 }
 
 // findHash returns the dense index for a hash without assigning one,
 // through the same memo: an index, once assigned, holds for the generation.
-func (n *Network) findHash(dc *dispatchCtx, h chain.Hash) (int32, bool) {
+func (n *Network) findHash(h chain.Hash) (int32, bool) {
+	dc := &n.dc
 	if dc.memoGen == n.invGen && dc.memoHash == h {
 		return dc.memoIdx, true
 	}
-	n.hashMu.Lock()
 	hi, ok := n.hashIdx[h]
-	n.hashMu.Unlock()
 	if ok {
 		dc.memoHash, dc.memoIdx, dc.memoGen = h, hi, n.invGen
 	}
@@ -509,33 +437,15 @@ func (n *Network) ActiveHashes() int { return int(n.hashN) }
 // messages by ID — non-peers; a connection's link is edgeLink's. Link
 // parameters are drawn from a keyed source derived from the (seed,
 // endpoint pair), not from a shared sequential stream, so a link's
-// last-mile draw is independent of creation order — the property that
-// lets partitions create links concurrently (and lets serial and parallel
-// runs agree bit for bit), and the reason a pair that connects after
-// being probed gets the same link in its entries as it had here. The lock
-// is taken in parallel mode only; the slow path runs once per pair.
+// last-mile draw is independent of creation order — the reason a pair
+// that connects after being probed gets the same link in its entries as
+// it had here. The slow path runs once per pair.
 func (n *Network) link(a, b *Node) latency.Link {
 	key := mkLinkKey(a.id, b.id)
-	if n.par == nil {
-		if l, ok := n.links[key]; ok {
-			return l
-		}
-		l := n.makeLink(key, a, b)
-		n.links[key] = l
-		return l
-	}
-	n.linksMu.RLock()
-	l, ok := n.links[key]
-	n.linksMu.RUnlock()
-	if ok {
-		return l
-	}
-	n.linksMu.Lock()
-	defer n.linksMu.Unlock()
 	if l, ok := n.links[key]; ok {
 		return l
 	}
-	l = n.makeLink(key, a, b)
+	l := n.makeLink(key, a, b)
 	n.links[key] = l
 	return l
 }
@@ -544,8 +454,7 @@ func (n *Network) link(a, b *Node) latency.Link {
 // position pos, read from the peer entry. The baseline is resolved on the
 // edge's first use, once, and written to both sides through rpos — so a
 // Connect costs no link draw and a flood pays one per edge, whichever
-// side sends first. EnableParallelDispatch resolves every entry up front:
-// no window ever writes one.
+// side sends first.
 func (n *Network) edgeLink(nd *Node, pos int32) latency.Link {
 	e := &nd.peerTab[pos]
 	if e.base == 0 {
@@ -557,9 +466,6 @@ func (n *Network) edgeLink(nd *Node, pos int32) latency.Link {
 // resolveEdge draws the link of the connection at nd's position pos and
 // stores its baseline in both peer entries.
 func (n *Network) resolveEdge(nd *Node, pos int32) {
-	if n.par != nil {
-		panic("p2p: unresolved peer link while parallel dispatch enabled")
-	}
 	peer, rpos := nd.peerTab[pos].node, nd.peerTab[pos].rpos
 	base := n.makeLink(mkLinkKey(nd.id, peer.id), nd, peer).Base()
 	nd.peerTab[pos].base = base
@@ -611,34 +517,26 @@ type delivery struct {
 
 // runDelivery is the static dispatch target for delivery events: no
 // closure is allocated per message. The payload struct is returned to the
-// destination's dispatch context before the message is handled, so
-// handlers that immediately send (relay) reuse it for their own
-// deliveries. Cross-partition deliveries migrate the payload from the
-// sender's pool to the receiver's — pool sizes fluctuate but total
-// in-flight count bounds them, so steady state still allocates nothing.
+// pool before the message is handled, so handlers that immediately send
+// (relay) reuse it for their own deliveries: the in-flight count bounds
+// the pool, and steady state allocates nothing.
 func runDelivery(a any) {
 	d := a.(*delivery)
 	n, src, dstSlot, srcPos, dstID, epoch, msg := d.net, d.src, d.dstSlot, d.srcPos, d.dstID, d.dstEpoch, d.msg
 	d.msg = nil
-	// The destination may have churned away mid-flight (serial mode only;
-	// parallel mode forbids topology mutation).
-	node := n.nodeAt(dstSlot, dstID)
-	//bcbptlint:allow partiso — churned-destination fallback: node removal is serial-only, so this branch cannot run mid-window
-	dc := &n.serial
-	if node != nil {
-		dc = node.dctx
-	}
+	dc := &n.dc
 	dc.deliveryPool = append(dc.deliveryPool, d)
-	if node != nil {
+	// The destination may have churned away mid-flight.
+	if node := n.nodeAt(dstSlot, dstID); node != nil {
 		if dc.trace != nil {
-			dc.trace.Record(obs.Event{At: dc.sched.Now(), Kind: obs.KindDeliver, Code: uint8(msg.Command()),
+			dc.trace.Record(obs.Event{At: n.sched.Now(), Kind: obs.KindDeliver, Code: uint8(msg.Command()),
 				P1: uint64(src), P2: uint64(dstID)})
 		}
 		node.handleMessage(src, srcPos, epoch, msg)
 	} else {
 		dc.stats.Dropped++
 		if dc.trace != nil {
-			dc.trace.Record(obs.Event{At: dc.sched.Now(), Kind: obs.KindDrop, Code: uint8(msg.Command()),
+			dc.trace.Record(obs.Event{At: n.sched.Now(), Kind: obs.KindDrop, Code: uint8(msg.Command()),
 				P1: uint64(src), P2: uint64(dstID)})
 		}
 	}
@@ -655,22 +553,18 @@ func runDelivery(a any) {
 // Every random draw here is keyed by (seed, sender, per-sender send
 // sequence) rather than pulled from a shared sequential stream: the loss
 // coin and the delay sample for a given send are the same values no
-// matter what order sends execute in, which is what makes the parallel
-// kernel's per-partition dispatch bit-identical to serial. deliver always
-// runs in the sending node's dispatch context (handlers execute in their
-// own partition); a cross-partition destination is staged at the window
-// barrier with (sender, sendSeq) as the canonical tie-break key.
+// matter what else the network sent before it.
 //
 // pos is dst's adjacency position at src, or -1 for a message addressed
 // by ID: it selects where the link comes from (the peer entry, or the
 // pair table) and what the delivery tells the receiver about its
 // sender's position.
 func (n *Network) deliver(src, dst *Node, pos int32, msg wire.Message) {
-	dc := src.dctx
+	dc := &n.dc
 	size := wire.EncodedSize(msg)
 	dc.stats.count(msg.Command(), size)
 	if dc.trace != nil {
-		dc.trace.Record(obs.Event{At: dc.sched.Now(), Kind: obs.KindSend, Code: uint8(msg.Command()),
+		dc.trace.Record(obs.Event{At: n.sched.Now(), Kind: obs.KindSend, Code: uint8(msg.Command()),
 			P1: uint64(src.id), P2: uint64(dst.id), P3: uint64(size)})
 	}
 	src.sendSeq++
@@ -678,13 +572,13 @@ func (n *Network) deliver(src, dst *Node, pos int32, msg wire.Message) {
 	if n.cfg.LossProb > 0 && dc.krand.Float64() < n.cfg.LossProb {
 		dc.stats.Lost++
 		if dc.trace != nil {
-			dc.trace.Record(obs.Event{At: dc.sched.Now(), Kind: obs.KindLoss, Code: uint8(msg.Command()),
+			dc.trace.Record(obs.Event{At: n.sched.Now(), Kind: obs.KindLoss, Code: uint8(msg.Command()),
 				P1: uint64(src.id), P2: uint64(dst.id), P3: uint64(size)})
 		}
 		return
 	}
 	txTime := time.Duration(float64(size) / n.cfg.Latency.RateBytesPerSec * float64(time.Second))
-	now := dc.sched.Now()
+	now := n.sched.Now()
 	start := now
 	if src.uplinkFreeAt > start {
 		start = src.uplinkFreeAt
@@ -698,12 +592,7 @@ func (n *Network) deliver(src, dst *Node, pos int32, msg wire.Message) {
 		link = n.link(src, dst)
 	}
 	delay := (start + txTime - now) + link.SampleOneWay(dc.krand)
-	d := dc.newDelivery(n, src.id, srcPos, dst, msg)
-	if ddc := dst.dctx; ddc == dc {
-		dc.sched.AfterCall(delay, runDelivery, d)
-	} else {
-		n.par.ws.Stage(dc.part, now+delay, ddc.part, uint64(src.id), src.sendSeq, runDelivery, d)
-	}
+	n.sched.AfterCall(delay, runDelivery, dc.newDelivery(n, src.id, srcPos, dst, msg))
 }
 
 // Connection errors.
@@ -732,9 +621,6 @@ func (n *Network) ConnectUnbounded(a, b NodeID) error {
 }
 
 func (n *Network) connect(a, b NodeID, enforceOutbound bool) error {
-	if n.par != nil {
-		return errors.New("p2p: connect while parallel dispatch enabled")
-	}
 	if a == b {
 		return ErrSelfConnect
 	}
@@ -758,12 +644,11 @@ func (n *Network) connect(a, b NodeID, enforceOutbound bool) error {
 	if nb.nPeers >= n.cfg.MaxPeers {
 		return ErrPeerCapacity
 	}
-	// Charge the handshake: version + verack each way. Connections are
-	// only made from the serial (topology) phase, never mid-window.
-	n.serial.stats.count(wire.CmdVersion, versionSize)
-	n.serial.stats.count(wire.CmdVerack, verackSize)
-	n.serial.stats.count(wire.CmdVersion, versionSize)
-	n.serial.stats.count(wire.CmdVerack, verackSize)
+	// Charge the handshake: version + verack each way.
+	n.dc.stats.count(wire.CmdVersion, versionSize)
+	n.dc.stats.count(wire.CmdVerack, verackSize)
+	n.dc.stats.count(wire.CmdVersion, versionSize)
+	n.dc.stats.count(wire.CmdVerack, verackSize)
 	pa := na.addPeer(nb, true)
 	pb := nb.addPeer(na, false)
 	na.peerTab[pa].rpos, nb.peerTab[pb].rpos = pb, pa
@@ -790,9 +675,6 @@ func (n *Network) Disconnect(a, b NodeID) {
 
 // teardown removes the edge from both sides and fires OnDisconnect.
 func (n *Network) teardown(na *Node, b NodeID) {
-	if n.par != nil {
-		panic("p2p: disconnect while parallel dispatch enabled")
-	}
 	na.removePeer(b)
 	if nb, ok := n.nodes[b]; ok {
 		nb.removePeer(na.id)
@@ -814,20 +696,16 @@ type verifyJob struct {
 	block *chain.Block
 }
 
-// runVerify is the static dispatch target for verification events. Verify
-// jobs are scheduled on the verifying node's own partition, so the pool
-// round-trips through a single dispatch context.
+// runVerify is the static dispatch target for verification events.
 func runVerify(a any) {
 	j := a.(*verifyJob)
 	n, slot, id, from, tx, block := j.net, j.slot, j.id, j.from, j.tx, j.block
 	j.tx, j.block = nil, nil
+	n.dc.verifyPool = append(n.dc.verifyPool, j)
 	node := n.nodeAt(slot, id)
 	if node == nil {
-		//bcbptlint:allow partiso — churned-verifier fallback: node removal is serial-only, so this branch cannot run mid-window
-		n.serial.verifyPool = append(n.serial.verifyPool, j)
-		return
+		return // verifier churned out
 	}
-	node.dctx.verifyPool = append(node.dctx.verifyPool, j)
 	if tx != nil {
 		_ = node.acceptTx(tx, from) // invalid txs die here, by design
 		return
@@ -847,18 +725,15 @@ type probeJob struct {
 }
 
 // runProbe is the static dispatch target for ProbeN's spaced pings.
-// Probe jobs are scheduled on the probing node's own partition.
 func runProbe(a any) {
 	j := a.(*probeJob)
 	n, slot, id, target, onPong := j.net, j.slot, j.id, j.target, j.onPong
 	j.onPong = nil
+	n.dc.probePool = append(n.dc.probePool, j)
 	node := n.nodeAt(slot, id)
 	if node == nil {
-		//bcbptlint:allow partiso — churned-prober fallback: node removal is serial-only, so this branch cannot run mid-window
-		n.serial.probePool = append(n.serial.probePool, j)
 		return // prober churned out; the probe is simply lost
 	}
-	node.dctx.probePool = append(node.dctx.probePool, j)
 	node.Probe(target, onPong)
 }
 
@@ -869,24 +744,17 @@ func runProbe(a any) {
 // work at all outside ValidationFull mode, whose mempools are real
 // containers that must be drained.
 func (n *Network) ResetInventory() {
-	if n.par != nil {
-		// Between-runs housekeeping for parallel dispatch: even pooled
-		// payloads back out across partitions so systematic migration
-		// drift (see rebalancePool) cannot force steady-state allocation.
-		n.par.rebalancePools()
-	}
 	n.invGen++
 	if n.invGen == 0 {
 		// Generation counter wrapped (after ~4 billion resets): stale
 		// stamps could alias the new generation, so hard-reset every
-		// node's arrays and every context's hash memo once and restart
-		// from generation 1.
+		// node's arrays and the hash memo once and restart from
+		// generation 1.
 		n.invGen = 1
-		n.serial.memoGen = 0
+		n.dc.memoGen = 0
 		for _, node := range n.slots {
 			if node != nil {
 				node.inv = nodeInv{}
-				node.dctx.memoGen = 0
 			}
 		}
 	}
@@ -927,49 +795,23 @@ func (n *Network) StartKeepalive() *sim.Ticker {
 	})
 }
 
-// Run drains the event queue. Unsupported in parallel mode, which needs
-// a finite horizon to window against — use RunUntil there.
-func (n *Network) Run() error {
-	if n.par != nil {
-		return errors.New("p2p: Run unsupported in parallel mode; use RunUntil")
-	}
-	return n.sched.Run()
-}
+// Run drains the event queue.
+func (n *Network) Run() error { return n.sched.Run() }
 
-// StopRun halts the current run from inside an event callback: the serial
-// scheduler stops after the running event; the parallel kernel stops at
-// the next window barrier (conservative windows cannot be interrupted
-// without desynchronising partition clocks — the few extra events that
-// complete the window were independent of the stop decision by the
-// lookahead argument, and a subsequent RunUntil drains identically either
-// way). Safe to call from any partition's worker.
-func (n *Network) StopRun() {
-	if n.par != nil {
-		n.par.ws.Stop()
-		return
-	}
-	n.sched.Stop()
-}
+// StopRun halts the current run from inside an event callback: the
+// scheduler stops after the running event.
+func (n *Network) StopRun() { n.sched.Stop() }
 
 // RunUntil processes events up to the virtual-time limit, polling ctx so
 // a long run — a large BCBPT bootstrap, a deep measurement campaign — is
 // promptly cancellable. On cancellation it returns an error wrapping
 // ctx.Err() with the virtual time reached; pending events stay queued.
-// In parallel mode the same contract is honoured by the window kernel.
 func (n *Network) RunUntil(ctx context.Context, limit sim.Time) error {
-	var err error
-	if n.par != nil {
-		err = n.par.ws.RunUntilCtx(ctx, limit)
-	} else {
-		err = n.sched.RunUntilCtx(ctx, limit)
+	err := n.sched.RunUntilCtx(ctx, limit)
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Errorf("p2p: run interrupted at t=%v: %w", n.Now(), err)
 	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return fmt.Errorf("p2p: run interrupted at t=%v: %w", n.Now(), err)
-		}
-		return err
-	}
-	return nil
+	return err
 }
 
 // Close releases a network that will not run again: it stops the
@@ -979,16 +821,6 @@ func (n *Network) RunUntil(ctx context.Context, limit sim.Time) error {
 // half-bootstrapped network cannot keep state alive or resume by
 // accident. Close is idempotent; node state stays readable.
 func (n *Network) Close() {
-	if n.par != nil {
-		n.par.ws.Clear()
-		n.par.ws.Close()
-		for _, nd := range n.slots {
-			if nd != nil {
-				nd.dctx = &n.serial
-			}
-		}
-		n.par = nil
-	}
 	n.sched.Stop()
 	n.sched.Clear()
 	n.OnTxFirstSeen = nil

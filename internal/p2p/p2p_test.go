@@ -502,9 +502,9 @@ func edgesOf(net *Network) [][2]NodeID {
 
 // TestPeerLinkMatchesBaseRTT pins the link baseline the two peer entries
 // of an edge hold: symmetric, equal to what BaseRTT draws for the pair
-// through the by-ID pair table, unchanged by a disconnect + reconnect and
-// by EnableParallelDispatch — and drawn exactly once per edge per
-// connection, whichever side uses it first.
+// through the by-ID pair table, unchanged by a disconnect + reconnect —
+// and drawn exactly once per edge per connection, whichever side uses it
+// first.
 func TestPeerLinkMatchesBaseRTT(t *testing.T) {
 	net, nodes := testNetwork(t, 40, nil)
 	r := net.Streams().Stream("wire")
@@ -575,28 +575,6 @@ func TestPeerLinkMatchesBaseRTT(t *testing.T) {
 	}
 	if got := check("after reconnect"); got > len(edges)-len(redo) {
 		t.Fatalf("reconnecting %d of %d edges left %d resolved", len(redo), len(edges), got)
-	}
-
-	// Enabling parallel dispatch resolves every entry up front, so no
-	// window ever writes one; it changes no value.
-	before := check("before parallel")
-	plan := PartitionPlan{Parts: 2, Of: make([]int32, net.SlotCap())}
-	for _, nd := range nodes {
-		plan.Of[nd.Slot()] = int32(nd.Slot() % 2)
-	}
-	if err := net.EnableParallelDispatch(plan, 2); err != nil {
-		t.Fatal(err)
-	}
-	draws := used + len(edges) - before
-	if got := check("parallel"); got != len(edges) || edgeDraws() != draws {
-		t.Fatalf("parallel dispatch resolved %d of %d edges with %d draws, want %d", got, len(edges), edgeDraws(), draws)
-	}
-	floodOnce(t, net, nodes, 12)
-	if edgeDraws() != draws {
-		t.Fatalf("parallel flood drew %d links", edgeDraws()-draws)
-	}
-	if err := net.DisableParallelDispatch(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,11 +1,9 @@
 package p2p
 
 import (
-	"context"
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/chain"
 	"repro/internal/obs"
@@ -31,11 +29,7 @@ func floodOnce(t *testing.T, net *Network, nodes []*Node, seed int64) ([]sim.Tim
 	if err := nodes[0].SubmitTx(tx); err != nil {
 		t.Fatal(err)
 	}
-	if net.par != nil {
-		if err := net.RunUntil(context.Background(), net.Now()+sim.Time(time.Hour)); err != nil {
-			t.Fatal(err)
-		}
-	} else if err := net.Run(); err != nil {
+	if err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
 	net.OnTxFirstSeen = nil
@@ -103,61 +97,6 @@ func TestTraceObservesWithoutPerturbing(t *testing.T) {
 	floodOnce(t, netB, nodesB, 8)
 	if tr.Len() != 0 {
 		t.Fatalf("%d events recorded after DisableTrace", tr.Len())
-	}
-}
-
-// TestTraceParallelDispatch pins lock-free shard recording under the
-// window kernel: a traced parallel flood matches the traced serial
-// flood's canonical event stream (same send/deliver/first-seen
-// multiset sizes), and runs race-clean under -race.
-func TestTraceParallelDispatch(t *testing.T) {
-	const n = 80
-	serialNet, serialNodes := buildFloodNet(t, n, 3)
-	parNet, parNodes := buildFloodNet(t, n, 3)
-
-	serialTr := obs.NewTracer(1<<14, 1)
-	serialNet.EnableTrace(serialTr)
-	serialSeen, serialStats := floodOnce(t, serialNet, serialNodes, 11)
-
-	// Partition by slot parity — arbitrary but valid, with the ring
-	// guaranteeing cross-partition edges.
-	plan := PartitionPlan{Parts: 2, Of: make([]int32, parNet.SlotCap())}
-	for _, nd := range parNodes {
-		slot, _ := parNet.SlotOf(nd.ID())
-		plan.Of[slot] = int32(slot % 2)
-	}
-	parTr := obs.NewTracer(1<<14, 3)
-	parNet.EnableTrace(parTr)
-	if err := parNet.EnableParallelDispatch(plan, 2); err != nil {
-		t.Fatal(err)
-	}
-	parSeen, parStats := floodOnce(t, parNet, parNodes, 11)
-	if err := parNet.DisableParallelDispatch(); err != nil {
-		t.Fatal(err)
-	}
-
-	for i := range serialSeen {
-		if serialSeen[i] != parSeen[i] {
-			t.Fatalf("node %d first-seen diverged: serial %v, parallel %v", i, serialSeen[i], parSeen[i])
-		}
-	}
-	if serialStats != parStats {
-		t.Fatalf("stats diverged between traced serial and parallel runs")
-	}
-	count := func(events []obs.Event, k obs.Kind) int {
-		c := 0
-		for _, ev := range events {
-			if ev.Kind == k {
-				c++
-			}
-		}
-		return c
-	}
-	se, pe := serialTr.Events(), parTr.Events()
-	for _, k := range []obs.Kind{obs.KindSend, obs.KindDeliver, obs.KindFirstSeen} {
-		if count(se, k) != count(pe, k) {
-			t.Fatalf("%v count diverged: serial %d, parallel %d", k, count(se, k), count(pe, k))
-		}
 	}
 }
 

@@ -2,14 +2,15 @@ package sim
 
 // Keyed (counter-less) randomness for order-independent draws.
 //
-// The serial kernel can draw every random number from shared sequential
-// streams because it dispatches events in one global order. A partitioned
-// kernel cannot: two partitions executing concurrently would race on the
-// stream and the draw order — and therefore every downstream byte — would
-// depend on goroutine interleaving. KeyedSource solves this by deriving
-// each draw sequence from a stable key (for example (seed, sender, send
-// sequence number)) instead of from global draw order: any execution order
-// that performs the same logical draws produces the same values.
+// A draw taken from a shared sequential stream depends on every draw
+// before it: change how many sends, probes or links precede an event and
+// every later sampled value — and therefore every downstream byte —
+// shifts. KeyedSource removes that coupling by deriving each draw sequence
+// from a stable key (for example (seed, sender, send sequence number))
+// instead of from global draw order: any execution order that performs the
+// same logical draws produces the same values, so a link's parameters do
+// not depend on when the link was first used and a send's delay does not
+// depend on what other nodes sent before it.
 //
 // The generator is splitmix64 (Steele, Lea & Flood, "Fast Splittable
 // Pseudorandom Number Generators", OOPSLA 2014): a single 64-bit counter
@@ -22,8 +23,7 @@ package sim
 
 // KeyedSource is a splitmix64 generator implementing rand.Source64. It is
 // valid when zero-keyed but is intended to be re-keyed before each logical
-// draw group via SeedKey. Not safe for concurrent use; embed one per
-// dispatch context.
+// draw group via SeedKey. Not safe for concurrent use.
 type KeyedSource struct {
 	state uint64
 }

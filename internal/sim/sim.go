@@ -162,18 +162,6 @@ func (s *Scheduler) Len() int { return s.live }
 // Executed returns the total number of events dispatched so far.
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
-// NextEventAt returns the timestamp of the earliest pending live event.
-// The window scheduler uses it to pick the next lookahead window without
-// dispatching anything. Cancelled tombstones at the heap top are freed as
-// a side effect.
-func (s *Scheduler) NextEventAt() (Time, bool) {
-	s.skim()
-	if len(s.heap) == 0 {
-		return 0, false
-	}
-	return s.heap[0].at, true
-}
-
 // siftUp moves the entry at i toward the root (hole insertion: the moved
 // entry is held aside while ancestors shift down).
 func (s *Scheduler) siftUp(i int) {

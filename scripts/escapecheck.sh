@@ -5,7 +5,7 @@
 # compiler's escape analysis (`go build -gcflags=-m`) over the kernel
 # packages and compares the escapes attributed to the watched functions
 # in scripts/escape-manifest.json — arena scheduler ops, the flood
-# dispatch chain, the window commit, the trace record — against the
+# dispatch chain, the trace record — against the
 # pinned budget. A new escape in a watched function exits nonzero.
 #
 # The -m diagnostics replay from the build cache, so this is cheap on a

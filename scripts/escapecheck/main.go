@@ -4,8 +4,8 @@
 // enclosing function by parsing the source, and compares the per-function
 // escape messages of the functions listed in the manifest against the
 // manifest's allowed set. A new escape in a watched function — an arena
-// op, the flood dispatch path, the window commit, the trace record —
-// fails the check before it can show up as an allocs/op regression.
+// op, the flood dispatch path, the trace record — fails the check before
+// it can show up as an allocs/op regression.
 //
 // Messages, not line numbers, key the comparison, so unrelated edits to a
 // watched file do not churn the manifest. Regenerate after a deliberate

@@ -36,7 +36,6 @@ type traceEvent struct {
 	Cat  string            `json:"cat"`
 	Ph   string            `json:"ph"`
 	Ts   *float64          `json:"ts"`
-	Dur  *float64          `json:"dur"`
 	Pid  *int              `json:"pid"`
 	Tid  *uint64           `json:"tid"`
 	Args map[string]uint64 `json:"args"`
@@ -76,10 +75,8 @@ func main() {
 			fail("event %d has no name", i)
 		case ev.Cat == "":
 			fail("event %d (%s) has no cat", i, ev.Name)
-		case ev.Ph != "i" && ev.Ph != "X":
-			fail("event %d (%s) has phase %q, want \"i\" or \"X\"", i, ev.Name, ev.Ph)
-		case ev.Ph == "X" && ev.Dur == nil:
-			fail("event %d (%s) is a complete slice with no dur", i, ev.Name)
+		case ev.Ph != "i":
+			fail("event %d (%s) has phase %q, want \"i\"", i, ev.Name, ev.Ph)
 		case ev.Ts == nil || *ev.Ts < 0:
 			fail("event %d (%s) has missing or negative ts", i, ev.Name)
 		case ev.Pid == nil || ev.Tid == nil:
@@ -93,8 +90,8 @@ func main() {
 		cats[ev.Cat]++
 	}
 	// A figure3 trace must carry both the flood itself and the
-	// measurement that observed it; pdes/fleet categories appear only in
-	// parallel or distributed runs, so they are not required.
+	// measurement that observed it; the fleet category appears only in
+	// distributed runs, so it is not required.
 	for _, want := range []string{"p2p", "measure"} {
 		if cats[want] == 0 {
 			fail("no %q events — the trace is missing a whole subsystem", want)

@@ -2,9 +2,8 @@
 # tracesmoke.sh [BINDIR]
 #
 # End-to-end proof that tracing is purely observational: a tiny Figure 3
-# sweep runs untraced, traced on the serial kernel, and traced on the
-# parallel (PDES) kernel with -window-profile — and all three CDF CSVs
-# must be byte-identical. Both trace exports are then validated with
+# sweep runs untraced and traced, and the two CDF CSVs must be
+# byte-identical. The trace export is then validated with
 # scripts/tracecheck: the trace_event JSON must have the shape Perfetto
 # loads and the binary spool must decode to the same event count. Any
 # tracing hook that perturbs simulation state, any export regression,
@@ -19,24 +18,17 @@ sweep="-experiment figure3 -nodes 120 -runs 5 -seed 1"
 echo "tracesmoke: untraced run"
 "$bin/bcbpt-sim" $sweep -csv "$bin/plain.csv" > /dev/null
 
-echo "tracesmoke: traced run (serial kernel)"
+echo "tracesmoke: traced run"
 "$bin/bcbpt-sim" $sweep -trace "$bin/trace.json" -csv "$bin/traced.csv" > /dev/null
 
-echo "tracesmoke: traced run (parallel kernel, window profile)"
-"$bin/bcbpt-sim" $sweep -sim-workers 4 -window-profile \
-    -trace "$bin/trace-par.json" -csv "$bin/traced-par.csv" > /dev/null
-
 fail=0
-for csv in traced.csv traced-par.csv; do
-    if cmp -s "$bin/$csv" "$bin/plain.csv"; then
-        echo "tracesmoke: OK — $csv is byte-identical to the untraced output"
-    else
-        echo "tracesmoke: FAIL — $csv differs from untraced output (tracing perturbed the simulation)" >&2
-        diff "$bin/$csv" "$bin/plain.csv" >&2 || true
-        fail=1
-    fi
-done
+if cmp -s "$bin/traced.csv" "$bin/plain.csv"; then
+    echo "tracesmoke: OK — traced.csv is byte-identical to the untraced output"
+else
+    echo "tracesmoke: FAIL — traced.csv differs from untraced output (tracing perturbed the simulation)" >&2
+    diff "$bin/traced.csv" "$bin/plain.csv" >&2 || true
+    fail=1
+fi
 
 "$bin/tracecheck" "$bin/trace.json" "$bin/trace.json.bin" || fail=1
-"$bin/tracecheck" "$bin/trace-par.json" "$bin/trace-par.json.bin" || fail=1
 exit "$fail"
