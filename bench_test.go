@@ -202,9 +202,10 @@ func BenchmarkRecommend3000(b *testing.B) {
 	for i, loc := range locs {
 		dns.Register(p2p.NodeID(i+1), loc)
 	}
-	evals := 0
+	dists, chords := 0, 0
 	for i, loc := range locs {
-		evals += dns.RecommendCost(p2p.NodeID(i+1), loc, k)
+		dn, cn := dns.RecommendCost(p2p.NodeID(i+1), loc, k)
+		dists, chords = dists+dn, chords+cn
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -213,7 +214,8 @@ func BenchmarkRecommend3000(b *testing.B) {
 			b.Fatalf("Recommend returned %d of %d", len(got), k)
 		}
 	}
-	b.ReportMetric(float64(evals)/n, "dist-evals/op")
+	b.ReportMetric(float64(dists)/n, "dist-evals/op")
+	b.ReportMetric(float64(chords)/n, "chord-evals/op")
 }
 
 // --- Tentpole: arena event kernel vs the pre-arena reference kernel ---

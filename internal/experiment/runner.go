@@ -157,8 +157,9 @@ type Runner struct {
 	// Workers bounds concurrency; <= 0 means GOMAXPROCS.
 	Workers int
 	// Metrics, when non-nil, receives per-unit telemetry as the sweep
-	// runs: completed-unit counters, build/run duration histograms (when
-	// Clock is set), and the p2p traffic counters folded post-run via
+	// runs: completed-unit counters, build/run duration histograms labelled
+	// with the campaign's name as series (when Clock is set), and the p2p
+	// traffic counters folded post-run via
 	// Stats.AddToRegistry. Construct it with NewMetricsRegistry so
 	// histograms have a sketch backend. Purely observational: the merged
 	// campaign results are bit-identical with or without it.
@@ -348,10 +349,10 @@ func exportTrace(tr *obs.Tracer, path string) error {
 	return sf.Close()
 }
 
-// observeUnit folds one unit's telemetry into the runner's registry.
-// Counter and histogram handles are concurrency-safe, so sweep workers
-// fold directly.
-func (r *Runner) observeUnit(uo UnitObservation, failed bool) {
+// observeUnit folds the telemetry of one unit of the named campaign into
+// the runner's registry. Counter and histogram handles are
+// concurrency-safe, so sweep workers fold directly.
+func (r *Runner) observeUnit(series string, uo UnitObservation, failed bool) {
 	if r == nil || r.Metrics == nil {
 		return
 	}
@@ -362,8 +363,9 @@ func (r *Runner) observeUnit(uo UnitObservation, failed bool) {
 	}
 	uo.Stats.AddToRegistry(r.Metrics)
 	if r.Clock != nil {
-		r.Metrics.Histogram("bcbpt_sweep_unit_build_seconds").Observe(time.Duration(uo.BuildNanos))
-		r.Metrics.Histogram("bcbpt_sweep_unit_run_seconds").Observe(time.Duration(uo.RunNanos))
+		label := fmt.Sprintf("{series=%q}", series)
+		r.Metrics.Histogram("bcbpt_sweep_unit_build_seconds" + label).Observe(time.Duration(uo.BuildNanos))
+		r.Metrics.Histogram("bcbpt_sweep_unit_run_seconds" + label).Observe(time.Duration(uo.RunNanos))
 	}
 }
 
@@ -447,7 +449,7 @@ func (r *Runner) Sweep(ctx context.Context, campaigns []CampaignSpec) ([]Campaig
 	completed, unitErr := r.runUnits(ctx, len(units), func(ctx context.Context, i int) error {
 		u := units[i]
 		res, uo, err := RunUnitObserved(ctx, specs[u.campaign], u.replication, r.Clock)
-		r.observeUnit(uo, err != nil)
+		r.observeUnit(specs[u.campaign].Name, uo, err != nil)
 		if err != nil {
 			return err
 		}

@@ -25,12 +25,6 @@ import (
 // EarthRadiusMeters is the mean Earth radius used for great-circle math.
 const EarthRadiusMeters = 6_371_000
 
-// MetersPerDegreeLat is the great-circle length of one degree of latitude.
-// Two points dLat degrees of latitude apart are at least
-// dLat*MetersPerDegreeLat apart whatever their longitudes, which is the
-// bound DNSSeed.Recommend prunes its search with.
-const MetersPerDegreeLat = EarthRadiusMeters * math.Pi / 180
-
 // Coord is a point on the Earth's surface in degrees.
 type Coord struct {
 	LatDeg float64

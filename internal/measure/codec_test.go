@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
 	"reflect"
@@ -138,4 +139,67 @@ func TestMergeRejectsMismatchedFingerprints(t *testing.T) {
 	if merged.Dist.N() != 3 {
 		t.Errorf("merged N = %d, want 3", merged.Dist.N())
 	}
+}
+
+// FuzzDecodeCampaignResult feeds the shard decoder — what a fleet
+// coordinator runs on bytes from a socket and from its spool — arbitrary
+// input. It must never panic; whatever it accepts must summarise without
+// panicking, however inconsistent the sketch state it was handed, and must
+// re-encode to a fixed point: encode(decode(x)) decodes and encodes to the
+// same bytes again, so a shard cannot change by being stored and re-read.
+func FuzzDecodeCampaignResult(f *testing.F) {
+	exact, err := EncodeCampaignResult(CampaignResult{
+		Dist: NewDistribution([]time.Duration{3 * time.Millisecond, time.Millisecond, 2 * time.Second}),
+		PerRun: []RunResult{{
+			TxID:       chain.Hash{1, 2, 3},
+			InjectedAt: sim.Time(42 * time.Second),
+			Deltas:     map[p2p.NodeID]time.Duration{3: 120 * time.Millisecond, 9: 310 * time.Millisecond},
+			Missing:    []p2p.NodeID{5},
+		}},
+		Lost:        1,
+		Fingerprint: 0xdeadbeefcafef00d,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s := NewStreamingDistribution()
+	s.Add(0)
+	s.AddN(40*time.Millisecond, 1000)
+	s.Add(9 * time.Second)
+	streaming, err := EncodeCampaignResult(CampaignResult{Dist: s.Dist(), Fingerprint: 7})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(exact)
+	f.Add(streaming)
+	f.Add(exact[:len(exact)/2])
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"Dist":{"kind":"exact","samples_ns":[5,-1,5,9223372036854775807]},"Lost":-3}`))
+	f.Add([]byte(`{"Dist":{"kind":"streaming","n":18446744073709551615,"sum_ns":-1,"min_ns":9,"max_ns":1,"buckets":[{"i":0,"c":1},{"i":0,"c":2}]}}`))
+	f.Add([]byte(`{"Dist":{"kind":"streaming","buckets":[{"i":99999,"c":1}]}}`))
+	f.Add([]byte(`{"Dist":{"kind":"sketchy"}}`))
+	f.Add([]byte(`{"Dist":null,"PerRun":[{"Deltas":{"-1":1}}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeCampaignResult(data)
+		if err != nil {
+			return
+		}
+		_ = r.Dist.String()
+		_ = r.Dist.CDF(11)
+		first, err := EncodeCampaignResult(r)
+		if err != nil {
+			t.Fatalf("re-encoding a decoded result: %v", err)
+		}
+		again, err := DecodeCampaignResult(first)
+		if err != nil {
+			t.Fatalf("decoding a re-encoded result: %v\n%s", err, first)
+		}
+		second, err := EncodeCampaignResult(again)
+		if err != nil {
+			t.Fatalf("encoding it a second time: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("no fixed point:\n%s\nthen\n%s", first, second)
+		}
+	})
 }

@@ -17,8 +17,9 @@ import (
 // Differential harness: drive the flat struct-of-arrays Network and the
 // map-based ReferenceNetwork through an identical operation script and
 // require every observable to match bit for bit — first-seen event order
-// and times, final FirstSeen state, traffic counters, adjacency, and the
-// holder facts ("peer P is known to have hash H") behind relay suppression.
+// and times, final FirstSeen state, traffic counters, adjacency, the RTT
+// estimators that probes feed, and the holder facts ("peer P is known to
+// have hash H") behind relay suppression.
 // Both networks derive their randomness from the same named streams with
 // the same seed, so any divergence is a real behavioural difference in
 // the flat layout, not noise.
@@ -190,6 +191,29 @@ func (h *diffHarness) probe(a, b NodeID) {
 	rn.Probe(b, nil)
 }
 
+// probeGap spaces the pings of the harness's ProbeN, as a BCBPT join does.
+const probeGap = 20 * time.Millisecond
+
+// probeN starts a three-ping ProbeN on the flat side, which resolves the
+// target's slot and the pair's link once and carries them through both legs
+// of every ping. The oracle has no ProbeN: its side is the three Probes that
+// stands for, scheduled the same way — one event per ping at the same
+// offsets — each finding prober and target by ID when it fires.
+func (h *diffHarness) probeN(a, b NodeID) {
+	fn, ok := h.flat.Node(a)
+	if !ok {
+		return
+	}
+	fn.ProbeN(b, 3, probeGap, nil)
+	for i := 0; i < 3; i++ {
+		h.ref.sched.After(time.Duration(i)*probeGap, func() {
+			if rn, ok := h.ref.Node(a); ok {
+				rn.Probe(b, nil)
+			}
+		})
+	}
+}
+
 func (h *diffHarness) runFor(d time.Duration) {
 	limit := h.flat.Now() + sim.Time(d)
 	if err := h.flat.RunUntil(context.Background(), limit); err != nil {
@@ -278,6 +302,14 @@ func (h *diffHarness) compare() {
 		if fn.Outbound() != rn.Outbound() {
 			h.t.Fatalf("node %d outbound: flat %d, ref %d", id, fn.Outbound(), rn.Outbound())
 		}
+		if len(fn.ests) != len(rn.estimators) {
+			h.t.Fatalf("node %d estimators: flat %d, ref %d", id, len(fn.ests), len(rn.estimators))
+		}
+		for _, fe := range fn.ests {
+			if re, ok := rn.estimators[fe.target]; !ok || *fe.est != *re {
+				h.t.Fatalf("node %d estimator for %d: flat %+v, ref %+v", id, fe.target, *fe.est, re)
+			}
+		}
 		for _, hash := range h.hashes {
 			ft, fok := fn.FirstSeen(hash)
 			rt, rok := rn.FirstSeen(hash)
@@ -308,7 +340,7 @@ func runScript(t testing.TB, cfg Config, script []byte) {
 			break
 		}
 		b, _ := h.pick(y)
-		switch op % 8 {
+		switch op % 9 {
 		case 0:
 			if a != b {
 				h.connect(a, b)
@@ -337,6 +369,10 @@ func runScript(t testing.TB, cfg Config, script []byte) {
 			if a != b {
 				h.probe(a, b)
 			}
+		case 8:
+			if a != b {
+				h.probeN(a, b)
+			}
 		}
 	}
 	// Always end with a flood so every script exercises the full relay
@@ -352,11 +388,15 @@ func runScript(t testing.TB, cfg Config, script []byte) {
 // oracle across validation modes, relay modes, loss injection and churn.
 func TestFlatNodeMatchesReference(t *testing.T) {
 	scripts := map[string][]byte{
-		"flood":      {2, 0, 0, 3, 10, 0, 2, 5, 0, 3, 50, 0},
-		"churn":      {2, 0, 0, 3, 5, 0, 5, 3, 0, 6, 0, 7, 1, 2, 8, 0, 9, 4, 3, 20, 0, 2, 6, 0},
-		"reset":      {2, 0, 0, 3, 200, 0, 4, 0, 0, 2, 1, 0, 3, 200, 0, 4, 0, 0, 2, 2, 0},
-		"rewire":     {0, 2, 9, 2, 0, 0, 3, 30, 0, 1, 2, 9, 0, 4, 11, 2, 4, 0, 3, 30, 0},
-		"probes":     {7, 0, 5, 7, 1, 6, 3, 10, 0, 2, 0, 0, 7, 2, 7, 3, 10, 0},
+		"flood":  {2, 0, 0, 3, 10, 0, 2, 5, 0, 3, 50, 0},
+		"churn":  {2, 0, 0, 3, 5, 0, 5, 3, 0, 6, 0, 7, 1, 2, 8, 0, 9, 4, 3, 20, 0, 2, 6, 0},
+		"reset":  {2, 0, 0, 3, 200, 0, 4, 0, 0, 2, 1, 0, 3, 200, 0, 4, 0, 0, 2, 2, 0},
+		"rewire": {0, 2, 9, 2, 0, 0, 3, 30, 0, 1, 2, 9, 0, 4, 11, 2, 4, 0, 3, 30, 0},
+		"probes": {7, 0, 5, 7, 1, 6, 3, 10, 0, 2, 0, 0, 7, 2, 7, 3, 10, 0},
+		// ProbeNs in both directions of one pair and across a flood; then
+		// one whose target leaves after its first ping, one whose prober
+		// leaves with pongs on the wire, and a joiner into the freed slot.
+		"probe-n":    {8, 0, 5, 8, 5, 0, 8, 1, 6, 2, 0, 0, 3, 0, 0, 8, 2, 7, 8, 3, 4, 3, 0, 0, 5, 7, 0, 5, 3, 0, 6, 0, 1, 3, 10, 0},
 		"blocks":     {2, 0, 0, 3, 255, 0, 4, 0, 0, 3, 10, 0, 2, 4, 0},
 		"mixed-ops":  {6, 0, 1, 2, 3, 0, 3, 40, 0, 5, 7, 0, 0, 1, 8, 2, 2, 0, 3, 90, 0, 4, 0, 0, 2, 5, 0},
 		"mid-flight": {2, 0, 0, 3, 1, 0, 5, 4, 0, 3, 1, 0, 5, 6, 0, 3, 100, 0},
@@ -486,6 +526,152 @@ func TestStalePositionMatchesReference(t *testing.T) {
 	}
 }
 
+// TestProbeNCarriedHandles names what the handles a ProbeN resolves once —
+// its target's slot, the pair's link baseline — and the ones its pings carry
+// to the pong — the prober's slot, the same baseline — must survive, each
+// against the oracle, which looks everything up by ID at every step.
+func TestProbeNCarriedHandles(t *testing.T) {
+	const a, b = NodeID(2), NodeID(7)
+	// until steps both networks until the flat side has sent n of cmd.
+	until := func(t *testing.T, h *diffHarness, cmd wire.Command, n uint64) {
+		t.Helper()
+		for i := 0; h.flat.Stats().Messages[cmd] < n; i++ {
+			if i > 100_000 {
+				t.Fatalf("only %d of %d %v sent", h.flat.Stats().Messages[cmd], n, cmd)
+			}
+			h.runFor(100 * time.Microsecond)
+		}
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, h *diffHarness)
+		// what the flat side must show once everything has drained
+		pings, pongs, dropped uint64
+		pending               int
+	}{
+		{
+			name: "target removed between ProbeN and the second ping",
+			run: func(t *testing.T, h *diffHarness) {
+				h.probeN(a, b)
+				until(t, h, wire.CmdPing, 1)
+				h.removeNode(b)
+			},
+			// The first ping dies at the empty slot and keeps its pending
+			// entry; the other two cannot leave and keep none.
+			pings: 1, pongs: 0, dropped: 3, pending: 1,
+		},
+		{
+			name: "target's slot recycled between pings",
+			run: func(t *testing.T, h *diffHarness) {
+				h.probeN(a, b)
+				until(t, h, wire.CmdPing, 1)
+				fb, _ := h.flat.Node(b)
+				slot := fb.Slot()
+				h.removeNode(b)
+				if joiner, _ := h.flat.Node(h.addNode()); joiner.Slot() != slot {
+					t.Fatalf("joiner took slot %d, not the target's %d", joiner.Slot(), slot)
+				}
+			},
+			// The joiner in b's slot is not b: nothing more is sent.
+			pings: 1, pongs: 0, dropped: 3, pending: 1,
+		},
+		{
+			name: "target joins between pings",
+			run: func(t *testing.T, h *diffHarness) {
+				const next = NodeID(11) // the harness starts with ten nodes
+				h.probeN(a, next)
+				h.runFor(time.Millisecond)
+				if id := h.addNode(); id != next {
+					t.Fatalf("joiner got id %d, want %d", id, next)
+				}
+			},
+			// ProbeN had nothing to resolve, so each ping looks the ID up:
+			// the first finds nobody, the other two find the joiner.
+			pings: 2, pongs: 2, dropped: 1, pending: 0,
+		},
+		{
+			name: "prober removed with a pong in flight",
+			run: func(t *testing.T, h *diffHarness) {
+				h.probeN(a, b)
+				until(t, h, wire.CmdPong, 1)
+				h.removeNode(a)
+			},
+			// A one-way trip outlasts both gaps: all three pings are out
+			// when the first pong leaves; that pong dies at the empty slot
+			// and b finds nobody to answer the other two pings to.
+			pings: 3, pongs: 1, dropped: 3, pending: 3,
+		},
+		{
+			name: "prober's slot recycled before the ping lands",
+			run: func(t *testing.T, h *diffHarness) {
+				h.probeN(a, b)
+				until(t, h, wire.CmdPing, 1)
+				fa, _ := h.flat.Node(a)
+				slot := fa.Slot()
+				h.removeNode(a)
+				joiner, _ := h.flat.Node(h.addNode())
+				if joiner.Slot() != slot {
+					t.Fatalf("joiner took slot %d, not the prober's %d", joiner.Slot(), slot)
+				}
+			},
+			// b answers into a slot that now holds someone else: no pong.
+			pings: 1, pongs: 0, dropped: 1, pending: 1,
+		},
+		{
+			name: "prober's slot recycled with the pong in flight",
+			run: func(t *testing.T, h *diffHarness) {
+				h.probeN(a, b)
+				until(t, h, wire.CmdPong, 1)
+				h.removeNode(a)
+				h.addNode()
+			},
+			pings: 3, pongs: 1, dropped: 3, pending: 3,
+		},
+		{
+			name: "probed, then connected",
+			run: func(t *testing.T, h *diffHarness) {
+				fa, _ := h.flat.Node(a)
+				fb, _ := h.flat.Node(b)
+				h.probeN(a, b)
+				h.drain()
+				if len(h.flat.links) != 0 || h.flat.linkDraws != 1 {
+					t.Fatalf("ProbeN left %d pairs in the table after %d draws; want 0 after 1", len(h.flat.links), h.flat.linkDraws)
+				}
+				probed := h.flat.makeLink(mkLinkKey(a, b), fa, fb).Base()
+				h.connect(a, b)
+				h.submitTx(a)
+				h.drain()
+				truth, _ := h.flat.BaseRTT(a, b)
+				oracle := h.ref.link(h.ref.nodes[a], h.ref.nodes[b]).Base()
+				if edge := fa.peerTab[fa.peerPos(b)].base; edge != probed || truth != probed || oracle != probed {
+					t.Fatalf("one pair, four baselines: probe %v, peer entry %v, BaseRTT %v, oracle %v", probed, edge, truth, oracle)
+				}
+				if est, ok := fa.Estimator(b); !ok || est.Samples() != 3 {
+					t.Fatalf("estimator after three pongs: %+v", est)
+				}
+			},
+			pings: 3, pongs: 3, dropped: 0, pending: 0,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newDiffHarness(t, diffConfig(ValidationLight, RelayInv, false, 21), 10)
+			fa, _ := h.flat.Node(a)
+			tc.run(t, h)
+			h.drain()
+			h.compare()
+			st := h.flat.Stats()
+			if st.Messages[wire.CmdPing] != tc.pings || st.Messages[wire.CmdPong] != tc.pongs || st.Dropped != tc.dropped {
+				t.Fatalf("pings %d, pongs %d, dropped %d; want %d, %d, %d",
+					st.Messages[wire.CmdPing], st.Messages[wire.CmdPong], st.Dropped, tc.pings, tc.pongs, tc.dropped)
+			}
+			if len(fa.pending) != tc.pending {
+				t.Fatalf("prober keeps %d pending pings, want %d", len(fa.pending), tc.pending)
+			}
+		})
+	}
+}
+
 // TestHashMemoMatchesReference keeps two hashes in the air at once and
 // resets the inventory under them, so the registry's one-entry memo is
 // evicted by every other lookup and outlives its generation again and
@@ -524,8 +710,9 @@ func TestHashMemoMatchesReference(t *testing.T) {
 
 // FuzzFlatNodeMatchesReference lets the fuzzer search for op sequences
 // where the flat layout diverges from the oracle. The seed corpus covers
-// every opcode, churn around in-flight messages, back-to-back resets, and
-// deliveries whose carried sender position went stale mid-flight.
+// every opcode, churn around in-flight messages, back-to-back resets,
+// deliveries whose carried sender position went stale mid-flight, and
+// ProbeNs whose resolved target or prober left between pings.
 func FuzzFlatNodeMatchesReference(f *testing.F) {
 	f.Add(int64(1), []byte{2, 0, 0, 3, 10, 0})
 	f.Add(int64(2), []byte{2, 0, 0, 3, 5, 0, 5, 3, 0, 6, 0, 7, 3, 50, 0})
@@ -545,6 +732,9 @@ func FuzzFlatNodeMatchesReference(f *testing.F) {
 		f.Add(seed, []byte{2, 0, 0, 1, 0, 1, 0, 0, 1, 3, 5, 0})
 		f.Add(seed, []byte{2, 0, 0, 1, 0, 1, 0, 5, 1, 0, 0, 1, 3, 5, 0})
 	}
+	// ProbeN's carried handles: the target, then the prober, leaves between
+	// pings; a joiner recycles the freed slot before the last pong lands.
+	f.Add(int64(3), []byte{8, 0, 5, 8, 5, 0, 3, 0, 0, 5, 5, 0, 3, 0, 0, 5, 0, 0, 6, 0, 1, 8, 11, 1, 3, 10, 0})
 	f.Add(int64(17), []byte{2, 0, 0, 3, 0, 0, 1, 0, 1, 1, 0, 11, 3, 9, 0})
 	f.Add(int64(17), []byte{2, 0, 0, 3, 0, 0, 1, 0, 1, 0, 5, 0, 1, 0, 11, 0, 6, 0, 3, 9, 0})
 	f.Add(int64(17), []byte{2, 0, 0, 3, 0, 0, 1, 0, 1, 0, 0, 1, 1, 0, 11, 0, 0, 11, 3, 9, 0})

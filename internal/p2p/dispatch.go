@@ -167,15 +167,19 @@ func (dc *dispatchCtx) sharedPad(size int) []byte {
 	return dc.pingPad[:size]
 }
 
-// newDelivery pops a pooled payload (or allocates on first use).
-func (dc *dispatchCtx) newDelivery(n *Network, src NodeID, srcPos int32, dst *Node, msg wire.Message) *delivery {
+// newDelivery pops a pooled payload (or allocates on first use). It is
+// written to stay within the inlining budget: deliver is its one caller.
+func (dc *dispatchCtx) newDelivery(n *Network, src *Node, srcPos int32, base time.Duration, dst *Node, msg wire.Message) *delivery {
+	var d *delivery
 	if last := len(dc.deliveryPool) - 1; last >= 0 {
-		d := dc.deliveryPool[last]
+		d = dc.deliveryPool[last]
 		dc.deliveryPool = dc.deliveryPool[:last]
-		d.src, d.srcPos, d.dstSlot, d.dstID, d.dstEpoch, d.msg = src, srcPos, dst.slot, dst.id, dst.tabEpoch, msg
-		return d
+	} else {
+		d = &delivery{net: n}
 	}
-	return &delivery{net: n, src: src, srcPos: srcPos, dstSlot: dst.slot, dstID: dst.id, dstEpoch: dst.tabEpoch, msg: msg}
+	d.src, d.srcSlot, d.srcPos, d.base = src.id, src.slot, srcPos, base
+	d.dstSlot, d.dstID, d.dstEpoch, d.msg = dst.slot, dst.id, dst.tabEpoch, msg
+	return d
 }
 
 // newVerifyJob pops a pooled payload (or allocates on first use).
@@ -190,12 +194,12 @@ func (dc *dispatchCtx) newVerifyJob(n *Network, slot int32, id, from NodeID, tx 
 }
 
 // newProbeJob pops a pooled payload (or allocates on first use).
-func (dc *dispatchCtx) newProbeJob(n *Network, slot int32, id, target NodeID, onPong func(time.Duration)) *probeJob {
+func (dc *dispatchCtx) newProbeJob(n *Network, slot, tslot int32, id, target NodeID, base time.Duration, onPong func(time.Duration)) *probeJob {
 	if last := len(dc.probePool) - 1; last >= 0 {
 		j := dc.probePool[last]
 		dc.probePool = dc.probePool[:last]
-		j.slot, j.id, j.target, j.onPong = slot, id, target, onPong
+		j.slot, j.tslot, j.id, j.target, j.base, j.onPong = slot, tslot, id, target, base, onPong
 		return j
 	}
-	return &probeJob{net: n, slot: slot, id: id, target: target, onPong: onPong}
+	return &probeJob{net: n, slot: slot, tslot: tslot, id: id, target: target, base: base, onPong: onPong}
 }

@@ -158,7 +158,7 @@ type Node struct {
 	// (JOIN/CLUSTER); the topology layer installs it.
 	extraHandler func(from NodeID, msg wire.Message)
 
-	// pending ping probes, appended in send order.
+	// pending ping probes awaiting their pong, in no particular order.
 	pending   []pendingPing
 	nextNonce uint64
 
@@ -179,8 +179,9 @@ func (nd *Node) SetExtraHandler(h func(from NodeID, msg wire.Message)) {
 
 // Send transmits an arbitrary wire message to any live node, addressed by
 // ID: the overlay's "any host can dial any other". Topology protocols use
-// it for their extension messages and Probe for its pings; relay traffic
-// between peers goes through the peer entry instead (sendTo).
+// it for their extension messages; relay traffic between peers goes through
+// the peer entry instead (sendTo), and pings and pongs through the handles
+// their probe resolved (ping, pong).
 func (nd *Node) Send(to NodeID, msg wire.Message) {
 	nd.sendTo(-1, to, msg)
 }
@@ -189,22 +190,25 @@ func (nd *Node) Send(to NodeID, msg wire.Message) {
 // node's adjacency position here, it is reached through the peer entry —
 // destination, link and reverse position all read from it, no map
 // touched. With pos < 0 it is looked up by ID, the link comes from the
-// network's pair table, and the message is silently dropped if either end
-// is gone (matching a TCP RST on a dead host; a removed node has no
-// peers, so only this branch can see one).
+// network's memo of by-ID pairs, and the message is silently dropped if
+// either end is gone (matching a TCP RST on a dead host; a removed node has
+// no peers, so only this branch can see one).
 func (nd *Node) sendTo(pos int32, to NodeID, msg wire.Message) {
 	n := nd.net
 	if pos >= 0 {
-		n.deliver(nd, nd.peerTab[pos].node, pos, msg)
+		n.deliver(nd, nd.peerTab[pos].node, pos, 0, msg)
 		return
 	}
 	dst, ok := n.nodes[to]
-	if !ok || n.slots[nd.slot] != nd {
+	if !ok || !nd.live() {
 		n.dc.stats.Dropped++
 		return
 	}
-	n.deliver(nd, dst, -1, msg)
+	n.deliver(nd, dst, -1, n.link(nd, dst).Base(), msg)
 }
+
+// live reports whether the node is still in the network.
+func (nd *Node) live() bool { return nd.net.slots[nd.slot] == nd }
 
 // ID returns the node's identifier.
 func (nd *Node) ID() NodeID { return nd.id }
@@ -615,8 +619,9 @@ func (nd *Node) senderPos(from NodeID, pos int32, epoch uint32) int32 {
 // handleMessage dispatches a delivered wire message. srcPos and epoch are
 // the sender position and table epoch the delivery carried; the inventory
 // handlers get them resolved by senderPos, so they mark holder facts and
-// reply through the peer entry without scanning the table. Pings, pongs
-// and address requests are addressed by ID and answered the same way.
+// reply through the peer entry without scanning the table. Pongs and
+// address requests are addressed by ID and answered the same way; a ping
+// never gets here, runDelivery answers it (pong).
 func (nd *Node) handleMessage(from NodeID, srcPos int32, epoch uint32, msg wire.Message) {
 	switch m := msg.(type) {
 	case *wire.MsgInv:
@@ -627,8 +632,6 @@ func (nd *Node) handleMessage(from NodeID, srcPos int32, epoch uint32, msg wire.
 		nd.handleTx(from, nd.senderPos(from, srcPos, epoch), m)
 	case *wire.MsgBlock:
 		nd.handleBlock(from, nd.senderPos(from, srcPos, epoch), m)
-	case *wire.MsgPing:
-		nd.Send(from, nd.net.dc.newPong(m.Nonce))
 	case *wire.MsgPong:
 		nd.handlePong(from, m)
 	case *wire.MsgGetAddr:
@@ -726,46 +729,92 @@ func (nd *Node) handleTx(from NodeID, fromPos int32, m *wire.MsgTx) {
 // feeds the resulting RTT into this node's estimator for the target.
 // done, if non-nil, fires with the measured RTT.
 func (nd *Node) Probe(target NodeID, done func(rtt time.Duration)) {
+	dst := nd.net.nodes[target]
+	var base time.Duration
+	if dst != nil {
+		base = nd.net.link(nd, dst).Base()
+	}
+	nd.ping(dst, base, done)
+}
+
+// ping consumes a nonce and sends the ping that carries it to dst, over a
+// link of the given baseline. A ping that cannot leave — dst is nil, the
+// target being gone, or this node has left the network itself — counts as
+// Dropped and leaves nothing behind: an entry of pending is only ever
+// removed by its pong, and pins done until then. A ping lost in flight
+// still leaves its entry.
+func (nd *Node) ping(dst *Node, base time.Duration, done func(rtt time.Duration)) {
+	n := nd.net
 	nd.nextNonce++
-	nonce := nd.nextNonce
-	nd.pending = append(nd.pending, pendingPing{nonce: nonce, sentAt: nd.now(), target: target, done: done})
-	pad := nd.net.cfg.Latency.PingBytes - 12 // nonce + length prefix
+	if dst == nil || !nd.live() {
+		n.dc.stats.Dropped++
+		return
+	}
+	nd.pending = append(nd.pending, pendingPing{nonce: nd.nextNonce, sentAt: nd.now(), target: dst.id, done: done})
+	pad := n.cfg.Latency.PingBytes - 12 // nonce + length prefix
 	if pad < 0 {
 		pad = 0
 	}
-	nd.Send(target, nd.net.dc.newPing(nonce, pad))
+	n.deliver(nd, dst, -1, base, n.dc.newPing(nd.nextNonce, pad))
+}
+
+// pong answers a ping from what its delivery carried: the pinger's (slot,
+// id) handle and the baseline of the link the ping came over, so the reply
+// looks up neither the node nor the link. A pinger that left with its ping
+// in flight — its slot empty, or recycled by a later joiner — gets none.
+func (nd *Node) pong(to NodeID, toSlot int32, base time.Duration, nonce uint64) {
+	n := nd.net
+	dst := n.nodeAt(toSlot, to)
+	if dst == nil {
+		n.dc.stats.Dropped++
+		return
+	}
+	n.deliver(nd, dst, -1, base, n.dc.newPong(nonce))
 }
 
 // ProbeN sends n pings spaced by gap and calls done once all have
 // completed (or been lost to churn — lost probes simply never arrive, so
 // done fires only when all n pongs return; callers combine this with the
-// estimator's Ready check).
+// estimator's Ready check). The target's slot and the pair's link are
+// resolved here, once, and ride in each ping's job: the link is a pure
+// function of the seed and the pair, so it is drawn and not stored.
 func (nd *Node) ProbeN(target NodeID, n int, gap time.Duration, done func(est *latency.Estimator)) {
 	if n <= 0 {
 		return
 	}
-	// One completion callback shared by all n pings — the single
-	// allocation a ProbeN costs. The pings themselves schedule through
-	// the pooled probeJob payload (closure-free AfterCall, see hotalloc).
-	remaining := n
 	net := nd.net
 	slot, id := nd.slot, nd.id
-	onPong := func(time.Duration) {
-		remaining--
-		if remaining == 0 && done != nil {
-			if node := net.nodeAt(slot, id); node != nil {
-				if est, ok := node.Estimator(target); ok {
-					done(est)
+	// One completion callback shared by all n pings — the single
+	// allocation a ProbeN with a done costs. The pings themselves schedule
+	// through the pooled probeJob payload (closure-free AfterCall, see
+	// hotalloc).
+	var onPong func(time.Duration)
+	if done != nil {
+		remaining := n
+		onPong = func(time.Duration) {
+			remaining--
+			if remaining == 0 {
+				if node := net.nodeAt(slot, id); node != nil {
+					if est, ok := node.Estimator(target); ok {
+						done(est)
+					}
 				}
 			}
 		}
 	}
+	var tslot int32
+	var base time.Duration
+	if dst, ok := net.nodes[target]; ok {
+		tslot, base = dst.slot, net.makeLink(mkLinkKey(id, target), nd, dst).Base()
+	}
 	for i := 0; i < n; i++ {
-		nd.net.sched.AfterCall(time.Duration(i)*gap, runProbe, nd.net.dc.newProbeJob(net, slot, id, target, onPong))
+		net.sched.AfterCall(time.Duration(i)*gap, runProbe, net.dc.newProbeJob(net, slot, tslot, id, target, base, onPong))
 	}
 }
 
 // handlePong matches a pong to its pending probe and updates estimators.
+// Nonces are unique, so the order of pending carries nothing and the match
+// is removed by moving the last entry into its place.
 func (nd *Node) handlePong(from NodeID, m *wire.MsgPong) {
 	i := -1
 	for j := range nd.pending {
@@ -778,7 +827,10 @@ func (nd *Node) handlePong(from NodeID, m *wire.MsgPong) {
 		return // stale or spoofed; drop
 	}
 	p := nd.pending[i]
-	nd.pending = append(nd.pending[:i], nd.pending[i+1:]...)
+	last := len(nd.pending) - 1
+	nd.pending[i] = nd.pending[last]
+	nd.pending[last] = pendingPing{}
+	nd.pending = nd.pending[:last]
 	rtt := time.Duration(nd.now() - p.sentAt)
 	nd.estFor(from).Observe(rtt)
 	if p.done != nil {

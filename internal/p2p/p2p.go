@@ -154,14 +154,16 @@ type Network struct {
 
 	nodes  map[NodeID]*Node
 	nextID NodeID
-	// links holds the latency links of pairs that reach each other by ID
-	// rather than over a connection — join-time probes of candidates,
-	// JOIN/CLUSTER, BaseRTT queries: non-peer pairs. Relay traffic never
-	// touches it: a connection's link lives in its two peer entries
-	// (peerEntry.base) and dies with them.
+	// links caches the latency links of pairs that Send or Probe reach by
+	// ID — JOIN/CLUSTER, address gossip, keepalive and crawler pings — and
+	// of BaseRTT queries. A link is a pure function of the seed and the
+	// pair (makeLink), so the table is only a memo, and the two heavy users
+	// do without it: relay traffic reads the connection's link from its
+	// peer entries (peerEntry.base), and ProbeN draws its pair's link once
+	// and carries the baseline through its pings and their pongs.
 	links map[linkKey]latency.Link
-	// linkDraws counts makeLink calls: one per edge per connection plus
-	// one per pair in links, which the tests pin.
+	// linkDraws counts makeLink calls: one per edge per connection, one
+	// per pair in links and one per ProbeN, which the tests pin.
 	linkDraws uint64
 
 	// slots is the dense node table: every live node occupies one slot
@@ -246,7 +248,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 // population, so a large build does not pay incremental map and slice
 // growth. Calling it after nodes exist, or not at all, only costs
 // amortised growth — behaviour is identical either way. The links table
-// is not pre-sized: how many non-peer pairs a topology policy will probe
+// is not pre-sized: how many pairs a topology policy will message by ID
 // (none, for a random overlay) is not something the node count says.
 func (n *Network) Reserve(nodes int) {
 	if nodes <= 0 || len(n.nodes) > 0 {
@@ -433,13 +435,13 @@ func (n *Network) findHash(h chain.Hash) (int32, bool) {
 // generation — the width of every node's flat inventory arrays.
 func (n *Network) ActiveHashes() int { return int(n.hashN) }
 
-// link returns (creating on first use) the latency link of a pair that
-// messages by ID — non-peers; a connection's link is edgeLink's. Link
-// parameters are drawn from a keyed source derived from the (seed,
-// endpoint pair), not from a shared sequential stream, so a link's
-// last-mile draw is independent of creation order — the reason a pair
-// that connects after being probed gets the same link in its entries as
-// it had here. The slow path runs once per pair.
+// link returns (drawing on first use) the memoised latency link of a pair
+// that messages by ID; a connection's link is edgeLink's. Link parameters
+// are drawn from a keyed source derived from the (seed, endpoint pair), not
+// from a shared sequential stream, so a link's last-mile draw is
+// independent of creation order and of who asks — the reason a pair gets
+// the same link here, in its peer entries once it connects, and from the
+// ProbeN that measured it. The slow path runs once per pair.
 func (n *Network) link(a, b *Node) latency.Link {
 	key := mkLinkKey(a.id, b.id)
 	if l, ok := n.links[key]; ok {
@@ -497,20 +499,23 @@ func (n *Network) BaseRTT(a, b NodeID) (time.Duration, bool) {
 	return n.link(na, nb).Base(), true
 }
 
-// delivery is the pooled payload behind one in-flight message event. The
-// destination is addressed by (slot, id): dispatch is an array index plus
-// a liveness check, not a map lookup. srcPos is the sender's adjacency
-// position at the destination (-1 for a message addressed by ID), read
-// from the sender's peer entry, and dstEpoch the destination's peer-table
-// epoch when the message left: while the two still agree on arrival,
-// srcPos needs no checking (Node.senderPos). The epoch is the 49th byte:
-// the payload is in the allocator's 64-byte class, not the 48-byte one.
+// delivery is the pooled payload behind one in-flight message event. Both
+// ends are addressed by (slot, id): dispatch is an array index plus a
+// liveness check, not a map lookup, and so is the reply to a ping. srcPos
+// is the sender's adjacency position at the destination (-1 for a message
+// addressed by ID), read from the sender's peer entry, and dstEpoch the
+// destination's peer-table epoch when the message left: while the two
+// still agree on arrival, srcPos needs no checking (Node.senderPos). base
+// is the baseline of the link the message travels, which a pong travels
+// back. The payload fills the allocator's 64-byte class exactly.
 type delivery struct {
 	net      *Network
 	src      NodeID
+	dstID    NodeID
+	base     time.Duration
+	srcSlot  int32
 	dstSlot  int32
 	srcPos   int32
-	dstID    NodeID
 	dstEpoch uint32
 	msg      wire.Message
 }
@@ -522,7 +527,8 @@ type delivery struct {
 // the pool, and steady state allocates nothing.
 func runDelivery(a any) {
 	d := a.(*delivery)
-	n, src, dstSlot, srcPos, dstID, epoch, msg := d.net, d.src, d.dstSlot, d.srcPos, d.dstID, d.dstEpoch, d.msg
+	n, src, dstID, base, msg := d.net, d.src, d.dstID, d.base, d.msg
+	srcSlot, dstSlot, srcPos, epoch := d.srcSlot, d.dstSlot, d.srcPos, d.dstEpoch
 	d.msg = nil
 	dc := &n.dc
 	dc.deliveryPool = append(dc.deliveryPool, d)
@@ -532,7 +538,11 @@ func runDelivery(a any) {
 			dc.trace.Record(obs.Event{At: n.sched.Now(), Kind: obs.KindDeliver, Code: uint8(msg.Command()),
 				P1: uint64(src), P2: uint64(dstID)})
 		}
-		node.handleMessage(src, srcPos, epoch, msg)
+		if ping, ok := msg.(*wire.MsgPing); ok {
+			node.pong(src, srcSlot, base, ping.Nonce)
+		} else {
+			node.handleMessage(src, srcPos, epoch, msg)
+		}
 	} else {
 		dc.stats.Dropped++
 		if dc.trace != nil {
@@ -556,10 +566,10 @@ func runDelivery(a any) {
 // matter what else the network sent before it.
 //
 // pos is dst's adjacency position at src, or -1 for a message addressed
-// by ID: it selects where the link comes from (the peer entry, or the
-// pair table) and what the delivery tells the receiver about its
-// sender's position.
-func (n *Network) deliver(src, dst *Node, pos int32, msg wire.Message) {
+// by ID: it selects where the link comes from (the peer entry, or base,
+// the baseline the caller resolved for the pair) and what the delivery
+// tells the receiver about its sender's position.
+func (n *Network) deliver(src, dst *Node, pos int32, base time.Duration, msg wire.Message) {
 	dc := &n.dc
 	size := wire.EncodedSize(msg)
 	dc.stats.count(msg.Command(), size)
@@ -589,10 +599,10 @@ func (n *Network) deliver(src, dst *Node, pos int32, msg wire.Message) {
 	if pos >= 0 {
 		link, srcPos = n.edgeLink(src, pos), src.peerTab[pos].rpos
 	} else {
-		link = n.link(src, dst)
+		link = n.model.NewLinkWithBase(base)
 	}
 	delay := (start + txTime - now) + link.SampleOneWay(dc.krand)
-	n.sched.AfterCall(delay, runDelivery, dc.newDelivery(n, src.id, srcPos, dst, msg))
+	n.sched.AfterCall(delay, runDelivery, dc.newDelivery(n, src, srcPos, link.Base(), dst, msg))
 }
 
 // Connection errors.
@@ -714,27 +724,36 @@ func runVerify(a any) {
 }
 
 // probeJob is the pooled payload behind one scheduled ProbeN ping: the
-// churn-safe (slot, id) handle of the probing node, its target, and the
-// completion callback shared by all pings of one ProbeN call.
+// churn-safe (slot, id) handles of the probing node and of its target, the
+// baseline of the link between them, and the completion callback shared by
+// all pings of one ProbeN call. base == 0 means ProbeN found no such target
+// to resolve.
 type probeJob struct {
 	net    *Network
 	slot   int32
+	tslot  int32
 	id     NodeID
 	target NodeID
+	base   time.Duration
 	onPong func(time.Duration)
 }
 
 // runProbe is the static dispatch target for ProbeN's spaced pings.
 func runProbe(a any) {
 	j := a.(*probeJob)
-	n, slot, id, target, onPong := j.net, j.slot, j.id, j.target, j.onPong
+	n, slot, tslot, id, target, base, onPong := j.net, j.slot, j.tslot, j.id, j.target, j.base, j.onPong
 	j.onPong = nil
 	n.dc.probePool = append(n.dc.probePool, j)
 	node := n.nodeAt(slot, id)
 	if node == nil {
 		return // prober churned out; the probe is simply lost
 	}
-	node.Probe(target, onPong)
+	if base == 0 {
+		// The ID named nobody when ProbeN ran; it may name a node by now.
+		node.Probe(target, onPong)
+		return
+	}
+	node.ping(n.nodeAt(tslot, target), base, onPong)
 }
 
 // ResetInventory clears every node's seen-transaction state. Measurement

@@ -381,6 +381,54 @@ func TestPingToChurnedNodeIsLost(t *testing.T) {
 	}
 }
 
+// TestProbeOfDepartedNodeLeavesNothing: a ping that cannot leave — under
+// churn, every keepalive and re-probe of a node that has gone — is counted
+// as dropped and records no pending entry, which nothing would ever remove
+// (and which would pin its closure and lengthen every later pong's scan).
+// The nonce is still consumed, so the pings that do leave carry the nonces
+// they always carried.
+func TestProbeOfDepartedNodeLeavesNothing(t *testing.T) {
+	net, nodes := testNetwork(t, 3, nil)
+	a, gone, c := nodes[0], nodes[1].ID(), nodes[2]
+	net.RemoveNode(gone)
+	for i := 0; i < 500; i++ {
+		a.Probe(gone, func(time.Duration) { t.Error("probe of a departed node completed") })
+	}
+	a.ProbeN(gone, 500, time.Millisecond, nil)
+	if err := net.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.pending) != 0 {
+		t.Fatalf("%d pending pings to a node that was never reachable", len(a.pending))
+	}
+	if got := net.Stats().Dropped; got != 1000 {
+		t.Fatalf("Dropped = %d, want 1000", got)
+	}
+	if a.nextNonce != 1000 {
+		t.Fatalf("1000 unsendable pings consumed %d nonces", a.nextNonce)
+	}
+	// The same from the other side: a departed prober records nothing.
+	net.RemoveNode(a.ID())
+	a.Probe(c.ID(), nil)
+	if len(a.pending) != 0 || net.Stats().Dropped != 1001 {
+		t.Fatalf("departed prober: %d pending, Dropped %d", len(a.pending), net.Stats().Dropped)
+	}
+	// A ping lost in flight is another matter: its entry stays.
+	c.Probe(nodes[1].ID(), nil)
+	if len(c.pending) != 0 {
+		t.Fatalf("ping to a departed node left %d pending", len(c.pending))
+	}
+	d := net.AddNode(c.Location())
+	c.Probe(d.ID(), nil)
+	net.RemoveNode(d.ID())
+	if err := net.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.pending) != 1 {
+		t.Fatalf("ping lost in flight left %d pending, want 1", len(c.pending))
+	}
+}
+
 func TestGetAddrDiscovery(t *testing.T) {
 	net, nodes := testNetwork(t, 4, nil)
 	hub := nodes[0]
@@ -516,7 +564,9 @@ func TestPeerLinkMatchesBaseRTT(t *testing.T) {
 	}
 	edges := edgesOf(net)
 	// edgeDraws is the makeLink calls made for peer entries: all of them
-	// less the one behind each pair-table entry.
+	// less the one behind each pair-table entry, which BaseRTT is the only
+	// thing here to add — nothing in this test sends by ID, and no ProbeN
+	// makes its unstored draw (TestProbeNCarriedHandles counts that one).
 	edgeDraws := func() int { return int(net.linkDraws) - len(net.links) }
 	if edgeDraws() != 0 {
 		t.Fatalf("Connect drew %d links; resolution must stay lazy", edgeDraws())
@@ -581,8 +631,9 @@ func TestPeerLinkMatchesBaseRTT(t *testing.T) {
 // TestChurnLeavesNoLinkState pins that a connection's link state dies
 // with it: after floods under churn every free adjacency position is the
 // zero entry, a departed node holds none, and the network-level pair
-// table holds non-peer pairs only — here, at most the cut edges whose ends
-// answered a message that was in flight when they stopped being peers.
+// table holds only pairs that messaged by ID — here, at most the cut edges
+// whose ends answered a message that was in flight when they stopped being
+// peers.
 func TestChurnLeavesNoLinkState(t *testing.T) {
 	net, nodes := testNetwork(t, 30, nil)
 	connectRing(t, net, nodes)

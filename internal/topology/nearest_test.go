@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -58,7 +59,7 @@ func rebuiltOrderings(d *DNSSeed) ([]p2p.NodeID, []latEntry) {
 	byLat := make([]latEntry, 0, len(d.locs))
 	for id, l := range d.locs {
 		all = append(all, id)
-		byLat = append(byLat, latEntry{coord: l.Coord, id: id})
+		byLat = append(byLat, newLatEntry(id, l.Coord))
 	}
 	slices.Sort(all)
 	sort.Slice(byLat, func(i, j int) bool {
@@ -218,10 +219,10 @@ func TestOrderingsPatchCases(t *testing.T) {
 	}
 }
 
-// TestRecommendSubResolutionSeparation pins the absolute term of latBound:
-// a latitude gap too small for haversine to resolve yields distance 0, so
-// the node across it ties with exact duplicates of the query and must
-// still win on id.
+// TestRecommendSubResolutionSeparation pins the absolute term of guard: a
+// latitude gap too small for haversine to resolve yields distance 0, so the
+// node across it ties with exact duplicates of the query and must still win
+// on id.
 func TestRecommendSubResolutionSeparation(t *testing.T) {
 	d := NewDNSSeed()
 	d.Register(1, geo.Location{Coord: geo.Coord{LatDeg: 1e-200}})
@@ -249,8 +250,10 @@ func TestRecommendSeesRelocation(t *testing.T) {
 	}
 }
 
-// TestRecommendPrunes guards the point of the index: on the placer's world
-// a query evaluates a small multiple of k distances, not the registry.
+// TestRecommendPrunes guards the two points of the index: on the placer's
+// world a query evaluates great-circle distances for the k it returns and
+// the few in the guard band of the k-th, and squared chords (both walks
+// counted) for a small multiple of k, not the registry.
 func TestRecommendPrunes(t *testing.T) {
 	const n, k = 3000, 64
 	placer := geo.DefaultPlacer()
@@ -260,12 +263,184 @@ func TestRecommendPrunes(t *testing.T) {
 	for i, loc := range locs {
 		d.Register(p2p.NodeID(i+1), loc)
 	}
-	total := 0
+	dists, chords := 0, 0
 	for i, loc := range locs {
-		total += d.RecommendCost(p2p.NodeID(i+1), loc, k)
+		dn, cn := d.RecommendCost(p2p.NodeID(i+1), loc, k)
+		dists, chords = dists+dn, chords+cn
 	}
-	if mean := float64(total) / n; mean > n/4 {
-		t.Errorf("mean distance evaluations per query = %.0f over %d nodes; the search is not pruning", mean, n)
+	if mean := float64(dists) / n; mean > k+8 {
+		t.Errorf("mean great-circle evaluations per query = %.1f for k = %d; the guard band is not selecting", mean, k)
+	}
+	if mean := float64(chords) / n; mean > n/4 {
+		t.Errorf("mean chord evaluations per query = %.0f over %d nodes; the search is not pruning", mean, n)
+	}
+}
+
+// TestRecommendGuardBand builds the registries that put chord order and
+// haversine order at their closest, where a search that trusted the chord a
+// little too far would return a different k than the full sort: it fails
+// with either of guard's terms set to 0, and with the candidates left in
+// chord order.
+func TestRecommendGuardBand(t *testing.T) {
+	at := func(lat, lon float64) geo.Coord { return geo.Coord{LatDeg: lat, LonDeg: lon} }
+	type reg struct {
+		name    string
+		coords  []geo.Coord
+		queries []geo.Coord
+	}
+	home := at(48.8566, 2.3522)
+	var regs []reg
+
+	// Near the antipode of the query haversine's h rounds to (or clamps at)
+	// 1 and asin loses half its digits, so many distinct chords share one
+	// distance and ids decide.
+	anti := reg{name: "near-antipodal", queries: []geo.Coord{home, at(0, 0), at(90, 0), at(-35.2, 149.1)}}
+	for _, q := range anti.queries {
+		a := at(-q.LatDeg, q.LonDeg-180)
+		if a.LonDeg < -180 {
+			a.LonDeg += 360
+		}
+		for _, dd := range []float64{0, 1e-9, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3} {
+			for _, c := range []geo.Coord{
+				at(a.LatDeg+dd, a.LonDeg), at(a.LatDeg-dd, a.LonDeg),
+				at(a.LatDeg, a.LonDeg+dd), at(a.LatDeg, a.LonDeg-dd),
+			} {
+				if c.Valid() {
+					anti.coords = append(anti.coords, c)
+				}
+			}
+		}
+	}
+	regs = append(regs, anti)
+
+	// Separations from below the unit vectors' resolution (1e-9 degrees is
+	// 2e-11 of the radius) up to a hundred metres, in all four directions:
+	// the chords cancel to nothing long before haversine stops resolving.
+	tiny := reg{name: "tiny separations", queries: []geo.Coord{home, at(home.LatDeg+3e-9, home.LonDeg)}}
+	for _, p := range []geo.Coord{home, at(0, 0), at(89.99999, 40)} {
+		tiny.queries = append(tiny.queries, p)
+		for e := -9; e <= -3; e++ {
+			for _, m := range []float64{1, 1.5, 2, 3} {
+				dd := m * math.Pow(10, float64(e))
+				tiny.coords = append(tiny.coords,
+					at(p.LatDeg+dd, p.LonDeg), at(p.LatDeg-dd, p.LonDeg),
+					at(p.LatDeg, p.LonDeg+dd), at(p.LatDeg, p.LonDeg-dd))
+			}
+		}
+	}
+	regs = append(regs, tiny)
+
+	// One point reached from both sides of the antimeridian: lon 180 and
+	// -180 name it twice, and its neighbours sit 360 degrees apart.
+	seam := reg{name: "antimeridian", queries: []geo.Coord{at(12, 180), at(12, -180), at(12, 179.99999), at(-40, -179.99999)}}
+	for _, lat := range []float64{12, 12 + 1e-7, 12 - 1e-7, -40, 0} {
+		for _, dd := range []float64{0, 1e-9, 1e-6, 1e-3, 1} {
+			seam.coords = append(seam.coords, at(lat, 180-dd), at(lat, -180+dd))
+		}
+	}
+	regs = append(regs, seam)
+
+	// The poles at several longitudes: one point, many names, and every
+	// meridian's neighbours equally far.
+	poles := reg{name: "poles", queries: []geo.Coord{at(90, 0), at(90, -77), at(-90, 180), at(89.999999, 33), at(0, 10)}}
+	for _, lon := range []float64{-180, -135, -77, 0, 33, 90, 179.5, 180} {
+		for _, lat := range []float64{90, -90, 90 - 1e-9, 90 - 1e-6, -90 + 1e-6, 89} {
+			poles.coords = append(poles.coords, at(lat, lon))
+		}
+	}
+	regs = append(regs, poles)
+
+	// More exact duplicates than k, straddling the k-th place: a nearer
+	// handful, then a pile at one coordinate of which only the lowest ids
+	// may be returned, then a farther handful.
+	dups := reg{name: "duplicates across k", queries: []geo.Coord{home, at(home.LatDeg, home.LonDeg+0.5)}}
+	for i := 0; i < 5; i++ {
+		dups.coords = append(dups.coords, at(home.LatDeg+0.01*float64(i+1), home.LonDeg))
+	}
+	for i := 0; i < 40; i++ {
+		dups.coords = append(dups.coords, at(home.LatDeg-0.2, home.LonDeg+0.1))
+	}
+	for i := 0; i < 5; i++ {
+		dups.coords = append(dups.coords, at(home.LatDeg+0.5+0.01*float64(i), home.LonDeg-0.3))
+	}
+	regs = append(regs, dups)
+
+	for _, rg := range regs {
+		t.Run(rg.name, func(t *testing.T) {
+			// Ids run against the insertion order, so an id tie-break is
+			// never the order the walk happens to meet the entries in.
+			d := NewDNSSeed()
+			n := len(rg.coords)
+			for i, c := range rg.coords {
+				d.Register(p2p.NodeID((i*7919)%n+1), geo.Location{Coord: c})
+			}
+			if d.Len() != n {
+				t.Fatalf("registered %d of %d: ids collide", d.Len(), n)
+			}
+			queries := append(slices.Clone(rg.queries), rg.coords...)
+			for _, q := range queries {
+				for _, k := range []int{1, 2, 3, 5, 8, 16, 24, n / 2, n - 1, n} {
+					checkRecommend(t, d, 0, q, k)
+					checkRecommend(t, d, 1, q, k)
+				}
+			}
+		})
+	}
+}
+
+// TestRecommendGuardBandRandom is TestRecommendGuardBand's point made with
+// random registries, which the fuzzer's 1.4-degree grid cannot reach: tight
+// clusters around a point and around its antipode, at scales from 10 degrees
+// down to 1e-12, half of the members on a 7 x 7 lattice of the scale (rings
+// of equal and almost equal distance) and half anywhere within it, queried
+// from the centre, the antipode, a member and a random point.
+func TestRecommendGuardBandRandom(t *testing.T) {
+	wrap := func(c geo.Coord) geo.Coord {
+		c.LatDeg = max(-90, min(90, c.LatDeg))
+		switch {
+		case c.LonDeg > 180:
+			c.LonDeg -= 360
+		case c.LonDeg < -180:
+			c.LonDeg += 360
+		}
+		return c
+	}
+	for trial := int64(0); trial < 400; trial++ {
+		r := rand.New(rand.NewSource(trial))
+		centre := geo.Coord{LatDeg: r.Float64()*180 - 90, LonDeg: r.Float64()*360 - 180}
+		switch r.Intn(6) {
+		case 0:
+			centre.LatDeg = 90 - math.Pow(10, -float64(r.Intn(12)))
+		case 1:
+			centre.LonDeg = 180 - math.Pow(10, -float64(r.Intn(12)))
+		case 2:
+			centre.LatDeg = 0
+		}
+		antipode := wrap(geo.Coord{LatDeg: -centre.LatDeg, LonDeg: centre.LonDeg - 180})
+		d := NewDNSSeed()
+		n := 20 + r.Intn(150)
+		var members []geo.Coord
+		for i := 0; i < n; i++ {
+			base := centre
+			if r.Intn(3) == 0 {
+				base = antipode
+			}
+			scale := 10 * math.Pow(10, -float64(r.Intn(14)))
+			dLat, dLon := float64(r.Intn(7)-3), float64(r.Intn(7)-3)
+			if r.Intn(2) == 0 {
+				dLat, dLon = r.Float64()-0.5, r.Float64()-0.5
+			}
+			c := wrap(geo.Coord{LatDeg: base.LatDeg + scale*dLat, LonDeg: base.LonDeg + scale*dLon})
+			members = append(members, c)
+			d.Register(p2p.NodeID(r.Intn(4*n)+1), geo.Location{Coord: c}) // some ids collide: relocations
+		}
+		for i := 0; i < 12; i++ {
+			q := []geo.Coord{centre, antipode, members[r.Intn(n)],
+				{LatDeg: r.Float64()*180 - 90, LonDeg: r.Float64()*360 - 180}}[r.Intn(4)]
+			for _, k := range []int{1, 3, 8, 16, 64, d.Len()} {
+				checkRecommend(t, d, p2p.NodeID(r.Intn(4*n)+1), q, k)
+			}
+		}
 	}
 }
 
@@ -282,6 +457,13 @@ func FuzzRecommendMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 1, 10, 127, 0, 2, 10, 129, 0, 3, 10, 127, 7, 0, 10, 128})
 	f.Add([]byte{0, 1, 5, 5, 0, 2, 5, 5, 0, 1, 90, 90, 1, 2, 0, 0, 11, 1, 5, 5})
 	f.Add([]byte{0, 9, 0, 0, 0, 8, 0, 0, 0, 7, 1, 0, 0, 6, 255, 0, 15, 0, 0, 0})
+	// Two of TestRecommendGuardBand's registries on the grid: three
+	// duplicates and their neighbours asked about from their antipode, and
+	// the pole under four longitudes beside one antimeridian point named
+	// from both sides with four duplicates next to it.
+	f.Add([]byte{0, 1, 64, 64, 0, 2, 64, 64, 0, 3, 64, 64, 0, 4, 63, 64, 0, 5, 64, 65, 0, 6, 65, 64, 18, 0, 192, 193, 14, 0, 192, 193})
+	f.Add([]byte{0, 1, 127, 0, 0, 2, 127, 64, 0, 3, 127, 192, 0, 4, 127, 127, 0, 5, 17, 127, 0, 6, 17, 129,
+		0, 7, 17, 126, 0, 8, 17, 126, 0, 9, 17, 126, 0, 10, 17, 126, 18, 0, 17, 127, 14, 0, 127, 5})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 1024 {
 			script = script[:1024]

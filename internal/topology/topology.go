@@ -73,8 +73,9 @@ func NewDNSSeed() *DNSSeed {
 // Register adds a reachable node, or moves a known one to loc. Each
 // ordering that has been read is patched by a binary search and an insert:
 // IDs from AddNode ascend, so an arrival appends to all; in byLat it shifts
-// at most the index (24 B per node). Re-registering at the same coordinate
-// touches neither.
+// at most the index (48 B per node) and pays the four sines and cosines of
+// the entry's unit vector. Re-registering at the same coordinate touches
+// neither.
 func (d *DNSSeed) Register(id p2p.NodeID, loc geo.Location) {
 	old, known := d.locs[id]
 	d.locs[id] = loc
@@ -88,7 +89,7 @@ func (d *DNSSeed) Register(id p2p.NodeID, loc geo.Location) {
 	if known {
 		d.dropLat(latEntry{coord: old.Coord, id: id})
 	}
-	e := latEntry{coord: loc.Coord, id: id}
+	e := newLatEntry(id, loc.Coord)
 	i, _ := slices.BinarySearchFunc(d.byLat, e, latEntry.compare)
 	d.byLat = slices.Insert(d.byLat, i, e)
 }
@@ -150,7 +151,7 @@ func (d *DNSSeed) BuildIndex() {
 	}
 	ix := make([]latEntry, 0, len(d.locs))
 	for id, loc := range d.locs {
-		ix = append(ix, latEntry{coord: loc.Coord, id: id})
+		ix = append(ix, newLatEntry(id, loc.Coord))
 	}
 	slices.SortFunc(ix, latEntry.compare)
 	d.byLat = ix
@@ -159,24 +160,29 @@ func (d *DNSSeed) BuildIndex() {
 // Recommend returns up to k registered nodes closest to loc by great-
 // circle distance (the "geographical distance calculation methodology" of
 // the paper's ref [6]), nearest first, excluding the given node. Ties
-// break by ID so results are deterministic. Registered coordinates must be
-// Valid: the search prunes on latitude, which bounds distance only for
-// latitudes within [-90, 90]. The first Recommend (or RecommendCost) on a
-// registry whose index nothing has read builds it; every later one only
+// break by ID so results are deterministic. The order is that of
+// geo.DistanceMeters over the whole registry, but the search evaluates it
+// only to settle what chords cannot: it ranks on squared chords between
+// unit vectors, prunes on the latitude gap, and asks for great-circle
+// distances among candidates whose chords tie or nearly tie (see nearest).
+// Registered coordinates must be Valid: a latitude gap bounds the chord only
+// for latitudes within [-90, 90]. The first Recommend (or RecommendCost) on
+// a registry whose index nothing has read builds it; every later one only
 // reads.
 func (d *DNSSeed) Recommend(self p2p.NodeID, loc geo.Location, k int) []p2p.NodeID {
 	d.BuildIndex()
-	ids, _ := nearest(d.byLat, self, loc.Coord, k)
+	ids, _, _ := nearest(d.byLat, self, loc.Coord, k)
 	return ids
 }
 
 // RecommendCost returns how many great-circle distances Recommend
-// evaluates for this query — the unit its cost scales in, which benchmarks
-// report next to the wall time.
-func (d *DNSSeed) RecommendCost(self p2p.NodeID, loc geo.Location, k int) int {
+// evaluates for this query, and how many squared chords it computes to
+// choose them — the two units its cost scales in, which benchmarks report
+// next to the wall time.
+func (d *DNSSeed) RecommendCost(self p2p.NodeID, loc geo.Location, k int) (dists, chords int) {
 	d.BuildIndex()
-	_, evals := nearest(d.byLat, self, loc.Coord, k)
-	return evals
+	_, dists, chords = nearest(d.byLat, self, loc.Coord, k)
+	return
 }
 
 // Location returns the registered location of a node.

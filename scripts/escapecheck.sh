@@ -15,5 +15,5 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-go build -gcflags='-m' ./internal/sim ./internal/p2p ./internal/obs 2>&1 |
+go build -gcflags='-m' ./internal/sim ./internal/p2p ./internal/obs ./internal/topology 2>&1 |
 	go run ./scripts/escapecheck -manifest scripts/escape-manifest.json "$@"
