@@ -47,22 +47,35 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 	return &Client{base: strings.TrimRight(baseURL, "/"), hc: httpClient}
 }
 
-// do runs one JSON request/response exchange.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
+// doJSON runs one exchange whose request body, if any, is in as JSON.
+func (c *Client) doJSON(ctx context.Context, method, path string, in, out any) error {
+	var body []byte
 	if in != nil {
-		data, err := json.Marshal(in)
-		if err != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
 			return fmt.Errorf("fleet: marshal %s request: %w", path, err)
 		}
+	}
+	return c.do(ctx, method, path, "", "application/json", body, out)
+}
+
+// do runs one exchange: body (nil for none) goes out verbatim under
+// contentType, the JSON response lands in out.
+func (c *Client) do(ctx context.Context, method, path, query, contentType string, data []byte, out any) error {
+	var body io.Reader
+	if data != nil {
 		body = bytes.NewReader(data)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	target := c.base + path
+	if query != "" {
+		target += "?" + query
+	}
+	req, err := http.NewRequestWithContext(ctx, method, target, body)
 	if err != nil {
 		return fmt.Errorf("fleet: %s: %w", path, err)
 	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if data != nil {
+		req.Header.Set("Content-Type", contentType)
 	}
 	if c.Token != "" {
 		req.Header.Set("Authorization", "Bearer "+c.Token)
@@ -88,34 +101,36 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 // Sweep fetches the sweep description.
 func (c *Client) Sweep(ctx context.Context) (SweepResponse, error) {
 	var out SweepResponse
-	err := c.do(ctx, http.MethodGet, PathSweep, nil, &out)
+	err := c.doJSON(ctx, http.MethodGet, PathSweep, nil, &out)
 	return out, err
 }
 
 // Lease requests one unit of work.
 func (c *Client) Lease(ctx context.Context, worker string) (LeaseResponse, error) {
 	var out LeaseResponse
-	err := c.do(ctx, http.MethodPost, PathLease, LeaseRequest{Worker: worker}, &out)
+	err := c.doJSON(ctx, http.MethodPost, PathLease, LeaseRequest{Worker: worker}, &out)
 	return out, err
 }
 
 // Renew extends a lease's deadline — the worker heartbeat.
 func (c *Client) Renew(ctx context.Context, req RenewRequest) (RenewResponse, error) {
 	var out RenewResponse
-	err := c.do(ctx, http.MethodPost, PathRenew, req, &out)
+	err := c.doJSON(ctx, http.MethodPost, PathRenew, req, &out)
 	return out, err
 }
 
-// Commit ships a finished unit back.
+// Commit ships a finished unit back: the shard (or the unit's error text)
+// is the request body as it stands, everything else rides in the query.
 func (c *Client) Commit(ctx context.Context, req CommitRequest) (CommitResponse, error) {
 	var out CommitResponse
-	err := c.do(ctx, http.MethodPost, PathCommit, req, &out)
+	query, body := req.wire()
+	err := c.do(ctx, http.MethodPost, PathCommit, query, "application/octet-stream", body, &out)
 	return out, err
 }
 
 // Status fetches queue progress.
 func (c *Client) Status(ctx context.Context) (StatusResponse, error) {
 	var out StatusResponse
-	err := c.do(ctx, http.MethodGet, PathStatus, nil, &out)
+	err := c.doJSON(ctx, http.MethodGet, PathStatus, nil, &out)
 	return out, err
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"crypto/subtle"
 	"encoding/json"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -39,10 +41,10 @@ type CoordinatorConfig struct {
 	Token string
 	// SpoolDir, when non-empty, streams committed shards to disk instead
 	// of holding them in memory: each accepted shard is written to
-	// SpoolDir (its wire-form JSON, measure.EncodeCampaignResult) and
-	// re-read in replication order by Outcomes. Coordinator memory then
-	// stays flat however deep the sweep; an exact paper-scale sweep is
-	// gigabytes of samples. The directory is created if missing.
+	// SpoolDir (the commit body as it arrived, measure's binary shard
+	// form) and re-read in replication order by Outcomes. Coordinator
+	// memory then stays flat however deep the sweep; an exact paper-scale
+	// sweep is gigabytes of samples. The directory is created if missing.
 	SpoolDir string
 	// Trace, when non-nil, records the queue's lease lifecycle — grant,
 	// renew, expiry reassignment, commit — onto the tracer's shard 0,
@@ -324,12 +326,18 @@ func (c *Coordinator) renewLease(req RenewRequest) RenewResponse {
 // superseded worker's commit is rejected, and once a unit is done every
 // further commit is rejected, so a shard can never pool twice.
 //
-// Shard decoding — hundreds of milliseconds for an exact shard of a deep
-// campaign — happens before the lock is taken (campaigns, prints and
-// offsets are immutable after construction), so one large commit never
-// stalls every other worker's lease poll behind the coordinator mutex.
-// The lease is only checked under the lock, after the decode: a stale
-// commit wastes its own decode, never anyone else's time.
+// The shard is checked in two steps, both before the lock is taken
+// (campaigns, prints and offsets are immutable after construction), so
+// one large commit never stalls every other worker's lease poll behind
+// the coordinator mutex. First the fingerprint, read from the shard's
+// fixed header: a worker that ran a different experiment is told so
+// without its body being parsed. Then the whole shard is decoded — linear
+// in an exact shard's samples — whether the coordinator keeps the result
+// (in memory) or only the bytes (spooling): commit is the last moment a
+// corrupt shard can still be refused and its unit recomputed, while one
+// discovered at merge time costs its campaign a replication. The lease
+// is only checked under the lock, after the decode: a stale commit
+// wastes its own decode, never anyone else's time.
 //
 // Spooling follows the same shape: the shard's bytes are written to a
 // request-unique temp file before the lock, and acceptance is a rename —
@@ -350,7 +358,7 @@ func (c *Coordinator) commitUnit(req CommitRequest) CommitResponse {
 	var res measure.CampaignResult
 	spoolTmp := ""
 	if req.Error == "" {
-		print, err := shardFingerprint(req.Result, c.cfg.SpoolDir == "", &res)
+		print, err := measure.ShardFingerprint(req.Result)
 		if err != nil {
 			return CommitResponse{Reason: err.Error()}
 		}
@@ -358,6 +366,9 @@ func (c *Coordinator) commitUnit(req CommitRequest) CommitResponse {
 			return CommitResponse{Reason: fmt.Sprintf(
 				"shard fingerprint %016x does not match campaign %s (%016x): worker ran a different experiment",
 				print, cs.Name, c.prints[req.Campaign])}
+		}
+		if res, err = measure.DecodeCampaignResult(req.Result); err != nil {
+			return CommitResponse{Reason: err.Error()}
 		}
 		if c.cfg.SpoolDir != "" {
 			spoolTmp, err = writeSpoolTemp(c.cfg.SpoolDir, req)
@@ -377,7 +388,8 @@ func (c *Coordinator) commitUnit(req CommitRequest) CommitResponse {
 }
 
 // finishCommit is commitUnit's locked tail: lease adjudication and the
-// at-most-once state transition.
+// at-most-once state transition. A spooling coordinator (spoolTmp set)
+// publishes the file and lets res go; an in-memory one keeps res.
 func (c *Coordinator) finishCommit(req CommitRequest, cs experiment.CampaignSpec, res measure.CampaignResult, spoolTmp string) CommitResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -426,18 +438,18 @@ func (c *Coordinator) finishCommit(req CommitRequest, cs experiment.CampaignSpec
 }
 
 // observeUnitTimings folds a commit's worker-reported wall timings into
-// the registry. The fields are optional (additive protocol): an old
-// worker omits them and nothing is recorded. Histogram handles carry
+// the registry. The fields are optional: a commit that omits them
+// records nothing. Histogram handles carry
 // their own locks; holding c.mu here is cheap and order-safe.
 func (c *Coordinator) observeUnitTimings(req CommitRequest) {
-	if req.BuildMillis > 0 {
-		c.metrics.Histogram("bcbpt_fleet_unit_build_seconds").Observe(time.Duration(req.BuildMillis) * time.Millisecond)
+	if req.BuildMicros > 0 {
+		c.metrics.Histogram("bcbpt_fleet_unit_build_seconds").Observe(time.Duration(req.BuildMicros) * time.Microsecond)
 	}
-	if req.RunMillis > 0 {
-		c.metrics.Histogram("bcbpt_fleet_unit_run_seconds").Observe(time.Duration(req.RunMillis) * time.Millisecond)
+	if req.RunMicros > 0 {
+		c.metrics.Histogram("bcbpt_fleet_unit_run_seconds").Observe(time.Duration(req.RunMicros) * time.Microsecond)
 	}
-	if req.ShipMillis > 0 {
-		c.metrics.Histogram("bcbpt_fleet_unit_ship_seconds").Observe(time.Duration(req.ShipMillis) * time.Millisecond)
+	if req.ShipMicros > 0 {
+		c.metrics.Histogram("bcbpt_fleet_unit_ship_seconds").Observe(time.Duration(req.ShipMicros) * time.Microsecond)
 	}
 }
 
@@ -458,33 +470,17 @@ func (c *Coordinator) pruneCommits(now time.Time) {
 	}
 }
 
+// spoolName is a committed shard's file name within the spool directory;
+// cleanSpoolDir's patterns match exactly what it and writeSpoolTemp
+// produce.
+func spoolName(campaign, rep int) string {
+	return fmt.Sprintf("campaign-%03d-rep-%05d.shard", campaign, rep)
+}
+
 // spoolPath is the final on-disk name of a committed shard — one file
 // per (campaign, replication), the exact wire bytes the worker shipped.
 func (c *Coordinator) spoolPath(campaign, rep int) string {
-	return filepath.Join(c.cfg.SpoolDir, fmt.Sprintf("campaign-%03d-rep-%05d.json", campaign, rep))
-}
-
-// shardFingerprint extracts a shard's fingerprint for the commit check.
-// An in-memory coordinator (full=true) decodes the whole shard into
-// *res — it is about to keep it anyway. A spooling coordinator only
-// peeks at the fingerprint field: the spool keeps the raw bytes and the
-// merge decodes them exactly once at Outcomes time, so fully decoding a
-// megabyte exact shard here would do the expensive work twice per unit
-// (a shard that is valid JSON but corrupt beyond its fingerprint still
-// fails loudly, at merge instead of commit).
-func shardFingerprint(data []byte, full bool, res *measure.CampaignResult) (uint64, error) {
-	if full {
-		var err error
-		*res, err = measure.DecodeCampaignResult(data)
-		return res.Fingerprint, err
-	}
-	var peek struct {
-		Fingerprint uint64 `json:"fingerprint"`
-	}
-	if err := json.Unmarshal(data, &peek); err != nil {
-		return 0, fmt.Errorf("measure: decode campaign result: %w", err)
-	}
-	return peek.Fingerprint, nil
+	return filepath.Join(c.cfg.SpoolDir, spoolName(campaign, rep))
 }
 
 // failSpool escalates a spool I/O error to a sweep failure: a
@@ -517,7 +513,7 @@ func (c *Coordinator) failSpoolLocked(err error) CommitResponse {
 // (os.CreateTemp's random suffix) in the spool directory, named so
 // cleanSpoolDir recognises orphans.
 func writeSpoolTemp(dir string, req CommitRequest) (string, error) {
-	f, err := os.CreateTemp(dir, fmt.Sprintf("campaign-%03d-rep-%05d.json.tmp-lease%d-*", req.Campaign, req.Replication, req.LeaseID))
+	f, err := os.CreateTemp(dir, fmt.Sprintf("%s.tmp-lease%d-*", spoolName(req.Campaign, req.Replication), req.LeaseID))
 	if err != nil {
 		return "", err
 	}
@@ -543,10 +539,10 @@ func writeSpoolTemp(dir string, req CommitRequest) (string, error) {
 // run loudly only if they collide with a shard name, via the fingerprint
 // recheck at merge).
 func cleanSpoolDir(dir string) error {
-	// Digit-leading wildcards rather than fixed widths: spoolPath's
+	// Digit-leading wildcards rather than fixed widths: spoolName's
 	// %03d/%05d grow past three/five digits on huge sweeps, and those
 	// shards must be cleaned too.
-	const shard = "campaign-[0-9]*-rep-[0-9]*.json"
+	const shard = "campaign-[0-9]*-rep-[0-9]*.shard"
 	for _, pattern := range []string{shard, shard + ".tmp-lease*"} {
 		stale, err := filepath.Glob(filepath.Join(dir, pattern))
 		if err != nil {
@@ -643,7 +639,7 @@ func (c *Coordinator) Status() StatusResponse {
 // rewritten), so reading it unlocked is safe.
 //
 // A spool file that fails to read back (clobbered by another process,
-// corrupt beyond its fingerprint) is skipped like an uncommitted unit —
+// corrupted on disk since its commit) is skipped like an uncommitted unit —
 // its campaign merges partially and the read error is returned alongside
 // — rather than discarding every healthy campaign's data with it.
 func (c *Coordinator) Outcomes() ([]experiment.CampaignOutcome, error) {
@@ -754,9 +750,45 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, c.renewLease(req))
 }
 
+// readBody reads a whole request body of at most limit bytes. A declared
+// Content-Length beyond the limit is refused before a byte is read; the
+// declared length otherwise sizes the buffer, but only up to
+// bodyPresizeCap — beyond that the buffer grows as bytes actually arrive,
+// so a header alone cannot make the coordinator allocate.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	if r.ContentLength > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	var buf bytes.Buffer
+	// bytes.MinRead of slack lets ReadFrom see EOF without regrowing.
+	buf.Grow(int(min(max(r.ContentLength, 0), bodyPresizeCap)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// bodyPresizeCap is the most a Content-Length header may reserve ahead
+// of the bytes it announces: comfortably above an exact shard of a deep
+// campaign, far below maxBody.
+const bodyPresizeCap = 4 << 20
+
+// handleCommit takes the shard (or, for an error commit, the error text)
+// as the raw request body and the unit reference from the URL query.
 func (c *Coordinator) handleCommit(w http.ResponseWriter, r *http.Request) {
-	var req CommitRequest
-	if !readJSON(w, r, &req) {
+	body, err := readBody(w, r, maxBody)
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad request: %v", err), status)
+		return
+	}
+	req, err := parseCommit(r.URL.RawQuery, body)
+	if err != nil {
+		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 		return
 	}
 	writeJSON(w, c.commitUnit(req))
@@ -765,6 +797,11 @@ func (c *Coordinator) handleCommit(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, c.Status())
 }
+
+// labelEscaper escapes a Prometheus label value per the text exposition
+// format: backslash, double quote and line feed. A sweep file may name a
+// campaign anything non-empty.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // handleMetrics serves the registry in Prometheus text exposition format.
 // Queue progress is refreshed from Status() into gauges first, so a
@@ -780,8 +817,9 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	c.metrics.Gauge("bcbpt_fleet_commits_per_minute_x1000").Set(int64(st.CommitsPerMinute * 1000))
 	c.metrics.Gauge("bcbpt_fleet_eta_seconds").Set(st.EtaMillis / 1000)
 	for _, cs := range st.Campaigns {
-		c.metrics.Gauge(`bcbpt_fleet_campaign_units_done{campaign="` + cs.Name + `"}`).Set(int64(cs.Done))
-		c.metrics.Gauge(`bcbpt_fleet_campaign_units{campaign="` + cs.Name + `"}`).Set(int64(cs.Units))
+		label := `{campaign="` + labelEscaper.Replace(cs.Name) + `"}`
+		c.metrics.Gauge("bcbpt_fleet_campaign_units_done" + label).Set(int64(cs.Done))
+		c.metrics.Gauge("bcbpt_fleet_campaign_units" + label).Set(int64(cs.Units))
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	c.metrics.WritePrometheus(w)

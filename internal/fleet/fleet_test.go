@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -214,8 +215,32 @@ func TestCoordinatorRejectsForeignFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.Accepted || !strings.Contains(ack.Reason, "fingerprint") {
+	// Not stale: resending would be rejected identically, so the worker
+	// must fail loudly rather than move on.
+	if ack.Accepted || ack.Stale || !strings.Contains(ack.Reason, "fingerprint") {
 		t.Errorf("foreign-fingerprint commit: %+v", ack)
+	}
+}
+
+// TestCommitWireRoundTrip: what Client.Commit puts in the query and the
+// body is what the coordinator's parser reads back, for a shard commit
+// with timings and for an error commit.
+func TestCommitWireRoundTrip(t *testing.T) {
+	for _, req := range []CommitRequest{
+		{Worker: "w&=? 1", LeaseID: 1<<64 - 1, Campaign: 2, Replication: 7, Result: []byte{0, 1, 2, '&'},
+			BuildMicros: 1_200_000, RunMicros: 3, ShipMicros: 1},
+		{Worker: "w", LeaseID: 3, Error: "unit failed: 100% of runs & more"},
+		{},
+	} {
+		query, body := req.wire()
+		got, err := parseCommit(query, body)
+		if err != nil {
+			t.Errorf("parse %q: %v", query, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, req) {
+			t.Errorf("commit changed on the wire:\n got %+v\nwant %+v", got, req)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -217,14 +219,22 @@ func TestAuthGatesMutatingEndpoints(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	for _, path := range []string{PathLease, PathRenew, PathCommit} {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader("{}"))
+	// Tokenless requests, each well-formed for its endpoint (the commit is
+	// a decodable shard for unit 0/0), so only the missing token can be
+	// what refuses them.
+	commitQuery, shard := CommitRequest{Worker: "intruder", LeaseID: 1, Result: fakeShard(t, c, 0)}.wire()
+	for _, post := range []struct{ path, contentType, body string }{
+		{PathLease, "application/json", `{"worker":"intruder"}`},
+		{PathRenew, "application/json", `{"worker":"intruder","lease_id":1}`},
+		{PathCommit + "?" + commitQuery, "application/octet-stream", string(shard)},
+	} {
+		resp, err := http.Post(ts.URL+post.path, post.contentType, strings.NewReader(post.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusUnauthorized {
-			t.Errorf("tokenless POST %s: status %d, want 401", path, resp.StatusCode)
+			t.Errorf("tokenless POST %s: status %d, want 401", post.path, resp.StatusCode)
 		}
 	}
 
@@ -280,7 +290,7 @@ func TestSpooledOutcomesMatchSerial(t *testing.T) {
 	// A reused spool directory: leftovers of a previous sweep — a
 	// committed shard and a crash-orphaned temp file — must be cleaned
 	// at startup, not interleaved with this sweep's shards.
-	for _, stale := range []string{"campaign-000-rep-00000.json", "campaign-009-rep-00009.json.tmp-lease3"} {
+	for _, stale := range []string{"campaign-000-rep-00000.shard", "campaign-009-rep-00009.shard.tmp-lease3"} {
 		if err := os.WriteFile(filepath.Join(dir, stale), []byte("stale"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -383,6 +393,173 @@ func TestSpoolFaultFailsSweep(t *testing.T) {
 	case <-c.Done():
 	default:
 		t.Error("spool fault did not complete the sweep as failed")
+	}
+}
+
+// zeroes is an endless request body that counts what was read of it.
+type zeroes struct{ read int64 }
+
+func (z *zeroes) Read(p []byte) (int, error) {
+	clear(p)
+	z.read += int64(len(p))
+	return len(p), nil
+}
+
+// TestCommitBodyLimit: a commit body is bounded. One that declares more
+// than maxBody is refused on its Content-Length, before the coordinator
+// reads or buffers any of it; one of undeclared length is cut off by the
+// MaxBytesReader at the limit. Either way the lease is untouched and
+// still commits.
+func TestCommitBodyLimit(t *testing.T) {
+	for _, spool := range []bool{false, true} {
+		cfg := CoordinatorConfig{}
+		if spool {
+			cfg.SpoolDir = t.TempDir()
+		}
+		c, err := NewCoordinator(oneUnitSweep(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := c.leaseUnit("w").Lease
+		commit := CommitRequest{Worker: "w", LeaseID: l.ID, Campaign: l.Campaign, Replication: l.Replication,
+			Result: fakeShard(t, c, l.Campaign)}
+		query, _ := commit.wire()
+
+		body := &zeroes{}
+		req := httptest.NewRequest(http.MethodPost, PathCommit+"?"+query, body)
+		req.ContentLength = maxBody + 1
+		rec := httptest.NewRecorder()
+		c.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("spool=%v: oversize commit answered %d, want 413", spool, rec.Code)
+		}
+		if body.read != 0 {
+			t.Errorf("spool=%v: coordinator read %d bytes of a body it had to refuse unread", spool, body.read)
+		}
+		if ack := c.commitUnit(commit); !ack.Accepted {
+			t.Errorf("spool=%v: commit after a refused oversize body: %+v", spool, ack)
+		}
+	}
+
+	// Undeclared length: the reader enforces the same bound.
+	req := httptest.NewRequest(http.MethodPost, PathCommit, &zeroes{})
+	req.ContentLength = -1
+	var tooLarge *http.MaxBytesError
+	if _, err := readBody(httptest.NewRecorder(), req, 4096); !errors.As(err, &tooLarge) {
+		t.Errorf("reading an endless body under a 4 KiB limit: %v, want MaxBytesError", err)
+	}
+}
+
+// TestCommitResendKeepsPublishedShard: a worker whose commit timed out
+// resends it while the first handler may still be running. Whatever the
+// interleaving, exactly one commit is accepted, the rest are stale, and
+// the published spool file is the shard, whole — a resend writes its own
+// temp file and can never truncate one that was (or is about to be)
+// renamed into place.
+func TestCommitResendKeepsPublishedShard(t *testing.T) {
+	dir := t.TempDir()
+	c, ts := startCoordinator(t, testSweep(), CoordinatorConfig{SpoolDir: dir})
+	ctx := context.Background()
+	client := NewClient(ts.URL, nil)
+	lease, err := client.Lease(ctx, "resender")
+	if err != nil || lease.Status != LeaseGranted {
+		t.Fatalf("lease: %v %+v", err, lease)
+	}
+	l := lease.Lease
+	res, err := experiment.RunUnit(ctx, c.campaigns[l.Campaign], l.Replication)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, err := measure.EncodeCampaignResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := CommitRequest{Worker: "resender", LeaseID: l.ID, Campaign: l.Campaign, Replication: l.Replication, Result: shard}
+
+	const sends = 8
+	acks := make(chan CommitResponse, sends)
+	for i := 0; i < sends; i++ {
+		go func() {
+			ack, err := client.Commit(ctx, commit)
+			if err != nil {
+				t.Error(err)
+			}
+			acks <- ack
+		}()
+	}
+	accepted := 0
+	for i := 0; i < sends; i++ {
+		switch ack := <-acks; {
+		case ack.Accepted:
+			accepted++
+		case !ack.Stale:
+			t.Errorf("resent commit rejected as a fault, not as stale: %+v", ack)
+		}
+	}
+	if accepted != 1 {
+		t.Errorf("%d of %d identical commits accepted, want exactly 1", accepted, sends)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != spoolName(l.Campaign, l.Replication) {
+		t.Errorf("spool dir after resends: %v, want only the published shard", entries)
+	}
+	got, err := os.ReadFile(c.spoolPath(l.Campaign, l.Replication))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, shard) {
+		t.Errorf("published spool file is %d bytes, differs from the %d-byte shard committed", len(got), len(shard))
+	}
+}
+
+// TestSpooledAndInMemoryOutcomesIdentical: the two coordinators differ in
+// where a shard waits, never in what comes out — fed the same shards they
+// return deeply equal outcomes, per-run maps and nil Missing slices
+// included, and both equal the serial sweep's.
+func TestSpooledAndInMemoryOutcomesIdentical(t *testing.T) {
+	ctx := context.Background()
+	build := func(cfg CoordinatorConfig) []experiment.CampaignOutcome {
+		c, err := NewCoordinator(testSweep(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			lr := c.leaseUnit("w")
+			if lr.Status != LeaseGranted {
+				break
+			}
+			l := lr.Lease
+			res, err := experiment.RunUnit(ctx, c.campaigns[l.Campaign], l.Replication)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shard, err := measure.EncodeCampaignResult(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ack := c.commitUnit(CommitRequest{Worker: "w", LeaseID: l.ID, Campaign: l.Campaign, Replication: l.Replication, Result: shard}); !ack.Accepted {
+				t.Fatalf("commit rejected: %+v", ack)
+			}
+		}
+		out, err := c.Outcomes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	inMemory, spooled := build(CoordinatorConfig{}), build(CoordinatorConfig{SpoolDir: t.TempDir()})
+	if !reflect.DeepEqual(inMemory, spooled) {
+		t.Errorf("in-memory and spooled outcomes differ:\n%+v\nvs\n%+v", inMemory, spooled)
+	}
+	serial := serialSweep(t)
+	sameOutcomes(t, spooled, serial)
+	for i := range serial {
+		if !reflect.DeepEqual(spooled[i].Result.PerRun, serial[i].Result.PerRun) {
+			t.Errorf("campaign %s: per-run results changed shape over the wire", serial[i].Name)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"strings"
@@ -9,8 +10,8 @@ import (
 )
 
 // commitFake drives one lease through a fake commit, optionally with
-// worker-reported wall timings (the additive protocol fields).
-func commitFake(t *testing.T, c *Coordinator, worker string, buildMS, runMS, shipMS int64) {
+// worker-reported wall timings (the optional microsecond fields).
+func commitFake(t *testing.T, c *Coordinator, worker string, buildUS, runUS, shipUS int64) {
 	t.Helper()
 	r := c.leaseUnit(worker)
 	if r.Status != LeaseGranted {
@@ -21,7 +22,7 @@ func commitFake(t *testing.T, c *Coordinator, worker string, buildMS, runMS, shi
 		Worker: worker, LeaseID: l.ID,
 		Campaign: l.Campaign, Replication: l.Replication,
 		Result:      fakeShard(t, c, l.Campaign),
-		BuildMillis: buildMS, RunMillis: runMS, ShipMillis: shipMS,
+		BuildMicros: buildUS, RunMicros: runUS, ShipMicros: shipUS,
 	})
 	if !ack.Accepted {
 		t.Fatalf("commit rejected: %+v", ack)
@@ -87,8 +88,8 @@ func TestStatusProgressAndETA(t *testing.T) {
 // the worker-reported timing summaries.
 func TestMetricsEndpoint(t *testing.T) {
 	c, ts := startCoordinator(t, testSweep(), CoordinatorConfig{})
-	commitFake(t, c, "w", 1200, 3400, 50)
-	commitFake(t, c, "w", 800, 2600, 40)
+	commitFake(t, c, "w", 1_200_000, 3_400_000, 50)
+	commitFake(t, c, "w", 800_000, 2_600_000, 40)
 
 	resp, err := http.Get(ts.URL + PathMetrics)
 	if err != nil {
@@ -129,9 +130,72 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// The run-seconds sum is worker wall time folded in seconds:
-	// 3400ms + 2600ms = 6 seconds.
-	if !strings.Contains(text, "bcbpt_fleet_unit_run_seconds_sum 6") {
-		t.Errorf("run seconds sum not folded; exposition:\n%s", text)
+	// The sums are worker wall time folded in seconds: 3.4 s + 2.6 s of
+	// run, 50 µs + 40 µs of ship.
+	for _, want := range []string{"bcbpt_fleet_unit_run_seconds_sum 6\n", "bcbpt_fleet_unit_ship_seconds_sum 9e-05\n"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("timing sum %q not folded; exposition:\n%s", want, text)
+		}
+	}
+}
+
+// scrapeMetrics fetches the Prometheus exposition.
+func scrapeMetrics(t *testing.T, baseURL string) string {
+	t.Helper()
+	resp, err := http.Get(baseURL + PathMetrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// TestWorkerTimingsReachMetrics: the timings of a real worker run — not
+// hand-filled requests — must land in all three summaries. A 40-node
+// shard encodes in microseconds, so a ship time carried in whole
+// milliseconds would read zero and be dropped as "not reported".
+func TestWorkerTimingsReachMetrics(t *testing.T) {
+	c, ts := startCoordinator(t, testSweep(), CoordinatorConfig{})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	w := &Worker{CoordinatorURL: ts.URL, Name: "timed", Parallelism: 2, RetryInterval: 10 * time.Millisecond}
+	if err := w.Run(ctx); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	if err := c.Wait(ctx); err != nil {
+		t.Fatalf("sweep failed: %v", err)
+	}
+	text := scrapeMetrics(t, ts.URL)
+	for _, phase := range []string{"build", "run", "ship"} {
+		if want := "bcbpt_fleet_unit_" + phase + "_seconds_count 7\n"; !strings.Contains(text, want) {
+			t.Errorf("metrics exposition missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestMetricsEscapesCampaignLabel: a sweep file may name a campaign
+// anything non-empty, and the name becomes a label value — quote,
+// backslash and newline must come out escaped, or the scrape is corrupt.
+func TestMetricsEscapesCampaignLabel(t *testing.T) {
+	sweep := oneUnitSweep()
+	sweep[0].Name = "a\"b\\c\nd"
+	_, ts := startCoordinator(t, sweep, CoordinatorConfig{})
+	text := scrapeMetrics(t, ts.URL)
+	for _, want := range []string{
+		`bcbpt_fleet_campaign_units{campaign="a\"b\\c\nd"} 1` + "\n",
+		`bcbpt_fleet_campaign_units_done{campaign="a\"b\\c\nd"} 0` + "\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics exposition missing %q:\n%s", want, text)
+		}
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		if !strings.HasPrefix(line, "# ") && !strings.HasPrefix(line, "bcbpt_") {
+			t.Errorf("exposition line broken by an unescaped label: %q", line)
+		}
 	}
 }

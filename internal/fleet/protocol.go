@@ -1,8 +1,10 @@
 // Package fleet distributes campaign sweeps across machines: a
-// coordinator serves a lease-based work queue over HTTP+JSON and workers
-// pull (campaign, replication) units, run them through the same
+// coordinator serves a lease-based work queue over HTTP and workers pull
+// (campaign, replication) units, run them through the same
 // per-replication path as the local engine (experiment.RunUnit), and ship
-// back measure.CampaignResult shards.
+// back measure.CampaignResult shards. The control exchanges (sweep,
+// lease, renew, status) are JSON; a commit's body is the shard itself, in
+// measure's binary form, with the unit reference in the URL query.
 //
 // The design leans entirely on the campaign engine's determinism
 // contract: a unit derives every bit of randomness from its replication
@@ -46,7 +48,10 @@
 package fleet
 
 import (
-	"encoding/json"
+	"errors"
+	"fmt"
+	"net/url"
+	"strconv"
 	"time"
 
 	"repro/internal/experiment"
@@ -63,7 +68,9 @@ const (
 	// the heartbeat that lets LeaseTTL sit far below a slow unit's wall
 	// time.
 	PathRenew = "/v1/renew"
-	// PathCommit (POST, CommitRequest) ships a finished shard back.
+	// PathCommit (POST, CommitRequest) ships a finished shard back: the
+	// shard bytes are the request body, the rest of the CommitRequest is
+	// the URL query.
 	PathCommit = "/v1/commit"
 	// PathStatus (GET) returns queue progress for dashboards and tests.
 	PathStatus = "/v1/status"
@@ -168,25 +175,97 @@ type RenewResponse struct {
 }
 
 // CommitRequest ships one finished unit back. Exactly one of Result or
-// Error is set: Result carries the shard (measure.CampaignResult wire
-// form, see measure.EncodeCampaignResult), Error reports a deterministic
-// unit failure (a bad spec), which fails the whole sweep fast — the unit
-// would fail identically on every machine that retried it.
+// Error is set: Result carries the shard (measure.EncodeCampaignResult's
+// bytes), Error reports a deterministic unit failure (a bad spec), which
+// fails the whole sweep fast — the unit would fail identically on every
+// machine that retried it.
+//
+// On the wire a commit is not JSON: Result travels verbatim as the
+// request body (application/octet-stream) and every other field as a URL
+// query parameter, named in the field comments. An error commit sets
+// error=1 and sends the Error text as the body instead.
 type CommitRequest struct {
-	Worker      string          `json:"worker"`
-	LeaseID     uint64          `json:"lease_id"`
-	Campaign    int             `json:"campaign"`
-	Replication int             `json:"replication"`
-	Result      json.RawMessage `json:"result,omitempty"`
-	Error       string          `json:"error,omitempty"`
-	// BuildMillis, RunMillis and ShipMillis report the unit's wall
-	// timings — network build, measurement campaign, and shard encoding —
-	// for the coordinator's timing histograms. Additive and optional:
-	// an old worker that omits them commits fine, the coordinator just
-	// records nothing.
-	BuildMillis int64 `json:"build_ms,omitempty"`
-	RunMillis   int64 `json:"run_ms,omitempty"`
-	ShipMillis  int64 `json:"ship_ms,omitempty"`
+	Worker      string // worker
+	LeaseID     uint64 // lease
+	Campaign    int    // campaign
+	Replication int    // replication
+	// Result is the body; the tag keeps a shard out of any diagnostic
+	// dump of the request.
+	Result []byte `json:"-"`
+	Error  string
+	// BuildMicros, RunMicros and ShipMicros (build_us, run_us, ship_us)
+	// report the unit's wall timings — network build, measurement
+	// campaign, and shard encoding — for the coordinator's timing
+	// histograms. Microseconds, because a shard encodes in well under a
+	// millisecond. Optional: a commit that omits them (zero) is accepted
+	// and records nothing.
+	BuildMicros int64
+	RunMicros   int64
+	ShipMicros  int64
+}
+
+// wire splits the request into its URL query and its body.
+func (r CommitRequest) wire() (query string, body []byte) {
+	q := url.Values{
+		"worker":      {r.Worker},
+		"lease":       {strconv.FormatUint(r.LeaseID, 10)},
+		"campaign":    {strconv.Itoa(r.Campaign)},
+		"replication": {strconv.Itoa(r.Replication)},
+	}
+	for _, t := range [...]struct {
+		key string
+		us  int64
+	}{{"build_us", r.BuildMicros}, {"run_us", r.RunMicros}, {"ship_us", r.ShipMicros}} {
+		if t.us != 0 {
+			q.Set(t.key, strconv.FormatInt(t.us, 10))
+		}
+	}
+	if r.Error != "" {
+		q.Set("error", "1")
+		return q.Encode(), []byte(r.Error)
+	}
+	return q.Encode(), r.Result
+}
+
+// parseCommit is wire's inverse, run by the coordinator on a query string
+// and body from the network. The body is kept, not copied.
+func parseCommit(rawQuery string, body []byte) (CommitRequest, error) {
+	q, err := url.ParseQuery(rawQuery)
+	if err != nil {
+		return CommitRequest{}, err
+	}
+	r := CommitRequest{Worker: q.Get("worker")}
+	if r.LeaseID, err = strconv.ParseUint(q.Get("lease"), 10, 64); err != nil {
+		return CommitRequest{}, fmt.Errorf("lease: %w", err)
+	}
+	if r.Campaign, err = strconv.Atoi(q.Get("campaign")); err != nil {
+		return CommitRequest{}, fmt.Errorf("campaign: %w", err)
+	}
+	if r.Replication, err = strconv.Atoi(q.Get("replication")); err != nil {
+		return CommitRequest{}, fmt.Errorf("replication: %w", err)
+	}
+	for _, t := range [...]struct {
+		key string
+		us  *int64
+	}{{"build_us", &r.BuildMicros}, {"run_us", &r.RunMicros}, {"ship_us", &r.ShipMicros}} {
+		if s := q.Get(t.key); s != "" {
+			if *t.us, err = strconv.ParseInt(s, 10, 64); err != nil {
+				return CommitRequest{}, fmt.Errorf("%s: %w", t.key, err)
+			}
+		}
+	}
+	switch q.Get("error") {
+	case "":
+		r.Result = body
+	case "1":
+		if len(body) == 0 {
+			return CommitRequest{}, errors.New("error commit without the error text")
+		}
+		r.Error = string(body)
+	default:
+		return CommitRequest{}, fmt.Errorf("error: %q is neither absent nor 1", q.Get("error"))
+	}
+	return r, nil
 }
 
 // CommitResponse acknowledges a commit. A *stale* rejection is not a

@@ -56,6 +56,11 @@ func (w *Worker) retryInterval() time.Duration {
 // timings never feed the simulation.
 func wallClock() int64 { return time.Now().UnixNano() }
 
+// ceilMicros converts a measured wall time to the commit's microsecond
+// fields, rounding up: the coordinator drops a zero as "not reported",
+// and a phase that ran, however briefly, must still count.
+func ceilMicros(nanos int64) int64 { return (nanos + 999) / 1000 }
+
 // sleep waits d respecting ctx.
 func sleep(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
@@ -276,15 +281,15 @@ func (w *Worker) runLease(ctx context.Context, client *Client, campaigns []exper
 	}()
 
 	res, uo, err := experiment.RunUnitObserved(unitCtx, cs, l.Replication, wallClock)
-	commit.BuildMillis = uo.BuildNanos / int64(time.Millisecond)
-	commit.RunMillis = uo.RunNanos / int64(time.Millisecond)
+	commit.BuildMicros = ceilMicros(uo.BuildNanos)
+	commit.RunMicros = ceilMicros(uo.RunNanos)
 	switch {
 	case err == nil:
 		shipStart := time.Now()
 		if commit.Result, err = measure.EncodeCampaignResult(res); err != nil {
 			return err
 		}
-		commit.ShipMillis = time.Since(shipStart).Milliseconds()
+		commit.ShipMicros = ceilMicros(time.Since(shipStart).Nanoseconds())
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		if ctx.Err() != nil {
 			// Our own shutdown, not the unit's fault: walk away and let

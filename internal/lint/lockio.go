@@ -7,8 +7,8 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// Lockio flags file/network I/O, JSON encode/decode, and sleeps
-// reachable while a sync.Mutex/RWMutex is held, in the packages listed
+// Lockio flags file/network I/O, JSON and shard encode/decode/merge, and
+// sleeps reachable while a sync.Mutex/RWMutex is held, in the packages listed
 // in lockIOPkgs. A coordinator that touches the disk or a socket under
 // its queue mutex serializes every concurrent lease poll behind that
 // syscall — the bug class fixed by hand twice in PRs 4–5 (shard decode
@@ -29,7 +29,7 @@ import (
 // lock — carries a //bcbptlint:allow lockio annotation at the site.
 var Lockio = &analysis.Analyzer{
 	Name: "lockio",
-	Doc: "flag file/network I/O and JSON encode/decode reachable while a sync mutex is held " +
+	Doc: "flag file/network I/O and JSON or shard encode/decode reachable while a sync mutex is held " +
 		"in fleet packages; move the work outside the critical section",
 	Run: runLockio,
 }
@@ -49,6 +49,10 @@ var ioPkgFuncs = map[string]map[string]bool{
 	"encoding/json": {"Marshal": true, "MarshalIndent": true, "Unmarshal": true},
 	"time":          {"Sleep": true},
 	"path/filepath": {"Glob": true, "Walk": true, "WalkDir": true},
+	// The shard codec and merge are linear in a shard's samples — the
+	// same "unbounded CPU under the queue mutex" class as encoding/json,
+	// which they replaced on the commit path.
+	"repro/internal/measure": {"EncodeCampaignResult": true, "DecodeCampaignResult": true, "MergeCampaignResults": true},
 }
 
 // ioMethodTypes classifies methods by receiver type: "*" means any

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"os"
 	"sync"
+
+	"repro/internal/measure"
 )
 
 type coord struct {
@@ -49,6 +51,35 @@ func (c *coord) decodeUnderLock(dec *json.Decoder) {
 	defer c.mu.Unlock()
 	var v map[string]int
 	dec.Decode(&v) // want `I/O call \(Decoder\)\.Decode while c\.mu is held`
+}
+
+// shardUnderLock decodes and merges committed shards inside the critical
+// section: linear in their samples, and every lease poll waits for it.
+func (c *coord) shardUnderLock(data []byte) (measure.CampaignResult, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	res, err := measure.DecodeCampaignResult(data) // want `I/O call repro/internal/measure\.DecodeCampaignResult while c\.mu is held`
+	if err != nil {
+		return res, err
+	}
+	c.state["shards"]++
+	return measure.MergeCampaignResults(res, res) // want `I/O call repro/internal/measure\.MergeCampaignResults while c\.mu is held`
+}
+
+// shardOutsideLock is the shape the coordinator uses: decode first, take
+// the lock only to record the result. The header check is O(1) and may
+// sit anywhere.
+func (c *coord) shardOutsideLock(data []byte) error {
+	if _, err := measure.DecodeCampaignResult(data); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, err := measure.ShardFingerprint(data); err != nil {
+		return err
+	}
+	c.state["shards"]++
+	return nil
 }
 
 // spawnUnderLock hands the I/O to another goroutine, which runs outside

@@ -2,9 +2,12 @@ package measure
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -109,14 +112,154 @@ func TestCodecEmptyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecRejectsUnknownKind guards the decoder against version drift.
-func TestCodecRejectsUnknownKind(t *testing.T) {
-	var d Distribution
-	if err := json.Unmarshal([]byte(`{"kind":"tdigest"}`), &d); err == nil {
-		t.Error("unknown distribution kind decoded without error")
+// rawShard assembles a shard by hand: the header for fingerprint 7, then
+// the given body bytes. Tests use it to write what no encoder would.
+func rawShard(body ...byte) []byte {
+	b := append([]byte(nil), shardMagic[:]...)
+	b = binary.LittleEndian.AppendUint64(b, 7)
+	return append(b, body...)
+}
+
+// uv and sv spell one varint in a hand-assembled body.
+func uv(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+func sv(v int64) []byte  { return binary.AppendVarint(nil, v) }
+
+func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+// codecFixtures is one small exact and one small streaming shard: the
+// golden-bytes pins, the truncation sweep and the fuzz seeds share them.
+func codecFixtures(t testing.TB) (exact, streaming []byte) {
+	t.Helper()
+	exact, err := EncodeCampaignResult(CampaignResult{
+		Dist: NewDistribution([]time.Duration{3 * time.Millisecond, time.Millisecond, 2 * time.Second}),
+		PerRun: []RunResult{{
+			TxID:       chain.Hash{1, 2, 3},
+			InjectedAt: sim.Time(42 * time.Second),
+			Deltas:     map[p2p.NodeID]time.Duration{3: 120 * time.Millisecond, 9: 310 * time.Millisecond},
+			Missing:    []p2p.NodeID{5},
+		}},
+		Lost:        1,
+		Fingerprint: 0xdeadbeefcafef00d,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal([]byte(`{"kind":"streaming","buckets":[{"i":99999,"c":1}]}`), &d); err == nil {
-		t.Error("out-of-range bucket index decoded without error")
+	s := NewStreamingDistribution()
+	s.Add(0)
+	s.AddN(40*time.Millisecond, 1000)
+	s.Add(9 * time.Second)
+	streaming, err = EncodeCampaignResult(CampaignResult{Dist: s.Dist(), Fingerprint: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exact, streaming
+}
+
+// TestCodecRejectsUnknownKind guards the decoder against version drift
+// and against every malformed body a socket can deliver: each input here
+// is one defect away from a valid shard.
+func TestCodecRejectsUnknownKind(t *testing.T) {
+	emptyDist := []byte{0, distKindExact, 0} // Lost 0, exact, no samples
+	oneRun := func(deltas ...[]byte) []byte {
+		return cat(emptyDist, uv(1), make([]byte, 32), sv(0), cat(deltas...), uv(0))
+	}
+	cases := map[string][]byte{
+		"unknown kind byte": rawShard(0, 2, 0, 0),
+		"unknown magic":     append([]byte("JSON"), rawShard(cat(emptyDist, uv(0))...)[4:]...),
+		"unknown version": append([]byte{'B', 'C', 'S', shardVersion + 1},
+			rawShard(cat(emptyDist, uv(0))...)[4:]...),
+		"bucket index out of range": rawShard(cat(
+			[]byte{0, distKindStreaming}, uv(1), sv(5), sv(5), sv(5),
+			uv(1), uv(99999), uv(1), uv(0))...),
+		"bucket index repeated": rawShard(cat(
+			[]byte{0, distKindStreaming}, uv(2), sv(10), sv(5), sv(5),
+			uv(2), uv(400), uv(1), uv(0), uv(1), uv(0))...),
+		"non-increasing connection IDs": rawShard(oneRun(uv(2), uv(5), sv(1), uv(0), sv(1))...),
+		"sample past int64":             rawShard(cat([]byte{0, distKindExact}, uv(2), sv(math.MaxInt64), uv(1), uv(0))...),
+		"trailing byte":                 rawShard(cat(emptyDist, uv(0), []byte{0})...),
+	}
+	for name, data := range cases {
+		if _, err := DecodeCampaignResult(data); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	// The hand-assembled forms are sound: the same bodies minus their one
+	// defect decode.
+	for name, data := range map[string][]byte{
+		"empty":         rawShard(cat(emptyDist, uv(0))...),
+		"two ascending": rawShard(oneRun(uv(2), uv(5), sv(1), uv(1), sv(1))...),
+	} {
+		if _, err := DecodeCampaignResult(data); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+
+	exact, streaming := codecFixtures(t)
+	for _, shard := range [][]byte{exact, streaming} {
+		for n := 0; n < len(shard); n++ {
+			if _, err := DecodeCampaignResult(shard[:n]); err == nil {
+				t.Errorf("shard truncated to %d of %d bytes decoded without error", n, len(shard))
+			}
+		}
+		if _, err := DecodeCampaignResult(append(shard[:len(shard):len(shard)], 0)); err == nil {
+			t.Error("shard with a trailing byte decoded without error")
+		}
+	}
+}
+
+// TestDecodeRejectsHostileLengths: a few dozen bytes announcing 2^40
+// samples, runs or deltas must fail before the decoder allocates for the
+// announced length — a shard costs memory in proportion to its bytes,
+// never to what it claims.
+func TestDecodeRejectsHostileLengths(t *testing.T) {
+	const huge = 1 << 40
+	pad := func(b []byte, n int) []byte { return append(b, make([]byte, n-len(b))...) }
+	emptyDist := []byte{0, distKindExact, 0}
+	cases := map[string][]byte{
+		"samples": pad(rawShard(cat([]byte{0, distKindExact}, uv(huge))...), 24),
+		"buckets": pad(rawShard(cat([]byte{0, distKindStreaming, 0, 0, 0, 0}, uv(huge))...), 24),
+		"runs":    pad(rawShard(cat(emptyDist, uv(huge))...), 24),
+		"deltas":  pad(rawShard(cat(emptyDist, uv(1), make([]byte, 32), sv(0), uv(huge))...), 64),
+		"missing": pad(rawShard(cat(emptyDist, uv(1), make([]byte, 32), sv(0), uv(0), uv(huge))...), 64),
+	}
+	for name, data := range cases {
+		if _, err := DecodeCampaignResult(data); err == nil {
+			t.Errorf("%s: %d-byte shard announcing 2^40 elements decoded without error", name, len(data))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(100, func() { _, _ = DecodeCampaignResult(data) })
+		runtime.ReadMemStats(&after)
+		// A streaming body allocates the fixed sketch (sketchBuckets
+		// counters) before it reads the bucket count; nothing else here
+		// allocates beyond the error value.
+		perRun := (after.TotalAlloc - before.TotalAlloc) / 101
+		if allocs > 12 || perRun > 8*sketchBuckets+4096 {
+			t.Errorf("%s: %v allocations, %d bytes per rejected decode", name, allocs, perRun)
+		}
+	}
+}
+
+// TestShardGoldenBytes pins the wire form byte for byte, so a layout
+// change shows up as a diff here (and must come with a shardVersion bump).
+func TestShardGoldenBytes(t *testing.T) {
+	exact, streaming := codecFixtures(t)
+	const (
+		wantExact = "42435301" + "0df0fecaefbeadde" + // magic+version, fingerprint
+			"01" + "00" + "03" + "80897a" + "80897a" + "c09a9fb807" + // Lost, exact, 3 samples: first, two gaps
+			"01" + "0102030000000000000000000000000000000000000000000000000000000000" + // 1 run, TxID
+			"8090a9f6b802" + "02" + "03" + "80b8b872" + "06" + "80e6d1a702" + // InjectedAt, 2 deltas (ID gap, Δt)
+			"01" + "05" // 1 missing connection
+		wantStreaming = "42435301" + "0700000000000000" +
+			"00" + "01" + "ea07" + "80a8858aed02" + "00" + "80e8888743" + // Lost, streaming, n, sum, min, max
+			"03" + "00" + "01" + "f406" + "e807" + "9202" + "01" + // 3 buckets (index gap, count)
+			"00" // no runs
+	)
+	if got := hex.EncodeToString(exact); got != wantExact {
+		t.Errorf("exact shard bytes changed:\n got %s\nwant %s", got, wantExact)
+	}
+	if got := hex.EncodeToString(streaming); got != wantStreaming {
+		t.Errorf("streaming shard bytes changed:\n got %s\nwant %s", got, wantStreaming)
 	}
 }
 
@@ -148,31 +291,17 @@ func TestMergeRejectsMismatchedFingerprints(t *testing.T) {
 // re-encode to a fixed point: encode(decode(x)) decodes and encodes to the
 // same bytes again, so a shard cannot change by being stored and re-read.
 func FuzzDecodeCampaignResult(f *testing.F) {
-	exact, err := EncodeCampaignResult(CampaignResult{
-		Dist: NewDistribution([]time.Duration{3 * time.Millisecond, time.Millisecond, 2 * time.Second}),
-		PerRun: []RunResult{{
-			TxID:       chain.Hash{1, 2, 3},
-			InjectedAt: sim.Time(42 * time.Second),
-			Deltas:     map[p2p.NodeID]time.Duration{3: 120 * time.Millisecond, 9: 310 * time.Millisecond},
-			Missing:    []p2p.NodeID{5},
-		}},
-		Lost:        1,
-		Fingerprint: 0xdeadbeefcafef00d,
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	s := NewStreamingDistribution()
-	s.Add(0)
-	s.AddN(40*time.Millisecond, 1000)
-	s.Add(9 * time.Second)
-	streaming, err := EncodeCampaignResult(CampaignResult{Dist: s.Dist(), Fingerprint: 7})
-	if err != nil {
-		f.Fatal(err)
-	}
+	exact, streaming := codecFixtures(f)
 	f.Add(exact)
 	f.Add(streaming)
 	f.Add(exact[:len(exact)/2])
+	// A Lost varint that never terminates within 64 bits.
+	f.Add(rawShard(bytes.Repeat([]byte{0xff}, 11)...))
+	// Inconsistent sketch state: n far above the bucket total, a negative
+	// sum, min above max.
+	f.Add(rawShard(cat([]byte{0, distKindStreaming}, uv(math.MaxUint64), sv(-1), sv(9), sv(1),
+		uv(2), uv(0), uv(1), uv(2207), uv(2), uv(0))...))
+	// The JSON shard form this codec replaced: all of it must be refused.
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"Dist":{"kind":"exact","samples_ns":[5,-1,5,9223372036854775807]},"Lost":-3}`))
 	f.Add([]byte(`{"Dist":{"kind":"streaming","n":18446744073709551615,"sum_ns":-1,"min_ns":9,"max_ns":1,"buckets":[{"i":0,"c":1},{"i":0,"c":2}]}}`))
@@ -184,6 +313,9 @@ func FuzzDecodeCampaignResult(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if data[0] == '{' {
+			t.Fatalf("a JSON document decoded as a shard: %s", data)
+		}
 		_ = r.Dist.String()
 		_ = r.Dist.CDF(11)
 		first, err := EncodeCampaignResult(r)
@@ -192,14 +324,14 @@ func FuzzDecodeCampaignResult(f *testing.F) {
 		}
 		again, err := DecodeCampaignResult(first)
 		if err != nil {
-			t.Fatalf("decoding a re-encoded result: %v\n%s", err, first)
+			t.Fatalf("decoding a re-encoded result: %v\n%x", err, first)
 		}
 		second, err := EncodeCampaignResult(again)
 		if err != nil {
 			t.Fatalf("encoding it a second time: %v", err)
 		}
 		if !bytes.Equal(first, second) {
-			t.Fatalf("no fixed point:\n%s\nthen\n%s", first, second)
+			t.Fatalf("no fixed point:\n%x\nthen\n%x", first, second)
 		}
 	})
 }

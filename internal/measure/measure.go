@@ -297,7 +297,7 @@ type CampaignResult struct {
 	// unstamped. MergeCampaignResults refuses to blend shards carrying
 	// different non-zero fingerprints — the guard that keeps a distributed
 	// sweep from silently pooling two different experiments.
-	Fingerprint uint64 `json:"fingerprint,omitempty"`
+	Fingerprint uint64
 }
 
 // Run executes the campaign on the measuring node.
@@ -377,6 +377,13 @@ func (m *MeasuringNode) RunContext(ctx context.Context, c Campaign) (CampaignRes
 func MergeCampaignResults(shards ...CampaignResult) (CampaignResult, error) {
 	var out CampaignResult
 	dists := make([]Distribution, len(shards))
+	runs := 0
+	for _, s := range shards {
+		runs += len(s.PerRun)
+	}
+	if runs > 0 {
+		out.PerRun = make([]RunResult, 0, runs)
+	}
 	for i, s := range shards {
 		if s.Fingerprint != 0 {
 			if out.Fingerprint == 0 {

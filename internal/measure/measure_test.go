@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -387,6 +388,49 @@ func TestMergeDistributionsOrderIndependent(t *testing.T) {
 	}
 	if !MergeDistributions().Equal(NewDistribution(nil)) {
 		t.Error("empty merge not the zero distribution")
+	}
+}
+
+// TestMergeDistributionsMatchesPooledBuild is the merge's defining
+// property: over k random shards — empty ones and duplicate-heavy ones
+// included — merging the shards' sorted samples Equals building one
+// distribution from the concatenation, mean and std bits included, and
+// leaves the inputs untouched.
+func TestMergeDistributionsMatchesPooledBuild(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	for _, k := range []int{1, 2, 7} {
+		for trial := 0; trial < 200; trial++ {
+			shards := make([]Distribution, k)
+			var pooled []time.Duration
+			for i := range shards {
+				n, spread := r.Intn(40), int64(time.Second)
+				switch r.Intn(4) {
+				case 0:
+					n = 0 // an empty shard
+				case 1:
+					spread = 3 // nearly every sample is a duplicate
+				}
+				s := make([]time.Duration, n)
+				for j := range s {
+					s[j] = time.Duration(r.Int63n(spread))
+				}
+				shards[i] = NewDistribution(s)
+				pooled = append(pooled, s...)
+			}
+			before := make([][]time.Duration, k)
+			for i, d := range shards {
+				before[i] = d.Samples()
+			}
+			got, want := MergeDistributions(shards...), NewDistribution(pooled)
+			if !got.Equal(want) {
+				t.Fatalf("k=%d trial %d: merge %v differs from pooled build %v", k, trial, got, want)
+			}
+			for i, d := range shards {
+				if !slices.Equal(d.Samples(), before[i]) {
+					t.Fatalf("k=%d trial %d: merge modified shard %d", k, trial, i)
+				}
+			}
+		}
 	}
 }
 

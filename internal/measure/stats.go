@@ -8,7 +8,7 @@ package measure
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -38,11 +38,19 @@ type Distribution struct {
 // NewDistribution copies and summarises samples. Empty input yields a
 // zero Distribution.
 func NewDistribution(samples []time.Duration) Distribution {
-	if len(samples) == 0 {
+	s := slices.Clone(samples)
+	slices.Sort(s)
+	return newSortedDistribution(s)
+}
+
+// newSortedDistribution summarises samples that are already ascending,
+// taking ownership of the slice. Every exact Distribution is built here,
+// so mean and std always sum in ascending order and equal samples give
+// equal float bits whichever path sorted them.
+func newSortedDistribution(s []time.Duration) Distribution {
+	if len(s) == 0 {
 		return Distribution{}
 	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	var sum float64
 	for _, v := range s {
 		sum += float64(v)
@@ -138,11 +146,72 @@ func MergeDistributions(ds ...Distribution) Distribution {
 		}
 		return s.Dist()
 	}
-	var samples []time.Duration
-	for _, d := range ds {
-		samples = append(samples, d.sorted...)
+	runs := make([][]time.Duration, len(ds))
+	for i, d := range ds {
+		runs[i] = d.sorted
 	}
-	return NewDistribution(samples)
+	return newSortedDistribution(mergeSorted(runs))
+}
+
+// mergeSorted merges ascending runs into one new ascending slice: the
+// runs are laid end to end, then neighbouring runs are merged pairwise
+// between two buffers until one is left — O(n log k) comparisons for k
+// runs of n samples in all, where re-sorting the concatenation would pay
+// O(n log n).
+func mergeSorted(runs [][]time.Duration) []time.Duration {
+	total := 0
+	for _, r := range runs {
+		total += len(r)
+	}
+	src := make([]time.Duration, 0, total)
+	ends := make([]int, 0, len(runs)) // ends[i] is where run i stops in src
+	for _, r := range runs {
+		if len(r) > 0 {
+			src = append(src, r...)
+			ends = append(ends, len(src))
+		}
+	}
+	if len(ends) < 2 {
+		return src
+	}
+	dst := make([]time.Duration, total)
+	for len(ends) > 1 {
+		// ends is compacted in place: entry i/2 is written only after
+		// entries i and i+1 were read.
+		merged := ends[:0]
+		lo := 0
+		for i := 0; i < len(ends); i += 2 {
+			mid, hi := ends[i], ends[i]
+			if i+1 < len(ends) {
+				hi = ends[i+1]
+			}
+			mergeTwo(dst[lo:hi], src[lo:mid], src[mid:hi])
+			merged = append(merged, hi)
+			lo = hi
+		}
+		ends = merged
+		src, dst = dst, src
+	}
+	return src
+}
+
+// mergeTwo fills dst, whose length is len(a)+len(b), with the merge of
+// ascending a and b.
+func mergeTwo(dst, a, b []time.Duration) {
+	if len(b) == 0 || a[len(a)-1] <= b[0] {
+		copy(dst[copy(dst, a):], b)
+		return
+	}
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(b) || (i < len(a) && a[i] <= b[j]) {
+			dst[k] = a[i]
+			i++
+		} else {
+			dst[k] = b[j]
+			j++
+		}
+	}
 }
 
 // Mean returns the arithmetic mean.

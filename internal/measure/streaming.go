@@ -261,7 +261,9 @@ func (s *StreamingDistribution) equal(o *StreamingDistribution) bool {
 // API, so figure renderers, CSV writers and merge layers consume exact
 // and streaming summaries interchangeably. Later Adds to s do not affect
 // the returned Distribution.
-func (s *StreamingDistribution) Dist() Distribution {
-	c := s.Clone()
-	return Distribution{sketch: c, mean: c.Mean(), std: c.Std()}
+func (s *StreamingDistribution) Dist() Distribution { return s.Clone().dist() }
+
+// dist wraps s itself, for a caller that owns it and adds nothing more.
+func (s *StreamingDistribution) dist() Distribution {
+	return Distribution{sketch: s, mean: s.Mean(), std: s.Std()}
 }
