@@ -38,9 +38,11 @@ race:
 # flat-node and arena-scheduler kernels and the DNS seed's pruned
 # k-nearest search against their reference implementations, over the
 # shard decoder the fleet runs on bytes from a socket (no panic, and a
-# fixed point under re-encoding), and over the commit endpoint that hands
+# fixed point under re-encoding), over the commit endpoint that hands
 # it those bytes (arbitrary query and body against a live lease: no wrong
-# acceptance, no temp file left, resend is stale). 30s each: enough to shake out shallow
+# acceptance, no temp file left, resend is stale), and over the sweep-file
+# parser (no panic; an accepted sweep written back out re-parses to the
+# same campaigns and fingerprints). 30s each: enough to shake out shallow
 # divergence regressions on every CI run without burning runner minutes. Set
 # FUZZ_RACE=-race to also run the fuzz executions under the race
 # detector (the stable CI leg does; slower, so off by default locally).
@@ -51,6 +53,7 @@ fuzz-smoke:
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzRecommendMatchesReference -fuzztime=30s ./internal/topology
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzDecodeCampaignResult -fuzztime=30s ./internal/measure
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzCommitBody -fuzztime=30s ./internal/fleet
+	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzParseSweep -fuzztime=30s ./internal/experiment
 
 # Distributed-campaign smoke: a coordinator + 2 local workers (one
 # induced worker failure) must merge a tiny sweep byte-identical to the

@@ -497,14 +497,12 @@ func BenchmarkChurnFlood2000(b *testing.B) {
 	}
 }
 
-// --- Tentpole: exact vs streaming campaign pooling ---
+// --- Campaign pooling ---
 //
-// The same single-network campaign pooled exactly (every Δt retained)
-// and into the bounded StreamingDistribution sketch. The streaming run
-// reports sketch-bytes/op — its fixed memory footprint — next to the
-// exact run's samples; wall clock should be indistinguishable.
+// One single-network campaign: every injection's Δt samples pooled into
+// the campaign's Distribution.
 
-func benchCampaignPooling(b *testing.B, streaming bool) {
+func BenchmarkCampaignPooling(b *testing.B) {
 	o := benchOpts(14)
 	built, err := experiment.Build(context.Background(), experiment.Spec{
 		Nodes: o.Nodes, Seed: o.Seed, Protocol: experiment.ProtoBitcoin,
@@ -515,22 +513,13 @@ func benchCampaignPooling(b *testing.B, streaming bool) {
 	defer built.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var res measure.CampaignResult
-		if streaming {
-			res, err = built.CampaignStreaming(context.Background(), o.Runs, o.Deadline)
-		} else {
-			res, err = built.Campaign(o.Runs, o.Deadline)
-		}
+		res, err := built.Campaign(o.Runs, o.Deadline)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(res.Dist.N()), "samples")
-		b.ReportMetric(float64(res.Dist.Retained()), "retained-samples")
 	}
 }
-
-func BenchmarkCampaignExact(b *testing.B)     { benchCampaignPooling(b, false) }
-func BenchmarkCampaignStreaming(b *testing.B) { benchCampaignPooling(b, true) }
 
 // --- Fig. 4: BCBPT threshold sweep ---
 

@@ -23,9 +23,8 @@ import (
 
 func main() {
 	var (
-		targets   = flag.String("targets", "", "comma-separated addresses to crawl")
-		pings     = flag.Int("pings", 5, "pings per target")
-		streaming = flag.Bool("streaming", false, "fold RTTs into a bounded-memory sketch (~1% quantile error) instead of retaining every sample; use for very large crawls")
+		targets = flag.String("targets", "", "comma-separated addresses to crawl")
+		pings   = flag.Int("pings", 5, "pings per target")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "bcbpt-crawl: ", log.LstdFlags)
@@ -48,10 +47,6 @@ func main() {
 	addrs := strings.Split(*targets, ",")
 	sort.Strings(addrs)
 	var samples []time.Duration
-	var sketch *measure.StreamingDistribution
-	if *streaming {
-		sketch = measure.NewStreamingDistribution()
-	}
 	reachable := 0
 	for _, addr := range addrs {
 		rtt, err := node.ProbeAddr(strings.TrimSpace(addr), *pings)
@@ -60,17 +55,10 @@ func main() {
 			continue
 		}
 		reachable++
-		if sketch != nil {
-			sketch.Add(rtt)
-		} else {
-			samples = append(samples, rtt)
-		}
+		samples = append(samples, rtt)
 		fmt.Printf("%-24s min-rtt %v\n", addr, rtt)
 	}
 	dist := measure.NewDistribution(samples)
-	if sketch != nil {
-		dist = sketch.Dist()
-	}
 	fmt.Printf("\nreachable: %d/%d\n", reachable, len(addrs))
 	if dist.N() > 0 {
 		fmt.Printf("rtt distribution: %s\n", dist)

@@ -94,7 +94,6 @@ type sweepFlags struct {
 	seed         *int64
 	replications *int
 	deadline     *time.Duration
-	streaming    *bool
 	buildWorkers *int
 }
 
@@ -107,7 +106,6 @@ func addSweepFlags(fs *flag.FlagSet) *sweepFlags {
 		seed:         fs.Int64("seed", 1, "root random seed"),
 		replications: fs.Int("replications", 1, "independently seeded networks per series"),
 		deadline:     fs.Duration("deadline", 2*time.Minute, "virtual-time deadline per run"),
-		streaming:    fs.Bool("streaming", false, "ship bounded-memory sketch shards instead of every sample"),
 		buildWorkers: fs.Int("build-workers", 0, "sharding inside each build (0 = GOMAXPROCS; any value is bit-identical)"),
 	}
 }
@@ -119,7 +117,6 @@ func (s *sweepFlags) options() experiment.Options {
 		Seed:         *s.seed,
 		Deadline:     *s.deadline,
 		Replications: *s.replications,
-		Streaming:    *s.streaming,
 		BuildWorkers: *s.buildWorkers,
 	}
 }

@@ -55,7 +55,6 @@ func main() {
 		buildWorkers = flag.Int("build-workers", 0, "worker pool size inside each network build (0 = GOMAXPROCS); any value builds an identical network")
 		reps         = flag.Int("replications", 1, "independently seeded networks per series (samples pool)")
 		timeout      = flag.Duration("timeout", 0, "wall-clock budget for the whole experiment (0 = none)")
-		streaming    = flag.Bool("streaming", false, "pool samples into bounded-memory sketches (~1% quantile error) instead of retaining every Δt; use for paper-scale sweeps")
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file (diagnose hot-path regressions from a release binary)")
 		memProfile   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		tracePath    = flag.String("trace", "", "export a sim-time event trace of the first campaign (replication 0) as Chrome trace_event JSON to this file, plus a binary spool at <file>.bin; open in Perfetto (ui.perfetto.dev)")
@@ -71,11 +70,10 @@ func main() {
 		Workers:      *workers,
 		BuildWorkers: *buildWorkers,
 		Replications: *reps,
-		Streaming:    *streaming,
 		Trace:        *tracePath,
 		// The engine may not read the wall clock itself; with one injected
 		// it times every unit's build and run (printPhaseSplit).
-		Metrics: experiment.NewMetricsRegistry(),
+		Metrics: obs.NewRegistry(),
 		Clock:   func() int64 { return time.Now().UnixNano() },
 	}
 

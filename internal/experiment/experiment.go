@@ -437,26 +437,11 @@ func (b *Built) Campaign(runs int, deadline time.Duration) (measure.CampaignResu
 
 // CampaignContext is Campaign with cooperative cancellation: the campaign
 // stops between injections once ctx is done, returning the partial result
-// together with an error wrapping ctx.Err(). Samples pool exactly.
+// together with an error wrapping ctx.Err().
 func (b *Built) CampaignContext(ctx context.Context, runs int, deadline time.Duration) (measure.CampaignResult, error) {
-	return b.campaignContext(ctx, runs, deadline, false)
-}
-
-// CampaignStreaming is CampaignContext on the bounded-memory measurement
-// path: samples fold into a fixed-size sketch as each run completes and
-// per-run results are not retained, so a replication's footprint is
-// O(sketch buckets) instead of O(runs × connections). Use for paper-scale
-// sweeps; the exact path remains the default for tests and analyses that
-// need raw samples.
-func (b *Built) CampaignStreaming(ctx context.Context, runs int, deadline time.Duration) (measure.CampaignResult, error) {
-	return b.campaignContext(ctx, runs, deadline, true)
-}
-
-func (b *Built) campaignContext(ctx context.Context, runs int, deadline time.Duration, streaming bool) (measure.CampaignResult, error) {
 	return b.Measurer.RunContext(ctx, measure.Campaign{
-		Runs:      runs,
-		Deadline:  deadline,
-		MakeTx:    txFactory(1000),
-		Streaming: streaming,
+		Runs:     runs,
+		Deadline: deadline,
+		MakeTx:   txFactory(1000),
 	})
 }

@@ -38,11 +38,6 @@ type Options struct {
 	// Replications fans each campaign over this many independently
 	// seeded networks (default 1); samples pool across replications.
 	Replications int
-	// Streaming pools samples into bounded-memory sketches instead of
-	// retaining every Δt (see measure.Campaign.Streaming): figures carry
-	// ~1% value error on quantiles/std but a sweep's memory no longer
-	// grows with Runs × Replications.
-	Streaming bool
 	// Trace, when non-empty, exports a sim-time event trace of the
 	// figure's first campaign (replication 0) as Chrome trace_event JSON
 	// at this path plus a binary spool at path+".bin" (see
@@ -91,7 +86,6 @@ func (o Options) campaign(name string, spec Spec) CampaignSpec {
 		Replications: o.Replications,
 		Runs:         o.Runs,
 		Deadline:     o.Deadline,
-		Streaming:    o.Streaming,
 	}
 }
 

@@ -53,11 +53,6 @@ type CampaignSpec struct {
 	Runs int `json:"runs,omitempty"`
 	// Deadline bounds each injection in virtual time (default 2 minutes).
 	Deadline time.Duration `json:"deadline,omitempty"`
-	// Streaming pools each replication's samples into a bounded-memory
-	// sketch instead of retaining them all (see measure.Campaign.Streaming
-	// and StreamingDistribution). Shard results and their merge stay
-	// deterministic and order-independent; per-run results are dropped.
-	Streaming bool `json:"streaming,omitempty"`
 	// Trace, when non-empty, exports a sim-time event trace of this
 	// campaign's replication 0 — one canonical trace per campaign, not
 	// one per replication racing for the same file — as Chrome
@@ -159,23 +154,15 @@ type Runner struct {
 	// Metrics, when non-nil, receives per-unit telemetry as the sweep
 	// runs: completed-unit counters, build/run duration histograms labelled
 	// with the campaign's name as series (when Clock is set), and the p2p
-	// traffic counters folded post-run via
-	// Stats.AddToRegistry. Construct it with NewMetricsRegistry so
-	// histograms have a sketch backend. Purely observational: the merged
-	// campaign results are bit-identical with or without it.
+	// traffic counters folded post-run via Stats.AddToRegistry. Purely
+	// observational: the merged campaign results are bit-identical with
+	// or without it.
 	Metrics *obs.Registry
 	// Clock supplies wall-clock nanoseconds for unit timings. It is
 	// injected because experiment is a deterministic package (bcbpt-lint
 	// detrand bans time.Now here); non-deterministic frontends pass e.g.
 	// a time.Now().UnixNano wrapper. nil leaves timings zero.
 	Clock func() int64
-}
-
-// NewMetricsRegistry returns a registry whose histograms are backed by
-// measure.StreamingDistribution sketches — the standard backend for
-// Runner.Metrics and the fleet coordinator.
-func NewMetricsRegistry() *obs.Registry {
-	return obs.NewRegistry(func() obs.Sketch { return measure.NewStreamingDistribution() })
 }
 
 // NewRunner returns a Runner with the given worker bound (<= 0 for
@@ -307,7 +294,7 @@ func RunUnitObserved(ctx context.Context, cs CampaignSpec, rep int, clock func()
 	if clock != nil {
 		t0 = clock()
 	}
-	res, err := b.campaignContext(ctx, cs.Runs, cs.Deadline, cs.Streaming)
+	res, err := b.CampaignContext(ctx, cs.Runs, cs.Deadline)
 	if clock != nil {
 		uo.RunNanos = clock() - t0
 	}

@@ -299,11 +299,10 @@ func TestCampaignSpecFingerprint(t *testing.T) {
 	}
 
 	for label, mutate := range map[string]func(*CampaignSpec){
-		"seed":      func(c *CampaignSpec) { c.Spec.Seed = 22 },
-		"nodes":     func(c *CampaignSpec) { c.Spec.Nodes = 41 },
-		"protocol":  func(c *CampaignSpec) { c.Spec.Protocol = ProtoLBC },
-		"runs":      func(c *CampaignSpec) { c.Runs = 100 },
-		"streaming": func(c *CampaignSpec) { c.Streaming = true },
+		"seed":     func(c *CampaignSpec) { c.Spec.Seed = 22 },
+		"nodes":    func(c *CampaignSpec) { c.Spec.Nodes = 41 },
+		"protocol": func(c *CampaignSpec) { c.Spec.Protocol = ProtoLBC },
+		"runs":     func(c *CampaignSpec) { c.Runs = 100 },
 	} {
 		m := base
 		mutate(&m)

@@ -12,8 +12,7 @@
 //	    {
 //	      "name": "bcbpt-25ms",
 //	      "spec": {"nodes": 2000, "seed": 7, "protocol": "bcbpt"},
-//	      "replications": 4, "runs": 200, "deadline": "2m",
-//	      "streaming": true
+//	      "replications": 4, "runs": 200, "deadline": "2m"
 //	    }
 //	  ]
 //	}

@@ -1,8 +1,10 @@
 package experiment
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -24,7 +26,7 @@ func TestParseSweepValid(t *testing.T) {
 						"DecisionSlack": "2s", "MemberSample": 64
 					}
 				},
-				"replications": 4, "runs": 100, "deadline": "90s", "streaming": true
+				"replications": 4, "runs": 100, "deadline": "90s"
 			},
 			{
 				"name": "bitcoin",
@@ -40,7 +42,7 @@ func TestParseSweepValid(t *testing.T) {
 		t.Fatalf("parsed %q with %d campaigns", sf.Title, len(sf.Campaigns))
 	}
 	b := sf.Campaigns[0]
-	if b.Name != "bcbpt-50ms" || b.Deadline != 90*time.Second || !b.Streaming || b.Replications != 4 {
+	if b.Name != "bcbpt-50ms" || b.Deadline != 90*time.Second || b.Replications != 4 {
 		t.Errorf("campaign 0 parsed as %+v", b)
 	}
 	if got := b.Spec.BCBPT; got.Threshold != 50*time.Millisecond || got.ProbeGap != 20*time.Millisecond ||
@@ -111,6 +113,9 @@ func TestParseSweepErrors(t *testing.T) {
 		// silently ignored. (Spelled in two halves so a repo-wide grep for
 		// the retired key stays empty.)
 		{"retired dispatch knob", `{"campaigns": [{"name": "a", "spec": {"nodes": 40, "seed": 1, "protocol": "lbc", "sim` + `_workers": 4}}]}`, "unknown field"},
+		// So must the retired sketch-pooling key: a file that still asks for
+		// it gets an error naming the key, not a silent exact run.
+		{"retired streaming key", `{"campaigns": [{"name": "a", "spec": {"nodes": 40, "seed": 1, "protocol": "bitcoin"}, "streaming": true}]}`, `unknown field "streaming"`},
 		{"missing name", `{"campaigns": [{"spec": {"nodes": 40, "seed": 1, "protocol": "bitcoin"}}]}`, "missing name"},
 		{"duplicate names", `{"campaigns": [
 			{"name": "a", "spec": {"nodes": 40, "seed": 1, "protocol": "bitcoin"}},
@@ -177,6 +182,52 @@ func TestParseSweepChurnDurations(t *testing.T) {
 	if got := sf.Campaigns[0].Spec.Churn; got == nil || *got != want {
 		t.Errorf("churn parsed as %+v, want %+v", got, want)
 	}
+}
+
+// FuzzParseSweep feeds the sweep-file parser — the one place a user's
+// bytes become campaign specs — arbitrary input. It must never panic, and
+// whatever it accepts must be stable: written back out in the wire form
+// and parsed again, the sweep has the same campaigns and every campaign
+// the same fingerprint, so a coordinator and a worker that each read the
+// file agree on the experiment.
+func FuzzParseSweep(f *testing.F) {
+	example, err := os.ReadFile("../../examples/sweeps/figure3-smoke.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(example)
+	const campaign = `{"name": "a", "spec": {"nodes": 40, "seed": 1, "protocol": "bitcoin"}`
+	// Durations as strings under either key case, as integers, and in the
+	// structs that serialize under their Go field names.
+	f.Add([]byte(`{"campaigns": [` + campaign + `, "Deadline": "45s"}, {"name": "25ms", "spec": {"nodes": 40, "seed": 1, "protocol": "lbc"}, "deadline": 120000000000}]}`))
+	f.Add([]byte(`{"title": "t", "campaigns": [{"name": "c", "spec": {"nodes": 40, "seed": 1, "protocol": "bitcoin",
+		"churn": {"SessionScale": "40m", "SessionShape": 0.6, "MeanArrival": "5s", "MinSession": "30s"}}}]}`))
+	f.Add([]byte(`{"campaigns": [` + campaign + `, "deadline": "soonish"}]}`))
+	// A trailing second document, and the retired sketch-pooling key.
+	f.Add([]byte(`{"campaigns": [` + campaign + `}]} {"campaigns": []}`))
+	f.Add([]byte(`{"campaigns": [` + campaign + `, "streaming": true}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sf, err := ParseSweep(data)
+		if err != nil {
+			return
+		}
+		out, err := json.Marshal(sweepFileWire{Title: sf.Title, Campaigns: sf.Campaigns})
+		if err != nil {
+			t.Fatalf("re-marshalling an accepted sweep: %v", err)
+		}
+		again, err := ParseSweep(out)
+		if err != nil {
+			t.Fatalf("re-parsing an accepted sweep: %v\n%s", err, out)
+		}
+		if !reflect.DeepEqual(again, sf) {
+			t.Fatalf("sweep changed by being written and re-read:\n%+v\nthen\n%+v", sf, again)
+		}
+		for i, cs := range sf.Campaigns {
+			if got, want := again.Campaigns[i].Fingerprint(), cs.Fingerprint(); got != want {
+				t.Fatalf("campaign %q fingerprint %016x, re-read %016x", cs.Name, want, got)
+			}
+		}
+	})
 }
 
 // TestExampleSweepMatchesFigure3Preset pins the checked-in example sweep

@@ -33,8 +33,8 @@ var ErrUnauthorized = errors.New("fleet: coordinator refused the request: missin
 // does not supply its own http.Client. Without it, a coordinator that
 // dies silently (powered-off host, dropped NAT entry — no RST) would
 // hang a request forever and the worker's bounded-retry budgets would
-// never fire. Two minutes is generous for the largest exchange, an exact
-// shard commit of megabytes over a LAN.
+// never fire. Two minutes is generous for the largest exchange, a shard
+// commit of megabytes over a LAN.
 const defaultRequestTimeout = 2 * time.Minute
 
 // NewClient returns a client for the coordinator at baseURL (e.g.

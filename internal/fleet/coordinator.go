@@ -43,8 +43,8 @@ type CoordinatorConfig struct {
 	// of holding them in memory: each accepted shard is written to
 	// SpoolDir (the commit body as it arrived, measure's binary shard
 	// form) and re-read in replication order by Outcomes. Coordinator
-	// memory then stays flat however deep the sweep; an exact paper-scale
-	// sweep is gigabytes of samples. The directory is created if missing.
+	// memory then stays flat however deep the sweep; a paper-scale unit is
+	// up to about a megabyte of samples. The directory is created if missing.
 	SpoolDir string
 	// Trace, when non-nil, records the queue's lease lifecycle — grant,
 	// renew, expiry reassignment, commit — onto the tracer's shard 0,
@@ -132,7 +132,7 @@ func NewCoordinator(campaigns []experiment.CampaignSpec, cfg CoordinatorConfig) 
 		campaigns: make([]experiment.CampaignSpec, len(campaigns)),
 		prints:    make([]uint64, len(campaigns)),
 		offsets:   make([]int, len(campaigns)),
-		metrics:   experiment.NewMetricsRegistry(),
+		metrics:   obs.NewRegistry(),
 		done:      make(chan struct{}),
 	}
 	if c.cfg.Trace != nil {
@@ -332,7 +332,7 @@ func (c *Coordinator) renewLease(req RenewRequest) RenewResponse {
 // the coordinator mutex. First the fingerprint, read from the shard's
 // fixed header: a worker that ran a different experiment is told so
 // without its body being parsed. Then the whole shard is decoded — linear
-// in an exact shard's samples — whether the coordinator keeps the result
+// in the shard's samples — whether the coordinator keeps the result
 // (in memory) or only the bytes (spooling): commit is the last moment a
 // corrupt shard can still be refused and its unit recomputed, while one
 // discovered at merge time costs its campaign a replication. The lease
@@ -341,7 +341,7 @@ func (c *Coordinator) renewLease(req RenewRequest) RenewResponse {
 //
 // Spooling follows the same shape: the shard's bytes are written to a
 // request-unique temp file before the lock, and acceptance is a rename —
-// a metadata operation — under it, so a megabyte exact shard never
+// a metadata operation — under it, so a megabyte shard never
 // serializes lease polls behind disk I/O. The temp name must be unique
 // per request, not per lease: a worker whose commit times out resends
 // it while the first handler may still be writing, and a shared name
@@ -710,7 +710,7 @@ func (c *Coordinator) readSpooled(campaign, rep int) (measure.CampaignResult, er
 	return res, nil
 }
 
-// maxBody bounds request bodies: an exact shard of a deep campaign is
+// maxBody bounds request bodies: a shard of a deep campaign is
 // megabytes of samples; 256 MiB leaves headroom without letting a rogue
 // peer exhaust memory.
 const maxBody = 256 << 20
@@ -769,7 +769,7 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 }
 
 // bodyPresizeCap is the most a Content-Length header may reserve ahead
-// of the bytes it announces: comfortably above an exact shard of a deep
+// of the bytes it announces: comfortably above a shard of a deep
 // campaign, far below maxBody.
 const bodyPresizeCap = 4 << 20
 

@@ -15,8 +15,7 @@ import (
 	"repro/internal/measure"
 )
 
-// testSweep is the shared workload: two exact campaigns and one streaming
-// campaign (so both shard encodings cross the wire), several replications
+// testSweep is the shared workload: three campaigns, several replications
 // each so the queue actually distributes.
 func testSweep() []experiment.CampaignSpec {
 	spec := func(seed int64, proto experiment.ProtocolKind) experiment.Spec {
@@ -25,7 +24,7 @@ func testSweep() []experiment.CampaignSpec {
 	return []experiment.CampaignSpec{
 		{Name: "bitcoin", Spec: spec(21, experiment.ProtoBitcoin), Replications: 3, Runs: 3, Deadline: 30 * time.Second},
 		{Name: "lbc", Spec: spec(21, experiment.ProtoLBC), Replications: 2, Runs: 3, Deadline: 30 * time.Second},
-		{Name: "bitcoin-stream", Spec: spec(22, experiment.ProtoBitcoin), Replications: 2, Runs: 3, Deadline: 30 * time.Second, Streaming: true},
+		{Name: "bitcoin-seed22", Spec: spec(22, experiment.ProtoBitcoin), Replications: 2, Runs: 3, Deadline: 30 * time.Second},
 	}
 }
 

@@ -61,7 +61,7 @@ func TestStatusProgressAndETA(t *testing.T) {
 	}
 
 	// Per-campaign partition: testSweep is bitcoin=3, lbc=2,
-	// bitcoin-stream=2 replications; queue order hands out bitcoin first.
+	// bitcoin-seed22=2 replications; queue order hands out bitcoin first.
 	if len(st.Campaigns) != 3 {
 		t.Fatalf("campaign breakdown: %+v", st.Campaigns)
 	}

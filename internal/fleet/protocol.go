@@ -40,11 +40,10 @@
 //     order at merge time — coordinator memory stays flat however deep
 //     the sweep.
 //
-// Both pooling modes round-trip: streaming shards ship the fixed-size
-// sketch (O(KiB) per unit), exact shards ship every sample and per-run
-// result. Every shard carries its spec fingerprint and the coordinator
-// rejects commits whose fingerprint does not match the campaign it leased
-// — a worker running skewed code cannot silently poison a sweep.
+// A shard ships every sample and per-run result of its unit. Every shard
+// carries its spec fingerprint and the coordinator rejects commits whose
+// fingerprint does not match the campaign it leased — a worker running
+// skewed code cannot silently poison a sweep.
 package fleet
 
 import (

@@ -270,7 +270,7 @@ func (w *Worker) runLease(ctx context.Context, client *Client, campaigns []exper
 		defer renewWG.Done()
 		w.renewLoop(renewCtx, client, l, cancelUnit)
 	}()
-	// The heartbeat spans the commit exchange too — a megabyte exact
+	// The heartbeat spans the commit exchange too — a megabyte
 	// shard takes a while to upload, and the lease must stay live until
 	// the coordinator has adjudicated it — then stops when the unit is
 	// settled, waited out so a slot never leaves a stray renewer behind.

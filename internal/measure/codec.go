@@ -5,31 +5,27 @@
 //	offset 0   4 bytes   magic "BCS" + format version (shardVersion)
 //	offset 4   8 bytes   Fingerprint, little-endian
 //	           uvarint   Lost
-//	           1 byte    distribution kind (distKindExact, distKindStreaming)
-//	exact:     uvarint   sample count n; if n > 0: varint first (smallest)
+//	           1 byte    distribution kind, always distKindExact (kind 1
+//	                     is retired; a shard carrying it is refused)
+//	           uvarint   sample count n; if n > 0: varint first (smallest)
 //	                     sample, then n-1 uvarint gaps between consecutive
 //	                     sorted samples
-//	streaming: uvarint   n; varint sum, min, max; uvarint bucket count;
-//	                     per non-zero bucket, ascending: uvarint index gap
-//	                     (the first is the index itself, later ones are
-//	                     index - previous index, never 0), uvarint count
 //	           uvarint   PerRun count; per run: 32 raw bytes TxID, varint
 //	                     InjectedAt, uvarint delta count, per delta in
-//	                     ascending connection-ID order: uvarint ID gap (as
-//	                     for buckets), varint Δt; uvarint Missing count,
-//	                     per entry: uvarint ID, in recorded order
+//	                     ascending connection-ID order: uvarint ID gap (the
+//	                     first is the ID itself, later ones are ID - previous
+//	                     ID, never 0), varint Δt; uvarint Missing count, per
+//	                     entry: uvarint ID, in recorded order
 //
 // The header is fixed so that a coordinator checks a shard's fingerprint
 // with ShardFingerprint — a slice index — without decoding the body.
 //
 // Round-trip contract: decode(encode(r)) is bit-identical to r — the
 // property the fleet's "merged outcome equals a single-machine sweep"
-// guarantee rests on. Exact distributions ship their sorted samples and
-// rebuild through newSortedDistribution (same samples, same summation
-// order, same float bits as NewDistribution); streaming distributions
-// ship the sketch's integer state and rebuild it verbatim. A zero-length
-// Missing decodes to nil and Deltas to a non-nil map, which is what
-// MeasureOnce produces.
+// guarantee rests on. Distributions ship their sorted samples and rebuild
+// through newSortedDistribution (same samples, same summation order, same
+// float bits as NewDistribution). A zero-length Missing decodes to nil and
+// Deltas to a non-nil map, which is what MeasureOnce produces.
 //
 // The decoder runs on bytes from a socket: every announced length is
 // checked against the bytes that remain before anything is allocated, so
@@ -57,15 +53,12 @@ const shardHeaderLen = 12
 
 var shardMagic = [4]byte{'B', 'C', 'S', shardVersion}
 
-// distKind tags the wire form of a Distribution.
-const (
-	distKindExact     = 0
-	distKindStreaming = 1
-)
+// distKindExact tags the wire form of a Distribution.
+const distKindExact = 0
 
 // Smallest wire size of one element of each announced list, the divisor
 // of the length checks: a run is TxID + InjectedAt + two counts, a delta
-// or bucket is two varints, a sample gap or missing ID is one.
+// is two varints, a sample gap or missing ID is one.
 const (
 	minRunBytes  = 32 + 3
 	minPairBytes = 2
@@ -95,9 +88,7 @@ func shardHeader(data []byte) (uint64, error) {
 	return binary.LittleEndian.Uint64(data[4:shardHeaderLen]), nil
 }
 
-// EncodeCampaignResult serializes a shard result for shipping. Both exact
-// and streaming results round-trip; streaming shards serialize compactly
-// (the sparse sketch, not the samples).
+// EncodeCampaignResult serializes a shard result for shipping.
 func EncodeCampaignResult(r CampaignResult) ([]byte, error) {
 	if r.Lost < 0 {
 		return nil, fmt.Errorf("measure: encode campaign result: negative Lost %d", r.Lost)
@@ -111,39 +102,16 @@ func EncodeCampaignResult(r CampaignResult) ([]byte, error) {
 	binary.LittleEndian.PutUint64(b[4:], r.Fingerprint)
 	b = binary.AppendUvarint(b, uint64(r.Lost))
 
-	if s := r.Dist.sketch; s != nil {
-		b = append(b, distKindStreaming)
-		b = binary.AppendUvarint(b, s.n)
-		b = binary.AppendVarint(b, s.sum)
-		b = binary.AppendVarint(b, int64(s.min))
-		b = binary.AppendVarint(b, int64(s.max))
-		nonZero := 0
-		for _, c := range s.counts {
-			if c != 0 {
-				nonZero++
-			}
+	b = append(b, distKindExact)
+	b = binary.AppendUvarint(b, uint64(len(r.Dist.sorted)))
+	for i, v := range r.Dist.sorted {
+		if i == 0 {
+			b = binary.AppendVarint(b, int64(v))
+			continue
 		}
-		b = binary.AppendUvarint(b, uint64(nonZero))
-		prev := 0
-		for i, c := range s.counts {
-			if c != 0 {
-				b = binary.AppendUvarint(b, uint64(i-prev))
-				b = binary.AppendUvarint(b, c)
-				prev = i
-			}
-		}
-	} else {
-		b = append(b, distKindExact)
-		b = binary.AppendUvarint(b, uint64(len(r.Dist.sorted)))
-		for i, v := range r.Dist.sorted {
-			if i == 0 {
-				b = binary.AppendVarint(b, int64(v))
-				continue
-			}
-			// Wrapping subtraction: the true gap of two int64s always
-			// fits a uint64.
-			b = binary.AppendUvarint(b, uint64(v)-uint64(r.Dist.sorted[i-1]))
-		}
+		// Wrapping subtraction: the true gap of two int64s always fits a
+		// uint64.
+		b = binary.AppendUvarint(b, uint64(v)-uint64(r.Dist.sorted[i-1]))
 	}
 
 	b = binary.AppendUvarint(b, uint64(len(r.PerRun)))
@@ -245,8 +213,8 @@ func (r *shardReader) count(what string, minBytes int) int {
 	return int(n)
 }
 
-// ascending adds an ID or index gap to prev. After the first element a
-// zero gap would repeat the previous value, which no encoder writes.
+// ascending adds an ID gap to prev. After the first element a zero gap
+// would repeat the previous value, which no encoder writes.
 func (r *shardReader) ascending(what string, prev uint64, first bool) uint64 {
 	gap := r.uvarint()
 	if !first && gap == 0 {
@@ -276,8 +244,6 @@ func decodeCampaignResult(data []byte) (CampaignResult, error) {
 	case kind == nil:
 	case kind[0] == distKindExact:
 		out.Dist = r.exactDist()
-	case kind[0] == distKindStreaming:
-		out.Dist = r.streamingDist()
 	default:
 		r.fail(fmt.Errorf("unknown distribution kind %d", kind[0]))
 	}
@@ -319,27 +285,6 @@ func (r *shardReader) exactDist() Distribution {
 		return Distribution{}
 	}
 	return newSortedDistribution(sorted)
-}
-
-func (r *shardReader) streamingDist() Distribution {
-	s := NewStreamingDistribution()
-	s.n = r.uvarint()
-	s.sum = r.varint()
-	s.min = time.Duration(r.varint())
-	s.max = time.Duration(r.varint())
-	idx := uint64(0)
-	for i, n := 0, r.count("sketch buckets", minPairBytes); i < n; i++ {
-		idx = r.ascending("sketch bucket index", idx, i == 0)
-		if idx >= uint64(len(s.counts)) {
-			r.fail(fmt.Errorf("sketch bucket index %d outside [0, %d)", idx, len(s.counts)))
-			break
-		}
-		s.counts[idx] = r.uvarint()
-	}
-	if r.err != nil {
-		return Distribution{}
-	}
-	return s.dist()
 }
 
 func (r *shardReader) run(run *RunResult) {

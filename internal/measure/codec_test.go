@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,38 +72,6 @@ func TestCodecExactRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecStreamingRoundTrip: a sketch-backed result must ship its
-// integer state exactly, including the zero bucket, the extremes, and a
-// heavy tail, and come back Equal.
-func TestCodecStreamingRoundTrip(t *testing.T) {
-	s := NewStreamingDistribution()
-	s.Add(0)
-	s.Add(1)
-	s.AddN(17*time.Millisecond, 12345)
-	s.Add(2 * time.Hour)
-	s.Add(time.Duration(1) << 60)
-	res := CampaignResult{Dist: s.Dist(), Lost: 3, Fingerprint: 99}
-	got := roundTrip(t, res)
-	if !got.Dist.Equal(res.Dist) {
-		t.Errorf("sketch changed over the wire: %v vs %v", got.Dist, res.Dist)
-	}
-	if !got.Dist.Streaming() {
-		t.Error("streaming distribution came back exact")
-	}
-	if got.Lost != res.Lost || got.Fingerprint != res.Fingerprint {
-		t.Errorf("Lost/Fingerprint lost in transit")
-	}
-	// Compact shipping is the point: 5 distinct values must not serialize
-	// the dense bucket array.
-	data, err := EncodeCampaignResult(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) > 1024 {
-		t.Errorf("streaming shard serialized to %d bytes; sparse encoding expected", len(data))
-	}
-}
-
 // TestCodecEmptyRoundTrip: the zero result must round-trip to the zero
 // result (merging relies on zero-value shards being inert).
 func TestCodecEmptyRoundTrip(t *testing.T) {
@@ -126,11 +95,11 @@ func sv(v int64) []byte  { return binary.AppendVarint(nil, v) }
 
 func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
-// codecFixtures is one small exact and one small streaming shard: the
-// golden-bytes pins, the truncation sweep and the fuzz seeds share them.
-func codecFixtures(t testing.TB) (exact, streaming []byte) {
+// codecFixture is one small shard: the golden-bytes pin, the truncation
+// sweep and the fuzz seeds share it.
+func codecFixture(t testing.TB) []byte {
 	t.Helper()
-	exact, err := EncodeCampaignResult(CampaignResult{
+	shard, err := EncodeCampaignResult(CampaignResult{
 		Dist: NewDistribution([]time.Duration{3 * time.Millisecond, time.Millisecond, 2 * time.Second}),
 		PerRun: []RunResult{{
 			TxID:       chain.Hash{1, 2, 3},
@@ -144,15 +113,29 @@ func codecFixtures(t testing.TB) (exact, streaming []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewStreamingDistribution()
-	s.Add(0)
-	s.AddN(40*time.Millisecond, 1000)
-	s.Add(9 * time.Second)
-	streaming, err = EncodeCampaignResult(CampaignResult{Dist: s.Dist(), Fingerprint: 7})
+	return shard
+}
+
+// retiredStreamingShards are two shards of distribution kind 1, the sketch
+// form this codec once carried: the last golden bytes its encoder was
+// pinned to (n = 1002 over three buckets), and a hand-assembled one whose
+// state no sketch could reach — n = 2^64-1 over three bucketed samples, a
+// negative sum, min above max — which that decoder accepted. Both must be
+// refused as an unknown kind, whatever their bodies say.
+func retiredStreamingShards(t testing.TB) map[string][]byte {
+	t.Helper()
+	golden, err := hex.DecodeString("42435301" + "0700000000000000" +
+		"00" + "01" + "ea07" + "80a8858aed02" + "00" + "80e8888743" + // Lost, streaming, n, sum, min, max
+		"03" + "00" + "01" + "f406" + "e807" + "9202" + "01" + // 3 buckets (index gap, count)
+		"00") // no runs
 	if err != nil {
 		t.Fatal(err)
 	}
-	return exact, streaming
+	return map[string][]byte{
+		"golden streaming shard": golden,
+		"inconsistent sketch state": rawShard(cat([]byte{0, 1}, uv(math.MaxUint64), sv(-1), sv(9), sv(1),
+			uv(2), uv(0), uv(1), uv(2207), uv(2), uv(0))...),
+	}
 }
 
 // TestCodecRejectsUnknownKind guards the decoder against version drift
@@ -168,12 +151,6 @@ func TestCodecRejectsUnknownKind(t *testing.T) {
 		"unknown magic":     append([]byte("JSON"), rawShard(cat(emptyDist, uv(0))...)[4:]...),
 		"unknown version": append([]byte{'B', 'C', 'S', shardVersion + 1},
 			rawShard(cat(emptyDist, uv(0))...)[4:]...),
-		"bucket index out of range": rawShard(cat(
-			[]byte{0, distKindStreaming}, uv(1), sv(5), sv(5), sv(5),
-			uv(1), uv(99999), uv(1), uv(0))...),
-		"bucket index repeated": rawShard(cat(
-			[]byte{0, distKindStreaming}, uv(2), sv(10), sv(5), sv(5),
-			uv(2), uv(400), uv(1), uv(0), uv(1), uv(0))...),
 		"non-increasing connection IDs": rawShard(oneRun(uv(2), uv(5), sv(1), uv(0), sv(1))...),
 		"sample past int64":             rawShard(cat([]byte{0, distKindExact}, uv(2), sv(math.MaxInt64), uv(1), uv(0))...),
 		"trailing byte":                 rawShard(cat(emptyDist, uv(0), []byte{0})...),
@@ -194,16 +171,20 @@ func TestCodecRejectsUnknownKind(t *testing.T) {
 		}
 	}
 
-	exact, streaming := codecFixtures(t)
-	for _, shard := range [][]byte{exact, streaming} {
-		for n := 0; n < len(shard); n++ {
-			if _, err := DecodeCampaignResult(shard[:n]); err == nil {
-				t.Errorf("shard truncated to %d of %d bytes decoded without error", n, len(shard))
-			}
+	for name, data := range retiredStreamingShards(t) {
+		if _, err := DecodeCampaignResult(data); err == nil || !strings.Contains(err.Error(), "unknown distribution kind 1") {
+			t.Errorf("%s: err = %v, want unknown distribution kind 1", name, err)
 		}
-		if _, err := DecodeCampaignResult(append(shard[:len(shard):len(shard)], 0)); err == nil {
-			t.Error("shard with a trailing byte decoded without error")
+	}
+
+	shard := codecFixture(t)
+	for n := 0; n < len(shard); n++ {
+		if _, err := DecodeCampaignResult(shard[:n]); err == nil {
+			t.Errorf("shard truncated to %d of %d bytes decoded without error", n, len(shard))
 		}
+	}
+	if _, err := DecodeCampaignResult(append(shard[:len(shard):len(shard)], 0)); err == nil {
+		t.Error("shard with a trailing byte decoded without error")
 	}
 }
 
@@ -217,7 +198,6 @@ func TestDecodeRejectsHostileLengths(t *testing.T) {
 	emptyDist := []byte{0, distKindExact, 0}
 	cases := map[string][]byte{
 		"samples": pad(rawShard(cat([]byte{0, distKindExact}, uv(huge))...), 24),
-		"buckets": pad(rawShard(cat([]byte{0, distKindStreaming, 0, 0, 0, 0}, uv(huge))...), 24),
 		"runs":    pad(rawShard(cat(emptyDist, uv(huge))...), 24),
 		"deltas":  pad(rawShard(cat(emptyDist, uv(1), make([]byte, 32), sv(0), uv(huge))...), 64),
 		"missing": pad(rawShard(cat(emptyDist, uv(1), make([]byte, 32), sv(0), uv(0), uv(huge))...), 64),
@@ -230,11 +210,9 @@ func TestDecodeRejectsHostileLengths(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		allocs := testing.AllocsPerRun(100, func() { _, _ = DecodeCampaignResult(data) })
 		runtime.ReadMemStats(&after)
-		// A streaming body allocates the fixed sketch (sketchBuckets
-		// counters) before it reads the bucket count; nothing else here
-		// allocates beyond the error value.
+		// Nothing here allocates beyond the error value.
 		perRun := (after.TotalAlloc - before.TotalAlloc) / 101
-		if allocs > 12 || perRun > 8*sketchBuckets+4096 {
+		if allocs > 12 || perRun > 4096 {
 			t.Errorf("%s: %v allocations, %d bytes per rejected decode", name, allocs, perRun)
 		}
 	}
@@ -243,23 +221,15 @@ func TestDecodeRejectsHostileLengths(t *testing.T) {
 // TestShardGoldenBytes pins the wire form byte for byte, so a layout
 // change shows up as a diff here (and must come with a shardVersion bump).
 func TestShardGoldenBytes(t *testing.T) {
-	exact, streaming := codecFixtures(t)
 	const (
 		wantExact = "42435301" + "0df0fecaefbeadde" + // magic+version, fingerprint
 			"01" + "00" + "03" + "80897a" + "80897a" + "c09a9fb807" + // Lost, exact, 3 samples: first, two gaps
 			"01" + "0102030000000000000000000000000000000000000000000000000000000000" + // 1 run, TxID
 			"8090a9f6b802" + "02" + "03" + "80b8b872" + "06" + "80e6d1a702" + // InjectedAt, 2 deltas (ID gap, Δt)
 			"01" + "05" // 1 missing connection
-		wantStreaming = "42435301" + "0700000000000000" +
-			"00" + "01" + "ea07" + "80a8858aed02" + "00" + "80e8888743" + // Lost, streaming, n, sum, min, max
-			"03" + "00" + "01" + "f406" + "e807" + "9202" + "01" + // 3 buckets (index gap, count)
-			"00" // no runs
 	)
-	if got := hex.EncodeToString(exact); got != wantExact {
+	if got := hex.EncodeToString(codecFixture(t)); got != wantExact {
 		t.Errorf("exact shard bytes changed:\n got %s\nwant %s", got, wantExact)
-	}
-	if got := hex.EncodeToString(streaming); got != wantStreaming {
-		t.Errorf("streaming shard bytes changed:\n got %s\nwant %s", got, wantStreaming)
 	}
 }
 
@@ -287,20 +257,18 @@ func TestMergeRejectsMismatchedFingerprints(t *testing.T) {
 // FuzzDecodeCampaignResult feeds the shard decoder — what a fleet
 // coordinator runs on bytes from a socket and from its spool — arbitrary
 // input. It must never panic; whatever it accepts must summarise without
-// panicking, however inconsistent the sketch state it was handed, and must
-// re-encode to a fixed point: encode(decode(x)) decodes and encodes to the
-// same bytes again, so a shard cannot change by being stored and re-read.
+// panicking and must re-encode to a fixed point: encode(decode(x)) decodes
+// and encodes to the same bytes again, so a shard cannot change by being
+// stored and re-read.
 func FuzzDecodeCampaignResult(f *testing.F) {
-	exact, streaming := codecFixtures(f)
+	exact := codecFixture(f)
 	f.Add(exact)
-	f.Add(streaming)
 	f.Add(exact[:len(exact)/2])
+	for _, retired := range retiredStreamingShards(f) {
+		f.Add(retired)
+	}
 	// A Lost varint that never terminates within 64 bits.
 	f.Add(rawShard(bytes.Repeat([]byte{0xff}, 11)...))
-	// Inconsistent sketch state: n far above the bucket total, a negative
-	// sum, min above max.
-	f.Add(rawShard(cat([]byte{0, distKindStreaming}, uv(math.MaxUint64), sv(-1), sv(9), sv(1),
-		uv(2), uv(0), uv(1), uv(2207), uv(2), uv(0))...))
 	// The JSON shard form this codec replaced: all of it must be refused.
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"Dist":{"kind":"exact","samples_ns":[5,-1,5,9223372036854775807]},"Lost":-3}`))

@@ -36,12 +36,8 @@ func WriteCDFCSV(w io.Writer, names []string, dists []Distribution, points int) 
 }
 
 // WriteSamplesCSV writes the raw samples of one distribution, one value
-// per row in milliseconds. Streaming distributions retain no raw samples
-// and are rejected — export their CDF instead.
+// per row in milliseconds.
 func WriteSamplesCSV(w io.Writer, name string, d Distribution) error {
-	if d.Streaming() {
-		return fmt.Errorf("measure: %s is sketch-backed and retains no samples; use WriteCDFCSV", name)
-	}
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"series", "delay_ms"}); err != nil {
 		return err

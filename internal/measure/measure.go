@@ -40,16 +40,6 @@ type MeasuringNode struct {
 	// observed. The hook writes a flat Time cell instead of a map entry,
 	// and the result map is assembled after the run.
 	deltaAt []sim.Time
-	// deltaPool and missingPool recycle per-run result state in streaming
-	// campaigns, where a run's RunResult is folded into the sketch and
-	// discarded: the campaign's thousandth run then allocates no result
-	// map or missing slice the first run did not. Exact campaigns retain
-	// every RunResult, so nothing is ever recycled into these pools and
-	// MeasureOnce allocates fresh state as before.
-	deltaPool   []map[p2p.NodeID]time.Duration
-	missingPool [][]p2p.NodeID
-	// idScratch is the reusable sort buffer for streaming folds.
-	idScratch []p2p.NodeID
 
 	// Trace, when non-nil, records one KindInject event per measurement
 	// run (the injected transaction's hash prefix and run index, stamped
@@ -104,7 +94,7 @@ func sortedIDs(m map[p2p.NodeID]time.Duration) []p2p.NodeID {
 }
 
 // appendSortedIDs appends m's keys to ids in ascending order, reusing the
-// caller's backing array (streaming folds pass a per-campaign scratch).
+// caller's backing array (the shard encoder passes one scratch per shard).
 func appendSortedIDs(ids []p2p.NodeID, m map[p2p.NodeID]time.Duration) []p2p.NodeID {
 	for id := range m {
 		ids = append(ids, id) //bcbptlint:allow maporder — the insertion sort below canonicalises the order
@@ -133,7 +123,7 @@ func (m *MeasuringNode) MeasureOnce(ctx context.Context, tx *chain.Tx, deadline 
 	}
 	txID := tx.ID()
 	start := m.net.Now()
-	res := RunResult{TxID: txID, InjectedAt: start, Deltas: m.newDeltas()}
+	res := RunResult{TxID: txID, InjectedAt: start, Deltas: make(map[p2p.NodeID]time.Duration)}
 
 	m.watchRun++
 	if m.watchRun == 0 {
@@ -222,43 +212,11 @@ func (m *MeasuringNode) MeasureOnce(ctx context.Context, tx *chain.Tx, deadline 
 			continue
 		}
 		if res.Missing == nil {
-			res.Missing = m.newMissing()
+			res.Missing = make([]p2p.NodeID, 0, 4)
 		}
 		res.Missing = append(res.Missing, p)
 	}
 	return res, nil
-}
-
-// newDeltas pops a recycled (cleared) per-run delta map, or allocates one.
-func (m *MeasuringNode) newDeltas() map[p2p.NodeID]time.Duration {
-	if last := len(m.deltaPool) - 1; last >= 0 {
-		d := m.deltaPool[last]
-		m.deltaPool = m.deltaPool[:last]
-		return d
-	}
-	return make(map[p2p.NodeID]time.Duration)
-}
-
-// newMissing pops a recycled zero-length missing slice, or allocates one.
-func (m *MeasuringNode) newMissing() []p2p.NodeID {
-	if last := len(m.missingPool) - 1; last >= 0 {
-		s := m.missingPool[last]
-		m.missingPool = m.missingPool[:last]
-		return s
-	}
-	return make([]p2p.NodeID, 0, 4)
-}
-
-// recycleRun returns a folded-and-forgotten run's state to the pools.
-// Only the streaming campaign path calls it: the exact path retains every
-// RunResult, and a retained result must never share its map or slice with
-// a later run.
-func (m *MeasuringNode) recycleRun(res RunResult) {
-	clear(res.Deltas)
-	m.deltaPool = append(m.deltaPool, res.Deltas)
-	if res.Missing != nil {
-		m.missingPool = append(m.missingPool, res.Missing[:0])
-	}
 }
 
 // Campaign runs the full §V.B methodology: `runs` independent injections
@@ -272,23 +230,13 @@ type Campaign struct {
 	// MakeTx supplies the transaction for run i. Transactions must have
 	// distinct IDs across runs.
 	MakeTx func(i int) *chain.Tx
-	// Streaming switches the campaign onto the bounded-memory measurement
-	// path: Δt samples fold into a StreamingDistribution as each run
-	// completes (O(buckets) memory instead of O(Runs × connections)) and
-	// per-run results are not retained. The exactness escape hatch is the
-	// default: leave Streaming false and the campaign pools every sample
-	// exactly, as tests and small campaigns expect.
-	Streaming bool
 }
 
 // CampaignResult aggregates a campaign.
 type CampaignResult struct {
-	// Dist pools every Δt(m,n) sample — exactly, or as a bounded sketch
-	// when the campaign ran with Streaming set.
+	// Dist pools every Δt(m,n) sample.
 	Dist Distribution
 	// PerRun keeps each run's result for variance-vs-connection analyses.
-	// Empty in Streaming mode, whose point is not to retain per-sample
-	// state.
 	PerRun []RunResult
 	// Lost counts connection-runs that missed the deadline.
 	Lost int
@@ -321,45 +269,25 @@ func (m *MeasuringNode) RunContext(ctx context.Context, c Campaign) (CampaignRes
 	}
 	var out CampaignResult
 	var samples []time.Duration
-	var sketch *StreamingDistribution
-	if c.Streaming {
-		sketch = NewStreamingDistribution()
-	}
-	pool := func() Distribution {
-		if c.Streaming {
-			return sketch.Dist()
-		}
-		return NewDistribution(samples)
-	}
 	for i := 0; i < c.Runs; i++ {
 		if err := ctx.Err(); err != nil {
-			out.Dist = pool()
+			out.Dist = NewDistribution(samples)
 			return out, fmt.Errorf("measure: campaign stopped after %d of %d runs: %w", i, c.Runs, err)
 		}
 		m.net.ResetInventory()
 		res, err := m.MeasureOnce(ctx, c.MakeTx(i), c.Deadline)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				out.Dist = pool()
+				out.Dist = NewDistribution(samples)
 				return out, fmt.Errorf("measure: campaign stopped during run %d of %d: %w", i+1, c.Runs, err)
 			}
 			return CampaignResult{}, fmt.Errorf("measure: run %d: %w", i, err)
 		}
 		out.Lost += len(res.Missing)
-		if c.Streaming {
-			// Fold and forget: neither the samples nor the run survive.
-			// The run's map and slice go back to the pools.
-			m.idScratch = appendSortedIDs(m.idScratch[:0], res.Deltas)
-			for _, id := range m.idScratch {
-				sketch.Add(res.Deltas[id])
-			}
-			m.recycleRun(res)
-			continue
-		}
 		out.PerRun = append(out.PerRun, res)
 		samples = append(samples, res.All()...)
 	}
-	out.Dist = pool()
+	out.Dist = NewDistribution(samples)
 	return out, nil
 }
 

@@ -13,26 +13,14 @@ import (
 	"time"
 )
 
-// Distribution summarises a sample of durations. It has two backing
-// representations behind one API:
-//
-//   - exact: built with NewDistribution, retaining every (sorted) sample —
-//     O(samples) memory, bit-exact statistics. The right choice for tests
-//     and small campaigns, and the default everywhere.
-//   - streaming: built with StreamingDistribution.Dist, retaining a fixed
-//     log-bucket sketch — O(buckets) memory, ~1% value accuracy on
-//     quantiles/std, exact N/mean/min/max. The choice for paper-scale
-//     sweeps whose pooled samples would not fit in memory.
-//
-// Both kinds are immutable once built, merge deterministically and
-// order-independently via MergeDistributions, and render identically
-// through CDF/ASCIICDF/CSV. Use Streaming to tell them apart.
+// Distribution summarises a sample of durations. It retains every sample,
+// sorted — 8 bytes each, bit-exact statistics — is immutable once built,
+// and merges deterministically and order-independently via
+// MergeDistributions.
 type Distribution struct {
 	sorted []time.Duration
 	mean   time.Duration
 	std    time.Duration
-	// sketch, when non-nil, backs the distribution instead of sorted.
-	sketch *StreamingDistribution
 }
 
 // NewDistribution copies and summarises samples. Empty input yields a
@@ -44,7 +32,7 @@ func NewDistribution(samples []time.Duration) Distribution {
 }
 
 // newSortedDistribution summarises samples that are already ascending,
-// taking ownership of the slice. Every exact Distribution is built here,
+// taking ownership of the slice. Every Distribution is built here,
 // so mean and std always sum in ascending order and equal samples give
 // equal float bits whichever path sorted them.
 func newSortedDistribution(s []time.Duration) Distribution {
@@ -70,44 +58,17 @@ func newSortedDistribution(s []time.Duration) Distribution {
 }
 
 // N returns the sample count.
-func (d Distribution) N() int {
-	if d.sketch != nil {
-		return d.sketch.N()
-	}
-	return len(d.sorted)
-}
-
-// Streaming reports whether the distribution is sketch-backed (bounded
-// memory, ~1% value accuracy) rather than exact.
-func (d Distribution) Streaming() bool { return d.sketch != nil }
-
-// Retained returns how many raw samples the distribution holds in memory:
-// N() for an exact distribution, 0 for a sketch-backed one. Memory-bound
-// tests assert against it.
-func (d Distribution) Retained() int { return len(d.sorted) }
+func (d Distribution) N() int { return len(d.sorted) }
 
 // Samples returns a copy of the sorted sample slice. Exposed so callers
 // (tests, serializers, merge layers) can compare distributions for exact
-// equality without reaching into internals. Sketch-backed distributions
-// retain no samples and return nil.
+// equality without reaching into internals.
 func (d Distribution) Samples() []time.Duration {
-	if d.sketch != nil {
-		return nil
-	}
 	return append([]time.Duration(nil), d.sorted...)
 }
 
-// Equal reports whether two distributions carry exactly the same state:
-// identical samples for exact distributions, bit-identical sketch state
-// for streaming ones. An exact and a streaming distribution are never
-// equal, even over the same samples.
+// Equal reports whether two distributions carry exactly the same samples.
 func (d Distribution) Equal(o Distribution) bool {
-	if (d.sketch != nil) != (o.sketch != nil) {
-		return false
-	}
-	if d.sketch != nil {
-		return d.sketch.equal(o.sketch)
-	}
 	if len(d.sorted) != len(o.sorted) || d.mean != o.mean || d.std != o.std {
 		return false
 	}
@@ -121,31 +82,8 @@ func (d Distribution) Equal(o Distribution) bool {
 
 // MergeDistributions pools the given distributions into one. The result
 // depends only on the multiset of samples, never on the argument order,
-// so sharded computations merge deterministically. If every input is
-// exact the merge is exact; if any input is sketch-backed the merge is a
-// sketch (exact inputs fold their samples into it bucket-wise, which is
-// itself order-independent).
+// so sharded computations merge deterministically.
 func MergeDistributions(ds ...Distribution) Distribution {
-	streaming := false
-	for _, d := range ds {
-		if d.sketch != nil {
-			streaming = true
-			break
-		}
-	}
-	if streaming {
-		s := NewStreamingDistribution()
-		for _, d := range ds {
-			if d.sketch != nil {
-				s.Merge(d.sketch)
-				continue
-			}
-			for _, v := range d.sorted {
-				s.Add(v)
-			}
-		}
-		return s.Dist()
-	}
 	runs := make([][]time.Duration, len(ds))
 	for i, d := range ds {
 		runs[i] = d.sorted
@@ -222,42 +160,25 @@ func (d Distribution) Mean() time.Duration { return d.mean }
 // time units.
 func (d Distribution) Std() time.Duration { return d.std }
 
-// Variance returns the population variance in seconds squared.
-func (d Distribution) Variance() float64 {
-	s := float64(d.std) / float64(time.Second)
-	return s * s
-}
-
-// Min returns the smallest sample (0 if empty). Exact for both kinds.
+// Min returns the smallest sample (0 if empty).
 func (d Distribution) Min() time.Duration {
-	if d.sketch != nil {
-		return d.sketch.Min()
-	}
 	if len(d.sorted) == 0 {
 		return 0
 	}
 	return d.sorted[0]
 }
 
-// Max returns the largest sample (0 if empty). Exact for both kinds.
+// Max returns the largest sample (0 if empty).
 func (d Distribution) Max() time.Duration {
-	if d.sketch != nil {
-		return d.sketch.Max()
-	}
 	if len(d.sorted) == 0 {
 		return 0
 	}
 	return d.sorted[len(d.sorted)-1]
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100): linear
-// interpolation between closest ranks for exact distributions, the
-// closest-rank bucket representative (~1% value accuracy) for streaming
-// ones.
+// Percentile returns the p-th percentile (0 <= p <= 100) by linear
+// interpolation between closest ranks.
 func (d Distribution) Percentile(p float64) time.Duration {
-	if d.sketch != nil {
-		return d.sketch.Percentile(p)
-	}
 	n := len(d.sorted)
 	if n == 0 {
 		return 0
@@ -305,8 +226,6 @@ type CDFPoint struct {
 }
 
 // Histogram buckets the samples into n equal-width bins over [Min, Max].
-// For streaming distributions each log bucket contributes its count at
-// its representative value.
 func (d Distribution) Histogram(bins int) []HistBin {
 	if bins < 1 || d.N() == 0 {
 		return nil
@@ -321,23 +240,12 @@ func (d Distribution) Histogram(bins int) []HistBin {
 		out[i].Low = lo + time.Duration(i)*width
 		out[i].High = out[i].Low + width
 	}
-	place := func(v time.Duration, count int) {
+	for _, v := range d.sorted {
 		idx := int((v - lo) / width)
 		if idx >= bins {
 			idx = bins - 1
 		}
-		out[idx].Count += count
-	}
-	if d.sketch != nil {
-		for i, c := range d.sketch.counts {
-			if c != 0 {
-				place(d.sketch.clampRep(i), int(c))
-			}
-		}
-		return out
-	}
-	for _, v := range d.sorted {
-		place(v, 1)
+		out[idx].Count++
 	}
 	return out
 }

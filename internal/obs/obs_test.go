@@ -3,34 +3,12 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
-
-// fakeSketch is a minimal Sketch for registry tests.
-type fakeSketch struct {
-	n   uint64
-	sum time.Duration
-	min time.Duration
-	max time.Duration
-}
-
-func (f *fakeSketch) AddN(v time.Duration, count uint64) {
-	if f.n == 0 || v < f.min {
-		f.min = v
-	}
-	if v > f.max {
-		f.max = v
-	}
-	f.n += count
-	f.sum += v * time.Duration(count)
-}
-func (f *fakeSketch) N() int                             { return int(f.n) }
-func (f *fakeSketch) Sum() time.Duration                 { return f.sum }
-func (f *fakeSketch) Min() time.Duration                 { return f.min }
-func (f *fakeSketch) Max() time.Duration                 { return f.max }
-func (f *fakeSketch) Percentile(p float64) time.Duration { return f.max }
 
 func TestShardRingWrap(t *testing.T) {
 	tr := NewTracer(4, 1)
@@ -177,7 +155,7 @@ func TestRecordDoesNotAllocate(t *testing.T) {
 }
 
 func TestRegistryPrometheus(t *testing.T) {
-	r := NewRegistry(func() Sketch { return &fakeSketch{} })
+	r := NewRegistry()
 	r.Counter(`bcbpt_messages_total{command="inv"}`).Add(41)
 	r.Counter(`bcbpt_messages_total{command="inv"}`).Inc()
 	r.Counter(`bcbpt_messages_total{command="tx"}`).Add(7)
@@ -198,13 +176,23 @@ func TestRegistryPrometheus(t *testing.T) {
 		`bcbpt_messages_total{command="inv"} 42` + "\n",
 		`bcbpt_messages_total{command="tx"} 7` + "\n",
 		"# TYPE bcbpt_unit_run_seconds summary\n",
-		`bcbpt_unit_run_seconds{campaign="bitcoin",quantile="0.5"} 4` + "\n",
 		`bcbpt_unit_run_seconds_sum{campaign="bitcoin"} 6` + "\n",
 		`bcbpt_unit_run_seconds_count{campaign="bitcoin"} 2` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
+	}
+	// The series labelled quantile="0.5" is the median, to the sketch's
+	// value accuracy: halfway between the two observations.
+	const p50 = `bcbpt_unit_run_seconds{campaign="bitcoin",quantile="0.5"} `
+	_, rest, ok := strings.Cut(out, p50)
+	if !ok {
+		t.Fatalf("exposition missing %q:\n%s", p50, out)
+	}
+	line, _, _ := strings.Cut(rest, "\n")
+	if got, err := strconv.ParseFloat(line, 64); err != nil || math.Abs(got-3) > 3*sketchTolerance {
+		t.Fatalf("p50 of {2s, 4s} rendered as %q (%v), want about 3", line, err)
 	}
 	// Deterministic: two renders are byte-identical.
 	var buf2 bytes.Buffer

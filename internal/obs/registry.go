@@ -11,19 +11,6 @@ import (
 	"time"
 )
 
-// Sketch is the quantile backend a Histogram records into. It is
-// satisfied by *measure.StreamingDistribution; obs declares the
-// interface instead of importing measure so packages below measure in
-// the dependency graph (p2p, sim) can still import obs.
-type Sketch interface {
-	AddN(v time.Duration, count uint64)
-	N() int
-	Sum() time.Duration
-	Min() time.Duration
-	Max() time.Duration
-	Percentile(p float64) time.Duration
-}
-
 // Counter is a monotonically increasing atomic counter.
 type Counter struct{ v atomic.Uint64 }
 
@@ -48,12 +35,12 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 // Value reads the gauge.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram records durations into a Sketch under a mutex. It is meant
+// Histogram records durations into a sketch under a mutex. It is meant
 // for control-plane rates (per-unit timings), not per-message hot paths —
 // those use the Tracer or flat counters.
 type Histogram struct {
 	mu sync.Mutex
-	s  Sketch
+	s  sketch
 }
 
 // Observe records one duration.
@@ -75,22 +62,18 @@ var histQuantiles = []float64{0.5, 0.9, 0.99}
 // mutex-guarded; the returned handles are lock-free atomics, so callers
 // resolve them once at setup and update them freely after.
 type Registry struct {
-	mu        sync.Mutex
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
-	hists     map[string]*Histogram
-	newSketch func() Sketch
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
 }
 
-// NewRegistry returns an empty registry. newSketch constructs the
-// backend for each histogram (pass nil for a registry that uses no
-// histograms; Histogram then panics, loudly, at registration).
-func NewRegistry(newSketch func() Sketch) *Registry {
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry {
 	return &Registry{
-		counters:  make(map[string]*Counter),
-		gauges:    make(map[string]*Gauge),
-		hists:     make(map[string]*Histogram),
-		newSketch: newSketch,
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		hists:    make(map[string]*Histogram),
 	}
 }
 
@@ -124,10 +107,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		if r.newSketch == nil {
-			panic(fmt.Sprintf("obs: registry has no sketch constructor for histogram %q", name))
-		}
-		h = &Histogram{s: r.newSketch()}
+		h = &Histogram{}
 		r.hists[name] = h
 	}
 	return h
@@ -199,7 +179,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		for _, q := range histQuantiles {
 			b.lines = append(b.lines, line{
 				withLabel(name, "quantile", strconv.FormatFloat(q, 'g', -1, 64)),
-				formatSeconds(h.s.Percentile(q)),
+				formatSeconds(h.s.Percentile(q * 100)),
 			})
 		}
 		b.lines = append(b.lines, line{withSuffix(name, "_sum"), formatSeconds(h.s.Sum())})
