@@ -15,7 +15,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 # follow everywhere (test fixtures, generated tables).
 STATICCHECK_CHECKS ?= all,-ST1000,-ST1003
 
-.PHONY: build test race bench bench-smoke fmt vet lint lint-tools fuzz-smoke fleet-smoke trace-smoke escapecheck ci
+.PHONY: build test race bench bench-smoke fmt vet lint lint-tools fuzz-smoke fleet-smoke trace-smoke escapecheck paper-digest ci
 
 build:
 	$(GO) build ./...
@@ -40,12 +40,14 @@ race:
 # shard decoder the fleet runs on bytes from a socket (no panic, and a
 # fixed point under re-encoding), over the commit endpoint that hands
 # it those bytes (arbitrary query and body against a live lease: no wrong
-# acceptance, no temp file left, resend is stale), and over the sweep-file
+# acceptance, no temp file left, resend is stale), over the sweep-file
 # parser (no panic; an accepted sweep written back out re-parses to the
-# same campaigns and fingerprints). 30s each: enough to shake out shallow
-# divergence regressions on every CI run without burning runner minutes. Set
-# FUZZ_RACE=-race to also run the fuzz executions under the race
-# detector (the stable CI leg does; slower, so off by default locally).
+# same campaigns and fingerprints), and over the trace spool reader (no
+# panic, no allocation sized by the header's count). 30s each: enough to
+# shake out shallow divergence regressions on every CI run without burning
+# runner minutes. Set FUZZ_RACE=-race to also run the fuzz executions under
+# the race detector (the stable CI leg does; slower, so off by default
+# locally).
 FUZZ_RACE ?=
 fuzz-smoke:
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzFlatNodeMatchesReference -fuzztime=30s ./internal/p2p
@@ -54,6 +56,7 @@ fuzz-smoke:
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzDecodeCampaignResult -fuzztime=30s ./internal/measure
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzCommitBody -fuzztime=30s ./internal/fleet
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzParseSweep -fuzztime=30s ./internal/experiment
+	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzReadSpool -fuzztime=30s ./internal/obs
 
 # Distributed-campaign smoke: a coordinator + 2 local workers (one
 # induced worker failure) must merge a tiny sweep byte-identical to the
@@ -68,7 +71,7 @@ trace-smoke:
 	sh scripts/tracesmoke.sh
 
 # Bench smoke: the Figure 3 benchmarks, the serial-vs-sharded Build pair,
-# the arena-vs-reference scheduler pair, and the 2000-node flood, one
+# the arena scheduler, and the 2000-node flood, one
 # iteration each (the scheduler microbenches get real benchtime via their
 # internal loops, the DNS ranking kernel runs one query per node of its
 # 3000-node registry, and the churn flood runs 25 floods per protocol,
@@ -92,6 +95,13 @@ bench:
 # which include every workload at smoke scale.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Paper scale pinned: figure3 at 5000 nodes, plain and under churn, against
+# the sha256 in internal/experiment/testdata/figure3_5000.sha256 (about ten
+# seconds; the test's doc comment has the regeneration commands). Run it on
+# any kernel or relay change that claims byte identity.
+paper-digest:
+	BCBPT_PAPER_SCALE=1 $(GO) test -run='^TestFigure3PaperScaleDigest$$' -count=1 -v ./internal/experiment
 
 # Escape-budget gate: the compiler's escape analysis over the kernel
 # packages, diffed per hot function against the pinned manifest. See

@@ -218,27 +218,16 @@ func BenchmarkRecommend3000(b *testing.B) {
 	b.ReportMetric(float64(chords)/n, "chord-evals/op")
 }
 
-// --- Tentpole: arena event kernel vs the pre-arena reference kernel ---
+// --- Arena event kernel ---
 //
-// The same steady-state workload — a rolling window of scheduled events
-// with a 25% cancellation rate, dispatched in batches — run once on the
-// arena Scheduler and once on ReferenceScheduler (the pre-arena kernel:
-// pointer heap nodes, a byID map, heap.Remove cancellation). Run with
-// -benchmem: the arena kernel must report 0 allocs/op after warm-up and
-// at least ~2x the reference's throughput; benchdiff.sh flags any
-// allocs/op regression here.
+// A steady-state workload — a rolling window of scheduled events with a
+// 25% cancellation rate, dispatched in batches. Run with -benchmem: the
+// arena kernel must report 0 allocs/op after warm-up; benchdiff.sh flags
+// any allocs/op regression here. (The pre-arena kernel it was once paired
+// with is the differential oracle in internal/sim's tests.)
 
-// schedulerBenchKernel abstracts the two kernels for the shared workload.
-type schedulerBenchKernel interface {
-	After(d time.Duration, fn func()) sim.Handle
-	Cancel(h sim.Handle) bool
-	RunN(n int) (int, error)
-	Run() error
-	Len() int
-}
-
-func benchSchedulerKernel(b *testing.B, s schedulerBenchKernel) {
-	b.Helper()
+func BenchmarkSchedulerArena(b *testing.B) {
+	s := sim.NewScheduler()
 	fn := func() {}
 	// Warm to the rolling window's high-water mark so the arena kernel's
 	// steady state is measured, not its growth phase.
@@ -265,29 +254,22 @@ func benchSchedulerKernel(b *testing.B, s schedulerBenchKernel) {
 	_ = s.Run()
 }
 
-func BenchmarkSchedulerArena(b *testing.B)     { benchSchedulerKernel(b, sim.NewScheduler()) }
-func BenchmarkSchedulerReference(b *testing.B) { benchSchedulerKernel(b, sim.NewReferenceScheduler()) }
-
-// --- Tentpole: flood hot path ---
+// --- Flood hot path ---
 //
 // One 2000-node network flooded through the measuring-node methodology,
 // one injection per iteration with inventory reset in between — the inner
-// loop of every campaign. Run with -benchmem: with the arena kernel's
-// AfterCall events, pooled delivery/verify payloads, pooled per-recipient
-// INV/TX/GETDATA messages and generation-stamp inventory resets,
-// steady-state allocs/op here is the flood's allocation budget and
-// benchdiff.sh flags regressions (zero tolerance on both allocs/op and
-// B/op for flood benches).
+// loop of every campaign. Run with -benchmem: messages in flight are
+// by-value records in the network's arena, scheduled as indexed events,
+// and inventory resets are a generation bump, so steady-state allocs/op
+// here is the flood's allocation budget and benchdiff.sh flags
+// regressions (zero tolerance on both allocs/op and B/op for flood
+// benches).
 //
-// Current budget (Xeon @ 2.10 GHz reference): ~760 allocs/op at
-// -benchtime 60x, down from ~19k under the retired map-based node
-// layout. The first iteration warms the message/delivery pools and grows
-// each node's flat inventory arrays; after that the residual is the
-// transaction's own construction, hashing and per-run result map — the
-// relay path itself runs out of recycled state. The per-(node, tx)
-// first-sight maps that used to dominate are gone: inventory is
-// generation-stamped flat arrays and ResetInventory is a generation
-// bump (see internal/p2p/node.go).
+// Current budget (Xeon @ 2.10 GHz reference): ~600 allocs/op and ~91 KB/op
+// at -benchtime 60x. The first iteration grows the record arena, the event
+// heap and each node's flat inventory arrays; after that the residual is
+// the transaction's own construction, hashing and per-run result map —
+// the relay path itself allocates nothing.
 
 func BenchmarkFlood2000(b *testing.B) {
 	built, err := experiment.Build(context.Background(), experiment.Spec{
@@ -399,7 +381,7 @@ func BenchmarkFlood100k(b *testing.B) {
 		b.Fatal(err)
 	}
 	reached := 0
-	net.OnTxFirstSeen = func(p2p.NodeID, chain.Hash, sim.Time) { reached++ }
+	net.OnTxFirstSeen = func(*p2p.Node, chain.Hash, sim.Time) { reached++ }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -114,7 +114,7 @@ func ForkRace(ctx context.Context, spec ForkSpec) (ForkResult, error) {
 	}
 	tracks := make(map[chain.Hash]*blockTrack)
 	var mined []chain.Hash // tracks keys in mined order, for deterministic iteration
-	net.OnBlockFirstSeen = func(node p2p.NodeID, h chain.Hash, at sim.Time) {
+	net.OnBlockFirstSeen = func(_ *p2p.Node, h chain.Hash, at sim.Time) {
 		if t, ok := tracks[h]; ok {
 			t.arrivals = append(t.arrivals, at)
 		}

@@ -152,18 +152,40 @@ func TestFigure3ScaleDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1000-node sweeps; skipped in -short")
 	}
-	pinned, err := os.ReadFile(filepath.Join("testdata", "figure3_1000.sha256"))
+	requireFigure3Digest(t, 1000, 20)
+}
+
+// TestFigure3PaperScaleDigest is the same pin at the paper's 5000 nodes
+// (§V.B), where a flood holds tens of thousands of events and every peer
+// table of the best-connected nodes is full: what a kernel or relay change
+// claiming byte identity has to pass, in place of a cmp by hand. About
+// ten seconds, so it runs only with BCBPT_PAPER_SCALE=1 (make paper-digest).
+// Regenerate testdata/figure3_5000.sha256 as above with -nodes 5000
+// -runs 100 and the file names figure3_5000.csv, figure3_5000_churn.csv.
+func TestFigure3PaperScaleDigest(t *testing.T) {
+	if os.Getenv("BCBPT_PAPER_SCALE") != "1" {
+		t.Skip("5000-node sweeps; set BCBPT_PAPER_SCALE=1 (make paper-digest)")
+	}
+	requireFigure3Digest(t, 5000, 100)
+}
+
+// requireFigure3Digest runs figure3 at seed 1, plain and under churn, and
+// requires the sha256 of each CSV to be a line of
+// testdata/figure3_<nodes>.sha256.
+func requireFigure3Digest(t *testing.T, nodes, runs int) {
+	t.Helper()
+	pinned, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("figure3_%d.sha256", nodes)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		file  string
-		churn bool
+		suffix string
+		churn  bool
 	}{
-		{"figure3_1000.csv", false},
-		{"figure3_1000_churn.csv", true},
+		{".csv", false},
+		{"_churn.csv", true},
 	} {
-		fig, err := Figure3Ctx(context.Background(), Options{Nodes: 1000, Runs: 20, Seed: 1, ChurnOn: c.churn})
+		fig, err := Figure3Ctx(context.Background(), Options{Nodes: nodes, Runs: runs, Seed: 1, ChurnOn: c.churn})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,8 +193,8 @@ func TestFigure3ScaleDigest(t *testing.T) {
 		if err := fig.WriteCSV(sum); err != nil {
 			t.Fatal(err)
 		}
-		if line := fmt.Sprintf("%x  %s\n", sum.Sum(nil), c.file); !bytes.Contains(pinned, []byte(line)) {
-			t.Errorf("figure3 at 1000 nodes diverged from the pinned digest; got\n%swant one of\n%s", line, pinned)
+		if line := fmt.Sprintf("%x  figure3_%d%s\n", sum.Sum(nil), nodes, c.suffix); !bytes.Contains(pinned, []byte(line)) {
+			t.Errorf("figure3 at %d nodes diverged from the pinned digest; got\n%swant one of\n%s", nodes, line, pinned)
 		}
 	}
 }

@@ -18,10 +18,10 @@ const modulePath = "repro"
 
 // deterministicPkgs lists the packages whose observable behavior must be
 // a pure function of their seeds: they feed the differential suites
-// (ReferenceScheduler / ReferenceNetwork), the figure golden CSVs, and
-// the fleet's bit-identical merges. Wall-clock reads and the global
-// math/rand source are banned here (detrand), as is order-sensitive
-// work inside unsorted map iteration (maporder).
+// (the reference scheduler and network in sim's and p2p's tests), the
+// figure golden CSVs, and the fleet's bit-identical merges. Wall-clock
+// reads and the global math/rand source are banned here (detrand), as is
+// order-sensitive work inside unsorted map iteration (maporder).
 //
 // internal/fleet and internal/netnode are deliberately absent: the
 // fleet schedules real work on real clocks (lease TTLs are wall-clock
@@ -48,8 +48,8 @@ var deterministicPkgs = map[string]bool{
 // hotPathPkgs lists the packages whose steady state is benchmarked at a
 // pinned allocs/op budget (benchdiff.sh holds the line at zero growth).
 // Closure-form scheduling and fmt string building are banned here
-// (hotalloc) in favor of the pooled AtCall/AfterCall + message-pool
-// idioms PR 3/6 established.
+// (hotalloc) in favor of the closure-free forms: pooled AtCall/AfterCall
+// payloads (PR 3) and indexed events over by-value records.
 var hotPathPkgs = map[string]bool{
 	modulePath + "/internal/p2p": true,
 }

@@ -11,9 +11,10 @@ import (
 // budget with zero-tolerance diffing in CI:
 //
 //   - closure-form Scheduler.At/After: every call allocates the closure
-//     plus its captures. The arena kernel's AtCall/AfterCall with a
-//     pooled payload struct dispatches at 0 allocs/op — that is the
-//     idiom PR 3 established and the flood path uses throughout.
+//     plus its captures. The closure-free forms dispatch at 0 allocs/op:
+//     AtCall/AfterCall with a pooled payload struct (the idiom PR 3
+//     established), and AfterIndexed with an index into state the caller
+//     keeps by value — what the flood path's messages travel as.
 //   - fmt string building (Sprintf/Sprint/Sprintln/Appendf): formats,
 //     boxes every operand into an interface, and allocates the result.
 //
@@ -22,7 +23,7 @@ import (
 var Hotalloc = &analysis.Analyzer{
 	Name: "hotalloc",
 	Doc: "flag closure-form Scheduler.At/After and fmt string building in flood hot-path packages; " +
-		"use pooled AtCall/AfterCall payloads and preallocated buffers",
+		"use pooled AtCall/AfterCall payloads or AfterIndexed, and preallocated buffers",
 	Run: runHotalloc,
 }
 
@@ -55,7 +56,7 @@ func runHotalloc(pass *analysis.Pass) error {
 			case isMethodOn(fn, modulePath+"/internal/sim", "Scheduler", "At"),
 				isMethodOn(fn, modulePath+"/internal/sim", "Scheduler", "After"):
 				pass.Reportf(call.Pos(),
-					"closure-form Scheduler.%s allocates per event on the flood hot path: use %sCall with a pooled payload struct",
+					"closure-form Scheduler.%s allocates per event on the flood hot path: use %sCall with a pooled payload struct, or AfterIndexed over by-value state",
 					fn.Name(), fn.Name())
 			case funcPkgPath(fn) == "fmt" && fmtAllocFuncs[fn.Name()]:
 				pass.Reportf(call.Pos(),

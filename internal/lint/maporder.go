@@ -29,7 +29,7 @@ var Maporder = &analysis.Analyzer{
 // order is observable in dispatch order (same-tick events dispatch in
 // insertion sequence).
 var schedulerOrderMethods = map[string]bool{
-	"At": true, "After": true, "AtCall": true, "AfterCall": true,
+	"At": true, "After": true, "AtCall": true, "AfterCall": true, "AfterIndexed": true,
 }
 
 // p2pOrderMethods are p2p Network/Node entry points that enqueue
@@ -42,7 +42,7 @@ var p2pOrderMethods = map[string]bool{
 	"send": true, "deliver": true, "connect": true, "teardown": true,
 	// *p2p.Node
 	"Send": true, "SubmitTx": true, "SubmitBlock": true,
-	"Probe": true, "ProbeN": true, "announce": true, "announceBlock": true,
+	"Probe": true, "ProbeN": true, "announce": true,
 }
 
 // fmtOutputFuncs are fmt package functions that emit formatted output.

@@ -18,10 +18,12 @@ func flagged(s *sim.Scheduler, id int) {
 	_ = fmt.Sprint(id)                   // want `fmt\.Sprint allocates`
 }
 
-func clean(s *sim.Scheduler, err error) error {
+func clean(s *sim.Scheduler, tag uint32, err error) error {
 	// Pooled static-dispatch scheduling: zero closure allocations.
 	s.AfterCall(time.Millisecond, dispatch, nil)
 	s.AtCall(0, dispatch, nil)
+	// An indexed event is a heap entry and nothing else.
+	s.AfterIndexed(time.Millisecond, tag, 0)
 	// Error construction is a failure path, deliberately exempt.
 	return fmt.Errorf("wrap: %w", err)
 }

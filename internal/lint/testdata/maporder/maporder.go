@@ -18,6 +18,14 @@ func schedInRange(s *sim.Scheduler, m map[int]int) {
 	}
 }
 
+// indexedInRange: an indexed event takes its place in the (at, seq) order
+// exactly as the closure forms do.
+func indexedInRange(s *sim.Scheduler, tag uint32, m map[int32]int) {
+	for k := range m {
+		s.AfterIndexed(0, tag, k) // want `event-scheduling call \(\*sim\.Scheduler\)\.AfterIndexed`
+	}
+}
+
 func printInRange(m map[int]int) {
 	for k := range m {
 		fmt.Println(k) // want `output write fmt\.Println`

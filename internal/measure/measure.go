@@ -150,15 +150,15 @@ func (m *MeasuringNode) MeasureOnce(ctx context.Context, tx *chain.Tx, deadline 
 	}
 
 	prevHook := m.net.OnTxFirstSeen
-	m.net.OnTxFirstSeen = func(id p2p.NodeID, h chain.Hash, at sim.Time) {
+	m.net.OnTxFirstSeen = func(node *p2p.Node, h chain.Hash, at sim.Time) {
 		if prevHook != nil {
-			prevHook(id, h, at)
+			prevHook(node, h, at)
 		}
 		if h != txID {
 			return
 		}
-		slot, ok := m.net.SlotOf(id)
-		if !ok || slot >= len(m.watchGen) || m.watchGen[slot] != m.watchRun || m.watchID[slot] != id {
+		slot := node.Slot()
+		if slot >= len(m.watchGen) || m.watchGen[slot] != m.watchRun || m.watchID[slot] != node.ID() {
 			return
 		}
 		// Consume the slot: first sight per connection per run, dup-proof

@@ -137,6 +137,11 @@ func (t *Tracer) WriteSpool(w io.Writer) error {
 	return bw.Flush()
 }
 
+// spoolPrealloc caps what ReadSpool allocates on the header's word alone
+// (64 Ki events, 3 MB): beyond it the slice grows as records arrive, so a
+// header that claims more than the file holds costs what the file holds.
+const spoolPrealloc = 1 << 16
+
 // ReadSpool parses a binary spool back into events, validating the
 // magic and record framing.
 func ReadSpool(r io.Reader) ([]Event, error) {
@@ -149,7 +154,7 @@ func ReadSpool(r io.Reader) ([]Event, error) {
 		return nil, fmt.Errorf("obs: bad spool magic %q", hdr[:8])
 	}
 	n := binary.LittleEndian.Uint64(hdr[8:])
-	events := make([]Event, 0, n)
+	events := make([]Event, 0, min(n, spoolPrealloc))
 	var rec [spoolRecordSize]byte
 	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"strconv"
@@ -202,4 +203,56 @@ func TestRegistryPrometheus(t *testing.T) {
 	if buf.String() != buf2.String() {
 		t.Fatal("exposition is not deterministic")
 	}
+}
+
+// spoolOf returns the binary spool of a tracer holding n events.
+func spoolOf(tb testing.TB, n int) []byte {
+	tb.Helper()
+	tr := NewTracer(64, 2)
+	for i := 0; i < n; i++ {
+		tr.Shard(i % 2).Record(Event{At: time.Duration(i) * time.Millisecond, Wall: int64(i), Kind: Kind(i % 7), Code: uint8(i),
+			P1: uint64(i), P2: uint64(i) << 32, P3: ^uint64(i)})
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteSpool(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadSpoolHostileCount: the event count is the file's word, so it may
+// not size an allocation. A header claiming 2^60 events over no records,
+// and one claiming a record more than the file holds, are both truncated
+// spools.
+func TestReadSpoolHostileCount(t *testing.T) {
+	hostile := append([]byte(spoolMagic), 0, 0, 0, 0, 0, 0, 0, 0x10)
+	oneShort := spoolOf(t, 5)
+	oneShort[8]++
+	for name, data := range map[string][]byte{"2^60 events": hostile, "one record short": oneShort} {
+		if _, err := ReadSpool(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "spool record") {
+			t.Errorf("%s: err = %v, want the truncated-record error", name, err)
+		}
+	}
+}
+
+// FuzzReadSpool feeds ReadSpool arbitrary bytes: it must return, never
+// panic or allocate by the header's count, and whatever it accepts must
+// account for every byte it was given a count for.
+func FuzzReadSpool(f *testing.F) {
+	real := spoolOf(f, 9)
+	f.Add(real)
+	f.Add(append([]byte(spoolMagic), 0, 0, 0, 0, 0, 0, 0, 0x10))
+	oneShort := bytes.Clone(real)
+	oneShort[8]++
+	f.Add(oneShort)
+	f.Add([]byte(spoolMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := ReadSpool(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if want := uint64(len(events)); binary.LittleEndian.Uint64(data[8:16]) != want || len(data) < 16+len(events)*spoolRecordSize {
+			t.Fatalf("accepted %d events from %d bytes with header count %d", len(events), len(data), binary.LittleEndian.Uint64(data[8:16]))
+		}
+	})
 }

@@ -3,13 +3,13 @@ package p2p
 import (
 	"repro/internal/chain"
 	"repro/internal/obs"
-	"repro/internal/wire"
 )
 
 // Block relay: the same INV/GETDATA exchange as transactions (Fig. 1
 // applies to both — "blocks and transactions are broadcasted in the
 // entire network in order to synchronize the replicas of the public
-// ledger", §III). Blocks are larger and costlier to verify, so their
+// ledger", §III) through the same handlers (handleInv, handleGetData,
+// handleObject). Blocks are larger and costlier to verify, so their
 // propagation amplifies the same per-hop latency effects the transaction
 // experiments measure.
 
@@ -45,64 +45,10 @@ func (nd *Node) acceptBlock(b *chain.Block, from NodeID) error {
 		tr.Record(obs.Event{At: nd.now(), Kind: obs.KindFirstSeen, P1: uint64(nd.id), P2: hashPrefix(h)})
 	}
 	if nd.net.OnBlockFirstSeen != nil {
-		nd.net.OnBlockFirstSeen(nd.id, h, nd.now())
+		nd.net.OnBlockFirstSeen(nd, h, nd.now())
 	}
-	nd.announceBlock(hi, h, from)
+	nd.announce(hi, nil, b, from)
 	return nil
-}
-
-// announceBlock sends a block INV to every peer not known to have it.
-// As with transaction announce, each recipient gets its own pooled INV,
-// recycled once handled.
-func (nd *Node) announceBlock(hi int32, h chain.Hash, except NodeID) {
-	for _, ref := range nd.sortedPeers() {
-		if ref.id == except {
-			continue
-		}
-		if nd.holderHas(hi, ref.pos) {
-			continue
-		}
-		nd.sendTo(ref.pos, ref.id, nd.net.dc.newInv(wire.InvBlock, h))
-	}
-}
-
-// handleBlockInv requests announced blocks we have not seen. Called from
-// handleInv for InvBlock items; fromPos is the sender's adjacency
-// position (or -1), computed once there.
-func (nd *Node) handleBlockInv(from NodeID, fromPos int32, items []wire.InvVect) {
-	want := nd.net.dc.newGetData()
-	gen := nd.net.invGen
-	for _, item := range items {
-		hi := nd.net.hashSlot(item.Hash)
-		nd.markPeerHas(from, fromPos, hi)
-		e := nd.invEnsure(hi)
-		if e.seenGen == gen || e.reqGen == gen {
-			continue
-		}
-		e.reqGen = gen
-		want.Items = append(want.Items, item)
-	}
-	if len(want.Items) > 0 {
-		nd.sendTo(fromPos, from, want)
-	} else {
-		nd.net.dc.recycleMessage(want)
-	}
-}
-
-// handleBlock verifies (with modelled delay) then accepts and relays.
-func (nd *Node) handleBlock(from NodeID, fromPos int32, m *wire.MsgBlock) {
-	b := m.Block
-	h := b.Header.Hash()
-	nd.markPeerHas(from, fromPos, nd.net.hashSlot(h))
-	if e := nd.entryFor(h); e != nil && e.seenGen == nd.net.invGen {
-		return
-	}
-	utxoLen := 0
-	if nd.mempool != nil {
-		utxoLen = nd.mempool.Len()
-	}
-	cost := nd.net.cfg.VerifyCost.BlockCost(b, utxoLen)
-	nd.net.sched.AfterCall(cost, runVerify, nd.net.dc.newVerifyJob(nd.net, nd.slot, nd.id, from, nil, b))
 }
 
 // HasBlock reports whether the node holds the block.

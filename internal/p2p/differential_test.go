@@ -83,14 +83,14 @@ func newDiffHarness(t testing.TB, cfg Config, nodes int) *diffHarness {
 		t.Fatal(err)
 	}
 	h := &diffHarness{t: t, flat: flat, ref: ref, addr: key.Address(), removed: map[NodeID]bool{}}
-	flat.OnTxFirstSeen = func(id NodeID, hash chain.Hash, at sim.Time) {
-		h.flatEvents = append(h.flatEvents, seenEvent{node: id, hash: hash, at: at})
+	flat.OnTxFirstSeen = func(nd *Node, hash chain.Hash, at sim.Time) {
+		h.flatEvents = append(h.flatEvents, seenEvent{node: nd.ID(), hash: hash, at: at})
 	}
 	ref.OnTxFirstSeen = func(id NodeID, hash chain.Hash, at sim.Time) {
 		h.refEvents = append(h.refEvents, seenEvent{node: id, hash: hash, at: at})
 	}
-	flat.OnBlockFirstSeen = func(id NodeID, hash chain.Hash, at sim.Time) {
-		h.flatEvents = append(h.flatEvents, seenEvent{node: id, hash: hash, at: at, block: true})
+	flat.OnBlockFirstSeen = func(nd *Node, hash chain.Hash, at sim.Time) {
+		h.flatEvents = append(h.flatEvents, seenEvent{node: nd.ID(), hash: hash, at: at, block: true})
 	}
 	ref.OnBlockFirstSeen = func(id NodeID, hash chain.Hash, at sim.Time) {
 		h.refEvents = append(h.refEvents, seenEvent{node: id, hash: hash, at: at, block: true})
@@ -340,7 +340,7 @@ func runScript(t testing.TB, cfg Config, script []byte) {
 			break
 		}
 		b, _ := h.pick(y)
-		switch op % 9 {
+		switch op % 10 {
 		case 0:
 			if a != b {
 				h.connect(a, b)
@@ -373,6 +373,8 @@ func runScript(t testing.TB, cfg Config, script []byte) {
 			if a != b {
 				h.probeN(a, b)
 			}
+		case 9:
+			h.submitBlock(a)
 		}
 	}
 	// Always end with a flood so every script exercises the full relay
@@ -396,10 +398,15 @@ func TestFlatNodeMatchesReference(t *testing.T) {
 		// ProbeNs in both directions of one pair and across a flood; then
 		// one whose target leaves after its first ping, one whose prober
 		// leaves with pongs on the wire, and a joiner into the freed slot.
-		"probe-n":    {8, 0, 5, 8, 5, 0, 8, 1, 6, 2, 0, 0, 3, 0, 0, 8, 2, 7, 8, 3, 4, 3, 0, 0, 5, 7, 0, 5, 3, 0, 6, 0, 1, 3, 10, 0},
-		"blocks":     {2, 0, 0, 3, 255, 0, 4, 0, 0, 3, 10, 0, 2, 4, 0},
-		"mixed-ops":  {6, 0, 1, 2, 3, 0, 3, 40, 0, 5, 7, 0, 0, 1, 8, 2, 2, 0, 3, 90, 0, 4, 0, 0, 2, 5, 0},
-		"mid-flight": {2, 0, 0, 3, 1, 0, 5, 4, 0, 3, 1, 0, 5, 6, 0, 3, 100, 0},
+		"probe-n": {8, 0, 5, 8, 5, 0, 8, 1, 6, 2, 0, 0, 3, 0, 0, 8, 2, 7, 8, 3, 4, 3, 0, 0, 5, 7, 0, 5, 3, 0, 6, 0, 1, 3, 10, 0},
+		"blocks":  {2, 0, 0, 3, 255, 0, 4, 0, 0, 3, 10, 0, 2, 4, 0},
+		// A block and a transaction flood together, and the inventory is
+		// reset, an edge cut and a node removed under them: at once (INVs
+		// on the wire), and 100 ms apart (GETDATAs, then the objects).
+		"block-reset": {9, 0, 0, 2, 6, 0, 4, 0, 0, 3, 0, 0, 9, 3, 0, 3, 0, 0, 4, 0, 0, 3, 0, 0, 4, 0, 0},
+		"block-churn": {9, 0, 0, 2, 6, 0, 1, 0, 1, 5, 11, 0, 3, 0, 0, 1, 6, 7, 5, 4, 0, 3, 0, 0, 5, 2, 0, 4, 0, 0},
+		"mixed-ops":   {6, 0, 1, 2, 3, 0, 3, 40, 0, 5, 7, 0, 0, 1, 8, 2, 2, 0, 3, 90, 0, 4, 0, 0, 2, 5, 0},
+		"mid-flight":  {2, 0, 0, 3, 1, 0, 5, 4, 0, 3, 1, 0, 5, 6, 0, 3, 100, 0},
 	}
 	type mode struct {
 		name       string
@@ -521,6 +528,86 @@ func TestStalePositionMatchesReference(t *testing.T) {
 						t.Fatalf("node %d never saw the transaction", leg.recv)
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestInFlightRecordMatchesReference holds each leg of the Fig. 1 exchange,
+// for a transaction and for a block, on the wire while what its record
+// carries goes stale: the inventory generation its hash index was resolved
+// under (reset), the peer-table epoch and position of its sender
+// (disconnect), or an end of it (the receiver or the sender removed). The
+// oracle's messages spell the hash out and find everything by ID, so it is
+// what each stale arm of the record must come out equal to.
+func TestInFlightRecordMatchesReference(t *testing.T) {
+	// a floods; b is its only peer and relays on to d.
+	const a, b, d = NodeID(1), NodeID(2), NodeID(3)
+	legs := []struct {
+		name     string
+		tx, blk  wire.Command // the leg's command for a transaction, for a block
+		recv     NodeID       // where the in-flight message lands
+		relayInv bool         // the leg exists only under RelayInv
+	}{
+		{"inv", wire.CmdInv, wire.CmdInv, b, true},
+		{"getdata", wire.CmdGetData, wire.CmdGetData, a, true},
+		{"object", wire.CmdTx, wire.CmdBlock, b, false},
+	}
+	variants := []struct {
+		name  string
+		churn func(h *diffHarness, recv NodeID)
+	}{
+		{"reset", func(h *diffHarness, recv NodeID) { h.reset() }},
+		{"reset-twice", func(h *diffHarness, recv NodeID) { h.reset(); h.reset() }},
+		{"disconnect", func(h *diffHarness, recv NodeID) { h.disconnect(a, b) }},
+		{"receiver-removed", func(h *diffHarness, recv NodeID) { h.removeNode(recv) }},
+		{"sender-removed", func(h *diffHarness, recv NodeID) { h.removeNode(a + b - recv) }},
+		{"reset-and-disconnect", func(h *diffHarness, recv NodeID) { h.reset(); h.disconnect(a, b) }},
+		// The next generation hands the stale record's hash index to
+		// another transaction, which the receiver holds when it lands.
+		{"reset-and-flood", func(h *diffHarness, recv NodeID) { h.reset(); h.submitTx(recv) }},
+	}
+	for _, relay := range []RelayMode{RelayInv, RelayDirect} {
+		for _, block := range []bool{false, true} {
+			for _, leg := range legs {
+				cmd, object := leg.tx, "tx"
+				if block {
+					cmd, object = leg.blk, "block"
+				}
+				if relay == RelayDirect && (block || leg.relayInv) {
+					continue // direct relay changes only how a transaction travels
+				}
+				for _, v := range variants {
+					t.Run(fmt.Sprintf("%v/%s/%s/%s", relay, object, leg.name, v.name), func(t *testing.T) {
+						h := newDiffHarness(t, diffConfig(ValidationLight, relay, false, 5), 3)
+						h.connect(a, b)
+						h.connect(b, d)
+						if block {
+							h.submitBlock(a)
+						} else {
+							h.submitTx(a)
+						}
+						for i := 0; h.flat.Stats().Messages[cmd] == 0; i++ {
+							if i > 10_000 {
+								t.Fatalf("no %v sent", cmd)
+							}
+							h.runFor(100 * time.Microsecond)
+						}
+						if n := h.flat.sched.Len(); n != 1 {
+							t.Fatalf("%d events pending with the %v on the wire, want it alone", n, cmd)
+						}
+						v.churn(h, leg.recv)
+						h.drain()
+						h.compare()
+						// The network still floods afterwards, through
+						// whatever the record left behind.
+						if _, ok := h.flat.Node(a); ok {
+							h.submitTx(a)
+							h.drain()
+							h.compare()
+						}
+					})
+				}
 			}
 		}
 	}
@@ -711,8 +798,9 @@ func TestHashMemoMatchesReference(t *testing.T) {
 // FuzzFlatNodeMatchesReference lets the fuzzer search for op sequences
 // where the flat layout diverges from the oracle. The seed corpus covers
 // every opcode, churn around in-flight messages, back-to-back resets,
-// deliveries whose carried sender position went stale mid-flight, and
-// ProbeNs whose resolved target or prober left between pings.
+// records whose carried sender position, hash index or destination went
+// stale mid-flight, and ProbeNs whose resolved target or prober left
+// between pings.
 func FuzzFlatNodeMatchesReference(f *testing.F) {
 	f.Add(int64(1), []byte{2, 0, 0, 3, 10, 0})
 	f.Add(int64(2), []byte{2, 0, 0, 3, 5, 0, 5, 3, 0, 6, 0, 7, 3, 50, 0})
@@ -739,6 +827,15 @@ func FuzzFlatNodeMatchesReference(f *testing.F) {
 	f.Add(int64(17), []byte{2, 0, 0, 3, 0, 0, 1, 0, 1, 0, 5, 0, 1, 0, 11, 0, 6, 0, 3, 9, 0})
 	f.Add(int64(17), []byte{2, 0, 0, 3, 0, 0, 1, 0, 1, 0, 0, 1, 1, 0, 11, 0, 0, 11, 3, 9, 0})
 	f.Add(int64(17), []byte{2, 0, 0, 3, 0, 0, 1, 0, 1, 0, 5, 0, 0, 0, 1, 1, 0, 11, 0, 6, 0, 0, 0, 11, 3, 9, 0})
+	// What an in-flight record carries going stale: a block and a
+	// transaction flood, then ResetInventory, Disconnect or RemoveNode at
+	// once (INVs on the wire) and again 100 ms on (GETDATAs, TX, BLOCK).
+	// Seed 4 relays transactions directly; seed 5 also loses messages.
+	for _, seed := range []int64{1, 4, 5} {
+		f.Add(seed, []byte{9, 0, 0, 2, 6, 0, 4, 0, 0, 3, 0, 0, 4, 0, 0, 3, 0, 0, 4, 0, 0})
+		f.Add(seed, []byte{9, 0, 0, 2, 6, 0, 1, 0, 1, 1, 6, 7, 3, 0, 0, 1, 0, 11, 1, 6, 5, 3, 0, 0})
+		f.Add(seed, []byte{9, 0, 0, 2, 6, 0, 5, 1, 0, 5, 6, 0, 3, 0, 0, 5, 10, 0, 5, 4, 0, 6, 0, 2, 3, 0, 0})
+	}
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
 		if len(script) > 96 {
 			script = script[:96]

@@ -17,8 +17,62 @@ const (
 	linkKeyTag uint64 = 0x6c696e6b4b657931 // "linkKey1"
 )
 
-// dispatchCtx is the network's dispatch state: keyed RNG scratch,
-// payload/message pools, traffic counters and the trace shard. The
+// Framed sizes of the messages that travel as record fields rather than as
+// a wire.Message, equal to what wire.EncodedSize says of the message each
+// stands for (TestCompactSizesMatchWire). Every INV and GETDATA of the
+// relay names one object.
+const (
+	frameLen    = 4 + 1 + 4 + 4     // wire header: magic, command, length, checksum
+	invSize     = frameLen + 4 + 33 // one-item INV or GETDATA: count, then type and hash
+	pongSize    = frameLen + 8      // nonce
+	pingMinSize = frameLen + 8 + 4  // nonce and pad length; Network.pingSize adds the pad
+)
+
+// delivery is one in-flight message, by value: a record in the dispatch
+// context's arena, scheduled as an indexed event (sim.Scheduler.AfterIndexed)
+// whose index it is. Both ends are the nodes themselves — a node that
+// churned away is recognised by Node.live, so a recycled slot cannot be
+// mistaken for it. srcPos is the sender's adjacency position at the
+// destination (-1 for a message addressed by ID), read from the sender's
+// peer entry, and dstEpoch the destination's peer-table epoch when the
+// message left: while the two still agree on arrival, srcPos needs no
+// checking (Node.senderPos).
+//
+// What the message says is in the record too. cmd is its command. An INV,
+// GETDATA, TX or BLOCK is the object it announces, asks for or carries —
+// tx or block, the other nil — and hi, the object's dense hash index under
+// inventory generation gen; a record that outlived that generation has its
+// index resolved again from the object's hash (delivery.hash). A ping or
+// pong is its nonce, and a ping also reads base, the baseline of the link
+// it travels, which its pong travels back. Anything else — GETADDR, ADDR,
+// JOIN, CLUSTER — stays a wire.Message, in the arena's side column at the
+// record's index, and cmd is zero. A verification wait (Network.verified)
+// is a record as well: the sender, the verifying node and the object.
+//
+// The record is one cache line (TestDeliveryIsOneCacheLine).
+type delivery struct {
+	src, dst *Node
+	tx       *chain.Tx
+	block    *chain.Block
+	base     time.Duration
+	nonce    uint64
+	hi       int32
+	gen      uint32
+	dstEpoch uint32
+	srcPos   int16
+	cmd      wire.Command
+}
+
+// hash returns the hash of the object a relay record names.
+func (d *delivery) hash() chain.Hash {
+	if d.tx != nil {
+		return d.tx.ID()
+	}
+	return d.block.Header.Hash()
+}
+
+// dispatchCtx is the network's dispatch state: keyed RNG scratch, the
+// in-flight record arena, traffic counters and the trace shard. The
 // network owns exactly one (Network.dc) and every event runs on the
 // goroutine driving the scheduler, so none of it is shared.
 type dispatchCtx struct {
@@ -38,159 +92,49 @@ type dispatchCtx struct {
 	ksrc  sim.KeyedSource
 	krand *rand.Rand
 
-	// Payload pools behind the scheduler's AfterCall events — see the
-	// pooling rationale on runDelivery/runVerify/runProbe.
-	deliveryPool []*delivery
-	verifyPool   []*verifyJob
-	probePool    []*probeJob
+	// flight is the arena of in-flight records and flightMsg its side
+	// column, the same length: the wire.Message of a record whose cmd is
+	// zero. flightFree lists the free indices, LIFO — a handler that
+	// sends reuses the record it was dispatched from. The in-flight count
+	// bounds the arena, and steady state allocates nothing.
+	flight     []delivery
+	flightMsg  []wire.Message
+	flightFree []int32
+	// lost is where the payload of a message that will not arrive is
+	// written: deliver returns it in place of an arena record, so callers
+	// fill in what they send without asking whether it left.
+	lost delivery
 
-	// Message pools. Every hot-path message type is single-recipient and
-	// consumed entirely inside handleMessage, so runDelivery returns them
-	// right after dispatch. Messages dropped by loss or a vanished
-	// endpoint simply miss the pool — correctness never depends on
-	// recycling.
-	pingPool     []*wire.MsgPing
-	pongPool     []*wire.MsgPong
-	getDataPool  []*wire.MsgGetData
-	invPool      []*wire.MsgInv
-	txMsgPool    []*wire.MsgTx
-	blockMsgPool []*wire.MsgBlock
-	// pingPad is the shared ping padding buffer (write-never data).
-	pingPad []byte
+	// probePool recycles the payloads behind ProbeN's AfterCall events.
+	probePool []*probeJob
 
 	// trace is the event-trace shard, nil unless tracing is enabled
 	// (Network.EnableTrace): the disabled path costs one nil check.
 	trace *obs.Shard
 }
 
-// recycleMessage returns a fully handled single-recipient message to its
-// pool. Only types that handlers never retain are pooled: pings and pongs
-// are read for their nonce, GETDATAs and INVs for their item list, and TX
-// and BLOCK wrappers for their payload pointer (the payload itself is
-// shared and immutable; the wrapper is not retained). Everything the
-// topology layer might hold onto stays unpooled.
-func (dc *dispatchCtx) recycleMessage(msg wire.Message) {
-	switch m := msg.(type) {
-	case *wire.MsgPing:
-		m.Pad = nil
-		dc.pingPool = append(dc.pingPool, m)
-	case *wire.MsgPong:
-		dc.pongPool = append(dc.pongPool, m)
-	case *wire.MsgGetData:
-		m.Items = m.Items[:0]
-		dc.getDataPool = append(dc.getDataPool, m)
-	case *wire.MsgInv:
-		m.Items = m.Items[:0]
-		dc.invPool = append(dc.invPool, m)
-	case *wire.MsgTx:
-		m.Tx = nil
-		dc.txMsgPool = append(dc.txMsgPool, m)
-	case *wire.MsgBlock:
-		m.Block = nil
-		dc.blockMsgPool = append(dc.blockMsgPool, m)
+// newFlight returns the index of a free in-flight record, growing the
+// arena when none is.
+func (dc *dispatchCtx) newFlight() int32 {
+	if last := len(dc.flightFree) - 1; last >= 0 {
+		idx := dc.flightFree[last]
+		dc.flightFree = dc.flightFree[:last]
+		return idx
 	}
+	dc.flight = append(dc.flight, delivery{})
+	dc.flightMsg = append(dc.flightMsg, nil)
+	return int32(len(dc.flight) - 1)
 }
 
-// newPing pops a pooled ping (or allocates) with the shared pad.
-func (dc *dispatchCtx) newPing(nonce uint64, padBytes int) *wire.MsgPing {
-	pad := dc.sharedPad(padBytes)
-	if last := len(dc.pingPool) - 1; last >= 0 {
-		m := dc.pingPool[last]
-		dc.pingPool = dc.pingPool[:last]
-		m.Nonce, m.Pad = nonce, pad
-		return m
-	}
-	return &wire.MsgPing{Nonce: nonce, Pad: pad}
-}
-
-// newPong pops a pooled pong (or allocates).
-func (dc *dispatchCtx) newPong(nonce uint64) *wire.MsgPong {
-	if last := len(dc.pongPool) - 1; last >= 0 {
-		m := dc.pongPool[last]
-		dc.pongPool = dc.pongPool[:last]
-		m.Nonce = nonce
-		return m
-	}
-	return &wire.MsgPong{Nonce: nonce}
-}
-
-// newGetData pops a pooled, zero-length GETDATA (or allocates); callers
-// append their wanted items to Items.
-func (dc *dispatchCtx) newGetData() *wire.MsgGetData {
-	if last := len(dc.getDataPool) - 1; last >= 0 {
-		m := dc.getDataPool[last]
-		dc.getDataPool = dc.getDataPool[:last]
-		return m
-	}
-	return &wire.MsgGetData{}
-}
-
-// newInv pops a pooled single-item INV (or allocates).
-func (dc *dispatchCtx) newInv(t wire.InvType, h chain.Hash) *wire.MsgInv {
-	if last := len(dc.invPool) - 1; last >= 0 {
-		m := dc.invPool[last]
-		dc.invPool = dc.invPool[:last]
-		m.Items = append(m.Items, wire.InvVect{Type: t, Hash: h})
-		return m
-	}
-	return &wire.MsgInv{Items: []wire.InvVect{{Type: t, Hash: h}}}
-}
-
-// newTxMsg pops a pooled TX wrapper (or allocates).
-func (dc *dispatchCtx) newTxMsg(tx *chain.Tx) *wire.MsgTx {
-	if last := len(dc.txMsgPool) - 1; last >= 0 {
-		m := dc.txMsgPool[last]
-		dc.txMsgPool = dc.txMsgPool[:last]
-		m.Tx = tx
-		return m
-	}
-	return &wire.MsgTx{Tx: tx}
-}
-
-// newBlockMsg pops a pooled BLOCK wrapper (or allocates).
-func (dc *dispatchCtx) newBlockMsg(b *chain.Block) *wire.MsgBlock {
-	if last := len(dc.blockMsgPool) - 1; last >= 0 {
-		m := dc.blockMsgPool[last]
-		dc.blockMsgPool = dc.blockMsgPool[:last]
-		m.Block = b
-		return m
-	}
-	return &wire.MsgBlock{Block: b}
-}
-
-// sharedPad returns a zeroed scratch slice of the given size, grown once
-// and shared by every ping in flight.
-func (dc *dispatchCtx) sharedPad(size int) []byte {
-	if size > len(dc.pingPad) {
-		dc.pingPad = make([]byte, size)
-	}
-	return dc.pingPad[:size]
-}
-
-// newDelivery pops a pooled payload (or allocates on first use). It is
-// written to stay within the inlining budget: deliver is its one caller.
-func (dc *dispatchCtx) newDelivery(n *Network, src *Node, srcPos int32, base time.Duration, dst *Node, msg wire.Message) *delivery {
-	var d *delivery
-	if last := len(dc.deliveryPool) - 1; last >= 0 {
-		d = dc.deliveryPool[last]
-		dc.deliveryPool = dc.deliveryPool[:last]
-	} else {
-		d = &delivery{net: n}
-	}
-	d.src, d.srcSlot, d.srcPos, d.base = src.id, src.slot, srcPos, base
-	d.dstSlot, d.dstID, d.dstEpoch, d.msg = dst.slot, dst.id, dst.tabEpoch, msg
+// takeFlight copies the record at idx out and frees it — before it is
+// handled, so what the handler sends goes into the record just read. A
+// free record is zero: it must not keep a node that churned away, or a
+// transaction of an earlier flood, reachable.
+func (dc *dispatchCtx) takeFlight(idx int32) delivery {
+	d := dc.flight[idx]
+	dc.flight[idx] = delivery{}
+	dc.flightFree = append(dc.flightFree, idx)
 	return d
-}
-
-// newVerifyJob pops a pooled payload (or allocates on first use).
-func (dc *dispatchCtx) newVerifyJob(n *Network, slot int32, id, from NodeID, tx *chain.Tx, block *chain.Block) *verifyJob {
-	if last := len(dc.verifyPool) - 1; last >= 0 {
-		j := dc.verifyPool[last]
-		dc.verifyPool = dc.verifyPool[:last]
-		j.slot, j.id, j.from, j.tx, j.block = slot, id, from, tx, block
-		return j
-	}
-	return &verifyJob{net: n, slot: slot, id: id, from: from, tx: tx, block: block}
 }
 
 // newProbeJob pops a pooled payload (or allocates on first use).

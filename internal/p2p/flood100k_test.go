@@ -64,7 +64,7 @@ func TestFlood100kFootprintBudget(t *testing.T) {
 
 	net, nodes := buildFloodNet(t, n, 7)
 	reached := 0
-	net.OnTxFirstSeen = func(NodeID, chain.Hash, sim.Time) { reached++ }
+	net.OnTxFirstSeen = func(*Node, chain.Hash, sim.Time) { reached++ }
 
 	for run := 0; run < 2; run++ {
 		net.ResetInventory()

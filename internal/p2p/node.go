@@ -28,7 +28,7 @@ func hashPrefix(h chain.Hash) uint64 { return binary.LittleEndian.Uint64(h[:8]) 
 // peer it names, it holds the edge's link baseline and rpos, this node's
 // position in the peer's own table. Both are fixed when two nodes
 // connect, so a send through the entry needs no map lookup and the
-// delivery it schedules tells the receiver where its sender sits. The
+// record it puts in flight tells the receiver where its sender sits. The
 // zero value is a free position; removePeer restores it, so nothing about
 // a connection outlives the connection.
 type peerEntry struct {
@@ -111,8 +111,7 @@ type nodeInv struct {
 // adjacency in stable peerTab positions, inventory in generation-stamped
 // arrays keyed by dense hash index — so a node costs a few hundred bytes
 // instead of four maps, and a 100k-node network floods without touching
-// the allocator. The retired map-based layout survives as ReferenceNode,
-// the oracle the differential and fuzz tests pin this one against.
+// the allocator.
 type Node struct {
 	// What a receive reads comes first and together — identity, the table
 	// epoch and table that place the sender, the inventory arrays its INV
@@ -123,8 +122,8 @@ type Node struct {
 	// position of peerTab names the peer it named, so a delivery that left
 	// under the current epoch (delivery.dstEpoch) knows its sender's
 	// position without a look at the table. It would take 2^32 removals at
-	// this node within one message's flight for a stale delivery to see
-	// its own epoch again.
+	// this node within one message's flight for a stale record to see its
+	// own epoch again.
 	tabEpoch uint32
 	net      *Network
 	// peerTab is the stable-position adjacency table (id == 0 marks a
@@ -179,32 +178,39 @@ func (nd *Node) SetExtraHandler(h func(from NodeID, msg wire.Message)) {
 
 // Send transmits an arbitrary wire message to any live node, addressed by
 // ID: the overlay's "any host can dial any other". Topology protocols use
-// it for their extension messages; relay traffic between peers goes through
-// the peer entry instead (sendTo), and pings and pongs through the handles
-// their probe resolved (ping, pong).
+// it for their extension messages, and address discovery for GETADDR and
+// ADDR; the message is silently dropped if either end is gone (matching a
+// TCP RST on a dead host). Relay traffic between peers does not come this
+// way — it has no wire.Message to send (sendTo) — nor do pings and pongs
+// (ping, pong).
 func (nd *Node) Send(to NodeID, msg wire.Message) {
-	nd.sendTo(-1, to, msg)
-}
-
-// sendTo transmits msg to the node with the given ID. With pos >= 0, that
-// node's adjacency position here, it is reached through the peer entry —
-// destination, link and reverse position all read from it, no map
-// touched. With pos < 0 it is looked up by ID, the link comes from the
-// network's memo of by-ID pairs, and the message is silently dropped if
-// either end is gone (matching a TCP RST on a dead host; a removed node has
-// no peers, so only this branch can see one).
-func (nd *Node) sendTo(pos int32, to NodeID, msg wire.Message) {
 	n := nd.net
-	if pos >= 0 {
-		n.deliver(nd, nd.peerTab[pos].node, pos, 0, msg)
-		return
-	}
 	dst, ok := n.nodes[to]
 	if !ok || !nd.live() {
 		n.dc.stats.Dropped++
 		return
 	}
-	n.deliver(nd, dst, -1, n.link(nd, dst).Base(), msg)
+	n.deliver(nd, dst, -1, n.link(nd, dst).Base(), msg.Command(), wire.EncodedSize(msg), msg)
+}
+
+// sendTo puts a relay message of the given command and framed size in
+// flight and returns its record for the caller to say what it carries
+// (Network.deliver). With pos >= 0, the receiver's adjacency position
+// here, it is reached through the peer entry — destination, link and
+// reverse position all read from it, no map touched. With pos < 0 it is
+// to, a sender that is no longer a peer: the link comes from the network's
+// memo of by-ID pairs, and the message is dropped if either end is gone (a
+// removed node has no peers, so only this branch can see one).
+func (nd *Node) sendTo(pos int32, to *Node, cmd wire.Command, size int) *delivery {
+	n := nd.net
+	if pos >= 0 {
+		return n.deliver(nd, nd.peerTab[pos].node, pos, 0, cmd, size, nil)
+	}
+	if !to.live() || !nd.live() {
+		n.dc.stats.Dropped++
+		return &n.dc.lost
+	}
+	return n.deliver(nd, to, -1, n.link(nd, to).Base(), cmd, size, nil)
 }
 
 // live reports whether the node is still in the network.
@@ -294,10 +300,10 @@ func (nd *Node) removePeer(id NodeID) {
 
 // peerPos returns id's adjacency position, or -1 if not a peer: a linear
 // scan of a table that is at most MaxPeers entries and usually ~16. The
-// relay path does not call it — sends go through positions and deliveries
-// carry the sender's — so it serves connect/disconnect and the last step
-// of senderPos, for a delivery that a removePeer at the receiver overtook
-// and whose position no longer names its sender.
+// relay path does not call it — sends go through positions and records in
+// flight carry the sender's — so it serves connect/disconnect and the last
+// step of senderPos, for a message that a removePeer at the receiver
+// overtook and whose position no longer names its sender.
 func (nd *Node) peerPos(id NodeID) int32 {
 	for i := range nd.peerTab {
 		if nd.peerTab[i].id == id {
@@ -492,9 +498,9 @@ func (nd *Node) spillAdd(hi int32, holder NodeID) {
 // non-peer) is known to hold the hash at dense index hi. This is the
 // standard Bitcoin relay optimisation: never announce a hash back to
 // whoever announced or sent it to us.
-func (nd *Node) markPeerHas(peer NodeID, pos, hi int32) {
+func (nd *Node) markPeerHas(peer *Node, pos, hi int32) {
 	if pos < 0 {
-		nd.spillAdd(hi, peer)
+		nd.spillAdd(hi, peer.id)
 		return
 	}
 	nd.setHolderBit(hi, pos)
@@ -561,24 +567,21 @@ func (nd *Node) acceptTx(tx *chain.Tx, from NodeID) error {
 		tr.Record(obs.Event{At: nd.now(), Kind: obs.KindFirstSeen, P1: uint64(nd.id), P2: hashPrefix(id)})
 	}
 	if nd.net.OnTxFirstSeen != nil {
-		nd.net.OnTxFirstSeen(nd.id, id, nd.now())
+		nd.net.OnTxFirstSeen(nd, id, nd.now())
 	}
-	nd.announce(hi, id, from)
+	nd.announce(hi, tx, nil, from)
 	return nil
 }
 
-// announce offers the hash at dense index hi to every peer not already
-// known to have it: an INV in RelayInv mode (Fig. 1), or the full
-// transaction immediately in RelayDirect mode (the refs [9]/[10]
-// pipelining ablation). Iteration is in sorted peer order: delivery
-// delays draw from a shared random stream, so a stable order is required
-// for run-to-run determinism.
-//
-// Announcement messages are single-recipient and recycled through the
-// network's message pools once handled, so a steady-state flood builds
-// no INV or TX wrappers at all.
-func (nd *Node) announce(hi int32, h chain.Hash, except NodeID) {
-	direct := nd.net.cfg.Relay == RelayDirect
+// announce offers the object at dense index hi — tx or block, the other
+// nil — to every peer not already known to have it: an INV (Fig. 1), or
+// for a transaction in RelayDirect mode the full transaction immediately
+// (the refs [9]/[10] pipelining ablation). Iteration is in sorted peer
+// order: each send advances the sender's keyed delivery sequence, so a
+// stable order is required for run-to-run determinism.
+func (nd *Node) announce(hi int32, tx *chain.Tx, block *chain.Block, except NodeID) {
+	gen := nd.net.invGen
+	direct := tx != nil && nd.net.cfg.Relay == RelayDirect
 	for _, ref := range nd.sortedPeers() {
 		if ref.id == except {
 			continue
@@ -587,17 +590,22 @@ func (nd *Node) announce(hi int32, h chain.Hash, except NodeID) {
 			continue
 		}
 		if direct {
-			if tx, ok := nd.txFor(hi); ok {
-				nd.setHolderBit(hi, ref.pos)
-				nd.sendTo(ref.pos, ref.id, nd.net.dc.newTxMsg(tx))
-				continue
-			}
+			nd.setHolderBit(hi, ref.pos)
+			nd.sendTx(ref.pos, nil, tx, hi)
+			continue
 		}
-		nd.sendTo(ref.pos, ref.id, nd.net.dc.newInv(wire.InvTx, h))
+		d := nd.sendTo(ref.pos, nil, wire.CmdInv, invSize)
+		d.tx, d.block, d.hi, d.gen = tx, block, hi, gen
 	}
 }
 
-// senderPos turns the sender position a delivery carried into from's
+// sendTx sends the full transaction at dense index hi (sendTo).
+func (nd *Node) sendTx(pos int32, to *Node, tx *chain.Tx, hi int32) {
+	d := nd.sendTo(pos, to, wire.CmdTx, frameLen+tx.Size())
+	d.tx, d.hi, d.gen = tx, hi, nd.net.invGen
+}
+
+// senderPos turns the sender position a record carried into from's
 // adjacency position here, or -1 if from is not a peer. A position the
 // sender read from its peer entry under this node's current table epoch
 // is right as it stands: no peer has left since, and positions only move
@@ -606,34 +614,34 @@ func (nd *Node) announce(hi int32, h chain.Hash, except NodeID) {
 // otherwise (the message was addressed by ID, or the edge was torn down
 // mid-flight and the position freed or recycled) it falls back to the
 // scan.
-func (nd *Node) senderPos(from NodeID, pos int32, epoch uint32) int32 {
-	if pos >= 0 && epoch == nd.tabEpoch {
+func (nd *Node) senderPos(d *delivery) int32 {
+	pos := int32(d.srcPos)
+	if pos >= 0 && d.dstEpoch == nd.tabEpoch {
 		return pos
 	}
-	if uint(pos) < uint(len(nd.peerTab)) && nd.peerTab[pos].id == from {
+	if uint(pos) < uint(len(nd.peerTab)) && nd.peerTab[pos].node == d.src {
 		return pos
 	}
-	return nd.peerPos(from)
+	return nd.peerPos(d.src.id)
 }
 
-// handleMessage dispatches a delivered wire message. srcPos and epoch are
-// the sender position and table epoch the delivery carried; the inventory
-// handlers get them resolved by senderPos, so they mark holder facts and
-// reply through the peer entry without scanning the table. Pongs and
-// address requests are addressed by ID and answered the same way; a ping
-// never gets here, runDelivery answers it (pong).
-func (nd *Node) handleMessage(from NodeID, srcPos int32, epoch uint32, msg wire.Message) {
-	switch m := msg.(type) {
-	case *wire.MsgInv:
-		nd.handleInv(from, nd.senderPos(from, srcPos, epoch), m)
-	case *wire.MsgGetData:
-		nd.handleGetData(from, nd.senderPos(from, srcPos, epoch), m)
-	case *wire.MsgTx:
-		nd.handleTx(from, nd.senderPos(from, srcPos, epoch), m)
-	case *wire.MsgBlock:
-		nd.handleBlock(from, nd.senderPos(from, srcPos, epoch), m)
-	case *wire.MsgPong:
-		nd.handlePong(from, m)
+// hashIdx returns the dense hash index of the object a relay record names:
+// the one it carries, unless a ResetInventory overtook the message, in
+// which case the object's hash is registered afresh, as a message that
+// spelled the hash out would have it.
+func (nd *Node) hashIdx(d *delivery) int32 {
+	if d.gen == nd.net.invGen {
+		return d.hi
+	}
+	return nd.net.hashSlot(d.hash())
+}
+
+// handleMessage dispatches a delivered wire.Message: what Send carries.
+// Address requests are answered by ID, the way they came; everything the
+// relay and the probes exchange arrives as record fields and is dispatched
+// by Network.arrive.
+func (nd *Node) handleMessage(from NodeID, msg wire.Message) {
+	switch msg.(type) {
 	case *wire.MsgGetAddr:
 		nd.handleGetAddr(from)
 	case *wire.MsgAddr:
@@ -648,79 +656,72 @@ func (nd *Node) handleMessage(from NodeID, srcPos int32, epoch uint32, msg wire.
 	}
 }
 
-// handleInv requests any announced transactions we have not seen. The
-// GETDATA (and its item slice) comes from the network's message pool: in
-// a flood every node's first INV triggers exactly one, which used to be
-// one message and one slice allocation per (node, hash).
-func (nd *Node) handleInv(from NodeID, fromPos int32, m *wire.MsgInv) {
-	var blocks []wire.InvVect
-	want := nd.net.dc.newGetData()
-	for _, item := range m.Items {
-		if item.Type == wire.InvBlock {
-			blocks = append(blocks, item)
-			continue
-		}
-		if item.Type != wire.InvTx {
-			continue
-		}
-		hi := nd.net.hashSlot(item.Hash)
-		nd.markPeerHas(from, fromPos, hi)
-		e := nd.invEnsure(hi)
-		gen := nd.net.invGen
-		if e.seenGen == gen || e.reqGen == gen {
-			continue
-		}
-		e.reqGen = gen
-		want.Items = append(want.Items, item)
-	}
-	if len(want.Items) > 0 {
-		nd.sendTo(fromPos, from, want)
-	} else {
-		nd.net.dc.recycleMessage(want)
-	}
-	if len(blocks) > 0 {
-		nd.handleBlockInv(from, fromPos, blocks)
-	}
-}
-
-// handleGetData serves full transactions and blocks we hold.
-func (nd *Node) handleGetData(from NodeID, fromPos int32, m *wire.MsgGetData) {
-	for _, item := range m.Items {
-		hi, ok := nd.net.findHash(item.Hash)
-		if !ok {
-			continue
-		}
-		switch item.Type {
-		case wire.InvTx:
-			if tx, ok := nd.txFor(hi); ok {
-				nd.markPeerHas(from, fromPos, hi)
-				nd.sendTo(fromPos, from, nd.net.dc.newTxMsg(tx))
-			}
-		case wire.InvBlock:
-			if b, ok := nd.blockFor(hi); ok {
-				nd.markPeerHas(from, fromPos, hi)
-				nd.sendTo(fromPos, from, nd.net.dc.newBlockMsg(b))
-			}
-		}
-	}
-}
-
-// handleTx verifies (with modelled delay) then accepts and relays.
-func (nd *Node) handleTx(from NodeID, fromPos int32, m *wire.MsgTx) {
-	tx := m.Tx
-	id := tx.ID()
-	nd.markPeerHas(from, fromPos, nd.net.hashSlot(id))
-	if e := nd.entryFor(id); e != nil && e.seenGen == nd.net.invGen {
+// handleInv requests the announced transaction or block if we have neither
+// seen it nor asked for it. The sender's position is resolved once here,
+// so the holder fact is one bit and the reply goes through the peer entry.
+func (nd *Node) handleInv(d *delivery) {
+	fromPos := nd.senderPos(d)
+	hi := nd.hashIdx(d)
+	nd.markPeerHas(d.src, fromPos, hi)
+	e := nd.invEnsure(hi)
+	gen := nd.net.invGen
+	if e.seenGen == gen || e.reqGen == gen {
 		return
 	}
-	// Fig. 1: the peer verifies the transaction BEFORE announcing it
-	// onward. The verification delay is virtual time, not host CPU.
+	e.reqGen = gen
+	want := nd.sendTo(fromPos, d.src, wire.CmdGetData, invSize)
+	want.tx, want.block, want.hi, want.gen = d.tx, d.block, hi, gen
+}
+
+// handleGetData serves the full transaction or block if we hold it.
+func (nd *Node) handleGetData(d *delivery) {
+	hi := d.hi
+	if d.gen != nd.net.invGen {
+		var ok bool
+		if hi, ok = nd.net.findHash(d.hash()); !ok {
+			return
+		}
+	}
+	if d.tx != nil {
+		if tx, ok := nd.txFor(hi); ok {
+			fromPos := nd.senderPos(d)
+			nd.markPeerHas(d.src, fromPos, hi)
+			nd.sendTx(fromPos, d.src, tx, hi)
+		}
+		return
+	}
+	if b, ok := nd.blockFor(hi); ok {
+		fromPos := nd.senderPos(d)
+		nd.markPeerHas(d.src, fromPos, hi)
+		r := nd.sendTo(fromPos, d.src, wire.CmdBlock, frameLen+b.Size())
+		r.block, r.hi, r.gen = b, hi, nd.net.invGen
+	}
+}
+
+// handleObject takes a full transaction or block: unless already seen, it
+// is verified (with modelled delay) and then accepted and relayed. Fig. 1:
+// the peer verifies BEFORE announcing onward. The verification delay is
+// virtual time, not host CPU; the wait is a record like the message was.
+func (nd *Node) handleObject(d *delivery) {
+	n := nd.net
+	hi := nd.hashIdx(d)
+	nd.markPeerHas(d.src, nd.senderPos(d), hi)
+	if nd.seenIdx(hi) {
+		return
+	}
 	utxoLen := 0
 	if nd.mempool != nil {
 		utxoLen = nd.mempool.Len()
 	}
-	cost := nd.net.cfg.VerifyCost.TxCost(tx, utxoLen)
-	nd.net.sched.AfterCall(cost, runVerify, nd.net.dc.newVerifyJob(nd.net, nd.slot, nd.id, from, tx, nil))
+	var cost time.Duration
+	if d.tx != nil {
+		cost = n.cfg.VerifyCost.TxCost(d.tx, utxoLen)
+	} else {
+		cost = n.cfg.VerifyCost.BlockCost(d.block, utxoLen)
+	}
+	idx := n.dc.newFlight()
+	n.dc.flight[idx] = delivery{src: d.src, dst: nd, tx: d.tx, block: d.block}
+	n.sched.AfterIndexed(cost, n.verifyTag, idx)
 }
 
 // --- ping measurement ---
@@ -751,25 +752,20 @@ func (nd *Node) ping(dst *Node, base time.Duration, done func(rtt time.Duration)
 		return
 	}
 	nd.pending = append(nd.pending, pendingPing{nonce: nd.nextNonce, sentAt: nd.now(), target: dst.id, done: done})
-	pad := n.cfg.Latency.PingBytes - 12 // nonce + length prefix
-	if pad < 0 {
-		pad = 0
-	}
-	n.deliver(nd, dst, -1, base, n.dc.newPing(nd.nextNonce, pad))
+	n.deliver(nd, dst, -1, base, wire.CmdPing, n.pingSize, nil).nonce = nd.nextNonce
 }
 
-// pong answers a ping from what its delivery carried: the pinger's (slot,
-// id) handle and the baseline of the link the ping came over, so the reply
-// looks up neither the node nor the link. A pinger that left with its ping
-// in flight — its slot empty, or recycled by a later joiner — gets none.
-func (nd *Node) pong(to NodeID, toSlot int32, base time.Duration, nonce uint64) {
+// pong answers a ping from what its record carried: the pinger and the
+// baseline of the link the ping came over, so the reply looks up neither
+// the node nor the link. A pinger that left with its ping in flight — its
+// slot empty, or recycled by a later joiner — gets none.
+func (nd *Node) pong(to *Node, base time.Duration, nonce uint64) {
 	n := nd.net
-	dst := n.nodeAt(toSlot, to)
-	if dst == nil {
+	if !to.live() {
 		n.dc.stats.Dropped++
 		return
 	}
-	n.deliver(nd, dst, -1, base, n.dc.newPong(nonce))
+	n.deliver(nd, to, -1, base, wire.CmdPong, pongSize, nil).nonce = nonce
 }
 
 // ProbeN sends n pings spaced by gap and calls done once all have
@@ -815,10 +811,10 @@ func (nd *Node) ProbeN(target NodeID, n int, gap time.Duration, done func(est *l
 // handlePong matches a pong to its pending probe and updates estimators.
 // Nonces are unique, so the order of pending carries nothing and the match
 // is removed by moving the last entry into its place.
-func (nd *Node) handlePong(from NodeID, m *wire.MsgPong) {
+func (nd *Node) handlePong(from NodeID, nonce uint64) {
 	i := -1
 	for j := range nd.pending {
-		if nd.pending[j].nonce == m.Nonce {
+		if nd.pending[j].nonce == nonce {
 			i = j
 			break
 		}

@@ -19,16 +19,27 @@
 // delivery tells the receiver where its sender sits. ResetInventory is a
 // generation bump plus an O(active hashes) registry clear — not a
 // per-node map rebuild — which is what lets a 100k+ node network run
-// thousand-injection campaigns in bounded memory. The retired map-based
-// layout is preserved as ReferenceNetwork/ReferenceNode (reference.go),
-// the oracle that differential and fuzz tests pin this layout against,
-// bit for bit.
+// thousand-injection campaigns in bounded memory.
+//
+// A message in flight is a value, not an object: one 64-byte record in the
+// network's arena (delivery), scheduled as an indexed event whose index it
+// is, so a send allocates nothing and a receive reads the heap entry, the
+// record and the receiving node. An INV, GETDATA, TX or BLOCK is the record's
+// command byte plus the object it names and that object's dense hash index;
+// a ping or pong is its nonce. Only what Send carries for the topology layer
+// — GETADDR, ADDR, JOIN, CLUSTER — is a wire.Message, kept beside the record.
+//
+// The retired map-based layout, which builds a wire.Message per send and
+// finds everything by ID, lives on in this package's tests as
+// ReferenceNetwork (reference_test.go), the oracle that differential and
+// fuzz tests pin this one against, bit for bit.
 package p2p
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -111,9 +122,9 @@ type Config struct {
 	Relay RelayMode
 	// MaxOutbound caps connections a node initiates (Bitcoin: 8).
 	MaxOutbound int
-	// MaxPeers caps total connections per node (Bitcoin: 125). It also
-	// fixes the width of the per-hash holder bitsets, so it is immutable
-	// for the network's lifetime.
+	// MaxPeers caps total connections per node (Bitcoin: 125), at most
+	// 32767. It also fixes the width of the per-hash holder bitsets, so it
+	// is immutable for the network's lifetime.
 	MaxPeers int
 	// PingInterval is the keepalive ping period for connected peers.
 	// Zero disables keepalive pings.
@@ -167,9 +178,10 @@ type Network struct {
 	linkDraws uint64
 
 	// slots is the dense node table: every live node occupies one slot
-	// for its lifetime, freed slots recycle LIFO. In-flight deliveries
-	// carry (slot, id) so dispatch never pays a map lookup, and flat
-	// per-node measurement arrays key by slot.
+	// for its lifetime, freed slots recycle LIFO. A node is live while its
+	// slot names it (Node.live), which is how an in-flight record tells
+	// that an end churned away, and flat per-node measurement arrays key
+	// by slot.
 	slots    []*Node
 	slotFree []int32
 
@@ -189,16 +201,22 @@ type Network struct {
 	peerWords int32
 
 	// dc is the network's one dispatch context: the keyed RNG scratch,
-	// message/payload pools, traffic counters and trace shard that every
+	// in-flight record arena, traffic counters and trace shard that every
 	// send and delivery goes through.
 	dc dispatchCtx
+	// arriveTag and verifyTag are the scheduler tags of the two indexed
+	// events over that arena: a message landing, a verification ending.
+	arriveTag, verifyTag uint32
+	// pingSize is the framed size of a ping, pad included.
+	pingSize int
 
 	// OnTxFirstSeen fires when a node accepts a transaction it had not
-	// seen before (after verification delay). Measurement hooks in.
-	OnTxFirstSeen func(node NodeID, tx chain.Hash, at sim.Time)
+	// seen before (after verification delay). Measurement hooks in; the
+	// node is handed over itself, so a hook keyed by Slot looks nothing up.
+	OnTxFirstSeen func(node *Node, tx chain.Hash, at sim.Time)
 	// OnBlockFirstSeen fires when a node accepts a block it had not seen
 	// before (after verification delay).
-	OnBlockFirstSeen func(node NodeID, block chain.Hash, at sim.Time)
+	OnBlockFirstSeen func(node *Node, block chain.Hash, at sim.Time)
 	// OnDisconnect fires after a connection is torn down, letting the
 	// topology manager refill the peer's slots.
 	OnDisconnect func(a, b NodeID)
@@ -221,6 +239,10 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.MaxOutbound > cfg.MaxPeers {
 		return nil, fmt.Errorf("p2p: MaxOutbound %d > MaxPeers %d", cfg.MaxOutbound, cfg.MaxPeers)
 	}
+	if cfg.MaxPeers > math.MaxInt16 {
+		// An in-flight record carries an adjacency position as an int16.
+		return nil, fmt.Errorf("p2p: MaxPeers %d > %d", cfg.MaxPeers, math.MaxInt16)
+	}
 	if cfg.LossProb < 0 || cfg.LossProb >= 1 {
 		return nil, fmt.Errorf("p2p: LossProb %g outside [0,1)", cfg.LossProb)
 	}
@@ -241,6 +263,9 @@ func NewNetwork(cfg Config) (*Network, error) {
 		peerWords: int32((cfg.MaxPeers + 63) / 64),
 	}
 	n.dc.krand = rand.New(&n.dc.ksrc)
+	n.arriveTag = n.sched.Handle(n.arrive)
+	n.verifyTag = n.sched.Handle(n.verified)
+	n.pingSize = pingMinSize + max(0, cfg.Latency.PingBytes-12) // pad: what nonce and length prefix leave
 	return n, nil
 }
 
@@ -314,8 +339,8 @@ func (n *Network) SlotOf(id NodeID) (int, bool) {
 }
 
 // nodeAt returns the node occupying slot if it is still the node with
-// the given ID — the churn-safe dense lookup used by in-flight events,
-// whose slot may have been recycled by a later joiner.
+// the given ID — the churn-safe dense lookup used by ProbeN's scheduled
+// pings, whose slot may have been recycled by a later joiner.
 func (n *Network) nodeAt(slot int32, id NodeID) *Node {
 	if int(slot) < len(n.slots) {
 		if nd := n.slots[slot]; nd != nil && nd.id == id {
@@ -499,61 +524,50 @@ func (n *Network) BaseRTT(a, b NodeID) (time.Duration, bool) {
 	return n.link(na, nb).Base(), true
 }
 
-// delivery is the pooled payload behind one in-flight message event. Both
-// ends are addressed by (slot, id): dispatch is an array index plus a
-// liveness check, not a map lookup, and so is the reply to a ping. srcPos
-// is the sender's adjacency position at the destination (-1 for a message
-// addressed by ID), read from the sender's peer entry, and dstEpoch the
-// destination's peer-table epoch when the message left: while the two
-// still agree on arrival, srcPos needs no checking (Node.senderPos). base
-// is the baseline of the link the message travels, which a pong travels
-// back. The payload fills the allocator's 64-byte class exactly.
-type delivery struct {
-	net      *Network
-	src      NodeID
-	dstID    NodeID
-	base     time.Duration
-	srcSlot  int32
-	dstSlot  int32
-	srcPos   int32
-	dstEpoch uint32
-	msg      wire.Message
-}
-
-// runDelivery is the static dispatch target for delivery events: no
-// closure is allocated per message. The payload struct is returned to the
-// pool before the message is handled, so handlers that immediately send
-// (relay) reuse it for their own deliveries: the in-flight count bounds
-// the pool, and steady state allocates nothing.
-func runDelivery(a any) {
-	d := a.(*delivery)
-	n, src, dstID, base, msg := d.net, d.src, d.dstID, d.base, d.msg
-	srcSlot, dstSlot, srcPos, epoch := d.srcSlot, d.dstSlot, d.srcPos, d.dstEpoch
-	d.msg = nil
+// arrive is the indexed event of a message landing: idx is its record in
+// the arena. The record is copied out and freed before the message is
+// handled, so handlers that immediately send (relay) write into the
+// record just read.
+func (n *Network) arrive(idx int32) {
 	dc := &n.dc
-	dc.deliveryPool = append(dc.deliveryPool, d)
+	d := dc.takeFlight(idx)
+	cmd := d.cmd
+	var msg wire.Message
+	if cmd == 0 {
+		msg, dc.flightMsg[idx] = dc.flightMsg[idx], nil
+		cmd = msg.Command()
+	}
+	node := d.dst
 	// The destination may have churned away mid-flight.
-	if node := n.nodeAt(dstSlot, dstID); node != nil {
-		if dc.trace != nil {
-			dc.trace.Record(obs.Event{At: n.sched.Now(), Kind: obs.KindDeliver, Code: uint8(msg.Command()),
-				P1: uint64(src), P2: uint64(dstID)})
-		}
-		if ping, ok := msg.(*wire.MsgPing); ok {
-			node.pong(src, srcSlot, base, ping.Nonce)
-		} else {
-			node.handleMessage(src, srcPos, epoch, msg)
-		}
-	} else {
+	if !node.live() {
 		dc.stats.Dropped++
 		if dc.trace != nil {
-			dc.trace.Record(obs.Event{At: n.sched.Now(), Kind: obs.KindDrop, Code: uint8(msg.Command()),
-				P1: uint64(src), P2: uint64(dstID)})
+			dc.trace.Record(obs.Event{At: n.sched.Now(), Kind: obs.KindDrop, Code: uint8(cmd),
+				P1: uint64(d.src.id), P2: uint64(node.id)})
 		}
+		return
 	}
-	dc.recycleMessage(msg)
+	if dc.trace != nil {
+		dc.trace.Record(obs.Event{At: n.sched.Now(), Kind: obs.KindDeliver, Code: uint8(cmd),
+			P1: uint64(d.src.id), P2: uint64(node.id)})
+	}
+	switch d.cmd {
+	case wire.CmdInv:
+		node.handleInv(&d)
+	case wire.CmdGetData:
+		node.handleGetData(&d)
+	case wire.CmdTx, wire.CmdBlock:
+		node.handleObject(&d)
+	case wire.CmdPing:
+		node.pong(d.src, d.base, d.nonce)
+	case wire.CmdPong:
+		node.handlePong(d.src.id, d.nonce)
+	default:
+		node.handleMessage(d.src.id, msg)
+	}
 }
 
-// deliver schedules msg to arrive at dst after serialization on the
+// deliver schedules a message to arrive at dst after serialization on the
 // sender's uplink plus the link's sampled one-way delay. The uplink is a
 // serial resource: concurrent sends queue behind each other (the rate(r)
 // and queuing terms of eqs. 2 and 4 applied to all traffic, not just
@@ -567,14 +581,17 @@ func runDelivery(a any) {
 //
 // pos is dst's adjacency position at src, or -1 for a message addressed
 // by ID: it selects where the link comes from (the peer entry, or base,
-// the baseline the caller resolved for the pair) and what the delivery
-// tells the receiver about its sender's position.
-func (n *Network) deliver(src, dst *Node, pos int32, base time.Duration, msg wire.Message) {
+// the baseline the caller resolved for the pair) and what the record
+// tells the receiver about its sender's position. cmd and size are the
+// message's command and framed size; msg is the message itself when it is
+// one the record has no fields for, nil otherwise. The caller writes what
+// the message carries into the record returned — the one in flight, or
+// the dispatch context's scratch record when the message was lost.
+func (n *Network) deliver(src, dst *Node, pos int32, base time.Duration, cmd wire.Command, size int, msg wire.Message) *delivery {
 	dc := &n.dc
-	size := wire.EncodedSize(msg)
-	dc.stats.count(msg.Command(), size)
+	dc.stats.count(cmd, size)
 	if dc.trace != nil {
-		dc.trace.Record(obs.Event{At: n.sched.Now(), Kind: obs.KindSend, Code: uint8(msg.Command()),
+		dc.trace.Record(obs.Event{At: n.sched.Now(), Kind: obs.KindSend, Code: uint8(cmd),
 			P1: uint64(src.id), P2: uint64(dst.id), P3: uint64(size)})
 	}
 	src.sendSeq++
@@ -582,10 +599,10 @@ func (n *Network) deliver(src, dst *Node, pos int32, base time.Duration, msg wir
 	if n.cfg.LossProb > 0 && dc.krand.Float64() < n.cfg.LossProb {
 		dc.stats.Lost++
 		if dc.trace != nil {
-			dc.trace.Record(obs.Event{At: n.sched.Now(), Kind: obs.KindLoss, Code: uint8(msg.Command()),
+			dc.trace.Record(obs.Event{At: n.sched.Now(), Kind: obs.KindLoss, Code: uint8(cmd),
 				P1: uint64(src.id), P2: uint64(dst.id), P3: uint64(size)})
 		}
-		return
+		return &dc.lost
 	}
 	txTime := time.Duration(float64(size) / n.cfg.Latency.RateBytesPerSec * float64(time.Second))
 	now := n.sched.Now()
@@ -602,7 +619,14 @@ func (n *Network) deliver(src, dst *Node, pos int32, base time.Duration, msg wir
 		link = n.model.NewLinkWithBase(base)
 	}
 	delay := (start + txTime - now) + link.SampleOneWay(dc.krand)
-	n.sched.AfterCall(delay, runDelivery, dc.newDelivery(n, src, srcPos, link.Base(), dst, msg))
+	idx := dc.newFlight()
+	d := &dc.flight[idx]
+	*d = delivery{src: src, dst: dst, base: link.Base(), dstEpoch: dst.tabEpoch, srcPos: int16(srcPos), cmd: cmd}
+	if msg != nil {
+		d.cmd, dc.flightMsg[idx] = 0, msg
+	}
+	n.sched.AfterIndexed(delay, n.arriveTag, idx)
+	return d
 }
 
 // Connection errors.
@@ -694,33 +718,20 @@ func (n *Network) teardown(na *Node, b NodeID) {
 	}
 }
 
-// verifyJob is the pooled payload behind a deferred verification event:
-// a transaction or block whose modelled verification delay has elapsed.
-// The verifying node is addressed by the churn-safe (slot, id) handle.
-type verifyJob struct {
-	net   *Network
-	slot  int32
-	id    NodeID
-	from  NodeID
-	tx    *chain.Tx
-	block *chain.Block
-}
-
-// runVerify is the static dispatch target for verification events.
-func runVerify(a any) {
-	j := a.(*verifyJob)
-	n, slot, id, from, tx, block := j.net, j.slot, j.id, j.from, j.tx, j.block
-	j.tx, j.block = nil, nil
-	n.dc.verifyPool = append(n.dc.verifyPool, j)
-	node := n.nodeAt(slot, id)
-	if node == nil {
+// verified is the indexed event of a modelled verification delay ending:
+// the record at idx names the verifying node (dst), the object, and the
+// peer it came from (src).
+func (n *Network) verified(idx int32) {
+	d := n.dc.takeFlight(idx)
+	node := d.dst
+	if !node.live() {
 		return // verifier churned out
 	}
-	if tx != nil {
-		_ = node.acceptTx(tx, from) // invalid txs die here, by design
+	if d.tx != nil {
+		_ = node.acceptTx(d.tx, d.src.id) // invalid txs die here, by design
 		return
 	}
-	_ = node.acceptBlock(block, from)
+	_ = node.acceptBlock(d.block, d.src.id)
 }
 
 // probeJob is the pooled payload behind one scheduled ProbeN ping: the
@@ -835,13 +846,15 @@ func (n *Network) RunUntil(ctx context.Context, limit sim.Time) error {
 
 // Close releases a network that will not run again: it stops the
 // scheduler, drops every pending event (whose closures otherwise pin
-// nodes and messages live), and detaches the measurement and topology
-// hooks. Build harnesses call it on their error paths so an abandoned
-// half-bootstrapped network cannot keep state alive or resume by
-// accident. Close is idempotent; node state stays readable.
+// nodes and messages live) and with them the in-flight records they
+// index, and detaches the measurement and topology hooks. Build harnesses
+// call it on their error paths so an abandoned half-bootstrapped network
+// cannot keep state alive or resume by accident. Close is idempotent; node
+// state stays readable.
 func (n *Network) Close() {
 	n.sched.Stop()
 	n.sched.Clear()
+	n.dc.flight, n.dc.flightMsg, n.dc.flightFree = nil, nil, nil
 	n.OnTxFirstSeen = nil
 	n.OnBlockFirstSeen = nil
 	n.OnDisconnect = nil

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/chain"
 	"repro/internal/geo"
@@ -164,8 +165,8 @@ func TestTxPropagatesToAllNodes(t *testing.T) {
 	tx := testTx(t, 1)
 
 	received := make(map[NodeID]sim.Time)
-	net.OnTxFirstSeen = func(id NodeID, h chain.Hash, at sim.Time) {
-		received[id] = at
+	net.OnTxFirstSeen = func(nd *Node, h chain.Hash, at sim.Time) {
+		received[nd.ID()] = at
 	}
 	if err := nodes[0].SubmitTx(tx); err != nil {
 		t.Fatal(err)
@@ -195,7 +196,7 @@ func TestTxPropagationDeterministic(t *testing.T) {
 		net, nodes := testNetwork(t, 15, nil)
 		connectRing(t, net, nodes)
 		rec := make(map[NodeID]sim.Time)
-		net.OnTxFirstSeen = func(id NodeID, h chain.Hash, at sim.Time) { rec[id] = at }
+		net.OnTxFirstSeen = func(nd *Node, h chain.Hash, at sim.Time) { rec[nd.ID()] = at }
 		if err := nodes[0].SubmitTx(testTx(t, 7)); err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +254,7 @@ func TestVerificationDelayOrdersPropagation(t *testing.T) {
 	})
 	connectRing(t, net, nodes) // ring of 3 = also 2 hops max
 	rec := make(map[NodeID]sim.Time)
-	net.OnTxFirstSeen = func(id NodeID, h chain.Hash, at sim.Time) { rec[id] = at }
+	net.OnTxFirstSeen = func(nd *Node, h chain.Hash, at sim.Time) { rec[nd.ID()] = at }
 	if err := nodes[0].SubmitTx(testTx(t, 3)); err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +454,7 @@ func TestResetInventoryAllowsReinjection(t *testing.T) {
 	connectRing(t, net, nodes)
 	tx := testTx(t, 4)
 	count := 0
-	net.OnTxFirstSeen = func(NodeID, chain.Hash, sim.Time) { count++ }
+	net.OnTxFirstSeen = func(*Node, chain.Hash, sim.Time) { count++ }
 	if err := nodes[0].SubmitTx(tx); err != nil {
 		t.Fatal(err)
 	}
@@ -740,7 +741,7 @@ func TestTxPropagationDeterministicRandomGraph(t *testing.T) {
 			}
 		}
 		rec := make(map[NodeID]sim.Time)
-		net.OnTxFirstSeen = func(id NodeID, h chain.Hash, at sim.Time) { rec[id] = at }
+		net.OnTxFirstSeen = func(nd *Node, h chain.Hash, at sim.Time) { rec[nd.ID()] = at }
 		if err := nodes[0].SubmitTx(testTx(t, 11)); err != nil {
 			t.Fatal(err)
 		}
@@ -765,7 +766,7 @@ func TestDirectRelaySkipsInvRoundTrip(t *testing.T) {
 		net, nodes := testNetwork(t, 20, func(c *Config) { c.Relay = mode })
 		connectRing(t, net, nodes)
 		rec := make(map[NodeID]sim.Time)
-		net.OnTxFirstSeen = func(id NodeID, h chain.Hash, at sim.Time) { rec[id] = at }
+		net.OnTxFirstSeen = func(nd *Node, h chain.Hash, at sim.Time) { rec[nd.ID()] = at }
 		if err := nodes[0].SubmitTx(testTx(t, 20)); err != nil {
 			t.Fatal(err)
 		}
@@ -820,7 +821,7 @@ func TestLossInjection(t *testing.T) {
 	net, nodes := testNetwork(t, 30, func(c *Config) { c.LossProb = 0.4 })
 	connectRing(t, net, nodes)
 	count := 0
-	net.OnTxFirstSeen = func(NodeID, chain.Hash, sim.Time) { count++ }
+	net.OnTxFirstSeen = func(*Node, chain.Hash, sim.Time) { count++ }
 	if err := nodes[0].SubmitTx(testTx(t, 21)); err != nil {
 		t.Fatal(err)
 	}
@@ -856,7 +857,7 @@ func TestBlockRelay(t *testing.T) {
 	}
 
 	received := make(map[NodeID]sim.Time)
-	net.OnBlockFirstSeen = func(id NodeID, h chain.Hash, at sim.Time) { received[id] = at }
+	net.OnBlockFirstSeen = func(nd *Node, h chain.Hash, at sim.Time) { received[nd.ID()] = at }
 	if err := nodes[0].SubmitBlock(blk); err != nil {
 		t.Fatal(err)
 	}
@@ -955,7 +956,7 @@ func TestResetInventoryNoCrossRunLeakage(t *testing.T) {
 
 	flood := func(origin *Node) (seen int, st Stats) {
 		before := net.Stats()
-		net.OnTxFirstSeen = func(NodeID, chain.Hash, sim.Time) { seen++ }
+		net.OnTxFirstSeen = func(*Node, chain.Hash, sim.Time) { seen++ }
 		defer func() { net.OnTxFirstSeen = nil }()
 		if err := origin.SubmitTx(tx); err != nil {
 			t.Fatal(err)
@@ -999,5 +1000,103 @@ func TestResetInventoryNoCrossRunLeakage(t *testing.T) {
 	seen3, _ := flood(nodes[5])
 	if seen3 != len(nodes) {
 		t.Fatalf("third run reached %d of %d nodes", seen3, len(nodes))
+	}
+}
+
+// TestCompactSizesMatchWire pins the framed sizes the relay and the probes
+// charge for messages they never build to what wire says of the real ones.
+func TestCompactSizesMatchWire(t *testing.T) {
+	net, _ := testNetwork(t, 2, nil)
+	key, err := chain.GenerateKey(rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := chain.Coinbase(1, 1000, key.Address())
+	blk := &chain.Block{Txs: []*chain.Tx{tx}}
+	item := []wire.InvVect{{Type: wire.InvTx, Hash: tx.ID()}}
+	pad := make([]byte, max(0, net.cfg.Latency.PingBytes-12))
+	for _, c := range []struct {
+		msg  wire.Message
+		size int
+	}{
+		{&wire.MsgInv{Items: item}, invSize},
+		{&wire.MsgGetData{Items: item}, invSize},
+		{&wire.MsgTx{Tx: tx}, frameLen + tx.Size()},
+		{&wire.MsgBlock{Block: blk}, frameLen + blk.Size()},
+		{&wire.MsgPing{Nonce: 1, Pad: pad}, net.pingSize},
+		{&wire.MsgPong{Nonce: 1}, pongSize},
+	} {
+		if want := wire.EncodedSize(c.msg); c.size != want {
+			t.Errorf("%v charged %d bytes, wire.EncodedSize says %d", c.msg.Command(), c.size, want)
+		}
+	}
+}
+
+// TestDeliveryIsOneCacheLine holds the in-flight record to 64 bytes: the
+// arena is a slice of them, so each is one aligned line.
+func TestDeliveryIsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(delivery{}); size != 64 {
+		t.Fatalf("delivery is %d bytes, want 64", size)
+	}
+}
+
+// TestCloseResetsInFlightArena: a cleared queue must strand no record.
+func TestCloseResetsInFlightArena(t *testing.T) {
+	net, nodes := testNetwork(t, 3, nil)
+	connectRing(t, net, nodes)
+	key, err := chain.GenerateKey(rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[0].SubmitTx(chain.Coinbase(1, 1000, key.Address())); err != nil {
+		t.Fatal(err)
+	}
+	nodes[0].Send(nodes[2].ID(), &wire.MsgGetAddr{})
+	if len(net.dc.flight) == 0 || net.sched.Len() == 0 {
+		t.Fatal("nothing in flight")
+	}
+	net.Close()
+	if net.sched.Len() != 0 || len(net.dc.flight) != 0 || len(net.dc.flightMsg) != 0 || len(net.dc.flightFree) != 0 {
+		t.Fatalf("after Close: %d events, %d records, %d messages, %d free", net.sched.Len(), len(net.dc.flight), len(net.dc.flightMsg), len(net.dc.flightFree))
+	}
+}
+
+// TestFreeRecordsAreZero: once a flood has drained, the arena it grew
+// holds no node and no transaction reachable — a record is cleared when
+// it is taken, not when it is next used.
+func TestFreeRecordsAreZero(t *testing.T) {
+	net, nodes := testNetwork(t, 8, nil)
+	connectRing(t, net, nodes)
+	key, err := chain.GenerateKey(rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[0].SubmitTx(chain.Coinbase(1, 1000, key.Address())); err != nil {
+		t.Fatal(err)
+	}
+	nodes[1].Probe(nodes[5].ID(), nil)
+	if err := net.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(net.dc.flight) == 0 || len(net.dc.flightFree) != len(net.dc.flight) {
+		t.Fatalf("%d records, %d free after the drain", len(net.dc.flight), len(net.dc.flightFree))
+	}
+	for i, d := range net.dc.flight {
+		if d != (delivery{}) || net.dc.flightMsg[i] != nil {
+			t.Fatalf("free record %d still holds %+v / %v", i, d, net.dc.flightMsg[i])
+		}
+	}
+}
+
+// TestMaxPeersBound: adjacency positions travel as int16.
+func TestMaxPeersBound(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxPeers = 1 << 15
+	if _, err := NewNetwork(cfg); err == nil {
+		t.Error("accepted MaxPeers beyond what an in-flight record can carry")
+	}
+	cfg.MaxPeers = 1<<15 - 1
+	if _, err := NewNetwork(cfg); err != nil {
+		t.Errorf("rejected MaxPeers %d: %v", cfg.MaxPeers, err)
 	}
 }

@@ -16,14 +16,14 @@ import (
 )
 
 // ReferenceNetwork and ReferenceNode preserve the retired map-based node
-// layout — per-node known/peerInv/requested/txData maps — as an
-// executable oracle, the same pattern as sim.ReferenceScheduler. The
-// protocol logic, random stream consumption and event scheduling are
-// kept line-for-line equivalent to the flat-array implementation, so
-// TestFlatNodeMatchesReference and FuzzFlatNodeMatchesReference can pin
-// delivery order, first-seen times and traffic counters bit-identical
-// between the two. It is test collateral: nothing on a hot path should
-// ever construct one outside a differential harness.
+// layout — per-node known/peerInv/requested/txData maps, a wire.Message
+// built per send, every end found by ID — as an executable oracle, the
+// same pattern as sim's ReferenceScheduler. The protocol logic, random
+// stream consumption and event scheduling are kept equivalent to the
+// flat implementation's, so TestFlatNodeMatchesReference and
+// FuzzFlatNodeMatchesReference can pin delivery order, first-seen times
+// and traffic counters bit-identical between the two. It is test code:
+// nothing outside a differential harness can construct one.
 
 // refPeerState is per-connection bookkeeping on one side of an edge.
 type refPeerState struct {

@@ -112,7 +112,7 @@ func (s Stats) AddToRegistry(reg *obs.Registry) {
 // NodeFootprintBytes sums the retained bytes of every node's hot state —
 // adjacency tables, sorted-peer caches, flat inventory arrays, holder
 // bitsets, spill sets, ping and estimator slices — without the shared
-// network-level state (links, hash registry, pools). Divided by
+// network-level state (links, hash registry, in-flight records). Divided by
 // NumNodes it is the marginal cost of one more node, the number the
 // 100k-node budget test pins so the flat layout cannot quietly regrow
 // pointer-rich per-node state.

@@ -18,8 +18,8 @@ func floodOnce(t *testing.T, net *Network, nodes []*Node, seed int64) ([]sim.Tim
 	net.ResetInventory()
 	net.ResetStats()
 	seen := make([]sim.Time, len(nodes))
-	net.OnTxFirstSeen = func(id NodeID, _ chain.Hash, at sim.Time) {
-		seen[int(id-nodes[0].ID())] = at
+	net.OnTxFirstSeen = func(nd *Node, _ chain.Hash, at sim.Time) {
+		seen[int(nd.ID()-nodes[0].ID())] = at
 	}
 	key, err := chain.GenerateKey(rand.New(rand.NewSource(seed)))
 	if err != nil {

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -17,14 +18,18 @@ type trace struct {
 
 // schedOp is one randomised operation applied identically to both kernels.
 type schedOp struct {
-	kind   int           // opSchedule, opCancel, opRunN or opRunUntil
-	delay  time.Duration // opSchedule: delay from now; opRunUntil: horizon from now
+	kind   int           // opSchedule, opIndexed, opCancel, opRunN or opRunUntil
+	delay  time.Duration // opSchedule, opIndexed: delay from now; opRunUntil: horizon from now
 	target int           // opCancel: index of the schedule op to cancel
 	batch  int           // opRunN: events to dispatch
 }
 
+// opIndexed schedules an indexed event (AfterIndexed), which the reference
+// kernel models as a closure nobody holds the handle of: a cancel aimed at
+// it finds the zero Handle on both sides.
 const (
 	opSchedule = iota
+	opIndexed
 	opCancel
 	opRunN
 	opRunUntil
@@ -36,7 +41,7 @@ func randomOps(r *rand.Rand, n int) []schedOp {
 	for i := range ops {
 		switch k := r.Intn(20); {
 		case k < 12 || scheduled == 0: // bias toward scheduling
-			ops[i] = schedOp{kind: opSchedule, delay: time.Duration(r.Intn(50)) * time.Microsecond}
+			ops[i] = schedOp{kind: opSchedule + r.Intn(2), delay: time.Duration(r.Intn(50)) * time.Microsecond}
 			scheduled++
 		case k < 18:
 			ops[i] = schedOp{kind: opCancel, target: r.Intn(scheduled)}
@@ -50,9 +55,10 @@ func randomOps(r *rand.Rand, n int) []schedOp {
 }
 
 // deepOps is a script that holds well over 20 000 events pending: bursts
-// of one to eight events at the same instant, one cancellation per four
-// schedules aimed half the time at the most recent burst and half the
-// time anywhere (so tombstones sit at every depth, the top included), and
+// of one to eight events at the same instant, every third of them indexed,
+// one cancellation per four schedules aimed half the time at the most
+// recent burst and half the time anywhere (so tombstones sit at every
+// depth, the top included, beside entries that have no arena slot), and
 // once the queue is full, short RunN and RunUntil batches between further
 // bursts, so pops descend eight or nine levels of the 4-ary heap with its
 // size passing through every residue mod 4.
@@ -62,7 +68,11 @@ func deepOps(r *rand.Rand) []schedOp {
 	burst := func() {
 		d := time.Duration(r.Intn(4000)) * time.Microsecond
 		for k := 1 + r.Intn(8); k > 0; k-- {
-			ops = append(ops, schedOp{kind: opSchedule, delay: d})
+			kind := opSchedule
+			if scheduled%3 == 2 {
+				kind = opIndexed
+			}
+			ops = append(ops, schedOp{kind: kind, delay: d})
 			scheduled++
 			if scheduled%4 == 0 {
 				target := r.Intn(scheduled)
@@ -101,16 +111,19 @@ type kernel interface {
 }
 
 // replay runs ops against s and drains it, returning the dispatch trace,
-// the final (now, len) state and the most events ever pending.
-func replay(s kernel, ops []schedOp) (out []trace, now Time, pending, peak int) {
+// the final (now, len) state and the most events ever pending. indexed
+// schedules fire(t) as the kernel's indexed event.
+func replay(s kernel, indexed func(d time.Duration, t int, fire func(t int)), ops []schedOp) (out []trace, now Time, pending, peak int) {
 	var handles []Handle
+	fire := func(t int) { out = append(out, trace{tag: t, at: s.Now()}) }
 	for _, op := range ops {
 		switch op.kind {
 		case opSchedule:
 			t := len(handles)
-			handles = append(handles, s.After(op.delay, func() {
-				out = append(out, trace{tag: t, at: s.Now()})
-			}))
+			handles = append(handles, s.After(op.delay, func() { fire(t) }))
+		case opIndexed:
+			indexed(op.delay, len(handles), fire)
+			handles = append(handles, 0)
 		case opCancel:
 			s.Cancel(handles[op.target])
 		case opRunN:
@@ -129,8 +142,17 @@ func replay(s kernel, ops []schedOp) (out []trace, now Time, pending, peak int) 
 // peak pending count.
 func requireSameReplay(t *testing.T, ops []schedOp) int {
 	t.Helper()
-	gotTr, gotNow, gotLen, gotPeak := replay(NewScheduler(), ops)
-	wantTr, wantNow, wantLen, wantPeak := replay(NewReferenceScheduler(), ops)
+	arena := NewScheduler()
+	var arenaFire func(int)
+	tag := arena.Handle(func(idx int32) { arenaFire(int(idx)) })
+	gotTr, gotNow, gotLen, gotPeak := replay(arena, func(d time.Duration, t int, fire func(int)) {
+		arenaFire = fire
+		arena.AfterIndexed(d, tag, int32(t))
+	}, ops)
+	ref := NewReferenceScheduler()
+	wantTr, wantNow, wantLen, wantPeak := replay(ref, func(d time.Duration, t int, fire func(int)) {
+		ref.After(d, func() { fire(t) })
+	}, ops)
 	if gotNow != wantNow || gotLen != wantLen || gotPeak != wantPeak {
 		t.Fatalf("state (now=%v len=%d peak=%d), reference (now=%v len=%d peak=%d)",
 			gotNow, gotLen, gotPeak, wantNow, wantLen, wantPeak)
@@ -147,9 +169,10 @@ func requireSameReplay(t *testing.T, ops []schedOp) int {
 }
 
 // TestArenaMatchesReference replays thousands of randomised cancel-heavy
-// schedules against both kernels. This is the determinism contract of the
-// arena kernel: (at, seq) total order, cancellation visibility, and RunN
-// and RunUntil batching must be indistinguishable from the reference.
+// schedules against both kernels, closure and indexed events interleaved.
+// This is the determinism contract of the arena kernel: (at, seq) total
+// order across both forms, cancellation visibility, and RunN and RunUntil
+// batching must be indistinguishable from the reference.
 func TestArenaMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(1234))
 	for round := 0; round < 200; round++ {
@@ -292,6 +315,43 @@ func TestAfterCallCarriesArgument(t *testing.T) {
 	}
 }
 
+// TestIndexedEvents names what an indexed event is beyond its place in the
+// order: it counts as pending and as executed, survives a RunUntil short of
+// it, is dropped by Clear without an arena slot to recycle, clamps a
+// negative delay like After, and needs a registered tag.
+func TestIndexedEvents(t *testing.T) {
+	s := NewScheduler()
+	var got []int32
+	tag := s.Handle(func(idx int32) { got = append(got, idx) })
+	other := s.Handle(func(idx int32) { got = append(got, -idx) })
+	s.AfterIndexed(2*time.Millisecond, tag, 7)
+	s.AfterIndexed(time.Millisecond, other, 3)
+	s.AfterIndexed(-time.Second, tag, 1)
+	if s.Len() != 3 || len(s.arena) != 0 {
+		t.Fatalf("Len = %d with %d arena slots, want 3 and 0", s.Len(), len(s.arena))
+	}
+	if err := s.RunUntil(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int32{1, -3}; !slices.Equal(got, want) || s.Len() != 1 || s.Executed() != 2 {
+		t.Fatalf("after RunUntil: dispatched %v (want %v), Len %d, Executed %d", got, want, s.Len(), s.Executed())
+	}
+	h := s.After(time.Millisecond, func() { t.Error("cleared event ran") })
+	s.Clear()
+	if s.Len() != 0 || len(s.free) != 1 || s.Cancel(h) {
+		t.Fatalf("after Clear: Len %d, %d free slots, want 0 and the closure's 1", s.Len(), len(s.free))
+	}
+	if err := s.Run(); err != nil || len(got) != 2 {
+		t.Fatalf("Run after Clear: err %v, dispatched %v", err, got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AfterIndexed accepted a tag nobody registered")
+		}
+	}()
+	s.AfterIndexed(0, other+1, 0)
+}
+
 // TestSteadyStateZeroAllocs is the tentpole's core guarantee: after
 // warm-up, schedule + cancel + dispatch cycles perform no heap
 // allocations.
@@ -299,6 +359,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	s := NewScheduler()
 	fn := func() {}
 	call := func(any) {}
+	tag := s.Handle(func(int32) {})
 	// Warm up arena, heap, and free list to the high-water mark.
 	for i := 0; i < 4096; i++ {
 		s.After(time.Duration(i%64)*time.Microsecond, fn)
@@ -310,6 +371,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		for i := 0; i < 512; i++ {
 			s.After(time.Duration(i%64)*time.Microsecond, fn)
 			s.AfterCall(time.Duration(i%64)*time.Microsecond, call, nil)
+			s.AfterIndexed(time.Duration(i%64)*time.Microsecond, tag, int32(i))
 		}
 		for i := 0; i < 128; i++ {
 			h := s.After(time.Duration(i%64)*time.Microsecond, fn)

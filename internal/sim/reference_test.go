@@ -11,9 +11,8 @@ import (
 // on Cancel. It is kept verbatim (modulo renames) as the behavioural
 // oracle for the arena Scheduler — the differential tests in
 // arena_test.go replay identical schedules against both kernels and
-// require bit-identical dispatch order, and the BenchmarkScheduler pair
-// quantifies the allocation and throughput gap. It is not used by any
-// simulation path.
+// require bit-identical dispatch order. It is test code: no simulation
+// path can reach it.
 type ReferenceScheduler struct {
 	now     Time
 	seq     uint64

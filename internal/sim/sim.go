@@ -23,9 +23,18 @@
 //
 // Cancellation is O(1) and lazy: Cancel marks the arena slot as a
 // tombstone (releasing the callback immediately) and the heap entry is
-// discarded when it reaches the top. The previous kernel — pointer heap
-// nodes, a byID map, and O(log n) heap.Remove cancellation — is preserved
-// as ReferenceScheduler for differential tests and benchmarks.
+// discarded when it reaches the top.
+//
+// # Indexed events
+//
+// A caller that keeps its own event state by value — p2p's in-flight
+// messages are records in one slice — needs the queue to remember only
+// which record is due. AfterIndexed schedules exactly that: a heap entry
+// carrying an int32 and the tag of a handler registered once with Handle,
+// dispatched as handler(idx). It owns no arena slot, so scheduling writes
+// and dispatch reads nothing outside the heap array; it returns no Handle
+// and cannot be cancelled. Indexed and arena events share one (at, seq)
+// order.
 package sim
 
 import (
@@ -79,8 +88,6 @@ const (
 // (fn) or payload form (call + arg). Slots are recycled through the free
 // list; gen distinguishes incarnations so stale handles are rejected.
 type event struct {
-	at   Time
-	seq  uint64 // tie-breaker: schedule order
 	fn   func()
 	call func(any)
 	arg  any
@@ -91,13 +98,16 @@ type event struct {
 // heapEntry is one node of the 4-ary heap: the children of entry i are
 // entries 4i+1 .. 4i+4, so a pop descends half the levels of a binary heap
 // and the four children it inspects per level are contiguous. The
-// (at, seq) ordering key is duplicated out of the arena slot so sift
+// (at, seq) ordering key lives here and not in the arena slot, so sift
 // comparisons stay within the (hot, sequentially laid out) heap array
-// instead of chasing arena indices.
+// instead of chasing arena indices. tag says what idx means: zero, an
+// arena slot; otherwise the argument of the indexed-event handler
+// registered under that tag (Handle), with no slot behind the entry.
 type heapEntry struct {
 	at  Time
 	seq uint64
 	idx int32
+	tag uint32
 }
 
 // key is an entry's (at, seq) as the 128-bit number the heap orders by.
@@ -135,6 +145,9 @@ type Scheduler struct {
 	stopped bool
 
 	executed uint64 // total events dispatched, for stats and loop guards
+
+	// handlers[tag-1] dispatches the indexed events scheduled under tag.
+	handlers []func(idx int32)
 
 	// probe, when non-nil, fires at every context-poll interval of
 	// RunUntilCtx with the current clock and cumulative dispatch count —
@@ -214,18 +227,18 @@ func (s *Scheduler) siftDown(i int) {
 	h[i] = e
 }
 
-// popMin removes and returns the heap's minimum arena index. The caller
-// must ensure the heap is non-empty.
-func (s *Scheduler) popMin() int32 {
+// popMin removes and returns the heap's minimum entry. The caller must
+// ensure the heap is non-empty.
+func (s *Scheduler) popMin() heapEntry {
 	h := s.heap
-	idx := h[0].idx
+	e := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
 	s.heap = h[:last]
 	if last > 0 {
 		s.siftDown(0)
 	}
-	return idx
+	return e
 }
 
 // freeSlot recycles an arena slot, releasing callback references and
@@ -241,11 +254,22 @@ func (s *Scheduler) freeSlot(idx int32) {
 }
 
 // skim frees cancelled tombstones sitting at the top of the heap so the
-// minimum entry, if any, is a live event.
+// minimum entry, if any, is a live event. An indexed entry is always live
+// and is recognised without a look at the arena.
 func (s *Scheduler) skim() {
-	for len(s.heap) > 0 && s.arena[s.heap[0].idx].st == slotCancelled {
-		s.freeSlot(s.popMin())
+	for len(s.heap) > 0 && s.heap[0].tag == 0 && s.arena[s.heap[0].idx].st == slotCancelled {
+		s.freeSlot(s.popMin().idx)
 	}
+}
+
+// push enters an event into the (at, seq) order: the one place the
+// sequence number advances, once per scheduled event of either form. The
+// caller has checked that at is not in the past.
+func (s *Scheduler) push(at Time, idx int32, tag uint32) {
+	s.seq++
+	s.heap = append(s.heap, heapEntry{at: at, seq: s.seq, idx: idx, tag: tag})
+	s.siftUp(len(s.heap) - 1)
+	s.live++
 }
 
 // schedule allocates an arena slot for the event and pushes it.
@@ -253,7 +277,6 @@ func (s *Scheduler) schedule(at Time, fn func(), call func(any), arg any) Handle
 	if at < s.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now))
 	}
-	s.seq++
 	var idx int32
 	if n := len(s.free); n > 0 {
 		idx = s.free[n-1]
@@ -266,15 +289,11 @@ func (s *Scheduler) schedule(at Time, fn func(), call func(any), arg any) Handle
 		idx = int32(len(s.arena) - 1)
 	}
 	ev := &s.arena[idx]
-	ev.at = at
-	ev.seq = s.seq
 	ev.fn = fn
 	ev.call = call
 	ev.arg = arg
 	ev.st = slotPending
-	s.heap = append(s.heap, heapEntry{at: at, seq: s.seq, idx: idx})
-	s.siftUp(len(s.heap) - 1)
-	s.live++
+	s.push(at, idx, 0)
 	return makeHandle(idx, ev.gen)
 }
 
@@ -316,6 +335,32 @@ func (s *Scheduler) AfterCall(d time.Duration, call func(any), arg any) Handle {
 	return s.AtCall(s.now+d, call, arg)
 }
 
+// Handle registers fn as an indexed-event handler and returns the tag that
+// AfterIndexed schedules under it. Registration is set-up work, done once
+// per handler for the scheduler's lifetime.
+func (s *Scheduler) Handle(fn func(idx int32)) (tag uint32) {
+	if fn == nil {
+		panic("sim: Handle with nil fn")
+	}
+	s.handlers = append(s.handlers, fn)
+	return uint32(len(s.handlers))
+}
+
+// AfterIndexed schedules the handler registered under tag to run with idx,
+// d after the current virtual time (negative delays are clamped to zero).
+// The event is a heap entry and nothing else — see "Indexed events" in the
+// package comment — so it returns no Handle: whoever owns the state behind
+// idx decides what a stale one means when it fires.
+func (s *Scheduler) AfterIndexed(d time.Duration, tag uint32, idx int32) {
+	if tag == 0 || int(tag) > len(s.handlers) {
+		panic("sim: AfterIndexed with unregistered tag")
+	}
+	if d < 0 {
+		d = 0
+	}
+	s.push(s.now+d, idx, tag)
+}
+
 // Cancel removes a pending event in O(1). It reports whether the event was
 // still pending (false if it already ran, was cancelled, or the handle is
 // unknown). The slot becomes a lazy tombstone: its callback (and anything
@@ -346,13 +391,17 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // The caller must ensure at least one live event exists.
 func (s *Scheduler) step() {
 	s.skim()
-	idx := s.popMin()
-	ev := &s.arena[idx]
-	s.now = ev.at
+	e := s.popMin()
+	s.now = e.at
 	s.executed++
 	s.live--
+	if e.tag != 0 {
+		s.handlers[e.tag-1](e.idx)
+		return
+	}
+	ev := &s.arena[e.idx]
 	fn, call, arg := ev.fn, ev.call, ev.arg
-	s.freeSlot(idx)
+	s.freeSlot(e.idx)
 	if call != nil {
 		call(arg)
 		return
@@ -366,8 +415,16 @@ func (s *Scheduler) drainTombstones() {
 	if s.live > 0 {
 		return
 	}
+	s.dropAll()
+}
+
+// dropAll empties the heap, recycling the arena slots behind its entries;
+// an indexed entry owns none.
+func (s *Scheduler) dropAll() {
 	for _, e := range s.heap {
-		s.freeSlot(e.idx)
+		if e.tag == 0 {
+			s.freeSlot(e.idx)
+		}
 	}
 	s.heap = s.heap[:0]
 }
@@ -441,12 +498,10 @@ func (s *Scheduler) RunUntilCtx(ctx context.Context, limit Time) error {
 // move. Abandoned simulations call this so queued closures (and whatever
 // state they capture) become collectable immediately. The arena and free
 // list are retained: a cleared scheduler schedules again without
-// re-growing, so abandoned builds do not thrash the allocator.
+// re-growing, so abandoned builds do not thrash the allocator. What a
+// dropped indexed event pointed at is for whoever scheduled it to reclaim.
 func (s *Scheduler) Clear() {
-	for _, e := range s.heap {
-		s.freeSlot(e.idx)
-	}
-	s.heap = s.heap[:0]
+	s.dropAll()
 	s.live = 0
 }
 
