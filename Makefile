@@ -37,8 +37,8 @@ race:
 # Short fuzz passes over the differential fuzz targets that guard the
 # flat-node and arena-scheduler kernels and the DNS seed's pruned
 # k-nearest search against their reference implementations, over the
-# shard decoder the fleet runs on bytes from a socket (no panic, and a
-# fixed point under re-encoding), over the commit endpoint that hands
+# shard decoder the fleet runs on bytes from a socket (no panic, and what it
+# accepts re-encodes to the bytes it read), over the commit endpoint that hands
 # it those bytes (arbitrary query and body against a live lease: no wrong
 # acceptance, no temp file left, resend is stale), over the sweep-file
 # parser (no panic; an accepted sweep written back out re-parses to the
@@ -98,8 +98,9 @@ bench-smoke:
 
 # Paper scale pinned: figure3 at 5000 nodes, plain and under churn, against
 # the sha256 in internal/experiment/testdata/figure3_5000.sha256 (about ten
-# seconds; the test's doc comment has the regeneration commands). Run it on
-# any kernel or relay change that claims byte identity.
+# seconds; the test's doc comment has the regeneration commands). Part of
+# `make ci` and of the stable CI leg: any change that claims byte identity
+# is checked at the paper's scale on every run.
 paper-digest:
 	BCBPT_PAPER_SCALE=1 $(GO) test -run='^TestFigure3PaperScaleDigest$$' -count=1 -v ./internal/experiment
 
@@ -143,4 +144,4 @@ lint:
 		echo "lint: govulncheck not installed; skipping (make lint-tools)"; \
 	fi
 
-ci: build fmt vet lint escapecheck test bench-smoke race fuzz-smoke fleet-smoke trace-smoke bench
+ci: build fmt vet lint escapecheck test paper-digest bench-smoke race fuzz-smoke fleet-smoke trace-smoke bench

@@ -455,27 +455,12 @@ wait:
 	}
 	fmt.Println(summary + ")")
 	if csvPath != "" {
-		if err := writeCSV(csvPath, fig); err != nil {
+		if err := fig.WriteCSVFile(csvPath); err != nil {
 			return err
 		}
+		fmt.Printf("(CDF data written to %s)\n", csvPath)
 	}
 	return waitErr
-}
-
-// writeCSV dumps the figure's CDF series in the canonical encoding
-// (FigureResult.WriteCSV) shared with bcbpt-sim, so outputs of the same
-// sweep diff byte for byte.
-func writeCSV(path string, fig experiment.FigureResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := fig.WriteCSV(f); err != nil {
-		return err
-	}
-	fmt.Printf("(CDF data written to %s)\n", path)
-	return nil
 }
 
 func defaultWorkerName() string {

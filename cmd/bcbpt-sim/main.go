@@ -266,31 +266,16 @@ func printPhaseSplit(reg *obs.Registry) {
 func printFigure(fig experiment.FigureResult, sweepErr error, csvPath string) error {
 	if len(fig.Series) > 0 {
 		fmt.Println(fig)
-		if err := writeCSV(csvPath, fig); err != nil {
-			// Join rather than mask: a failed CSV write must not hide
-			// that the figure above is partial (exit-code-2 signal).
-			return errors.Join(err, sweepErr)
+		if csvPath != "" {
+			if err := fig.WriteCSVFile(csvPath); err != nil {
+				// Join rather than mask: a failed CSV write must not hide
+				// that the figure above is partial (exit-code-2 signal).
+				return errors.Join(err, sweepErr)
+			}
+			fmt.Printf("(CDF data written to %s)\n", csvPath)
 		}
 	}
 	return sweepErr
-}
-
-// writeCSV dumps a figure's CDF series to path (no-op when path is "")
-// in the canonical encoding shared with bcbpt-fleet.
-func writeCSV(path string, fig experiment.FigureResult) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := fig.WriteCSV(f); err != nil {
-		return err
-	}
-	fmt.Printf("(CDF data written to %s)\n", path)
-	return nil
 }
 
 // runDoubleSpend races conflicting transactions under each protocol.

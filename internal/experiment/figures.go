@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 	"time"
@@ -105,6 +106,22 @@ func (f FigureResult) WriteCSV(w io.Writer) error {
 		dists[i] = s.Dist
 	}
 	return measure.WriteCDFCSV(w, names, dists, FigureCSVPoints)
+}
+
+// WriteCSVFile creates path and writes WriteCSV's bytes to it, returning
+// the first error of creating, writing, flushing or closing the file — a
+// full disk may only say so at close — so a caller announces the file only
+// once it has landed.
+func (f FigureResult) WriteCSVFile(path string) error {
+	file, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := f.WriteCSV(file); err != nil {
+		file.Close()
+		return err
+	}
+	return file.Close()
 }
 
 // Series is one named Δt distribution (a curve of Fig. 3/4).
@@ -274,7 +291,10 @@ type VariancePoint struct {
 	Protocol    string
 	Connections int
 	Std         time.Duration
-	Mean        time.Duration
+	// IQR is the robust spread beside Std: p75 − p25, which one outlying
+	// sample does not move.
+	IQR  time.Duration
+	Mean time.Duration
 }
 
 // VarianceResult is the connection-count sweep.
@@ -286,7 +306,7 @@ type VarianceResult struct {
 func (v VarianceResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== §V.C — Δt spread vs measuring-node connections ==\n")
-	fmt.Fprintf(&b, "%-12s %12s %14s %14s\n", "protocol", "connections", "std(Δt)", "mean(Δt)")
+	fmt.Fprintf(&b, "%-12s %12s %14s %14s %14s\n", "protocol", "connections", "std(Δt)", "iqr(Δt)", "mean(Δt)")
 	pts := append([]VariancePoint(nil), v.Points...)
 	sort.Slice(pts, func(i, j int) bool {
 		if pts[i].Protocol != pts[j].Protocol {
@@ -295,8 +315,8 @@ func (v VarianceResult) String() string {
 		return pts[i].Connections < pts[j].Connections
 	})
 	for _, p := range pts {
-		fmt.Fprintf(&b, "%-12s %12d %14v %14v\n",
-			p.Protocol, p.Connections, p.Std.Round(time.Microsecond), p.Mean.Round(time.Microsecond))
+		fmt.Fprintf(&b, "%-12s %12d %14v %14v %14v\n",
+			p.Protocol, p.Connections, p.Std.Round(time.Microsecond), p.IQR.Round(time.Microsecond), p.Mean.Round(time.Microsecond))
 	}
 	return b.String()
 }
@@ -343,6 +363,7 @@ func VarianceVsConnectionsCtx(ctx context.Context, o Options, connections []int)
 			Protocol:    string(grid[i].proto),
 			Connections: grid[i].k,
 			Std:         oc.Result.Dist.Std(),
+			IQR:         oc.Result.Dist.IQR(),
 			Mean:        oc.Result.Dist.Mean(),
 		})
 	}

@@ -1,10 +1,15 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/measure"
 )
 
 // tinyOpts keeps the full figure pipelines quick enough for unit tests.
@@ -38,6 +43,37 @@ func TestFigure3Pipeline(t *testing.T) {
 	out := fig.String()
 	if !strings.Contains(out, "Fig. 3") || !strings.Contains(out, "bitcoin") {
 		t.Error("figure rendering incomplete")
+	}
+}
+
+// TestWriteCSVFileReportsFailure: a CSV that did not land must come back
+// as an error — the frontends print "(CDF data written to …)" on nil alone.
+// A directory fails at create; /dev/full, where the host has it, accepts
+// the create and fails the write.
+func TestWriteCSVFileReportsFailure(t *testing.T) {
+	fig := FigureResult{Title: "t", Series: []Series{
+		{Name: "a", Dist: measure.NewDistribution([]time.Duration{time.Millisecond, 3 * time.Millisecond})},
+	}}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "fig.csv")
+	if err := fig.WriteCSVFile(path); err != nil {
+		t.Fatalf("writable target: %v", err)
+	}
+	var want bytes.Buffer
+	if err := fig.WriteCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("file holds %q (%v), want WriteCSV's %q", got, err, want.Bytes())
+	}
+
+	if err := fig.WriteCSVFile(dir); err == nil {
+		t.Error("a directory path was reported as written")
+	}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		if err := fig.WriteCSVFile("/dev/full"); err == nil {
+			t.Error("/dev/full was reported as written")
+		}
 	}
 }
 
@@ -86,11 +122,11 @@ func TestVarianceVsConnectionsPipeline(t *testing.T) {
 		t.Fatalf("points = %d, want 4", len(res.Points))
 	}
 	for _, p := range res.Points {
-		if p.Std < 0 || p.Mean <= 0 {
+		if p.Std < 0 || p.IQR <= 0 || p.Mean <= 0 {
 			t.Errorf("bad point %+v", p)
 		}
 	}
-	if !strings.Contains(res.String(), "connections") {
+	if table := res.String(); !strings.Contains(table, "connections") || !strings.Contains(table, "iqr(Δt)") {
 		t.Error("variance table rendering incomplete")
 	}
 }

@@ -26,22 +26,8 @@ func sameCampaignResult(t *testing.T, label string, a, b measure.CampaignResult)
 	if a.Lost != b.Lost {
 		t.Errorf("%s: lost %d vs %d", label, a.Lost, b.Lost)
 	}
-	if len(a.PerRun) != len(b.PerRun) {
-		t.Fatalf("%s: per-run count %d vs %d", label, len(a.PerRun), len(b.PerRun))
-	}
-	for i := range a.PerRun {
-		if a.PerRun[i].TxID != b.PerRun[i].TxID || a.PerRun[i].InjectedAt != b.PerRun[i].InjectedAt {
-			t.Errorf("%s: run %d differs: %+v vs %+v", label, i, a.PerRun[i], b.PerRun[i])
-		}
-		if len(a.PerRun[i].Deltas) != len(b.PerRun[i].Deltas) {
-			t.Errorf("%s: run %d delta count differs", label, i)
-			continue
-		}
-		for id, d := range a.PerRun[i].Deltas {
-			if b.PerRun[i].Deltas[id] != d {
-				t.Errorf("%s: run %d delta[%d] %v vs %v", label, i, id, d, b.PerRun[i].Deltas[id])
-			}
-		}
+	if a.Fingerprint != b.Fingerprint {
+		t.Errorf("%s: fingerprint %016x vs %016x", label, a.Fingerprint, b.Fingerprint)
 	}
 }
 
@@ -101,10 +87,14 @@ func TestEngineSingleReplicationMatchesSerialPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	engine, err := NewRunner(4).RunCampaign(context.Background(), o.campaign("bitcoin", spec))
+	cs := o.campaign("bitcoin", spec)
+	engine, err := NewRunner(4).RunCampaign(context.Background(), cs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The direct path leaves its result unstamped; the engine stamps the
+	// campaign's fingerprint and changes nothing else.
+	serial.Fingerprint = cs.Fingerprint()
 	sameCampaignResult(t, "serial-vs-engine", serial, engine)
 }
 
@@ -259,8 +249,8 @@ func TestCampaignContextPartial(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("error %v does not wrap context.Canceled", err)
 	}
-	if len(res.PerRun) != 0 {
-		t.Errorf("pre-cancelled campaign ran %d injections", len(res.PerRun))
+	if res.Dist.N() != 0 || res.Lost != 0 {
+		t.Errorf("pre-cancelled campaign measured %d samples and lost %d", res.Dist.N(), res.Lost)
 	}
 }
 

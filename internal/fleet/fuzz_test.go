@@ -13,10 +13,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chain"
 	"repro/internal/experiment"
 	"repro/internal/measure"
-	"repro/internal/p2p"
 )
 
 // postCommit hands the coordinator one commit request built field by
@@ -70,11 +68,8 @@ func FuzzCommitBody(f *testing.F) {
 		return data
 	}
 	valid := encode(measure.CampaignResult{
-		Dist: measure.NewDistribution([]time.Duration{3 * time.Millisecond, time.Millisecond}),
-		PerRun: []measure.RunResult{{
-			TxID:   chain.Hash{1},
-			Deltas: map[p2p.NodeID]time.Duration{3: time.Millisecond, 9: 3 * time.Millisecond},
-		}},
+		Dist:        measure.NewDistribution([]time.Duration{3 * time.Millisecond, time.Millisecond}),
+		Lost:        1,
 		Fingerprint: print,
 	})
 	const unit = "worker=w&lease=1&campaign=0&replication=0"

@@ -40,10 +40,11 @@
 //     order at merge time — coordinator memory stays flat however deep
 //     the sweep.
 //
-// A shard ships every sample and per-run result of its unit. Every shard
-// carries its spec fingerprint and the coordinator rejects commits whose
-// fingerprint does not match the campaign it leased — a worker running
-// skewed code cannot silently poison a sweep.
+// A shard ships every Δt sample of its unit and its count of lost
+// connection-runs, nothing else. Every shard carries its spec fingerprint
+// and the coordinator rejects commits whose fingerprint does not match the
+// campaign it leased — a worker running skewed code cannot silently poison
+// a sweep.
 package fleet
 
 import (

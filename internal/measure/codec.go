@@ -1,36 +1,35 @@
 // Binary codec for campaign results: the one serialization the fleet
-// subsystem ships over the wire and keeps in its spool. Layout, all
-// integers little-endian or (u)varint as encoding/binary defines them:
+// subsystem ships over the wire and keeps in its spool. Format 2 — a shard
+// is its samples. Layout, all integers little-endian or (u)varint as
+// encoding/binary defines them:
 //
 //	offset 0   4 bytes   magic "BCS" + format version (shardVersion)
 //	offset 4   8 bytes   Fingerprint, little-endian
 //	           uvarint   Lost
-//	           1 byte    distribution kind, always distKindExact (kind 1
-//	                     is retired; a shard carrying it is refused)
 //	           uvarint   sample count n; if n > 0: varint first (smallest)
 //	                     sample, then n-1 uvarint gaps between consecutive
 //	                     sorted samples
-//	           uvarint   PerRun count; per run: 32 raw bytes TxID, varint
-//	                     InjectedAt, uvarint delta count, per delta in
-//	                     ascending connection-ID order: uvarint ID gap (the
-//	                     first is the ID itself, later ones are ID - previous
-//	                     ID, never 0), varint Δt; uvarint Missing count, per
-//	                     entry: uvarint ID, in recorded order
+//
+// Format 1 also carried a distribution kind byte and every injection's
+// per-connection Δt map, which no figure read; a format-1 shard is refused
+// by its version and there is no decoder for it.
 //
 // The header is fixed so that a coordinator checks a shard's fingerprint
 // with ShardFingerprint — a slice index — without decoding the body.
 //
-// Round-trip contract: decode(encode(r)) is bit-identical to r — the
-// property the fleet's "merged outcome equals a single-machine sweep"
-// guarantee rests on. Distributions ship their sorted samples and rebuild
-// through newSortedDistribution (same samples, same summation order, same
-// float bits as NewDistribution). A zero-length Missing decodes to nil and
-// Deltas to a non-nil map, which is what MeasureOnce produces.
+// Round-trip contract, both ways: decode(encode(r)) is bit-identical to r —
+// the property the fleet's "merged outcome equals a single-machine sweep"
+// guarantee rests on — and encode(decode(b)) is b for every b the decoder
+// accepts, so a shard cannot change by being spooled and re-read.
+// Distributions ship their sorted samples and rebuild through
+// newSortedDistribution (same samples, same summation order, same float
+// bits as NewDistribution).
 //
-// The decoder runs on bytes from a socket: every announced length is
+// The decoder runs on bytes from a socket: the announced sample count is
 // checked against the bytes that remain before anything is allocated, so
-// memory stays proportional to the input, and trailing bytes are an
-// error.
+// memory stays proportional to the input; a varint that overflows 64 bits
+// or is padded beyond its shortest form, a sample past int64 and trailing
+// bytes are errors.
 package measure
 
 import (
@@ -40,32 +39,16 @@ import (
 	"fmt"
 	"math"
 	"time"
-
-	"repro/internal/p2p"
 )
 
 // shardVersion is the last byte of the header's magic; bump it on any
 // layout change so skewed binaries reject each other's shards.
-const shardVersion = 1
+const shardVersion = 2
 
 // shardHeaderLen is the fixed prefix: magic+version, then Fingerprint.
 const shardHeaderLen = 12
 
 var shardMagic = [4]byte{'B', 'C', 'S', shardVersion}
-
-// distKindExact tags the wire form of a Distribution.
-const distKindExact = 0
-
-// Smallest wire size of one element of each announced list, the divisor
-// of the length checks: a run is TxID + InjectedAt + two counts, a delta
-// is two varints, a sample gap or missing ID is one.
-const (
-	minRunBytes  = 32 + 3
-	minPairBytes = 2
-	minGapBytes  = 1
-)
-
-var errShardTruncated = errors.New("truncated")
 
 // ShardFingerprint reads the fingerprint out of an encoded shard's fixed
 // header, checking only the magic and version — O(1) however large the
@@ -83,7 +66,10 @@ func shardHeader(data []byte) (uint64, error) {
 		return 0, fmt.Errorf("%d bytes is shorter than the shard header", len(data))
 	}
 	if [4]byte(data[:4]) != shardMagic {
-		return 0, fmt.Errorf("unknown shard magic/version % x", data[:4])
+		if [3]byte(data[:3]) == [3]byte(shardMagic[:3]) {
+			return 0, fmt.Errorf("shard format version %d, this binary reads only version %d", data[3], shardVersion)
+		}
+		return 0, fmt.Errorf("unknown shard magic % x", data[:4])
 	}
 	return binary.LittleEndian.Uint64(data[4:shardHeaderLen]), nil
 }
@@ -93,16 +79,10 @@ func EncodeCampaignResult(r CampaignResult) ([]byte, error) {
 	if r.Lost < 0 {
 		return nil, fmt.Errorf("measure: encode campaign result: negative Lost %d", r.Lost)
 	}
-	size := shardHeaderLen + 3*binary.MaxVarintLen64 + 4*len(r.Dist.sorted)
-	for i := range r.PerRun {
-		size += minRunBytes + 7*len(r.PerRun[i].Deltas) + 2*len(r.PerRun[i].Missing)
-	}
-	b := make([]byte, shardHeaderLen, size)
+	b := make([]byte, shardHeaderLen, shardHeaderLen+2*binary.MaxVarintLen64+4*len(r.Dist.sorted))
 	copy(b, shardMagic[:])
 	binary.LittleEndian.PutUint64(b[4:], r.Fingerprint)
 	b = binary.AppendUvarint(b, uint64(r.Lost))
-
-	b = append(b, distKindExact)
 	b = binary.AppendUvarint(b, uint64(len(r.Dist.sorted)))
 	for i, v := range r.Dist.sorted {
 		if i == 0 {
@@ -113,27 +93,7 @@ func EncodeCampaignResult(r CampaignResult) ([]byte, error) {
 		// uint64.
 		b = binary.AppendUvarint(b, uint64(v)-uint64(r.Dist.sorted[i-1]))
 	}
-
-	b = binary.AppendUvarint(b, uint64(len(r.PerRun)))
-	var ids []p2p.NodeID
-	for i := range r.PerRun {
-		run := &r.PerRun[i]
-		b = append(b, run.TxID[:]...)
-		b = binary.AppendVarint(b, int64(run.InjectedAt))
-		b = binary.AppendUvarint(b, uint64(len(run.Deltas)))
-		ids = appendSortedIDs(ids[:0], run.Deltas)
-		prev := p2p.NodeID(0)
-		for _, id := range ids {
-			b = binary.AppendUvarint(b, uint64(id-prev))
-			b = binary.AppendVarint(b, int64(run.Deltas[id]))
-			prev = id
-		}
-		b = binary.AppendUvarint(b, uint64(len(run.Missing)))
-		for _, id := range run.Missing {
-			b = binary.AppendUvarint(b, uint64(id))
-		}
-	}
-	// The size above is an estimate with slack; a shard outlives its
+	// The capacity above is an estimate with slack; a shard outlives its
 	// encoding (commit retries, whatever stores it for replay), so what
 	// is handed back holds exactly its bytes.
 	return bytes.Clone(b), nil
@@ -164,21 +124,10 @@ func (r *shardReader) fail(err error) {
 	r.buf = nil
 }
 
-// bytes consumes the next n raw bytes, or fails and returns nil.
-func (r *shardReader) bytes(n int) []byte {
-	if len(r.buf) < n {
-		r.fail(errShardTruncated)
-		return nil
-	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b
-}
-
 func (r *shardReader) uvarint() uint64 {
 	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.fail(varintError(n))
+	if !shortestVarint(r.buf, n) {
+		r.failVarint(n)
 		return 0
 	}
 	r.buf = r.buf[n:]
@@ -187,43 +136,33 @@ func (r *shardReader) uvarint() uint64 {
 
 func (r *shardReader) varint() int64 {
 	v, n := binary.Varint(r.buf)
-	if n <= 0 {
-		r.fail(varintError(n))
+	if !shortestVarint(r.buf, n) {
+		r.failVarint(n)
 		return 0
 	}
 	r.buf = r.buf[n:]
 	return v
 }
 
-func varintError(n int) error {
-	if n == 0 {
-		return errShardTruncated
-	}
-	return errors.New("varint overflows 64 bits")
+// shortestVarint reports whether encoding/binary read a whole varint from
+// the first n bytes of buf and no shorter spelling of its value exists: a
+// final zero byte after a continuation byte is padding no encoder writes.
+func shortestVarint(buf []byte, n int) bool {
+	return n == 1 || n > 1 && buf[n-1] != 0
 }
 
-// count reads an announced list length and refuses it unless that many
-// elements of at least minBytes each could still follow.
-func (r *shardReader) count(what string, minBytes int) int {
-	n := r.uvarint()
-	if n > uint64(len(r.buf)/minBytes) {
-		r.fail(fmt.Errorf("%d %s announced with %d bytes left", n, what, len(r.buf)))
-		return 0
+// failVarint records why a varint that encoding/binary reported as n bytes
+// long was refused: n == 0 is a buffer that ended mid-value, n < 0 a value
+// past 64 bits, anything else the padding shortestVarint found.
+func (r *shardReader) failVarint(n int) {
+	switch {
+	case n == 0:
+		r.fail(errors.New("truncated"))
+	case n < 0:
+		r.fail(errors.New("varint overflows 64 bits"))
+	default:
+		r.fail(errors.New("varint is not in its shortest form"))
 	}
-	return int(n)
-}
-
-// ascending adds an ID gap to prev. After the first element a zero gap
-// would repeat the previous value, which no encoder writes.
-func (r *shardReader) ascending(what string, prev uint64, first bool) uint64 {
-	gap := r.uvarint()
-	if !first && gap == 0 {
-		r.fail(fmt.Errorf("%s not strictly increasing", what))
-	}
-	if gap > math.MaxUint64-prev {
-		r.fail(fmt.Errorf("%s overflows", what))
-	}
-	return prev + gap
 }
 
 func decodeCampaignResult(data []byte) (CampaignResult, error) {
@@ -239,21 +178,7 @@ func decodeCampaignResult(data []byte) (CampaignResult, error) {
 		r.fail(fmt.Errorf("lost count %d overflows int", lost))
 	}
 	out.Lost = int(lost)
-
-	switch kind := r.bytes(1); {
-	case kind == nil:
-	case kind[0] == distKindExact:
-		out.Dist = r.exactDist()
-	default:
-		r.fail(fmt.Errorf("unknown distribution kind %d", kind[0]))
-	}
-
-	if n := r.count("runs", minRunBytes); n > 0 {
-		out.PerRun = make([]RunResult, n)
-		for i := range out.PerRun {
-			r.run(&out.PerRun[i])
-		}
-	}
+	out.Dist = r.dist()
 	if r.err == nil && len(r.buf) != 0 {
 		r.fail(fmt.Errorf("%d trailing bytes", len(r.buf)))
 	}
@@ -263,15 +188,20 @@ func decodeCampaignResult(data []byte) (CampaignResult, error) {
 	return out, nil
 }
 
-func (r *shardReader) exactDist() Distribution {
-	n := r.count("samples", minGapBytes)
-	if n == 0 {
+// dist reads the sample section. A sample is at least one byte, so a count
+// beyond the bytes that remain is refused before the slice is made.
+func (r *shardReader) dist() Distribution {
+	n := r.uvarint()
+	if n > uint64(len(r.buf)) {
+		r.fail(fmt.Errorf("%d samples announced with %d bytes left", n, len(r.buf)))
+	}
+	if n == 0 || r.err != nil {
 		return Distribution{}
 	}
 	sorted := make([]time.Duration, n)
 	prev := r.varint()
 	sorted[0] = time.Duration(prev)
-	for i := 1; i < n; i++ {
+	for i := 1; i < len(sorted); i++ {
 		gap := r.uvarint()
 		// Wrapping arithmetic again: MaxInt64 - prev always fits a uint64.
 		if gap > uint64(math.MaxInt64)-uint64(prev) {
@@ -285,23 +215,4 @@ func (r *shardReader) exactDist() Distribution {
 		return Distribution{}
 	}
 	return newSortedDistribution(sorted)
-}
-
-func (r *shardReader) run(run *RunResult) {
-	copy(run.TxID[:], r.bytes(len(run.TxID)))
-	run.InjectedAt = time.Duration(r.varint())
-
-	n := r.count("deltas", minPairBytes)
-	run.Deltas = make(map[p2p.NodeID]time.Duration, n)
-	id := uint64(0)
-	for i := 0; i < n && r.err == nil; i++ {
-		id = r.ascending("connection IDs", id, i == 0)
-		run.Deltas[p2p.NodeID(id)] = time.Duration(r.varint())
-	}
-	if n := r.count("missing connections", minGapBytes); n > 0 {
-		run.Missing = make([]p2p.NodeID, n)
-		for i := range run.Missing {
-			run.Missing[i] = p2p.NodeID(r.uvarint())
-		}
-	}
 }

@@ -34,20 +34,3 @@ func WriteCDFCSV(w io.Writer, names []string, dists []Distribution, points int) 
 	cw.Flush()
 	return cw.Error()
 }
-
-// WriteSamplesCSV writes the raw samples of one distribution, one value
-// per row in milliseconds.
-func WriteSamplesCSV(w io.Writer, name string, d Distribution) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"series", "delay_ms"}); err != nil {
-		return err
-	}
-	for _, v := range d.sorted {
-		rec := []string{name, strconv.FormatFloat(float64(v)/float64(time.Millisecond), 'f', 3, 64)}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

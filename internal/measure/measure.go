@@ -89,13 +89,9 @@ func (r RunResult) All() []time.Duration {
 	return out
 }
 
+// sortedIDs returns m's keys in ascending order.
 func sortedIDs(m map[p2p.NodeID]time.Duration) []p2p.NodeID {
-	return appendSortedIDs(make([]p2p.NodeID, 0, len(m)), m)
-}
-
-// appendSortedIDs appends m's keys to ids in ascending order, reusing the
-// caller's backing array (the shard encoder passes one scratch per shard).
-func appendSortedIDs(ids []p2p.NodeID, m map[p2p.NodeID]time.Duration) []p2p.NodeID {
+	ids := make([]p2p.NodeID, 0, len(m))
 	for id := range m {
 		ids = append(ids, id) //bcbptlint:allow maporder — the insertion sort below canonicalises the order
 	}
@@ -236,8 +232,6 @@ type Campaign struct {
 type CampaignResult struct {
 	// Dist pools every Δt(m,n) sample.
 	Dist Distribution
-	// PerRun keeps each run's result for variance-vs-connection analyses.
-	PerRun []RunResult
 	// Lost counts connection-runs that missed the deadline.
 	Lost int
 	// Fingerprint identifies the campaign spec this result was measured
@@ -284,7 +278,6 @@ func (m *MeasuringNode) RunContext(ctx context.Context, c Campaign) (CampaignRes
 			return CampaignResult{}, fmt.Errorf("measure: run %d: %w", i, err)
 		}
 		out.Lost += len(res.Missing)
-		out.PerRun = append(out.PerRun, res)
 		samples = append(samples, res.All()...)
 	}
 	out.Dist = NewDistribution(samples)
@@ -305,13 +298,6 @@ func (m *MeasuringNode) RunContext(ctx context.Context, c Campaign) (CampaignRes
 func MergeCampaignResults(shards ...CampaignResult) (CampaignResult, error) {
 	var out CampaignResult
 	dists := make([]Distribution, len(shards))
-	runs := 0
-	for _, s := range shards {
-		runs += len(s.PerRun)
-	}
-	if runs > 0 {
-		out.PerRun = make([]RunResult, 0, runs)
-	}
 	for i, s := range shards {
 		if s.Fingerprint != 0 {
 			if out.Fingerprint == 0 {
@@ -322,7 +308,6 @@ func MergeCampaignResults(shards ...CampaignResult) (CampaignResult, error) {
 					i, s.Fingerprint, out.Fingerprint)
 			}
 		}
-		out.PerRun = append(out.PerRun, s.PerRun...)
 		out.Lost += s.Lost
 		dists[i] = s.Dist
 	}

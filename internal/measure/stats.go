@@ -202,6 +202,11 @@ func (d Distribution) Percentile(p float64) time.Duration {
 // Median returns the 50th percentile.
 func (d Distribution) Median() time.Duration { return d.Percentile(50) }
 
+// IQR returns the interquartile range, p75 − p25: the spread of the middle
+// half of the samples, which — unlike Std — a single far outlier leaves
+// where it was.
+func (d Distribution) IQR() time.Duration { return d.Percentile(75) - d.Percentile(25) }
+
 // CDF returns (value, cumulative fraction) pairs at the given number of
 // evenly spaced quantiles — the series Figs. 3 and 4 plot.
 func (d Distribution) CDF(points int) []CDFPoint {
@@ -225,43 +230,13 @@ type CDFPoint struct {
 	Value    time.Duration
 }
 
-// Histogram buckets the samples into n equal-width bins over [Min, Max].
-func (d Distribution) Histogram(bins int) []HistBin {
-	if bins < 1 || d.N() == 0 {
-		return nil
-	}
-	lo, hi := d.Min(), d.Max()
-	width := (hi - lo) / time.Duration(bins)
-	if width <= 0 {
-		width = 1
-	}
-	out := make([]HistBin, bins)
-	for i := range out {
-		out[i].Low = lo + time.Duration(i)*width
-		out[i].High = out[i].Low + width
-	}
-	for _, v := range d.sorted {
-		idx := int((v - lo) / width)
-		if idx >= bins {
-			idx = bins - 1
-		}
-		out[idx].Count++
-	}
-	return out
-}
-
-// HistBin is one histogram bucket.
-type HistBin struct {
-	Low, High time.Duration
-	Count     int
-}
-
-// String renders a one-line summary.
+// String renders a one-line summary: the moments, then the quantiles and
+// the spread between them, which one outlying sample cannot move.
 func (d Distribution) String() string {
-	return fmt.Sprintf("n=%d mean=%v std=%v p50=%v p90=%v max=%v",
-		d.N(), d.Mean().Round(time.Microsecond), d.Std().Round(time.Microsecond),
-		d.Median().Round(time.Microsecond), d.Percentile(90).Round(time.Microsecond),
-		d.Max().Round(time.Microsecond))
+	us := func(v time.Duration) time.Duration { return v.Round(time.Microsecond) }
+	return fmt.Sprintf("n=%d mean=%v std=%v iqr=%v p10=%v p50=%v p90=%v max=%v",
+		d.N(), us(d.Mean()), us(d.Std()), us(d.IQR()),
+		us(d.Percentile(10)), us(d.Median()), us(d.Percentile(90)), us(d.Max()))
 }
 
 // ASCIICDF renders CDFs side by side as an ASCII chart for terminal
