@@ -332,8 +332,13 @@ func DecodeBlock(data []byte) (*Block, error) {
 	off := headerLen
 	n := binary.LittleEndian.Uint32(data[off : off+4])
 	off += 4
-	const maxBlockTxs = 1 << 20
-	if n > maxBlockTxs {
+	// A count may not exceed maxBlockTxs, nor what the bytes left could
+	// hold of length-prefixed empty transactions.
+	const (
+		maxBlockTxs = 1 << 20
+		minTxSize   = 4 + 4 + 4 + 4 + 4
+	)
+	if n > maxBlockTxs || int(n) > (len(data)-off)/minTxSize {
 		return nil, fmt.Errorf("chain: block tx count %d exceeds limit", n)
 	}
 	b.Txs = make([]*Tx, 0, n)

@@ -204,8 +204,15 @@ func DecodeTx(data []byte) (*Tx, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chain: decode tx header: %w", err)
 	}
-	const maxCount = 1 << 16 // sanity bound against hostile lengths
-	if nIn > maxCount {
+	// Sanity bounds against hostile lengths: a count may not exceed
+	// maxCount, nor what the bytes left could hold at the least an input
+	// (outpoint and two empty byte fields) or an output takes.
+	const (
+		maxCount  = 1 << 16
+		minInSize = 32 + 4 + 4 + 4
+		outSize   = 8 + AddressSize
+	)
+	if nIn > maxCount || int(nIn) > r.Len()/minInSize {
 		return nil, fmt.Errorf("chain: input count %d exceeds limit", nIn)
 	}
 	tx.Inputs = make([]TxIn, nIn)
@@ -222,7 +229,7 @@ func DecodeTx(data []byte) (*Tx, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chain: decode tx inputs: %w", err)
 	}
-	if nOut > maxCount {
+	if nOut > maxCount || int(nOut) > r.Len()/outSize {
 		return nil, fmt.Errorf("chain: output count %d exceeds limit", nOut)
 	}
 	tx.Outputs = make([]TxOut, nOut)

@@ -158,6 +158,10 @@ type BCBPT struct {
 
 	joining map[p2p.NodeID]bool
 
+	// perm is handleJoin's scratch for the permutation it samples a large
+	// cluster's members by.
+	perm []int
+
 	stats Stats
 }
 
@@ -568,9 +572,10 @@ func (b *BCBPT) handleJoin(self, from p2p.NodeID, m *wire.MsgJoin) {
 			sample = append(sample, wire.NetAddr{NodeID: uint64(mID)})
 		}
 	} else {
-		perm := b.r.Perm(len(all))[:b.cfg.MemberSample]
-		sort.Ints(perm)
-		for _, i := range perm {
+		b.perm = permInto(b.r, b.perm, len(all))
+		picked := b.perm[:b.cfg.MemberSample]
+		sort.Ints(picked)
+		for _, i := range picked {
 			sample = append(sample, wire.NetAddr{NodeID: uint64(all[i])})
 		}
 	}
@@ -579,6 +584,19 @@ func (b *BCBPT) handleJoin(self, from p2p.NodeID, m *wire.MsgJoin) {
 		Accepted:  true,
 		Members:   sample,
 	})
+}
+
+// permInto is r.Perm(n) written into buf, grown as needed: the same Intn
+// calls in the same order, so the same permutation and the same stream
+// after it, without a slice per call.
+func permInto(r *rand.Rand, buf []int, n int) []int {
+	buf = slices.Grow(buf[:0], n)[:n]
+	for i := range buf {
+		j := r.Intn(i + 1)
+		buf[i] = buf[j]
+		buf[j] = i
+	}
+	return buf
 }
 
 // handleCluster runs at the joiner when K's reply arrives.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -547,5 +549,26 @@ func TestBootstrapShardsOnlyReadTheSeed(t *testing.T) {
 	bootstrap(t, net, proto, ids)
 	if got := proto.NumClustered(); got != len(ids) {
 		t.Errorf("clustered %d of %d nodes", got, len(ids))
+	}
+}
+
+// TestPermIntoMatchesRandPerm: handleJoin's reused-buffer permutation is
+// rand.Perm draw for draw — the same slice and the same stream afterwards,
+// at every length, whatever an earlier and longer call left in the buffer —
+// so every network built with it is the network rand.Perm built.
+func TestPermIntoMatchesRandPerm(t *testing.T) {
+	a, b := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
+	var buf []int
+	for _, n := range []int{0, 1, 2, 33, 1000, 7, 64, 999} {
+		buf = permInto(b, buf, n)
+		if want := a.Perm(n); !slices.Equal(buf, want) {
+			t.Fatalf("permInto(%d) = %v, rand.Perm = %v", n, buf, want)
+		}
+		if a.Int63() != b.Int63() {
+			t.Fatalf("streams diverge after a permutation of %d", n)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { buf = permInto(b, buf, 1000) }); allocs != 0 {
+		t.Fatalf("permInto into a large enough buffer allocated %.0f times", allocs)
 	}
 }

@@ -74,6 +74,27 @@ func TestBuildShardedDeterminism(t *testing.T) {
 	}
 }
 
+// TestBCBPTNodeFootprint holds the per-node memory of a BCBPT network at
+// the benchmark's bcbpt_build size — Fig. 3's BCBPT campaign, 3000 nodes —
+// to what the nodes need once built: peer tables and one estimator entry
+// per candidate probed. The up to 48 join-time pings of a node (§IV.A's
+// repeated measurement) are in flight together and used to leave it a
+// 2 KB slice for life, 2,289 B per node in all; a probe's state rides its
+// flight record now and the node reads 1,289 B.
+func TestBCBPTNodeFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("3000-node build")
+	}
+	spec := Figure3Campaigns(Options{Nodes: 3000, Seed: 1, BuildWorkers: 1})[2].Spec
+	b, err := Build(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perNode := b.Net.NodeFootprintBytes() / b.Net.NumNodes(); perNode > 1500 {
+		t.Fatalf("a node of a 3000-node BCBPT network holds %d B, budget 1,500", perNode)
+	}
+}
+
 // TestBuildShardedDeterminismBaselines covers the non-BCBPT protocols:
 // their bootstrap is serial, but placement still shards.
 func TestBuildShardedDeterminismBaselines(t *testing.T) {

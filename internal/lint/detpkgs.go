@@ -48,8 +48,8 @@ var deterministicPkgs = map[string]bool{
 // hotPathPkgs lists the packages whose steady state is benchmarked at a
 // pinned allocs/op budget (benchdiff.sh holds the line at zero growth).
 // Closure-form scheduling and fmt string building are banned here
-// (hotalloc) in favor of the closure-free forms: pooled AtCall/AfterCall
-// payloads (PR 3) and indexed events over by-value records.
+// (hotalloc) in favor of the closure-free form: indexed events
+// (AfterIndexed) over by-value records.
 var hotPathPkgs = map[string]bool{
 	modulePath + "/internal/p2p": true,
 }

@@ -11,10 +11,9 @@ import (
 // budget with zero-tolerance diffing in CI:
 //
 //   - closure-form Scheduler.At/After: every call allocates the closure
-//     plus its captures. The closure-free forms dispatch at 0 allocs/op:
-//     AtCall/AfterCall with a pooled payload struct (the idiom PR 3
-//     established), and AfterIndexed with an index into state the caller
-//     keeps by value — what the flood path's messages travel as.
+//     plus its captures. The closure-free form dispatches at 0 allocs/op:
+//     AfterIndexed with an index into state the caller keeps by value —
+//     what the flood path's messages and probes travel as.
 //   - fmt string building (Sprintf/Sprint/Sprintln/Appendf): formats,
 //     boxes every operand into an interface, and allocates the result.
 //
@@ -23,7 +22,7 @@ import (
 var Hotalloc = &analysis.Analyzer{
 	Name: "hotalloc",
 	Doc: "flag closure-form Scheduler.At/After and fmt string building in flood hot-path packages; " +
-		"use pooled AtCall/AfterCall payloads or AfterIndexed, and preallocated buffers",
+		"use AfterIndexed over by-value state, and preallocated buffers",
 	Run: runHotalloc,
 }
 
@@ -56,8 +55,8 @@ func runHotalloc(pass *analysis.Pass) error {
 			case isMethodOn(fn, modulePath+"/internal/sim", "Scheduler", "At"),
 				isMethodOn(fn, modulePath+"/internal/sim", "Scheduler", "After"):
 				pass.Reportf(call.Pos(),
-					"closure-form Scheduler.%s allocates per event on the flood hot path: use %sCall with a pooled payload struct, or AfterIndexed over by-value state",
-					fn.Name(), fn.Name())
+					"closure-form Scheduler.%s allocates per event on the flood hot path: use AfterIndexed over by-value state",
+					fn.Name())
 			case funcPkgPath(fn) == "fmt" && fmtAllocFuncs[fn.Name()]:
 				pass.Reportf(call.Pos(),
 					"fmt.%s allocates and boxes on the flood hot path: preformat, reuse a buffer, or annotate the cold path",

@@ -29,7 +29,7 @@ var Maporder = &analysis.Analyzer{
 // order is observable in dispatch order (same-tick events dispatch in
 // insertion sequence).
 var schedulerOrderMethods = map[string]bool{
-	"At": true, "After": true, "AtCall": true, "AfterCall": true, "AfterIndexed": true,
+	"At": true, "After": true, "AfterIndexed": true,
 }
 
 // p2pOrderMethods are p2p Network/Node entry points that enqueue

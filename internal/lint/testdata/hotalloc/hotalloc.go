@@ -9,8 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-func dispatch(a any) {}
-
 func flagged(s *sim.Scheduler, id int) {
 	s.After(time.Millisecond, func() {}) // want `closure-form Scheduler\.After`
 	s.At(0, func() {})                   // want `closure-form Scheduler\.At allocates`
@@ -19,9 +17,6 @@ func flagged(s *sim.Scheduler, id int) {
 }
 
 func clean(s *sim.Scheduler, tag uint32, err error) error {
-	// Pooled static-dispatch scheduling: zero closure allocations.
-	s.AfterCall(time.Millisecond, dispatch, nil)
-	s.AtCall(0, dispatch, nil)
 	// An indexed event is a heap entry and nothing else.
 	s.AfterIndexed(time.Millisecond, tag, 0)
 	// Error construction is a failure path, deliberately exempt.

@@ -45,11 +45,10 @@ type Network struct {
 }
 
 func (n *Network) schedule() {
-	n.sched.AfterCall(0, deliverOutOfScope, n)
+	n.sched.After(0, func() { deliverOutOfScope(n) })
 }
 
-func deliverOutOfScope(a any) {
-	n := a.(*Network)
+func deliverOutOfScope(n *Network) {
 	n.drops++
 	_ = rand.NewSource(42)
 	n.trace.Record(obs.Event{P1: uint64(len(fmt.Sprintf("d-%d", n.drops)))})

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/geo"
+	"repro/internal/latency"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -54,6 +55,9 @@ type diffHarness struct {
 
 	flatEvents []seenEvent
 	refEvents  []seenEvent
+	// flatPongs and refPongs count the probes whose callback fired on each
+	// side, and probeNDone the flat ProbeNs that completed.
+	flatPongs, refPongs, probeNDone int
 
 	hashes  []chain.Hash
 	nextTx  uint64
@@ -187,16 +191,16 @@ func (h *diffHarness) probe(a, b NodeID) {
 		return
 	}
 	rn, _ := h.ref.Node(a)
-	fn.Probe(b, nil)
-	rn.Probe(b, nil)
+	fn.Probe(b, func(time.Duration) { h.flatPongs++ })
+	rn.Probe(b, func(time.Duration) { h.refPongs++ })
 }
 
 // probeGap spaces the pings of the harness's ProbeN, as a BCBPT join does.
 const probeGap = 20 * time.Millisecond
 
 // probeN starts a three-ping ProbeN on the flat side, which resolves the
-// target's slot and the pair's link once and carries them through both legs
-// of every ping. The oracle has no ProbeN: its side is the three Probes that
+// target and the pair's link once and carries them through both legs of
+// every ping. The oracle has no ProbeN: its side is the three Probes that
 // stands for, scheduled the same way — one event per ping at the same
 // offsets — each finding prober and target by ID when it fires.
 func (h *diffHarness) probeN(a, b NodeID) {
@@ -204,7 +208,7 @@ func (h *diffHarness) probeN(a, b NodeID) {
 	if !ok {
 		return
 	}
-	fn.ProbeN(b, 3, probeGap, nil)
+	fn.ProbeN(b, 3, probeGap, func(*latency.Estimator) { h.probeNDone++ })
 	for i := 0; i < 3; i++ {
 		h.ref.sched.After(time.Duration(i)*probeGap, func() {
 			if rn, ok := h.ref.Node(a); ok {
@@ -235,6 +239,11 @@ func (h *diffHarness) drain() {
 	}
 	if err := h.ref.Run(); err != nil {
 		h.t.Fatalf("ref Run: %v", err)
+	}
+	// Nothing is in flight, so nothing can still be awaited: every record
+	// that carried a callback handle handed it on or released it.
+	if held := h.flat.heldCallbacks(); held != 0 {
+		h.t.Fatalf("%d probe callbacks held with the queue drained", held)
 	}
 }
 
@@ -278,6 +287,9 @@ func (h *diffHarness) compare() {
 	}
 	if h.flat.Stats() != h.ref.Stats() {
 		h.t.Fatalf("stats divergence:\nflat: %+v\nref:  %+v", h.flat.Stats(), h.ref.Stats())
+	}
+	if h.flatPongs != h.refPongs {
+		h.t.Fatalf("probe callbacks fired: flat %d, ref %d", h.flatPongs, h.refPongs)
 	}
 	flatIDs := h.flat.NodeIDs()
 	refIDs := h.ref.NodeIDs()
@@ -613,10 +625,13 @@ func TestInFlightRecordMatchesReference(t *testing.T) {
 	}
 }
 
-// TestProbeNCarriedHandles names what the handles a ProbeN resolves once —
-// its target's slot, the pair's link baseline — and the ones its pings carry
-// to the pong — the prober's slot, the same baseline — must survive, each
-// against the oracle, which looks everything up by ID at every step.
+// TestProbeNCarriedHandles names what a ProbeN resolves once — its target,
+// the pair's link baseline — and what its pings carry to the pong — the
+// prober, the same baseline, the send time and the callback handle — must
+// survive, each against the oracle, which looks everything up by ID at
+// every step. What shows is what was sent and dropped, how many round trips
+// reached the prober's estimator, and whether the ProbeN completed; the
+// harness's drain checks that no callback handle outlives its record.
 func TestProbeNCarriedHandles(t *testing.T) {
 	const a, b = NodeID(2), NodeID(7)
 	// until steps both networks until the flat side has sent n of cmd.
@@ -632,9 +647,12 @@ func TestProbeNCarriedHandles(t *testing.T) {
 	cases := []struct {
 		name string
 		run  func(t *testing.T, h *diffHarness)
-		// what the flat side must show once everything has drained
+		// what the flat side must show once everything has drained: traffic,
+		// the samples in the prober's estimator for target (b unless set),
+		// and whether ProbeN's done fired
 		pings, pongs, dropped uint64
-		pending               int
+		target                NodeID
+		samples, done         int
 	}{
 		{
 			name: "target removed between ProbeN and the second ping",
@@ -643,9 +661,9 @@ func TestProbeNCarriedHandles(t *testing.T) {
 				until(t, h, wire.CmdPing, 1)
 				h.removeNode(b)
 			},
-			// The first ping dies at the empty slot and keeps its pending
-			// entry; the other two cannot leave and keep none.
-			pings: 1, pongs: 0, dropped: 3, pending: 1,
+			// The first ping dies at the empty slot; the other two cannot
+			// leave.
+			pings: 1, pongs: 0, dropped: 3,
 		},
 		{
 			name: "target's slot recycled between pings",
@@ -660,7 +678,7 @@ func TestProbeNCarriedHandles(t *testing.T) {
 				}
 			},
 			// The joiner in b's slot is not b: nothing more is sent.
-			pings: 1, pongs: 0, dropped: 3, pending: 1,
+			pings: 1, pongs: 0, dropped: 3,
 		},
 		{
 			name: "target joins between pings",
@@ -673,8 +691,9 @@ func TestProbeNCarriedHandles(t *testing.T) {
 				}
 			},
 			// ProbeN had nothing to resolve, so each ping looks the ID up:
-			// the first finds nobody, the other two find the joiner.
-			pings: 2, pongs: 2, dropped: 1, pending: 0,
+			// the first finds nobody, the other two find the joiner. Two
+			// round trips of three do not complete the ProbeN.
+			pings: 2, pongs: 2, dropped: 1, target: 11, samples: 2,
 		},
 		{
 			name: "prober removed with a pong in flight",
@@ -686,7 +705,7 @@ func TestProbeNCarriedHandles(t *testing.T) {
 			// A one-way trip outlasts both gaps: all three pings are out
 			// when the first pong leaves; that pong dies at the empty slot
 			// and b finds nobody to answer the other two pings to.
-			pings: 3, pongs: 1, dropped: 3, pending: 3,
+			pings: 3, pongs: 1, dropped: 3,
 		},
 		{
 			name: "prober's slot recycled before the ping lands",
@@ -702,7 +721,7 @@ func TestProbeNCarriedHandles(t *testing.T) {
 				}
 			},
 			// b answers into a slot that now holds someone else: no pong.
-			pings: 1, pongs: 0, dropped: 1, pending: 1,
+			pings: 1, pongs: 0, dropped: 1,
 		},
 		{
 			name: "prober's slot recycled with the pong in flight",
@@ -712,7 +731,7 @@ func TestProbeNCarriedHandles(t *testing.T) {
 				h.removeNode(a)
 				h.addNode()
 			},
-			pings: 3, pongs: 1, dropped: 3, pending: 3,
+			pings: 3, pongs: 1, dropped: 3,
 		},
 		{
 			name: "probed, then connected",
@@ -733,11 +752,8 @@ func TestProbeNCarriedHandles(t *testing.T) {
 				if edge := fa.peerTab[fa.peerPos(b)].base; edge != probed || truth != probed || oracle != probed {
 					t.Fatalf("one pair, four baselines: probe %v, peer entry %v, BaseRTT %v, oracle %v", probed, edge, truth, oracle)
 				}
-				if est, ok := fa.Estimator(b); !ok || est.Samples() != 3 {
-					t.Fatalf("estimator after three pongs: %+v", est)
-				}
 			},
-			pings: 3, pongs: 3, dropped: 0, pending: 0,
+			pings: 3, pongs: 3, dropped: 0, samples: 3, done: 1,
 		},
 	}
 	for _, tc := range cases {
@@ -752,8 +768,15 @@ func TestProbeNCarriedHandles(t *testing.T) {
 				t.Fatalf("pings %d, pongs %d, dropped %d; want %d, %d, %d",
 					st.Messages[wire.CmdPing], st.Messages[wire.CmdPong], st.Dropped, tc.pings, tc.pongs, tc.dropped)
 			}
-			if len(fa.pending) != tc.pending {
-				t.Fatalf("prober keeps %d pending pings, want %d", len(fa.pending), tc.pending)
+			target, samples := tc.target, 0
+			if target == 0 {
+				target = b
+			}
+			if est, ok := fa.Estimator(target); ok {
+				samples = est.Samples()
+			}
+			if samples != tc.samples || h.probeNDone != tc.done {
+				t.Fatalf("%d round trips measured, ProbeN done %d times; want %d and %d", samples, h.probeNDone, tc.samples, tc.done)
 			}
 		})
 	}

@@ -42,12 +42,17 @@ const (
 // GETDATA, TX or BLOCK is the object it announces, asks for or carries —
 // tx or block, the other nil — and hi, the object's dense hash index under
 // inventory generation gen; a record that outlived that generation has its
-// index resolved again from the object's hash (delivery.hash). A ping or
-// pong is its nonce, and a ping also reads base, the baseline of the link
-// it travels, which its pong travels back. Anything else — GETADDR, ADDR,
-// JOIN, CLUSTER — stays a wire.Message, in the arena's side column at the
+// index resolved again from the object's hash (delivery.hash). A ping is
+// when it left (word) and the handle of the callback waiting for its RTT
+// (hi, zero for none), and it also reads base, the baseline of the link it
+// travels; its pong carries all three back, so the pinger keeps nothing
+// while they travel and matches nothing when they return. A probe that is
+// due (Network.probeDue) is a record as well: the prober, the target's ID
+// (word), the handle, and — when ProbeN found a node by that ID — the node
+// (dst) and the pair's baseline. Anything else — GETADDR, ADDR, JOIN,
+// CLUSTER — stays a wire.Message, in the arena's side column at the
 // record's index, and cmd is zero. A verification wait (Network.verified)
-// is a record as well: the sender, the verifying node and the object.
+// is a record too: the sender, the verifying node and the object.
 //
 // The record is one cache line (TestDeliveryIsOneCacheLine).
 type delivery struct {
@@ -55,8 +60,8 @@ type delivery struct {
 	tx       *chain.Tx
 	block    *chain.Block
 	base     time.Duration
-	nonce    uint64
-	hi       int32
+	word     uint64 // a ping's or pong's send time; a due probe's target ID
+	hi       int32  // dense hash index; a ping's, pong's or due probe's callback handle
 	gen      uint32
 	dstEpoch uint32
 	srcPos   int16
@@ -72,9 +77,10 @@ func (d *delivery) hash() chain.Hash {
 }
 
 // dispatchCtx is the network's dispatch state: keyed RNG scratch, the
-// in-flight record arena, traffic counters and the trace shard. The
-// network owns exactly one (Network.dc) and every event runs on the
-// goroutine driving the scheduler, so none of it is shared.
+// in-flight record arena, the probes' callback table, traffic counters and
+// the trace shard. The network owns exactly one (Network.dc) and every
+// event runs on the goroutine driving the scheduler, so none of it is
+// shared.
 type dispatchCtx struct {
 	stats Stats
 
@@ -105,8 +111,14 @@ type dispatchCtx struct {
 	// fill in what they send without asking whether it left.
 	lost delivery
 
-	// probePool recycles the payloads behind ProbeN's AfterCall events.
-	probePool []*probeJob
+	// probeDone holds the completion callbacks of probes in flight and
+	// doneFree its free indices, LIFO. Handle h is index h-1 and zero is no
+	// callback, which is what all but a crawler's probes carry. A handle
+	// belongs to one record at a time — the due probe, then its ping, then
+	// the pong — and whatever ends that chain releases it (takeDone), so the
+	// table holds exactly the callbacks still awaited.
+	probeDone []func(rtt time.Duration)
+	doneFree  []int32
 
 	// trace is the event-trace shard, nil unless tracing is enabled
 	// (Network.EnableTrace): the disabled path costs one nil check.
@@ -137,13 +149,30 @@ func (dc *dispatchCtx) takeFlight(idx int32) delivery {
 	return d
 }
 
-// newProbeJob pops a pooled payload (or allocates on first use).
-func (dc *dispatchCtx) newProbeJob(n *Network, slot, tslot int32, id, target NodeID, base time.Duration, onPong func(time.Duration)) *probeJob {
-	if last := len(dc.probePool) - 1; last >= 0 {
-		j := dc.probePool[last]
-		dc.probePool = dc.probePool[:last]
-		j.slot, j.tslot, j.id, j.target, j.base, j.onPong = slot, tslot, id, target, base, onPong
-		return j
+// holdDone parks a probe's completion callback and returns its handle: zero
+// for nil, which needs none.
+func (dc *dispatchCtx) holdDone(done func(rtt time.Duration)) int32 {
+	if done == nil {
+		return 0
 	}
-	return &probeJob{net: n, slot: slot, tslot: tslot, id: id, target: target, base: base, onPong: onPong}
+	if last := len(dc.doneFree) - 1; last >= 0 {
+		i := dc.doneFree[last]
+		dc.doneFree = dc.doneFree[:last]
+		dc.probeDone[i] = done
+		return i + 1
+	}
+	dc.probeDone = append(dc.probeDone, done)
+	return int32(len(dc.probeDone))
+}
+
+// takeDone releases handle h and returns the callback it held, nil for zero.
+// The record that carried h is gone: its pong arrived, or it died on the way.
+func (dc *dispatchCtx) takeDone(h int32) func(rtt time.Duration) {
+	if h == 0 {
+		return nil
+	}
+	done := dc.probeDone[h-1]
+	dc.probeDone[h-1] = nil
+	dc.doneFree = append(dc.doneFree, h-1)
+	return done
 }

@@ -51,16 +51,6 @@ type peerRef struct {
 	pos int32
 }
 
-// pendingPing tracks an in-flight ping probe. Probes in flight per node
-// number at most a few dozen (keepalive plus join-time candidate
-// probing), so a linear slice beats a map allocation per node.
-type pendingPing struct {
-	nonce  uint64
-	sentAt sim.Time
-	target NodeID
-	done   func(rtt time.Duration)
-}
-
 // estEntry is one per-target RTT estimator, kept sorted by target in a
 // contiguous per-node slice.
 type estEntry struct {
@@ -156,10 +146,6 @@ type Node struct {
 	// extraHandler receives messages the base node does not consume
 	// (JOIN/CLUSTER); the topology layer installs it.
 	extraHandler func(from NodeID, msg wire.Message)
-
-	// pending ping probes awaiting their pong, in no particular order.
-	pending   []pendingPing
-	nextNonce uint64
 
 	// ests holds per-target RTT estimators fed by Probe, sorted by target.
 	ests []estEntry
@@ -610,7 +596,7 @@ func (nd *Node) sendTx(pos int32, to *Node, tx *chain.Tx, hi int32) {
 // sender read from its peer entry under this node's current table epoch
 // is right as it stands: no peer has left since, and positions only move
 // when one does. Under an older epoch the entry at pos still naming from
-// is proof enough — the same check Network.nodeAt makes on a slot — and
+// is proof enough — the same check Node.live makes on a slot — and
 // otherwise (the message was addressed by ID, or the edge was torn down
 // mid-flight and the position freed or recycled) it falls back to the
 // scan.
@@ -730,107 +716,101 @@ func (nd *Node) handleObject(d *delivery) {
 // feeds the resulting RTT into this node's estimator for the target.
 // done, if non-nil, fires with the measured RTT.
 func (nd *Node) Probe(target NodeID, done func(rtt time.Duration)) {
+	nd.probe(target, nd.net.dc.holdDone(done))
+}
+
+// probe is Probe for a callback already in the table under handle h.
+func (nd *Node) probe(target NodeID, h int32) {
 	dst := nd.net.nodes[target]
 	var base time.Duration
 	if dst != nil {
 		base = nd.net.link(nd, dst).Base()
 	}
-	nd.ping(dst, base, done)
+	nd.ping(dst, base, h)
 }
 
-// ping consumes a nonce and sends the ping that carries it to dst, over a
-// link of the given baseline. A ping that cannot leave — dst is nil, the
-// target being gone, or this node has left the network itself — counts as
-// Dropped and leaves nothing behind: an entry of pending is only ever
-// removed by its pong, and pins done until then. A ping lost in flight
-// still leaves its entry.
-func (nd *Node) ping(dst *Node, base time.Duration, done func(rtt time.Duration)) {
+// ping sends dst a ping over a link of the given baseline, stamped with the
+// time it leaves and carrying callback handle h. A ping that cannot leave —
+// dst is nil, the target being gone, or this node has left the network
+// itself — counts as Dropped; that one and a ping lost on the way release
+// the handle. Either way the node itself keeps nothing.
+func (nd *Node) ping(dst *Node, base time.Duration, h int32) {
 	n := nd.net
-	nd.nextNonce++
 	if dst == nil || !nd.live() {
 		n.dc.stats.Dropped++
+		n.dc.takeDone(h)
 		return
 	}
-	nd.pending = append(nd.pending, pendingPing{nonce: nd.nextNonce, sentAt: nd.now(), target: dst.id, done: done})
-	n.deliver(nd, dst, -1, base, wire.CmdPing, n.pingSize, nil).nonce = nd.nextNonce
+	if d := n.deliver(nd, dst, -1, base, wire.CmdPing, n.pingSize, nil); d != &n.dc.lost {
+		d.word, d.hi = uint64(nd.now()), h
+	} else {
+		n.dc.takeDone(h)
+	}
 }
 
 // pong answers a ping from what its record carried: the pinger and the
 // baseline of the link the ping came over, so the reply looks up neither
-// the node nor the link. A pinger that left with its ping in flight — its
+// the node nor the link, and the ping's send time and callback handle, which
+// go back as they came. A pinger that left with its ping in flight — its
 // slot empty, or recycled by a later joiner — gets none.
-func (nd *Node) pong(to *Node, base time.Duration, nonce uint64) {
+func (nd *Node) pong(ping *delivery) {
 	n := nd.net
-	if !to.live() {
+	if !ping.src.live() {
 		n.dc.stats.Dropped++
+		n.dc.takeDone(ping.hi)
 		return
 	}
-	n.deliver(nd, to, -1, base, wire.CmdPong, pongSize, nil).nonce = nonce
+	if d := n.deliver(nd, ping.src, -1, ping.base, wire.CmdPong, pongSize, nil); d != &n.dc.lost {
+		d.word, d.hi = ping.word, ping.hi
+	} else {
+		n.dc.takeDone(ping.hi)
+	}
 }
 
 // ProbeN sends n pings spaced by gap and calls done once all have
 // completed (or been lost to churn — lost probes simply never arrive, so
 // done fires only when all n pongs return; callers combine this with the
-// estimator's Ready check). The target's slot and the pair's link are
-// resolved here, once, and ride in each ping's job: the link is a pure
+// estimator's Ready check). The target and the pair's link are resolved
+// here, once, and ride in each due probe's record: the link is a pure
 // function of the seed and the pair, so it is drawn and not stored.
 func (nd *Node) ProbeN(target NodeID, n int, gap time.Duration, done func(est *latency.Estimator)) {
 	if n <= 0 {
 		return
 	}
 	net := nd.net
-	slot, id := nd.slot, nd.id
 	// One completion callback shared by all n pings — the single
-	// allocation a ProbeN with a done costs. The pings themselves schedule
-	// through the pooled probeJob payload (closure-free AfterCall, see
-	// hotalloc).
+	// allocation a ProbeN with a done costs — under a handle each.
 	var onPong func(time.Duration)
 	if done != nil {
 		remaining := n
 		onPong = func(time.Duration) {
 			remaining--
 			if remaining == 0 {
-				if node := net.nodeAt(slot, id); node != nil {
-					if est, ok := node.Estimator(target); ok {
-						done(est)
-					}
+				if est, ok := nd.Estimator(target); ok {
+					done(est)
 				}
 			}
 		}
 	}
-	var tslot int32
-	var base time.Duration
+	due := delivery{src: nd, word: uint64(target)}
 	if dst, ok := net.nodes[target]; ok {
-		tslot, base = dst.slot, net.makeLink(mkLinkKey(id, target), nd, dst).Base()
+		due.dst, due.base = dst, net.makeLink(mkLinkKey(nd.id, target), nd, dst).Base()
 	}
 	for i := 0; i < n; i++ {
-		net.sched.AfterCall(time.Duration(i)*gap, runProbe, net.dc.newProbeJob(net, slot, tslot, id, target, base, onPong))
+		due.hi = net.dc.holdDone(onPong)
+		idx := net.dc.newFlight()
+		net.dc.flight[idx] = due
+		net.sched.AfterIndexed(time.Duration(i)*gap, net.probeTag, idx)
 	}
 }
 
-// handlePong matches a pong to its pending probe and updates estimators.
-// Nonces are unique, so the order of pending carries nothing and the match
-// is removed by moving the last entry into its place.
-func (nd *Node) handlePong(from NodeID, nonce uint64) {
-	i := -1
-	for j := range nd.pending {
-		if nd.pending[j].nonce == nonce {
-			i = j
-			break
-		}
-	}
-	if i < 0 || nd.pending[i].target != from {
-		return // stale or spoofed; drop
-	}
-	p := nd.pending[i]
-	last := len(nd.pending) - 1
-	nd.pending[i] = nd.pending[last]
-	nd.pending[last] = pendingPing{}
-	nd.pending = nd.pending[:last]
-	rtt := time.Duration(nd.now() - p.sentAt)
-	nd.estFor(from).Observe(rtt)
-	if p.done != nil {
-		p.done(rtt)
+// handlePong feeds the estimator for the pong's sender the round trip its
+// record spans, and hands the same to the callback the probe came with.
+func (nd *Node) handlePong(pong *delivery) {
+	rtt := time.Duration(nd.now() - sim.Time(pong.word))
+	nd.estFor(pong.src.id).Observe(rtt)
+	if done := nd.net.dc.takeDone(pong.hi); done != nil {
+		done(rtt)
 	}
 }
 

@@ -26,8 +26,10 @@
 // is, so a send allocates nothing and a receive reads the heap entry, the
 // record and the receiving node. An INV, GETDATA, TX or BLOCK is the record's
 // command byte plus the object it names and that object's dense hash index;
-// a ping or pong is its nonce. Only what Send carries for the topology layer
-// — GETADDR, ADDR, JOIN, CLUSTER — is a wire.Message, kept beside the record.
+// a ping is the time it left, which its pong brings back, so a probe leaves
+// nothing on the node that sent it. Only what Send carries for the topology
+// layer — GETADDR, ADDR, JOIN, CLUSTER — is a wire.Message, kept beside the
+// record.
 //
 // The retired map-based layout, which builds a wire.Message per send and
 // finds everything by ID, lives on in this package's tests as
@@ -204,9 +206,10 @@ type Network struct {
 	// in-flight record arena, traffic counters and trace shard that every
 	// send and delivery goes through.
 	dc dispatchCtx
-	// arriveTag and verifyTag are the scheduler tags of the two indexed
-	// events over that arena: a message landing, a verification ending.
-	arriveTag, verifyTag uint32
+	// arriveTag, verifyTag and probeTag are the scheduler tags of the three
+	// indexed events over that arena: a message landing, a verification
+	// ending, a ProbeN ping falling due.
+	arriveTag, verifyTag, probeTag uint32
 	// pingSize is the framed size of a ping, pad included.
 	pingSize int
 
@@ -265,6 +268,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	n.dc.krand = rand.New(&n.dc.ksrc)
 	n.arriveTag = n.sched.Handle(n.arrive)
 	n.verifyTag = n.sched.Handle(n.verified)
+	n.probeTag = n.sched.Handle(n.probeDue)
 	n.pingSize = pingMinSize + max(0, cfg.Latency.PingBytes-12) // pad: what nonce and length prefix leave
 	return n, nil
 }
@@ -336,18 +340,6 @@ func (n *Network) SlotOf(id NodeID) (int, bool) {
 		return 0, false
 	}
 	return int(node.slot), true
-}
-
-// nodeAt returns the node occupying slot if it is still the node with
-// the given ID — the churn-safe dense lookup used by ProbeN's scheduled
-// pings, whose slot may have been recycled by a later joiner.
-func (n *Network) nodeAt(slot int32, id NodeID) *Node {
-	if int(slot) < len(n.slots) {
-		if nd := n.slots[slot]; nd != nil && nd.id == id {
-			return nd
-		}
-	}
-	return nil
 }
 
 // AddNode creates a node at the given location and returns it.
@@ -541,6 +533,9 @@ func (n *Network) arrive(idx int32) {
 	// The destination may have churned away mid-flight.
 	if !node.live() {
 		dc.stats.Dropped++
+		if cmd == wire.CmdPing || cmd == wire.CmdPong {
+			dc.takeDone(d.hi)
+		}
 		if dc.trace != nil {
 			dc.trace.Record(obs.Event{At: n.sched.Now(), Kind: obs.KindDrop, Code: uint8(cmd),
 				P1: uint64(d.src.id), P2: uint64(node.id)})
@@ -559,9 +554,9 @@ func (n *Network) arrive(idx int32) {
 	case wire.CmdTx, wire.CmdBlock:
 		node.handleObject(&d)
 	case wire.CmdPing:
-		node.pong(d.src, d.base, d.nonce)
+		node.pong(&d)
 	case wire.CmdPong:
-		node.handlePong(d.src.id, d.nonce)
+		node.handlePong(&d)
 	default:
 		node.handleMessage(d.src.id, msg)
 	}
@@ -734,37 +729,22 @@ func (n *Network) verified(idx int32) {
 	_ = node.acceptBlock(d.block, d.src.id)
 }
 
-// probeJob is the pooled payload behind one scheduled ProbeN ping: the
-// churn-safe (slot, id) handles of the probing node and of its target, the
-// baseline of the link between them, and the completion callback shared by
-// all pings of one ProbeN call. base == 0 means ProbeN found no such target
-// to resolve.
-type probeJob struct {
-	net    *Network
-	slot   int32
-	tslot  int32
-	id     NodeID
-	target NodeID
-	base   time.Duration
-	onPong func(time.Duration)
-}
-
-// runProbe is the static dispatch target for ProbeN's spaced pings.
-func runProbe(a any) {
-	j := a.(*probeJob)
-	n, slot, tslot, id, target, base, onPong := j.net, j.slot, j.tslot, j.id, j.target, j.base, j.onPong
-	j.onPong = nil
-	n.dc.probePool = append(n.dc.probePool, j)
-	node := n.nodeAt(slot, id)
-	if node == nil {
-		return // prober churned out; the probe is simply lost
-	}
-	if base == 0 {
+// probeDue is the indexed event of one of ProbeN's spaced pings falling due
+// (see delivery for what its record holds). A prober that churned out in
+// the meantime sends nothing; a target that did is a ping that cannot leave.
+func (n *Network) probeDue(idx int32) {
+	d := n.dc.takeFlight(idx)
+	switch {
+	case !d.src.live():
+		n.dc.takeDone(d.hi)
+	case d.dst == nil:
 		// The ID named nobody when ProbeN ran; it may name a node by now.
-		node.Probe(target, onPong)
-		return
+		d.src.probe(NodeID(d.word), d.hi)
+	case !d.dst.live():
+		d.src.ping(nil, 0, d.hi)
+	default:
+		d.src.ping(d.dst, d.base, d.hi)
 	}
-	node.ping(n.nodeAt(tslot, target), base, onPong)
 }
 
 // ResetInventory clears every node's seen-transaction state. Measurement
@@ -855,6 +835,7 @@ func (n *Network) Close() {
 	n.sched.Stop()
 	n.sched.Clear()
 	n.dc.flight, n.dc.flightMsg, n.dc.flightFree = nil, nil, nil
+	n.dc.probeDone, n.dc.doneFree = nil, nil
 	n.OnTxFirstSeen = nil
 	n.OnBlockFirstSeen = nil
 	n.OnDisconnect = nil

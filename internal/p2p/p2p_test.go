@@ -382,51 +382,145 @@ func TestPingToChurnedNodeIsLost(t *testing.T) {
 	}
 }
 
+// heldCallbacks counts the probe completion callbacks the network still
+// holds: one per record in flight that carries a handle, none once they
+// have all arrived or died.
+func (n *Network) heldCallbacks() int { return len(n.dc.probeDone) - len(n.dc.doneFree) }
+
 // TestProbeOfDepartedNodeLeavesNothing: a ping that cannot leave — under
 // churn, every keepalive and re-probe of a node that has gone — is counted
-// as dropped and records no pending entry, which nothing would ever remove
-// (and which would pin its closure and lengthen every later pong's scan).
-// The nonce is still consumed, so the pings that do leave carry the nonces
-// they always carried.
+// as dropped, never completes, and leaves neither a callback held by the
+// network nor a byte on the prober; the same for a departed prober, and for
+// a ping whose target leaves while it is in flight.
 func TestProbeOfDepartedNodeLeavesNothing(t *testing.T) {
 	net, nodes := testNetwork(t, 3, nil)
 	a, gone, c := nodes[0], nodes[1].ID(), nodes[2]
 	net.RemoveNode(gone)
+	footprint := net.NodeFootprintBytes()
+	never := func(time.Duration) { t.Error("probe of a departed node completed") }
 	for i := 0; i < 500; i++ {
-		a.Probe(gone, func(time.Duration) { t.Error("probe of a departed node completed") })
+		a.Probe(gone, never)
 	}
-	a.ProbeN(gone, 500, time.Millisecond, nil)
+	a.ProbeN(gone, 500, time.Millisecond, func(*latency.Estimator) { t.Error("ProbeN of a departed node completed") })
+	if held := net.heldCallbacks(); held != 500 {
+		t.Fatalf("%d callbacks held for 500 probes not yet due, want 500", held)
+	}
 	if err := net.Run(); err != nil {
 		t.Fatal(err)
-	}
-	if len(a.pending) != 0 {
-		t.Fatalf("%d pending pings to a node that was never reachable", len(a.pending))
 	}
 	if got := net.Stats().Dropped; got != 1000 {
 		t.Fatalf("Dropped = %d, want 1000", got)
 	}
-	if a.nextNonce != 1000 {
-		t.Fatalf("1000 unsendable pings consumed %d nonces", a.nextNonce)
+	if _, ok := a.Estimator(gone); ok {
+		t.Fatal("an estimator for a node that never answered")
 	}
-	// The same from the other side: a departed prober records nothing.
+	if got := net.NodeFootprintBytes(); got != footprint {
+		t.Fatalf("NodeFootprintBytes %d after 1000 dead probes, was %d", got, footprint)
+	}
+	// The same from the other side: a departed prober sends nothing.
 	net.RemoveNode(a.ID())
-	a.Probe(c.ID(), nil)
-	if len(a.pending) != 0 || net.Stats().Dropped != 1001 {
-		t.Fatalf("departed prober: %d pending, Dropped %d", len(a.pending), net.Stats().Dropped)
+	a.Probe(c.ID(), never)
+	if got := net.Stats(); got.Dropped != 1001 || got.Messages[wire.CmdPing] != 0 {
+		t.Fatalf("departed prober: Dropped %d, %d pings sent", got.Dropped, got.Messages[wire.CmdPing])
 	}
-	// A ping lost in flight is another matter: its entry stays.
-	c.Probe(nodes[1].ID(), nil)
-	if len(c.pending) != 0 {
-		t.Fatalf("ping to a departed node left %d pending", len(c.pending))
-	}
+	// A ping whose target leaves under it dies at the empty slot.
 	d := net.AddNode(c.Location())
-	c.Probe(d.ID(), nil)
+	c.Probe(d.ID(), never)
+	if held := net.heldCallbacks(); held != 1 {
+		t.Fatalf("%d callbacks held with one ping in flight, want 1", held)
+	}
 	net.RemoveNode(d.ID())
 	if err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.pending) != 1 {
-		t.Fatalf("ping lost in flight left %d pending, want 1", len(c.pending))
+	if got := net.Stats(); got.Dropped != 1002 || got.Messages[wire.CmdPing] != 1 || got.Messages[wire.CmdPong] != 0 {
+		t.Fatalf("ping to a leaving node: Dropped %d, %d pings, %d pongs", got.Dropped, got.Messages[wire.CmdPing], got.Messages[wire.CmdPong])
+	}
+	if held := net.heldCallbacks(); held != 0 {
+		t.Fatalf("%d callbacks held with nothing in flight", held)
+	}
+}
+
+// TestLostProbesLeaveNothing: whatever becomes of a probe — its ping or its
+// pong lost on the way (Config.LossProb), its target or its prober gone by
+// the time a leg lands — the network ends up holding no callback, the nodes
+// are no larger for the probes that passed through them, and a callback runs
+// exactly once if its pong arrived and never otherwise.
+func TestLostProbesLeaveNothing(t *testing.T) {
+	net, nodes := testNetwork(t, 6, func(c *Config) { c.LossProb = 0.2 })
+	stable, target, prober := nodes[:4], nodes[4], nodes[5]
+	var calls []int
+	probe := func(from *Node, to NodeID) {
+		i := len(calls)
+		calls = append(calls, 0)
+		from.Probe(to, func(time.Duration) { calls[i]++ })
+	}
+	// round sends per probes along every ordered pair of stable nodes.
+	round := func(per int) {
+		for _, from := range stable {
+			for _, to := range stable {
+				for i := 0; from != to && i < per; i++ {
+					probe(from, to.ID())
+				}
+			}
+		}
+	}
+	run := func() {
+		t.Helper()
+		if err := net.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if held := net.heldCallbacks(); held != 0 {
+			t.Fatalf("%d callbacks held with nothing in flight", held)
+		}
+	}
+	// Enough that every pair has its estimator before the footprint is read.
+	round(20)
+	run()
+	footprint := net.NodeFootprintBytes() - int(2*unsafe.Sizeof(Node{}))
+
+	round(830) // 12 pairs: 9,960 probes
+	for i := 0; i < 20; i++ {
+		probe(stable[i%4], target.ID())
+		probe(prober, stable[i%4].ID())
+	}
+	// The target leaves under the pings to it; the prober leaves with some
+	// of its pings landed and their pongs on the way back.
+	net.RemoveNode(target.ID())
+	for net.Stats().Messages[wire.CmdPong] < 4000 {
+		if _, err := net.Scheduler().RunN(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.RemoveNode(prober.ID())
+	if held := net.heldCallbacks(); held == 0 {
+		t.Fatal("no callback held with thousands of probes in flight")
+	}
+	run()
+
+	if got := net.NodeFootprintBytes(); got != footprint {
+		t.Fatalf("NodeFootprintBytes %d after 10,000 probes, was %d", got, footprint)
+	}
+	arrived := 0
+	for _, nd := range nodes {
+		for _, e := range nd.ests {
+			arrived += e.est.Samples()
+		}
+	}
+	fired := 0
+	for i, c := range calls {
+		if c > 1 {
+			t.Fatalf("probe %d completed %d times", i, c)
+		}
+		fired += c
+	}
+	st := net.Stats()
+	if fired != arrived || uint64(fired) >= st.Messages[wire.CmdPong] || st.Lost == 0 || st.Dropped == 0 {
+		t.Fatalf("%d callbacks fired for %d round trips measured (%d pongs sent, %d messages lost, %d dropped)",
+			fired, arrived, st.Messages[wire.CmdPong], st.Lost, st.Dropped)
+	}
+	if _, ok := stable[0].Estimator(target.ID()); ok {
+		t.Fatal("an estimator for the target that left under its pings")
 	}
 }
 

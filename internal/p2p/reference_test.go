@@ -279,7 +279,7 @@ func (nd *ReferenceNode) handleTx(from NodeID, m *wire.MsgTx) {
 		utxoLen = nd.mempool.Len()
 	}
 	cost := nd.net.cfg.VerifyCost.TxCost(tx, utxoLen)
-	nd.net.sched.AfterCall(cost, runRefVerify, nd.net.newVerifyJob(nd.id, from, tx, nil))
+	nd.net.verifyLater(cost, nd.id, from, tx, nil)
 }
 
 // Probe sends a single measurement ping to target.
@@ -396,7 +396,7 @@ func (nd *ReferenceNode) handleBlock(from NodeID, m *wire.MsgBlock) {
 		utxoLen = nd.mempool.Len()
 	}
 	cost := nd.net.cfg.VerifyCost.BlockCost(b, utxoLen)
-	nd.net.sched.AfterCall(cost, runRefVerify, nd.net.newVerifyJob(nd.id, from, nil, b))
+	nd.net.verifyLater(cost, nd.id, from, nil, b)
 }
 
 // HasBlock reports whether the node holds the block.
@@ -552,25 +552,6 @@ func (n *ReferenceNetwork) link(a, b *ReferenceNode) latency.Link {
 	return l
 }
 
-// refDelivery is the payload behind one in-flight oracle message event.
-type refDelivery struct {
-	net *ReferenceNetwork
-	src NodeID
-	dst NodeID
-	msg wire.Message
-}
-
-func runRefDelivery(a any) {
-	d := a.(*refDelivery)
-	n, src, dst, msg := d.net, d.src, d.dst, d.msg
-	node, ok := n.nodes[dst]
-	if ok {
-		node.handleMessage(src, msg)
-	} else {
-		n.stats.Dropped++
-	}
-}
-
 func (n *ReferenceNetwork) sharedPad(size int) []byte {
 	if size > len(n.pingPad) {
 		n.pingPad = make([]byte, size)
@@ -595,7 +576,14 @@ func (n *ReferenceNetwork) deliver(src, dst *ReferenceNode, msg wire.Message) {
 	}
 	src.uplinkFreeAt = start + txTime
 	delay := (start + txTime - n.sched.Now()) + n.link(src, dst).SampleOneWay(n.krand)
-	n.sched.AfterCall(delay, runRefDelivery, &refDelivery{net: n, src: src.id, dst: dst.id, msg: msg})
+	from, to := src.id, dst.id
+	n.sched.After(delay, func() {
+		if node, ok := n.nodes[to]; ok {
+			node.handleMessage(from, msg)
+		} else {
+			n.stats.Dropped++
+		}
+	})
 }
 
 func (n *ReferenceNetwork) send(from NodeID, to NodeID, msg wire.Message) {
@@ -677,31 +665,20 @@ func (n *ReferenceNetwork) Disconnect(a, b NodeID) {
 	}
 }
 
-// refVerifyJob is the payload behind a deferred oracle verification event.
-type refVerifyJob struct {
-	net   *ReferenceNetwork
-	node  NodeID
-	from  NodeID
-	tx    *chain.Tx
-	block *chain.Block
-}
-
-func runRefVerify(a any) {
-	j := a.(*refVerifyJob)
-	n, nodeID, from, tx, block := j.net, j.node, j.from, j.tx, j.block
-	node, ok := n.nodes[nodeID]
-	if !ok {
-		return
-	}
-	if tx != nil {
-		_ = node.acceptTx(tx, from)
-		return
-	}
-	_ = node.acceptBlock(block, from)
-}
-
-func (n *ReferenceNetwork) newVerifyJob(node, from NodeID, tx *chain.Tx, block *chain.Block) *refVerifyJob {
-	return &refVerifyJob{net: n, node: node, from: from, tx: tx, block: block}
+// verifyLater schedules the end of a modelled verification delay: the node,
+// found by ID when it fires, accepts the object it got from from.
+func (n *ReferenceNetwork) verifyLater(cost time.Duration, nodeID, from NodeID, tx *chain.Tx, block *chain.Block) {
+	n.sched.After(cost, func() {
+		node, ok := n.nodes[nodeID]
+		if !ok {
+			return
+		}
+		if tx != nil {
+			_ = node.acceptTx(tx, from)
+			return
+		}
+		_ = node.acceptBlock(block, from)
+	})
 }
 
 // ResetInventory clears every node's seen-transaction state in place —

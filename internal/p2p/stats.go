@@ -111,7 +111,7 @@ func (s Stats) AddToRegistry(reg *obs.Registry) {
 
 // NodeFootprintBytes sums the retained bytes of every node's hot state —
 // adjacency tables, sorted-peer caches, flat inventory arrays, holder
-// bitsets, spill sets, ping and estimator slices — without the shared
+// bitsets, spill sets, estimator slices — without the shared
 // network-level state (links, hash registry, in-flight records). Divided by
 // NumNodes it is the marginal cost of one more node, the number the
 // 100k-node budget test pins so the flat layout cannot quietly regrow
@@ -130,7 +130,6 @@ func (n *Network) NodeFootprintBytes() int {
 		total += uintptr(cap(nd.inv.tx)+cap(nd.inv.block)) * unsafe.Sizeof(uintptr(0))
 		total += uintptr(cap(nd.inv.holderBits)) * unsafe.Sizeof(uint64(0))
 		total += uintptr(len(nd.inv.spill)) * (unsafe.Sizeof(spillFact{}) + 8)
-		total += uintptr(cap(nd.pending)) * unsafe.Sizeof(pendingPing{})
 		total += uintptr(cap(nd.ests)) * unsafe.Sizeof(estEntry{})
 	}
 	return int(total)

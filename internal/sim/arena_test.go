@@ -296,25 +296,6 @@ func TestRunNCtxStopsOnCancellation(t *testing.T) {
 	}
 }
 
-func TestAfterCallCarriesArgument(t *testing.T) {
-	s := NewScheduler()
-	type payload struct{ hits int }
-	p := &payload{}
-	bump := func(a any) { a.(*payload).hits++ }
-	s.AfterCall(time.Millisecond, bump, p)
-	s.AtCall(2*time.Millisecond, bump, p)
-	h := s.AfterCall(3*time.Millisecond, bump, p)
-	if !s.Cancel(h) {
-		t.Fatal("cancel of AfterCall event failed")
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if p.hits != 2 {
-		t.Errorf("payload hits = %d, want 2", p.hits)
-	}
-}
-
 // TestIndexedEvents names what an indexed event is beyond its place in the
 // order: it counts as pending and as executed, survives a RunUntil short of
 // it, is dropped by Clear without an arena slot to recycle, clamps a
@@ -358,7 +339,6 @@ func TestIndexedEvents(t *testing.T) {
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	s := NewScheduler()
 	fn := func() {}
-	call := func(any) {}
 	tag := s.Handle(func(int32) {})
 	// Warm up arena, heap, and free list to the high-water mark.
 	for i := 0; i < 4096; i++ {
@@ -370,7 +350,6 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 512; i++ {
 			s.After(time.Duration(i%64)*time.Microsecond, fn)
-			s.AfterCall(time.Duration(i%64)*time.Microsecond, call, nil)
 			s.AfterIndexed(time.Duration(i%64)*time.Microsecond, tag, int32(i))
 		}
 		for i := 0; i < 128; i++ {

@@ -16,10 +16,9 @@
 // heap orders int32 arena indices rather than pointers, and handles encode
 // (slot, generation) so cancellation needs no side map. After warm-up —
 // once the arena and heap have grown to the simulation's high-water mark —
-// At/After/AtCall/AfterCall, Cancel and event dispatch perform zero heap
-// allocations. Hot paths that would otherwise allocate a closure per event
-// should use AtCall/AfterCall, which carry a (func(any), arg) pair and so
-// can be driven entirely from caller-pooled argument structs.
+// At/After, Cancel and event dispatch perform zero heap allocations. Hot
+// paths that would otherwise allocate a closure per event should keep the
+// event's state in a slice of their own and use AfterIndexed (below).
 //
 // Cancellation is O(1) and lazy: Cancel marks the arena slot as a
 // tombstone (releasing the callback immediately) and the heap entry is
@@ -84,15 +83,13 @@ const (
 	slotCancelled        // tombstone: still in the heap, skipped on pop
 )
 
-// event is one arena slot: a scheduled callback in either closure form
-// (fn) or payload form (call + arg). Slots are recycled through the free
-// list; gen distinguishes incarnations so stale handles are rejected.
+// event is one arena slot: a scheduled callback. Slots are recycled through
+// the free list; gen distinguishes incarnations so stale handles are
+// rejected.
 type event struct {
-	fn   func()
-	call func(any)
-	arg  any
-	gen  uint32
-	st   uint8
+	fn  func()
+	gen uint32
+	st  uint8
 }
 
 // heapEntry is one node of the 4-ary heap: the children of entry i are
@@ -246,8 +243,6 @@ func (s *Scheduler) popMin() heapEntry {
 func (s *Scheduler) freeSlot(idx int32) {
 	ev := &s.arena[idx]
 	ev.fn = nil
-	ev.call = nil
-	ev.arg = nil
 	ev.gen++
 	ev.st = slotFree
 	s.free = append(s.free, idx)
@@ -272,8 +267,13 @@ func (s *Scheduler) push(at Time, idx int32, tag uint32) {
 	s.live++
 }
 
-// schedule allocates an arena slot for the event and pushes it.
-func (s *Scheduler) schedule(at Time, fn func(), call func(any), arg any) Handle {
+// At schedules fn to run at absolute virtual time at. Scheduling in the
+// past (before Now) is a programming error and panics: allowing it would
+// silently reorder causality.
+func (s *Scheduler) At(at Time, fn func()) Handle {
+	if fn == nil {
+		panic("sim: Schedule with nil fn")
+	}
 	if at < s.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now))
 	}
@@ -290,21 +290,9 @@ func (s *Scheduler) schedule(at Time, fn func(), call func(any), arg any) Handle
 	}
 	ev := &s.arena[idx]
 	ev.fn = fn
-	ev.call = call
-	ev.arg = arg
 	ev.st = slotPending
 	s.push(at, idx, 0)
 	return makeHandle(idx, ev.gen)
-}
-
-// At schedules fn to run at absolute virtual time at. Scheduling in the
-// past (before Now) is a programming error and panics: allowing it would
-// silently reorder causality.
-func (s *Scheduler) At(at Time, fn func()) Handle {
-	if fn == nil {
-		panic("sim: Schedule with nil fn")
-	}
-	return s.schedule(at, fn, nil, nil)
 }
 
 // After schedules fn to run d after the current virtual time. Negative
@@ -314,25 +302,6 @@ func (s *Scheduler) After(d time.Duration, fn func()) Handle {
 		d = 0
 	}
 	return s.At(s.now+d, fn)
-}
-
-// AtCall schedules call(arg) at absolute virtual time at. Unlike At it
-// needs no closure: hot paths pass a static function plus a pooled
-// argument, keeping steady-state scheduling allocation-free.
-func (s *Scheduler) AtCall(at Time, call func(any), arg any) Handle {
-	if call == nil {
-		panic("sim: Schedule with nil fn")
-	}
-	return s.schedule(at, nil, call, arg)
-}
-
-// AfterCall is AtCall relative to the current virtual time. Negative
-// delays are clamped to zero.
-func (s *Scheduler) AfterCall(d time.Duration, call func(any), arg any) Handle {
-	if d < 0 {
-		d = 0
-	}
-	return s.AtCall(s.now+d, call, arg)
 }
 
 // Handle registers fn as an indexed-event handler and returns the tag that
@@ -377,8 +346,6 @@ func (s *Scheduler) Cancel(h Handle) bool {
 	}
 	ev.st = slotCancelled
 	ev.fn = nil
-	ev.call = nil
-	ev.arg = nil
 	s.live--
 	return true
 }
@@ -399,13 +366,8 @@ func (s *Scheduler) step() {
 		s.handlers[e.tag-1](e.idx)
 		return
 	}
-	ev := &s.arena[e.idx]
-	fn, call, arg := ev.fn, ev.call, ev.arg
+	fn := s.arena[e.idx].fn
 	s.freeSlot(e.idx)
-	if call != nil {
-		call(arg)
-		return
-	}
 	fn()
 }
 

@@ -95,10 +95,16 @@ func (r *reader) hash() chain.Hash {
 	return h
 }
 
-func (r *reader) listLen() int {
+// listLen reads the count of a list whose elements take elemSize bytes
+// each. The count is the sender's word: one the rest of the payload could
+// not fill is refused here, before it sizes an allocation.
+func (r *reader) listLen(elemSize int) int {
 	n := r.u32()
 	if r.err == nil && n > maxListLen {
 		r.err = fmt.Errorf("list length %d exceeds limit", n)
+	}
+	if r.err == nil && int(n) > len(r.buf)/elemSize {
+		r.err = errTruncated
 	}
 	return int(n)
 }
@@ -216,7 +222,7 @@ func (m *MsgPing) payloadSize() int { return 8 + 4 + len(m.Pad) }
 func (m *MsgPing) decodePayload(src []byte) error {
 	r := &reader{buf: src}
 	m.Nonce = r.u64()
-	n := r.listLen()
+	n := r.listLen(1)
 	if r.err == nil {
 		m.Pad = append([]byte(nil), r.bytes(n)...)
 	}
@@ -281,9 +287,9 @@ func (m *MsgAddr) payloadSize() int { return 4 + netAddrSize*len(m.Addrs) }
 
 func (m *MsgAddr) decodePayload(src []byte) error {
 	r := &reader{buf: src}
-	n := r.listLen()
+	n := r.listLen(netAddrSize)
 	if r.err == nil {
-		m.Addrs = make([]NetAddr, 0, min(n, 1024))
+		m.Addrs = make([]NetAddr, 0, n)
 		for i := 0; i < n; i++ {
 			m.Addrs = append(m.Addrs, r.netAddr())
 		}
@@ -345,10 +351,10 @@ func invListSize(items []InvVect) int { return 4 + (1+32)*len(items) }
 
 func decodeInvList(src []byte) ([]InvVect, error) {
 	r := &reader{buf: src}
-	n := r.listLen()
+	n := r.listLen(1 + 32)
 	var items []InvVect
 	if r.err == nil {
-		items = make([]InvVect, 0, min(n, 1024))
+		items = make([]InvVect, 0, n)
 		for i := 0; i < n; i++ {
 			t := InvType(r.u8())
 			h := r.hash()
@@ -462,19 +468,12 @@ func (m *MsgCluster) decodePayload(src []byte) error {
 	r := &reader{buf: src}
 	m.ClusterID = r.u64()
 	m.Accepted = r.u8() == 1
-	n := r.listLen()
+	n := r.listLen(netAddrSize)
 	if r.err == nil {
-		m.Members = make([]NetAddr, 0, min(n, 1024))
+		m.Members = make([]NetAddr, 0, n)
 		for i := 0; i < n; i++ {
 			m.Members = append(m.Members, r.netAddr())
 		}
 	}
 	return r.finish()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

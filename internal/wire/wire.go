@@ -15,6 +15,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -193,60 +194,23 @@ func newMessage(cmd Command) (Message, error) {
 	}
 }
 
-// Decode parses one framed packet from data, returning the message and
-// the number of bytes consumed.
-func Decode(data []byte) (Message, int, error) {
-	if len(data) < headerLen {
-		return nil, 0, io.ErrUnexpectedEOF
+// parseHeader checks a frame's header and returns what it declares: the
+// command, the payload's length and its checksum.
+func parseHeader(hdr []byte) (cmd Command, plen int, sum uint32, err error) {
+	if binary.LittleEndian.Uint32(hdr[0:4]) != Magic {
+		return 0, 0, 0, ErrBadMagic
 	}
-	if binary.LittleEndian.Uint32(data[0:4]) != Magic {
-		return nil, 0, ErrBadMagic
+	n := binary.LittleEndian.Uint32(hdr[5:9])
+	if n > MaxPayload {
+		return 0, 0, 0, fmt.Errorf("%w: %d bytes", ErrOversize, n)
 	}
-	cmd := Command(data[4])
-	plen := binary.LittleEndian.Uint32(data[5:9])
-	if plen > MaxPayload {
-		return nil, 0, fmt.Errorf("%w: %d bytes", ErrOversize, plen)
-	}
-	want := binary.LittleEndian.Uint32(data[9:13])
-	total := headerLen + int(plen)
-	if len(data) < total {
-		return nil, 0, io.ErrUnexpectedEOF
-	}
-	payload := data[headerLen:total]
-	if checksum(payload) != want {
-		return nil, 0, ErrBadChecksum
-	}
-	msg, err := newMessage(cmd)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := msg.decodePayload(payload); err != nil {
-		return nil, 0, fmt.Errorf("wire: decode %s: %w", cmd, err)
-	}
-	return msg, total, nil
+	return Command(hdr[4]), int(n), binary.LittleEndian.Uint32(hdr[9:13]), nil
 }
 
-// ReadMessage reads one framed message from r (blocking until a full
-// frame arrives). Used by the TCP transport.
-func ReadMessage(r io.Reader) (Message, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != Magic {
-		return nil, ErrBadMagic
-	}
-	cmd := Command(hdr[4])
-	plen := binary.LittleEndian.Uint32(hdr[5:9])
-	if plen > MaxPayload {
-		return nil, fmt.Errorf("%w: %d bytes", ErrOversize, plen)
-	}
-	want := binary.LittleEndian.Uint32(hdr[9:13])
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	if checksum(payload) != want {
+// decodeBody checks a payload against its header's checksum and parses it
+// as the message its command names.
+func decodeBody(cmd Command, payload []byte, sum uint32) (Message, error) {
+	if checksum(payload) != sum {
 		return nil, ErrBadChecksum
 	}
 	msg, err := newMessage(cmd)
@@ -257,6 +221,50 @@ func ReadMessage(r io.Reader) (Message, error) {
 		return nil, fmt.Errorf("wire: decode %s: %w", cmd, err)
 	}
 	return msg, nil
+}
+
+// Decode parses one framed packet from data, returning the message and
+// the number of bytes consumed.
+func Decode(data []byte) (Message, int, error) {
+	if len(data) < headerLen {
+		return nil, 0, io.ErrUnexpectedEOF
+	}
+	cmd, plen, sum, err := parseHeader(data)
+	if err != nil {
+		return nil, 0, err
+	}
+	total := headerLen + plen
+	if len(data) < total {
+		return nil, 0, io.ErrUnexpectedEOF
+	}
+	msg, err := decodeBody(cmd, data[headerLen:total], sum)
+	if err != nil {
+		return nil, 0, err
+	}
+	return msg, total, nil
+}
+
+// ReadMessage reads one framed message from r (blocking until a full
+// frame arrives). Used by the TCP transport. The declared length is the
+// peer's word until the bytes arrive, so the payload buffer grows as they
+// do: a header alone cannot size an allocation.
+func ReadMessage(r io.Reader) (Message, error) {
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	cmd, plen, sum, err := parseHeader(hdr[:])
+	if err != nil {
+		return nil, err
+	}
+	var payload bytes.Buffer
+	if _, err := io.CopyN(&payload, r, int64(plen)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return decodeBody(cmd, payload.Bytes(), sum)
 }
 
 // WriteMessage frames and writes msg to w.

@@ -147,7 +147,7 @@ type funcSpan struct {
 }
 
 // keyFor returns "<pkg dir>.<func>" for the declaration enclosing
-// file:line — "internal/sim.(*Scheduler).AtCall" — attributing function
+// file:line — "internal/sim.(*Scheduler).AfterIndexed" — attributing function
 // literals to their enclosing declaration. Lines outside any declaration
 // (package-level values) key as "<pkg dir>.<package scope>".
 func (fi *funcIndex) keyFor(file string, line int) string {
