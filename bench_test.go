@@ -221,7 +221,9 @@ func BenchmarkRecommend3000(b *testing.B) {
 // --- Arena event kernel ---
 //
 // A steady-state workload — a rolling window of scheduled events with a
-// 25% cancellation rate, dispatched in batches. Run with -benchmem: the
+// 25% cancellation rate, dispatched in batches, with a place reserved and
+// asked after beside every event (Reserve, Passed: what a flood does for the
+// INVs it does not queue). Run with -benchmem: the
 // arena kernel must report 0 allocs/op after warm-up; benchdiff.sh flags
 // any allocs/op regression here. (The pre-arena kernel it was once paired
 // with is the differential oracle in internal/sim's tests.)
@@ -238,8 +240,12 @@ func BenchmarkSchedulerArena(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var pending [4]sim.Handle
+	passed := 0
 	for i := 0; i < b.N; i++ {
 		h := s.After(time.Duration(i%1000)*time.Microsecond, fn)
+		if s.Passed(s.Reserve(time.Duration(i%1000) * time.Microsecond)) {
+			passed++
+		}
 		if i%4 == 3 {
 			// Cancel one in-flight event per four scheduled: flood-like
 			// cancellation pressure (timeouts, superseded probes).
@@ -252,6 +258,9 @@ func BenchmarkSchedulerArena(b *testing.B) {
 	}
 	b.StopTimer()
 	_ = s.Run()
+	if passed != 0 {
+		b.Fatalf("%d places had passed as they were reserved", passed)
+	}
 }
 
 // --- Flood hot path ---
@@ -265,11 +274,13 @@ func BenchmarkSchedulerArena(b *testing.B) {
 // regressions (zero tolerance on both allocs/op and B/op for flood
 // benches).
 //
-// Current budget (Xeon @ 2.10 GHz reference): ~600 allocs/op and ~91 KB/op
+// Current budget (Xeon @ 2.10 GHz reference): ~600 allocs/op and ~51 KB/op
 // at -benchtime 60x. The first iteration grows the record arena, the event
-// heap and each node's flat inventory arrays; after that the residual is
-// the transaction's own construction, hashing and per-run result map —
-// the relay path itself allocates nothing.
+// heap, the ticket pool and each node's flat inventory arrays; after that
+// the residual is the transaction's own construction, hashing and per-run
+// result map — the relay path itself allocates nothing. Most INVs are not
+// events here (p2p's lazy INV), which is why the arena and the heap grow to
+// a fraction of what BenchmarkFlood2000Traced's do.
 
 func BenchmarkFlood2000(b *testing.B) {
 	built, err := experiment.Build(context.Background(), experiment.Spec{
@@ -301,11 +312,12 @@ func BenchmarkFlood2000(b *testing.B) {
 }
 
 // BenchmarkFlood2000Traced is BenchmarkFlood2000 with an event tracer
-// attached: every send/deliver/first-seen lands in the ring buffer. The
-// record path is a branch plus a fixed-slot store into preallocated
-// shards, so allocs/op must stay byte-for-byte at BenchmarkFlood2000's
-// budget — benchdiff.sh's zero-tolerance flood gate (^BenchmarkFlood)
-// holds tracing to that.
+// attached: every send/deliver/first-seen lands in the ring buffer, and
+// every INV lands as an event so that the trace shows it. The record path
+// is a branch plus a fixed-slot store into preallocated shards, so allocs/op
+// must stay at BenchmarkFlood2000's — benchdiff.sh's zero-tolerance flood
+// gate (^BenchmarkFlood) holds tracing to that — while B/op is the ~91 KB of
+// a flood whose every message is a record (arena and heap at full size).
 func BenchmarkFlood2000Traced(b *testing.B) {
 	built, err := experiment.Build(context.Background(), experiment.Spec{
 		Nodes:    2000,

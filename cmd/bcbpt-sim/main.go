@@ -214,13 +214,15 @@ func run(ctx context.Context, exp string, o experiment.Options, dt time.Duration
 
 // unitSecondsRe matches the sum and count lines of the per-series unit
 // timing summaries experiment.Runner records.
-var unitSecondsRe = regexp.MustCompile(`(?m)^bcbpt_sweep_unit_(build|run)_seconds_(sum|count)\{series="(.*)"\} (\S+)$`)
+var unitSecondsRe = regexp.MustCompile(`(?m)^bcbpt_sweep_unit_(build|run|events)_(?:seconds_(sum|count)|total)\{series="(.*)"\} (\S+)$`)
 
 // printPhaseSplit prints where the wall time of the sweep's units went —
 // network build against measurement run, summed over each series' units —
-// under the names bench/ reports the same split by, so a user's run and a
-// benchmark row compare directly. With several workers the units overlap
-// and the sums exceed the wall time above. The registry renders itself as
+// and how many scheduler events they dispatched, under the names bench/
+// reports the same by, so a user's run and a benchmark row compare directly
+// (events far below the message count: the redundant INVs travelled as
+// tickets; a -trace replication runs every message as an event). With
+// several workers the units overlap and the sums exceed the wall time above. The registry renders itself as
 // Prometheus text and nothing else; the numbers are read back from that.
 // Experiments that do not go through the campaign engine record no units
 // and print nothing.
@@ -229,7 +231,7 @@ func printPhaseSplit(reg *obs.Registry) {
 	if err := reg.WritePrometheus(&text); err != nil {
 		return
 	}
-	type split struct{ build, run, units float64 }
+	type split struct{ build, run, units, events float64 }
 	bySeries := map[string]*split{}
 	var order []string // as rendered: sorted by series
 	for _, m := range unitSecondsRe.FindAllStringSubmatch(text.String(), -1) {
@@ -245,6 +247,8 @@ func printPhaseSplit(reg *obs.Registry) {
 			order = append(order, series)
 		}
 		switch {
+		case phase == "events":
+			sp.events = v
 		case field == "count":
 			sp.units = v
 		case phase == "build":
@@ -255,8 +259,14 @@ func printPhaseSplit(reg *obs.Registry) {
 	}
 	for _, series := range order {
 		sp := bySeries[series]
-		fmt.Printf("(wall time of %.0f unit(s): experiment.build_s.%s %.3f s, experiment.run_s.%s %.3f s)\n",
-			sp.units, series, sp.build, series, sp.run)
+		fmt.Printf("(wall time of %.0f unit(s): experiment.build_s.%s %.3f s, experiment.run_s.%s %.3f s, sim.events.%s %.0f)\n",
+			sp.units, series, sp.build, series, sp.run, series, sp.events)
+	}
+	// What a -trace run lost: the ring keeps the newest events and counts
+	// the ones it overwrote, which the export alone says only in its JSON.
+	if dropped := reg.Counter(experiment.TraceDroppedMetric).Value(); dropped > 0 {
+		kept := reg.Counter(experiment.TraceKeptMetric).Value()
+		fmt.Fprintf(os.Stderr, "trace: kept %d of %d events (ring overwrote %d)\n", kept, kept+dropped, dropped)
 	}
 }
 

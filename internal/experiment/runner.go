@@ -236,7 +236,8 @@ type unitRef struct {
 
 // UnitObservation is the non-result telemetry of one unit run: wall
 // timings (zero unless a clock was supplied) and the unit network's
-// cumulative traffic counters, snapshotted before the network closes.
+// cumulative traffic and event counters, snapshotted before the network
+// closes.
 type UnitObservation struct {
 	// BuildNanos is the wall time of the network build; RunNanos the
 	// wall time of the measurement campaign.
@@ -244,6 +245,16 @@ type UnitObservation struct {
 	RunNanos   int64
 	// Stats is the unit's total p2p traffic (bootstrap + measurement).
 	Stats p2p.Stats
+	// Events is how many events the unit's scheduler dispatched (bootstrap
+	// + measurement). Beside Stats it shows which way the INVs travelled:
+	// far fewer events than messages when the redundant ones left as
+	// tickets, one per message in a traced unit, which keeps them all.
+	Events uint64
+	// TraceKept and TraceDropped are what the unit's exported trace holds
+	// and what its ring overwrote before the export; both zero for a unit
+	// that exported none.
+	TraceKept    int
+	TraceDropped uint64
 }
 
 // RunUnit executes one self-contained unit of a sweep — replication rep
@@ -298,7 +309,7 @@ func RunUnitObserved(ctx context.Context, cs CampaignSpec, rep int, clock func()
 	if clock != nil {
 		uo.RunNanos = clock() - t0
 	}
-	uo.Stats = b.Net.Stats()
+	uo.Stats, uo.Events = b.Net.Stats(), b.Net.Scheduler().Executed()
 	if err != nil {
 		return measure.CampaignResult{}, uo, fmt.Errorf("experiment: campaign %s replication %d: %w", cs.Name, rep, err)
 	}
@@ -306,6 +317,7 @@ func RunUnitObserved(ctx context.Context, cs CampaignSpec, rep int, clock func()
 		if err := exportTrace(tracer, cs.Trace); err != nil {
 			return measure.CampaignResult{}, uo, fmt.Errorf("experiment: campaign %s: %w", cs.Name, err)
 		}
+		uo.TraceKept, uo.TraceDropped = tracer.Len(), tracer.Dropped()
 	}
 	res.Fingerprint = cs.Fingerprint()
 	return res, uo, nil
@@ -336,6 +348,14 @@ func exportTrace(tr *obs.Tracer, path string) error {
 	return sf.Close()
 }
 
+// TraceKeptMetric and TraceDroppedMetric name the registry counters of the
+// events a sweep's exported traces hold and of those their rings overwrote
+// first: a CLI reads them back to say what a -trace run lost.
+const (
+	TraceKeptMetric    = "bcbpt_trace_events_kept_total"
+	TraceDroppedMetric = "bcbpt_trace_events_dropped_total"
+)
+
 // observeUnit folds the telemetry of one unit of the named campaign into
 // the runner's registry. Counter and histogram handles are
 // concurrency-safe, so sweep workers fold directly.
@@ -349,8 +369,13 @@ func (r *Runner) observeUnit(series string, uo UnitObservation, failed bool) {
 		r.Metrics.Counter("bcbpt_sweep_units_completed_total").Inc()
 	}
 	uo.Stats.AddToRegistry(r.Metrics)
+	label := fmt.Sprintf("{series=%q}", series)
+	r.Metrics.Counter("bcbpt_sweep_unit_events_total" + label).Add(uo.Events)
+	if uo.TraceKept > 0 {
+		r.Metrics.Counter(TraceKeptMetric).Add(uint64(uo.TraceKept))
+		r.Metrics.Counter(TraceDroppedMetric).Add(uo.TraceDropped)
+	}
 	if r.Clock != nil {
-		label := fmt.Sprintf("{series=%q}", series)
 		r.Metrics.Histogram("bcbpt_sweep_unit_build_seconds" + label).Observe(time.Duration(uo.BuildNanos))
 		r.Metrics.Histogram("bcbpt_sweep_unit_run_seconds" + label).Observe(time.Duration(uo.RunNanos))
 	}

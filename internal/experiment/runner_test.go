@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/measure"
+	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // engineOpts keeps engine tests quick: small networks, few runs, several
@@ -318,5 +321,46 @@ func TestRunUnitStampsFingerprint(t *testing.T) {
 	}
 	if _, err := RunUnit(context.Background(), cs, 5); err == nil {
 		t.Error("out-of-range replication index accepted")
+	}
+}
+
+// TestUnitObservationEventsAndTraceLoss runs one unit untraced and traced.
+// The result and the traffic are the same either way; the events are not —
+// untraced, the INVs that can tell their receiver nothing travel as tickets,
+// so the unit dispatches fewer events than it sent INVs alone, and traced,
+// every message lands as an event — and the observation says which happened.
+// It also says what the trace export lost: this unit overruns the ring.
+func TestUnitObservationEventsAndTraceLoss(t *testing.T) {
+	cs := CampaignSpec{Name: "unit", Spec: Spec{Nodes: 200, Seed: 3, Protocol: ProtoBitcoin}, Runs: 30, Deadline: 30 * time.Second}
+	plainRes, plain, err := RunUnitObserved(context.Background(), cs, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.Trace = filepath.Join(t.TempDir(), "trace.json")
+	tracedRes, traced, err := RunUnitObserved(context.Background(), cs, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plainRes.Dist.Equal(tracedRes.Dist) || plainRes.Lost != tracedRes.Lost || plain.Stats != traced.Stats {
+		t.Fatal("tracing changed the unit's result or traffic")
+	}
+	msgs := plain.Stats.Messages
+	invs, relayed := msgs[wire.CmdInv], msgs[wire.CmdInv]+msgs[wire.CmdGetData]+msgs[wire.CmdTx]
+	if plain.Events >= invs || traced.Events < relayed {
+		t.Errorf("events: untraced %d, traced %d, with %d INVs of %d relay messages sent", plain.Events, traced.Events, invs, relayed)
+	}
+	if plain.TraceKept != 0 || plain.TraceDropped != 0 {
+		t.Errorf("untraced unit reports a trace: kept %d, dropped %d", plain.TraceKept, plain.TraceDropped)
+	}
+	if traced.TraceKept != obs.DefaultShardEvents || traced.TraceDropped == 0 {
+		t.Errorf("traced unit kept %d events and dropped %d, want a full ring of %d and a loss", traced.TraceKept, traced.TraceDropped, obs.DefaultShardEvents)
+	}
+	reg := obs.NewRegistry()
+	(&Runner{Metrics: reg}).observeUnit("unit", traced, false)
+	if got := reg.Counter(`bcbpt_sweep_unit_events_total{series="unit"}`).Value(); got != traced.Events {
+		t.Errorf("registry holds %d unit events, want %d", got, traced.Events)
+	}
+	if kept, dropped := reg.Counter(TraceKeptMetric).Value(), reg.Counter(TraceDroppedMetric).Value(); kept != uint64(traced.TraceKept) || dropped != traced.TraceDropped {
+		t.Errorf("registry holds trace kept %d dropped %d, want %d and %d", kept, dropped, traced.TraceKept, traced.TraceDropped)
 	}
 }

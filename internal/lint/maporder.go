@@ -27,9 +27,12 @@ var Maporder = &analysis.Analyzer{
 
 // schedulerOrderMethods are *sim.Scheduler methods whose relative call
 // order is observable in dispatch order (same-tick events dispatch in
-// insertion sequence).
+// insertion sequence). Reserve takes a sequence number like the rest;
+// Redeem keeps the place its ticket has, but the state behind the event it
+// queues — a record from its caller's arena — is taken in call order.
 var schedulerOrderMethods = map[string]bool{
 	"At": true, "After": true, "AfterIndexed": true,
+	"Reserve": true, "Redeem": true,
 }
 
 // p2pOrderMethods are p2p Network/Node entry points that enqueue

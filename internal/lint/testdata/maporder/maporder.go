@@ -26,6 +26,15 @@ func indexedInRange(s *sim.Scheduler, tag uint32, m map[int32]int) {
 	}
 }
 
+// ticketsInRange: a reserved place is a place in that order too, and
+// redeeming one queues an event.
+func ticketsInRange(s *sim.Scheduler, tag uint32, m map[int32]sim.Ticket) {
+	for k, t := range m {
+		m[k] = s.Reserve(0) // want `event-scheduling call \(\*sim\.Scheduler\)\.Reserve`
+		s.Redeem(t, tag, k) // want `event-scheduling call \(\*sim\.Scheduler\)\.Redeem`
+	}
+}
+
 func printInRange(m map[int]int) {
 	for k := range m {
 		fmt.Println(k) // want `output write fmt\.Println`

@@ -38,7 +38,7 @@ func (nd *Node) acceptBlock(b *chain.Block, from NodeID) error {
 	hi := nd.net.hashSlot(h)
 	e := nd.invEnsure(hi)
 	e.seenGen = nd.net.invGen
-	e.seenAt = nd.now()
+	e.at = nd.now()
 	nd.storeBlock(hi, b)
 	e.reqGen = 0
 	if tr := nd.net.dc.trace; tr != nil {

@@ -111,6 +111,13 @@ type dispatchCtx struct {
 	// fill in what they send without asking whether it left.
 	lost delivery
 
+	// tickets is where nodes take their ticket slots from, for the INVs that
+	// leave as tickets and not as records (Node.lazyInv), and lazyAt when the
+	// last of this generation's lands: once the clock is past it every one
+	// has passed, and a ResetInventory has nothing to redeem.
+	tickets ticketPool
+	lazyAt  sim.Time
+
 	// probeDone holds the completion callbacks of probes in flight and
 	// doneFree its free indices, LIFO. Handle h is index h-1 and zero is no
 	// callback, which is what all but a crawler's probes carry. A handle
@@ -148,6 +155,40 @@ func (dc *dispatchCtx) takeFlight(idx int32) delivery {
 	dc.flightFree = append(dc.flightFree, idx)
 	return d
 }
+
+// ticketPool hands out runs of ticket slots, front to back through chunks it
+// keeps, and takes them all back at once (reset, at every ResetInventory): it
+// grows to one flood's worth and steady state allocates nothing.
+type ticketPool struct {
+	chunks     [][]sim.Ticket
+	next, used int // the chunk in use, and how much of it is taken
+}
+
+// ticketChunk is how many slots the pool grows by: a few hundred nodes' worth.
+const ticketChunk = 4096
+
+// take returns a run of n empty slots, growing the pool by a chunk when the
+// one in use cannot hold the run.
+func (p *ticketPool) take(n int) []sim.Ticket {
+	for {
+		if p.next == len(p.chunks) {
+			p.chunks = append(p.chunks, make([]sim.Ticket, max(n, ticketChunk)))
+		}
+		if chunk := p.chunks[p.next]; p.used+n <= len(chunk) {
+			run := chunk[p.used : p.used+n : p.used+n]
+			p.used += n
+			clear(run)
+			return run
+		}
+		p.next, p.used = p.next+1, 0
+	}
+}
+
+// reset frees every run handed out; whoever held one must not use it again.
+func (p *ticketPool) reset() { p.next, p.used = 0, 0 }
+
+// empty reports whether no run has been handed out since the last reset.
+func (p *ticketPool) empty() bool { return p.next == 0 && p.used == 0 }
 
 // holdDone parks a probe's completion callback and returns its handle: zero
 // for nil, which needs none.

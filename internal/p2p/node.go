@@ -63,13 +63,19 @@ type estEntry struct {
 // field equals the network's current inventory generation or it does
 // not exist, so ResetInventory is a single generation bump instead of a
 // per-node map rebuild.
+//
+// at is two times that are never both wanted, which keeps the entry at 32
+// bytes: once the hash is accepted, when that was (FirstSeen); while the
+// node has not even asked for it, when the earliest INV event queued for it
+// lands (lazyInv) — a question nobody puts to a node that has.
 type invEntry struct {
-	seenGen   uint32 // hash accepted (first-seen time in seenAt)
+	seenGen   uint32 // hash accepted, at at
 	reqGen    uint32 // GETDATA in flight
 	txGen     uint32 // inv.tx[hi] holds the transaction
 	blockGen  uint32 // inv.block[hi] holds the block
 	holderGen uint32 // holder bitset words for this hash are live
-	seenAt    sim.Time
+	firstGen  uint32 // not heard of yet, and an INV event is queued to land at at, none earlier
+	at        sim.Time
 }
 
 // spillFact records "holder is known to have the hash at dense index
@@ -88,13 +94,37 @@ type spillFact struct {
 // number of distinct hashes seen this generation (one or two in a
 // measurement run); holderBits holds peerWords() words per hash — one
 // bit per adjacency position.
+//
+// lazy holds the INVs on their way here that are not events (Node.lazyInv):
+// one ticket per adjacency position, at the sender's, all for the hash at
+// dense index lazyHi, and the node's while lazyGen is the current generation
+// — the zero Ticket is none. A ticket that has passed is the holder bit it
+// stands for; settleLazy makes it that bit, or the INV event after all,
+// before the position changes hands or the generation turns. The slots are a
+// run of the network's per-generation pool (ticketPool), taken
+// when a lazy INV first reaches the node in a generation, so a network that
+// never floods does not pay for them.
 type nodeInv struct {
 	entries    []invEntry
 	holderBits []uint64
 	tx         []*chain.Tx
 	block      []*chain.Block
 	spill      map[spillFact]struct{}
+	lazy       []sim.Ticket
 	spillGen   uint32
+	lazyGen    uint32
+	lazyHi     int32
+}
+
+// lazyAt returns the node's ticket slot for adjacency position pos under
+// hash index hi, or nil if it has none: the slots are another hash's or
+// another generation's, or were taken when the table was shorter.
+func (nd *Node) lazyAt(hi, pos int32) *sim.Ticket {
+	inv := &nd.inv
+	if inv.lazyHi != hi || inv.lazyGen != nd.net.invGen || int(pos) >= len(inv.lazy) {
+		return nil
+	}
+	return &inv.lazy[pos]
 }
 
 // Node is one simulated Bitcoin peer. Hot state lives in flat slices —
@@ -176,7 +206,7 @@ func (nd *Node) Send(to NodeID, msg wire.Message) {
 		n.dc.stats.Dropped++
 		return
 	}
-	n.deliver(nd, dst, -1, n.link(nd, dst).Base(), msg.Command(), wire.EncodedSize(msg), msg)
+	n.deliver(nd, dst, -1, n.link(nd, dst).Base(), msg.Command(), wire.EncodedSize(msg), msg, -1)
 }
 
 // sendTo puts a relay message of the given command and framed size in
@@ -190,13 +220,13 @@ func (nd *Node) Send(to NodeID, msg wire.Message) {
 func (nd *Node) sendTo(pos int32, to *Node, cmd wire.Command, size int) *delivery {
 	n := nd.net
 	if pos >= 0 {
-		return n.deliver(nd, nd.peerTab[pos].node, pos, 0, cmd, size, nil)
+		return n.deliver(nd, nd.peerTab[pos].node, pos, 0, cmd, size, nil, -1)
 	}
 	if !to.live() || !nd.live() {
 		n.dc.stats.Dropped++
 		return &n.dc.lost
 	}
-	return n.deliver(nd, to, -1, n.link(nd, to).Base(), cmd, size, nil)
+	return n.deliver(nd, to, -1, n.link(nd, to).Base(), cmd, size, nil, -1)
 }
 
 // live reports whether the node is still in the network.
@@ -262,6 +292,7 @@ func (nd *Node) removePeer(id NodeID) {
 	if pos < 0 {
 		return
 	}
+	nd.settleLazy(pos)
 	gen := nd.net.invGen
 	w := nd.net.peerWords
 	for hi := range nd.inv.entries {
@@ -394,7 +425,7 @@ func (nd *Node) seenIdx(hi int32) bool {
 // (within the current inventory generation).
 func (nd *Node) FirstSeen(h chain.Hash) (sim.Time, bool) {
 	if e := nd.entryFor(h); e != nil && e.seenGen == nd.net.invGen {
-		return e.seenAt, true
+		return e.at, true
 	}
 	return 0, false
 }
@@ -458,13 +489,96 @@ func (nd *Node) setHolderBit(hi, pos int32) {
 	nd.holderWords(hi)[pos/64] |= 1 << uint(pos%64)
 }
 
-// holderHas reports whether adjacency position pos is known to hold hi.
+// holderHas reports whether adjacency position pos is known to hold hi: its
+// bit is set, or an INV for hi that travelled as a ticket has landed from it
+// — by the order of the queue, the event running now included.
 func (nd *Node) holderHas(hi, pos int32) bool {
-	if int(hi) >= len(nd.inv.entries) || nd.inv.entries[hi].holderGen != nd.net.invGen {
+	if int(hi) >= len(nd.inv.entries) {
 		return false
 	}
-	w := nd.net.peerWords
-	return nd.inv.holderBits[hi*w+pos/64]&(1<<uint(pos%64)) != 0
+	if w := nd.net.peerWords; nd.inv.entries[hi].holderGen == nd.net.invGen && nd.inv.holderBits[hi*w+pos/64]&(1<<uint(pos%64)) != 0 {
+		return true
+	}
+	t := nd.lazyAt(hi, pos)
+	return t != nil && *t != (sim.Ticket{}) && nd.net.sched.Passed(*t)
+}
+
+// lazyInv decides whether the INV for the hash at dense index hi that the
+// peer at adjacency position pos has just sent, due to land after delay, can
+// travel as a ticket and not as an event, and takes the ticket if so. It can
+// when landing would do nothing but record that the sender holds the hash:
+// this node has accepted the object, has a GETDATA out for it, or is owed an
+// INV event for it that lands no later (firstGen, which this stamps when it
+// sends the earliest INV yet down the event path). The node being gone by
+// then, the edge torn down or the generation turned are each settled where
+// they happen (settleLazy), so what holds now holds at landing. One hash owns
+// the node's slots per generation: a second one in flight beside it — a
+// conflicting transaction, a block — takes the event path.
+func (nd *Node) lazyInv(pos, hi int32, delay time.Duration) bool {
+	n := nd.net
+	gen := n.invGen
+	at := n.sched.Now() + max(delay, 0)
+	if e := nd.invEnsure(hi); e.seenGen != gen && e.reqGen != gen && (e.firstGen != gen || at < e.at) {
+		e.firstGen, e.at = gen, at
+		return false
+	}
+	slot := nd.lazyAt(hi, pos)
+	if slot == nil {
+		if nd.inv.lazyGen == gen && nd.inv.lazyHi != hi {
+			return false
+		}
+		nd.claimLazy(hi)
+		slot = nd.lazyAt(hi, pos)
+	}
+	*slot = n.sched.Reserve(delay)
+	n.dc.lazyAt = max(n.dc.lazyAt, at)
+	return true
+}
+
+// claimLazy gives the node one ticket slot per adjacency position, for hash
+// index hi under the current generation. Slots it held under an older
+// generation are dead — ResetInventory redeemed what had not passed, holder
+// facts do not outlive their generation, and the pool started over — and
+// slots it holds under this one, taken when its table was shorter, move.
+// Cold by construction: once per node and flood.
+//
+//go:noinline
+func (nd *Node) claimLazy(hi int32) {
+	inv := &nd.inv
+	slots := nd.net.dc.tickets.take(len(nd.peerTab))
+	if gen := nd.net.invGen; inv.lazyGen == gen {
+		copy(slots, inv.lazy)
+	} else {
+		inv.lazyHi, inv.lazyGen = hi, gen
+	}
+	inv.lazy = slots
+}
+
+// settleLazy resolves the ticket at adjacency position pos, if there is one
+// of this generation, before the position's holder fact is moved or dies: a
+// ticket that has passed becomes the bit it stands for, one that has not
+// becomes the INV event it stands for, in its place in the queue — a record
+// addressed by ID, so that landing finds its sender wherever it then is, or
+// nowhere, and a receiver that is gone counts it Dropped. The object it
+// announces is in the sender's inventory, which announced it.
+func (nd *Node) settleLazy(pos int32) {
+	n, hi := nd.net, nd.inv.lazyHi
+	slot := nd.lazyAt(hi, pos)
+	if slot == nil || *slot == (sim.Ticket{}) {
+		return
+	}
+	t := *slot
+	*slot = sim.Ticket{}
+	if n.sched.Passed(t) {
+		nd.setHolderBit(hi, pos)
+		return
+	}
+	src := nd.peerTab[pos].node
+	tx, _ := src.txFor(hi)
+	block, _ := src.blockFor(hi)
+	idx := n.dc.newFlight()
+	n.dc.flight[idx] = delivery{src: src, dst: nd, srcPos: -1, cmd: wire.CmdInv, tx: tx, block: block, hi: hi, gen: n.invGen}
+	n.sched.Redeem(t, n.arriveTag, idx)
 }
 
 // spillAdd records a holder fact for a holder without an adjacency
@@ -546,7 +660,7 @@ func (nd *Node) acceptTx(tx *chain.Tx, from NodeID) error {
 	hi := nd.net.hashSlot(id)
 	e := nd.invEnsure(hi)
 	e.seenGen = nd.net.invGen
-	e.seenAt = nd.now()
+	e.at = nd.now()
 	nd.storeTx(hi, tx)
 	e.reqGen = 0
 	if tr := nd.net.dc.trace; tr != nil {
@@ -580,7 +694,7 @@ func (nd *Node) announce(hi int32, tx *chain.Tx, block *chain.Block, except Node
 			nd.sendTx(ref.pos, nil, tx, hi)
 			continue
 		}
-		d := nd.sendTo(ref.pos, nil, wire.CmdInv, invSize)
+		d := nd.net.deliver(nd, nd.peerTab[ref.pos].node, ref.pos, 0, wire.CmdInv, invSize, nil, hi)
 		d.tx, d.block, d.hi, d.gen = tx, block, hi, gen
 	}
 }
@@ -741,7 +855,7 @@ func (nd *Node) ping(dst *Node, base time.Duration, h int32) {
 		n.dc.takeDone(h)
 		return
 	}
-	if d := n.deliver(nd, dst, -1, base, wire.CmdPing, n.pingSize, nil); d != &n.dc.lost {
+	if d := n.deliver(nd, dst, -1, base, wire.CmdPing, n.pingSize, nil, -1); d != &n.dc.lost {
 		d.word, d.hi = uint64(nd.now()), h
 	} else {
 		n.dc.takeDone(h)
@@ -760,7 +874,7 @@ func (nd *Node) pong(ping *delivery) {
 		n.dc.takeDone(ping.hi)
 		return
 	}
-	if d := n.deliver(nd, ping.src, -1, ping.base, wire.CmdPong, pongSize, nil); d != &n.dc.lost {
+	if d := n.deliver(nd, ping.src, -1, ping.base, wire.CmdPong, pongSize, nil, -1); d != &n.dc.lost {
 		d.word, d.hi = ping.word, ping.hi
 	} else {
 		n.dc.takeDone(ping.hi)

@@ -31,6 +31,30 @@
 // layer — GETADDR, ADDR, JOIN, CLUSTER — is a wire.Message, kept beside the
 // record.
 //
+// An INV that cannot be the first is not even that. Every edge carries one
+// INV per object but only one per node makes it ask, and for most of the
+// rest it is certain when they leave that landing will only record "the
+// sender holds it": the receiver has accepted the object, has a GETDATA out
+// for it, or has an earlier-landing INV for it queued. Such an INV takes its
+// place in the event order (sim.Scheduler.Reserve) and leaves a ticket at
+// its sender's adjacency position in the receiver's inventory state instead
+// of a record and a heap entry (Node.lazyInv). What is guaranteed when one is
+// taken: every count, loss coin, uplink slot, delay draw and sequence number
+// is as if it had been queued, and every reader of the fact it stands for
+// sees it exactly when the queue would have produced it — holderHas counts a
+// ticket that has passed as its holder bit, the tie at the current instant
+// decided by sequence number as the heap decides it. Whatever would make
+// landing do more is settled where it happens (Node.settleLazy): removePeer
+// folds a passed ticket into the bit before the bits spill and redeems an
+// unpassed one as an ordinary INV record addressed by ID (so a receiver that
+// left counts it Dropped, and a torn-down edge ends in the spill fact), and
+// ResetInventory redeems whatever is still on its way before the generation
+// turns. A redeemed ticket, a first INV and a traced INV all land in the one
+// handleInv. With a tracer attached every INV stays an event — a trace shows
+// every message landing — which makes every traced-against-untraced pin
+// (TestFigure3CSVGoldenTraced, make trace-smoke, the twin tests here) a
+// differential between the two ways an INV can travel.
+//
 // The retired map-based layout, which builds a wire.Message per send and
 // finds everything by ID, lives on in this package's tests as
 // ReferenceNetwork (reference_test.go), the oracle that differential and
@@ -579,10 +603,15 @@ func (n *Network) arrive(idx int32) {
 // the baseline the caller resolved for the pair) and what the record
 // tells the receiver about its sender's position. cmd and size are the
 // message's command and framed size; msg is the message itself when it is
-// one the record has no fields for, nil otherwise. The caller writes what
-// the message carries into the record returned — the one in flight, or
-// the dispatch context's scratch record when the message was lost.
-func (n *Network) deliver(src, dst *Node, pos int32, base time.Duration, cmd wire.Command, size int, msg wire.Message) *delivery {
+// one the record has no fields for, nil otherwise. inv is the dense hash
+// index an INV from Node.announce names, -1 for every other message: such an
+// INV, sent with no tracer attached to a receiver its landing could tell
+// nothing new, leaves as a ticket at the receiver and not as a record and an
+// event (Node.lazyInv) — counted, loss-tested, queued on the uplink and
+// delayed like any send, only not simulated landing. The caller writes what
+// the message carries into the record returned — the one in flight, or the
+// dispatch context's scratch record when the message was lost or needs none.
+func (n *Network) deliver(src, dst *Node, pos int32, base time.Duration, cmd wire.Command, size int, msg wire.Message, inv int32) *delivery {
 	dc := &n.dc
 	dc.stats.count(cmd, size)
 	if dc.trace != nil {
@@ -614,6 +643,9 @@ func (n *Network) deliver(src, dst *Node, pos int32, base time.Duration, cmd wir
 		link = n.model.NewLinkWithBase(base)
 	}
 	delay := (start + txTime - now) + link.SampleOneWay(dc.krand)
+	if inv >= 0 && dc.trace == nil && dst.lazyInv(srcPos, inv, delay) {
+		return &dc.lost
+	}
 	idx := dc.newFlight()
 	d := &dc.flight[idx]
 	*d = delivery{src: src, dst: dst, base: link.Base(), dstEpoch: dst.tabEpoch, srcPos: int16(srcPos), cmd: cmd}
@@ -753,7 +785,26 @@ func (n *Network) probeDue(idx int32) {
 // generation bump plus an O(active hashes) registry clear: no per-node
 // work at all outside ValidationFull mode, whose mempools are real
 // containers that must be drained.
+//
+// INVs still on their way as tickets are turned into the records they stand
+// for first (Node.settleLazy), so that they land stale, as a record that the
+// reset overtook does. A campaign resets a network it has run quiet, where
+// the clock is past the last ticket and there is nothing to walk; only a
+// reset in mid-flood visits the nodes.
 func (n *Network) ResetInventory() {
+	if dc := &n.dc; !dc.tickets.empty() {
+		if dc.lazyAt >= n.sched.Now() {
+			for _, node := range n.slots {
+				if node != nil && node.inv.lazyGen == n.invGen {
+					for pos := range node.inv.lazy {
+						node.settleLazy(int32(pos))
+					}
+				}
+			}
+		}
+		dc.tickets.reset()
+		dc.lazyAt = 0
+	}
 	n.invGen++
 	if n.invGen == 0 {
 		// Generation counter wrapped (after ~4 billion resets): stale
@@ -827,14 +878,14 @@ func (n *Network) RunUntil(ctx context.Context, limit sim.Time) error {
 // Close releases a network that will not run again: it stops the
 // scheduler, drops every pending event (whose closures otherwise pin
 // nodes and messages live) and with them the in-flight records they
-// index, and detaches the measurement and topology hooks. Build harnesses
+// index and the ticket pool, and detaches the measurement and topology hooks. Build harnesses
 // call it on their error paths so an abandoned half-bootstrapped network
 // cannot keep state alive or resume by accident. Close is idempotent; node
 // state stays readable.
 func (n *Network) Close() {
 	n.sched.Stop()
 	n.sched.Clear()
-	n.dc.flight, n.dc.flightMsg, n.dc.flightFree = nil, nil, nil
+	n.dc.flight, n.dc.flightMsg, n.dc.flightFree, n.dc.tickets = nil, nil, nil, ticketPool{}
 	n.dc.probeDone, n.dc.doneFree = nil, nil
 	n.OnTxFirstSeen = nil
 	n.OnBlockFirstSeen = nil

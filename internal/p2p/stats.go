@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -111,7 +112,7 @@ func (s Stats) AddToRegistry(reg *obs.Registry) {
 
 // NodeFootprintBytes sums the retained bytes of every node's hot state —
 // adjacency tables, sorted-peer caches, flat inventory arrays, holder
-// bitsets, spill sets, estimator slices — without the shared
+// bitsets, spill sets, estimator slices, ticket slots — without the shared
 // network-level state (links, hash registry, in-flight records). Divided by
 // NumNodes it is the marginal cost of one more node, the number the
 // 100k-node budget test pins so the flat layout cannot quietly regrow
@@ -131,6 +132,11 @@ func (n *Network) NodeFootprintBytes() int {
 		total += uintptr(cap(nd.inv.holderBits)) * unsafe.Sizeof(uint64(0))
 		total += uintptr(len(nd.inv.spill)) * (unsafe.Sizeof(spillFact{}) + 8)
 		total += uintptr(cap(nd.ests)) * unsafe.Sizeof(estEntry{})
+	}
+	// The ticket slots are per-position state of the nodes too, whoever
+	// holds the pool.
+	for _, chunk := range n.dc.tickets.chunks {
+		total += uintptr(len(chunk)) * unsafe.Sizeof(sim.Ticket{})
 	}
 	return int(total)
 }

@@ -10,27 +10,36 @@ import (
 
 // --- differential testing against the pre-arena reference kernel ---
 
-// trace records one dispatched event: which schedule call fired and when.
+// trace records one dispatched event: which schedule call fired, when, and
+// which reserved places had passed by then (the sum of their tags, each
+// plus one) — what the event would have read off Passed.
 type trace struct {
-	tag int
-	at  Time
+	tag    int
+	at     Time
+	passed int
 }
 
 // schedOp is one randomised operation applied identically to both kernels.
 type schedOp struct {
-	kind   int           // opSchedule, opIndexed, opCancel, opRunN or opRunUntil
-	delay  time.Duration // opSchedule, opIndexed: delay from now; opRunUntil: horizon from now
-	target int           // opCancel: index of the schedule op to cancel
+	kind   int           // opSchedule, opIndexed, opReserve, opCancel, opRedeem, opRunN or opRunUntil
+	delay  time.Duration // opSchedule, opIndexed, opReserve: delay from now; opRunUntil: horizon from now
+	target int           // opCancel, opRedeem: index of the schedule op to cancel or redeem
 	batch  int           // opRunN: events to dispatch
 }
 
 // opIndexed schedules an indexed event (AfterIndexed), which the reference
 // kernel models as a closure nobody holds the handle of: a cancel aimed at
-// it finds the zero Handle on both sides.
+// it finds the zero Handle on both sides. opReserve takes a place and no
+// event (Reserve), which the reference kernel models as the event scheduled
+// eagerly: it has fired there exactly when the place has passed here.
+// opRedeem has the event after all if the place has not passed (Redeem), and
+// is nothing to the reference, which always had it.
 const (
 	opSchedule = iota
 	opIndexed
+	opReserve
 	opCancel
+	opRedeem
 	opRunN
 	opRunUntil
 )
@@ -41,10 +50,10 @@ func randomOps(r *rand.Rand, n int) []schedOp {
 	for i := range ops {
 		switch k := r.Intn(20); {
 		case k < 12 || scheduled == 0: // bias toward scheduling
-			ops[i] = schedOp{kind: opSchedule + r.Intn(2), delay: time.Duration(r.Intn(50)) * time.Microsecond}
+			ops[i] = schedOp{kind: opSchedule + r.Intn(3), delay: time.Duration(r.Intn(50)) * time.Microsecond}
 			scheduled++
 		case k < 18:
-			ops[i] = schedOp{kind: opCancel, target: r.Intn(scheduled)}
+			ops[i] = schedOp{kind: opCancel + r.Intn(2), target: r.Intn(scheduled)}
 		case k < 19:
 			ops[i] = schedOp{kind: opRunN, batch: 1 + r.Intn(5)}
 		default:
@@ -110,48 +119,113 @@ type kernel interface {
 	Len() int
 }
 
+// side is one kernel under replay with its rendering of what only the arena
+// kernel has. t is the index of the schedule op throughout.
+type side struct {
+	kernel
+	indexed func(d time.Duration, t int, fire func(t int)) // schedule fire(t) as an indexed event
+	reserve func(d time.Duration, t int)                   // take the place an indexed event would
+	redeem  func(t int)                                    // have that event after all, unless the place has passed
+	passed  func(t int) bool                               // has the place passed
+	held    func() int                                     // places not passed that no queued event stands in
+}
+
 // replay runs ops against s and drains it, returning the dispatch trace,
-// the final (now, len) state and the most events ever pending. indexed
-// schedules fire(t) as the kernel's indexed event.
-func replay(s kernel, indexed func(d time.Duration, t int, fire func(t int)), ops []schedOp) (out []trace, now Time, pending, peak int) {
+// the final (now, len) state and the most events ever pending, a reserved
+// place that has not passed counting as the event it stands for. RunN counts
+// events, which a place is not, so a script redeems what it holds before it
+// counts.
+func replay(s side, ops []schedOp) (out []trace, now Time, pending, peak int) {
 	var handles []Handle
-	fire := func(t int) { out = append(out, trace{tag: t, at: s.Now()}) }
+	var places []int // the reserve ops
+	passed := func() (sum int) {
+		for _, t := range places {
+			if s.passed(t) {
+				sum += t + 1
+			}
+		}
+		return sum
+	}
+	fire := func(t int) { out = append(out, trace{tag: t, at: s.Now(), passed: passed()}) }
 	for _, op := range ops {
 		switch op.kind {
 		case opSchedule:
 			t := len(handles)
 			handles = append(handles, s.After(op.delay, func() { fire(t) }))
 		case opIndexed:
-			indexed(op.delay, len(handles), fire)
+			s.indexed(op.delay, len(handles), fire)
+			handles = append(handles, 0)
+		case opReserve:
+			s.reserve(op.delay, len(handles))
+			places = append(places, len(handles))
 			handles = append(handles, 0)
 		case opCancel:
 			s.Cancel(handles[op.target])
+		case opRedeem:
+			s.redeem(op.target)
 		case opRunN:
+			for _, t := range places {
+				s.redeem(t)
+			}
 			_, _ = s.RunN(op.batch)
 		case opRunUntil:
 			_ = s.RunUntil(s.Now() + op.delay)
 		}
-		peak = max(peak, s.Len())
+		peak = max(peak, s.Len()+s.held())
 	}
 	_ = s.Run()
-	return out, s.Now(), s.Len(), peak
+	return out, s.Now(), s.Len() + s.held(), peak
 }
 
 // requireSameReplay replays ops on both kernels and requires bit-identical
-// dispatch order, clocks and queue lengths. It returns the arena kernel's
-// peak pending count.
+// dispatch order, clocks, queue lengths and passed places. It returns the
+// arena kernel's peak pending count.
 func requireSameReplay(t *testing.T, ops []schedOp) int {
 	t.Helper()
 	arena := NewScheduler()
 	var arenaFire func(int)
 	tag := arena.Handle(func(idx int32) { arenaFire(int(idx)) })
-	gotTr, gotNow, gotLen, gotPeak := replay(arena, func(d time.Duration, t int, fire func(int)) {
-		arenaFire = fire
-		arena.AfterIndexed(d, tag, int32(t))
+	// tickets are the places not redeemed; a redeemed place has passed once
+	// its event has fired, and until then the event stands in Len for it.
+	tickets, fired := map[int]Ticket{}, map[int]bool{}
+	redeemTag := arena.Handle(func(idx int32) { fired[int(idx)] = true })
+	gotTr, gotNow, gotLen, gotPeak := replay(side{
+		kernel: arena,
+		indexed: func(d time.Duration, t int, fire func(int)) {
+			arenaFire = fire
+			arena.AfterIndexed(d, tag, int32(t))
+		},
+		reserve: func(d time.Duration, t int) { tickets[t] = arena.Reserve(d) },
+		redeem: func(t int) {
+			if tk, ok := tickets[t]; ok && !arena.Passed(tk) {
+				arena.Redeem(tk, redeemTag, int32(t))
+				delete(tickets, t)
+			}
+		},
+		passed: func(t int) bool {
+			if tk, ok := tickets[t]; ok {
+				return arena.Passed(tk)
+			}
+			return fired[t]
+		},
+		held: func() (n int) {
+			for _, tk := range tickets {
+				if !arena.Passed(tk) {
+					n++
+				}
+			}
+			return n
+		},
 	}, ops)
 	ref := NewReferenceScheduler()
-	wantTr, wantNow, wantLen, wantPeak := replay(ref, func(d time.Duration, t int, fire func(int)) {
-		ref.After(d, func() { fire(t) })
+	refFired := map[int]bool{}
+	wantTr, wantNow, wantLen, wantPeak := replay(side{
+		kernel:  ref,
+		indexed: func(d time.Duration, t int, fire func(int)) { ref.After(d, func() { fire(t) }) },
+		reserve: func(d time.Duration, t int) { ref.After(d, func() { refFired[t] = true }) },
+		redeem:  func(int) {},
+		passed:  func(t int) bool { return refFired[t] },
+		held:    func() int { return 0 },
 	}, ops)
 	if gotNow != wantNow || gotLen != wantLen || gotPeak != wantPeak {
 		t.Fatalf("state (now=%v len=%d peak=%d), reference (now=%v len=%d peak=%d)",
@@ -335,7 +409,8 @@ func TestIndexedEvents(t *testing.T) {
 
 // TestSteadyStateZeroAllocs is the tentpole's core guarantee: after
 // warm-up, schedule + cancel + dispatch cycles perform no heap
-// allocations.
+// allocations, and neither does taking a place, asking after it or having
+// its event after all.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	s := NewScheduler()
 	fn := func() {}
@@ -347,10 +422,15 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
+	var tickets [512]Ticket
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 512; i++ {
 			s.After(time.Duration(i%64)*time.Microsecond, fn)
 			s.AfterIndexed(time.Duration(i%64)*time.Microsecond, tag, int32(i))
+			tickets[i] = s.Reserve(time.Duration(i%64) * time.Microsecond)
+			if i%2 == 0 && !s.Passed(tickets[i]) {
+				s.Redeem(tickets[i], tag, int32(i))
+			}
 		}
 		for i := 0; i < 128; i++ {
 			h := s.After(time.Duration(i%64)*time.Microsecond, fn)

@@ -34,6 +34,25 @@
 // and dispatch reads nothing outside the heap array; it returns no Handle
 // and cannot be cancelled. Indexed and arena events share one (at, seq)
 // order.
+//
+// # Tickets
+//
+// An event whose only effect is a fact somebody may read later need not be
+// an event: what matters about it is where it stands in the (at, seq) order.
+// Reserve takes that place exactly as AfterIndexed would — the sequence
+// number advances, so every other event keeps the order it has — and
+// returns it as a Ticket, which costs the queue nothing. Passed says whether
+// an event in that place would have been dispatched before the one running
+// now, ties at the current instant decided by seq as the heap decides them;
+// between runs it says whether the run that just ended went past it (a
+// RunUntil that reached its limit has passed everything up to the limit, a
+// drained Run everything, a Stop only what ran). Redeem turns a ticket that
+// has not passed into the indexed event it stands for, in its original
+// place. The holder of a ticket therefore chooses, any time before the place
+// comes up, between reading the fact off Passed and having the event after
+// all — p2p's redundant INVs are tickets (see its package comment). A queue
+// that drains with tickets outstanding still ends where its last event would
+// have run: Run leaves the clock at the latest reserved time.
 package sim
 
 import (
@@ -129,12 +148,27 @@ func pick(a, b key, takeB int) key {
 	return key{a.at ^ (a.at^b.at)&k, a.seq ^ (a.seq^b.seq)&k}
 }
 
+// Ticket is a reserved place in the (at, seq) order: what Reserve returns,
+// Passed reads and Redeem turns into an event. The zero Ticket is no place
+// at all — Reserve never returns it.
+type Ticket struct {
+	at  Time
+	seq uint64
+}
+
 // Scheduler is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use; all scheduling must happen from the goroutine driving
 // Run (typically from within event callbacks).
 type Scheduler struct {
-	now     Time
-	seq     uint64
+	now Time
+	// cur is the sequence number of the event being dispatched: with now,
+	// the running key Passed compares a ticket against. A run that went past
+	// everything up to now leaves it above every number handed out (settle).
+	cur uint64
+	seq uint64
+	// horizon is the latest time Reserve has handed out: where a drained Run
+	// leaves the clock, as the event the ticket stands for would have.
+	horizon Time
 	arena   []event
 	free    []int32     // recycled arena slots (LIFO)
 	heap    []heapEntry // ordered by (at, seq)
@@ -257,12 +291,16 @@ func (s *Scheduler) skim() {
 	}
 }
 
-// push enters an event into the (at, seq) order: the one place the
-// sequence number advances, once per scheduled event of either form. The
-// caller has checked that at is not in the past.
+// push enters an event into the (at, seq) order, taking the next sequence
+// number. The caller has checked that at is not in the past.
 func (s *Scheduler) push(at Time, idx int32, tag uint32) {
 	s.seq++
-	s.heap = append(s.heap, heapEntry{at: at, seq: s.seq, idx: idx, tag: tag})
+	s.enter(heapEntry{at: at, seq: s.seq, idx: idx, tag: tag})
+}
+
+// enter queues an entry whose place is already decided.
+func (s *Scheduler) enter(e heapEntry) {
+	s.heap = append(s.heap, e)
 	s.siftUp(len(s.heap) - 1)
 	s.live++
 }
@@ -330,6 +368,59 @@ func (s *Scheduler) AfterIndexed(d time.Duration, tag uint32, idx int32) {
 	s.push(s.now+d, idx, tag)
 }
 
+// Reserve takes the place in the (at, seq) order that an AfterIndexed(d, …)
+// called now would take — the sequence number advances all the same — and
+// queues nothing: see "Tickets" in the package comment.
+func (s *Scheduler) Reserve(d time.Duration) Ticket {
+	if d < 0 {
+		d = 0
+	}
+	s.seq++
+	t := Ticket{at: s.now + d, seq: s.seq}
+	if t.at > s.horizon {
+		s.horizon = t.at
+	}
+	return t
+}
+
+// Passed reports whether an event in t's place would have been dispatched
+// before the event running now — or, between runs, by the run that ended.
+func (s *Scheduler) Passed(t Ticket) bool {
+	return less(key{uint64(t.at), t.seq}, key{uint64(s.now), s.cur}) != 0
+}
+
+// Redeem schedules the handler registered under tag to run with idx in t's
+// place, ties included: the indexed event t has stood for since Reserve. A
+// place that has passed cannot be taken up, and asking is a programming
+// error.
+func (s *Scheduler) Redeem(t Ticket, tag uint32, idx int32) {
+	if tag == 0 || int(tag) > len(s.handlers) {
+		panic("sim: Redeem with unregistered tag")
+	}
+	if t.seq == 0 || s.Passed(t) {
+		panic(fmt.Sprintf("sim: Redeem of a ticket for %v that is none or has passed (now %v)", t.at, s.now))
+	}
+	s.enter(heapEntry{at: t.at, seq: t.seq, idx: idx, tag: tag})
+}
+
+// settle records that a run went past every place up to now: whatever was
+// reserved for a time not after it has passed, whatever is reserved from
+// here on has not.
+func (s *Scheduler) settle() { s.cur = s.seq + 1 }
+
+// drained ends a run that emptied the queue: it has passed every reserved
+// place too, and the clock ends at the latest of them — unless the last
+// event called Stop, which holds the clock there as it holds it anywhere.
+func (s *Scheduler) drained() {
+	if s.stopped {
+		return
+	}
+	if s.horizon > s.now {
+		s.now = s.horizon
+	}
+	s.settle()
+}
+
 // Cancel removes a pending event in O(1). It reports whether the event was
 // still pending (false if it already ran, was cancelled, or the handle is
 // unknown). The slot becomes a lazy tombstone: its callback (and anything
@@ -359,7 +450,7 @@ func (s *Scheduler) Stop() { s.stopped = true }
 func (s *Scheduler) step() {
 	s.skim()
 	e := s.popMin()
-	s.now = e.at
+	s.now, s.cur = e.at, e.seq
 	s.executed++
 	s.live--
 	if e.tag != 0 {
@@ -392,7 +483,7 @@ func (s *Scheduler) dropAll() {
 }
 
 // Run dispatches events until none remain or Stop is called. It returns
-// nil when the event queue drains and ErrStopped when stopped.
+// nil when the event queue drains (drained) and ErrStopped when stopped.
 func (s *Scheduler) Run() error {
 	s.stopped = false
 	for s.live > 0 {
@@ -402,6 +493,7 @@ func (s *Scheduler) Run() error {
 		s.step()
 	}
 	s.drainTombstones()
+	s.drained()
 	return nil
 }
 
@@ -447,12 +539,11 @@ func (s *Scheduler) RunUntilCtx(ctx context.Context, limit Time) error {
 		s.step()
 	}
 	s.drainTombstones()
-	if !s.stopped && s.now < limit {
-		s.now = limit
-	}
 	if s.stopped {
 		return ErrStopped
 	}
+	s.now = limit
+	s.settle()
 	return nil
 }
 
@@ -461,10 +552,12 @@ func (s *Scheduler) RunUntilCtx(ctx context.Context, limit Time) error {
 // state they capture) become collectable immediately. The arena and free
 // list are retained: a cleared scheduler schedules again without
 // re-growing, so abandoned builds do not thrash the allocator. What a
-// dropped indexed event pointed at is for whoever scheduled it to reclaim.
+// dropped indexed event pointed at is for whoever scheduled it to reclaim;
+// an outstanding ticket no longer holds the clock of a later Run to its time.
 func (s *Scheduler) Clear() {
 	s.dropAll()
 	s.live = 0
+	s.horizon = 0
 }
 
 // RunN dispatches at most n events. It returns the number dispatched and
@@ -494,5 +587,8 @@ func (s *Scheduler) RunNCtx(ctx context.Context, n int) (int, error) {
 		ran++
 	}
 	s.drainTombstones()
+	if ran < n {
+		s.drained()
+	}
 	return ran, nil
 }

@@ -5,7 +5,8 @@
 // spool alongside it must decode through obs.ReadSpool to exactly the
 // same event count. scripts/tracesmoke.sh runs it in CI so a malformed
 // export can never ship silently — a trace nobody can open is worse
-// than no trace.
+// than no trace. An export whose ring overwrote events is valid, and said
+// to be partial in the words bcbpt-sim uses: "trace: kept N of M events".
 //
 // Usage: tracecheck <trace.json> <trace.json.bin>
 package main
@@ -122,4 +123,9 @@ func main() {
 	}
 	fmt.Printf("tracecheck: OK — %d events (%s), %d dropped, spool matches\n",
 		len(tf.TraceEvents), strings.Join(parts, " "), *tf.OtherData.DroppedEvents)
+	// The line bcbpt-sim -trace prints for a ring that overwrote events: a
+	// valid export of the newest events is still not the whole run.
+	if kept, dropped := uint64(len(tf.TraceEvents)), *tf.OtherData.DroppedEvents; dropped > 0 {
+		fmt.Fprintf(os.Stderr, "trace: kept %d of %d events (ring overwrote %d)\n", kept, kept+dropped, dropped)
+	}
 }
