@@ -17,7 +17,9 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -25,7 +27,9 @@ import (
 	"os/signal"
 	"regexp"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"syscall"
 	"time"
@@ -50,7 +54,7 @@ func main() {
 		threshold    = flag.Duration("dt", 25*time.Millisecond, "BCBPT latency threshold")
 		adversaries  = flag.Int("adversaries", 16, "eclipse: adversarial nodes")
 		deadline     = flag.Duration("deadline", 2*time.Minute, "virtual-time deadline per run")
-		csvPath      = flag.String("csv", "", "write figure CDF data to this CSV file (figure3/figure4 only)")
+		csvPath      = flag.String("csv", "", "write figure CDF data to this CSV file, and what ran to <file>.manifest.json (figure3/figure4 only)")
 		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "campaign-engine worker pool size")
 		buildWorkers = flag.Int("build-workers", 0, "worker pool size inside each network build (0 = GOMAXPROCS); any value builds an identical network")
 		reps         = flag.Int("replications", 1, "independently seeded networks per series (samples pool)")
@@ -161,20 +165,22 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 
 func run(ctx context.Context, exp string, o experiment.Options, dt time.Duration, adversaries int, csvPath string) error {
 	start := time.Now()
+	campaigns := engineCampaigns(exp, o)
 	defer func() {
 		fmt.Printf("\n(wall time %v)\n", time.Since(start).Round(time.Millisecond))
-		printPhaseSplit(o.Metrics)
+		times := readUnitTimes(o.Metrics)
+		printPhaseSplit(newRunManifest(exp, o, campaigns, times), times)
+		printTraceLoss(o.Metrics)
 	}()
 
 	switch exp {
-	case "figure3":
-		fig, err := experiment.Figure3Ctx(ctx, o)
-		if err := printFigure(fig, err, csvPath); err != nil {
-			return err
+	case "figure3", "figure4":
+		figure := experiment.Figure3Ctx
+		if exp == "figure4" {
+			figure = experiment.Figure4Ctx
 		}
-	case "figure4":
-		fig, err := experiment.Figure4Ctx(ctx, o)
-		if err := printFigure(fig, err, csvPath); err != nil {
+		fig, err := figure(ctx, o)
+		if err := printFigure(fig, err, csvPath, newRunManifest(exp, o, campaigns, readUnitTimes(o.Metrics))); err != nil {
 			return err
 		}
 	case "variance-connections":
@@ -212,58 +218,131 @@ func run(ctx context.Context, exp string, o experiment.Options, dt time.Duration
 	return nil
 }
 
+// engineCampaigns returns the campaign list an experiment sweeps through
+// the campaign engine — built by the same constructor the experiment runs
+// — or nil for an experiment that does not.
+func engineCampaigns(exp string, o experiment.Options) []experiment.CampaignSpec {
+	switch exp {
+	case "figure3":
+		return experiment.Figure3Campaigns(o)
+	case "figure4":
+		return experiment.ThresholdSweepCampaigns(o, experiment.Figure4Thresholds())
+	case "variance-connections":
+		return experiment.VarianceCampaigns(o, nil)
+	}
+	return nil
+}
+
+// unitTimes is the wall time the engine recorded for one series' units:
+// network build and measurement run, summed, and how many units that is.
+type unitTimes struct{ build, run, units float64 }
+
 // unitSecondsRe matches the sum and count lines of the per-series unit
 // timing summaries experiment.Runner records.
-var unitSecondsRe = regexp.MustCompile(`(?m)^bcbpt_sweep_unit_(build|run|events)_(?:seconds_(sum|count)|total)\{series="(.*)"\} (\S+)$`)
+var unitSecondsRe = regexp.MustCompile(`(?m)^bcbpt_sweep_unit_(build|run)_seconds_(sum|count)\{series="(.*)"\} (\S+)$`)
 
-// printPhaseSplit prints where the wall time of the sweep's units went —
-// network build against measurement run, summed over each series' units —
-// and how many scheduler events they dispatched, under the names bench/
-// reports the same by, so a user's run and a benchmark row compare directly
-// (events far below the message count: the redundant INVs travelled as
-// tickets; a -trace replication runs every message as an event). With
-// several workers the units overlap and the sums exceed the wall time above. The registry renders itself as
-// Prometheus text and nothing else; the numbers are read back from that.
-// Experiments that do not go through the campaign engine record no units
-// and print nothing.
-func printPhaseSplit(reg *obs.Registry) {
+// readUnitTimes reads the per-series unit timings back from the registry,
+// which renders itself as Prometheus text and nothing else.
+func readUnitTimes(reg *obs.Registry) map[string]unitTimes {
 	var text bytes.Buffer
 	if err := reg.WritePrometheus(&text); err != nil {
-		return
+		return nil
 	}
-	type split struct{ build, run, units, events float64 }
-	bySeries := map[string]*split{}
-	var order []string // as rendered: sorted by series
+	times := map[string]unitTimes{}
 	for _, m := range unitSecondsRe.FindAllStringSubmatch(text.String(), -1) {
 		phase, field, series := m[1], m[2], m[3]
 		v, err := strconv.ParseFloat(m[4], 64)
 		if err != nil {
 			continue
 		}
-		sp := bySeries[series]
-		if sp == nil {
-			sp = &split{}
-			bySeries[series] = sp
-			order = append(order, series)
-		}
+		ut := times[series]
 		switch {
-		case phase == "events":
-			sp.events = v
 		case field == "count":
-			sp.units = v
+			ut.units = v
 		case phase == "build":
-			sp.build = v
+			ut.build = v
 		default:
-			sp.run = v
+			ut.run = v
+		}
+		times[series] = ut
+	}
+	return times
+}
+
+// runManifest is what a figure's CSV is written with (<csv>.manifest.json):
+// the engine's deterministic account of the run (experiment.Manifest) plus
+// what only this binary knows — the worker counts it resolved, the Go
+// version and VCS revision it was built from, and each campaign's walls.
+type runManifest struct {
+	experiment.Manifest
+	Workers      int    `json:"workers"`
+	BuildWorkers int    `json:"build_workers"`
+	GoVersion    string `json:"go_version"`
+	Revision     string `json:"vcs_revision"`
+	Modified     bool   `json:"vcs_modified"`
+}
+
+// newRunManifest assembles the manifest of a finished (or interrupted) run
+// of exp: experiment.NewManifest's part, then this binary's.
+func newRunManifest(exp string, o experiment.Options, campaigns []experiment.CampaignSpec, times map[string]unitTimes) runManifest {
+	m := runManifest{
+		Manifest:     experiment.NewManifest(exp, o, campaigns),
+		Workers:      o.Workers,
+		BuildWorkers: o.BuildWorkers,
+		GoVersion:    runtime.Version(),
+	}
+	if m.Workers <= 0 {
+		m.Workers = runtime.GOMAXPROCS(0)
+	}
+	if m.BuildWorkers <= 0 {
+		m.BuildWorkers = runtime.GOMAXPROCS(0)
+	}
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				m.Revision = s.Value
+			case "vcs.modified":
+				m.Modified = s.Value == "true"
+			}
 		}
 	}
-	for _, series := range order {
-		sp := bySeries[series]
-		fmt.Printf("(wall time of %.0f unit(s): experiment.build_s.%s %.3f s, experiment.run_s.%s %.3f s, sim.events.%s %.0f)\n",
-			sp.units, series, sp.build, series, sp.run, series, sp.events)
+	for i := range m.Campaigns {
+		c := &m.Campaigns[i]
+		c.BuildSeconds, c.RunSeconds = times[c.Name].build, times[c.Name].run
 	}
-	// What a -trace run lost: the ring keeps the newest events and counts
-	// the ones it overwrote, which the export alone says only in its JSON.
+	return m
+}
+
+// printPhaseSplit prints, series by series in the order the engine handed
+// their units out, where the wall time of the units went — network build
+// against measurement run, summed over each series' units — and how many
+// scheduler events they dispatched against the estimate they were ordered
+// by, under the names bench/ reports the same by, so a user's run and a
+// benchmark row compare directly (events far below the message count: the
+// redundant INVs travelled as tickets; a -trace replication runs every
+// message as an event). With several workers the units overlap and the sums
+// exceed the wall time above. Experiments that do not go through the
+// campaign engine print nothing.
+func printPhaseSplit(m runManifest, times map[string]unitTimes) {
+	byDispatch := slices.Clone(m.Campaigns)
+	slices.SortStableFunc(byDispatch, func(a, b experiment.CampaignManifest) int {
+		return cmp.Compare(a.Dispatch[0], b.Dispatch[0])
+	})
+	for _, c := range byDispatch {
+		ut, ok := times[c.Name]
+		if !ok {
+			continue // no unit of it ran
+		}
+		fmt.Printf("(wall time of %.0f unit(s): experiment.build_s.%s %.3f s, experiment.run_s.%s %.3f s, sim.events.%s %d, est.events.%s %d)\n",
+			ut.units, c.Name, ut.build, c.Name, ut.run, c.Name, c.Events, c.Name, c.ExpectedEvents)
+	}
+}
+
+// printTraceLoss says what a -trace run lost: the ring keeps the newest
+// events and counts the ones it overwrote, which the export alone says only
+// in its JSON.
+func printTraceLoss(reg *obs.Registry) {
 	if dropped := reg.Counter(experiment.TraceDroppedMetric).Value(); dropped > 0 {
 		kept := reg.Counter(experiment.TraceKeptMetric).Value()
 		fmt.Fprintf(os.Stderr, "trace: kept %d of %d events (ring overwrote %d)\n", kept, kept+dropped, dropped)
@@ -272,8 +351,9 @@ func printPhaseSplit(reg *obs.Registry) {
 
 // printFigure renders a figure (partial figures included — an interrupted
 // sweep still reports the replications that completed) and propagates the
-// sweep error so main can flag partial output.
-func printFigure(fig experiment.FigureResult, sweepErr error, csvPath string) error {
+// sweep error so main can flag partial output. A CSV is written with the
+// run's manifest beside it.
+func printFigure(fig experiment.FigureResult, sweepErr error, csvPath string, m runManifest) error {
 	if len(fig.Series) > 0 {
 		fmt.Println(fig)
 		if csvPath != "" {
@@ -283,9 +363,23 @@ func printFigure(fig experiment.FigureResult, sweepErr error, csvPath string) er
 				return errors.Join(err, sweepErr)
 			}
 			fmt.Printf("(CDF data written to %s)\n", csvPath)
+			path := csvPath + ".manifest.json"
+			if err := writeManifest(path, m); err != nil {
+				return errors.Join(err, sweepErr)
+			}
+			fmt.Printf("(manifest written to %s)\n", path)
 		}
 	}
 	return sweepErr
+}
+
+// writeManifest writes m as indented JSON at path.
+func writeManifest(path string, m runManifest) error {
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // runDoubleSpend races conflicting transactions under each protocol.

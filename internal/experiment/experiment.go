@@ -105,6 +105,15 @@ func (s Spec) buildWorkers() int {
 	return s.BuildWorkers
 }
 
+// bcbptConfig is the BCBPT configuration a build of the spec runs: the
+// spec's own, or core.DefaultConfig for the zero value.
+func (s Spec) bcbptConfig() core.Config {
+	if s.BCBPT == (core.Config{}) {
+		return core.DefaultConfig()
+	}
+	return s.BCBPT
+}
+
 // validate runs every cheap spec check up front, before Build spends any
 // work — and crucially before its first ctx checkpoint. The campaign
 // engine's fail-fast path promises a scheduling-independent error for a
@@ -224,11 +233,7 @@ func (b *Built) build(ctx context.Context, spec Spec) error {
 			return err
 		}
 	case ProtoBCBPT:
-		cfg := spec.BCBPT
-		if cfg == (core.Config{}) {
-			cfg = core.DefaultConfig()
-		}
-		proto, err := core.New(net, seed, cfg)
+		proto, err := core.New(net, seed, spec.bcbptConfig())
 		if err != nil {
 			return err
 		}

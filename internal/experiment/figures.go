@@ -329,27 +329,30 @@ func VarianceVsConnections(o Options, connections []int) (VarianceResult, error)
 	return VarianceVsConnectionsCtx(context.Background(), o, connections)
 }
 
-// VarianceVsConnectionsCtx schedules the full protocol × connection-count
-// grid as one engine work queue.
-func VarianceVsConnectionsCtx(ctx context.Context, o Options, connections []int) (VarianceResult, error) {
+// VarianceCampaigns returns the campaign list of the connection-count
+// sweep: one campaign per protocol × measuring-node connection count
+// (default 8 to 64). Exported for the same reason as Figure3Campaigns.
+func VarianceCampaigns(o Options, connections []int) []CampaignSpec {
 	o = o.withDefaults()
 	if len(connections) == 0 {
 		connections = []int{8, 16, 24, 32, 48, 64}
 	}
-	type point struct {
-		proto ProtocolKind
-		k     int
-	}
-	var grid []point
 	var campaigns []CampaignSpec
 	for _, proto := range []ProtocolKind{ProtoBitcoin, ProtoBCBPT} {
 		for _, k := range connections {
 			spec := buildSpec(o, proto, core.DefaultConfig())
 			spec.MeasuringConnections = k
-			grid = append(grid, point{proto: proto, k: k})
 			campaigns = append(campaigns, o.campaign(fmt.Sprintf("%s/%d", proto, k), spec))
 		}
 	}
+	return campaigns
+}
+
+// VarianceVsConnectionsCtx schedules the full protocol × connection-count
+// grid as one engine work queue.
+func VarianceVsConnectionsCtx(ctx context.Context, o Options, connections []int) (VarianceResult, error) {
+	o = o.withDefaults()
+	campaigns := VarianceCampaigns(o, connections)
 	outcomes, err := o.runner().Sweep(ctx, campaigns)
 	if err != nil && !errors.Is(err, ErrPartialResult) {
 		return VarianceResult{}, fmt.Errorf("experiment: variance sweep: %w", err)
@@ -359,9 +362,10 @@ func VarianceVsConnectionsCtx(ctx context.Context, o Options, connections []int)
 		if oc.Replications == 0 {
 			continue // cancelled before this grid point produced data
 		}
+		spec := campaigns[i].Spec
 		out.Points = append(out.Points, VariancePoint{
-			Protocol:    string(grid[i].proto),
-			Connections: grid[i].k,
+			Protocol:    string(spec.Protocol),
+			Connections: spec.MeasuringConnections,
 			Std:         oc.Result.Dist.Std(),
 			IQR:         oc.Result.Dist.IQR(),
 			Mean:        oc.Result.Dist.Mean(),
@@ -399,14 +403,15 @@ func Overhead(o Options) ([]OverheadResult, error) {
 
 // OverheadCtx runs the two protocol builds concurrently on the engine's
 // pool. Each unit needs its own network handle for before/after traffic
-// stats, so it uses Runner.Each directly rather than the campaign sweep.
-// On cancellation it returns the units that completed together with an
-// error wrapping ErrPartialResult and ctx.Err(), matching Sweep.
+// stats, so it runs on the engine's unit pool (runUnits, in index order)
+// rather than through the campaign sweep. On cancellation it returns the
+// units that completed together with an error wrapping ErrPartialResult
+// and ctx.Err(), matching Sweep.
 func OverheadCtx(ctx context.Context, o Options) ([]OverheadResult, error) {
 	o = o.withDefaults()
 	protos := []ProtocolKind{ProtoBitcoin, ProtoBCBPT}
 	slots := make([]OverheadResult, len(protos))
-	completed, unitErr := o.runner().runUnits(ctx, len(protos), func(ctx context.Context, i int) error {
+	completed, unitErr := o.runner().runUnits(ctx, []int{0, 1}, func(ctx context.Context, i int) error {
 		proto := protos[i]
 		spec := buildSpec(o, proto, core.DefaultConfig())
 		b, err := Build(ctx, spec)

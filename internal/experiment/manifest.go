@@ -1,0 +1,77 @@
+package experiment
+
+import "fmt"
+
+// Manifest says what a sweep ran, in the part that is a pure function of
+// the experiment, its options and what its units dispatched: the same at
+// every worker count, which is how a test pins it. A frontend adds what
+// only it can know — the worker counts, its binary's Go version and VCS
+// revision, and each campaign's build and run wall (experiment reads no
+// clock).
+type Manifest struct {
+	Experiment   string             `json:"experiment"`
+	Nodes        int                `json:"nodes"`
+	Runs         int                `json:"runs"`
+	Replications int                `json:"replications"`
+	Seed         int64              `json:"seed"`
+	Deadline     string             `json:"deadline"`
+	Churn        bool               `json:"churn"`
+	Campaigns    []CampaignManifest `json:"campaigns"`
+}
+
+// CampaignManifest is one campaign of a Manifest, in sweep order.
+type CampaignManifest struct {
+	Name        string `json:"name"`
+	Fingerprint string `json:"fingerprint"`
+	// Units is the campaign's replications; Dispatch is where each of them
+	// stood in the sweep's DispatchOrder, 0 handed out first.
+	Units    int   `json:"units"`
+	Dispatch []int `json:"dispatch"`
+	// ExpectedEvents is the cost the units were ranked by and Events what
+	// they dispatched, each summed over the campaign's units.
+	ExpectedEvents uint64 `json:"expected_events"`
+	Events         uint64 `json:"events"`
+	// BuildSeconds and RunSeconds are the units' summed build and run
+	// wall, which the frontend fills in.
+	BuildSeconds float64 `json:"build_s"`
+	RunSeconds   float64 `json:"run_s"`
+}
+
+// NewManifest builds the manifest of the named experiment's sweep of
+// campaigns under o. Each campaign's Events are read from o.Metrics, where
+// the runner adds every unit's count under the campaign's name (zero
+// without a registry; campaigns sharing a name share one count).
+func NewManifest(name string, o Options, campaigns []CampaignSpec) Manifest {
+	o = o.withDefaults()
+	m := Manifest{
+		Experiment:   name,
+		Nodes:        o.Nodes,
+		Runs:         o.Runs,
+		Replications: o.Replications,
+		Seed:         o.Seed,
+		Deadline:     o.Deadline.String(),
+		Churn:        o.ChurnOn,
+	}
+	var owner []int // campaign of each unit, in DispatchOrder's indexing
+	for ci, c := range campaigns {
+		c = c.withDefaults()
+		cm := CampaignManifest{
+			Name:           c.Name,
+			Fingerprint:    fmt.Sprintf("%016x", c.Fingerprint()),
+			Units:          c.Replications,
+			ExpectedEvents: c.expectedEvents() * uint64(c.Replications),
+		}
+		if o.Metrics != nil {
+			cm.Events = o.Metrics.Counter(unitEventsMetric + seriesLabel(c.Name)).Value()
+		}
+		m.Campaigns = append(m.Campaigns, cm)
+		for range c.Replications {
+			owner = append(owner, ci)
+		}
+	}
+	for pos, i := range DispatchOrder(campaigns) {
+		cm := &m.Campaigns[owner[i]]
+		cm.Dispatch = append(cm.Dispatch, pos)
+	}
+	return m
+}

@@ -1,0 +1,42 @@
+package experiment
+
+import (
+	"context"
+	"reflect"
+	"testing"
+
+	"repro/internal/obs"
+)
+
+// TestManifestSameAtEveryWorkerCount pins the deterministic part of a
+// run's manifest: a figure swept on one worker and on two says the same
+// thing — fingerprints, expected and dispatched events, dispatch positions
+// — and what it says is what ran.
+func TestManifestSameAtEveryWorkerCount(t *testing.T) {
+	var manifests []Manifest
+	for _, workers := range []int{1, 2} {
+		o := Options{Nodes: 120, Runs: 5, Seed: 3, Replications: 2, Workers: workers, Metrics: obs.NewRegistry()}
+		if _, err := Figure3Ctx(context.Background(), o); err != nil {
+			t.Fatal(err)
+		}
+		manifests = append(manifests, NewManifest("figure3", o, Figure3Campaigns(o)))
+	}
+	if !reflect.DeepEqual(manifests[0], manifests[1]) {
+		t.Fatalf("manifest differs by worker count:\n  %+v\n  %+v", manifests[0], manifests[1])
+	}
+	m := manifests[0]
+	if m.Experiment != "figure3" || m.Nodes != 120 || m.Runs != 5 || m.Replications != 2 || m.Seed != 3 || m.Deadline != "2m0s" || m.Churn {
+		t.Errorf("resolved options: %+v", m)
+	}
+	campaigns := Figure3Campaigns(Options{Nodes: 120, Runs: 5, Seed: 3, Replications: 2})
+	// Six units, the BCBPT campaign's two dispatched first.
+	for i, want := range [][]int{{2, 3}, {4, 5}, {0, 1}} {
+		c := m.Campaigns[i]
+		if c.Name != campaigns[i].Name || c.Fingerprint == "" || c.Units != 2 || !reflect.DeepEqual(c.Dispatch, want) {
+			t.Errorf("campaign %d: %+v, want %s dispatched at %v", i, c, campaigns[i].Name, want)
+		}
+		if c.ExpectedEvents != 2*campaigns[i].expectedEvents() || c.Events == 0 {
+			t.Errorf("campaign %s: expected %d events, dispatched %d", c.Name, c.ExpectedEvents, c.Events)
+		}
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -192,20 +194,109 @@ func TestEngineMidFlightCancellation(t *testing.T) {
 }
 
 // TestEngineUnitFailureIsDeterministic: a failing spec must surface the
-// lowest-indexed unit's error regardless of worker count.
+// error of its unit earliest in dispatch order regardless of worker count,
+// whether it is dispatched before the good campaign (it costs more) or
+// after it, and wherever it stands in the sweep.
 func TestEngineUnitFailureIsDeterministic(t *testing.T) {
-	bad := CampaignSpec{Name: "bad", Spec: Spec{Nodes: 2, Seed: 1, Protocol: ProtoBitcoin}, Replications: 2, Runs: 2, Deadline: time.Second}
 	good := CampaignSpec{Name: "good", Spec: Spec{Nodes: 20, Seed: 1, Protocol: ProtoBitcoin}, Replications: 2, Runs: 2, Deadline: 30 * time.Second}
-	var msgs []string
-	for _, workers := range []int{1, 4} {
-		_, err := NewRunner(workers).Sweep(context.Background(), []CampaignSpec{good, bad})
-		if err == nil {
-			t.Fatalf("workers=%d: sweep with invalid spec succeeded", workers)
+	for _, runs := range []int{2, 1000} {
+		bad := CampaignSpec{Name: "bad", Spec: Spec{Nodes: 2, Seed: 1, Protocol: ProtoBitcoin}, Replications: 2, Runs: runs, Deadline: time.Second}
+		if first := bad.expectedEvents() > good.expectedEvents(); first != (runs > 2) {
+			t.Fatalf("runs=%d: bad spec dispatched first = %v", runs, first)
 		}
-		msgs = append(msgs, err.Error())
+		for _, sweep := range [][]CampaignSpec{{good, bad}, {bad, good}} {
+			var msgs []string
+			for _, workers := range []int{1, 2, 4, 8} {
+				_, err := NewRunner(workers).Sweep(context.Background(), sweep)
+				if err == nil {
+					t.Fatalf("runs=%d workers=%d: sweep with invalid spec succeeded", runs, workers)
+				}
+				msgs = append(msgs, err.Error())
+			}
+			if !strings.Contains(msgs[0], "build bad replication 0:") {
+				t.Errorf("runs=%d sweep %s first: reported %q, want bad replication 0", runs, sweep[0].Name, msgs[0])
+			}
+			for _, msg := range msgs[1:] {
+				if msg != msgs[0] {
+					t.Errorf("runs=%d sweep %s first: error differs by worker count:\n  %s\n  %s", runs, sweep[0].Name, msgs[0], msg)
+				}
+			}
+		}
 	}
-	if msgs[0] != msgs[1] {
-		t.Errorf("error differs by worker count:\n  %s\n  %s", msgs[0], msgs[1])
+}
+
+// TestDispatchOrder pins the order units are handed out in: by descending
+// expected events, ties in sweep order, every unit exactly once. At the
+// benchmark's 2000 × 25 the figure's BCBPT unit (its build probes) goes out
+// first, then Bitcoin, then LBC — which is what lets two workers pack the
+// three units as one long lane and one of the other two.
+func TestDispatchOrder(t *testing.T) {
+	if got, want := DispatchOrder(Figure3Campaigns(Options{Nodes: 2000, Runs: 25})), []int{2, 0, 1}; !slices.Equal(got, want) {
+		t.Errorf("figure3 at 2000 × 25 dispatches units %v, want %v (bcbpt, bitcoin, lbc)", got, want)
+	}
+
+	o := Options{Runs: 10, Replications: 3}
+	short := o.campaign("short", Spec{Nodes: 100, Seed: 1, Protocol: ProtoBitcoin})
+	long := o.campaign("long", Spec{Nodes: 300, Seed: 1, Protocol: ProtoBitcoin})
+	tied := o.campaign("tied", Spec{Nodes: 100, Seed: 2, Protocol: ProtoLBC})
+	for _, tc := range []struct {
+		sweep []CampaignSpec
+		want  []int
+	}{
+		// Equal costs, and a campaign's own replications, keep sweep order.
+		{[]CampaignSpec{short, tied}, []int{0, 1, 2, 3, 4, 5}},
+		{[]CampaignSpec{short, long, tied}, []int{3, 4, 5, 0, 1, 2, 6, 7, 8}},
+		{[]CampaignSpec{tied, short, long}, []int{6, 7, 8, 0, 1, 2, 3, 4, 5}},
+	} {
+		got := DispatchOrder(tc.sweep)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("dispatch order %v, want %v", got, tc.want)
+		}
+		sorted := slices.Clone(got)
+		slices.Sort(sorted)
+		for i, u := range sorted {
+			if u != i {
+				t.Fatalf("dispatch order %v does not hand out each of the %d units exactly once", got, len(got))
+			}
+		}
+	}
+}
+
+// TestUnitCostTracksEvents holds the cost DispatchOrder ranks units by to
+// what the units dispatch, on every figure's campaigns at test scale:
+// churn-free the estimate is within 15 % of UnitObservation.Events; under
+// churn, which it does not model (arrivals join), a unit estimated above
+// another still measures above it, so the dispatch order is still the
+// order of the work.
+func TestUnitCostTracksEvents(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 36 units")
+	}
+	for _, churn := range []bool{false, true} {
+		o := Options{Nodes: 300, Runs: 20, Seed: 1, ChurnOn: churn, BuildWorkers: 1}
+		campaigns := Figure3Campaigns(o)
+		campaigns = append(campaigns, ThresholdSweepCampaigns(o, Figure4Thresholds())...)
+		campaigns = append(campaigns, VarianceCampaigns(o, nil)...)
+		est := make([]uint64, len(campaigns))
+		got := make([]uint64, len(campaigns))
+		for i, c := range campaigns {
+			_, uo, err := RunUnitObserved(context.Background(), c, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			est[i], got[i] = c.expectedEvents(), uo.Events
+			if ratio := float64(est[i]) / float64(got[i]); !churn && (ratio < 0.85 || ratio > 1.15) {
+				t.Errorf("%s: estimated %d events, dispatched %d (ratio %.3f)", c.Name, est[i], got[i], ratio)
+			}
+		}
+		for i := range campaigns {
+			for j := range campaigns {
+				if est[i] > est[j] && got[i] <= got[j] {
+					t.Errorf("churn=%v: %s estimated above %s (%d > %d) but dispatched %d <= %d events",
+						churn, campaigns[i].Name, campaigns[j].Name, est[i], est[j], got[i], got[j])
+				}
+			}
+		}
 	}
 }
 

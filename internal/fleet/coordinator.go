@@ -102,6 +102,7 @@ type Coordinator struct {
 	campaigns []experiment.CampaignSpec // defaulted
 	prints    []uint64
 	offsets   []int // unit index of each campaign's replication 0
+	order     []int // unit indices in experiment.DispatchOrder
 	mux       *http.ServeMux
 	metrics   *obs.Registry
 	trace     *obs.Shard // nil unless cfg.Trace; written only under mu
@@ -120,8 +121,10 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds the work queue for a sweep: every replication of
-// every campaign becomes one leasable unit, exactly the flat queue
-// Runner.Sweep schedules locally. Campaigns must be shippable
+// every campaign becomes one leasable unit, handed out in
+// experiment.DispatchOrder — exactly the flat queue Runner.Sweep schedules
+// locally. Units stay addressed by (campaign, replication); only lease
+// grants walk the dispatch order. Campaigns must be shippable
 // (CampaignSpec.CheckShippable).
 func NewCoordinator(campaigns []experiment.CampaignSpec, cfg CoordinatorConfig) (*Coordinator, error) {
 	if len(campaigns) == 0 {
@@ -151,6 +154,7 @@ func NewCoordinator(campaigns []experiment.CampaignSpec, cfg CoordinatorConfig) 
 		}
 	}
 	c.remaining = len(c.units)
+	c.order = experiment.DispatchOrder(c.campaigns)
 	if dir := c.cfg.SpoolDir; dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("fleet: create spool directory: %w", err)
@@ -218,9 +222,10 @@ func (c *Coordinator) Sweep() SweepResponse {
 }
 
 // leaseUnit grants the next available unit: a never-leased one first,
-// else the first unit whose lease has expired (the failover path). Units
-// are scanned in queue order, so reassignment — like everything else —
-// is deterministic given the same request sequence.
+// else the first unit whose lease has expired (the failover path). Both
+// scans walk the dispatch order (longest unit first, as Runner.Sweep), so
+// reassignment — like everything else — is deterministic given the same
+// request sequence, and a reclaimed long unit goes out before a short one.
 func (c *Coordinator) leaseUnit(worker string) LeaseResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -235,7 +240,7 @@ func (c *Coordinator) leaseUnit(worker string) LeaseResponse {
 	}
 	now := c.cfg.now()
 	grant := -1
-	for i := range c.units {
+	for _, i := range c.order {
 		if c.units[i].phase == unitPending {
 			grant = i
 			break
@@ -243,7 +248,7 @@ func (c *Coordinator) leaseUnit(worker string) LeaseResponse {
 	}
 	if grant < 0 {
 		soonest := time.Duration(-1)
-		for i := range c.units {
+		for _, i := range c.order {
 			u := &c.units[i]
 			if u.phase != unitLeased {
 				continue

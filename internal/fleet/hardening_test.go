@@ -108,6 +108,59 @@ func TestRenewalKeepsSlowUnitAlive(t *testing.T) {
 	}
 }
 
+// TestLeasesFollowDispatchOrder: the coordinator hands units out in
+// experiment.DispatchOrder — the queue Runner.Sweep runs locally, longest
+// unit first — and once every lease has expired, reassignment walks the
+// same order.
+func TestLeasesFollowDispatchOrder(t *testing.T) {
+	spec := func(proto experiment.ProtocolKind) experiment.Spec {
+		return experiment.Spec{Nodes: 40, Seed: 21, Protocol: proto}
+	}
+	sweep := []experiment.CampaignSpec{
+		{Name: "short", Spec: spec(experiment.ProtoBitcoin), Runs: 3, Replications: 2},
+		{Name: "long", Spec: spec(experiment.ProtoBCBPT), Runs: 3, Replications: 2},
+		{Name: "middle", Spec: spec(experiment.ProtoBitcoin), Runs: 30, Replications: 1},
+	}
+	type ref struct{ campaign, replication int }
+	var units []ref // flat, campaign-major: what DispatchOrder indexes
+	for ci, cs := range sweep {
+		for rep := range cs.Replications {
+			units = append(units, ref{ci, rep})
+		}
+	}
+	var want []ref
+	for _, i := range experiment.DispatchOrder(sweep) {
+		want = append(want, units[i])
+	}
+	if first := want[0]; first != (ref{1, 0}) {
+		t.Fatalf("dispatch order starts at %+v, want the BCBPT campaign's replication 0", first)
+	}
+
+	const ttl = time.Minute
+	c, clock := stubbedCoordinator(t, sweep, ttl)
+	leaseAll := func(worker string) []ref {
+		var got []ref
+		for range units {
+			r := c.leaseUnit(worker)
+			if r.Status != LeaseGranted {
+				t.Fatalf("%s: lease status %q, want granted", worker, r.Status)
+			}
+			got = append(got, ref{r.Lease.Campaign, r.Lease.Replication})
+		}
+		return got
+	}
+	if got := leaseAll("first"); !reflect.DeepEqual(got, want) {
+		t.Errorf("first leases granted %v, want dispatch order %v", got, want)
+	}
+	*clock = clock.Add(ttl)
+	if got := leaseAll("reclaimer"); !reflect.DeepEqual(got, want) {
+		t.Errorf("expired leases reassigned %v, want dispatch order %v", got, want)
+	}
+	if st := c.Status(); st.Reassigned != len(units) {
+		t.Errorf("reassigned %d of %d expired leases", st.Reassigned, len(units))
+	}
+}
+
 // TestRenewalRacesCommitAndExpiry pins the renewal edge cases: a
 // committed unit refuses renewal, a superseded lease refuses renewal,
 // and a lease that expired without being reclaimed is revived.
@@ -173,20 +226,34 @@ func TestRenewalRacesCommitAndExpiry(t *testing.T) {
 // sweep with zero reassignments and output bit-identical to the serial
 // engine.
 func TestFleetRenewalSurvivesTinyTTL(t *testing.T) {
+	const ttl = 200 * time.Millisecond
 	sweep := []experiment.CampaignSpec{{
 		Name: "slow-units",
 		Spec: experiment.Spec{Nodes: 250, Seed: 31, Protocol: experiment.ProtoBitcoin},
-		// Enough injections that one unit (~500ms wall) far outlives the
-		// 200ms TTL — without renewal every unit would thrash through
-		// expiry reassignment.
-		Runs: 300, Replications: 2, Deadline: 30 * time.Second,
+		Runs: 25, Replications: 2, Deadline: 30 * time.Second,
 	}}
-	serial, err := experiment.NewRunner(1).Sweep(context.Background(), sweep)
-	if err != nil {
-		t.Fatalf("serial sweep: %v", err)
+	// The units are sized by the serial sweep itself, not fixed: until one
+	// unit spans three TTLs on this host — without renewal every unit would
+	// thrash through expiry reassignment — the injections grow by what the
+	// last sweep fell short, with a margin. A faster relay cannot shrink a
+	// unit below its first heartbeat, and a slow host stops near the target.
+	target := 3 * ttl * time.Duration(sweep[0].Replications)
+	var serial []experiment.CampaignOutcome
+	for {
+		start := time.Now()
+		out, err := experiment.NewRunner(1).Sweep(context.Background(), sweep)
+		if err != nil {
+			t.Fatalf("serial sweep: %v", err)
+		}
+		serial = out
+		took := time.Since(start)
+		if took >= target {
+			break
+		}
+		sweep[0].Runs = int(float64(sweep[0].Runs) * max(1.25, 1.2*float64(target)/float64(took)))
 	}
 
-	c, ts := startCoordinator(t, sweep, CoordinatorConfig{LeaseTTL: 200 * time.Millisecond})
+	c, ts := startCoordinator(t, sweep, CoordinatorConfig{LeaseTTL: ttl})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	w := &Worker{CoordinatorURL: ts.URL, Name: "renewer", Parallelism: 1, RetryInterval: 10 * time.Millisecond}

@@ -61,7 +61,8 @@ func TestStatusProgressAndETA(t *testing.T) {
 	}
 
 	// Per-campaign partition: testSweep is bitcoin=3, lbc=2,
-	// bitcoin-seed22=2 replications; queue order hands out bitcoin first.
+	// bitcoin-seed22=2 replications, all of one cost, so the dispatch order
+	// is the sweep order and hands out bitcoin first.
 	if len(st.Campaigns) != 3 {
 		t.Fatalf("campaign breakdown: %+v", st.Campaigns)
 	}

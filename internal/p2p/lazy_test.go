@@ -111,8 +111,9 @@ func (s *twinSide) submitBlock(i int) {
 
 // peekTickets counts what a teardown of nd's edge to peer is about to
 // settle, on both of its ends: tickets that have passed, which must end as
-// the spill facts their bits would have, and tickets still on their way,
-// which must land as the INVs they stand for.
+// their bits would (a spill fact for a Disconnect, nothing for a removal),
+// and tickets still on their way, which must land as the INVs they stand
+// for.
 func (s *twinSide) peekTickets(nd *Node, peer NodeID) {
 	for _, end := range [2][2]*Node{{nd, s.net.nodes[peer]}, {s.net.nodes[peer], nd}} {
 		at, from := end[0], end[1]

@@ -286,13 +286,19 @@ func (nd *Node) addPeer(peer *Node, outbound bool) int32 {
 // removePeer tears down the adjacency entry for id, preserving holder
 // facts about the departing peer in the spill set — the reference
 // semantics remember that a disconnected peer holds a hash, and so a
-// reconnect within the same generation must too.
+// reconnect within the same generation must too. A fact is kept only
+// while both ends are live: addPeer, the one reader of the spill set,
+// asks about the peer being added, and a removed node is never added
+// again (its ID is never reused), so when RemoveNode — which clears the
+// departing node's slot first — tears an edge down, neither end's facts
+// about the other could ever be read.
 func (nd *Node) removePeer(id NodeID) {
 	pos := nd.peerPos(id)
 	if pos < 0 {
 		return
 	}
 	nd.settleLazy(pos)
+	keep := nd.live() && nd.peerTab[pos].node.live()
 	gen := nd.net.invGen
 	w := nd.net.peerWords
 	for hi := range nd.inv.entries {
@@ -302,7 +308,9 @@ func (nd *Node) removePeer(id NodeID) {
 		word := &nd.inv.holderBits[int32(hi)*w+pos/64]
 		if *word&(1<<uint(pos%64)) != 0 {
 			*word &^= 1 << uint(pos%64)
-			nd.spillAdd(int32(hi), id)
+			if keep {
+				nd.spillAdd(int32(hi), id)
+			}
 		}
 	}
 	if nd.peerTab[pos].outbound {

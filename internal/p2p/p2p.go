@@ -47,7 +47,9 @@
 // landing do more is settled where it happens (Node.settleLazy): removePeer
 // folds a passed ticket into the bit before the bits spill and redeems an
 // unpassed one as an ordinary INV record addressed by ID (so a receiver that
-// left counts it Dropped, and a torn-down edge ends in the spill fact), and
+// left counts it Dropped, and an edge torn down between live nodes ends in
+// the spill fact; one torn down by RemoveNode ends in nothing, no node being
+// able to ask about the departed ID again), and
 // ResetInventory redeems whatever is still on its way before the generation
 // turns. A redeemed ticket, a first INV and a traced INV all land in the one
 // handleInv. With a tracer attached every INV stays an event — a trace shows

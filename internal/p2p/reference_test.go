@@ -519,19 +519,29 @@ func (n *ReferenceNetwork) NodeIDs() []NodeID {
 	return ids
 }
 
-// RemoveNode disconnects and deletes a node (a churn "leave" event).
+// RemoveNode disconnects and deletes a node (a churn "leave" event). The
+// node and its peers forget what they knew of each other — the holder
+// facts the edges carried, kept by the removed node or about it — since
+// IDs are never reused and no node can ask about the removed one again.
+// A fact an earlier Disconnect left at a non-peer stays, as the flat
+// layout's spill set keeps it, and what a message still in flight from
+// the removed node says is recorded when it lands, as from any non-peer.
 func (n *ReferenceNetwork) RemoveNode(id NodeID) {
 	node, ok := n.nodes[id]
 	if !ok {
 		return
 	}
 	delete(n.nodes, id)
+	clear(node.peerInv)
 	for _, peerID := range node.Peers() {
 		delete(node.peers, peerID)
 		node.invalidatePeers()
 		if nb, ok := n.nodes[peerID]; ok {
 			delete(nb.peers, id)
 			nb.invalidatePeers()
+			for _, holders := range nb.peerInv {
+				delete(holders, id)
+			}
 		}
 		if n.OnDisconnect != nil {
 			n.OnDisconnect(id, peerID)
