@@ -23,10 +23,12 @@ type Manifest struct {
 type CampaignManifest struct {
 	Name        string `json:"name"`
 	Fingerprint string `json:"fingerprint"`
-	// Units is the campaign's replications; Dispatch is where each of them
+	// Units is the campaign's replications; Seeds is each one's root seed
+	// (CampaignSpec.ReplicationSeed), and Dispatch is where each of them
 	// stood in the sweep's DispatchOrder, 0 handed out first.
-	Units    int   `json:"units"`
-	Dispatch []int `json:"dispatch"`
+	Units    int     `json:"units"`
+	Seeds    []int64 `json:"seeds"`
+	Dispatch []int   `json:"dispatch"`
 	// ExpectedEvents is the cost the units were ranked by and Events what
 	// they dispatched, each summed over the campaign's units.
 	ExpectedEvents uint64 `json:"expected_events"`
@@ -64,10 +66,11 @@ func NewManifest(name string, o Options, campaigns []CampaignSpec) Manifest {
 		if o.Metrics != nil {
 			cm.Events = o.Metrics.Counter(unitEventsMetric + seriesLabel(c.Name)).Value()
 		}
-		m.Campaigns = append(m.Campaigns, cm)
-		for range c.Replications {
+		for i := range c.Replications {
+			cm.Seeds = append(cm.Seeds, c.ReplicationSeed(i))
 			owner = append(owner, ci)
 		}
+		m.Campaigns = append(m.Campaigns, cm)
 	}
 	for pos, i := range DispatchOrder(campaigns) {
 		cm := &m.Campaigns[owner[i]]

@@ -10,8 +10,8 @@ import (
 
 // TestManifestSameAtEveryWorkerCount pins the deterministic part of a
 // run's manifest: a figure swept on one worker and on two says the same
-// thing — fingerprints, expected and dispatched events, dispatch positions
-// — and what it says is what ran.
+// thing — fingerprints, replication seeds, expected and dispatched events,
+// dispatch positions — and what it says is what ran.
 func TestManifestSameAtEveryWorkerCount(t *testing.T) {
 	var manifests []Manifest
 	for _, workers := range []int{1, 2} {
@@ -37,6 +37,9 @@ func TestManifestSameAtEveryWorkerCount(t *testing.T) {
 		}
 		if c.ExpectedEvents != 2*campaigns[i].expectedEvents() || c.Events == 0 {
 			t.Errorf("campaign %s: expected %d events, dispatched %d", c.Name, c.ExpectedEvents, c.Events)
+		}
+		if want := []int64{campaigns[i].ReplicationSeed(0), campaigns[i].ReplicationSeed(1)}; !reflect.DeepEqual(c.Seeds, want) || want[0] == want[1] {
+			t.Errorf("campaign %s: seeds %v, want %v", c.Name, c.Seeds, want)
 		}
 	}
 }

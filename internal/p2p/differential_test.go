@@ -256,9 +256,9 @@ func flatHolders(nd *Node, h chain.Hash) map[NodeID]struct{} {
 	if !ok {
 		return out
 	}
-	for _, ref := range nd.sortedPeers() {
-		if nd.holderHas(hi, ref.pos) {
-			out[ref.id] = struct{}{}
+	for pos := range nd.peerTab {
+		if id := nd.peerTab[pos].id; id != 0 && nd.holderHas(hi, int32(pos)) {
+			out[id] = struct{}{}
 		}
 	}
 	if nd.inv.spillGen == nd.net.invGen {

@@ -259,7 +259,9 @@ func TestLazyInvMatchesTracedUnderChurn(t *testing.T) {
 			for f := 0; f < 6; f++ {
 				s.net.ResetInventory()
 				s.submitTx(s.r.Intn(20))
-				for step := 0; step < 40; step++ {
+				// Enough steps that both loss rates fold and redeem well
+				// over the ten tickets the check below asks of them.
+				for step := 0; step < 52; step++ {
 					s.runFor(time.Duration(5+s.r.Intn(40)) * time.Millisecond)
 					a := s.r.Intn(len(s.nodes))
 					switch s.r.Intn(4) {

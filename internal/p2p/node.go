@@ -43,14 +43,6 @@ type peerEntry struct {
 	outbound bool
 }
 
-// peerRef is one entry of the sorted peer cache: the ascending-ID view
-// the relay loops iterate, carrying the adjacency position — the handle
-// for both the holder bitset test and the send through the peer entry.
-type peerRef struct {
-	id  NodeID
-	pos int32
-}
-
 // estEntry is one per-target RTT estimator, kept sorted by target in a
 // contiguous per-node slice.
 type estEntry struct {
@@ -147,7 +139,8 @@ type Node struct {
 	tabEpoch uint32
 	net      *Network
 	// peerTab is the stable-position adjacency table (id == 0 marks a
-	// free position, recycled through peerFree LIFO).
+	// free position, recycled through peerFree LIFO), walked in position
+	// order by every loop over the peers; only Peers sorts what it collects.
 	peerTab []peerEntry
 	// inv is the flat inventory replacing the known/peerInv/requested/
 	// txData/blockData maps of the reference layout.
@@ -160,15 +153,9 @@ type Node struct {
 	// uplinkFreeAt is when the node's serial uplink finishes its current
 	// transmission; Network.deliver queues sends behind it.
 	uplinkFreeAt sim.Time
-	// peerList caches the ascending-ID peer view; peersValid is flipped
-	// off on every connect/disconnect. The flood hot path walks the peer
-	// set once per (node, hash), so rebuilding the sorted order per call
-	// would allocate per announcement.
-	peerList   []peerRef
-	peersValid bool
-	peerFree   []int32
-	nPeers     int
-	nOut       int
+	peerFree     []int32
+	nPeers       int
+	nOut         int
 
 	// mempool is present in ValidationFull mode only.
 	mempool *chain.Mempool
@@ -279,7 +266,6 @@ func (nd *Node) addPeer(peer *Node, outbound bool) int32 {
 			}
 		}
 	}
-	nd.peersValid = false
 	return pos
 }
 
@@ -320,7 +306,6 @@ func (nd *Node) removePeer(id NodeID) {
 	nd.tabEpoch++
 	nd.peerFree = append(nd.peerFree, pos)
 	nd.nPeers--
-	nd.peersValid = false
 }
 
 // peerPos returns id's adjacency position, or -1 if not a peer: a linear
@@ -338,56 +323,26 @@ func (nd *Node) peerPos(id NodeID) int32 {
 	return -1
 }
 
-// sortedPeers returns the cached ascending peer view, rebuilding it in
-// place after a connectivity change. The returned slice is shared: it is
-// valid until the next connect/disconnect and must not be mutated or
-// retained — internal read-only iteration only.
-func (nd *Node) sortedPeers() []peerRef {
-	if nd.peersValid {
-		return nd.peerList
-	}
-	nd.peerList = nd.peerList[:0]
-	for i := range nd.peerTab {
-		if nd.peerTab[i].id != 0 {
-			nd.peerList = append(nd.peerList, peerRef{id: nd.peerTab[i].id, pos: int32(i)})
-		}
-	}
-	slices.SortFunc(nd.peerList, func(a, b peerRef) int {
-		switch {
-		case a.id < b.id:
-			return -1
-		case a.id > b.id:
-			return 1
-		default:
-			return 0
-		}
-	})
-	nd.peersValid = true
-	return nd.peerList
-}
-
-// invalidatePeers marks the cached peer list stale after a connectivity
-// change.
-func (nd *Node) invalidatePeers() { nd.peersValid = false }
-
 // Peers returns the connected peer IDs in ascending order. The slice is
 // the caller's to keep.
 func (nd *Node) Peers() []NodeID {
-	refs := nd.sortedPeers()
-	out := make([]NodeID, len(refs))
-	for i, ref := range refs {
-		out[i] = ref.id
-	}
+	out := make([]NodeID, 0, nd.nPeers)
+	nd.EachPeer(func(id NodeID) bool {
+		out = append(out, id)
+		return true
+	})
+	slices.Sort(out)
 	return out
 }
 
-// EachPeer calls f for every connected peer in ascending ID order,
-// stopping early if f returns false. Unlike Peers it allocates nothing —
-// topology maintenance loops that count or scan neighbours per candidate
-// use it on their hot paths. f must not connect or disconnect peers.
+// EachPeer calls f for every connected peer in table-position order,
+// stopping early if f returns false. Unlike Peers it allocates and sorts
+// nothing — topology maintenance loops that count or scan neighbours per
+// candidate use it on their hot paths, and what they compute does not
+// depend on the order. f must not connect or disconnect peers.
 func (nd *Node) EachPeer(f func(NodeID) bool) {
-	for _, ref := range nd.sortedPeers() {
-		if !f(ref.id) {
+	for i := range nd.peerTab {
+		if id := nd.peerTab[i].id; id != 0 && !f(id) {
 			return
 		}
 	}
@@ -684,25 +639,26 @@ func (nd *Node) acceptTx(tx *chain.Tx, from NodeID) error {
 // announce offers the object at dense index hi — tx or block, the other
 // nil — to every peer not already known to have it: an INV (Fig. 1), or
 // for a transaction in RelayDirect mode the full transaction immediately
-// (the refs [9]/[10] pipelining ablation). Iteration is in sorted peer
-// order: each send advances the sender's keyed delivery sequence, so a
-// stable order is required for run-to-run determinism.
+// (the refs [9]/[10] pipelining ablation). Peers are offered in peerTab
+// position order: each send advances the sender's keyed delivery sequence,
+// so the order must be reproducible, and a position is — it is held for the
+// life of a connection, and which one a connection takes (the most recently
+// freed, else a new one at the end) is fixed by the connect/disconnect
+// sequence.
 func (nd *Node) announce(hi int32, tx *chain.Tx, block *chain.Block, except NodeID) {
 	gen := nd.net.invGen
 	direct := tx != nil && nd.net.cfg.Relay == RelayDirect
-	for _, ref := range nd.sortedPeers() {
-		if ref.id == except {
-			continue
-		}
-		if nd.holderHas(hi, ref.pos) {
+	for i := range nd.peerTab {
+		e, pos := &nd.peerTab[i], int32(i)
+		if e.id == 0 || e.id == except || nd.holderHas(hi, pos) {
 			continue
 		}
 		if direct {
-			nd.setHolderBit(hi, ref.pos)
-			nd.sendTx(ref.pos, nil, tx, hi)
+			nd.setHolderBit(hi, pos)
+			nd.sendTx(pos, nil, tx, hi)
 			continue
 		}
-		d := nd.net.deliver(nd, nd.peerTab[ref.pos].node, ref.pos, 0, wire.CmdInv, invSize, nil, hi)
+		d := nd.net.deliver(nd, e.node, pos, 0, wire.CmdInv, invSize, nil, hi)
 		d.tx, d.block, d.hi, d.gen = tx, block, hi, gen
 	}
 }
@@ -939,13 +895,12 @@ func (nd *Node) handlePong(pong *delivery) {
 // handleGetAddr replies with a sample of this node's peer addresses —
 // "the normal Bitcoin network nodes discovery mechanism" (§IV.B).
 func (nd *Node) handleGetAddr(from NodeID) {
-	refs := nd.sortedPeers()
-	addrs := make([]wire.NetAddr, 0, len(refs))
-	for _, ref := range refs {
-		if ref.id == from {
-			continue
+	addrs := make([]wire.NetAddr, 0, nd.nPeers)
+	nd.EachPeer(func(id NodeID) bool {
+		if id != from {
+			addrs = append(addrs, wire.NetAddr{NodeID: uint64(id)})
 		}
-		addrs = append(addrs, wire.NetAddr{NodeID: uint64(ref.id)})
-	}
+		return true
+	})
 	nd.Send(from, &wire.MsgAddr{Addrs: addrs})
 }

@@ -21,6 +21,15 @@
 // per-node map rebuild — which is what lets a 100k+ node network run
 // thousand-injection campaigns in bounded memory.
 //
+// A node's peers are walked in the order of its adjacency table: the INV
+// fan-out, address replies, keepalive pings and EachPeer all visit positions
+// in ascending order, and no sorted view is kept beside the table. A
+// connection holds its position for its life and takes the most recently
+// freed one, else a new one at the end, so the order — and with it the
+// sender's keyed send sequence — is a fixed function of the connect and
+// disconnect sequence. Only Peers sorts: it hands out ascending IDs, in a
+// copy, for the callers whose own order must not depend on the table.
+//
 // A message in flight is a value, not an object: one 64-byte record in the
 // network's arena (delivery), scheduled as an indexed event whose index it
 // is, so a send allocates nothing and a receive reads the heap entry, the
@@ -851,9 +860,10 @@ func (n *Network) StartKeepalive() *sim.Ticker {
 			if !ok {
 				continue
 			}
-			for _, ref := range node.sortedPeers() {
-				node.Probe(ref.id, nil)
-			}
+			node.EachPeer(func(id NodeID) bool {
+				node.Probe(id, nil)
+				return true
+			})
 		}
 	})
 }

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/chain"
@@ -43,9 +43,13 @@ type ReferenceNode struct {
 	loc geo.Location
 	net *ReferenceNetwork
 
-	peers      map[NodeID]*refPeerState
-	peerList   []NodeID
-	peersValid bool
+	peers map[NodeID]*refPeerState
+	// slots is the order the node walks its peers in: each holds the
+	// position it took on connecting for the life of the connection (0
+	// marks a free one), and a new connection takes the most recently
+	// freed position, else a new one at the end.
+	slots []NodeID
+	free  []int
 
 	// known maps every accepted inventory hash to its first-seen time.
 	known map[chain.Hash]sim.Time
@@ -78,24 +82,33 @@ func (nd *ReferenceNode) ID() NodeID { return nd.id }
 // Location returns the node's geographic placement.
 func (nd *ReferenceNode) Location() geo.Location { return nd.loc }
 
-func (nd *ReferenceNode) sortedPeers() []NodeID {
-	if nd.peersValid {
-		return nd.peerList
+// addPeer records a connection to id and gives it a slot.
+func (nd *ReferenceNode) addPeer(id NodeID, outbound bool) {
+	nd.peers[id] = &refPeerState{outbound: outbound}
+	if last := len(nd.free) - 1; last >= 0 {
+		nd.slots[nd.free[last]] = id
+		nd.free = nd.free[:last]
+		return
 	}
-	nd.peerList = nd.peerList[:0]
-	for id := range nd.peers {
-		nd.peerList = append(nd.peerList, id)
-	}
-	sort.Slice(nd.peerList, func(i, j int) bool { return nd.peerList[i] < nd.peerList[j] })
-	nd.peersValid = true
-	return nd.peerList
+	nd.slots = append(nd.slots, id)
 }
 
-func (nd *ReferenceNode) invalidatePeers() { nd.peersValid = false }
+// dropPeer forgets the connection to id and frees its slot.
+func (nd *ReferenceNode) dropPeer(id NodeID) {
+	delete(nd.peers, id)
+	i := slices.Index(nd.slots, id)
+	nd.slots[i] = 0
+	nd.free = append(nd.free, i)
+}
 
 // Peers returns the connected peer IDs in ascending order.
 func (nd *ReferenceNode) Peers() []NodeID {
-	return append([]NodeID(nil), nd.sortedPeers()...)
+	out := make([]NodeID, 0, len(nd.peers))
+	for id := range nd.peers {
+		out = append(out, id)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // NumPeers returns the number of connections.
@@ -168,8 +181,8 @@ func (nd *ReferenceNode) announce(h chain.Hash, except NodeID) {
 	direct := nd.net.cfg.Relay == RelayDirect
 	var inv *wire.MsgInv
 	var txMsg *wire.MsgTx
-	for _, peerID := range nd.sortedPeers() {
-		if peerID == except {
+	for _, peerID := range nd.slots {
+		if peerID == 0 || peerID == except {
 			continue
 		}
 		if _, knows := holders[peerID]; knows {
@@ -349,8 +362,8 @@ func (nd *ReferenceNode) acceptBlock(b *chain.Block, from NodeID) error {
 func (nd *ReferenceNode) announceBlock(h chain.Hash, except NodeID) {
 	holders := nd.peerInv[h]
 	var inv *wire.MsgInv
-	for _, peerID := range nd.sortedPeers() {
-		if peerID == except {
+	for _, peerID := range nd.slots {
+		if peerID == 0 || peerID == except {
 			continue
 		}
 		if _, knows := holders[peerID]; knows {
@@ -534,11 +547,9 @@ func (n *ReferenceNetwork) RemoveNode(id NodeID) {
 	delete(n.nodes, id)
 	clear(node.peerInv)
 	for _, peerID := range node.Peers() {
-		delete(node.peers, peerID)
-		node.invalidatePeers()
+		node.dropPeer(peerID)
 		if nb, ok := n.nodes[peerID]; ok {
-			delete(nb.peers, id)
-			nb.invalidatePeers()
+			nb.dropPeer(id)
 			for _, holders := range nb.peerInv {
 				delete(holders, id)
 			}
@@ -648,10 +659,8 @@ func (n *ReferenceNetwork) connect(a, b NodeID, enforceOutbound bool) error {
 	n.stats.count(wire.CmdVerack, verackSize)
 	n.stats.count(wire.CmdVersion, versionSize)
 	n.stats.count(wire.CmdVerack, verackSize)
-	na.peers[b] = &refPeerState{outbound: true}
-	nb.peers[a] = &refPeerState{outbound: false}
-	na.invalidatePeers()
-	nb.invalidatePeers()
+	na.addPeer(b, true)
+	nb.addPeer(a, false)
 	return nil
 }
 
@@ -664,11 +673,9 @@ func (n *ReferenceNetwork) Disconnect(a, b NodeID) {
 	if _, connected := na.peers[b]; !connected {
 		return
 	}
-	delete(na.peers, b)
-	na.invalidatePeers()
+	na.dropPeer(b)
 	if nb, ok := n.nodes[b]; ok {
-		delete(nb.peers, na.id)
-		nb.invalidatePeers()
+		nb.dropPeer(na.id)
 	}
 	if n.OnDisconnect != nil {
 		n.OnDisconnect(na.id, b)

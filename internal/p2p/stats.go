@@ -111,9 +111,9 @@ func (s Stats) AddToRegistry(reg *obs.Registry) {
 }
 
 // NodeFootprintBytes sums the retained bytes of every node's hot state —
-// adjacency tables, sorted-peer caches, flat inventory arrays, holder
-// bitsets, spill sets, estimator slices, ticket slots — without the shared
-// network-level state (links, hash registry, in-flight records). Divided by
+// adjacency tables, flat inventory arrays, holder bitsets, spill sets,
+// estimator slices, ticket slots — without the shared network-level
+// state (links, hash registry, in-flight records). Divided by
 // NumNodes it is the marginal cost of one more node, the number the
 // 100k-node budget test pins so the flat layout cannot quietly regrow
 // pointer-rich per-node state.
@@ -126,7 +126,6 @@ func (n *Network) NodeFootprintBytes() int {
 		total += unsafe.Sizeof(*nd)
 		total += uintptr(cap(nd.peerTab)) * unsafe.Sizeof(peerEntry{})
 		total += uintptr(cap(nd.peerFree)) * unsafe.Sizeof(int32(0))
-		total += uintptr(cap(nd.peerList)) * unsafe.Sizeof(peerRef{})
 		total += uintptr(cap(nd.inv.entries)) * unsafe.Sizeof(invEntry{})
 		total += uintptr(cap(nd.inv.tx)+cap(nd.inv.block)) * unsafe.Sizeof(uintptr(0))
 		total += uintptr(cap(nd.inv.holderBits)) * unsafe.Sizeof(uint64(0))

@@ -5,8 +5,9 @@
 // spool alongside it must decode through obs.ReadSpool to exactly the
 // same event count. scripts/tracesmoke.sh runs it in CI so a malformed
 // export can never ship silently — a trace nobody can open is worse
-// than no trace. An export whose ring overwrote events is valid, and said
-// to be partial in the words bcbpt-sim uses: "trace: kept N of M events".
+// than no trace. Neither can a partial one: an export whose ring
+// overwrote events fails, in the words bcbpt-sim uses for it ("kept N of
+// M events").
 //
 // Usage: tracecheck <trace.json> <trace.json.bin>
 package main
@@ -42,50 +43,60 @@ type traceEvent struct {
 	Args map[string]uint64 `json:"args"`
 }
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "tracecheck: FAIL — "+format+"\n", args...)
-	os.Exit(1)
-}
-
 func main() {
 	if len(os.Args) != 3 {
 		fmt.Fprintln(os.Stderr, "usage: tracecheck <trace.json> <trace.json.bin>")
 		os.Exit(2)
 	}
-	data, err := os.ReadFile(os.Args[1])
+	summary, err := check(os.Args[1], os.Args[2])
 	if err != nil {
-		fail("%v", err)
+		fmt.Fprintf(os.Stderr, "tracecheck: FAIL — %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Println("tracecheck: OK — " + summary)
+}
+
+// check validates the export pair and returns a one-line summary of it.
+func check(jsonPath, spoolPath string) (string, error) {
+	data, err := os.ReadFile(jsonPath)
+	if err != nil {
+		return "", err
 	}
 	var tf traceFile
 	if err := json.Unmarshal(data, &tf); err != nil {
-		fail("%s does not parse as JSON: %v", os.Args[1], err)
+		return "", fmt.Errorf("%s does not parse as JSON: %v", jsonPath, err)
 	}
 	if tf.DisplayTimeUnit != "ms" {
-		fail("displayTimeUnit %q, want \"ms\"", tf.DisplayTimeUnit)
+		return "", fmt.Errorf("displayTimeUnit %q, want \"ms\"", tf.DisplayTimeUnit)
 	}
 	if len(tf.TraceEvents) == 0 {
-		fail("traceEvents is empty — a traced figure3 run records message and measurement events")
+		return "", fmt.Errorf("traceEvents is empty — a traced figure3 run records message and measurement events")
 	}
 	if tf.OtherData.DroppedEvents == nil {
-		fail("otherData.droppedEvents missing")
+		return "", fmt.Errorf("otherData.droppedEvents missing")
+	}
+	// The ring overwrote its oldest events: a valid export of the newest
+	// ones, but not the whole run, and a trace read as the whole run.
+	if kept, dropped := uint64(len(tf.TraceEvents)), *tf.OtherData.DroppedEvents; dropped > 0 {
+		return "", fmt.Errorf("kept %d of %d events (ring overwrote %d)", kept, kept+dropped, dropped)
 	}
 	cats := map[string]int{}
 	for i, ev := range tf.TraceEvents {
 		switch {
 		case ev.Name == "":
-			fail("event %d has no name", i)
+			return "", fmt.Errorf("event %d has no name", i)
 		case ev.Cat == "":
-			fail("event %d (%s) has no cat", i, ev.Name)
+			return "", fmt.Errorf("event %d (%s) has no cat", i, ev.Name)
 		case ev.Ph != "i":
-			fail("event %d (%s) has phase %q, want \"i\"", i, ev.Name, ev.Ph)
+			return "", fmt.Errorf("event %d (%s) has phase %q, want \"i\"", i, ev.Name, ev.Ph)
 		case ev.Ts == nil || *ev.Ts < 0:
-			fail("event %d (%s) has missing or negative ts", i, ev.Name)
+			return "", fmt.Errorf("event %d (%s) has missing or negative ts", i, ev.Name)
 		case ev.Pid == nil || ev.Tid == nil:
-			fail("event %d (%s) lacks pid/tid", i, ev.Name)
+			return "", fmt.Errorf("event %d (%s) lacks pid/tid", i, ev.Name)
 		}
 		for _, k := range []string{"p1", "p2", "p3"} {
 			if _, ok := ev.Args[k]; !ok {
-				fail("event %d (%s) lacks args.%s", i, ev.Name, k)
+				return "", fmt.Errorf("event %d (%s) lacks args.%s", i, ev.Name, k)
 			}
 		}
 		cats[ev.Cat]++
@@ -95,21 +106,21 @@ func main() {
 	// distributed runs, so it is not required.
 	for _, want := range []string{"p2p", "measure"} {
 		if cats[want] == 0 {
-			fail("no %q events — the trace is missing a whole subsystem", want)
+			return "", fmt.Errorf("no %q events — the trace is missing a whole subsystem", want)
 		}
 	}
 
-	sf, err := os.Open(os.Args[2])
+	sf, err := os.Open(spoolPath)
 	if err != nil {
-		fail("%v", err)
+		return "", err
 	}
 	spool, err := obs.ReadSpool(sf)
 	sf.Close()
 	if err != nil {
-		fail("%s: %v", os.Args[2], err)
+		return "", fmt.Errorf("%s: %v", spoolPath, err)
 	}
 	if len(spool) != len(tf.TraceEvents) {
-		fail("spool has %d events, JSON has %d — the two exports diverged", len(spool), len(tf.TraceEvents))
+		return "", fmt.Errorf("spool has %d events, JSON has %d — the two exports diverged", len(spool), len(tf.TraceEvents))
 	}
 
 	names := make([]string, 0, len(cats))
@@ -121,11 +132,5 @@ func main() {
 	for i, c := range names {
 		parts[i] = fmt.Sprintf("%s=%d", c, cats[c])
 	}
-	fmt.Printf("tracecheck: OK — %d events (%s), %d dropped, spool matches\n",
-		len(tf.TraceEvents), strings.Join(parts, " "), *tf.OtherData.DroppedEvents)
-	// The line bcbpt-sim -trace prints for a ring that overwrote events: a
-	// valid export of the newest events is still not the whole run.
-	if kept, dropped := uint64(len(tf.TraceEvents)), *tf.OtherData.DroppedEvents; dropped > 0 {
-		fmt.Fprintf(os.Stderr, "trace: kept %d of %d events (ring overwrote %d)\n", kept, kept+dropped, dropped)
-	}
+	return fmt.Sprintf("%d events (%s), 0 dropped, spool matches", len(tf.TraceEvents), strings.Join(parts, " ")), nil
 }
