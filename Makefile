@@ -32,7 +32,7 @@ test:
 # single-goroutine by contract and carries no lock: running its tests here
 # is what holds that claim.
 race:
-	$(GO) test -race ./internal/sim ./internal/experiment ./internal/core ./internal/topology ./internal/measure ./internal/netnode ./internal/fleet ./internal/p2p ./internal/wire ./internal/obs
+	$(GO) test -race ./internal/sim ./internal/experiment ./internal/core ./internal/topology ./internal/measure ./internal/fleet ./internal/p2p ./internal/wire ./internal/obs
 
 # Short fuzz passes over the differential fuzz targets that guard the
 # flat-node and arena-scheduler kernels and the DNS seed's pruned
@@ -42,11 +42,8 @@ race:
 # it those bytes (arbitrary query and body against a live lease: no wrong
 # acceptance, no temp file left, resend is stale), over the sweep-file
 # parser (no panic; an accepted sweep written back out re-parses to the
-# same campaigns and fingerprints), over the trace spool reader (no
-# panic, no allocation sized by the header's count), and over the wire
-# codec's Decode and ReadMessage, what the live node runs on bytes from a
-# socket (no panic, no allocation sized by a length field beyond the input,
-# and what is accepted survives a round trip). 30s each: enough to
+# same campaigns and fingerprints), and over the trace spool reader (no
+# panic, no allocation sized by the header's count). 30s each: enough to
 # shake out shallow divergence regressions on every CI run without burning
 # runner minutes. Set FUZZ_RACE=-race to also run the fuzz executions under
 # the race detector (the stable CI leg does; slower, so off by default
@@ -60,7 +57,6 @@ fuzz-smoke:
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzCommitBody -fuzztime=30s ./internal/fleet
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzParseSweep -fuzztime=30s ./internal/experiment
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzReadSpool -fuzztime=30s ./internal/obs
-	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzDecode -fuzztime=30s ./internal/wire
 
 # Distributed-campaign smoke: a coordinator + 2 local workers (one
 # induced worker failure) must merge a tiny sweep byte-identical to the

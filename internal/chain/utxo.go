@@ -19,7 +19,7 @@ var (
 
 // UTXOSet is the set of unspent transaction outputs — the materialized
 // state of the ledger. It is not safe for concurrent use; the simulation
-// is single-threaded and the live node wraps it in its own lock.
+// is single-threaded.
 type UTXOSet struct {
 	entries map[Outpoint]TxOut
 }

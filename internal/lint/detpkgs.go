@@ -23,9 +23,8 @@ const modulePath = "repro"
 // reads and the global math/rand source are banned here (detrand), as is
 // order-sensitive work inside unsorted map iteration (maporder).
 //
-// internal/fleet and internal/netnode are deliberately absent: the
-// fleet schedules real work on real clocks (lease TTLs are wall-clock
-// failure-detection windows) and netnode fronts live sockets.
+// internal/fleet is deliberately absent: the fleet schedules real work
+// on real clocks (lease TTLs are wall-clock failure-detection windows).
 var deterministicPkgs = map[string]bool{
 	modulePath + "/internal/sim":        true,
 	modulePath + "/internal/p2p":        true,

@@ -51,7 +51,7 @@ func TestCtxpoll(t *testing.T) {
 // rule but claims an import path outside all analyzer scopes: the suite
 // must stay silent.
 func TestOutOfScope(t *testing.T) {
-	diags := analysistest.Run(t, "testdata/outofscope", "repro/internal/netnode",
+	diags := analysistest.Run(t, "testdata/outofscope", "repro/cmd/bcbpt-sim",
 		lint.Analyzers(), lint.Names())
 	if len(diags) != 0 {
 		t.Errorf("out-of-scope fixture produced %d diagnostics", len(diags))

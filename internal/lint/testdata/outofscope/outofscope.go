@@ -1,7 +1,7 @@
 // Fixture proving the analyzers scope by import path: this file breaks
-// every rule but is checked as-if it were repro/internal/netnode, which
-// is in no analyzer's scope (the live node runs on real clocks and
-// sockets by design), so the suite must stay silent.
+// every rule but is checked as-if it were repro/cmd/bcbpt-sim, which is
+// in no analyzer's scope (a command reads wall clocks and writes files by
+// design), so the suite must stay silent.
 package fixture
 
 import (

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -52,6 +53,31 @@ func allMessages(t testing.TB) []Message {
 	}
 }
 
+// TestEncodeFrameHeader checks the frame Encode puts around every payload:
+// the network magic, the command byte, the payload length and the first
+// four bytes of the payload's double-SHA256.
+func TestEncodeFrameHeader(t *testing.T) {
+	for _, m := range allMessages(t) {
+		buf, err := Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := buf[headerLen:]
+		if got := binary.LittleEndian.Uint32(buf[0:4]); got != Magic {
+			t.Errorf("%s: magic = %#x, want %#x", m.Command(), got, Magic)
+		}
+		if got := Command(buf[4]); got != m.Command() {
+			t.Errorf("%s: command byte = %v", m.Command(), got)
+		}
+		if got := binary.LittleEndian.Uint32(buf[5:9]); int(got) != len(payload) {
+			t.Errorf("%s: length field = %d, payload = %d bytes", m.Command(), got, len(payload))
+		}
+		if got := binary.LittleEndian.Uint32(buf[9:13]); got != checksum(payload) {
+			t.Errorf("%s: checksum field = %#x, want %#x", m.Command(), got, checksum(payload))
+		}
+	}
+}
+
 func TestRoundTripAllMessages(t *testing.T) {
 	for _, msg := range allMessages(t) {
 		t.Run(msg.Command().String(), func(t *testing.T) {
@@ -59,9 +85,9 @@ func TestRoundTripAllMessages(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
 			}
-			decoded, n, err := Decode(buf)
+			decoded, n, err := decode(buf)
 			if err != nil {
-				t.Fatalf("Decode: %v", err)
+				t.Fatalf("decode: %v", err)
 			}
 			if n != len(buf) {
 				t.Errorf("consumed %d of %d bytes", n, len(buf))
@@ -96,7 +122,7 @@ func TestRoundTripStructEquality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		decoded, _, err := Decode(buf)
+		decoded, _, err := decode(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +138,7 @@ func TestDecodeRejectsBadMagic(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf[0] ^= 0xFF
-	if _, _, err := Decode(buf); !errors.Is(err, ErrBadMagic) {
+	if _, _, err := decode(buf); !errors.Is(err, errBadMagic) {
 		t.Errorf("error = %v, want ErrBadMagic", err)
 	}
 }
@@ -123,7 +149,7 @@ func TestDecodeRejectsBadChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf[len(buf)-1] ^= 0xFF
-	if _, _, err := Decode(buf); !errors.Is(err, ErrBadChecksum) {
+	if _, _, err := decode(buf); !errors.Is(err, errBadChecksum) {
 		t.Errorf("error = %v, want ErrBadChecksum", err)
 	}
 }
@@ -134,7 +160,7 @@ func TestDecodeRejectsUnknownCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf[4] = 0xEE
-	if _, _, err := Decode(buf); !errors.Is(err, ErrUnknownCommand) {
+	if _, _, err := decode(buf); !errors.Is(err, errUnknownCommand) {
 		t.Errorf("error = %v, want ErrUnknownCommand", err)
 	}
 }
@@ -145,20 +171,20 @@ func TestDecodeRejectsOversizeHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf[5], buf[6], buf[7], buf[8] = 0xFF, 0xFF, 0xFF, 0x7F
-	if _, _, err := Decode(buf); !errors.Is(err, ErrOversize) {
+	if _, _, err := decode(buf); !errors.Is(err, ErrOversize) {
 		t.Errorf("error = %v, want ErrOversize", err)
 	}
 }
 
 func TestDecodeShortBuffer(t *testing.T) {
-	if _, _, err := Decode([]byte{1, 2, 3}); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, _, err := decode([]byte{1, 2, 3}); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("error = %v, want ErrUnexpectedEOF", err)
 	}
 	buf, err := Encode(&MsgPing{Nonce: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Decode(buf[:len(buf)-2]); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, _, err := decode(buf[:len(buf)-2]); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("error = %v, want ErrUnexpectedEOF", err)
 	}
 }
@@ -173,7 +199,7 @@ func TestDecodeTrailingPayloadBytesRejected(t *testing.T) {
 	h := chain.DoubleSHA256(payload)
 	copy(buf[9:13], h[:4])
 	copy(buf[13:], payload)
-	if _, _, err := Decode(buf); err == nil {
+	if _, _, err := decode(buf); err == nil {
 		t.Error("verack with payload accepted")
 	}
 }
@@ -182,16 +208,13 @@ func TestHostileListLengths(t *testing.T) {
 	// An ADDR message claiming 2^32-1 entries must be rejected without
 	// allocating.
 	payload := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	var m MsgAddr
-	if err := m.decodePayload(payload); err == nil {
+	if _, err := decodePayload(CmdAddr, payload); err == nil {
 		t.Error("hostile addr count accepted")
 	}
-	var inv MsgInv
-	if err := inv.decodePayload(payload); err == nil {
+	if _, err := decodePayload(CmdInv, payload); err == nil {
 		t.Error("hostile inv count accepted")
 	}
-	var cl MsgCluster
-	if err := cl.decodePayload(append(bytes.Repeat([]byte{0}, 9), payload...)); err == nil {
+	if _, err := decodePayload(CmdCluster, append(bytes.Repeat([]byte{0}, 9), payload...)); err == nil {
 		t.Error("hostile cluster count accepted")
 	}
 }
@@ -199,42 +222,8 @@ func TestHostileListLengths(t *testing.T) {
 func TestInvTypeValidation(t *testing.T) {
 	m := &MsgInv{Items: []InvVect{{Type: InvType(99), Hash: chain.Hash{1}}}}
 	buf := m.encodePayload(nil)
-	var decoded MsgInv
-	if err := decoded.decodePayload(buf); err == nil {
+	if _, err := decodePayload(CmdInv, buf); err == nil {
 		t.Error("unknown inv type accepted")
-	}
-}
-
-func TestReadWriteMessageStream(t *testing.T) {
-	var buf bytes.Buffer
-	msgs := allMessages(t)
-	for _, m := range msgs {
-		if err := WriteMessage(&buf, m); err != nil {
-			t.Fatalf("WriteMessage(%s): %v", m.Command(), err)
-		}
-	}
-	for _, want := range msgs {
-		got, err := ReadMessage(&buf)
-		if err != nil {
-			t.Fatalf("ReadMessage: %v", err)
-		}
-		if got.Command() != want.Command() {
-			t.Fatalf("stream order: got %s, want %s", got.Command(), want.Command())
-		}
-	}
-	if _, err := ReadMessage(&buf); err != io.EOF {
-		t.Errorf("after stream drained, err = %v, want EOF", err)
-	}
-}
-
-func TestReadMessageRejectsCorruptStream(t *testing.T) {
-	buf, err := Encode(&MsgPing{Nonce: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[10] ^= 0x55 // corrupt checksum field
-	if _, err := ReadMessage(bytes.NewReader(buf)); !errors.Is(err, ErrBadChecksum) {
-		t.Errorf("error = %v, want ErrBadChecksum", err)
 	}
 }
 
@@ -250,6 +239,9 @@ func TestEncodedSizeMatchesEncode(t *testing.T) {
 	}
 }
 
+// TestVersionUserAgentTruncated checks that a user agent longer than its
+// one-byte length is cut to 255 bytes on the wire, that EncodedSize agrees,
+// and that encoding leaves the caller's message as it was.
 func TestVersionUserAgentTruncated(t *testing.T) {
 	long := string(bytes.Repeat([]byte{'a'}, 300))
 	m := &MsgVersion{UserAgent: long}
@@ -257,12 +249,14 @@ func TestVersionUserAgentTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, _, err := Decode(buf)
-	if err != nil {
-		t.Fatal(err)
+	if EncodedSize(m) != len(buf) {
+		t.Errorf("EncodedSize = %d, encoded frame = %d bytes", EncodedSize(m), len(buf))
 	}
-	if ua := decoded.(*MsgVersion).UserAgent; len(ua) != 255 {
-		t.Errorf("user agent length = %d, want 255", len(ua))
+	if n := buf[headerLen+4+netAddrSize+4]; n != 255 {
+		t.Errorf("user agent length byte = %d, want 255", n)
+	}
+	if len(m.UserAgent) != 300 {
+		t.Errorf("Encode changed the message: user agent is %d bytes, want 300", len(m.UserAgent))
 	}
 }
 
@@ -277,18 +271,6 @@ func TestCommandStrings(t *testing.T) {
 	}
 }
 
-// Property: decoding random garbage never panics and never returns a
-// message together with a nil error for non-frames.
-func TestPropertyDecodeGarbageSafe(t *testing.T) {
-	f := func(data []byte) bool {
-		msg, _, err := Decode(data)
-		return err != nil || msg != nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: ping pad length round-trips for any size within limits.
 func TestPropertyPingPadRoundTrip(t *testing.T) {
 	f := func(n uint16) bool {
@@ -297,7 +279,7 @@ func TestPropertyPingPadRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		d, _, err := Decode(buf)
+		d, _, err := decode(buf)
 		if err != nil {
 			return false
 		}
@@ -317,24 +299,6 @@ func BenchmarkEncodeInv100(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Encode(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeInv100(b *testing.B) {
-	items := make([]InvVect, 100)
-	for i := range items {
-		items[i] = InvVect{Type: InvTx, Hash: chain.DoubleSHA256([]byte{byte(i)})}
-	}
-	buf, err := Encode(&MsgInv{Items: items})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Decode(buf); err != nil {
 			b.Fatal(err)
 		}
 	}
