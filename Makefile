@@ -15,7 +15,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 # follow everywhere (test fixtures, generated tables).
 STATICCHECK_CHECKS ?= all,-ST1000,-ST1003
 
-.PHONY: build test race bench bench-smoke fmt vet lint lint-tools fuzz-smoke fleet-smoke trace-smoke escapecheck paper-digest ci
+.PHONY: build test race bench-smoke fmt vet lint lint-tools fuzz-smoke fleet-smoke trace-smoke escapecheck paper-digest ci
 
 build:
 	$(GO) build ./...
@@ -69,25 +69,6 @@ fleet-smoke:
 # JSON + binary spool) must validate. See scripts/tracesmoke.sh.
 trace-smoke:
 	sh scripts/tracesmoke.sh
-
-# Bench smoke: the Figure 3 benchmarks, the serial-vs-sharded Build pair,
-# the arena scheduler, and the 2000-node flood, one
-# iteration each (the scheduler microbenches get real benchtime via their
-# internal loops, the DNS ranking kernel runs one query per node of its
-# 3000-node registry, and the churn flood runs 25 floods per protocol,
-# about 150 leaves and arrivals each, so ns/op and allocs/op of a
-# membership change are tracked too). The engine pair catches
-# campaign-scheduling regressions (EngineParallel must beat EngineSerial
-# on multi-core runners); the Build pair catches regressions in the
-# sharded construction path; the scheduler and flood benches run with
-# -benchmem so allocs/op is printed. This is a compile-and-run smoke:
-# the zero-alloc scheduler gate is TestSteadyStateZeroAllocs, and timing
-# is measured by bench/ (what BENCHMARK.json runs).
-bench:
-	$(GO) test -bench='Figure3|^BenchmarkBuild|^BenchmarkFlood' -benchmem -benchtime=1x -timeout=20m .
-	$(GO) test -bench='^BenchmarkScheduler' -benchmem -benchtime=100000x .
-	$(GO) test -bench='^BenchmarkRecommend' -benchmem -benchtime=3000x .
-	$(GO) test -bench='^BenchmarkChurnFlood' -benchmem -benchtime=25x .
 
 # The repository benchmark (bench/, what BENCHMARK.json runs) is a nested
 # module that root `go test ./...` never sees: vet it and run its tests,
@@ -143,4 +124,4 @@ lint:
 		echo "lint: govulncheck not installed; skipping (make lint-tools)"; \
 	fi
 
-ci: build fmt vet lint escapecheck test paper-digest bench-smoke race fuzz-smoke fleet-smoke trace-smoke bench
+ci: build fmt vet lint escapecheck test paper-digest bench-smoke race fuzz-smoke fleet-smoke trace-smoke

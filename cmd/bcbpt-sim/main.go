@@ -16,7 +16,6 @@
 package main
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -25,12 +24,10 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"regexp"
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
 	"slices"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -49,7 +46,7 @@ func main() {
 	o.RegisterFlags(flag.CommandLine)
 	flag.BoolVar(&o.ChurnOn, "churn", false, "enable join/leave churn during measurement")
 	flag.IntVar(&o.Workers, "workers", runtime.GOMAXPROCS(0), "campaign-engine worker pool size")
-	flag.StringVar(&o.Trace, "trace", "", "export a sim-time event trace of the first campaign (replication 0) as Chrome trace_event JSON to this file, plus a binary spool at <file>.bin; open in Perfetto (ui.perfetto.dev)")
+	flag.StringVar(&o.Trace, "trace", "", "export a sim-time event trace of the first campaign (replication 0) as Chrome trace_event JSON to this file, plus a binary spool at <file>.bin; open in Perfetto (ui.perfetto.dev) (figure3/figure4/variance-connections only)")
 	var (
 		exp         = flag.String("experiment", "figure3", "experiment: figure3|figure4|variance-connections|overhead|eclipse|partition|crawl|doublespend|forks")
 		threshold   = flag.Duration("dt", 25*time.Millisecond, "BCBPT latency threshold")
@@ -60,6 +57,10 @@ func main() {
 		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
+	if err := checkFlags(*exp, o.Trace, *csvPath); err != nil {
+		fmt.Fprintf(os.Stderr, "bcbpt-sim: %v\n", err)
+		os.Exit(1)
+	}
 	// The engine may not read the wall clock itself; with one injected it
 	// times every unit's build and run (printPhaseSplit).
 	o.Metrics = obs.NewRegistry()
@@ -152,8 +153,7 @@ func run(ctx context.Context, exp string, o experiment.Options, dt time.Duration
 	campaigns := engineCampaigns(exp, o)
 	defer func() {
 		fmt.Printf("\n(wall time %v)\n", time.Since(start).Round(time.Millisecond))
-		times := readUnitTimes(o.Metrics)
-		printPhaseSplit(newRunManifest(exp, o, campaigns, times), times)
+		printPhaseSplit(newRunManifest(exp, o, campaigns))
 		printTraceLoss(o.Metrics)
 	}()
 
@@ -164,7 +164,7 @@ func run(ctx context.Context, exp string, o experiment.Options, dt time.Duration
 			figure = experiment.Figure4Ctx
 		}
 		fig, err := figure(ctx, o)
-		if err := printFigure(fig, err, csvPath, newRunManifest(exp, o, campaigns, readUnitTimes(o.Metrics))); err != nil {
+		if err := printFigure(fig, err, csvPath, newRunManifest(exp, o, campaigns)); err != nil {
 			return err
 		}
 	case "variance-connections":
@@ -217,46 +217,23 @@ func engineCampaigns(exp string, o experiment.Options) []experiment.CampaignSpec
 	return nil
 }
 
-// unitTimes is the wall time the engine recorded for one series' units:
-// network build and measurement run, summed, and how many units that is.
-type unitTimes struct{ build, run, units float64 }
-
-// unitSecondsRe matches the sum and count lines of the per-series unit
-// timing summaries experiment.Runner records.
-var unitSecondsRe = regexp.MustCompile(`(?m)^bcbpt_sweep_unit_(build|run)_seconds_(sum|count)\{series="(.*)"\} (\S+)$`)
-
-// readUnitTimes reads the per-series unit timings back from the registry,
-// which renders itself as Prometheus text and nothing else.
-func readUnitTimes(reg *obs.Registry) map[string]unitTimes {
-	var text bytes.Buffer
-	if err := reg.WritePrometheus(&text); err != nil {
-		return nil
+// checkFlags refuses a flag the experiment would not honour: -csv is
+// written by the figures alone, and -trace by the experiments that sweep
+// through the campaign engine.
+func checkFlags(exp, trace, csvPath string) error {
+	if csvPath != "" && exp != "figure3" && exp != "figure4" {
+		return fmt.Errorf("-csv: experiment %q writes no CDF data (figure3 and figure4 do)", exp)
 	}
-	times := map[string]unitTimes{}
-	for _, m := range unitSecondsRe.FindAllStringSubmatch(text.String(), -1) {
-		phase, field, series := m[1], m[2], m[3]
-		v, err := strconv.ParseFloat(m[4], 64)
-		if err != nil {
-			continue
-		}
-		ut := times[series]
-		switch {
-		case field == "count":
-			ut.units = v
-		case phase == "build":
-			ut.build = v
-		default:
-			ut.run = v
-		}
-		times[series] = ut
+	if trace != "" && engineCampaigns(exp, experiment.Options{}) == nil {
+		return fmt.Errorf("-trace: experiment %q is not a campaign sweep (figure3, figure4 and variance-connections are)", exp)
 	}
-	return times
+	return nil
 }
 
 // runManifest is what a figure's CSV is written with (<csv>.manifest.json):
 // the engine's deterministic account of the run (experiment.Manifest) plus
-// what only this binary knows — the worker counts it resolved, the Go
-// version and VCS revision it was built from, and each campaign's walls.
+// what only this binary knows — the worker counts it resolved and the Go
+// version and VCS revision it was built from.
 type runManifest struct {
 	experiment.Manifest
 	Workers      int    `json:"workers"`
@@ -268,7 +245,7 @@ type runManifest struct {
 
 // newRunManifest assembles the manifest of a finished (or interrupted) run
 // of exp: experiment.NewManifest's part, then this binary's.
-func newRunManifest(exp string, o experiment.Options, campaigns []experiment.CampaignSpec, times map[string]unitTimes) runManifest {
+func newRunManifest(exp string, o experiment.Options, campaigns []experiment.CampaignSpec) runManifest {
 	m := runManifest{
 		Manifest:     experiment.NewManifest(exp, o, campaigns),
 		Workers:      o.Workers,
@@ -291,10 +268,6 @@ func newRunManifest(exp string, o experiment.Options, campaigns []experiment.Cam
 			}
 		}
 	}
-	for i := range m.Campaigns {
-		c := &m.Campaigns[i]
-		c.BuildSeconds, c.RunSeconds = times[c.Name].build, times[c.Name].run
-	}
 	return m
 }
 
@@ -308,18 +281,17 @@ func newRunManifest(exp string, o experiment.Options, campaigns []experiment.Cam
 // message as an event). With several workers the units overlap and the sums
 // exceed the wall time above. Experiments that do not go through the
 // campaign engine print nothing.
-func printPhaseSplit(m runManifest, times map[string]unitTimes) {
+func printPhaseSplit(m runManifest) {
 	byDispatch := slices.Clone(m.Campaigns)
 	slices.SortStableFunc(byDispatch, func(a, b experiment.CampaignManifest) int {
 		return cmp.Compare(a.Dispatch[0], b.Dispatch[0])
 	})
 	for _, c := range byDispatch {
-		ut, ok := times[c.Name]
-		if !ok {
+		if c.Timed == 0 {
 			continue // no unit of it ran
 		}
-		fmt.Printf("(wall time of %.0f unit(s): experiment.build_s.%s %.3f s, experiment.run_s.%s %.3f s, sim.events.%s %d, est.events.%s %d)\n",
-			ut.units, c.Name, ut.build, c.Name, ut.run, c.Name, c.Events, c.Name, c.ExpectedEvents)
+		fmt.Printf("(wall time of %d unit(s): experiment.build_s.%s %.3f s, experiment.run_s.%s %.3f s, sim.events.%s %d, est.events.%s %d)\n",
+			c.Timed, c.Name, c.BuildSeconds, c.Name, c.RunSeconds, c.Name, c.Events, c.Name, c.ExpectedEvents)
 	}
 }
 

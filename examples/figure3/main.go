@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -15,7 +16,7 @@ import (
 )
 
 func main() {
-	fig, err := experiment.Figure3(experiment.Options{
+	fig, err := experiment.Figure3Ctx(context.Background(), experiment.Options{
 		Nodes:    400,
 		Runs:     60,
 		Seed:     1,

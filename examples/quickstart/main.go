@@ -29,7 +29,7 @@ func main() {
 	fmt.Printf("BCBPT clustered %d nodes into %d clusters (dt=%v)\n",
 		built.Net.NumNodes(), len(clusters), cfg.Threshold)
 
-	res, err := built.Campaign(25, time.Minute)
+	res, err := built.CampaignContext(context.Background(), 25, time.Minute)
 	if err != nil {
 		log.Fatalf("campaign: %v", err)
 	}

@@ -56,7 +56,7 @@ func TestBuildShardedDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		fp := fingerprint(b)
-		res, err := b.Campaign(8, time.Minute)
+		res, err := b.CampaignContext(context.Background(), 8, time.Minute)
 		if err != nil {
 			t.Fatalf("workers=%d campaign: %v", workers, err)
 		}

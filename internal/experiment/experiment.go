@@ -2,14 +2,14 @@
 // (§V): network construction under each protocol, the measuring-node
 // campaign, and one generator per figure/claim:
 //
-//   - Figure3: Δt distributions for simulated Bitcoin vs LBC vs BCBPT
+//   - Figure3Ctx: Δt distributions for simulated Bitcoin vs LBC vs BCBPT
 //     (dt = 25ms);
-//   - Figure4: Δt distributions for BCBPT at dt ∈ {30, 50, 100}ms;
-//   - VarianceVsConnections: the §V.C claim that Bitcoin's delay spread
+//   - Figure4Ctx: Δt distributions for BCBPT at dt ∈ {30, 50, 100}ms;
+//   - VarianceVsConnectionsCtx: the §V.C claim that Bitcoin's delay spread
 //     grows with the measuring node's connection count while BCBPT's
 //     stays flat;
-//   - Overhead: the §IV.A ping-measurement overhead deferred by the paper
-//     to future work.
+//   - OverheadCtx: the §IV.A ping-measurement overhead deferred by the
+//     paper to future work.
 package experiment
 
 import (
@@ -78,8 +78,6 @@ type Spec struct {
 	// BaseUTXO seeds every node's ledger view (Full validation only).
 	// Not serializable: fleet sweeps must leave it nil.
 	BaseUTXO *chain.UTXOSet `json:"-"`
-	// Relay overrides the propagation exchange (default RelayInv).
-	Relay p2p.RelayMode `json:"relay,omitempty"`
 	// LossProb injects message loss (see p2p.Config.LossProb).
 	LossProb float64 `json:"loss_prob,omitempty"`
 }
@@ -186,7 +184,6 @@ func Build(ctx context.Context, spec Spec) (*Built, error) {
 	pcfg.Seed = spec.Seed
 	pcfg.Validation = spec.Validation
 	pcfg.BaseUTXO = spec.BaseUTXO
-	pcfg.Relay = spec.Relay
 	pcfg.LossProb = spec.LossProb
 	if spec.MeasuringConnections > pcfg.MaxPeers {
 		pcfg.MaxPeers = spec.MeasuringConnections + 8
@@ -434,14 +431,9 @@ func txFactory(seed int64) func(i int) *chain.Tx {
 	}
 }
 
-// Campaign runs the standard measurement campaign against a built
-// network and returns the pooled Δt distribution.
-func (b *Built) Campaign(runs int, deadline time.Duration) (measure.CampaignResult, error) {
-	return b.CampaignContext(context.Background(), runs, deadline)
-}
-
-// CampaignContext is Campaign with cooperative cancellation: the campaign
-// stops between injections once ctx is done, returning the partial result
+// CampaignContext runs the standard measurement campaign against a built
+// network and returns the pooled Δt distribution. The campaign stops
+// between injections once ctx is done, returning the partial result
 // together with an error wrapping ctx.Err().
 func (b *Built) CampaignContext(ctx context.Context, runs int, deadline time.Duration) (measure.CampaignResult, error) {
 	return b.Measurer.RunContext(ctx, measure.Campaign{

@@ -70,7 +70,7 @@ func TestCampaignProducesSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := b.Campaign(10, time.Minute)
+	res, err := b.CampaignContext(context.Background(), 10, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestFigure3Shape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := b.Campaign(o.Runs, o.Deadline)
+		res, err := b.CampaignContext(context.Background(), o.Runs, o.Deadline)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -212,7 +212,7 @@ func TestFigure4Shape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("dt=%v: %v", dt, err)
 		}
-		res, err := b.Campaign(o.Runs, o.Deadline)
+		res, err := b.CampaignContext(context.Background(), o.Runs, o.Deadline)
 		if err != nil {
 			t.Fatalf("dt=%v: %v", dt, err)
 		}
@@ -238,7 +238,7 @@ func TestVarianceVsConnectionsShape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%d: %v", kind, k, err)
 		}
-		res, err := b.Campaign(o.Runs, o.Deadline)
+		res, err := b.CampaignContext(context.Background(), o.Runs, o.Deadline)
 		if err != nil {
 			t.Fatalf("%s/%d: %v", kind, k, err)
 		}
@@ -293,7 +293,7 @@ func TestFigureResultString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := b.Campaign(o.Runs, o.Deadline)
+	res, err := b.CampaignContext(context.Background(), o.Runs, o.Deadline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestChurnDuringCampaignStillMeasures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := b.Campaign(15, time.Minute)
+	res, err := b.CampaignContext(context.Background(), 15, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,11 +40,12 @@ type Options struct {
 	// Replications fans each campaign over this many independently
 	// seeded networks (default 1); samples pool across replications.
 	Replications int
-	// Trace, when non-empty, exports a sim-time event trace of the
-	// figure's first campaign (replication 0) as Chrome trace_event JSON
-	// at this path plus a binary spool at path+".bin" (see
-	// CampaignSpec.Trace). Purely observational: figure output is
-	// byte-identical with it on or off.
+	// Trace, when non-empty, exports a sim-time event trace of a sweep's
+	// first campaign (replication 0) as Chrome trace_event JSON at this
+	// path plus a binary spool at path+".bin" (see CampaignSpec.Trace).
+	// The sweeps — the figures and the variance grid — honour it; Overhead
+	// does not. Purely observational: output is byte-identical with it on
+	// or off.
 	Trace string
 	// Metrics and Clock configure the campaign engine's telemetry (see
 	// Runner.Metrics and Runner.Clock). Both optional and observational.
@@ -90,6 +91,16 @@ func (o Options) runner() *Runner {
 	r.Metrics = o.Metrics
 	r.Clock = o.Clock
 	return r
+}
+
+// sweep runs the campaigns on that engine, the first of them traced when
+// o.Trace is set: one canonical trace per sweep, the first campaign's
+// replication 0 — tracing every series would race for the file.
+func (o Options) sweep(ctx context.Context, campaigns []CampaignSpec) ([]CampaignOutcome, error) {
+	if o.Trace != "" && len(campaigns) > 0 {
+		campaigns[0].Trace = o.Trace
+	}
+	return o.runner().Sweep(ctx, campaigns)
 }
 
 // campaign assembles a CampaignSpec for one series under the shared
@@ -190,12 +201,7 @@ func buildSpec(o Options, proto ProtocolKind, bcbpt core.Config) Spec {
 // partial figure together with the ErrPartialResult-wrapping error, so
 // callers can render what completed.
 func sweepFigure(ctx context.Context, o Options, title string, campaigns []CampaignSpec) (FigureResult, error) {
-	if o.Trace != "" && len(campaigns) > 0 {
-		// One canonical trace per figure: the first campaign's
-		// replication 0 — tracing every series would race for the file.
-		campaigns[0].Trace = o.Trace
-	}
-	outcomes, err := o.runner().Sweep(ctx, campaigns)
+	outcomes, err := o.sweep(ctx, campaigns)
 	if err != nil && !errors.Is(err, ErrPartialResult) {
 		return FigureResult{}, err
 	}
@@ -209,14 +215,6 @@ func sweepFigure(ctx context.Context, o Options, title string, campaigns []Campa
 		out.Series = append(out.Series, Series{Name: oc.Name, Dist: oc.Result.Dist, Lost: oc.Result.Lost})
 	}
 	return out, err
-}
-
-// Figure3 regenerates Fig. 3: the Δt(m,n) distribution of the simulated
-// Bitcoin protocol vs LBC vs BCBPT at dt = 25ms. The expected shape (the
-// paper's headline result): BCBPT's distribution sits left of LBC's,
-// which sits left of Bitcoin's.
-func Figure3(o Options) (FigureResult, error) {
-	return Figure3Ctx(context.Background(), o)
 }
 
 // Figure3Campaigns returns the campaign list behind Fig. 3 — the three
@@ -246,29 +244,22 @@ func Figure3Campaigns(o Options) []CampaignSpec {
 // Figure3Title is the figure heading shared by every Fig. 3 frontend.
 const Figure3Title = "Fig. 3 — Δt(m,n) distribution: Bitcoin vs LBC vs BCBPT (dt=25ms)"
 
-// Figure3Ctx is Figure3 on the campaign engine: the three series (and
-// their replications) are scheduled as one work queue.
+// Figure3Ctx regenerates Fig. 3: the Δt(m,n) distribution of the simulated
+// Bitcoin protocol vs LBC vs BCBPT at dt = 25ms. The expected shape (the
+// paper's headline result): BCBPT's distribution sits left of LBC's,
+// which sits left of Bitcoin's. The three series (and their replications)
+// are scheduled on the campaign engine as one work queue.
 func Figure3Ctx(ctx context.Context, o Options) (FigureResult, error) {
 	o = o.withDefaults()
 	return sweepFigure(ctx, o, Figure3Title, Figure3Campaigns(o))
 }
 
-// Figure4 regenerates Fig. 4: BCBPT Δt distributions at thresholds 30,
-// 50 and 100 ms. Expected shape: smaller dt → tighter distribution
-// ("less distance threshold performs less variance of delays", §V.C).
-func Figure4(o Options) (FigureResult, error) {
-	return Figure4Ctx(context.Background(), o)
-}
-
-// Figure4Ctx is Figure4 on the campaign engine; it owns the paper's
-// canonical threshold set.
+// Figure4Ctx regenerates Fig. 4: BCBPT Δt distributions at the paper's
+// thresholds, 30, 50 and 100 ms. Expected shape: smaller dt → tighter
+// distribution ("less distance threshold performs less variance of
+// delays", §V.C).
 func Figure4Ctx(ctx context.Context, o Options) (FigureResult, error) {
 	return ThresholdSweepCtx(ctx, o, Figure4Thresholds())
-}
-
-// ThresholdSweep generalises Fig. 4 to any threshold set.
-func ThresholdSweep(o Options, thresholds []time.Duration) (FigureResult, error) {
-	return ThresholdSweepCtx(context.Background(), o, thresholds)
 }
 
 // ThresholdSweepCampaigns returns the campaign list of a threshold sweep:
@@ -293,8 +284,8 @@ func Figure4Thresholds() []time.Duration {
 // Figure4Title is the figure heading shared by every Fig. 4 frontend.
 const Figure4Title = "Fig. 4 — BCBPT Δt(m,n) distribution by threshold dt"
 
-// ThresholdSweepCtx schedules the whole threshold set as one engine work
-// queue.
+// ThresholdSweepCtx generalises Fig. 4 to any threshold set, scheduled as
+// one engine work queue.
 func ThresholdSweepCtx(ctx context.Context, o Options, thresholds []time.Duration) (FigureResult, error) {
 	o = o.withDefaults()
 	return sweepFigure(ctx, o, Figure4Title, ThresholdSweepCampaigns(o, thresholds))
@@ -335,14 +326,6 @@ func (v VarianceResult) String() string {
 	return b.String()
 }
 
-// VarianceVsConnections reproduces the §V.C observation: "the Bitcoin
-// protocol performs variances of delays that grow linearly with the
-// number of connected nodes, whereas BCBPT maintains lower variances of
-// delays regardless of the number of connected nodes."
-func VarianceVsConnections(o Options, connections []int) (VarianceResult, error) {
-	return VarianceVsConnectionsCtx(context.Background(), o, connections)
-}
-
 // VarianceCampaigns returns the campaign list of the connection-count
 // sweep: one campaign per protocol × measuring-node connection count
 // (default 8 to 64). Exported for the same reason as Figure3Campaigns.
@@ -362,12 +345,15 @@ func VarianceCampaigns(o Options, connections []int) []CampaignSpec {
 	return campaigns
 }
 
-// VarianceVsConnectionsCtx schedules the full protocol × connection-count
-// grid as one engine work queue.
+// VarianceVsConnectionsCtx reproduces the §V.C observation: "the Bitcoin
+// protocol performs variances of delays that grow linearly with the
+// number of connected nodes, whereas BCBPT maintains lower variances of
+// delays regardless of the number of connected nodes." The full protocol ×
+// connection-count grid is scheduled as one engine work queue.
 func VarianceVsConnectionsCtx(ctx context.Context, o Options, connections []int) (VarianceResult, error) {
 	o = o.withDefaults()
 	campaigns := VarianceCampaigns(o, connections)
-	outcomes, err := o.runner().Sweep(ctx, campaigns)
+	outcomes, err := o.sweep(ctx, campaigns)
 	if err != nil && !errors.Is(err, ErrPartialResult) {
 		return VarianceResult{}, fmt.Errorf("experiment: variance sweep: %w", err)
 	}
@@ -408,19 +394,15 @@ func (o OverheadResult) String() string {
 		o.PingMsgsPerNode, o.CampaignMsgs)
 }
 
-// Overhead measures the extra traffic BCBPT's ping measurement adds
+// OverheadCtx measures the extra traffic BCBPT's ping measurement adds
 // relative to the random baseline — the cost the paper defers to future
 // work ("this overhead will be evaluated in our future work", §IV.A).
-func Overhead(o Options) ([]OverheadResult, error) {
-	return OverheadCtx(context.Background(), o)
-}
-
-// OverheadCtx runs the two protocol builds concurrently on the engine's
-// pool. Each unit needs its own network handle for before/after traffic
-// stats, so it runs on the engine's unit pool (runUnits, in index order)
-// rather than through the campaign sweep. On cancellation it returns the
-// units that completed together with an error wrapping ErrPartialResult
-// and ctx.Err(), matching Sweep.
+// The two protocol builds run concurrently on the engine's pool. Each unit
+// needs its own network handle for before/after traffic stats, so it runs
+// on the engine's unit pool (runUnits, in index order) rather than through
+// the campaign sweep. On cancellation it returns the units that completed
+// together with an error wrapping ErrPartialResult and ctx.Err(), matching
+// Sweep.
 func OverheadCtx(ctx context.Context, o Options) ([]OverheadResult, error) {
 	o = o.withDefaults()
 	protos := []ProtocolKind{ProtoBitcoin, ProtoBCBPT}

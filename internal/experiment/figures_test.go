@@ -21,7 +21,7 @@ func TestFigure3Pipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-network pipeline")
 	}
-	fig, err := Figure3(tinyOpts())
+	fig, err := Figure3Ctx(context.Background(), tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFigure4Pipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-network pipeline")
 	}
-	fig, err := Figure4(tinyOpts())
+	fig, err := Figure4Ctx(context.Background(), tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestThresholdSweepCustom(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-network pipeline")
 	}
-	fig, err := ThresholdSweep(tinyOpts(), []time.Duration{40 * time.Millisecond})
+	fig, err := ThresholdSweepCtx(context.Background(), tinyOpts(), []time.Duration{40 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestVarianceVsConnectionsPipeline(t *testing.T) {
 		t.Skip("multi-network pipeline")
 	}
 	o := tinyOpts()
-	res, err := VarianceVsConnections(o, []int{6, 12})
+	res, err := VarianceVsConnectionsCtx(context.Background(), o, []int{6, 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,28 @@ func TestVarianceVsConnectionsPipeline(t *testing.T) {
 	}
 }
 
+// TestVarianceSweepWritesTrace: Options.Trace exports the variance sweep's
+// first campaign, replication 0, as it does a figure's.
+func TestVarianceSweepWritesTrace(t *testing.T) {
+	o := tinyOpts()
+	o.Trace = filepath.Join(t.TempDir(), "variance.json")
+	if _, err := VarianceVsConnectionsCtx(context.Background(), o, []int{6}); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{o.Trace, o.Trace + ".bin"} {
+		if fi, err := os.Stat(path); err != nil {
+			t.Errorf("no trace: %v", err)
+		} else if fi.Size() == 0 {
+			t.Errorf("trace %s is empty", path)
+		}
+	}
+}
+
 func TestOverheadPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-network pipeline")
 	}
-	res, err := Overhead(tinyOpts())
+	res, err := OverheadCtx(context.Background(), tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,20 +180,13 @@ func TestOverheadPipeline(t *testing.T) {
 }
 
 func TestBuildRelayAndLossPlumbing(t *testing.T) {
-	// Spec.Relay and Spec.LossProb must reach the p2p config.
+	// Spec.LossProb must reach the p2p config.
 	b, err := Build(context.Background(), Spec{Nodes: 10, Seed: 3, Protocol: ProtoBitcoin, LossProb: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := b.Net.Config().LossProb; got != 0.1 {
 		t.Errorf("LossProb = %v, want 0.1", got)
-	}
-	b, err = Build(context.Background(), Spec{Nodes: 10, Seed: 3, Protocol: ProtoBitcoin, Relay: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Net.Config().Relay; got != 1 {
-		t.Errorf("Relay = %v, want direct", got)
 	}
 }
 

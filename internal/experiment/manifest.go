@@ -3,11 +3,11 @@ package experiment
 import "fmt"
 
 // Manifest says what a sweep ran, in the part that is a pure function of
-// the experiment, its options and what its units dispatched: the same at
-// every worker count, which is how a test pins it. A frontend adds what
-// only it can know — the worker counts, its binary's Go version and VCS
-// revision, and each campaign's build and run wall (experiment reads no
-// clock).
+// the experiment, its options and what its units dispatched — the same at
+// every worker count, which is how a test pins it — plus each campaign's
+// build and run wall, timed by the clock the frontend injected (experiment
+// reads none). A frontend adds what only it can know: the worker counts
+// and its binary's Go version and VCS revision.
 type Manifest struct {
 	Experiment   string             `json:"experiment"`
 	Nodes        int                `json:"nodes"`
@@ -33,16 +33,19 @@ type CampaignManifest struct {
 	// they dispatched, each summed over the campaign's units.
 	ExpectedEvents uint64 `json:"expected_events"`
 	Events         uint64 `json:"events"`
-	// BuildSeconds and RunSeconds are the units' summed build and run
-	// wall, which the frontend fills in.
+	// BuildSeconds and RunSeconds are the build and run wall summed over
+	// the Timed units, those that reported under o.Clock; Timed is not
+	// written, as a complete run's is Units.
 	BuildSeconds float64 `json:"build_s"`
 	RunSeconds   float64 `json:"run_s"`
+	Timed        int     `json:"-"`
 }
 
 // NewManifest builds the manifest of the named experiment's sweep of
-// campaigns under o. Each campaign's Events are read from o.Metrics, where
-// the runner adds every unit's count under the campaign's name (zero
-// without a registry; campaigns sharing a name share one count).
+// campaigns under o. Each campaign's Events and walls are read from
+// o.Metrics, where the runner records every unit under the campaign's name
+// (zero without a registry or, for the walls, a clock; campaigns sharing a
+// name share one count).
 func NewManifest(name string, o Options, campaigns []CampaignSpec) Manifest {
 	o = o.withDefaults()
 	m := Manifest{
@@ -64,7 +67,10 @@ func NewManifest(name string, o Options, campaigns []CampaignSpec) Manifest {
 			ExpectedEvents: c.expectedEvents() * uint64(c.Replications),
 		}
 		if o.Metrics != nil {
-			cm.Events = o.Metrics.Counter(unitEventsMetric + seriesLabel(c.Name)).Value()
+			label := seriesLabel(c.Name)
+			build, run := o.Metrics.Histogram(unitBuildMetric+label), o.Metrics.Histogram(unitRunMetric+label)
+			cm.Events = o.Metrics.Counter(unitEventsMetric + label).Value()
+			cm.BuildSeconds, cm.RunSeconds, cm.Timed = build.Sum().Seconds(), run.Sum().Seconds(), build.Count()
 		}
 		for i := range c.Replications {
 			cm.Seeds = append(cm.Seeds, c.ReplicationSeed(i))

@@ -3,10 +3,30 @@ package experiment
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
+
+// TestManifestReadsUnitWalls: a campaign's walls are the sums the runner
+// recorded under the injected clock. On one worker, a clock that advances
+// 1 ms per reading makes every build and every run last exactly 1 ms.
+func TestManifestReadsUnitWalls(t *testing.T) {
+	var now atomic.Int64
+	o := tinyOpts()
+	o.Runs, o.Replications, o.Workers, o.Metrics = 2, 2, 1, obs.NewRegistry()
+	o.Clock = func() int64 { return now.Add(int64(time.Millisecond)) }
+	if _, err := Figure3Ctx(context.Background(), o); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range NewManifest("figure3", o, Figure3Campaigns(o)).Campaigns {
+		if c.Timed != 2 || c.BuildSeconds != 0.002 || c.RunSeconds != 0.002 {
+			t.Errorf("campaign %s: %d units timed, build %g s, run %g s; want 2, 0.002, 0.002", c.Name, c.Timed, c.BuildSeconds, c.RunSeconds)
+		}
+	}
+}
 
 // TestManifestSameAtEveryWorkerCount pins the deterministic part of a
 // run's manifest: a figure swept on one worker and on two says the same

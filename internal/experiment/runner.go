@@ -407,8 +407,13 @@ const (
 )
 
 // unitEventsMetric names the per-series counter of the events a sweep's
-// units dispatched (label: seriesLabel).
-const unitEventsMetric = "bcbpt_sweep_unit_events_total"
+// units dispatched, and unitBuildMetric and unitRunMetric the per-series
+// histograms of their build and run walls (label: seriesLabel).
+const (
+	unitEventsMetric = "bcbpt_sweep_unit_events_total"
+	unitBuildMetric  = "bcbpt_sweep_unit_build_seconds"
+	unitRunMetric    = "bcbpt_sweep_unit_run_seconds"
+)
 
 // seriesLabel is the label the per-unit metrics carry a campaign's name in.
 func seriesLabel(series string) string { return fmt.Sprintf("{series=%q}", series) }
@@ -433,8 +438,8 @@ func (r *Runner) observeUnit(series string, uo UnitObservation, failed bool) {
 		r.Metrics.Counter(TraceDroppedMetric).Add(uo.TraceDropped)
 	}
 	if r.Clock != nil {
-		r.Metrics.Histogram("bcbpt_sweep_unit_build_seconds" + label).Observe(time.Duration(uo.BuildNanos))
-		r.Metrics.Histogram("bcbpt_sweep_unit_run_seconds" + label).Observe(time.Duration(uo.RunNanos))
+		r.Metrics.Histogram(unitBuildMetric + label).Observe(time.Duration(uo.BuildNanos))
+		r.Metrics.Histogram(unitRunMetric + label).Observe(time.Duration(uo.RunNanos))
 	}
 }
 

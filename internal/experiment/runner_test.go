@@ -77,7 +77,8 @@ func TestEngineDeterministicAcrossWorkerCounts(t *testing.T) {
 
 // TestEngineSingleReplicationMatchesSerialPath pins back-compatibility:
 // one replication through the engine must reproduce the direct
-// Build+Campaign result bit for bit (replication 0 keeps the base seed).
+// Build+CampaignContext result bit for bit (replication 0 keeps the base
+// seed).
 func TestEngineSingleReplicationMatchesSerialPath(t *testing.T) {
 	o := engineOpts()
 	o.Replications = 1
@@ -87,7 +88,7 @@ func TestEngineSingleReplicationMatchesSerialPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := b.Campaign(o.Runs, o.Deadline)
+	serial, err := b.CampaignContext(context.Background(), o.Runs, o.Deadline)
 	if err != nil {
 		t.Fatal(err)
 	}

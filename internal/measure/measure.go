@@ -242,11 +242,6 @@ type CampaignResult struct {
 	Fingerprint uint64
 }
 
-// Run executes the campaign on the measuring node.
-func (m *MeasuringNode) Run(c Campaign) (CampaignResult, error) {
-	return m.RunContext(context.Background(), c)
-}
-
 // RunContext executes the campaign, checking ctx between injections and
 // inside each injection's event loop. On cancellation it returns the
 // partial result accumulated from the runs that completed, together with

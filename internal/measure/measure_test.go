@@ -241,7 +241,7 @@ func TestCampaignPoolsRuns(t *testing.T) {
 	}
 	node, _ := net.Node(ids[0])
 	const runs = 10
-	res, err := m.Run(Campaign{
+	res, err := m.RunContext(context.Background(), Campaign{
 		Runs:     runs,
 		Deadline: time.Minute,
 		MakeTx:   func(i int) *chain.Tx { return mkTx(t, 100+i) },
@@ -281,7 +281,7 @@ func TestCampaignIsItsInjectionsPooled(t *testing.T) {
 	makeTx := func(i int) *chain.Tx { return mkTx(t, 500+i) }
 
 	_, m := measuring()
-	res, err := m.Run(Campaign{Runs: runs, Deadline: deadline, MakeTx: makeTx})
+	res, err := m.RunContext(context.Background(), Campaign{Runs: runs, Deadline: deadline, MakeTx: makeTx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,10 +316,10 @@ func TestCampaignValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(Campaign{Runs: 0, MakeTx: func(int) *chain.Tx { return mkTx(t, 0) }}); err == nil {
+	if _, err := m.RunContext(context.Background(), Campaign{Runs: 0, MakeTx: func(int) *chain.Tx { return mkTx(t, 0) }}); err == nil {
 		t.Error("accepted Runs=0")
 	}
-	if _, err := m.Run(Campaign{Runs: 1}); err == nil {
+	if _, err := m.RunContext(context.Background(), Campaign{Runs: 1}); err == nil {
 		t.Error("accepted nil MakeTx")
 	}
 	if _, err := NewMeasuringNode(net, 9999); err == nil {
@@ -483,7 +483,7 @@ func TestMergeCampaignResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(base int) CampaignResult {
-		res, err := m.Run(Campaign{
+		res, err := m.RunContext(context.Background(), Campaign{
 			Runs:     3,
 			Deadline: time.Minute,
 			MakeTx:   func(i int) *chain.Tx { return mkTx(t, base+i) },

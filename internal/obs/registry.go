@@ -53,6 +53,20 @@ func (h *Histogram) ObserveN(v time.Duration, count uint64) {
 	h.mu.Unlock()
 }
 
+// Sum returns the exact total of every duration observed.
+func (h *Histogram) Sum() time.Duration {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.s.Sum()
+}
+
+// Count returns how many durations were observed.
+func (h *Histogram) Count() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.s.N()
+}
+
 // quantiles exposed per histogram, ascending.
 var histQuantiles = []float64{0.5, 0.9, 0.99}
 

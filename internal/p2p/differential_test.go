@@ -34,10 +34,9 @@ type seenEvent struct {
 }
 
 // diffConfig builds the shared config for one differential run.
-func diffConfig(validation ValidationMode, relay RelayMode, loss bool, seed int64) Config {
+func diffConfig(validation ValidationMode, loss bool, seed int64) Config {
 	cfg := DefaultConfig()
 	cfg.Validation = validation
-	cfg.Relay = relay
 	cfg.Seed = seed
 	cfg.PingInterval = 0
 	if loss {
@@ -399,7 +398,7 @@ func runScript(t testing.TB, cfg Config, script []byte) {
 }
 
 // TestFlatNodeMatchesReference pins the flat layout to the map-based
-// oracle across validation modes, relay modes, loss injection and churn.
+// oracle across validation modes, loss injection and churn.
 func TestFlatNodeMatchesReference(t *testing.T) {
 	scripts := map[string][]byte{
 		"flood":  {2, 0, 0, 3, 10, 0, 2, 5, 0, 3, 50, 0},
@@ -420,22 +419,21 @@ func TestFlatNodeMatchesReference(t *testing.T) {
 		"mixed-ops":   {6, 0, 1, 2, 3, 0, 3, 40, 0, 5, 7, 0, 0, 1, 8, 2, 2, 0, 3, 90, 0, 4, 0, 0, 2, 5, 0},
 		"mid-flight":  {2, 0, 0, 3, 1, 0, 5, 4, 0, 3, 1, 0, 5, 6, 0, 3, 100, 0},
 	}
+	// "inv" in a mode's name is the INV/GETDATA/TX exchange every mode runs.
 	type mode struct {
 		name       string
 		validation ValidationMode
-		relay      RelayMode
 		loss       bool
 	}
 	modes := []mode{
-		{"light-inv", ValidationLight, RelayInv, false},
-		{"none-inv", ValidationNone, RelayInv, false},
-		{"light-direct", ValidationLight, RelayDirect, false},
-		{"none-inv-loss", ValidationNone, RelayInv, true},
+		{"light-inv", ValidationLight, false},
+		{"none-inv", ValidationNone, false},
+		{"none-inv-loss", ValidationNone, true},
 	}
 	for _, m := range modes {
 		for name, script := range scripts {
 			t.Run(fmt.Sprintf("%s/%s", m.name, name), func(t *testing.T) {
-				runScript(t, diffConfig(m.validation, m.relay, m.loss, 42), script)
+				runScript(t, diffConfig(m.validation, m.loss, 42), script)
 			})
 		}
 	}
@@ -444,7 +442,7 @@ func TestFlatNodeMatchesReference(t *testing.T) {
 // TestFlatBlockRelayMatchesReference covers block submission, which the
 // byte scripts keep separate because mining has nonzero cost.
 func TestFlatBlockRelayMatchesReference(t *testing.T) {
-	cfg := diffConfig(ValidationLight, RelayInv, false, 9)
+	cfg := diffConfig(ValidationLight, false, 9)
 	h := newDiffHarness(t, cfg, 10)
 	ids := h.liveIDs()
 	for i := range ids {
@@ -498,49 +496,45 @@ func TestStalePositionMatchesReference(t *testing.T) {
 		{"moved", cutThen(func(h *diffHarness, recv NodeID) { h.connect(c, recv); h.connect(a, b) })},
 		{"bystander", func(h *diffHarness, recv NodeID) { h.disconnect(c, recv) }},
 	}
-	for _, relay := range []RelayMode{RelayInv, RelayDirect} {
-		for _, leg := range legs {
-			if relay == RelayDirect && leg.cmd != wire.CmdTx {
-				continue // direct relay pushes the TX: no INV or GETDATA leg
-			}
-			for _, v := range variants {
-				t.Run(fmt.Sprintf("%v/%s/%s", relay, leg.name, v.name), func(t *testing.T) {
-					h := newDiffHarness(t, diffConfig(ValidationLight, relay, false, 5), 4)
-					h.connect(a, b)
-					h.connect(b, d)
-					if v.name == "bystander" {
-						// c dials in, so a still announces to b alone.
-						h.connect(c, leg.recv)
+	for _, leg := range legs {
+		for _, v := range variants {
+			// "inv/" names the exchange, INV/GETDATA/TX, the legs belong to.
+			t.Run(fmt.Sprintf("inv/%s/%s", leg.name, v.name), func(t *testing.T) {
+				h := newDiffHarness(t, diffConfig(ValidationLight, false, 5), 4)
+				h.connect(a, b)
+				h.connect(b, d)
+				if v.name == "bystander" {
+					// c dials in, so a still announces to b alone.
+					h.connect(c, leg.recv)
+				}
+				h.submitTx(a)
+				// Step until the leg's first message is on the wire
+				// (sent, not yet handled: nothing answers it yet).
+				for i := 0; h.flat.Stats().Messages[leg.cmd] == 0; i++ {
+					if i > 10_000 {
+						t.Fatalf("no %v sent", leg.cmd)
 					}
-					h.submitTx(a)
-					// Step until the leg's first message is on the wire
-					// (sent, not yet handled: nothing answers it yet).
-					for i := 0; h.flat.Stats().Messages[leg.cmd] == 0; i++ {
-						if i > 10_000 {
-							t.Fatalf("no %v sent", leg.cmd)
-						}
-						h.runFor(100 * time.Microsecond)
-					}
-					fn, _ := h.flat.Node(leg.recv)
-					sender := a + b - leg.recv
-					carried, epoch := fn.peerPos(sender), fn.tabEpoch
-					v.churn(h, leg.recv)
-					if fn.tabEpoch == epoch {
-						t.Fatalf("node %d's table epoch stayed %d: the delivery's position would go unchecked", leg.recv, epoch)
-					}
-					switch got := fn.peerPos(sender); {
-					case v.name == "moved" && got == carried:
-						t.Fatalf("sender kept position %d across the reconnect", got)
-					case (v.name == "same" || v.name == "bystander") && got != carried:
-						t.Fatalf("sender moved from position %d to %d", carried, got)
-					}
-					h.drain()
-					h.compare()
-					if _, ok := fn.FirstSeen(h.hashes[0]); !ok {
-						t.Fatalf("node %d never saw the transaction", leg.recv)
-					}
-				})
-			}
+					h.runFor(100 * time.Microsecond)
+				}
+				fn, _ := h.flat.Node(leg.recv)
+				sender := a + b - leg.recv
+				carried, epoch := fn.peerPos(sender), fn.tabEpoch
+				v.churn(h, leg.recv)
+				if fn.tabEpoch == epoch {
+					t.Fatalf("node %d's table epoch stayed %d: the delivery's position would go unchecked", leg.recv, epoch)
+				}
+				switch got := fn.peerPos(sender); {
+				case v.name == "moved" && got == carried:
+					t.Fatalf("sender kept position %d across the reconnect", got)
+				case (v.name == "same" || v.name == "bystander") && got != carried:
+					t.Fatalf("sender moved from position %d to %d", carried, got)
+				}
+				h.drain()
+				h.compare()
+				if _, ok := fn.FirstSeen(h.hashes[0]); !ok {
+					t.Fatalf("node %d never saw the transaction", leg.recv)
+				}
+			})
 		}
 	}
 }
@@ -556,14 +550,13 @@ func TestInFlightRecordMatchesReference(t *testing.T) {
 	// a floods; b is its only peer and relays on to d.
 	const a, b, d = NodeID(1), NodeID(2), NodeID(3)
 	legs := []struct {
-		name     string
-		tx, blk  wire.Command // the leg's command for a transaction, for a block
-		recv     NodeID       // where the in-flight message lands
-		relayInv bool         // the leg exists only under RelayInv
+		name    string
+		tx, blk wire.Command // the leg's command for a transaction, for a block
+		recv    NodeID       // where the in-flight message lands
 	}{
-		{"inv", wire.CmdInv, wire.CmdInv, b, true},
-		{"getdata", wire.CmdGetData, wire.CmdGetData, a, true},
-		{"object", wire.CmdTx, wire.CmdBlock, b, false},
+		{"inv", wire.CmdInv, wire.CmdInv, b},
+		{"getdata", wire.CmdGetData, wire.CmdGetData, a},
+		{"object", wire.CmdTx, wire.CmdBlock, b},
 	}
 	variants := []struct {
 		name  string
@@ -579,47 +572,43 @@ func TestInFlightRecordMatchesReference(t *testing.T) {
 		// another transaction, which the receiver holds when it lands.
 		{"reset-and-flood", func(h *diffHarness, recv NodeID) { h.reset(); h.submitTx(recv) }},
 	}
-	for _, relay := range []RelayMode{RelayInv, RelayDirect} {
-		for _, block := range []bool{false, true} {
-			for _, leg := range legs {
-				cmd, object := leg.tx, "tx"
-				if block {
-					cmd, object = leg.blk, "block"
-				}
-				if relay == RelayDirect && (block || leg.relayInv) {
-					continue // direct relay changes only how a transaction travels
-				}
-				for _, v := range variants {
-					t.Run(fmt.Sprintf("%v/%s/%s/%s", relay, object, leg.name, v.name), func(t *testing.T) {
-						h := newDiffHarness(t, diffConfig(ValidationLight, relay, false, 5), 3)
-						h.connect(a, b)
-						h.connect(b, d)
-						if block {
-							h.submitBlock(a)
-						} else {
-							h.submitTx(a)
+	for _, block := range []bool{false, true} {
+		for _, leg := range legs {
+			cmd, object := leg.tx, "tx"
+			if block {
+				cmd, object = leg.blk, "block"
+			}
+			for _, v := range variants {
+				// "inv/" names the exchange, INV/GETDATA/object, the legs belong to.
+				t.Run(fmt.Sprintf("inv/%s/%s/%s", object, leg.name, v.name), func(t *testing.T) {
+					h := newDiffHarness(t, diffConfig(ValidationLight, false, 5), 3)
+					h.connect(a, b)
+					h.connect(b, d)
+					if block {
+						h.submitBlock(a)
+					} else {
+						h.submitTx(a)
+					}
+					for i := 0; h.flat.Stats().Messages[cmd] == 0; i++ {
+						if i > 10_000 {
+							t.Fatalf("no %v sent", cmd)
 						}
-						for i := 0; h.flat.Stats().Messages[cmd] == 0; i++ {
-							if i > 10_000 {
-								t.Fatalf("no %v sent", cmd)
-							}
-							h.runFor(100 * time.Microsecond)
-						}
-						if n := h.flat.sched.Len(); n != 1 {
-							t.Fatalf("%d events pending with the %v on the wire, want it alone", n, cmd)
-						}
-						v.churn(h, leg.recv)
+						h.runFor(100 * time.Microsecond)
+					}
+					if n := h.flat.sched.Len(); n != 1 {
+						t.Fatalf("%d events pending with the %v on the wire, want it alone", n, cmd)
+					}
+					v.churn(h, leg.recv)
+					h.drain()
+					h.compare()
+					// The network still floods afterwards, through
+					// whatever the record left behind.
+					if _, ok := h.flat.Node(a); ok {
+						h.submitTx(a)
 						h.drain()
 						h.compare()
-						// The network still floods afterwards, through
-						// whatever the record left behind.
-						if _, ok := h.flat.Node(a); ok {
-							h.submitTx(a)
-							h.drain()
-							h.compare()
-						}
-					})
-				}
+					}
+				})
 			}
 		}
 	}
@@ -758,7 +747,7 @@ func TestProbeNCarriedHandles(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newDiffHarness(t, diffConfig(ValidationLight, RelayInv, false, 21), 10)
+			h := newDiffHarness(t, diffConfig(ValidationLight, false, 21), 10)
 			fa, _ := h.flat.Node(a)
 			tc.run(t, h)
 			h.drain()
@@ -791,31 +780,30 @@ func TestProbeNCarriedHandles(t *testing.T) {
 // registering it, the next hash is assigned the same one, and the two
 // share first-seen times and holders from then on.
 func TestHashMemoMatchesReference(t *testing.T) {
-	for _, relay := range []RelayMode{RelayInv, RelayDirect} {
-		t.Run(relay.String(), func(t *testing.T) {
-			h := newDiffHarness(t, diffConfig(ValidationLight, relay, false, 11), 10)
-			ids := h.liveIDs()
-			for i := range ids {
-				h.connect(ids[i], ids[(i+1)%len(ids)])
-				h.connect(ids[i], ids[(i+3)%len(ids)])
-			}
-			for round := 0; round < 12; round++ {
-				// Two floods from opposite sides meet mid-network; which
-				// one the memo holds when the reset lands, and which one's
-				// message lands first after it, vary with the round.
-				h.submitTx(ids[round%len(ids)])
-				h.submitTx(ids[(round+5)%len(ids)])
-				h.runFor(time.Duration(20+7*round) * time.Millisecond)
-				h.reset()
-				h.runFor(40 * time.Millisecond)
-				h.compare()
-				h.submitTx(ids[(round+2)%len(ids)])
-				h.drain()
-				h.compare()
-				h.reset()
-			}
-		})
-	}
+	// "inv" names the exchange, INV/GETDATA/TX, the floods relay over.
+	t.Run("inv", func(t *testing.T) {
+		h := newDiffHarness(t, diffConfig(ValidationLight, false, 11), 10)
+		ids := h.liveIDs()
+		for i := range ids {
+			h.connect(ids[i], ids[(i+1)%len(ids)])
+			h.connect(ids[i], ids[(i+3)%len(ids)])
+		}
+		for round := 0; round < 12; round++ {
+			// Two floods from opposite sides meet mid-network; which
+			// one the memo holds when the reset lands, and which one's
+			// message lands first after it, vary with the round.
+			h.submitTx(ids[round%len(ids)])
+			h.submitTx(ids[(round+5)%len(ids)])
+			h.runFor(time.Duration(20+7*round) * time.Millisecond)
+			h.reset()
+			h.runFor(40 * time.Millisecond)
+			h.compare()
+			h.submitTx(ids[(round+2)%len(ids)])
+			h.drain()
+			h.compare()
+			h.reset()
+		}
+	})
 }
 
 // FuzzFlatNodeMatchesReference lets the fuzzer search for op sequences
@@ -834,9 +822,8 @@ func FuzzFlatNodeMatchesReference(f *testing.F) {
 	// with messages on the wire, and the freed positions at the receivers
 	// are left empty, recycled for another peer, recycled for node 1, or
 	// taken by another peer with node 1 reconnected elsewhere. Seeds 1 and
-	// 4 cut the edge at once (INV in flight, or the pushed TX under direct
-	// relay); seed 17 cuts it 100 ms in, when both neighbours' GETDATAs
-	// are on their way back.
+	// 4 cut the edge at once (INV in flight); seed 17 cuts it 100 ms in,
+	// when both neighbours' GETDATAs are on their way back.
 	for _, seed := range []int64{1, 4} {
 		f.Add(seed, []byte{2, 0, 0, 1, 0, 1, 3, 5, 0})
 		f.Add(seed, []byte{2, 0, 0, 1, 0, 1, 0, 5, 1, 3, 5, 0})
@@ -853,7 +840,8 @@ func FuzzFlatNodeMatchesReference(f *testing.F) {
 	// What an in-flight record carries going stale: a block and a
 	// transaction flood, then ResetInventory, Disconnect or RemoveNode at
 	// once (INVs on the wire) and again 100 ms on (GETDATAs, TX, BLOCK).
-	// Seed 4 relays transactions directly; seed 5 also loses messages.
+	// Seed 4 draws another network; seed 5 also skips validation and loses
+	// messages.
 	for _, seed := range []int64{1, 4, 5} {
 		f.Add(seed, []byte{9, 0, 0, 2, 6, 0, 4, 0, 0, 3, 0, 0, 4, 0, 0, 3, 0, 0, 4, 0, 0})
 		f.Add(seed, []byte{9, 0, 0, 2, 6, 0, 1, 0, 1, 1, 6, 7, 3, 0, 0, 1, 0, 11, 1, 6, 5, 3, 0, 0})
@@ -863,7 +851,7 @@ func FuzzFlatNodeMatchesReference(f *testing.F) {
 		if len(script) > 96 {
 			script = script[:96]
 		}
-		cfg := diffConfig(ValidationMode(uint(seed)%3), RelayMode(uint(seed>>2)%2), seed%5 == 0, seed)
+		cfg := diffConfig(ValidationMode(uint(seed)%3), seed%5 == 0, seed)
 		if cfg.Validation == ValidationFull {
 			// Full validation rejects bare coinbases at the mempool; the
 			// differential scripts exercise Light and None.

@@ -224,11 +224,10 @@ func requireTwin(t *testing.T, cfg Config, n, chords int, script func(s *twinSid
 	return traced, lazy
 }
 
-func twinConfig(relay RelayMode, loss float64) Config {
+func twinConfig(loss float64) Config {
 	cfg := DefaultConfig()
 	cfg.Validation = ValidationNone
 	cfg.PingInterval = 0
-	cfg.Relay = relay
 	cfg.LossProb = loss
 	cfg.Seed = 11
 	return cfg
@@ -237,7 +236,7 @@ func twinConfig(relay RelayMode, loss float64) Config {
 // TestLazyInvMatchesTracedFlood is the plain case: floods back to back with
 // a reset between, checked mid-flood and drained.
 func TestLazyInvMatchesTracedFlood(t *testing.T) {
-	requireTwin(t, twinConfig(RelayInv, 0), 80, 3, func(s *twinSide) {
+	requireTwin(t, twinConfig(0), 80, 3, func(s *twinSide) {
 		for f := 0; f < 3; f++ {
 			s.net.ResetInventory()
 			s.submitTx(f * 7)
@@ -255,7 +254,7 @@ func TestLazyInvMatchesTracedFlood(t *testing.T) {
 // reconnects pairs that were cut, with and without message loss.
 func TestLazyInvMatchesTracedUnderChurn(t *testing.T) {
 	for _, loss := range []float64{0, 0.2} {
-		traced, lazy := requireTwin(t, twinConfig(RelayInv, loss), 80, 4, func(s *twinSide) {
+		traced, lazy := requireTwin(t, twinConfig(loss), 80, 4, func(s *twinSide) {
 			for f := 0; f < 6; f++ {
 				s.net.ResetInventory()
 				s.submitTx(s.r.Intn(20))
@@ -300,28 +299,25 @@ func TestLazyInvMatchesTracedUnderChurn(t *testing.T) {
 // TestLazyInvOccupiedSlots floods two transactions and a block together: a
 // node's ticket slots belong to one hash per generation, so the INVs of the
 // others take the event path there, and the three floods still come out as
-// they do traced. Direct relay sends the transactions whole and only the
-// block's INVs can be tickets.
+// they do traced.
 func TestLazyInvOccupiedSlots(t *testing.T) {
-	for _, relay := range []RelayMode{RelayInv, RelayDirect} {
-		_, lazy := requireTwin(t, twinConfig(relay, 0), 80, 4, func(s *twinSide) {
-			s.submitTx(0)
-			s.submitTx(40)
-			s.submitBlock(20)
-			for i := 0; i < 8; i++ {
-				s.runFor(30 * time.Millisecond)
-			}
-			s.drain()
-		})
-		owners := map[int32]int{}
-		for _, nd := range lazy.nodes {
-			if nd.inv.lazyGen == lazy.net.invGen {
-				owners[nd.inv.lazyHi]++
-			}
+	_, lazy := requireTwin(t, twinConfig(0), 80, 4, func(s *twinSide) {
+		s.submitTx(0)
+		s.submitTx(40)
+		s.submitBlock(20)
+		for i := 0; i < 8; i++ {
+			s.runFor(30 * time.Millisecond)
 		}
-		if want := map[RelayMode]int{RelayInv: 2, RelayDirect: 1}[relay]; len(owners) < want {
-			t.Errorf("%v: ticket slots were owned by %d distinct hashes (%v), want at least %d", relay, len(owners), owners, want)
+		s.drain()
+	})
+	owners := map[int32]int{}
+	for _, nd := range lazy.nodes {
+		if nd.inv.lazyGen == lazy.net.invGen {
+			owners[nd.inv.lazyHi]++
 		}
+	}
+	if len(owners) < 2 {
+		t.Errorf("ticket slots were owned by %d distinct hashes (%v), want at least 2", len(owners), owners)
 	}
 }
 
@@ -331,7 +327,7 @@ func TestLazyInvOccupiedSlots(t *testing.T) {
 // already under way.
 func TestLazyInvResetMidFlood(t *testing.T) {
 	for _, loss := range []float64{0, 0.2} {
-		requireTwin(t, twinConfig(RelayInv, loss), 80, 4, func(s *twinSide) {
+		requireTwin(t, twinConfig(loss), 80, 4, func(s *twinSide) {
 			s.submitTx(0)
 			s.runFor(150 * time.Millisecond)
 			s.net.ResetInventory()
@@ -358,7 +354,7 @@ func TestLazyInvExactTie(t *testing.T) {
 	for _, invFirst := range []bool{true, false} {
 		var sent [2]uint64
 		for k, ticket := range []bool{false, true} {
-			net, err := NewNetwork(twinConfig(RelayInv, 0))
+			net, err := NewNetwork(twinConfig(0))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -637,25 +637,17 @@ func (nd *Node) acceptTx(tx *chain.Tx, from NodeID) error {
 }
 
 // announce offers the object at dense index hi — tx or block, the other
-// nil — to every peer not already known to have it: an INV (Fig. 1), or
-// for a transaction in RelayDirect mode the full transaction immediately
-// (the refs [9]/[10] pipelining ablation). Peers are offered in peerTab
-// position order: each send advances the sender's keyed delivery sequence,
-// so the order must be reproducible, and a position is — it is held for the
-// life of a connection, and which one a connection takes (the most recently
-// freed, else a new one at the end) is fixed by the connect/disconnect
-// sequence.
+// nil — to every peer not already known to have it, as an INV (Fig. 1).
+// Peers are offered in peerTab position order: each send advances the
+// sender's keyed delivery sequence, so the order must be reproducible, and a
+// position is — it is held for the life of a connection, and which one a
+// connection takes (the most recently freed, else a new one at the end) is
+// fixed by the connect/disconnect sequence.
 func (nd *Node) announce(hi int32, tx *chain.Tx, block *chain.Block, except NodeID) {
 	gen := nd.net.invGen
-	direct := tx != nil && nd.net.cfg.Relay == RelayDirect
 	for i := range nd.peerTab {
 		e, pos := &nd.peerTab[i], int32(i)
 		if e.id == 0 || e.id == except || nd.holderHas(hi, pos) {
-			continue
-		}
-		if direct {
-			nd.setHolderBit(hi, pos)
-			nd.sendTx(pos, nil, tx, hi)
 			continue
 		}
 		d := nd.net.deliver(nd, e.node, pos, 0, wire.CmdInv, invSize, nil, hi)

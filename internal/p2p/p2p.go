@@ -121,33 +121,8 @@ func (v ValidationMode) String() string {
 	}
 }
 
-// RelayMode selects how transactions propagate between peers.
-type RelayMode int
-
-const (
-	// RelayInv is the three-step INV/GETDATA/TX exchange of Fig. 1 —
-	// the Bitcoin protocol of the paper's era.
-	RelayInv RelayMode = iota
-	// RelayDirect pushes the full transaction immediately without the
-	// INV round trip — the pipelining of the paper's refs [9]/[10]
-	// (Stathakopoulou's "faster Bitcoin network"). Used by the
-	// direct-relay ablation.
-	RelayDirect
-)
-
-// String implements fmt.Stringer.
-func (m RelayMode) String() string {
-	switch m {
-	case RelayInv:
-		return "inv"
-	case RelayDirect:
-		return "direct"
-	default:
-		return fmt.Sprintf("RelayMode(%d)", int(m)) //bcbptlint:allow hotalloc — cold debug path, never on the flood hot path
-	}
-}
-
-// Config parameterises a Network.
+// Config parameterises a Network. Every object travels by the one exchange
+// of Fig. 1: INV, then GETDATA, then the TX or BLOCK.
 type Config struct {
 	// Latency configures the link model (eqs. 2-4).
 	Latency latency.Params
@@ -155,8 +130,6 @@ type Config struct {
 	VerifyCost chain.VerifyCostModel
 	// Validation selects per-node validation depth.
 	Validation ValidationMode
-	// Relay selects the propagation exchange (default: RelayInv, Fig. 1).
-	Relay RelayMode
 	// MaxOutbound caps connections a node initiates (Bitcoin: 8).
 	MaxOutbound int
 	// MaxPeers caps total connections per node (Bitcoin: 125), at most

@@ -932,49 +932,6 @@ func TestTxPropagationDeterministicRandomGraph(t *testing.T) {
 	}
 }
 
-func TestDirectRelaySkipsInvRoundTrip(t *testing.T) {
-	build := func(mode RelayMode) (Stats, map[NodeID]sim.Time) {
-		net, nodes := testNetwork(t, 20, func(c *Config) { c.Relay = mode })
-		connectRing(t, net, nodes)
-		rec := make(map[NodeID]sim.Time)
-		net.OnTxFirstSeen = func(nd *Node, h chain.Hash, at sim.Time) { rec[nd.ID()] = at }
-		if err := nodes[0].SubmitTx(testTx(t, 20)); err != nil {
-			t.Fatal(err)
-		}
-		if err := net.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return net.Stats(), rec
-	}
-	invStats, invTimes := build(RelayInv)
-	dirStats, dirTimes := build(RelayDirect)
-
-	if dirStats.Messages[wire.CmdGetData] != 0 {
-		t.Errorf("direct mode sent %d GETDATA", dirStats.Messages[wire.CmdGetData])
-	}
-	if invStats.Messages[wire.CmdGetData] == 0 {
-		t.Error("inv mode sent no GETDATA")
-	}
-	// Pipelining must be strictly faster at the last receiver.
-	var invMax, dirMax sim.Time
-	for _, v := range invTimes {
-		if v > invMax {
-			invMax = v
-		}
-	}
-	for _, v := range dirTimes {
-		if v > dirMax {
-			dirMax = v
-		}
-	}
-	if dirMax >= invMax {
-		t.Errorf("direct relay max Δt %v >= inv relay %v", dirMax, invMax)
-	}
-	if len(dirTimes) != 20 {
-		t.Errorf("direct relay reached %d of 20 nodes", len(dirTimes))
-	}
-}
-
 func TestLossInjection(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LossProb = 1.5

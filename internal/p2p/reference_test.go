@@ -178,25 +178,13 @@ func (nd *ReferenceNode) acceptTx(tx *chain.Tx, from NodeID) error {
 
 func (nd *ReferenceNode) announce(h chain.Hash, except NodeID) {
 	holders := nd.peerInv[h]
-	direct := nd.net.cfg.Relay == RelayDirect
 	var inv *wire.MsgInv
-	var txMsg *wire.MsgTx
 	for _, peerID := range nd.slots {
 		if peerID == 0 || peerID == except {
 			continue
 		}
 		if _, knows := holders[peerID]; knows {
 			continue
-		}
-		if direct {
-			if tx, ok := nd.txData[h]; ok {
-				if txMsg == nil {
-					txMsg = &wire.MsgTx{Tx: tx}
-				}
-				nd.markPeerHas(peerID, h)
-				nd.net.send(nd.id, peerID, txMsg)
-				continue
-			}
 		}
 		if inv == nil {
 			inv = &wire.MsgInv{Items: []wire.InvVect{{Type: wire.InvTx, Hash: h}}}
