@@ -458,7 +458,6 @@ func runCrawl(ctx context.Context, o experiment.Options) error {
 	fmt.Println("== crawler — ping/pong RTT census (methodology of refs [5],[12]) ==")
 	pcfg := p2p.DefaultConfig()
 	pcfg.Seed = o.Seed
-	pcfg.Validation = p2p.ValidationNone
 	net, err := p2p.NewNetwork(pcfg)
 	if err != nil {
 		return err

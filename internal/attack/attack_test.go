@@ -15,7 +15,6 @@ import (
 func buildBCBPTWorld(t testing.TB, n int, seed int64, dt time.Duration) (*p2p.Network, *core.BCBPT, []p2p.NodeID) {
 	t.Helper()
 	pcfg := p2p.DefaultConfig()
-	pcfg.Validation = p2p.ValidationNone
 	pcfg.Seed = seed
 	net, err := p2p.NewNetwork(pcfg)
 	if err != nil {
@@ -132,7 +131,6 @@ func TestPartitionAnalysis(t *testing.T) {
 
 func TestPartitionNoClusters(t *testing.T) {
 	pcfg := p2p.DefaultConfig()
-	pcfg.Validation = p2p.ValidationNone
 	net, err := p2p.NewNetwork(pcfg)
 	if err != nil {
 		t.Fatal(err)

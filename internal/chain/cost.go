@@ -6,59 +6,47 @@ import "time"
 // spends validating it before relaying (the "verify then announce" step of
 // Fig. 1). Decker & Wattenhofer (the paper's ref [9]) measured that
 // verification contributes a per-hop delay on the same order as the
-// round-trip time; the paper adds that the cost grows with ledger size.
+// round-trip time.
 //
 // The model is:
 //
-//	cost = Base + PerInput·inputs + PerKB·ceil(size/1024) + LedgerFactor·log2(utxoLen)
+//	cost = Base + PerInput·inputs + PerKB·ceil(size/1024)
 //
-// Base covers mempool/UTXO bookkeeping, PerInput the ECDSA verifies (the
-// dominant term), PerKB deserialization, and the logarithmic ledger term
-// index lookups into a ledger of the given size.
+// Base covers the fixed bookkeeping, PerInput the ECDSA verifies (the
+// dominant term), PerKB deserialization. The paper adds that the cost
+// grows with the size of the ledger; that growth is not modelled, since no
+// node keeps a ledger (see the package comment).
 type VerifyCostModel struct {
-	Base         time.Duration
-	PerInput     time.Duration
-	PerKB        time.Duration
-	LedgerFactor time.Duration
+	Base     time.Duration
+	PerInput time.Duration
+	PerKB    time.Duration
 }
 
 // DefaultVerifyCost returns the calibration used by the experiments:
-// ~2ms fixed + ~0.1ms/input + ledger term, yielding the "a few ms" per-hop
-// verification delay reported for 2015-2016 era nodes.
+// ~2ms fixed + ~0.1ms/input, yielding the "a few ms" per-hop verification
+// delay reported for 2015-2016 era nodes.
 func DefaultVerifyCost() VerifyCostModel {
 	return VerifyCostModel{
-		Base:         2 * time.Millisecond,
-		PerInput:     100 * time.Microsecond,
-		PerKB:        50 * time.Microsecond,
-		LedgerFactor: 40 * time.Microsecond,
+		Base:     2 * time.Millisecond,
+		PerInput: 100 * time.Microsecond,
+		PerKB:    50 * time.Microsecond,
 	}
 }
 
-// TxCost returns the verification delay for tx against a ledger of
-// utxoLen entries.
-func (m VerifyCostModel) TxCost(tx *Tx, utxoLen int) time.Duration {
+// TxCost returns the verification delay for tx.
+func (m VerifyCostModel) TxCost(tx *Tx) time.Duration {
 	cost := m.Base
 	cost += time.Duration(len(tx.Inputs)) * m.PerInput
 	kb := (tx.Size() + 1023) / 1024
 	cost += time.Duration(kb) * m.PerKB
-	cost += time.Duration(log2int(utxoLen)) * m.LedgerFactor
 	return cost
 }
 
 // BlockCost returns the verification delay for a whole block.
-func (m VerifyCostModel) BlockCost(b *Block, utxoLen int) time.Duration {
+func (m VerifyCostModel) BlockCost(b *Block) time.Duration {
 	var cost time.Duration
 	for _, tx := range b.Txs {
-		cost += m.TxCost(tx, utxoLen)
+		cost += m.TxCost(tx)
 	}
 	return cost
-}
-
-func log2int(n int) int {
-	bits := 0
-	for n > 1 {
-		n >>= 1
-		bits++
-	}
-	return bits
 }

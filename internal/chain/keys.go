@@ -1,13 +1,12 @@
-// Package chain implements the blockchain substrate the propagation
-// protocols carry: ECDSA-signed transactions, a UTXO ledger, a mempool
-// with double-spend conflict detection, and proof-of-work blocks with
-// Merkle commitments.
+// Package chain implements the objects the propagation protocols carry:
+// ECDSA-signed transactions and proof-of-work blocks with Merkle
+// commitments, with their sizes and IDs.
 //
-// The paper's motivation is that slow transaction propagation widens the
-// double-spend window; the substrate therefore implements real signature
-// verification and real conflict detection so that "verify then relay"
-// (Fig. 1 of the paper) has an honest cost and double-spend experiments
-// are meaningful, not mocked.
+// No node keeps a ledger. The "verify then relay" step of Fig. 1 of the
+// paper is a virtual delay (VerifyCostModel), not a signature check, and
+// the one ledger decision a double-spend race needs — a node keeps the
+// first of two transactions spending the same output — is a rule of the
+// p2p layer, which sees every node's inventory.
 package chain
 
 import (
@@ -107,22 +106,6 @@ func PubKeyAddress(pub []byte) Address {
 	return a
 }
 
-// VerifySignature checks a compact 64-byte signature over digest against
-// an uncompressed P-256 public key.
-func VerifySignature(pub []byte, digest [32]byte, sig []byte) bool {
-	if len(sig) != 64 {
-		return false
-	}
-	x, y := elliptic.Unmarshal(elliptic.P256(), pub)
-	if x == nil {
-		return false
-	}
-	pk := &ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}
-	r := new(big.Int).SetBytes(sig[:32])
-	s := new(big.Int).SetBytes(sig[32:])
-	return ecdsa.Verify(pk, digest[:], r, s)
-}
-
 // Hash is a 32-byte double-SHA256 digest, Bitcoin's standard hash.
 type Hash [32]byte
 
@@ -138,7 +121,3 @@ func DoubleSHA256(data []byte) Hash {
 	first := sha256.Sum256(data)
 	return sha256.Sum256(first[:])
 }
-
-// ErrBadSignature is returned when a transaction input signature fails
-// verification.
-var ErrBadSignature = errors.New("chain: bad signature")

@@ -36,8 +36,9 @@ type TxOut struct {
 }
 
 // Tx is a transaction: a signed reassignment of previously unspent
-// outputs. A transaction with no inputs and exactly one output is a
-// coinbase (mining reward) and is only valid inside a block.
+// outputs. A transaction with no inputs is a coinbase (mining reward); the
+// measurement floods send coinbases, which spend nothing and so conflict
+// with nothing.
 type Tx struct {
 	Version  uint32
 	Inputs   []TxIn
@@ -64,9 +65,6 @@ func Coinbase(height uint64, value Amount, to Address) *Tx {
 		LockTime: uint32(height),
 	}
 }
-
-// IsCoinbase reports whether the transaction is a coinbase.
-func (tx *Tx) IsCoinbase() bool { return len(tx.Inputs) == 0 }
 
 // serialize writes the canonical binary form. If forSigning is true, input
 // signatures and pubkeys are omitted so the digest covers only immutable
@@ -167,7 +165,7 @@ func (tx *Tx) SignAllInputs(keys []*KeyPair) error {
 }
 
 // CheckWellFormed performs context-free validation: structure and value
-// ranges only (no UTXO lookups, no signature checks).
+// ranges only (no ledger lookups, no signature checks).
 func (tx *Tx) CheckWellFormed() error {
 	if len(tx.Outputs) == 0 {
 		return errors.New("chain: tx has no outputs")

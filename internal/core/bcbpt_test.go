@@ -17,7 +17,6 @@ import (
 func buildWorld(t testing.TB, n int, seed int64, mutate func(*Config)) (*p2p.Network, *BCBPT, []p2p.NodeID) {
 	t.Helper()
 	pcfg := p2p.DefaultConfig()
-	pcfg.Validation = p2p.ValidationNone
 	pcfg.Seed = seed
 	net, err := p2p.NewNetwork(pcfg)
 	if err != nil {

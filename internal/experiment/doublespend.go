@@ -24,8 +24,8 @@ import (
 // transactions — txV paying the victim (a zero-confirmation merchant) and
 // txA paying itself. txV is handed to the victim's node; txA is injected
 // at the topologically farthest node, offset seconds later. Every node
-// runs full mempool validation, so each keeps whichever transaction
-// arrived first (ErrMempoolConflict rejects the loser). When the race
+// keeps whichever transaction arrived first and rejects the other, which
+// spends the same output (p2p's first-spend rule). When the race
 // settles, the attacker has "won" a node if that node holds txA; the
 // attack succeeds overall if the majority of the network (the miners)
 // holds txA while the victim still sees txV.
@@ -44,7 +44,7 @@ type DoubleSpendSpec struct {
 	BCBPT core.Config
 	// Offsets are the head starts given to the victim transaction.
 	Offsets []time.Duration
-	// Trials per offset (distinct funded outputs each).
+	// Trials per offset (a distinct output each).
 	Trials int
 	// Deadline bounds each race in virtual time.
 	Deadline time.Duration
@@ -90,7 +90,8 @@ func DoubleSpend(ctx context.Context, spec DoubleSpendSpec) (DoubleSpendResult, 
 		spec.Deadline = 2 * time.Minute
 	}
 
-	// Fund the attacker: one coinbase output per (offset, trial).
+	// The attacker signs both spends: txV pays the victim's address, txA its
+	// own. Each (offset, trial) races over an output of its own.
 	attacker, err := chain.GenerateKey(rand.New(rand.NewSource(spec.Seed + 5000)))
 	if err != nil {
 		return DoubleSpendResult{}, err
@@ -99,24 +100,12 @@ func DoubleSpend(ctx context.Context, spec DoubleSpendSpec) (DoubleSpendResult, 
 	if err != nil {
 		return DoubleSpendResult{}, err
 	}
-	need := len(spec.Offsets) * spec.Trials
-	base := chain.NewUTXOSet()
-	outpoints := make([]chain.Outpoint, 0, need)
-	for i := 0; i < need; i++ {
-		cb := chain.Coinbase(uint64(i)+1, 100_000, attacker.Address())
-		if err := base.AddCoinbase(cb); err != nil {
-			return DoubleSpendResult{}, err
-		}
-		outpoints = append(outpoints, chain.Outpoint{TxID: cb.ID(), Index: 0})
-	}
 
 	built, err := Build(ctx, Spec{
-		Nodes:      spec.Nodes,
-		Seed:       spec.Seed,
-		Protocol:   spec.Protocol,
-		BCBPT:      spec.BCBPT,
-		Validation: p2p.ValidationFull,
-		BaseUTXO:   base,
+		Nodes:    spec.Nodes,
+		Seed:     spec.Seed,
+		Protocol: spec.Protocol,
+		BCBPT:    spec.BCBPT,
 	})
 	if err != nil {
 		return DoubleSpendResult{}, err
@@ -130,8 +119,8 @@ func DoubleSpend(ctx context.Context, spec DoubleSpendSpec) (DoubleSpendResult, 
 	for _, offset := range spec.Offsets {
 		var shareSum, successSum float64
 		for trial := 0; trial < spec.Trials; trial++ {
-			op := outpoints[idx]
 			idx++
+			op := chain.Outpoint{TxID: chain.Coinbase(uint64(idx), 100_000, attacker.Address()).ID()}
 			share, deceived, err := raceOnce(net, victimID, attackerID, attacker, victim, op, offset, spec.Deadline)
 			if err != nil {
 				return DoubleSpendResult{}, fmt.Errorf("experiment: race offset %v trial %d: %w", offset, trial, err)
@@ -204,9 +193,9 @@ func raceOnce(net *p2p.Network, victimID, attackerID p2p.NodeID,
 		case hasV && !hasA:
 			holdV++
 		case hasA && hasV:
-			// Both seen: mempool conflict resolution kept the first;
-			// FirstSeen tracks acceptance, so this cannot happen under
-			// full validation — count as attacker reach anyway.
+			// FirstSeen tracks acceptance, and a node that accepted one
+			// spend rejects the other, so this cannot happen; were it to,
+			// it would count as attacker reach.
 			holdA++
 		}
 	}

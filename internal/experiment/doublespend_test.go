@@ -2,9 +2,51 @@ package experiment
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
+
+// TestDoubleSpendGolden pins the tables `bcbpt-sim -experiment doublespend
+// -nodes 300 -seed 3` prints, byte for byte, against
+// testdata/doublespend_300.txt: the race's outcome at every node follows
+// from which spend reaches it first, so a change to relay timing or to the
+// conflict rule shows here. If a change is meant to move the tables,
+// regenerate the file from that command's output, without its header and
+// wall-time lines.
+func TestDoubleSpendGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 300-node networks; skipped in -short")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "doublespend_300.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, proto := range []ProtocolKind{ProtoBitcoin, ProtoBCBPT} {
+		res, err := DoubleSpend(context.Background(), DoubleSpendSpec{
+			Nodes:    300,
+			Seed:     3,
+			Protocol: proto,
+			BCBPT:    core.DefaultConfig(),
+			Offsets:  []time.Duration{0, 50 * time.Millisecond, 150 * time.Millisecond, 500 * time.Millisecond, time.Second},
+			Trials:   5,
+			Deadline: 2 * time.Minute,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintln(&got, res)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("doublespend tables diverged from the golden:\n%s\nwant:\n%s", got.String(), want)
+	}
+}
 
 func TestDoubleSpendRaceBasics(t *testing.T) {
 	res, err := DoubleSpend(context.Background(), DoubleSpendSpec{

@@ -45,9 +45,7 @@ const (
 //
 // Specs serialize with encoding/json — the form the fleet subsystem ships
 // to workers and the form CampaignSpec.Fingerprint hashes. Every field is
-// plain data except BaseUTXO, which is excluded (`json:"-"`): a seeded
-// ledger cannot ship over the wire, so fleet coordinators reject specs
-// that set it (see CampaignSpec.CheckShippable).
+// plain data, so any spec can ship.
 type Spec struct {
 	// Nodes is the network size. The paper matches the measured real-
 	// network size (~5000 reachable peers); tests use smaller worlds.
@@ -73,11 +71,6 @@ type Spec struct {
 	// exactly this many connections (used by the variance sweep). The
 	// p2p MaxPeers cap is raised accordingly.
 	MeasuringConnections int `json:"measuring_connections,omitempty"`
-	// Validation selects per-node validation depth (default Light).
-	Validation p2p.ValidationMode `json:"validation,omitempty"`
-	// BaseUTXO seeds every node's ledger view (Full validation only).
-	// Not serializable: fleet sweeps must leave it nil.
-	BaseUTXO *chain.UTXOSet `json:"-"`
 	// LossProb injects message loss (see p2p.Config.LossProb).
 	LossProb float64 `json:"loss_prob,omitempty"`
 }
@@ -182,8 +175,6 @@ func Build(ctx context.Context, spec Spec) (*Built, error) {
 	}
 	pcfg := p2p.DefaultConfig()
 	pcfg.Seed = spec.Seed
-	pcfg.Validation = spec.Validation
-	pcfg.BaseUTXO = spec.BaseUTXO
 	pcfg.LossProb = spec.LossProb
 	if spec.MeasuringConnections > pcfg.MaxPeers {
 		pcfg.MaxPeers = spec.MeasuringConnections + 8
@@ -418,9 +409,9 @@ func defaultChurn(n int) churn.Model {
 	return m
 }
 
-// txFactory builds distinct dummy transactions for measurement runs.
-// In Light/None validation modes the content is irrelevant; IDs must be
-// unique so runs are independent.
+// txFactory builds distinct dummy transactions for measurement runs: the
+// coinbases spend nothing, so no node rejects one as a conflict, and only
+// their IDs matter, which must be unique so runs are independent.
 func txFactory(seed int64) func(i int) *chain.Tx {
 	key, err := chain.GenerateKey(rand.New(rand.NewSource(seed)))
 	if err != nil {

@@ -102,8 +102,6 @@ func (c CampaignSpec) ReplicationSeed(i int) int64 {
 // spec, with the fields that cannot influence results excluded — Name (a
 // display label), Trace (an observational export path), and the
 // host-parallelism knob Spec.BuildWorkers, bit-identical for every value.
-// Spec.BaseUTXO is excluded too (it does not serialize); fleet sweeps
-// reject it via CheckShippable.
 //
 // The campaign engine stamps every shard result with this fingerprint and
 // measure.MergeCampaignResults refuses to blend shards whose fingerprints
@@ -172,17 +170,6 @@ func DispatchOrder(campaigns []CampaignSpec) []int {
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(cost[b], cost[a]) })
 	return order
-}
-
-// CheckShippable reports whether the campaign can be serialized for a
-// fleet worker without losing anything. The one non-wire field is
-// Spec.BaseUTXO: full-validation campaigns with a seeded ledger must run
-// on a single machine.
-func (c CampaignSpec) CheckShippable() error {
-	if c.Spec.BaseUTXO != nil {
-		return fmt.Errorf("experiment: campaign %q sets Spec.BaseUTXO, which does not serialize; run it locally", c.Name)
-	}
-	return nil
 }
 
 // CampaignOutcome is one campaign's merged result.

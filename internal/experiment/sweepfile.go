@@ -35,7 +35,7 @@ type SweepFile struct {
 	// generic title).
 	Title string
 	// Campaigns is the sweep, in series order. Every campaign has been
-	// validated: shippable, buildable spec, unique non-empty name.
+	// validated: buildable spec, unique non-empty name.
 	Campaigns []CampaignSpec
 }
 
@@ -102,8 +102,8 @@ func normalizeDurations(v any) (any, error) {
 
 // ParseSweep parses and validates a sweep definition from its JSON
 // bytes. Every problem — malformed JSON, an unknown field, a spec the
-// engine would refuse to build, a campaign a fleet could not ship — is
-// an error here, before any coordinator starts or any worker simulates.
+// engine would refuse to build — is an error here, before any coordinator
+// starts or any worker simulates.
 func ParseSweep(data []byte) (SweepFile, error) {
 	// First pass: generic decode (numbers kept verbatim) so duration
 	// strings can be rewritten wherever they appear.
@@ -157,9 +157,6 @@ func ParseSweep(data []byte) (SweepFile, error) {
 			return SweepFile{}, fmt.Errorf("experiment: sweep file: %s: negative deadline", where)
 		}
 		seen[cs.Name] = true
-		if err := cs.CheckShippable(); err != nil {
-			return SweepFile{}, fmt.Errorf("experiment: sweep file: %s: %w", where, err)
-		}
 		if err := cs.Spec.validate(); err != nil {
 			return SweepFile{}, fmt.Errorf("experiment: sweep file: %s: %w", where, err)
 		}

@@ -116,6 +116,10 @@ func TestParseSweepErrors(t *testing.T) {
 		// So must the retired sketch-pooling key: a file that still asks for
 		// it gets an error naming the key, not a silent exact run.
 		{"retired streaming key", `{"campaigns": [{"name": "a", "spec": {"nodes": 40, "seed": 1, "protocol": "bitcoin"}, "streaming": true}]}`, `unknown field "streaming"`},
+		// Every node validates alike and relays by INV/GETDATA/TX, so the
+		// retired validation-depth and relay-mode keys are unknown too.
+		{"retired validation key", `{"campaigns": [{"name": "a", "spec": {"nodes": 40, "seed": 1, "protocol": "bitcoin", "validation": 1}}]}`, `unknown field "validation"`},
+		{"retired relay key", `{"campaigns": [{"name": "a", "spec": {"nodes": 40, "seed": 1, "protocol": "bitcoin", "relay": 1}}]}`, `unknown field "relay"`},
 		{"missing name", `{"campaigns": [{"spec": {"nodes": 40, "seed": 1, "protocol": "bitcoin"}}]}`, "missing name"},
 		{"duplicate names", `{"campaigns": [
 			{"name": "a", "spec": {"nodes": 40, "seed": 1, "protocol": "bitcoin"}},

@@ -124,8 +124,7 @@ type Coordinator struct {
 // every campaign becomes one leasable unit, handed out in
 // experiment.DispatchOrder — exactly the flat queue Runner.Sweep schedules
 // locally. Units stay addressed by (campaign, replication); only lease
-// grants walk the dispatch order. Campaigns must be shippable
-// (CampaignSpec.CheckShippable).
+// grants walk the dispatch order.
 func NewCoordinator(campaigns []experiment.CampaignSpec, cfg CoordinatorConfig) (*Coordinator, error) {
 	if len(campaigns) == 0 {
 		return nil, errors.New("fleet: sweep has no campaigns")
@@ -142,9 +141,6 @@ func NewCoordinator(campaigns []experiment.CampaignSpec, cfg CoordinatorConfig) 
 		c.trace = c.cfg.Trace.Shard(0)
 	}
 	for i, cs := range campaigns {
-		if err := cs.CheckShippable(); err != nil {
-			return nil, fmt.Errorf("fleet: %w", err)
-		}
 		cs = cs.WithDefaults()
 		c.campaigns[i] = cs
 		c.prints[i] = cs.Fingerprint()

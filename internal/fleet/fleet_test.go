@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chain"
 	"repro/internal/experiment"
 	"repro/internal/measure"
 )
@@ -284,17 +283,11 @@ func TestFleetFailsFastOnBadSpec(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRejectsUnshippableSweep: specs that cannot serialize
-// must be refused at construction, not discovered by a worker. A
-// BaseUTXO-seeded spec would otherwise ship with a silently nil'd ledger
-// and measure the wrong experiment.
+// TestCoordinatorRejectsUnshippableSweep: a sweep with nothing to ship
+// must be refused at construction, not discovered by a worker. Every spec
+// is plain data, so an empty sweep is the one sweep a coordinator refuses.
 func TestCoordinatorRejectsUnshippableSweep(t *testing.T) {
 	if _, err := NewCoordinator(nil, CoordinatorConfig{}); err == nil {
 		t.Error("empty sweep accepted")
-	}
-	utxoSweep := testSweep()
-	utxoSweep[1].Spec.BaseUTXO = chain.NewUTXOSet()
-	if _, err := NewCoordinator(utxoSweep, CoordinatorConfig{}); err == nil || !strings.Contains(err.Error(), "BaseUTXO") {
-		t.Errorf("BaseUTXO-seeded sweep accepted (err = %v)", err)
 	}
 }

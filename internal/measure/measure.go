@@ -181,7 +181,11 @@ func (m *MeasuringNode) MeasureOnce(ctx context.Context, tx *chain.Tx, deadline 
 			P1: uint64(first), P2: binary.LittleEndian.Uint64(txID[:8]), P3: m.runIndex})
 	}
 	m.runIndex++
-	_ = firstNode.SubmitTx(tx)
+	// A transaction the first connection refuses never enters the network:
+	// that is an error, not a run in which every connection missed it.
+	if err := firstNode.SubmitTx(tx); err != nil {
+		return RunResult{}, fmt.Errorf("measure: injection %d at node %d: %w", m.runIndex-1, first, err)
+	}
 
 	err := m.net.RunUntil(ctx, start+sim.Time(deadline))
 	if err != nil && !errors.Is(err, sim.ErrStopped) {

@@ -19,7 +19,6 @@ import (
 func buildNet(t testing.TB, n int, seed int64) (*p2p.Network, []p2p.NodeID) {
 	t.Helper()
 	cfg := p2p.DefaultConfig()
-	cfg.Validation = p2p.ValidationNone
 	cfg.Seed = seed
 	net, err := p2p.NewNetwork(cfg)
 	if err != nil {
@@ -324,6 +323,40 @@ func TestCampaignValidation(t *testing.T) {
 	}
 	if _, err := NewMeasuringNode(net, 9999); err == nil {
 		t.Error("accepted unknown node")
+	}
+}
+
+// TestMeasureOnceRefusedInjection: a transaction the first connection
+// refuses — here a spend of an output that an earlier flood already spent —
+// never enters the network. MeasureOnce must say so, not return a run in
+// which every connection missed it.
+func TestMeasureOnceRefusedInjection(t *testing.T) {
+	net, ids := buildNet(t, 30, 7)
+	wireRandom(t, net, ids)
+	m, err := NewMeasuringNode(net, ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	spend := func(value chain.Amount) *chain.Tx {
+		return &chain.Tx{
+			Version: 1,
+			Inputs:  []chain.TxIn{{PrevOut: chain.Outpoint{TxID: mkTx(t, 1).ID()}}},
+			Outputs: []chain.TxOut{{Value: value, To: chain.Address{1}}},
+		}
+	}
+	origin, _ := net.Node(ids[1])
+	if err := origin.SubmitTx(spend(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Run(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.MeasureOnce(context.Background(), spend(2), time.Minute)
+	if err == nil {
+		t.Fatalf("conflicting spend measured: %d samples, %d missing", len(res.Deltas), len(res.Missing))
+	}
+	if !strings.Contains(err.Error(), "injection 0") {
+		t.Errorf("error %q does not name the injection", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package p2p
 
 import (
+	"errors"
+
 	"repro/internal/chain"
 	"repro/internal/obs"
 )
@@ -12,6 +14,10 @@ import (
 // handleObject). Blocks are larger and costlier to verify, so their
 // propagation amplifies the same per-hop latency effects the transaction
 // experiments measure.
+
+// errBadBlock rejects a block that misses its proof-of-work target or whose
+// header does not commit to its transactions.
+var errBadBlock = errors.New("p2p: block fails its proof of work or Merkle commitment")
 
 // SubmitBlock injects a locally mined block: records it and announces it
 // to all peers.
@@ -25,15 +31,10 @@ func (nd *Node) acceptBlock(b *chain.Block, from NodeID) error {
 	if e := nd.entryFor(h); e != nil && e.seenGen == nd.net.invGen {
 		return nil
 	}
-	// Structural checks only: full contextual validation needs a chain
-	// view, which the propagation experiments do not attach per node.
-	if nd.net.cfg.Validation != ValidationNone {
-		if !b.Header.CheckPoW() {
-			return chain.ErrBadSignature // reuse sentinel: invalid proof dies here
-		}
-		if b.Header.MerkleRoot != chain.MerkleRoot(b.Txs) {
-			return chain.ErrBadSignature
-		}
+	// Structural checks only: contextual validation needs a chain view,
+	// which no node keeps.
+	if !b.Header.CheckPoW() || b.Header.MerkleRoot != chain.MerkleRoot(b.Txs) {
+		return errBadBlock
 	}
 	hi := nd.net.hashSlot(h)
 	e := nd.invEnsure(hi)

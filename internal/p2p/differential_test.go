@@ -34,9 +34,8 @@ type seenEvent struct {
 }
 
 // diffConfig builds the shared config for one differential run.
-func diffConfig(validation ValidationMode, loss bool, seed int64) Config {
+func diffConfig(loss bool, seed int64) Config {
 	cfg := DefaultConfig()
-	cfg.Validation = validation
 	cfg.Seed = seed
 	cfg.PingInterval = 0
 	if loss {
@@ -147,7 +146,12 @@ func (h *diffHarness) addNode() NodeID {
 
 func (h *diffHarness) submitTx(at NodeID) {
 	h.nextTx++
-	tx := chain.Coinbase(h.nextTx, 1000, h.addr)
+	h.submit(at, chain.Coinbase(h.nextTx, 1000, h.addr))
+}
+
+// submit hands tx to node at on both sides, which must agree on whether it
+// is accepted.
+func (h *diffHarness) submit(at NodeID, tx *chain.Tx) {
 	h.hashes = append(h.hashes, tx.ID())
 	fn, ok := h.flat.Node(at)
 	if !ok {
@@ -398,7 +402,7 @@ func runScript(t testing.TB, cfg Config, script []byte) {
 }
 
 // TestFlatNodeMatchesReference pins the flat layout to the map-based
-// oracle across validation modes, loss injection and churn.
+// oracle with and without loss injection, across churn.
 func TestFlatNodeMatchesReference(t *testing.T) {
 	scripts := map[string][]byte{
 		"flood":  {2, 0, 0, 3, 10, 0, 2, 5, 0, 3, 50, 0},
@@ -419,21 +423,20 @@ func TestFlatNodeMatchesReference(t *testing.T) {
 		"mixed-ops":   {6, 0, 1, 2, 3, 0, 3, 40, 0, 5, 7, 0, 0, 1, 8, 2, 2, 0, 3, 90, 0, 4, 0, 0, 2, 5, 0},
 		"mid-flight":  {2, 0, 0, 3, 1, 0, 5, 4, 0, 3, 1, 0, 5, 6, 0, 3, 100, 0},
 	}
-	// "inv" in a mode's name is the INV/GETDATA/TX exchange every mode runs.
+	// "inv" in a mode's name is the INV/GETDATA/TX exchange every mode
+	// runs; both modes validate alike, and the second loses messages.
 	type mode struct {
-		name       string
-		validation ValidationMode
-		loss       bool
+		name string
+		loss bool
 	}
 	modes := []mode{
-		{"light-inv", ValidationLight, false},
-		{"none-inv", ValidationNone, false},
-		{"none-inv-loss", ValidationNone, true},
+		{"light-inv", false},
+		{"none-inv-loss", true},
 	}
 	for _, m := range modes {
 		for name, script := range scripts {
 			t.Run(fmt.Sprintf("%s/%s", m.name, name), func(t *testing.T) {
-				runScript(t, diffConfig(m.validation, m.loss, 42), script)
+				runScript(t, diffConfig(m.loss, 42), script)
 			})
 		}
 	}
@@ -442,7 +445,7 @@ func TestFlatNodeMatchesReference(t *testing.T) {
 // TestFlatBlockRelayMatchesReference covers block submission, which the
 // byte scripts keep separate because mining has nonzero cost.
 func TestFlatBlockRelayMatchesReference(t *testing.T) {
-	cfg := diffConfig(ValidationLight, false, 9)
+	cfg := diffConfig(false, 9)
 	h := newDiffHarness(t, cfg, 10)
 	ids := h.liveIDs()
 	for i := range ids {
@@ -455,6 +458,43 @@ func TestFlatBlockRelayMatchesReference(t *testing.T) {
 	h.drain()
 	h.reset()
 	h.submitBlock(ids[7])
+	h.drain()
+	h.compare()
+}
+
+// TestConflictingSpendsMatchReference races two spends of one output from
+// opposite sides of the network, where the flat layout decides each node's
+// winner from the network's spenders list and the oracle from the node's
+// own map of spent outputs. Which node keeps which spend, when, who is known
+// to hold what, and the traffic must match; so must the rejection of the
+// loser resubmitted where the winner got first, and the acceptance of a
+// third spend once ResetInventory has freed the output.
+func TestConflictingSpendsMatchReference(t *testing.T) {
+	h := newDiffHarness(t, diffConfig(false, 13), 10)
+	ids := h.liveIDs()
+	for i := range ids {
+		h.connect(ids[i], ids[(i+1)%len(ids)])
+		h.connect(ids[i], ids[(i+3)%len(ids)])
+	}
+	op := chain.Outpoint{TxID: chain.DoubleSHA256([]byte("race")), Index: 1}
+	a, b := spendOf(op, 1), spendOf(op, 2)
+	h.submit(ids[0], a)
+	h.submit(ids[5], b)
+	h.drain()
+	h.compare()
+	fa, ok := h.flat.Node(ids[0])
+	if !ok {
+		t.Fatal("node gone")
+	}
+	if _, held := fa.FirstSeen(a.ID()); !held {
+		t.Fatal("the origin of A does not hold it")
+	}
+	h.submit(ids[0], b) // rejected on both sides, which submit checks
+	if err := fa.SubmitTx(b); err == nil {
+		t.Fatal("B accepted where A got first")
+	}
+	h.reset()
+	h.submit(ids[7], spendOf(op, 3))
 	h.drain()
 	h.compare()
 }
@@ -500,7 +540,7 @@ func TestStalePositionMatchesReference(t *testing.T) {
 		for _, v := range variants {
 			// "inv/" names the exchange, INV/GETDATA/TX, the legs belong to.
 			t.Run(fmt.Sprintf("inv/%s/%s", leg.name, v.name), func(t *testing.T) {
-				h := newDiffHarness(t, diffConfig(ValidationLight, false, 5), 4)
+				h := newDiffHarness(t, diffConfig(false, 5), 4)
 				h.connect(a, b)
 				h.connect(b, d)
 				if v.name == "bystander" {
@@ -581,7 +621,7 @@ func TestInFlightRecordMatchesReference(t *testing.T) {
 			for _, v := range variants {
 				// "inv/" names the exchange, INV/GETDATA/object, the legs belong to.
 				t.Run(fmt.Sprintf("inv/%s/%s/%s", object, leg.name, v.name), func(t *testing.T) {
-					h := newDiffHarness(t, diffConfig(ValidationLight, false, 5), 3)
+					h := newDiffHarness(t, diffConfig(false, 5), 3)
 					h.connect(a, b)
 					h.connect(b, d)
 					if block {
@@ -747,7 +787,7 @@ func TestProbeNCarriedHandles(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newDiffHarness(t, diffConfig(ValidationLight, false, 21), 10)
+			h := newDiffHarness(t, diffConfig(false, 21), 10)
 			fa, _ := h.flat.Node(a)
 			tc.run(t, h)
 			h.drain()
@@ -782,7 +822,7 @@ func TestProbeNCarriedHandles(t *testing.T) {
 func TestHashMemoMatchesReference(t *testing.T) {
 	// "inv" names the exchange, INV/GETDATA/TX, the floods relay over.
 	t.Run("inv", func(t *testing.T) {
-		h := newDiffHarness(t, diffConfig(ValidationLight, false, 11), 10)
+		h := newDiffHarness(t, diffConfig(false, 11), 10)
 		ids := h.liveIDs()
 		for i := range ids {
 			h.connect(ids[i], ids[(i+1)%len(ids)])
@@ -840,8 +880,7 @@ func FuzzFlatNodeMatchesReference(f *testing.F) {
 	// What an in-flight record carries going stale: a block and a
 	// transaction flood, then ResetInventory, Disconnect or RemoveNode at
 	// once (INVs on the wire) and again 100 ms on (GETDATAs, TX, BLOCK).
-	// Seed 4 draws another network; seed 5 also skips validation and loses
-	// messages.
+	// Seed 4 draws another network; seed 5 also loses messages.
 	for _, seed := range []int64{1, 4, 5} {
 		f.Add(seed, []byte{9, 0, 0, 2, 6, 0, 4, 0, 0, 3, 0, 0, 4, 0, 0, 3, 0, 0, 4, 0, 0})
 		f.Add(seed, []byte{9, 0, 0, 2, 6, 0, 1, 0, 1, 1, 6, 7, 3, 0, 0, 1, 0, 11, 1, 6, 5, 3, 0, 0})
@@ -851,12 +890,6 @@ func FuzzFlatNodeMatchesReference(f *testing.F) {
 		if len(script) > 96 {
 			script = script[:96]
 		}
-		cfg := diffConfig(ValidationMode(uint(seed)%3), seed%5 == 0, seed)
-		if cfg.Validation == ValidationFull {
-			// Full validation rejects bare coinbases at the mempool; the
-			// differential scripts exercise Light and None.
-			cfg.Validation = ValidationLight
-		}
-		runScript(t, cfg, script)
+		runScript(t, diffConfig(seed%5 == 0, seed), script)
 	})
 }

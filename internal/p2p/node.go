@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"encoding/binary"
+	"errors"
 	"slices"
 	"sort"
 	"time"
@@ -156,9 +157,6 @@ type Node struct {
 	peerFree     []int32
 	nPeers       int
 	nOut         int
-
-	// mempool is present in ValidationFull mode only.
-	mempool *chain.Mempool
 
 	// extraHandler receives messages the base node does not consume
 	// (JOIN/CLUSTER); the topology layer installs it.
@@ -603,24 +601,43 @@ func (nd *Node) SubmitTx(tx *chain.Tx) error {
 	return nil
 }
 
+// errConflict rejects a transaction that spends an output which a
+// transaction the node already holds spends.
+var errConflict = errors.New("p2p: transaction conflicts with one the node holds")
+
 // acceptTx validates and records a transaction, then announces it.
 // from == 0 means locally submitted.
+//
+// Of two transactions spending the same output, a node keeps the one it
+// accepted first and rejects the other, as a Bitcoin node's mempool does:
+// the double-spend race is decided node by node in arrival order. A node
+// holds a transaction iff it has seen its hash this generation, so the rule
+// needs no per-node state, only the network's list of the spenders of each
+// output. A coinbase spends nothing: the flood path pays an empty loop.
 func (nd *Node) acceptTx(tx *chain.Tx, from NodeID) error {
 	id := tx.ID()
 	if e := nd.entryFor(id); e != nil && e.seenGen == nd.net.invGen {
 		return nil
 	}
-	switch nd.net.cfg.Validation {
-	case ValidationFull:
-		if err := nd.mempool.Add(tx); err != nil {
-			return err
-		}
-	case ValidationLight:
-		if err := tx.CheckWellFormed(); err != nil {
-			return err
+	if err := tx.CheckWellFormed(); err != nil {
+		return err
+	}
+	for i := range tx.Inputs {
+		// Any spender the node has seen is another transaction: had it seen
+		// this one, it would have returned above.
+		for _, s := range nd.net.spenders[tx.Inputs[i].PrevOut] {
+			if nd.seenIdx(s) {
+				return errConflict
+			}
 		}
 	}
 	hi := nd.net.hashSlot(id)
+	for i := range tx.Inputs {
+		op := tx.Inputs[i].PrevOut
+		if !slices.Contains(nd.net.spenders[op], hi) {
+			nd.net.spenders[op] = append(nd.net.spenders[op], hi)
+		}
+	}
 	e := nd.invEnsure(hi)
 	e.seenGen = nd.net.invGen
 	e.at = nd.now()
@@ -765,15 +782,11 @@ func (nd *Node) handleObject(d *delivery) {
 	if nd.seenIdx(hi) {
 		return
 	}
-	utxoLen := 0
-	if nd.mempool != nil {
-		utxoLen = nd.mempool.Len()
-	}
 	var cost time.Duration
 	if d.tx != nil {
-		cost = n.cfg.VerifyCost.TxCost(d.tx, utxoLen)
+		cost = n.cfg.VerifyCost.TxCost(d.tx)
 	} else {
-		cost = n.cfg.VerifyCost.BlockCost(d.block, utxoLen)
+		cost = n.cfg.VerifyCost.BlockCost(d.block)
 	}
 	idx := n.dc.newFlight()
 	n.dc.flight[idx] = delivery{src: d.src, dst: nd, tx: d.tx, block: d.block}

@@ -91,45 +91,18 @@ import (
 // NodeID identifies a node in the simulated network.
 type NodeID uint64
 
-// ValidationMode selects how much transaction validation nodes perform.
-type ValidationMode int
-
-const (
-	// ValidationLight checks well-formedness and charges the virtual
-	// verification cost, but skips ECDSA and UTXO lookups. The right
-	// default for large propagation experiments: the *time* cost of
-	// verification is still modelled, only the CPU burn is skipped.
-	ValidationLight ValidationMode = iota
-	// ValidationFull runs real signature and UTXO validation per node.
-	ValidationFull
-	// ValidationNone treats transactions as opaque payloads (inventory
-	// propagation only).
-	ValidationNone
-)
-
-// String implements fmt.Stringer.
-func (v ValidationMode) String() string {
-	switch v {
-	case ValidationFull:
-		return "full"
-	case ValidationLight:
-		return "light"
-	case ValidationNone:
-		return "none"
-	default:
-		return fmt.Sprintf("ValidationMode(%d)", int(v)) //bcbptlint:allow hotalloc — cold debug path, never on the flood hot path
-	}
-}
-
 // Config parameterises a Network. Every object travels by the one exchange
-// of Fig. 1: INV, then GETDATA, then the TX or BLOCK.
+// of Fig. 1: INV, then GETDATA, then the TX or BLOCK, and every node
+// validates an object the same way before it announces it onward: a
+// transaction must be well formed and must not spend an output that a
+// transaction the node already holds spends (Node.acceptTx); a block must
+// meet its proof of work and commit to its transactions. What that costs in
+// time is VerifyCost's virtual delay.
 type Config struct {
 	// Latency configures the link model (eqs. 2-4).
 	Latency latency.Params
 	// VerifyCost converts transactions into virtual verification delay.
 	VerifyCost chain.VerifyCostModel
-	// Validation selects per-node validation depth.
-	Validation ValidationMode
 	// MaxOutbound caps connections a node initiates (Bitcoin: 8).
 	MaxOutbound int
 	// MaxPeers caps total connections per node (Bitcoin: 125), at most
@@ -143,8 +116,6 @@ type Config struct {
 	// probability (failure injection; "errors such as loss of connection
 	// and data corruption are expected", §V.B). 0 disables loss.
 	LossProb float64
-	// BaseUTXO, when set, seeds every node's ledger view (Full mode).
-	BaseUTXO *chain.UTXOSet
 	// Seed roots all randomness.
 	Seed int64
 }
@@ -154,7 +125,6 @@ func DefaultConfig() Config {
 	return Config{
 		Latency:      latency.DefaultParams(),
 		VerifyCost:   chain.DefaultVerifyCost(),
-		Validation:   ValidationLight,
 		MaxOutbound:  8,
 		MaxPeers:     125,
 		PingInterval: 30 * time.Second,
@@ -206,6 +176,11 @@ type Network struct {
 	// of in-flight hashes per run (one, for a measurement flood).
 	hashIdx map[chain.Hash]int32
 	hashN   int32
+	// spenders maps an output to the dense hash indices of the transactions
+	// of this generation that spend it, in the order nodes first accepted
+	// them: what Node.acceptTx reads to keep the first of two conflicting
+	// spends. ResetInventory clears it with hashIdx, whose indices it holds.
+	spenders map[chain.Outpoint][]int32
 	// peerWords is the per-hash holder bitset width in uint64 words,
 	// fixed by MaxPeers.
 	peerWords int32
@@ -271,6 +246,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		links:     make(map[linkKey]latency.Link),
 		invGen:    1,
 		hashIdx:   make(map[chain.Hash]int32, 16),
+		spenders:  make(map[chain.Outpoint][]int32),
 		peerWords: int32((cfg.MaxPeers + 63) / 64),
 	}
 	n.dc.krand = rand.New(&n.dc.ksrc)
@@ -350,7 +326,9 @@ func (n *Network) SlotOf(id NodeID) (int, bool) {
 	return int(node.slot), true
 }
 
-// AddNode creates a node at the given location and returns it.
+// AddNode creates a node at the given location and returns it, with no
+// peers and an empty inventory. It keeps no ledger of its own: every node
+// validates by the same rule (Config), whatever the experiment.
 func (n *Network) AddNode(loc geo.Location) *Node {
 	n.nextID++
 	id := n.nextID
@@ -366,13 +344,6 @@ func (n *Network) AddNode(loc geo.Location) *Node {
 	} else {
 		node.slot = int32(len(n.slots))
 		n.slots = append(n.slots, node)
-	}
-	if n.cfg.Validation == ValidationFull {
-		base := n.cfg.BaseUTXO
-		if base == nil {
-			base = chain.NewUTXOSet()
-		}
-		node.mempool = chain.NewMempool(base.Clone(), 0)
 	}
 	n.nodes[id] = node
 	return node
@@ -766,9 +737,8 @@ func (n *Network) probeDue(idx int32) {
 // ResetInventory clears every node's seen-transaction state. Measurement
 // harnesses call this between runs so memory stays bounded over thousands
 // of injected transactions. With the generation-stamped layout this is a
-// generation bump plus an O(active hashes) registry clear: no per-node
-// work at all outside ValidationFull mode, whose mempools are real
-// containers that must be drained.
+// generation bump plus an O(active hashes) clear of the hash registry and
+// of the spenders of each output: no per-node work at all.
 //
 // INVs still on their way as tickets are turned into the records they stand
 // for first (Node.settleLazy), so that they land stale, as a record that the
@@ -804,17 +774,8 @@ func (n *Network) ResetInventory() {
 		}
 	}
 	clear(n.hashIdx)
+	clear(n.spenders)
 	n.hashN = 0
-	if n.cfg.Validation == ValidationFull {
-		for _, node := range n.slots {
-			if node == nil || node.mempool == nil {
-				continue
-			}
-			for _, id := range node.mempool.IDs() {
-				node.mempool.Remove(id)
-			}
-		}
-	}
 }
 
 // StartKeepalive begins the periodic peer-ping service configured by

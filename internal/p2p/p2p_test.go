@@ -21,7 +21,6 @@ import (
 func testNetwork(t testing.TB, n int, mutate func(*Config)) (*Network, []*Node) {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Validation = ValidationNone
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -345,54 +344,92 @@ func TestVerificationDelayOrdersPropagation(t *testing.T) {
 	}
 }
 
-func TestValidationFullRejectsInvalidTx(t *testing.T) {
-	key, err := chain.GenerateKey(rand.New(rand.NewSource(9)))
-	if err != nil {
+// spendOf returns a transaction spending op; transactions of different
+// values spending one output are the two sides of a double-spend race. No
+// node checks a signature, so it is unsigned.
+func spendOf(op chain.Outpoint, value chain.Amount) *chain.Tx {
+	return &chain.Tx{
+		Version: 1,
+		Inputs:  []chain.TxIn{{PrevOut: op}},
+		Outputs: []chain.TxOut{{Value: value, To: chain.Address{1}}},
+	}
+}
+
+// TestFirstSpendWins floods two spends of one output from opposite ends of
+// a ring. Every node keeps the one that reached it first and rejects the
+// other, so it holds exactly one of them, and it never announces the one it
+// rejected. The rule lasts one inventory generation: after ResetInventory a
+// third spend of the output floods everywhere.
+func TestFirstSpendWins(t *testing.T) {
+	net, nodes := testNetwork(t, 20, nil)
+	connectRing(t, net, nodes)
+	// Traced, every INV travels as a record in the arena, where the stepping
+	// loop below can read who sends it and for what.
+	net.EnableTrace(obs.NewTracer(1<<10, 1))
+	op := chain.Outpoint{TxID: testTx(t, 1).ID()}
+	a, b := spendOf(op, 1), spendOf(op, 2)
+	if err := nodes[0].SubmitTx(a); err != nil {
 		t.Fatal(err)
 	}
-	base := chain.NewUTXOSet()
-	cb := chain.Coinbase(1, 100_000, key.Address())
-	if err := base.AddCoinbase(cb); err != nil {
+	if err := nodes[10].SubmitTx(b); err != nil {
 		t.Fatal(err)
 	}
-	net, nodes := testNetwork(t, 2, func(c *Config) {
-		c.Validation = ValidationFull
-		c.BaseUTXO = base
-	})
-	if err := net.Connect(nodes[0].ID(), nodes[1].ID()); err != nil {
-		t.Fatal(err)
+	rival := map[*chain.Tx]*chain.Tx{a: b, b: a}
+	invs := 0
+	for {
+		ran, err := net.sched.RunN(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ran == 0 {
+			break
+		}
+		for i := range net.dc.flight {
+			d := &net.dc.flight[i]
+			if d.cmd != wire.CmdInv || d.tx == nil {
+				continue
+			}
+			invs++
+			if _, ok := d.src.FirstSeen(rival[d.tx].ID()); ok {
+				t.Fatalf("node %d announces the spend of value %d while holding its rival", d.src.ID(), d.tx.Outputs[0].Value)
+			}
+		}
+	}
+	if invs == 0 {
+		t.Fatal("no INV seen in flight")
+	}
+	var holdA, holdB int
+	for _, nd := range nodes {
+		_, hasA := nd.FirstSeen(a.ID())
+		_, hasB := nd.FirstSeen(b.ID())
+		if hasA == hasB {
+			t.Fatalf("node %d holds A %v and B %v; want exactly one", nd.ID(), hasA, hasB)
+		}
+		if hasA {
+			holdA++
+		} else {
+			holdB++
+		}
+	}
+	if holdA == 0 || holdB == 0 {
+		t.Fatalf("A won %d nodes and B %d: the race was not a race", holdA, holdB)
+	}
+	if err := nodes[0].SubmitTx(b); !errors.Is(err, errConflict) {
+		t.Fatalf("B resubmitted where A won: error %v, want errConflict", err)
 	}
 
-	// An unfunded spend must be rejected at submission.
-	bogus := &chain.Tx{
-		Version: 1,
-		Inputs:  []chain.TxIn{{PrevOut: chain.Outpoint{Index: 5}}},
-		Outputs: []chain.TxOut{{Value: 10, To: key.Address()}},
-	}
-	if err := bogus.SignAllInputs([]*chain.KeyPair{key}); err != nil {
-		t.Fatal(err)
-	}
-	if err := nodes[0].SubmitTx(bogus); err == nil {
-		t.Error("unfunded tx accepted in full validation mode")
-	}
-
-	// A real spend of the seeded coinbase propagates.
-	valid := &chain.Tx{
-		Version: 1,
-		Inputs:  []chain.TxIn{{PrevOut: chain.Outpoint{TxID: cb.ID(), Index: 0}}},
-		Outputs: []chain.TxOut{{Value: 90_000, To: key.Address()}},
-	}
-	if err := valid.SignAllInputs([]*chain.KeyPair{key}); err != nil {
-		t.Fatal(err)
-	}
-	if err := nodes[0].SubmitTx(valid); err != nil {
-		t.Fatalf("valid tx rejected: %v", err)
+	net.ResetInventory()
+	c := spendOf(op, 3)
+	if err := nodes[5].SubmitTx(c); err != nil {
+		t.Fatalf("a spend after the reset: %v", err)
 	}
 	if err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := nodes[1].FirstSeen(valid.ID()); !ok {
-		t.Error("valid tx did not propagate in full mode")
+	for _, nd := range nodes {
+		if _, ok := nd.FirstSeen(c.ID()); !ok {
+			t.Fatalf("node %d never accepted the spend made after the reset", nd.ID())
+		}
 	}
 }
 
@@ -866,15 +903,6 @@ func TestNodeIDsSorted(t *testing.T) {
 	}
 }
 
-func TestValidationModeString(t *testing.T) {
-	if ValidationFull.String() != "full" || ValidationLight.String() != "light" || ValidationNone.String() != "none" {
-		t.Error("ValidationMode strings wrong")
-	}
-	if ValidationMode(9).String() == "" {
-		t.Error("unknown mode should stringify")
-	}
-}
-
 func BenchmarkTxFlood100Nodes(b *testing.B) {
 	net, nodes := testNetwork(b, 100, nil)
 	r := net.Streams().Stream("bench")
@@ -965,7 +993,7 @@ func TestLossInjection(t *testing.T) {
 }
 
 func TestBlockRelay(t *testing.T) {
-	net, nodes := testNetwork(t, 15, func(c *Config) { c.Validation = ValidationLight })
+	net, nodes := testNetwork(t, 15, nil)
 	connectRing(t, net, nodes)
 
 	key, err := chain.GenerateKey(rand.New(rand.NewSource(50)))
@@ -1004,7 +1032,7 @@ func TestBlockRelay(t *testing.T) {
 }
 
 func TestBlockRelayRejectsBadPoW(t *testing.T) {
-	net, nodes := testNetwork(t, 3, func(c *Config) { c.Validation = ValidationLight })
+	net, nodes := testNetwork(t, 3, nil)
 	connectRing(t, net, nodes)
 	key, err := chain.GenerateKey(rand.New(rand.NewSource(51)))
 	if err != nil {

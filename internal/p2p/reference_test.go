@@ -62,7 +62,10 @@ type ReferenceNode struct {
 	// requested marks hashes with a GETDATA in flight.
 	requested map[chain.Hash]struct{}
 
-	mempool *chain.Mempool
+	// spent maps every output an accepted transaction spends to that
+	// transaction: the node's own record of the first-spend rule, where the
+	// flat layout reads the network's spenders list against its seen marks.
+	spent map[chain.Outpoint]chain.Hash
 
 	uplinkFreeAt sim.Time
 
@@ -153,15 +156,16 @@ func (nd *ReferenceNode) acceptTx(tx *chain.Tx, from NodeID) error {
 	if _, seen := nd.known[id]; seen {
 		return nil
 	}
-	switch nd.net.cfg.Validation {
-	case ValidationFull:
-		if err := nd.mempool.Add(tx); err != nil {
-			return err
+	if err := tx.CheckWellFormed(); err != nil {
+		return err
+	}
+	for i := range tx.Inputs {
+		if _, taken := nd.spent[tx.Inputs[i].PrevOut]; taken {
+			return errConflict
 		}
-	case ValidationLight:
-		if err := tx.CheckWellFormed(); err != nil {
-			return err
-		}
+	}
+	for i := range tx.Inputs {
+		nd.spent[tx.Inputs[i].PrevOut] = id
 	}
 	nd.known[id] = nd.net.Now()
 	if nd.txData == nil {
@@ -275,11 +279,7 @@ func (nd *ReferenceNode) handleTx(from NodeID, m *wire.MsgTx) {
 	if _, seen := nd.known[id]; seen {
 		return
 	}
-	utxoLen := 0
-	if nd.mempool != nil {
-		utxoLen = nd.mempool.Len()
-	}
-	cost := nd.net.cfg.VerifyCost.TxCost(tx, utxoLen)
+	cost := nd.net.cfg.VerifyCost.TxCost(tx)
 	nd.net.verifyLater(cost, nd.id, from, tx, nil)
 }
 
@@ -326,13 +326,8 @@ func (nd *ReferenceNode) acceptBlock(b *chain.Block, from NodeID) error {
 	if _, seen := nd.known[h]; seen {
 		return nil
 	}
-	if nd.net.cfg.Validation != ValidationNone {
-		if !b.Header.CheckPoW() {
-			return chain.ErrBadSignature
-		}
-		if b.Header.MerkleRoot != chain.MerkleRoot(b.Txs) {
-			return chain.ErrBadSignature
-		}
+	if !b.Header.CheckPoW() || b.Header.MerkleRoot != chain.MerkleRoot(b.Txs) {
+		return errBadBlock
 	}
 	nd.known[h] = nd.net.Now()
 	if nd.blockData == nil {
@@ -392,11 +387,7 @@ func (nd *ReferenceNode) handleBlock(from NodeID, m *wire.MsgBlock) {
 	if _, seen := nd.known[h]; seen {
 		return
 	}
-	utxoLen := 0
-	if nd.mempool != nil {
-		utxoLen = nd.mempool.Len()
-	}
-	cost := nd.net.cfg.VerifyCost.BlockCost(b, utxoLen)
+	cost := nd.net.cfg.VerifyCost.BlockCost(b)
 	nd.net.verifyLater(cost, nd.id, from, nil, b)
 }
 
@@ -491,13 +482,7 @@ func (n *ReferenceNetwork) AddNode(loc geo.Location) *ReferenceNode {
 		known:   make(map[chain.Hash]sim.Time, 16),
 		peerInv: make(map[chain.Hash]map[NodeID]struct{}, 16),
 		pending: make(map[uint64]refPendingPing),
-	}
-	if n.cfg.Validation == ValidationFull {
-		base := n.cfg.BaseUTXO
-		if base == nil {
-			base = chain.NewUTXOSet()
-		}
-		node.mempool = chain.NewMempool(base.Clone(), 0)
+		spent:   make(map[chain.Outpoint]chain.Hash),
 	}
 	n.nodes[id] = node
 	return node
@@ -696,11 +681,7 @@ func (n *ReferenceNetwork) ResetInventory() {
 		clear(node.txData)
 		clear(node.blockData)
 		clear(node.requested)
-		if node.mempool != nil {
-			for _, id := range node.mempool.IDs() {
-				node.mempool.Remove(id)
-			}
-		}
+		clear(node.spent)
 	}
 }
 

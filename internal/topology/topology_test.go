@@ -17,7 +17,6 @@ var (
 func buildNetwork(t testing.TB, n int, seed int64) (*p2p.Network, []p2p.NodeID) {
 	t.Helper()
 	cfg := p2p.DefaultConfig()
-	cfg.Validation = p2p.ValidationNone
 	cfg.Seed = seed
 	net, err := p2p.NewNetwork(cfg)
 	if err != nil {
