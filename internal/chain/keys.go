@@ -1,6 +1,6 @@
 // Package chain implements the objects the propagation protocols carry:
-// ECDSA-signed transactions and proof-of-work blocks with Merkle
-// commitments, with their sizes and IDs.
+// transactions spending to ECDSA key addresses and proof-of-work blocks
+// with Merkle commitments, with their sizes and IDs.
 //
 // No node keeps a ledger. The "verify then relay" step of Fig. 1 of the
 // paper is a virtual delay (VerifyCostModel), not a signature check, and
@@ -12,7 +12,6 @@ package chain
 import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -34,24 +33,20 @@ type Address [AddressSize]byte
 // String returns the hex form of the address.
 func (a Address) String() string { return hex.EncodeToString(a[:]) }
 
-// KeyPair is an ECDSA P-256 signing key with its derived address.
+// KeyPair is an ECDSA P-256 public key with its derived address.
 type KeyPair struct {
-	priv *ecdsa.PrivateKey
 	pub  []byte // uncompressed SEC1 point
 	addr Address
 }
 
-// GenerateKey creates a key pair from the given entropy source. Pass
-// crypto/rand.Reader in production; tests pass a deterministic reader.
+// GenerateKey creates a key pair from the given entropy source, which
+// must be seeded: the same seed yields the same key.
 //
 // The scalar is derived from the entropy stream directly (rejection-
 // sampled into [1, N-1]) rather than via ecdsa.GenerateKey, which
 // deliberately defeats deterministic readers (randutil.MaybeReadByte) —
 // reproducible experiments need the same seed to yield the same key.
 func GenerateKey(entropy io.Reader) (*KeyPair, error) {
-	if entropy == nil {
-		entropy = rand.Reader
-	}
 	curve := elliptic.P256()
 	params := curve.Params()
 	byteLen := (params.N.BitLen() + 7) / 8
@@ -76,7 +71,7 @@ func GenerateKey(entropy io.Reader) (*KeyPair, error) {
 
 func newKeyPair(priv *ecdsa.PrivateKey) *KeyPair {
 	pub := elliptic.Marshal(elliptic.P256(), priv.PublicKey.X, priv.PublicKey.Y)
-	return &KeyPair{priv: priv, pub: pub, addr: PubKeyAddress(pub)}
+	return &KeyPair{pub: pub, addr: PubKeyAddress(pub)}
 }
 
 // PubKey returns the uncompressed public key bytes.
@@ -84,19 +79,6 @@ func (k *KeyPair) PubKey() []byte { return k.pub }
 
 // Address returns the pay-to-pubkey-hash address of the key.
 func (k *KeyPair) Address() Address { return k.addr }
-
-// Sign signs a 32-byte digest, returning a compact 64-byte r||s signature
-// with both halves padded to 32 bytes.
-func (k *KeyPair) Sign(digest [32]byte) ([]byte, error) {
-	r, s, err := ecdsa.Sign(rand.Reader, k.priv, digest[:])
-	if err != nil {
-		return nil, fmt.Errorf("chain: sign: %w", err)
-	}
-	sig := make([]byte, 64)
-	r.FillBytes(sig[:32])
-	s.FillBytes(sig[32:])
-	return sig, nil
-}
 
 // PubKeyAddress derives the address for a serialized public key.
 func PubKeyAddress(pub []byte) Address {

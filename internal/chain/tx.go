@@ -22,10 +22,12 @@ type Outpoint struct {
 // String implements fmt.Stringer.
 func (o Outpoint) String() string { return fmt.Sprintf("%s:%d", o.TxID, o.Index) }
 
-// TxIn spends a previous output. Sig and PubKey are filled by signing.
+// TxIn spends a previous output. No node verifies Sig; it and PubKey are
+// carried for their size, which the relay charges against link bandwidth
+// and verification cost.
 type TxIn struct {
 	PrevOut Outpoint
-	Sig     []byte // compact 64-byte signature over the tx sighash
+	Sig     []byte // compact 64-byte signature
 	PubKey  []byte // uncompressed public key whose address owns PrevOut
 }
 
@@ -35,8 +37,8 @@ type TxOut struct {
 	To    Address
 }
 
-// Tx is a transaction: a signed reassignment of previously unspent
-// outputs. A transaction with no inputs is a coinbase (mining reward); the
+// Tx is a transaction: a reassignment of previously unspent outputs. A
+// transaction with no inputs is a coinbase (mining reward); the
 // measurement floods send coinbases, which spend nothing and so conflict
 // with nothing.
 type Tx struct {
@@ -48,8 +50,7 @@ type Tx struct {
 	// id caches the transaction hash: every node on a flood path hashes
 	// the same shared *Tx at least twice (receive and accept), and the
 	// serialize-and-digest would otherwise run once per hop. Fields must
-	// not be mutated after the first ID() call; SignAllInputs (the one
-	// in-package mutator) invalidates it.
+	// not be mutated after the first ID() call.
 	id      Hash
 	idValid bool
 }
@@ -66,10 +67,8 @@ func Coinbase(height uint64, value Amount, to Address) *Tx {
 	}
 }
 
-// serialize writes the canonical binary form. If forSigning is true, input
-// signatures and pubkeys are omitted so the digest covers only immutable
-// fields.
-func (tx *Tx) serialize(w *bytes.Buffer, forSigning bool) {
+// serialize writes the canonical binary form.
+func (tx *Tx) serialize(w *bytes.Buffer) {
 	var scratch [8]byte
 	putU32 := func(v uint32) {
 		binary.LittleEndian.PutUint32(scratch[:4], v)
@@ -90,10 +89,8 @@ func (tx *Tx) serialize(w *bytes.Buffer, forSigning bool) {
 		in := &tx.Inputs[i]
 		w.Write(in.PrevOut.TxID[:])
 		putU32(in.PrevOut.Index)
-		if !forSigning {
-			putBytes(in.Sig)
-			putBytes(in.PubKey)
-		}
+		putBytes(in.Sig)
+		putBytes(in.PubKey)
 	}
 	putU32(uint32(len(tx.Outputs)))
 	for i := range tx.Outputs {
@@ -107,7 +104,7 @@ func (tx *Tx) serialize(w *bytes.Buffer, forSigning bool) {
 // Bytes returns the full canonical serialization.
 func (tx *Tx) Bytes() []byte {
 	var buf bytes.Buffer
-	tx.serialize(&buf, false)
+	tx.serialize(&buf)
 	return buf.Bytes()
 }
 
@@ -135,33 +132,6 @@ func (tx *Tx) ID() Hash {
 		tx.idValid = true
 	}
 	return tx.id
-}
-
-// SigHash returns the digest every input signs: the serialization with
-// signatures and pubkeys excluded.
-func (tx *Tx) SigHash() Hash {
-	var buf bytes.Buffer
-	tx.serialize(&buf, true)
-	return DoubleSHA256(buf.Bytes())
-}
-
-// SignAllInputs signs every input with the corresponding key. keys[i]
-// must own the output spent by Inputs[i].
-func (tx *Tx) SignAllInputs(keys []*KeyPair) error {
-	if len(keys) != len(tx.Inputs) {
-		return fmt.Errorf("chain: %d keys for %d inputs", len(keys), len(tx.Inputs))
-	}
-	digest := tx.SigHash()
-	for i, k := range keys {
-		sig, err := k.Sign([32]byte(digest))
-		if err != nil {
-			return err
-		}
-		tx.Inputs[i].Sig = sig
-		tx.Inputs[i].PubKey = k.PubKey()
-	}
-	tx.idValid = false
-	return nil
 }
 
 // CheckWellFormed performs context-free validation: structure and value

@@ -90,13 +90,7 @@ func DoubleSpend(ctx context.Context, spec DoubleSpendSpec) (DoubleSpendResult, 
 		spec.Deadline = 2 * time.Minute
 	}
 
-	// The attacker signs both spends: txV pays the victim's address, txA its
-	// own. Each (offset, trial) races over an output of its own.
-	attacker, err := chain.GenerateKey(rand.New(rand.NewSource(spec.Seed + 5000)))
-	if err != nil {
-		return DoubleSpendResult{}, err
-	}
-	victim, err := chain.GenerateKey(rand.New(rand.NewSource(spec.Seed + 5001)))
+	attacker, victim, err := raceKeys(spec.Seed)
 	if err != nil {
 		return DoubleSpendResult{}, err
 	}
@@ -139,6 +133,34 @@ func DoubleSpend(ctx context.Context, spec DoubleSpendSpec) (DoubleSpendResult, 
 	return res, nil
 }
 
+// raceKeys derives the attacker's and the victim's keys from the race
+// seed. Each (offset, trial) then races over an output of its own.
+func raceKeys(seed int64) (attacker, victim *chain.KeyPair, err error) {
+	if attacker, err = chain.GenerateKey(rand.New(rand.NewSource(seed + 5000))); err != nil {
+		return nil, nil, err
+	}
+	if victim, err = chain.GenerateKey(rand.New(rand.NewSource(seed + 5001))); err != nil {
+		return nil, nil, err
+	}
+	return attacker, victim, nil
+}
+
+// conflictingSpends builds the race's two spends of op: txV pays the
+// victim's address, txA the attacker's own. No node verifies a signature,
+// so each input carries a zero 64-byte Sig beside the attacker's public
+// key: the size of a signed spend, and so its transmission time and
+// verification cost, with an ID that is the same on every run.
+func conflictingSpends(attacker, victim *chain.KeyPair, op chain.Outpoint) (txV, txA *chain.Tx) {
+	spend := func(to chain.Address) *chain.Tx {
+		return &chain.Tx{
+			Version: 1,
+			Inputs:  []chain.TxIn{{PrevOut: op, Sig: make([]byte, 64), PubKey: attacker.PubKey()}},
+			Outputs: []chain.TxOut{{Value: 99_000, To: to}},
+		}
+	}
+	return spend(victim.Address()), spend(attacker.Address())
+}
+
 // raceOnce runs one double-spend race and reports the attacker's node
 // share and whether the victim was deceived.
 func raceOnce(net *p2p.Network, victimID, attackerID p2p.NodeID,
@@ -147,22 +169,7 @@ func raceOnce(net *p2p.Network, victimID, attackerID p2p.NodeID,
 
 	net.ResetInventory()
 
-	txV := &chain.Tx{
-		Version: 1,
-		Inputs:  []chain.TxIn{{PrevOut: op}},
-		Outputs: []chain.TxOut{{Value: 99_000, To: victim.Address()}},
-	}
-	if err := txV.SignAllInputs([]*chain.KeyPair{attacker}); err != nil {
-		return 0, false, err
-	}
-	txA := &chain.Tx{
-		Version: 1,
-		Inputs:  []chain.TxIn{{PrevOut: op}},
-		Outputs: []chain.TxOut{{Value: 99_000, To: attacker.Address()}},
-	}
-	if err := txA.SignAllInputs([]*chain.KeyPair{attacker}); err != nil {
-		return 0, false, err
-	}
+	txV, txA := conflictingSpends(attacker, victim, op)
 
 	vNode, ok := net.Node(victimID)
 	if !ok {

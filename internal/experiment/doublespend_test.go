@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chain"
 	"repro/internal/core"
 )
 
@@ -45,6 +46,35 @@ func TestDoubleSpendGolden(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Fatalf("doublespend tables diverged from the golden:\n%s\nwant:\n%s", got.String(), want)
+	}
+}
+
+// TestDoubleSpendTxIDsDeterministic: two builds of the race from one seed
+// make the same two spends, ID for ID; the spends conflict, so their IDs
+// differ; and each is the size of a signed one-input spend (version, counts
+// and locktime 16 B, input 32+4+4+64+4+65 B, output 28 B), which is what
+// its transmission time and verification cost follow.
+func TestDoubleSpendTxIDsDeterministic(t *testing.T) {
+	build := func() (txV, txA *chain.Tx) {
+		attacker, victim, err := raceKeys(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op := chain.Outpoint{TxID: chain.Coinbase(1, 100_000, attacker.Address()).ID()}
+		return conflictingSpends(attacker, victim, op)
+	}
+	v1, a1 := build()
+	v2, a2 := build()
+	if v1.ID() != v2.ID() || a1.ID() != a2.ID() {
+		t.Fatalf("one seed built spends with IDs %s/%s, then %s/%s", v1.ID(), a1.ID(), v2.ID(), a2.ID())
+	}
+	if v1.ID() == a1.ID() {
+		t.Fatal("the victim's and the attacker's spends share an ID")
+	}
+	for _, tx := range []*chain.Tx{v1, a1} {
+		if got := tx.Size(); got != 217 {
+			t.Errorf("spend is %d bytes, want 217", got)
+		}
 	}
 }
 

@@ -42,7 +42,7 @@ type Options struct {
 	Replications int
 	// Trace, when non-empty, exports a sim-time event trace of a sweep's
 	// first campaign (replication 0) as Chrome trace_event JSON at this
-	// path plus a binary spool at path+".bin" (see CampaignSpec.Trace).
+	// path (see CampaignSpec.Trace).
 	// The sweeps — the figures and the variance grid — honour it; Overhead
 	// does not. Purely observational: output is byte-identical with it on
 	// or off.

@@ -8,8 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // TestFigure3CSVGolden pins the figure3 smoke sweep (the fleetsmoke.sh
@@ -51,9 +49,9 @@ func TestFigure3CSVGolden(t *testing.T) {
 
 // TestFigure3CSVGoldenTraced re-runs the golden sweep with tracing
 // enabled and demands the same bytes: tracing hooks observe the
-// simulation, they may never perturb it. The exported trace pair is then
-// sanity-checked (JSON non-empty, spool round-trips with events) so the
-// test also pins that a traced sweep actually produces a trace.
+// simulation, they may never perturb it. The exported JSON is then
+// checked for events, so the test also pins that a traced sweep actually
+// produces a trace.
 func TestFigure3CSVGoldenTraced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-replication sweep; skipped in -short")
@@ -87,18 +85,6 @@ func TestFigure3CSVGoldenTraced(t *testing.T) {
 	}
 	if !bytes.Contains(jf, []byte(`"traceEvents":[{`)) {
 		t.Fatal("trace JSON has no events")
-	}
-	sf, err := os.Open(trace + ".bin")
-	if err != nil {
-		t.Fatalf("trace spool not exported: %v", err)
-	}
-	defer sf.Close()
-	events, err := obs.ReadSpool(sf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("trace spool has no events")
 	}
 }
 

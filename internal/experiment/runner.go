@@ -26,7 +26,6 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/measure"
@@ -60,10 +59,9 @@ type CampaignSpec struct {
 	// Trace, when non-empty, exports a sim-time event trace of this
 	// campaign's replication 0 — one canonical trace per campaign, not
 	// one per replication racing for the same file — as Chrome
-	// trace_event JSON at this path plus a compact binary spool at
-	// path+".bin". Tracing is purely observational (the golden-CSV tests
-	// pin byte-identical results with it on), so like Name it is excluded
-	// from Fingerprint.
+	// trace_event JSON at this path. Tracing is purely observational (the
+	// golden-CSV tests pin byte-identical results with it on), so like Name
+	// it is excluded from Fingerprint.
 	Trace string `json:"trace,omitempty"`
 }
 
@@ -189,11 +187,10 @@ type Runner struct {
 	// Workers bounds concurrency; <= 0 means GOMAXPROCS.
 	Workers int
 	// Metrics, when non-nil, receives per-unit telemetry as the sweep
-	// runs: completed-unit counters, build/run duration histograms labelled
-	// with the campaign's name as series (when Clock is set), and the p2p
-	// traffic counters folded post-run via Stats.AddToRegistry. Purely
-	// observational: the merged campaign results are bit-identical with
-	// or without it.
+	// runs: per-series event counters, build/run duration histograms
+	// labelled with the campaign's name as series (when Clock is set), and
+	// the trace-loss counters. Purely observational: the merged campaign
+	// results are bit-identical with or without it.
 	Metrics *obs.Registry
 	// Clock supplies wall-clock nanoseconds for unit timings. It is
 	// injected because experiment is a deterministic package (bcbpt-lint
@@ -211,58 +208,6 @@ func (r *Runner) workerCount() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return r.Workers
-}
-
-// Each runs fn(ctx, i) for every i in [0, n) on up to Workers goroutines.
-// Units are handed out in index order; once ctx is cancelled no new unit
-// starts. Each returns only after every started unit has returned. fn is
-// responsible for recording its own results and errors (into per-index
-// slots — Each provides no synchronisation beyond the completion barrier).
-func (r *Runner) Each(ctx context.Context, n int, fn func(ctx context.Context, i int)) {
-	if n <= 0 {
-		return
-	}
-	workers := r.workerCount()
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		// Serial fast path: no goroutine or channel overhead.
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			fn(ctx, i)
-		}
-		return
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(ctx, i)
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		// Check ctx before offering the unit: when both a worker and
-		// cancellation are ready the select below picks randomly, and an
-		// already-cancelled pool must not start new work.
-		if ctx.Err() != nil {
-			break
-		}
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
 }
 
 // unitRef addresses one replication of one campaign in a sweep.
@@ -310,9 +255,8 @@ func RunUnit(ctx context.Context, cs CampaignSpec, rep int) (measure.CampaignRes
 // injected clock (nil leaves them zero — experiment itself may not read
 // the wall clock), the unit's traffic counters, and — when the campaign
 // names a Trace path and rep is 0 — a sim-time event trace exported as
-// trace_event JSON at cs.Trace and a binary spool at cs.Trace+".bin".
-// The observation is returned even on error so callers can count the
-// wall time a failed unit burned.
+// trace_event JSON at cs.Trace. The observation is returned even on error
+// so callers can count the wall time a failed unit burned.
 func RunUnitObserved(ctx context.Context, cs CampaignSpec, rep int, clock func() int64) (measure.CampaignResult, UnitObservation, error) {
 	var uo UnitObservation
 	cs = cs.withDefaults()
@@ -361,7 +305,7 @@ func RunUnitObserved(ctx context.Context, cs CampaignSpec, rep int, clock func()
 }
 
 // exportTrace writes the tracer's merged stream as trace_event JSON at
-// path and as a binary spool at path+".bin".
+// path.
 func exportTrace(tr *obs.Tracer, path string) error {
 	jf, err := os.Create(path)
 	if err != nil {
@@ -374,15 +318,7 @@ func exportTrace(tr *obs.Tracer, path string) error {
 	if err := jf.Close(); err != nil {
 		return fmt.Errorf("trace export %s: %w", path, err)
 	}
-	sf, err := os.Create(path + ".bin")
-	if err != nil {
-		return fmt.Errorf("trace export: %w", err)
-	}
-	if err := tr.WriteSpool(sf); err != nil {
-		sf.Close()
-		return fmt.Errorf("trace export %s.bin: %w", path, err)
-	}
-	return sf.Close()
+	return nil
 }
 
 // TraceKeptMetric and TraceDroppedMetric name the registry counters of the
@@ -408,16 +344,10 @@ func seriesLabel(series string) string { return fmt.Sprintf("{series=%q}", serie
 // observeUnit folds the telemetry of one unit of the named campaign into
 // the runner's registry. Counter and histogram handles are
 // concurrency-safe, so sweep workers fold directly.
-func (r *Runner) observeUnit(series string, uo UnitObservation, failed bool) {
+func (r *Runner) observeUnit(series string, uo UnitObservation) {
 	if r == nil || r.Metrics == nil {
 		return
 	}
-	if failed {
-		r.Metrics.Counter("bcbpt_sweep_units_failed_total").Inc()
-	} else {
-		r.Metrics.Counter("bcbpt_sweep_units_completed_total").Inc()
-	}
-	uo.Stats.AddToRegistry(r.Metrics)
 	label := seriesLabel(series)
 	r.Metrics.Counter(unitEventsMetric + label).Add(uo.Events)
 	if uo.TraceKept > 0 {
@@ -458,9 +388,11 @@ func (r *Runner) runUnits(ctx context.Context, order []int, fn func(ctx context.
 	n := len(order)
 	completed := make([]bool, n)
 	errs := make([]error, n) // by dispatch position
-	r.Each(runCtx, n, func(ctx context.Context, pos int) {
+	// ParallelFor's error is runCtx's: the fail-fast cancel is read back
+	// from errs below, and the caller's own cancellation by partialError.
+	_ = sim.ParallelFor(runCtx, n, r.workerCount(), func(pos int) {
 		i := order[pos]
-		if err := fn(ctx, i); err != nil {
+		if err := fn(runCtx, i); err != nil {
 			errs[pos] = err
 			if !isCancellation(err) {
 				cancel()
@@ -515,7 +447,7 @@ func (r *Runner) Sweep(ctx context.Context, campaigns []CampaignSpec) ([]Campaig
 	completed, unitErr := r.runUnits(ctx, DispatchOrder(specs), func(ctx context.Context, i int) error {
 		u := units[i]
 		res, uo, err := RunUnitObserved(ctx, specs[u.campaign], u.replication, r.Clock)
-		r.observeUnit(specs[u.campaign].Name, uo, err != nil)
+		r.observeUnit(specs[u.campaign].Name, uo)
 		if err != nil {
 			return err
 		}

@@ -301,12 +301,18 @@ func TestUnitCostTracksEvents(t *testing.T) {
 	}
 }
 
-// TestEachBoundsAndCompletes exercises the generic pool primitive.
+// TestEachBoundsAndCompletes exercises the runner's unit pool: every unit
+// of a permuted dispatch order runs and is reported completed, and no more
+// than Workers of them run at once.
 func TestEachBoundsAndCompletes(t *testing.T) {
 	const n = 64
+	order := make([]int, n)
+	for pos := range order {
+		order[pos] = n - 1 - pos
+	}
 	var ran [n]atomic.Bool
 	var inFlight, peak atomic.Int32
-	NewRunner(4).Each(context.Background(), n, func(ctx context.Context, i int) {
+	completed, err := NewRunner(4).runUnits(context.Background(), order, func(ctx context.Context, i int) error {
 		cur := inFlight.Add(1)
 		for {
 			p := peak.Load()
@@ -317,10 +323,14 @@ func TestEachBoundsAndCompletes(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		ran[i].Store(true)
 		inFlight.Add(-1)
+		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range ran {
-		if !ran[i].Load() {
-			t.Fatalf("unit %d never ran", i)
+		if !ran[i].Load() || !completed[i] {
+			t.Fatalf("unit %d: ran %v, completed %v", i, ran[i].Load(), completed[i])
 		}
 	}
 	if p := peak.Load(); p > 4 {
@@ -448,7 +458,7 @@ func TestUnitObservationEventsAndTraceLoss(t *testing.T) {
 		t.Errorf("traced unit kept %d events and dropped %d, want a full ring of %d and a loss", traced.TraceKept, traced.TraceDropped, obs.DefaultShardEvents)
 	}
 	reg := obs.NewRegistry()
-	(&Runner{Metrics: reg}).observeUnit("unit", traced, false)
+	(&Runner{Metrics: reg}).observeUnit("unit", traced)
 	if got := reg.Counter(`bcbpt_sweep_unit_events_total{series="unit"}`).Value(); got != traced.Events {
 		t.Errorf("registry holds %d unit events, want %d", got, traced.Events)
 	}

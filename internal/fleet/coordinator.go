@@ -46,13 +46,6 @@ type CoordinatorConfig struct {
 	// memory then stays flat however deep the sweep; a paper-scale unit is
 	// up to about a megabyte of samples. The directory is created if missing.
 	SpoolDir string
-	// Trace, when non-nil, records the queue's lease lifecycle — grant,
-	// renew, expiry reassignment, commit — onto the tracer's shard 0,
-	// stamped with wall time (the fleet runs in real time; there is no
-	// simulation clock here). Every record happens under the queue mutex,
-	// which is what makes the single-writer shard discipline hold across
-	// concurrent HTTP handlers.
-	Trace *obs.Tracer
 	// now stubs the clock in tests.
 	now func() time.Time
 }
@@ -105,7 +98,6 @@ type Coordinator struct {
 	order     []int // unit indices in experiment.DispatchOrder
 	mux       *http.ServeMux
 	metrics   *obs.Registry
-	trace     *obs.Shard // nil unless cfg.Trace; written only under mu
 
 	mu         sync.Mutex
 	units      []unit
@@ -136,9 +128,6 @@ func NewCoordinator(campaigns []experiment.CampaignSpec, cfg CoordinatorConfig) 
 		offsets:   make([]int, len(campaigns)),
 		metrics:   obs.NewRegistry(),
 		done:      make(chan struct{}),
-	}
-	if c.cfg.Trace != nil {
-		c.trace = c.cfg.Trace.Shard(0)
 	}
 	for i, cs := range campaigns {
 		cs = cs.WithDefaults()
@@ -173,21 +162,6 @@ func NewCoordinator(campaigns []experiment.CampaignSpec, cfg CoordinatorConfig) 
 // serves — so frontends can fold their own counters in or print a final
 // summary from it.
 func (c *Coordinator) Metrics() *obs.Registry { return c.metrics }
-
-// traceLease records one lease lifecycle event. Callers hold c.mu (the
-// shard's writer serialization); a nil trace costs one branch.
-func (c *Coordinator) traceLease(kind obs.Kind, campaign, rep int, leaseID uint64) {
-	if c.trace == nil {
-		return
-	}
-	c.trace.Record(obs.Event{
-		Wall: c.cfg.now().UnixNano(),
-		Kind: kind,
-		P1:   uint64(campaign),
-		P2:   uint64(rep),
-		P3:   leaseID,
-	})
-}
 
 // requireAuth gates a mutating endpoint behind the shared bearer token.
 // No token configured means an open queue (trusted-LAN mode). The
@@ -252,7 +226,6 @@ func (c *Coordinator) leaseUnit(worker string) LeaseResponse {
 			if !now.Before(u.expires) {
 				c.reassigned++
 				c.metrics.Counter("bcbpt_fleet_leases_reassigned_total").Inc()
-				c.traceLease(obs.KindLeaseExpire, u.campaign, u.replication, u.leaseID)
 				grant = i
 				break
 			}
@@ -281,7 +254,6 @@ func (c *Coordinator) leaseUnit(worker string) LeaseResponse {
 	u.worker = worker
 	u.expires = now.Add(c.cfg.LeaseTTL)
 	c.metrics.Counter("bcbpt_fleet_leases_granted_total").Inc()
-	c.traceLease(obs.KindLeaseGrant, u.campaign, u.replication, u.leaseID)
 	return LeaseResponse{Status: LeaseGranted, Lease: &Lease{
 		ID:          u.leaseID,
 		Campaign:    u.campaign,
@@ -318,7 +290,6 @@ func (c *Coordinator) renewLease(req RenewRequest) RenewResponse {
 	u.expires = c.cfg.now().Add(c.cfg.LeaseTTL)
 	c.renewed++
 	c.metrics.Counter("bcbpt_fleet_leases_renewed_total").Inc()
-	c.traceLease(obs.KindLeaseRenew, u.campaign, u.replication, u.leaseID)
 	return RenewResponse{Renewed: true, TTLMillis: c.cfg.LeaseTTL.Milliseconds()}
 }
 
@@ -427,7 +398,6 @@ func (c *Coordinator) finishCommit(req CommitRequest, cs experiment.CampaignSpec
 	c.remaining--
 	c.metrics.Counter("bcbpt_fleet_commits_accepted_total").Inc()
 	c.observeUnitTimings(req)
-	c.traceLease(obs.KindLeaseCommit, req.Campaign, req.Replication, req.LeaseID)
 	c.commits = append(c.commits, c.cfg.now())
 	c.pruneCommits(c.cfg.now())
 	if c.remaining == 0 && c.failure == nil {

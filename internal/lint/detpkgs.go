@@ -38,9 +38,9 @@ var deterministicPkgs = map[string]bool{
 	modulePath + "/internal/attack":     true,
 	// obs records events stamped with simulation time: the tracer and
 	// registry live inside deterministic packages' hot paths, so any
-	// wall-clock read here would leak into trace output ordering. Wall
-	// timestamps enter only through caller-supplied values (fleet) or
-	// injected clocks.
+	// wall-clock read here would leak into trace output ordering. The
+	// durations a histogram observes are measured by its callers, through
+	// their own or injected clocks.
 	modulePath + "/internal/obs": true,
 }
 

@@ -52,14 +52,14 @@ func isSeededConstructor(fn *types.Func) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == funcPkgPath(fn)
 }
 
-// Detrand bans wall-clock reads and the global math/rand source in the
-// deterministic packages (see deterministicPkgs). Every replication
-// must be a pure function of its seed chain: draw randomness from a
-// seed-chained *rand.Rand (sim.Streams / sim.DeriveSeed) and timestamps
-// from the scheduler clock.
+// Detrand bans wall-clock reads, the global math/rand source and any use
+// of crypto/rand in the deterministic packages (see deterministicPkgs).
+// Every replication must be a pure function of its seed chain: draw
+// randomness from a seed-chained *rand.Rand (sim.Streams / sim.DeriveSeed)
+// and timestamps from the scheduler clock.
 var Detrand = &analysis.Analyzer{
 	Name: "detrand",
-	Doc: "ban time.Now/time.Since and global math/rand in deterministic packages; " +
+	Doc: "ban time.Now/time.Since, global math/rand and crypto/rand in deterministic packages; " +
 		"use sim.Scheduler.Now and seed-chained RNG streams instead",
 	Run: runDetrand,
 }
@@ -76,6 +76,12 @@ func runDetrand(pass *analysis.Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
+				return true
+			}
+			if obj := info.Uses[sel.Sel]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "crypto/rand" {
+				pass.Reportf(sel.Pos(),
+					"crypto/rand.%s in deterministic package %s: its bytes differ on every run; use a seed-chained stream",
+					obj.Name(), pass.Path())
 				return true
 			}
 			fn, ok := info.Uses[sel.Sel].(*types.Func)

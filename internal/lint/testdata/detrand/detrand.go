@@ -3,6 +3,7 @@
 package fixture
 
 import (
+	cryptorand "crypto/rand"
 	"math/rand"
 	randv2 "math/rand/v2"
 	"time"
@@ -16,6 +17,7 @@ func flagged() {
 	_ = rand.Float64()                 // want `global math/rand\.Float64`
 	rand.Shuffle(3, func(i, j int) {}) // want `global math/rand\.Shuffle`
 	_ = randv2.Uint64()                // want `global math/rand/v2\.Uint64`
+	_ = cryptorand.Reader              // want `crypto/rand\.Reader`
 }
 
 func clean() {

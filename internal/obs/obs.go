@@ -1,15 +1,14 @@
 // Package obs is the repo's telemetry layer: a fixed-capacity sim-time
-// event tracer and a registry of counters, gauges and sketch-backed
-// histograms with Prometheus text exposition.
+// event tracer and a registry of counters, gauges and histograms with
+// Prometheus text exposition.
 //
 // The package is deliberately leaf-level — it imports nothing but the
 // standard library and internal/wire (for command names in trace
 // exports) — so every layer from the event kernel up through the fleet
 // can depend on it without cycles. It is also registered as a
 // deterministic package for bcbpt-lint: nothing in here may read the
-// wall clock or global randomness. Simulation code stamps events with
-// virtual time; non-deterministic callers (the fleet, cmd binaries) may
-// fill the separate Wall field from their own clocks.
+// wall clock or global randomness. Events carry simulation time only;
+// the durations a Histogram observes are measured by its callers.
 //
 // Recording is built to observe without perturbing: a Shard is a
 // single-writer ring of fixed-size Event cells, so the enabled hot path
@@ -20,8 +19,8 @@ package obs
 
 import "time"
 
-// Kind classifies a trace event. The numeric values are part of the
-// binary spool format; append new kinds, never renumber.
+// Kind classifies a trace event. Append new kinds, never renumber or
+// reuse a retired value.
 type Kind uint8
 
 const (
@@ -48,42 +47,30 @@ const (
 	// first connection. P1 is the receiving node ID, P2 the hash prefix,
 	// P3 the run index.
 	KindInject
-	// Values 7–9 belonged to the retired parallel-dispatch window kinds.
-	// They stay reserved — never reuse or renumber — so the lease kinds
-	// keep values 10–13 and existing binary spools still decode; a spooled
-	// event carrying one renders as "unknown".
+	// Values 7–9 belonged to the retired parallel-dispatch window kinds
+	// and 10–13 to the retired fleet lease kinds. They stay reserved —
+	// never reuse or renumber — and render as "unknown"; a new kind
+	// appends from 14.
 	_
 	_
 	_
-	// KindLeaseGrant is a fleet coordinator granting a unit lease.
-	// P1 is the lease ID, P2 the unit ordinal. Sim time is zero; Wall
-	// carries the coordinator clock.
-	KindLeaseGrant
-	// KindLeaseRenew is a heartbeat renewal. Fields as KindLeaseGrant.
-	KindLeaseRenew
-	// KindLeaseExpire is a lease passing its TTL and becoming
-	// reassignable. Fields as KindLeaseGrant.
-	KindLeaseExpire
-	// KindLeaseCommit is a unit result committing. Fields as
-	// KindLeaseGrant.
-	KindLeaseCommit
+	_
+	_
+	_
+	_
 
 	numKinds
 )
 
 // kindNames maps kinds to the names used in trace exports.
 var kindNames = [numKinds]string{
-	KindNone:        "none",
-	KindSend:        "send",
-	KindDeliver:     "deliver",
-	KindDrop:        "drop",
-	KindLoss:        "loss",
-	KindFirstSeen:   "first-seen",
-	KindInject:      "inject",
-	KindLeaseGrant:  "lease-grant",
-	KindLeaseRenew:  "lease-renew",
-	KindLeaseExpire: "lease-expire",
-	KindLeaseCommit: "lease-commit",
+	KindNone:      "none",
+	KindSend:      "send",
+	KindDeliver:   "deliver",
+	KindDrop:      "drop",
+	KindLoss:      "loss",
+	KindFirstSeen: "first-seen",
+	KindInject:    "inject",
 }
 
 // String names the kind for exports and errors.
@@ -99,12 +86,8 @@ func (k Kind) String() string {
 // store — no pointers, nothing for the GC to scan.
 type Event struct {
 	// At is the simulation time of the event (sim.Time is an alias for
-	// time.Duration). Zero for events outside simulation, e.g. fleet
-	// lease lifecycle.
+	// time.Duration).
 	At time.Duration
-	// Wall is the wall-clock time in Unix nanoseconds, stamped only by
-	// non-deterministic callers. Zero inside the simulation.
-	Wall int64
 	// P1, P2, P3 are kind-specific payload words; see the Kind docs.
 	P1, P2, P3 uint64
 	// Kind classifies the event.

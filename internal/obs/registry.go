@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,36 +37,49 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 // Value reads the gauge.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram records durations into a sketch under a mutex. It is meant
-// for control-plane rates (per-unit timings), not per-message hot paths —
-// those use the Tracer or flat counters.
+// Histogram keeps every duration it observes, under a mutex, and
+// computes its quantiles exactly at scrape time. It is meant for series
+// with one observation per unit — the units of a sweep, the commits of a
+// fleet — not per-message hot paths, which use the Tracer or flat
+// counters.
 type Histogram struct {
-	mu sync.Mutex
-	s  sketch
+	mu  sync.Mutex
+	obs []time.Duration
+	sum time.Duration
 }
 
 // Observe records one duration.
-func (h *Histogram) Observe(v time.Duration) { h.ObserveN(v, 1) }
-
-// ObserveN records a duration count times.
-func (h *Histogram) ObserveN(v time.Duration, count uint64) {
+func (h *Histogram) Observe(v time.Duration) {
 	h.mu.Lock()
-	h.s.AddN(v, count)
+	h.obs = append(h.obs, v)
+	h.sum += v
 	h.mu.Unlock()
 }
 
-// Sum returns the exact total of every duration observed.
+// Sum returns the total of every duration observed.
 func (h *Histogram) Sum() time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.s.Sum()
+	return h.sum
 }
 
 // Count returns how many durations were observed.
 func (h *Histogram) Count() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.s.N()
+	return len(h.obs)
+}
+
+// quantile returns the q-th quantile (0 <= q <= 1) of ascending samples
+// by linear interpolation between closest ranks, the rule
+// measure.Distribution.Percentile uses; 0 if there are none.
+func quantile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := q * float64(len(sorted)-1)
+	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+	return sorted[lo] + time.Duration((rank-float64(lo))*float64(sorted[hi]-sorted[lo]))
 }
 
 // quantiles exposed per histogram, ascending.
@@ -190,14 +205,16 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for name, h := range r.hists {
 		b := get(baseName(name), "summary")
 		h.mu.Lock()
+		sorted := slices.Clone(h.obs)
+		slices.Sort(sorted)
 		for _, q := range histQuantiles {
 			b.lines = append(b.lines, line{
 				withLabel(name, "quantile", strconv.FormatFloat(q, 'g', -1, 64)),
-				formatSeconds(h.s.Percentile(q * 100)),
+				formatSeconds(quantile(sorted, q)),
 			})
 		}
-		b.lines = append(b.lines, line{withSuffix(name, "_sum"), formatSeconds(h.s.Sum())})
-		b.lines = append(b.lines, line{withSuffix(name, "_count"), strconv.Itoa(h.s.N())})
+		b.lines = append(b.lines, line{withSuffix(name, "_sum"), formatSeconds(h.sum)})
+		b.lines = append(b.lines, line{withSuffix(name, "_count"), strconv.Itoa(len(sorted))})
 		h.mu.Unlock()
 	}
 	r.mu.Unlock()

@@ -63,7 +63,7 @@ func (s *Shard) events(dst []Event) []Event {
 }
 
 // DefaultShardEvents is the per-shard ring capacity used when the
-// caller does not choose one: 64 Ki events ≈ 3 MiB per shard.
+// caller does not choose one: 64 Ki 40-byte events, 2.5 MiB per shard.
 const DefaultShardEvents = 1 << 16
 
 // Tracer owns a set of shards and merges them into one canonical event
@@ -134,7 +134,7 @@ func (t *Tracer) Reset() {
 }
 
 // Events merges every shard's retained events into canonical order:
-// ascending sim time, then wall time, then shard ID, then record order
+// ascending sim time, then shard ID, then record order
 // within the shard. The order is deterministic for a deterministic
 // simulation, so exported traces diff cleanly across runs.
 func (t *Tracer) Events() []Event {
@@ -159,9 +159,6 @@ func (t *Tracer) Events() []Event {
 		ea, eb := out[idx[a]], out[idx[b]]
 		if ea.At != eb.At {
 			return ea.At < eb.At
-		}
-		if ea.Wall != eb.Wall {
-			return ea.Wall < eb.Wall
 		}
 		ta, tb := tags[idx[a]], tags[idx[b]]
 		if ta.shard != tb.shard {

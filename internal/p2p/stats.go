@@ -6,7 +6,6 @@ import (
 	"strings"
 	"unsafe"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -89,25 +88,6 @@ func (s Stats) String() string {
 	}
 	fmt.Fprintf(&b, "%-8s %10d msgs %12d B (dropped %d)\n", "total", s.TotalMessages(), s.TotalBytes(), s.Dropped)
 	return b.String()
-}
-
-// AddToRegistry folds this stats snapshot into an obs registry as
-// per-command message/byte counters plus drop/loss totals. It is a
-// cheap post-run fold — called once per completed run or unit with a
-// delta snapshot (see Sub), never from the dispatch hot path — so one
-// Prometheus exposition endpoint covers traffic counters without
-// touching delivery code.
-func (s Stats) AddToRegistry(reg *obs.Registry) {
-	for i, msgs := range s.Messages {
-		if msgs == 0 {
-			continue
-		}
-		cmd := wire.Command(i).String()
-		reg.Counter(`bcbpt_p2p_messages_total{command="` + cmd + `"}`).Add(msgs)
-		reg.Counter(`bcbpt_p2p_bytes_total{command="` + cmd + `"}`).Add(s.Bytes[i])
-	}
-	reg.Counter("bcbpt_p2p_dropped_total").Add(s.Dropped)
-	reg.Counter("bcbpt_p2p_lost_total").Add(s.Lost)
 }
 
 // NodeFootprintBytes sums the retained bytes of every node's hot state —

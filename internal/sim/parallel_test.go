@@ -8,12 +8,24 @@ import (
 	"time"
 )
 
+// TestParallelForCoversAllIndices: every index runs exactly once, and no
+// more than workers of them run at once.
 func TestParallelForCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		const n = 100
 		hits := make([]int32, n)
+		var inFlight, peak atomic.Int32
 		err := ParallelFor(context.Background(), n, workers, func(i int) {
+			cur := inFlight.Add(1)
+			for {
+				p := peak.Load()
+				if cur <= p || peak.CompareAndSwap(p, cur) {
+					break
+				}
+			}
+			time.Sleep(100 * time.Microsecond)
 			atomic.AddInt32(&hits[i], 1)
+			inFlight.Add(-1)
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -22,6 +34,9 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 			if h != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, h)
 			}
+		}
+		if p := peak.Load(); p > int32(workers) {
+			t.Errorf("workers=%d: concurrency peaked at %d", workers, p)
 		}
 	}
 }

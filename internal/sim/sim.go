@@ -179,20 +179,7 @@ type Scheduler struct {
 
 	// handlers[tag-1] dispatches the indexed events scheduled under tag.
 	handlers []func(idx int32)
-
-	// probe, when non-nil, fires at every context-poll interval of
-	// RunUntilCtx with the current clock and cumulative dispatch count —
-	// a coarse, nil-checked progress hook for observability (the obs
-	// tracer and long-run progress displays). It is deliberately not
-	// per-event: ctxCheckInterval spacing keeps the instrumented hot
-	// loop indistinguishable from the bare one.
-	probe func(now Time, executed uint64)
 }
-
-// SetProbe installs (or with nil, removes) the coarse progress probe.
-// The probe must only observe: scheduling or stopping from inside it
-// would perturb the simulation it is watching.
-func (s *Scheduler) SetProbe(probe func(now Time, executed uint64)) { s.probe = probe }
 
 // NewScheduler returns an empty scheduler with the clock at zero.
 func NewScheduler() *Scheduler { return &Scheduler{} }
@@ -531,9 +518,6 @@ func (s *Scheduler) RunUntilCtx(ctx context.Context, limit Time) error {
 		if n%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
-			}
-			if s.probe != nil {
-				s.probe(s.now, s.executed)
 			}
 		}
 		s.step()

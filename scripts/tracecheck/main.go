@@ -1,15 +1,13 @@
-// Command tracecheck validates a trace export pair produced by
+// Command tracecheck validates a trace export produced by
 // `bcbpt-sim -trace` (or a CampaignSpec.Trace sweep): the Chrome
 // trace_event JSON must parse and carry the shape Perfetto needs (names,
-// categories, phase markers, microsecond timestamps), and the binary
-// spool alongside it must decode through obs.ReadSpool to exactly the
-// same event count. scripts/tracesmoke.sh runs it in CI so a malformed
-// export can never ship silently — a trace nobody can open is worse
-// than no trace. Neither can a partial one: an export whose ring
-// overwrote events fails, in the words bcbpt-sim uses for it ("kept N of
-// M events").
+// categories, phase markers, microsecond timestamps). scripts/tracesmoke.sh
+// runs it in CI so a malformed export can never ship silently — a trace
+// nobody can open is worse than no trace. Neither can a partial one: an
+// export whose ring overwrote events fails, in the words bcbpt-sim uses
+// for it ("kept N of M events").
 //
-// Usage: tracecheck <trace.json> <trace.json.bin>
+// Usage: tracecheck <trace.json>
 package main
 
 import (
@@ -18,8 +16,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-
-	"repro/internal/obs"
 )
 
 // traceFile mirrors the JSON WriteTraceJSON emits. Pointer fields
@@ -44,11 +40,11 @@ type traceEvent struct {
 }
 
 func main() {
-	if len(os.Args) != 3 {
-		fmt.Fprintln(os.Stderr, "usage: tracecheck <trace.json> <trace.json.bin>")
+	if len(os.Args) != 2 {
+		fmt.Fprintln(os.Stderr, "usage: tracecheck <trace.json>")
 		os.Exit(2)
 	}
-	summary, err := check(os.Args[1], os.Args[2])
+	summary, err := check(os.Args[1])
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tracecheck: FAIL — %v\n", err)
 		os.Exit(1)
@@ -56,8 +52,8 @@ func main() {
 	fmt.Println("tracecheck: OK — " + summary)
 }
 
-// check validates the export pair and returns a one-line summary of it.
-func check(jsonPath, spoolPath string) (string, error) {
+// check validates the export and returns a one-line summary of it.
+func check(jsonPath string) (string, error) {
 	data, err := os.ReadFile(jsonPath)
 	if err != nil {
 		return "", err
@@ -102,25 +98,11 @@ func check(jsonPath, spoolPath string) (string, error) {
 		cats[ev.Cat]++
 	}
 	// A figure3 trace must carry both the flood itself and the
-	// measurement that observed it; the fleet category appears only in
-	// distributed runs, so it is not required.
+	// measurement that observed it.
 	for _, want := range []string{"p2p", "measure"} {
 		if cats[want] == 0 {
 			return "", fmt.Errorf("no %q events — the trace is missing a whole subsystem", want)
 		}
-	}
-
-	sf, err := os.Open(spoolPath)
-	if err != nil {
-		return "", err
-	}
-	spool, err := obs.ReadSpool(sf)
-	sf.Close()
-	if err != nil {
-		return "", fmt.Errorf("%s: %v", spoolPath, err)
-	}
-	if len(spool) != len(tf.TraceEvents) {
-		return "", fmt.Errorf("spool has %d events, JSON has %d — the two exports diverged", len(spool), len(tf.TraceEvents))
 	}
 
 	names := make([]string, 0, len(cats))
@@ -132,5 +114,5 @@ func check(jsonPath, spoolPath string) (string, error) {
 	for i, c := range names {
 		parts[i] = fmt.Sprintf("%s=%d", c, cats[c])
 	}
-	return fmt.Sprintf("%d events (%s), 0 dropped, spool matches", len(tf.TraceEvents), strings.Join(parts, " ")), nil
+	return fmt.Sprintf("%d events (%s), 0 dropped", len(tf.TraceEvents), strings.Join(parts, " ")), nil
 }

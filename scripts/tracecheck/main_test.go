@@ -11,9 +11,9 @@ import (
 	"repro/internal/wire"
 )
 
-// writePair records n events — sends and first-sights, alternating — into
-// a ring of the given size and exports the JSON and spool pair.
-func writePair(t *testing.T, ring, n int) (jsonPath, spoolPath string) {
+// writeTrace records n events — sends and first-sights, alternating — into
+// a ring of the given size and exports the JSON.
+func writeTrace(t *testing.T, ring, n int) string {
 	t.Helper()
 	tr := obs.NewTracer(ring, 1)
 	for i := range n {
@@ -23,29 +23,23 @@ func writePair(t *testing.T, ring, n int) (jsonPath, spoolPath string) {
 		}
 		tr.Shard(0).Record(ev)
 	}
-	dir := t.TempDir()
-	jsonPath, spoolPath = filepath.Join(dir, "trace.json"), filepath.Join(dir, "trace.json.bin")
-	for path, write := range map[string]func(*os.File) error{
-		jsonPath:  func(f *os.File) error { return tr.WriteTraceJSON(f) },
-		spoolPath: func(f *os.File) error { return tr.WriteSpool(f) },
-	} {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := write(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return jsonPath, spoolPath
+	if err := tr.WriteTraceJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
-// TestCheckWholeTrace passes a pair whose ring kept every event.
+// TestCheckWholeTrace passes a trace whose ring kept every event.
 func TestCheckWholeTrace(t *testing.T) {
-	summary, err := check(writePair(t, 8, 6))
+	summary, err := check(writeTrace(t, 8, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +48,10 @@ func TestCheckWholeTrace(t *testing.T) {
 	}
 }
 
-// TestCheckFailsOnDrops fails a pair whose ring overwrote events, naming
+// TestCheckFailsOnDrops fails a trace whose ring overwrote events, naming
 // what was kept and what was lost.
 func TestCheckFailsOnDrops(t *testing.T) {
-	_, err := check(writePair(t, 4, 6))
+	_, err := check(writeTrace(t, 4, 6))
 	if err == nil {
 		t.Fatal("a trace that dropped 2 of 6 events passed")
 	}
