@@ -266,6 +266,11 @@ const recsShardSize = 128
 // which join later, get a live recommendation instead). ctx cancels the
 // precompute between shards; a cancelled Bootstrap returns an error
 // wrapping ctx.Err() having scheduled nothing.
+//
+// Every join's place in the (at, seq) order is reserved up front
+// (sim.Scheduler.Reserve), where scheduling it would have put it, and only
+// the first is redeemed: each join redeems the next as it runs, so the
+// queue holds one pending join, not the population.
 func (b *BCBPT) Bootstrap(ctx context.Context, ids []p2p.NodeID) error {
 	for _, id := range ids {
 		if node, ok := b.net.Node(id); ok {
@@ -274,25 +279,45 @@ func (b *BCBPT) Bootstrap(ctx context.Context, ids []p2p.NodeID) error {
 		}
 	}
 	recs, err := b.precomputeRecs(ctx, ids)
-	if err != nil {
+	if err != nil || len(ids) == 0 {
 		return err
 	}
+	sched := b.net.Scheduler()
 	lanes := b.cfg.lanesFor(len(ids))
-	for i, id := range ids {
-		id, ranked := id, recs[i]
-		b.net.Scheduler().After(time.Duration(i/lanes)*b.cfg.JoinStagger, func() {
-			b.startJoin(id, ranked)
-		})
+	q := &joinQueue{ids: slices.Clone(ids), ranked: recs, places: make([]sim.Ticket, len(ids))}
+	for i := range ids {
+		q.places[i] = sched.Reserve(time.Duration(i/lanes) * b.cfg.JoinStagger)
 	}
+	var tag uint32
+	tag = sched.Handle(func(idx int32) {
+		i := int(idx)
+		id, ranked := q.ids[i], q.ranked[i]
+		if i+1 < len(q.ids) {
+			sched.Redeem(q.places[i+1], tag, idx+1)
+		} else {
+			*q = joinQueue{} // the last join: release the rankings
+		}
+		b.startJoin(id, ranked)
+	})
+	sched.Redeem(q.places[0], tag, 0)
 	return nil
+}
+
+// joinQueue is a bootstrap's join schedule, indexed like its ids: the
+// reserved place of every join and the ranking the join brings.
+type joinQueue struct {
+	ids    []p2p.NodeID
+	ranked [][]p2p.NodeID
+	places []sim.Ticket
 }
 
 // precomputeRecs ranks every bootstrap node's DNS candidates over the
 // full registry snapshot, sharded across the build worker pool; the
-// result is indexed like ids. Each shard calls the exact routine the live
-// join path uses, so a precomputed ranking is indistinguishable from one
-// computed at join time. The registry is read-only for the duration: its
-// index is built here, before the fan-out, so the shards only read it.
+// result is indexed like ids, its rankings consecutive windows of one
+// buffer. Each shard calls the exact routine the live join path uses, so a
+// precomputed ranking is indistinguishable from one computed at join time.
+// The registry is read-only for the duration: its index is built here,
+// before the fan-out, so the shards only read it.
 func (b *BCBPT) precomputeRecs(ctx context.Context, ids []p2p.NodeID) ([][]p2p.NodeID, error) {
 	locs := make([]geo.Location, len(ids))
 	for i, id := range ids {
@@ -301,6 +326,8 @@ func (b *BCBPT) precomputeRecs(ctx context.Context, ids []p2p.NodeID) ([][]p2p.N
 		}
 	}
 	b.seed.BuildIndex()
+	k := b.rankLen()
+	buf := make([]p2p.NodeID, len(ids)*k)
 	slots := make([][]p2p.NodeID, len(ids))
 	shards := (len(ids) + recsShardSize - 1) / recsShardSize
 	err := sim.ParallelFor(ctx, shards, b.workers, func(s int) {
@@ -310,7 +337,7 @@ func (b *BCBPT) precomputeRecs(ctx context.Context, ids []p2p.NodeID) ([][]p2p.N
 			hi = len(ids)
 		}
 		for i := lo; i < hi; i++ {
-			slots[i] = b.recommend(ids[i], locs[i])
+			slots[i] = b.seed.AppendRecommend(buf[i*k:i*k:(i+1)*k], ids[i], locs[i], k)
 		}
 	})
 	if err != nil {
@@ -436,11 +463,15 @@ func (b *BCBPT) startJoin(id p2p.NodeID, ranked []p2p.NodeID) {
 }
 
 // recommend asks the DNS seed for the nodes geographically nearest to id
-// (§IV.B) — four times Candidates, because unclustered recommendations
-// are filtered out before probing.
+// (§IV.B).
 func (b *BCBPT) recommend(id p2p.NodeID, loc geo.Location) []p2p.NodeID {
-	return b.seed.Recommend(id, loc, 4*b.cfg.Candidates)
+	return b.seed.Recommend(id, loc, b.rankLen())
 }
+
+// rankLen is how many nodes a DNS recommendation asks for: four times
+// Candidates, because unclustered recommendations are filtered out before
+// probing.
+func (b *BCBPT) rankLen() int { return 4 * b.cfg.Candidates }
 
 // clusteredPrefix returns the first Candidates clustered nodes of a DNS
 // recommendation, keeping its nearest-first order.
@@ -474,25 +505,27 @@ func (b *BCBPT) decide(id p2p.NodeID, cands []p2p.NodeID) {
 	// too small for any to converge, fall back to whatever was measured —
 	// a noisy decision is the protocol's behaviour at low probe budgets,
 	// not a refusal to cluster (exercised by the probe-count ablation).
-	pick := func(requireReady bool) (p2p.NodeID, time.Duration) {
-		var best p2p.NodeID
-		bestRTT := time.Duration(1<<62 - 1)
-		for _, c := range cands {
-			est, ok := node.Estimator(c)
-			if !ok || est.Samples() == 0 || (requireReady && !est.Ready()) {
-				continue
-			}
-			// The minimum observed RTT is the congestion-free distance
-			// estimate used in the closeness test.
-			if rtt := est.Min(); rtt < bestRTT {
-				best, bestRTT = c, rtt
-			}
+	// One pass keeps both: the first strictly closest ready candidate and
+	// the first strictly closest of any. The minimum observed RTT is the
+	// congestion-free distance estimate used in the closeness test.
+	var best, anyBest p2p.NodeID
+	bestRTT := time.Duration(1<<62 - 1)
+	anyRTT := bestRTT
+	for _, c := range cands {
+		est, ok := node.Estimator(c)
+		if !ok || est.Samples() == 0 {
+			continue
 		}
-		return best, bestRTT
+		rtt := est.Min()
+		if rtt < anyRTT {
+			anyBest, anyRTT = c, rtt
+		}
+		if est.Ready() && rtt < bestRTT {
+			best, bestRTT = c, rtt
+		}
 	}
-	best, bestRTT := pick(true)
 	if best == 0 {
-		best, bestRTT = pick(false)
+		best, bestRTT = anyBest, anyRTT
 	}
 	if best == 0 || bestRTT >= b.cfg.Threshold {
 		// No node within dt: the node founds its own cluster.
@@ -638,12 +671,15 @@ func (b *BCBPT) fillWith(id p2p.NodeID, preferred []p2p.NodeID) {
 	if !clustered {
 		return
 	}
+	// Connect returns nil exactly when it adds the link, and evicts nobody,
+	// so the counts taken once here stay true by counting what it adds.
+	intra, long := b.linkCounts(node, cluster)
 	for _, m := range preferred {
-		if b.intraCount(node, cluster) >= b.intra {
+		if intra >= b.intra {
 			break
 		}
-		if b.clusterOf[m] == cluster {
-			_ = b.net.Connect(id, m)
+		if b.clusterOf[m] == cluster && b.net.Connect(id, m) == nil {
+			intra++
 		}
 	}
 	mates := b.members[cluster]
@@ -653,50 +689,43 @@ func (b *BCBPT) fillWith(id p2p.NodeID, preferred []p2p.NodeID) {
 	if len(mates)-1 < target {
 		target = len(mates) - 1
 	}
-	for b.intraCount(node, cluster) < target && attempts < maxAttempts {
+	for intra < target && attempts < maxAttempts {
 		attempts++
 		m := mates[b.r.Intn(len(mates))]
 		if m == id {
 			continue
 		}
-		_ = b.net.Connect(id, m)
+		if b.net.Connect(id, m) == nil {
+			intra++
+		}
 	}
 	// Long links: "each node maintains a few long distance links to the
 	// outside cluster" (§IV).
 	all := b.seed.All()
 	attempts = 0
 	maxAttempts = 10 * b.cfg.LongLinks
-	for b.longCount(node, cluster) < b.cfg.LongLinks && attempts < maxAttempts {
+	for long < b.cfg.LongLinks && attempts < maxAttempts {
 		attempts++
 		m := all[b.r.Intn(len(all))]
 		if m == id || b.clusterOf[m] == cluster {
 			continue
 		}
-		_ = b.net.Connect(id, m)
+		if b.net.Connect(id, m) == nil {
+			long++
+		}
 	}
 }
 
-// intraCount counts connections to same-cluster peers. EachPeer keeps the
-// scan allocation-free: it runs once per connect attempt of every refill.
-func (b *BCBPT) intraCount(node *p2p.Node, cluster ClusterID) int {
-	c := 0
+// linkCounts counts a node's connections to same-cluster peers and those
+// leaving the cluster. EachPeer keeps the scan allocation-free.
+func (b *BCBPT) linkCounts(node *p2p.Node, cluster ClusterID) (intra, long int) {
 	node.EachPeer(func(p p2p.NodeID) bool {
 		if b.clusterOf[p] == cluster {
-			c++
+			intra++
+		} else {
+			long++
 		}
 		return true
 	})
-	return c
-}
-
-// longCount counts connections leaving the cluster.
-func (b *BCBPT) longCount(node *p2p.Node, cluster ClusterID) int {
-	c := 0
-	node.EachPeer(func(p p2p.NodeID) bool {
-		if b.clusterOf[p] != cluster {
-			c++
-		}
-		return true
-	})
-	return c
+	return intra, long
 }

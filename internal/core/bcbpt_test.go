@@ -538,6 +538,25 @@ func TestBootstrapPrecomputeMatchesLive(t *testing.T) {
 	}
 }
 
+// TestBootstrapOnePendingJoin: Bootstrap reserves every join's place and
+// queues only the first, so right after it the queue holds one event, not
+// one per node, and the joins still all run.
+func TestBootstrapOnePendingJoin(t *testing.T) {
+	net, proto, ids := buildWorld(t, 500, 17, nil)
+	if err := proto.Bootstrap(context.Background(), ids); err != nil {
+		t.Fatal(err)
+	}
+	if got := net.Scheduler().Len(); got != 1 {
+		t.Fatalf("%d events pending after Bootstrap of %d nodes, want 1", got, len(ids))
+	}
+	if err := net.RunUntil(context.Background(), proto.BootstrapDeadline(len(ids))); err != nil {
+		t.Fatal(err)
+	}
+	if got := proto.NumClustered(); got != len(ids) {
+		t.Errorf("clustered %d of %d nodes", got, len(ids))
+	}
+}
+
 // TestBootstrapShardsOnlyReadTheSeed is for the race detector: the seed's
 // geographic index is built lazily, so Bootstrap must have built it before
 // its ranking shards fan out, or the first Recommend of every shard would

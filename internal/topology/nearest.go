@@ -3,8 +3,8 @@ package topology
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/geo"
 	"repro/internal/p2p"
@@ -29,26 +29,185 @@ func (a unitVec) chord2(b unitVec) float64 {
 	return dx*dx + dy*dy + dz*dz
 }
 
-// latEntry is one registered node in DNSSeed's geographic index, which is
-// kept sorted by (latitude, id). It carries the node's unit vector, a pure
-// function of coord computed once when the entry is made.
-type latEntry struct {
+// boxChord2 is the squared distance from a to the axis-aligned box
+// [lo, hi], summed as chord2 sums. Rounding is monotone, so for every b in
+// the box chord2(a, b) is no smaller, up to the fused multiply-adds some
+// architectures make of the sum, which guard's slack covers.
+func (a unitVec) boxChord2(lo, hi unitVec) float64 {
+	dx, dy, dz := outside(a.x, lo.x, hi.x), outside(a.y, lo.y, hi.y), outside(a.z, lo.z, hi.z)
+	return dx*dx + dy*dy + dz*dz
+}
+
+// outside is how far v lies outside [lo, hi], 0 within it.
+func outside(v, lo, hi float64) float64 {
+	switch {
+	case v < lo:
+		return lo - v
+	case v > hi:
+		return v - hi
+	}
+	return 0
+}
+
+// entry is one registered node in DNSSeed's geographic index. It carries
+// the node's unit vector, a pure function of coord computed once when the
+// entry is made.
+type entry struct {
+	unit  unitVec
 	coord geo.Coord
 	id    p2p.NodeID
-	unit  unitVec
 }
 
-func newLatEntry(id p2p.NodeID, c geo.Coord) latEntry {
-	return latEntry{coord: c, id: id, unit: unitOf(c)}
+func newEntry(id p2p.NodeID, c geo.Coord) entry {
+	return entry{unit: unitOf(c), coord: c, id: id}
 }
 
-// compare is the index order: latitude, then id. Longitude takes no part,
-// so an entry is found by its node's registered coordinate and id alone.
-func (a latEntry) compare(b latEntry) int {
-	if c := cmp.Compare(a.coord.LatDeg, b.coord.LatDeg); c != 0 {
-		return c
+// cellDeg is the side of an index cell, in degrees of latitude and of
+// longitude. It is a power of two, so placing a coordinate in its cell
+// divides exactly; at 2° a city of the placer's world and its 50 km of
+// jitter fill one cell or two.
+const cellDeg = 2
+
+const (
+	numRows = 180 / cellDeg
+	numCols = 360 / cellDeg
+)
+
+// rowSlack is subtracted from a latitude gap before it bounds a row. An
+// entry's row is floor((lat+90)/cellDeg) computed in float64, and lat+90
+// rounds by up to 1.4e-14°, so an entry can lie that far outside its row's
+// edges.
+const rowSlack = 1e-12
+
+// cellOf returns the row and column of the cell c falls in: latitude
+// 90 joins the top row and longitude 180 the last column. Coordinates are
+// Valid, so the clamps only bound the indices.
+func cellOf(c geo.Coord) (row, col int) {
+	row = min(max(int((c.LatDeg+90)/cellDeg), 0), numRows-1)
+	col = min(max(int((c.LonDeg+180)/cellDeg), 0), numCols-1)
+	return row, col
+}
+
+// rowBottom is the southern edge of row r in degrees of latitude.
+func rowBottom(r int) float64 { return float64(r)*cellDeg - 90 }
+
+// cell is one occupied cell of the index: its entries, in ascending id,
+// and the axis-aligned box of their unit vectors, which bounds from below
+// the squared chord from any point to any of them.
+type cell struct {
+	col    int
+	lo, hi unitVec
+	ents   []entry
+}
+
+// fitBox sets the box to the entries' unit vectors exactly.
+func (c *cell) fitBox() {
+	c.lo, c.hi = c.ents[0].unit, c.ents[0].unit
+	for _, e := range c.ents[1:] {
+		c.widen(e.unit)
 	}
-	return cmp.Compare(a.id, b.id)
+}
+
+// widen grows the box to take in u.
+func (c *cell) widen(u unitVec) {
+	c.lo = unitVec{min(c.lo.x, u.x), min(c.lo.y, u.y), min(c.lo.z, u.z)}
+	c.hi = unitVec{max(c.hi.x, u.x), max(c.hi.y, u.y), max(c.hi.z, u.z)}
+}
+
+// cellIndex is DNSSeed's geographic index: the registry cut into cellDeg ×
+// cellDeg latitude/longitude cells, each row holding its occupied cells in
+// ascending column. Register and Remove patch the one cell a node is in,
+// and a query reads it without writing anything.
+type cellIndex struct {
+	rows [numRows][]cell
+	n    int
+}
+
+// newCellIndex builds the index over every registered location: one slice
+// of entries sorted by (cell, id), so each cell is a run of it, its
+// capacity capped at its length so that a later insert reallocates that
+// cell alone.
+func newCellIndex(locs map[p2p.NodeID]geo.Location) *cellIndex {
+	type keyed struct {
+		cell int
+		e    entry
+	}
+	ks := make([]keyed, 0, len(locs))
+	for id, loc := range locs {
+		r, c := cellOf(loc.Coord)
+		ks = append(ks, keyed{cell: r*numCols + c, e: newEntry(id, loc.Coord)})
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if c := cmp.Compare(a.cell, b.cell); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.e.id, b.e.id)
+	})
+	ents := make([]entry, len(ks))
+	for i := range ks {
+		ents[i] = ks[i].e
+	}
+	ix := &cellIndex{n: len(ents)}
+	for i := 0; i < len(ents); {
+		k := ks[i].cell
+		j := i + 1
+		for j < len(ents) && ks[j].cell == k {
+			j++
+		}
+		c := cell{col: k % numCols, ents: ents[i:j:j]}
+		c.fitBox()
+		ix.rows[k/numCols] = append(ix.rows[k/numCols], c)
+		i = j
+	}
+	return ix
+}
+
+// find returns the position of column col in row r, and whether that cell
+// is occupied.
+func (ix *cellIndex) find(r, col int) (int, bool) {
+	return slices.BinarySearchFunc(ix.rows[r], col, func(c cell, col int) int { return cmp.Compare(c.col, col) })
+}
+
+// byID orders a cell's entries.
+func byID(e entry, id p2p.NodeID) int { return cmp.Compare(e.id, id) }
+
+// insert adds e to its cell, making the cell if it is new, and widens the
+// cell's box.
+func (ix *cellIndex) insert(e entry) {
+	r, col := cellOf(e.coord)
+	ix.n++
+	i, ok := ix.find(r, col)
+	if !ok {
+		c := cell{col: col, lo: e.unit, hi: e.unit, ents: append([]entry(nil), e)}
+		ix.rows[r] = slices.Insert(ix.rows[r], i, c)
+		return
+	}
+	c := &ix.rows[r][i]
+	j, _ := slices.BinarySearchFunc(c.ents, e.id, byID)
+	c.ents = slices.Insert(c.ents, j, e)
+	c.widen(e.unit)
+}
+
+// remove deletes id, registered at at, from its cell and fits the cell's
+// box to the entries left, or drops the cell if none are.
+func (ix *cellIndex) remove(id p2p.NodeID, at geo.Coord) {
+	r, col := cellOf(at)
+	i, ok := ix.find(r, col)
+	if !ok {
+		return
+	}
+	c := &ix.rows[r][i]
+	j, ok := slices.BinarySearchFunc(c.ents, id, byID)
+	if !ok {
+		return
+	}
+	ix.n--
+	c.ents = slices.Delete(c.ents, j, j+1)
+	if len(c.ents) == 0 {
+		ix.rows[r] = slices.Delete(ix.rows[r], i, i+1)
+		return
+	}
+	c.fitBox()
 }
 
 // cand is a candidate of a query: an index entry, its squared chord from
@@ -56,22 +215,11 @@ func (a latEntry) compare(b latEntry) int {
 // distance.
 type cand struct {
 	c2, d float64
-	e     *latEntry
-}
-
-// byChord orders candidates by squared chord alone. No chord is NaN.
-func byChord(a, b cand) int {
-	switch {
-	case a.c2 < b.c2:
-		return -1
-	case a.c2 > b.c2:
-		return 1
-	}
-	return 0
+	e     *entry
 }
 
 // byDistance is the order a query answers in: (great-circle distance, id).
-func byDistance(a, b cand) int {
+func byDistance(a, b *cand) int {
 	switch { // no distance is NaN
 	case a.d < b.d:
 		return -1
@@ -122,143 +270,256 @@ func latChord2(dLat float64) float64 {
 	return 4 * s * s * (1 - 1e-6)
 }
 
-// stackK is the largest k whose scratch nearest keeps on its stack; a
+// stackK is the largest k whose scratch a query keeps on its stack; a
 // build asks for 64.
 const stackK = 64
 
-// nearest returns the up-to-k entries of ix closest to q under the
-// (great-circle distance, id) order, nearest first, skipping self, with how
-// many great-circle distances and how many squared chords it evaluated. It
-// is exact, and ranks on squared chords (see unitOf):
+// search is one query in progress.
+type search struct {
+	qu   unitVec
+	self p2p.NodeID
+	k    int
+	// heap holds the bits of the k smallest squared chords seen, which
+	// order as the chords do; heap[0] is the largest of them.
+	heap []uint64
+	// band is guard of the chord heap[0] once the heap holds k chords,
+	// +Inf before: every entry beyond it is beaten by k others.
+	band float64
+	// keep is every entry seen whose chord was within band when seen.
+	keep   []cand
+	chords int
+}
+
+// scanCell computes the squared chord of every entry of a cell once,
+// keeps the k smallest in the heap, which it orders only once it is full,
+// and keeps the entries within the band, first dropping from a full keep
+// those the band has since passed by. A search is passed and returned by
+// value, so its stack buffers stay on the stack.
+func (s search) scanCell(ents []entry) search {
+	for i := range ents {
+		e := &ents[i]
+		if e.id == s.self {
+			continue
+		}
+		c2 := s.qu.chord2(e.unit)
+		s.chords++
+		switch bits := math.Float64bits(c2); {
+		case len(s.heap) < s.k:
+			s.heap = append(s.heap, bits)
+			if len(s.heap) == s.k {
+				heapify(s.heap)
+				s.band = guard(math.Float64frombits(s.heap[0]))
+			}
+		case bits < s.heap[0]:
+			siftDown(s.heap, 0, bits)
+			s.band = guard(math.Float64frombits(s.heap[0]))
+		case c2 > s.band:
+			continue
+		}
+		if len(s.keep) == cap(s.keep) {
+			band := s.band
+			s.keep = slices.DeleteFunc(s.keep, func(c cand) bool { return c.c2 > band })
+		}
+		s.keep = append(s.keep, cand{c2: c2, e: e})
+	}
+	return s
+}
+
+// pending is a cell of a row the search has reached, with the squared
+// chord its box bounds its entries' from below.
+type pending struct {
+	bound float64
+	c     *cell
+}
+
+// nearest appends to dst the up-to-k entries of ix closest to q under the
+// (great-circle distance, id) order, nearest first, skipping self, and
+// returns how many great-circle distances and how many squared chords it
+// evaluated. It is exact, and ranks on squared chords (see unitOf):
 //
-//  1. It walks outward from q's latitude in both directions, keeping the k
-//     smallest squared chords seen in a max-heap, and stops once the
-//     latitude gap alone (latChord2) puts every remaining entry beyond the
-//     guard band of the heap's worst, T.
-//  2. It walks the same range again, keeps the entries within guard(T) — k
-//     of them, plus whatever ties or nearly ties with the k-th — and sorts
-//     them by chord.
-//  3. Where guard tells two neighbours of that order apart, it is the
+//  1. It reaches rows in order of their latitude gap from q, bounding each
+//     row's chords by latChord2, and the cells of the rows it has reached
+//     in order of their box bounds (boxChord2), always taking whichever of
+//     the next row and the nearest cell has the smaller bound. It computes
+//     the squared chord of every entry of a cell it takes once, keeping
+//     the k smallest in a max-heap whose worst is T and every entry within
+//     the band guard(T) as T stood when it was seen.
+//  2. It stops when the nearest cell's bound exceeds guard(guard(T)) — the
+//     second guard absorbs the rounding of the bound — or the next row's
+//     exceeds guard(T), and leaves out the cells of a row that are beyond
+//     guard(guard(T)) when it reaches the row.
+//  3. It keeps the entries within the final guard(T) — k of them, plus
+//     whatever ties or nearly ties with the k-th — and sorts them by chord.
+//     Where guard tells two neighbours of that order apart, it is the
 //     distance order already. A run of neighbours it does not tell apart —
 //     exact duplicates, separations of centimetres, near-ties a thousand
 //     kilometres out — is put in (distance, id) order by evaluating
 //     geo.DistanceMeters for the run. On a population without coincidences
 //     that is no evaluation at all.
 //
-// Every entry left out, walked or not, has a squared chord beyond the guard
-// band of k others', so by guard's argument k entries are strictly nearer by
-// geo.DistanceMeters; and by the same argument every entry of one run comes
-// before every entry of the next. So the first k are the first k of a sort
-// of the whole registry by (geo.DistanceMeters, id), ties included. On
-// clustered populations the walk covers a small multiple of k entries, not
-// len(ix).
-func nearest(ix []latEntry, self p2p.NodeID, q geo.Coord, k int) (ids []p2p.NodeID, dists, chords int) {
-	k = min(k, len(ix))
+// Every entry left out, reached or not, has a squared chord beyond the
+// guard band of k others', so by guard's argument k entries are strictly
+// nearer by geo.DistanceMeters; and by the same argument every entry of one
+// run comes before every entry of the next. So the first k are the first k
+// of a sort of the whole registry by (geo.DistanceMeters, id), ties
+// included. On the placer's world a query computes about twice k chords.
+func (ix *cellIndex) nearest(dst []p2p.NodeID, self p2p.NodeID, q geo.Coord, k int) (ids []p2p.NodeID, dists, chords int) {
+	k = min(k, ix.n)
 	if k <= 0 {
-		return []p2p.NodeID{}, 0, 0
+		return dst, 0, 0
 	}
-	qu := unitOf(q)
-	var heapBuf [stackK]float64
-	heap := heapBuf[:0] // heap[0] is the largest kept squared chord
+	var heapBuf [stackK]uint64
+	var keepBuf [4 * stackK]cand
+	var cellBuf [4 * stackK]pending
+	s := search{qu: unitOf(q), self: self, k: k, heap: heapBuf[:0], band: math.Inf(1), keep: keepBuf[:0]}
 	if k > stackK {
-		heap = make([]float64, 0, k)
+		s.heap = make([]uint64, 0, k)
+		s.keep = make([]cand, 0, 4*k)
 	}
-	hi := sort.Search(len(ix), func(i int) bool { return ix[i].coord.LatDeg >= q.LatDeg })
-	lo := hi - 1
-walk:
-	for lo >= 0 || hi < len(ix) {
-		// Step to whichever side is nearer in latitude, so the gap to the
-		// entry taken bounds the gap to every entry not yet taken.
-		var e *latEntry
-		if lo < 0 || (hi < len(ix) && ix[hi].coord.LatDeg-q.LatDeg <= q.LatDeg-ix[lo].coord.LatDeg) {
-			e = &ix[hi]
-			hi++
-		} else {
-			e = &ix[lo]
+	cells := cellBuf[:0]
+	r0, _ := cellOf(q)
+	for lo, hi := r0-1, r0; ; {
+		// The nearer unreached row: rows lo and below lie south of q,
+		// rows hi and above north of it, and q's own row counts as north
+		// with a gap of at most 0.
+		row, rowBound := -1, math.Inf(1)
+		if lo >= 0 || hi < numRows {
+			below, above := math.Inf(1), math.Inf(1)
+			if lo >= 0 {
+				below = q.LatDeg - rowBottom(lo+1)
+			}
+			if hi < numRows {
+				above = rowBottom(hi) - q.LatDeg
+			}
+			row = hi
+			if below < above {
+				row = lo
+			}
+			rowBound = latChord2(max(0, min(below, above)-rowSlack))
+		}
+		near := -1
+		for i := range cells {
+			if near < 0 || cells[i].bound < cells[near].bound {
+				near = i
+			}
+		}
+		if near >= 0 && cells[near].bound <= rowBound {
+			p := cells[near]
+			if p.bound > guard(s.band) {
+				break
+			}
+			cells[near] = cells[len(cells)-1]
+			cells = cells[:len(cells)-1]
+			s = s.scanCell(p.c.ents)
+			continue
+		}
+		if row < 0 || rowBound > s.band {
+			break
+		}
+		if row == lo {
 			lo--
+		} else {
+			hi++
 		}
-		if e.id == self {
-			continue
-		}
-		c2 := qu.chord2(e.unit)
-		chords++
-		switch {
-		case len(heap) < k:
-			heap = append(heap, c2)
-			siftUp(heap, len(heap)-1)
-		case c2 < heap[0]:
-			heap[0] = c2
-			siftDown(heap, 0)
-		case latChord2(math.Abs(e.coord.LatDeg-q.LatDeg)) > guard(heap[0]):
-			// Only an entry the heap turned away can end the walk: one it
-			// took has a chord, so a latitude bound, within the band.
-			break walk
+		for i := range ix.rows[row] {
+			c := &ix.rows[row][i]
+			if b := s.qu.boxChord2(c.lo, c.hi); b <= guard(s.band) {
+				cells = append(cells, pending{bound: b, c: c})
+			}
 		}
 	}
-	// Fewer than k candidates walked means the walk took them all.
-	band := math.Inf(1)
-	if len(heap) == k {
-		band = guard(heap[0])
-	}
-	var keepBuf [stackK + 8]cand
-	keep := keepBuf[:0]
-	for i := lo + 1; i < hi; i++ {
-		e := &ix[i]
-		if e.id == self {
-			continue
-		}
-		chords++
-		if c2 := qu.chord2(e.unit); c2 <= band {
-			keep = append(keep, cand{c2: c2, e: e})
-		}
-	}
-	slices.SortFunc(keep, byChord)
+	// Fewer than k chords computed means every entry was taken, and the
+	// band is still infinite.
+	keep := s.keep
+	var keysBuf [4 * stackK]uint64
+	keys := sortByChord(keysBuf[:0], keep, s.band)
 	// A run that starts beyond the k-th place changes nothing returned.
-	for i := 0; i < min(k, len(keep)); {
+	mask := uint64(1)<<bits.Len(uint(len(keep))) - 1
+	at := func(i int) *cand { return &keep[keys[i]&mask] }
+	for i := 0; i < min(k, len(keys)); {
 		j := i + 1
-		for j < len(keep) && keep[j].c2 <= guard(keep[j-1].c2) {
+		for j < len(keys) && at(j).c2 <= guard(at(j-1).c2) {
 			j++
 		}
 		if j-i > 1 {
 			for r := i; r < j; r++ {
-				keep[r].d = geo.DistanceMeters(q, keep[r].e.coord)
+				at(r).d = geo.DistanceMeters(q, at(r).e.coord)
 			}
 			dists += j - i
-			slices.SortFunc(keep[i:j], byDistance)
+			slices.SortFunc(keys[i:j], func(a, b uint64) int { return byDistance(&keep[a&mask], &keep[b&mask]) })
 		}
 		i = j
 	}
-	keep = keep[:min(k, len(keep))]
-	ids = make([]p2p.NodeID, len(keep))
+	for i := range min(k, len(keys)) {
+		dst = append(dst, at(i).e.id)
+	}
+	return dst, dists, s.chords
+}
+
+// sortByChord appends to keys, and returns, a key for each candidate of
+// keep within band, in ascending chord order. A key is the chord's bits
+// with the low bits replaced by the candidate's position in keep: a
+// non-negative float's bits order as the float does, so keys compare as
+// integers into chord order, up to chords equal in all but those low bits.
+// A few dozen keys are sorted by insertion, which beats the pivoting of a
+// general sort at that size; a last insertion pass puts the chords that
+// differ only in their low bits in exact order.
+func sortByChord(keys []uint64, keep []cand, band float64) []uint64 {
+	mask := uint64(1)<<bits.Len(uint(len(keep))) - 1
 	for i, c := range keep {
-		ids[i] = c.e.id
-	}
-	return ids, dists, chords
-}
-
-func siftUp(h []float64, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[i] <= h[parent] {
-			return
+		if c.c2 <= band {
+			keys = append(keys, math.Float64bits(c.c2)&^mask|uint64(i))
 		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
+	}
+	if len(keys) > 4*stackK {
+		slices.Sort(keys)
+	}
+	for i := 1; i < len(keys); i++ {
+		x := keys[i]
+		j := i
+		for ; j > 0 && keys[j-1] > x; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = x
+	}
+	for i := 1; i < len(keys); i++ {
+		for j := i; j > 0 && keep[keys[j]&mask].c2 < keep[keys[j-1]&mask].c2; j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+		}
+	}
+	return keys
+}
+
+// heapify orders h as a max-heap.
+func heapify(h []uint64) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i, h[i])
 	}
 }
 
-func siftDown(h []float64, i int) {
+// siftDown puts x at i in h, whose subtrees below i are max-heaps, moving
+// it down past every larger child.
+func siftDown(h []uint64, i int, x uint64) {
 	for {
-		big := i
-		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
-			if h[c] > h[big] {
-				big = c
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) {
+			// A conditional move, not a branch: which child is larger is a
+			// coin toss the predictor loses half the time.
+			a, b := h[c], h[c+1]
+			d := 0
+			if b > a {
+				d = 1
 			}
+			c += d
 		}
-		if big == i {
-			return
+		if h[c] <= x {
+			break
 		}
-		h[i], h[big] = h[big], h[i]
-		i = big
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = x
 }

@@ -54,53 +54,68 @@ func checkRecommend(t *testing.T, d *DNSSeed, self p2p.NodeID, c geo.Coord, k in
 // rebuiltOrderings is what the registry did after every mutation before it
 // patched its orderings in place, kept as the oracle: both orderings from
 // scratch, straight from the location map.
-func rebuiltOrderings(d *DNSSeed) ([]p2p.NodeID, []latEntry) {
+func rebuiltOrderings(d *DNSSeed) ([]p2p.NodeID, *cellIndex) {
 	all := make([]p2p.NodeID, 0, len(d.locs))
-	byLat := make([]latEntry, 0, len(d.locs))
-	for id, l := range d.locs {
+	for id := range d.locs {
 		all = append(all, id)
-		byLat = append(byLat, newLatEntry(id, l.Coord))
 	}
 	slices.Sort(all)
-	sort.Slice(byLat, func(i, j int) bool {
-		if byLat[i].coord.LatDeg != byLat[j].coord.LatDeg {
-			return byLat[i].coord.LatDeg < byLat[j].coord.LatDeg
+	return all, newCellIndex(d.locs)
+}
+
+// sameCells reports whether two indexes hold the same cells, row for row:
+// the same columns, boxes and entries, coordinates included.
+func sameCells(a, b *cellIndex) bool {
+	if a.n != b.n {
+		return false
+	}
+	for r := range a.rows {
+		if !slices.EqualFunc(a.rows[r], b.rows[r], func(x, y cell) bool {
+			return x.col == y.col && x.lo == y.lo && x.hi == y.hi && slices.Equal(x.ents, y.ents)
+		}) {
+			return false
 		}
-		return byLat[i].id < byLat[j].id
-	})
-	return all, byLat
+	}
+	return true
 }
 
 // checkOrderings looks inside the registry without reading through it (a
 // read would build what it is about to inspect): an ordering nothing has
 // read must still be nil, and one that has been read must equal the
-// from-scratch rebuild entry for entry, coordinates included.
+// from-scratch rebuild entry for entry, coordinates and cell boxes
+// included.
 func checkOrderings(t *testing.T, d *DNSSeed, read bool) {
 	t.Helper()
 	if !read {
-		if d.all != nil || d.byLat != nil {
-			t.Fatalf("orderings exist before any read: all=%v byLat=%v", d.all, d.byLat)
+		if d.all != nil || d.cells != nil {
+			t.Fatalf("orderings exist before any read: all=%v cells=%v", d.all, d.cells)
 		}
 		return
 	}
-	wantAll, wantLat := rebuiltOrderings(d)
+	wantAll, wantCells := rebuiltOrderings(d)
 	if d.all == nil || !slices.Equal(d.all, wantAll) {
 		t.Fatalf("all over %d nodes\n got %v\nwant %v", d.Len(), d.all, wantAll)
 	}
-	if d.byLat == nil || !slices.Equal(d.byLat, wantLat) {
-		t.Fatalf("byLat over %d nodes\n got %v\nwant %v", d.Len(), d.byLat, wantLat)
+	if d.cells == nil || !sameCells(d.cells, wantCells) {
+		t.Fatalf("cells over %d nodes\n got %+v\nwant %+v", d.Len(), d.cells, wantCells)
 	}
 }
 
-// awkwardCoords are where a latitude-pruned search could go wrong: the
-// poles (every longitude is the same point), the antimeridian (neighbours
-// 360° apart in longitude), the equator/prime-meridian origin, and
-// near-antipodal latitudes (where haversine's asin loses the most digits).
+// awkwardCoords are where a pruned search could go wrong: the poles (every
+// longitude is the same point), the antimeridian (neighbours 360° apart in
+// longitude), the equator/prime-meridian origin, near-antipodal latitudes
+// (where haversine's asin loses the most digits), and the edges of the
+// index's cells — latitudes and longitudes on multiples of cellDeg, each
+// beside a point a hair inside the neighbouring cell.
 var awkwardCoords = []geo.Coord{
 	{LatDeg: 90, LonDeg: 0}, {LatDeg: 90, LonDeg: 135}, {LatDeg: -90, LonDeg: -60},
 	{LatDeg: 89.9999, LonDeg: 10}, {LatDeg: 89.9999, LonDeg: -170}, {LatDeg: -89.9999, LonDeg: 77},
 	{LatDeg: 12, LonDeg: 180}, {LatDeg: 12, LonDeg: -180}, {LatDeg: 12.0001, LonDeg: 179.9999},
 	{LatDeg: 11.9999, LonDeg: -179.9999}, {LatDeg: 0, LonDeg: 0}, {LatDeg: 0, LonDeg: 180},
+	{LatDeg: 2 * cellDeg, LonDeg: 3 * cellDeg}, {LatDeg: 2*cellDeg - 1e-9, LonDeg: 3*cellDeg - 1e-9},
+	{LatDeg: -cellDeg, LonDeg: -cellDeg}, {LatDeg: -cellDeg + 1e-12, LonDeg: -cellDeg - 1e-12},
+	{LatDeg: 90 - cellDeg, LonDeg: 180}, {LatDeg: 90 - cellDeg, LonDeg: -180},
+	{LatDeg: -90 + cellDeg, LonDeg: 180 - cellDeg}, {LatDeg: -90, LonDeg: 180},
 }
 
 // randomCoord draws from the placer's clustered world (so pruning actually
@@ -181,6 +196,8 @@ func TestOrderingsPatchCases(t *testing.T) {
 	}{
 		{"relocate along the same latitude", []op{{id: 3, at: geo.Coord{LatDeg: 10, LonDeg: -150}}}},
 		{"relocate to another latitude", []op{{id: 3, at: geo.Coord{LatDeg: -45, LonDeg: 20}}}},
+		{"relocate across a cell edge", []op{{id: 3, at: geo.Coord{LatDeg: 5 * cellDeg, LonDeg: 10 * cellDeg}}, {id: 3, at: geo.Coord{LatDeg: 5*cellDeg - 1e-9, LonDeg: 10*cellDeg - 1e-9}}}},
+		{"empty a cell and fill it again", []op{{id: 1, at: geo.Coord{LatDeg: 50, LonDeg: 20}}, {id: 1, at: geo.Coord{LatDeg: 0, LonDeg: 20}}}},
 		{"re-register at the same coordinate", []op{{id: 3, at: home}}},
 		{"remove an unknown id", []op{{id: 99, remove: true}}},
 		{"remove then re-add one id", []op{{id: 3, remove: true}, {id: 3, at: home}}},
@@ -252,8 +269,8 @@ func TestRecommendSeesRelocation(t *testing.T) {
 
 // TestRecommendPrunes guards the two points of the index: on the placer's
 // world a query evaluates great-circle distances for the k it returns and
-// the few in the guard band of the k-th, and squared chords (both walks
-// counted) for a small multiple of k, not the registry.
+// the few in the guard band of the k-th, and squared chords, each computed
+// once, for a small multiple of k, not the registry.
 func TestRecommendPrunes(t *testing.T) {
 	const n, k = 3000, 64
 	placer := geo.DefaultPlacer()
@@ -271,8 +288,28 @@ func TestRecommendPrunes(t *testing.T) {
 	if mean := float64(dists) / n; mean > k+8 {
 		t.Errorf("mean great-circle evaluations per query = %.1f for k = %d; the guard band is not selecting", mean, k)
 	}
-	if mean := float64(chords) / n; mean > n/4 {
+	if mean := float64(chords) / n; mean > 4*k {
 		t.Errorf("mean chord evaluations per query = %.0f over %d nodes; the search is not pruning", mean, n)
+	}
+}
+
+// TestRecommendCompactsKept fills one cell with entries that, in the id
+// order a cell is searched in, come ever nearer to the query. Each is within
+// the band when it is seen, so the search keeps more than its stack buffer
+// holds and must drop those the narrowing band has passed by, and still
+// answer as the full sort does.
+func TestRecommendCompactsKept(t *testing.T) {
+	d := NewDNSSeed()
+	q := geo.Coord{LatDeg: 41, LonDeg: 13}
+	// keep fills at 4*stackK entries; with a few more after that, the
+	// stackK nearest arrive both before and after it is compacted.
+	const n = 4*stackK + stackK/4
+	for i := 0; i < n; i++ {
+		dd := 0.9 * float64(n-i) / n // degrees: every point in q's cell
+		d.Register(p2p.NodeID(i+1), geo.Location{Coord: geo.Coord{LatDeg: q.LatDeg + dd/2, LonDeg: q.LonDeg + dd}})
+	}
+	for _, k := range []int{1, 16, stackK} {
+		checkRecommend(t, d, 0, q, k)
 	}
 }
 

@@ -48,21 +48,21 @@ type Protocol interface {
 // should recommend available nodes to the node N based on the proximity in
 // the physical geographical location", §IV.B).
 //
-// The registry keeps two orderings of its nodes, all and byLat, under one
-// rule: an ordering is built by one sort the first time it is read, and
-// from then on every Register/Remove patches it in place. Until that first
-// read it stays nil and mutations skip it, so registering a whole
-// population before anything reads costs one sort whatever order the IDs
-// arrive in (inserting n random latitudes one by one would be quadratic).
+// The registry keeps two orderings of its nodes, all and the geographic
+// index, under one rule: an ordering is built the first time it is read,
+// and from then on every Register/Remove patches it in place. Until that
+// first read it stays nil and mutations skip it, so registering a whole
+// population before anything reads costs one build whatever order the IDs
+// arrive in.
 type DNSSeed struct {
 	locs map[p2p.NodeID]geo.Location
 	// all is every registered ID, ascending; nil = never read. Link refill
 	// consults All on every disconnect, so under churn it is read about as
 	// often as it changes.
 	all []p2p.NodeID
-	// byLat is the geographic index Recommend searches (see nearest.go):
-	// every registered node ordered by (latitude, id); nil = never read.
-	byLat []latEntry
+	// cells is the geographic index Recommend searches (see nearest.go);
+	// nil = never read.
+	cells *cellIndex
 }
 
 // NewDNSSeed returns an empty seed registry.
@@ -70,12 +70,11 @@ func NewDNSSeed() *DNSSeed {
 	return &DNSSeed{locs: make(map[p2p.NodeID]geo.Location)}
 }
 
-// Register adds a reachable node, or moves a known one to loc. Each
-// ordering that has been read is patched by a binary search and an insert:
-// IDs from AddNode ascend, so an arrival appends to all; in byLat it shifts
-// at most the index (48 B per node) and pays the four sines and cosines of
-// the entry's unit vector. Re-registering at the same coordinate touches
-// neither.
+// Register adds a reachable node, or moves a known one to loc. IDs from
+// AddNode ascend, so an arrival appends to all; in the geographic index it
+// patches the one cell loc falls in, a binary search and an insert among
+// that cell's nodes, and pays the four sines and cosines of the entry's
+// unit vector. Re-registering at the same coordinate touches neither.
 func (d *DNSSeed) Register(id p2p.NodeID, loc geo.Location) {
 	old, known := d.locs[id]
 	d.locs[id] = loc
@@ -83,19 +82,18 @@ func (d *DNSSeed) Register(id p2p.NodeID, loc geo.Location) {
 		i, _ := slices.BinarySearch(d.all, id)
 		d.all = slices.Insert(d.all, i, id)
 	}
-	if d.byLat == nil || (known && old.Coord == loc.Coord) {
+	if d.cells == nil || (known && old.Coord == loc.Coord) {
 		return
 	}
 	if known {
-		d.dropLat(latEntry{coord: old.Coord, id: id})
+		d.cells.remove(id, old.Coord)
 	}
-	e := newLatEntry(id, loc.Coord)
-	i, _ := slices.BinarySearchFunc(d.byLat, e, latEntry.compare)
-	d.byLat = slices.Insert(d.byLat, i, e)
+	d.cells.insert(newEntry(id, loc.Coord))
 }
 
 // Remove forgets a node: a binary search and a delete in each ordering that
-// has been read. Removing an unknown ID does nothing.
+// has been read, and in the geographic index a refit of the box of the one
+// cell the node leaves. Removing an unknown ID does nothing.
 func (d *DNSSeed) Remove(id p2p.NodeID) {
 	loc, known := d.locs[id]
 	if !known {
@@ -107,15 +105,8 @@ func (d *DNSSeed) Remove(id p2p.NodeID) {
 			d.all = slices.Delete(d.all, i, i+1)
 		}
 	}
-	if d.byLat != nil {
-		d.dropLat(latEntry{coord: loc.Coord, id: id})
-	}
-}
-
-// dropLat deletes e from the built index.
-func (d *DNSSeed) dropLat(e latEntry) {
-	if i, ok := slices.BinarySearchFunc(d.byLat, e, latEntry.compare); ok {
-		d.byLat = slices.Delete(d.byLat, i, i+1)
+	if d.cells != nil {
+		d.cells.remove(id, loc.Coord)
 	}
 }
 
@@ -146,15 +137,10 @@ func (d *DNSSeed) All() []p2p.NodeID {
 // only: call BuildIndex first when several goroutines are about to call
 // Recommend on an unchanging registry, and they only read.
 func (d *DNSSeed) BuildIndex() {
-	if d.byLat != nil {
+	if d.cells != nil {
 		return
 	}
-	ix := make([]latEntry, 0, len(d.locs))
-	for id, loc := range d.locs {
-		ix = append(ix, newLatEntry(id, loc.Coord))
-	}
-	slices.SortFunc(ix, latEntry.compare)
-	d.byLat = ix
+	d.cells = newCellIndex(d.locs)
 }
 
 // Recommend returns up to k registered nodes closest to loc by great-
@@ -163,15 +149,22 @@ func (d *DNSSeed) BuildIndex() {
 // break by ID so results are deterministic. The order is that of
 // geo.DistanceMeters over the whole registry, but the search evaluates it
 // only to settle what chords cannot: it ranks on squared chords between
-// unit vectors, prunes on the latitude gap, and asks for great-circle
-// distances among candidates whose chords tie or nearly tie (see nearest).
-// Registered coordinates must be Valid: a latitude gap bounds the chord only
-// for latitudes within [-90, 90]. The first Recommend (or RecommendCost) on
-// a registry whose index nothing has read builds it; every later one only
-// reads.
+// unit vectors, prunes whole cells of the index on the bounding boxes of
+// their unit vectors and whole rows of cells on the latitude gap, and asks
+// for great-circle distances among candidates whose chords tie or nearly
+// tie (see nearest). Registered coordinates must be Valid: a latitude gap
+// bounds the chord only for latitudes within [-90, 90]. The first
+// Recommend (or AppendRecommend, or RecommendCost) on a registry whose
+// index nothing has read builds it; every later one only reads.
 func (d *DNSSeed) Recommend(self p2p.NodeID, loc geo.Location, k int) []p2p.NodeID {
+	return d.AppendRecommend(make([]p2p.NodeID, 0, max(0, min(k, d.Len()))), self, loc, k)
+}
+
+// AppendRecommend is Recommend appending to dst: a dst with room for k
+// takes the ranking without an allocation.
+func (d *DNSSeed) AppendRecommend(dst []p2p.NodeID, self p2p.NodeID, loc geo.Location, k int) []p2p.NodeID {
 	d.BuildIndex()
-	ids, _, _ := nearest(d.byLat, self, loc.Coord, k)
+	ids, _, _ := d.cells.nearest(dst, self, loc.Coord, k)
 	return ids
 }
 
@@ -181,7 +174,7 @@ func (d *DNSSeed) Recommend(self p2p.NodeID, loc geo.Location, k int) []p2p.Node
 // next to the wall time.
 func (d *DNSSeed) RecommendCost(self p2p.NodeID, loc geo.Location, k int) (dists, chords int) {
 	d.BuildIndex()
-	_, dists, chords = nearest(d.byLat, self, loc.Coord, k)
+	_, dists, chords = d.cells.nearest(nil, self, loc.Coord, k)
 	return
 }
 
