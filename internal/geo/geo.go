@@ -144,9 +144,6 @@ func (p *Placer) PlaceN(r *rand.Rand, n int) []Location {
 	return out
 }
 
-// Cities returns the underlying table (shared; callers must not mutate).
-func (p *Placer) Cities() []City { return p.cities }
-
 // jitter displaces c by a uniform random offset within radiusMeters.
 func jitter(r *rand.Rand, c Coord, radiusMeters float64) Coord {
 	if radiusMeters <= 0 {

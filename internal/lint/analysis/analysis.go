@@ -3,8 +3,8 @@
 // host this repo's custom lint suite (internal/lint) without pulling a
 // module dependency into the build. The repo's invariants — determinism,
 // hot-path allocation discipline, lock hygiene — are enforced by
-// analyzers written against this API and driven either standalone
-// (cmd/bcbpt-lint PATTERN...) or through `go vet -vettool`.
+// analyzers written against this API and driven by internal/lint's tests:
+// TestRepoIsClean over the module, analysistest over fixtures.
 //
 // The deliberate differences from x/tools are small: no facts, no
 // sub-analyzer dependencies, and suppression via the repo-wide
@@ -18,7 +18,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Analyzer describes one invariant checker. Run inspects a fully
@@ -40,17 +39,16 @@ type Pass struct {
 	report func(rawDiag)
 }
 
-// Path returns the canonical import path under analysis (any `go vet`
-// test-variant suffix already stripped).
+// Path returns the import path under analysis.
 func (p *Pass) Path() string { return p.Pkg.Path }
 
 // Fset returns the file set positions resolve against.
 func (p *Pass) Fset() *token.FileSet { return p.Pkg.Fset }
 
-// Files returns the package syntax. It may include _test.go files when
-// driven by `go vet` (which type-checks test variants); analyzers that
-// walk files themselves should skip files where Lintable reports false —
-// diagnostics landing in non-lintable files are dropped regardless.
+// Files returns the package syntax. It includes any _test.go file the
+// loader was handed; analyzers that walk files themselves should skip
+// files where Lintable reports false — diagnostics landing in
+// non-lintable files are dropped regardless.
 func (p *Pass) Files() []*ast.File { return p.Pkg.Files }
 
 // Lintable reports whether diagnostics in f are in scope (non-test
@@ -67,7 +65,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
-	Path     string // canonical import path ("repro/internal/sim", test-variant suffix stripped)
+	Path     string // import path, e.g. "repro/internal/sim"
 	Fset     *token.FileSet
 	Files    []*ast.File
 	Types    *types.Package
@@ -90,15 +88,6 @@ type rawDiag struct {
 	pos      token.Pos
 	analyzer string
 	message  string
-}
-
-// CanonicalPath strips the `go vet` test-variant suffix from an import
-// path: "repro/internal/sim [repro/internal/sim.test]" → "repro/internal/sim".
-func CanonicalPath(path string) string {
-	if i := strings.Index(path, " ["); i >= 0 {
-		return path[:i]
-	}
-	return path
 }
 
 // Run executes analyzers over pkg and returns position-sorted

@@ -73,8 +73,8 @@ func GoList(dir string, patterns ...string) ([]*ListedPackage, error) {
 
 // NewImporter returns a go/types importer that resolves imports through
 // gc export-data files named by lookup (import path → file path, the
-// shape of both `go list -export` output and `go vet`'s PackageFile
-// map). "unsafe" resolves to types.Unsafe without consulting lookup.
+// shape of `go list -export` output). "unsafe" resolves to types.Unsafe
+// without consulting lookup.
 func NewImporter(fset *token.FileSet, lookup func(path string) (string, bool)) types.ImporterFrom {
 	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := lookup(path)
@@ -101,10 +101,10 @@ func (e *exportImporter) ImportFrom(path, dir string, mode types.ImportMode) (*t
 
 var goVersionRx = regexp.MustCompile(`^go1(\.\d+){0,2}$`)
 
-// CleanGoVersion normalizes a module or vet-config Go version ("1.22",
-// "go1.22", "go1.22.3", or garbage) into a value go/types accepts, or ""
-// to let the type checker assume the toolchain's language version.
-func CleanGoVersion(v string) string {
+// cleanGoVersion normalizes a module Go version ("1.22", "go1.22",
+// "go1.22.3", or garbage) into a value go/types accepts, or "" to let the
+// type checker assume the toolchain's language version.
+func cleanGoVersion(v string) string {
 	if v == "" {
 		return ""
 	}
@@ -145,7 +145,7 @@ func TypeCheck(fset *token.FileSet, path, goVersion string, filenames []string, 
 	var typeErrs []error
 	conf := types.Config{
 		Importer:  imp,
-		GoVersion: CleanGoVersion(goVersion),
+		GoVersion: cleanGoVersion(goVersion),
 		Error:     func(err error) { typeErrs = append(typeErrs, err) },
 	}
 	tpkg, _ := conf.Check(path, fset, files, info)
@@ -153,7 +153,7 @@ func TypeCheck(fset *token.FileSet, path, goVersion string, filenames []string, 
 		return nil, fmt.Errorf("type-checking %s: %w", path, errors.Join(typeErrs...))
 	}
 	return &Package{
-		Path:     CanonicalPath(path),
+		Path:     path,
 		Fset:     fset,
 		Files:    files,
 		Types:    tpkg,
@@ -164,8 +164,7 @@ func TypeCheck(fset *token.FileSet, path, goVersion string, filenames []string, 
 
 // LoadPatterns loads, parses, and type-checks every module package
 // matching the `go list` patterns (dependencies are consumed as export
-// data only). It is the standalone-driver counterpart of the `go vet`
-// unit protocol: everything runs off the local build cache, no network.
+// data only). Everything runs off the local build cache, no network.
 func LoadPatterns(dir string, patterns ...string) ([]*Package, error) {
 	listed, err := GoList(dir, patterns...)
 	if err != nil {

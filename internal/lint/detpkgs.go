@@ -1,4 +1,4 @@
-// Package lint hosts bcbpt-lint: the repo-specific static analyzers
+// Package lint hosts the repo-specific static analyzers
 // that machine-enforce the invariants every shipped result depends on —
 // figure CSVs byte-identical across worker counts, fleet merges
 // bit-identical to serial sweeps, flood hot paths holding their pinned

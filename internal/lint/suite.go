@@ -2,7 +2,7 @@ package lint
 
 import "repro/internal/lint/analysis"
 
-// Analyzers returns the full bcbpt-lint suite in stable order.
+// Analyzers returns the full lint suite in stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Detrand, Maporder, Hotalloc, Lockio,
@@ -18,16 +18,6 @@ func Names() []string {
 		names[i] = a.Name
 	}
 	return names
-}
-
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *analysis.Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // Check runs the whole suite over one loaded package.

@@ -105,9 +105,6 @@ func (t *Tracer) Shard(i int) *Shard {
 	return t.shards[i]
 }
 
-// Shards returns the current shard count.
-func (t *Tracer) Shards() int { return len(t.shards) }
-
 // Dropped sums overwritten events across shards.
 func (t *Tracer) Dropped() uint64 {
 	var d uint64

@@ -427,10 +427,6 @@ func (n *Network) findHash(h chain.Hash) (int32, bool) {
 	return hi, ok
 }
 
-// ActiveHashes returns the number of distinct inventory hashes seen this
-// generation — the width of every node's flat inventory arrays.
-func (n *Network) ActiveHashes() int { return int(n.hashN) }
-
 // link returns (drawing on first use) the memoised latency link of a pair
 // that messages by ID; a connection's link is edgeLink's. Link parameters
 // are drawn from a keyed source derived from the (seed, endpoint pair), not

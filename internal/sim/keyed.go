@@ -59,14 +59,8 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// MixKey2 combines two words into a well-distributed key. The fixed-arity
-// variants exist so hot paths need no variadic slice allocation.
-func MixKey2(a, b uint64) uint64 {
-	x := Mix64(a + 0x9E3779B97F4A7C15)
-	return Mix64(x ^ b)
-}
-
-// MixKey3 combines three words into a well-distributed key.
+// MixKey3 combines three words into a well-distributed key. Its fixed
+// arity keeps hot paths free of a variadic slice allocation.
 func MixKey3(a, b, c uint64) uint64 {
 	x := Mix64(a + 0x9E3779B97F4A7C15)
 	x = Mix64(x ^ b)
