@@ -23,14 +23,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The engine fans campaigns across goroutines, the build shards its
-# placement/candidate phases, the fleet coordinator serves concurrent
-# HTTP workers and counts their leases in its obs registry, and the DNS
-# seed's geographic index (built once, on its first read, then patched in
-# place by every Register/Remove) is read by every ranking shard; keep the
-# concurrent packages honest under the race detector. A p2p.Network is
-# single-goroutine by contract and carries no lock: running its tests here
-# is what holds that claim.
+# The engine runs campaign units on concurrent goroutines (sim.ParallelFor),
+# and the fleet coordinator serves concurrent HTTP workers and counts their
+# leases in its obs registry; keep the concurrent packages honest under the
+# race detector. A network build (placement, the BCBPT protocol, the DNS
+# seed and its geographic index) and a p2p.Network are single-goroutine by
+# contract and carry no lock, while several units build and run side by
+# side: running their tests here is what holds that claim.
 race:
 	$(GO) test -race ./internal/sim ./internal/experiment ./internal/core ./internal/topology ./internal/measure ./internal/fleet ./internal/p2p ./internal/wire ./internal/obs
 

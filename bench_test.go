@@ -1,8 +1,7 @@
 // Package repro_test holds the benchmarks that document a claim no
-// workload of bench/ (what BENCHMARK.json runs) measures: the sharded
-// build's speedup, which the -build-workers flag rests on, and the three
-// BCBPT ablations PAPER.md's P3, P7 and R7 point at. Each ablation reports
-// its statistics as custom units beside the wall clock. Run them once:
+// workload of bench/ (what BENCHMARK.json runs) measures: the three BCBPT
+// ablations PAPER.md's P3, P7 and R7 point at. Each reports its statistics
+// as custom units beside the wall clock. Run them once:
 //
 //	go test -run='^$' -bench=. -benchtime=1x .
 //
@@ -13,7 +12,6 @@ package repro_test
 
 import (
 	"context"
-	"runtime"
 	"testing"
 	"time"
 
@@ -30,33 +28,6 @@ func bcbptSpec(nodes int, seed int64) experiment.Spec {
 	cfg.DecisionSlack = 500 * time.Millisecond
 	return experiment.Spec{Nodes: nodes, Seed: seed, Protocol: experiment.ProtoBCBPT, BCBPT: cfg}
 }
-
-// --- Serial vs sharded single-network build ---
-//
-// One 2000-node BCBPT build, once with the sharded phases pinned to a
-// single worker and once spread over GOMAXPROCS. Placement and per-joiner
-// candidate ranking shard across cores; the serial probe/join event run is
-// the rest of a build — while TestBuildShardedDeterminism proves the two
-// produce bit-identical networks.
-
-func benchBuild(b *testing.B, workers int) {
-	spec := bcbptSpec(2000, 1)
-	spec.BuildWorkers = workers
-	for i := 0; i < b.N; i++ {
-		built, err := experiment.Build(context.Background(), spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if built.BCBPT.NumClustered() != 2000 {
-			b.Fatalf("bootstrap clustered %d of 2000", built.BCBPT.NumClustered())
-		}
-		built.Close()
-	}
-	b.ReportMetric(float64(workers), "workers")
-}
-
-func BenchmarkBuildSerial(b *testing.B)  { benchBuild(b, 1) }
-func BenchmarkBuildSharded(b *testing.B) { benchBuild(b, runtime.GOMAXPROCS(0)) }
 
 // --- Ablations ---
 

@@ -107,8 +107,11 @@ func addSweepFlags(fs *flag.FlagSet) *sweepFlags {
 // what makes `bcbpt-fleet run` output diffable against `bcbpt-sim`. A
 // -sweep JSON file (validated loudly: schema, shippability, buildable
 // specs) replaces the presets and opens the fleet to arbitrary
-// scenarios.
+// scenarios. A negative scale flag is an error even beside -sweep.
 func (s *sweepFlags) campaigns() ([]experiment.CampaignSpec, string, error) {
+	if err := s.opts.CheckFlags(); err != nil {
+		return nil, "", err
+	}
 	if *s.sweepFile != "" {
 		sf, err := experiment.LoadSweepFile(*s.sweepFile)
 		if err != nil {

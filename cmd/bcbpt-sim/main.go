@@ -57,7 +57,11 @@ func main() {
 		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
-	if err := checkFlags(*exp, o.Trace, *csvPath); err != nil {
+	err := o.CheckFlags()
+	if err == nil {
+		err = checkFlags(*exp, o.Trace, *csvPath)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "bcbpt-sim: %v\n", err)
 		os.Exit(1)
 	}
@@ -236,27 +240,22 @@ func checkFlags(exp, trace, csvPath string) error {
 // version and VCS revision it was built from.
 type runManifest struct {
 	experiment.Manifest
-	Workers      int    `json:"workers"`
-	BuildWorkers int    `json:"build_workers"`
-	GoVersion    string `json:"go_version"`
-	Revision     string `json:"vcs_revision"`
-	Modified     bool   `json:"vcs_modified"`
+	Workers   int    `json:"workers"`
+	GoVersion string `json:"go_version"`
+	Revision  string `json:"vcs_revision"`
+	Modified  bool   `json:"vcs_modified"`
 }
 
 // newRunManifest assembles the manifest of a finished (or interrupted) run
 // of exp: experiment.NewManifest's part, then this binary's.
 func newRunManifest(exp string, o experiment.Options, campaigns []experiment.CampaignSpec) runManifest {
 	m := runManifest{
-		Manifest:     experiment.NewManifest(exp, o, campaigns),
-		Workers:      o.Workers,
-		BuildWorkers: o.BuildWorkers,
-		GoVersion:    runtime.Version(),
+		Manifest:  experiment.NewManifest(exp, o, campaigns),
+		Workers:   o.Workers,
+		GoVersion: runtime.Version(),
 	}
 	if m.Workers <= 0 {
 		m.Workers = runtime.GOMAXPROCS(0)
-	}
-	if m.BuildWorkers <= 0 {
-		m.BuildWorkers = runtime.GOMAXPROCS(0)
 	}
 	if info, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range info.Settings {
@@ -392,11 +391,10 @@ func buildBCBPT(ctx context.Context, o experiment.Options, dt time.Duration) (*e
 	cfg := core.DefaultConfig()
 	cfg.Threshold = dt
 	return experiment.Build(ctx, experiment.Spec{
-		Nodes:        o.Nodes,
-		Seed:         o.Seed,
-		Protocol:     experiment.ProtoBCBPT,
-		BCBPT:        cfg,
-		BuildWorkers: o.BuildWorkers,
+		Nodes:    o.Nodes,
+		Seed:     o.Seed,
+		Protocol: experiment.ProtoBCBPT,
+		BCBPT:    cfg,
 	})
 }
 
@@ -412,7 +410,6 @@ func runEclipse(ctx context.Context, o experiment.Options, dt time.Duration, adv
 		for trial := 0; trial < trials; trial++ {
 			b, err := buildBCBPT(ctx, experiment.Options{
 				Nodes: o.Nodes, Seed: o.Seed + int64(trial), Runs: o.Runs, Deadline: o.Deadline,
-				BuildWorkers: o.BuildWorkers,
 			}, dt)
 			if err != nil {
 				return err

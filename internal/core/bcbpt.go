@@ -29,7 +29,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sort"
 	"time"
@@ -71,8 +70,7 @@ type Config struct {
 	// at paper scale so a 5000-node bootstrap does not spend 500s of
 	// virtual time joining one node at a time). The lane count is a
 	// protocol parameter, never a host-parallelism knob: it is a pure
-	// function of the configuration and population, so results are
-	// independent of how many build workers compute them.
+	// function of the configuration and population.
 	JoinLanes int
 	// DecisionSlack bounds how long a joiner waits for probe replies
 	// beyond the probing schedule itself before deciding.
@@ -147,11 +145,6 @@ type BCBPT struct {
 
 	intra int
 
-	// workers bounds the host-side goroutines Bootstrap uses for its
-	// sharded candidate precompute. It affects wall-clock only, never
-	// results (the precompute is a pure function of the registry).
-	workers int
-
 	clusterOf map[p2p.NodeID]ClusterID
 	members   map[ClusterID][]p2p.NodeID
 	nextID    ClusterID
@@ -161,6 +154,9 @@ type BCBPT struct {
 	// perm is handleJoin's scratch for the permutation it samples a large
 	// cluster's members by.
 	perm []int
+	// ranked is recommend's scratch: the DNS ranking a joiner filters down
+	// to the candidates it probes.
+	ranked []p2p.NodeID
 
 	stats Stats
 }
@@ -185,21 +181,10 @@ func New(net *p2p.Network, seed *topology.DNSSeed, cfg Config) (*BCBPT, error) {
 		cfg:       cfg,
 		r:         net.Streams().Stream("topology/bcbpt"),
 		intra:     intra,
-		workers:   runtime.GOMAXPROCS(0),
 		clusterOf: make(map[p2p.NodeID]ClusterID),
 		members:   make(map[ClusterID][]p2p.NodeID),
 		joining:   make(map[p2p.NodeID]bool),
 	}, nil
-}
-
-// SetBuildWorkers bounds the goroutines Bootstrap's sharded precompute
-// may use (<= 0 restores the GOMAXPROCS default). Purely a wall-clock
-// knob: every worker count produces bit-identical networks.
-func (b *BCBPT) SetBuildWorkers(w int) {
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	b.workers = w
 }
 
 // Name implements topology.Protocol.
@@ -248,102 +233,59 @@ func (c Config) lanesFor(n int) int {
 	return lanes
 }
 
-// recsShardSize is how many nodes one precompute shard ranks. Shard
-// boundaries are a pure function of the population (never of the worker
-// count), so the sharded precompute is bit-identical for any concurrency.
-const recsShardSize = 128
-
 // Bootstrap implements topology.Protocol: nodes join in JoinLanes-wide
 // waves spaced by JoinStagger, each executing the full measure-then-join
 // procedure in virtual time (within a wave, lower IDs join first — the
 // scheduler breaks virtual-time ties by schedule order). Run the network
-// afterwards to let it complete; see BootstrapDeadline.
-//
-// Before scheduling any join, Bootstrap precomputes every node's DNS
-// candidate ranking over the bootstrap registry snapshot, in
-// population-derived shards spread across the worker pool configured by
-// SetBuildWorkers, and hands each join its own ranking (churn arrivals,
-// which join later, get a live recommendation instead). ctx cancels the
-// precompute between shards; a cancelled Bootstrap returns an error
-// wrapping ctx.Err() having scheduled nothing.
+// afterwards to let it complete; see BootstrapDeadline. Every node is
+// registered with the DNS seed before the first join runs, and each join
+// asks the seed for its candidates when it runs, as a churn arrival does.
+// A Bootstrap whose ctx is already cancelled returns an error wrapping
+// ctx.Err() having registered and scheduled nothing.
 //
 // Every join's place in the (at, seq) order is reserved up front
 // (sim.Scheduler.Reserve), where scheduling it would have put it, and only
 // the first is redeemed: each join redeems the next as it runs, so the
 // queue holds one pending join, not the population.
 func (b *BCBPT) Bootstrap(ctx context.Context, ids []p2p.NodeID) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("core: bootstrap: %w", err)
+	}
 	for _, id := range ids {
 		if node, ok := b.net.Node(id); ok {
 			b.seed.Register(id, node.Location())
 			b.installHandler(node)
 		}
 	}
-	recs, err := b.precomputeRecs(ctx, ids)
-	if err != nil || len(ids) == 0 {
-		return err
+	if len(ids) == 0 {
+		return nil
 	}
 	sched := b.net.Scheduler()
 	lanes := b.cfg.lanesFor(len(ids))
-	q := &joinQueue{ids: slices.Clone(ids), ranked: recs, places: make([]sim.Ticket, len(ids))}
+	q := &joinQueue{ids: slices.Clone(ids), places: make([]sim.Ticket, len(ids))}
 	for i := range ids {
 		q.places[i] = sched.Reserve(time.Duration(i/lanes) * b.cfg.JoinStagger)
 	}
 	var tag uint32
 	tag = sched.Handle(func(idx int32) {
 		i := int(idx)
-		id, ranked := q.ids[i], q.ranked[i]
+		id := q.ids[i]
 		if i+1 < len(q.ids) {
 			sched.Redeem(q.places[i+1], tag, idx+1)
 		} else {
-			*q = joinQueue{} // the last join: release the rankings
+			*q = joinQueue{} // the last join: release the schedule
 		}
-		b.startJoin(id, ranked)
+		b.startJoin(id)
 	})
 	sched.Redeem(q.places[0], tag, 0)
 	return nil
 }
 
 // joinQueue is a bootstrap's join schedule, indexed like its ids: the
-// reserved place of every join and the ranking the join brings.
+// reserved place of every join.
 type joinQueue struct {
 	ids    []p2p.NodeID
-	ranked [][]p2p.NodeID
 	places []sim.Ticket
-}
-
-// precomputeRecs ranks every bootstrap node's DNS candidates over the
-// full registry snapshot, sharded across the build worker pool; the
-// result is indexed like ids, its rankings consecutive windows of one
-// buffer. Each shard calls the exact routine the live join path uses, so a
-// precomputed ranking is indistinguishable from one computed at join time.
-// The registry is read-only for the duration: its index is built here,
-// before the fan-out, so the shards only read it.
-func (b *BCBPT) precomputeRecs(ctx context.Context, ids []p2p.NodeID) ([][]p2p.NodeID, error) {
-	locs := make([]geo.Location, len(ids))
-	for i, id := range ids {
-		if node, ok := b.net.Node(id); ok {
-			locs[i] = node.Location()
-		}
-	}
-	b.seed.BuildIndex()
-	k := b.rankLen()
-	buf := make([]p2p.NodeID, len(ids)*k)
-	slots := make([][]p2p.NodeID, len(ids))
-	shards := (len(ids) + recsShardSize - 1) / recsShardSize
-	err := sim.ParallelFor(ctx, shards, b.workers, func(s int) {
-		lo := s * recsShardSize
-		hi := lo + recsShardSize
-		if hi > len(ids) {
-			hi = len(ids)
-		}
-		for i := lo; i < hi; i++ {
-			slots[i] = b.seed.AppendRecommend(buf[i*k:i*k:(i+1)*k], ids[i], locs[i], k)
-		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: bootstrap candidate precompute (%d shards): %w", shards, err)
-	}
-	return slots, nil
 }
 
 // BootstrapDeadline estimates the virtual time by which an n-node
@@ -367,7 +309,7 @@ func (b *BCBPT) OnJoin(id p2p.NodeID) {
 	}
 	b.seed.Register(id, node.Location())
 	b.installHandler(node)
-	b.startJoin(id, nil)
+	b.startJoin(id)
 }
 
 // OnLeave implements topology.Protocol. Per the paper, departure requires
@@ -425,10 +367,10 @@ func (b *BCBPT) found(id p2p.NodeID) {
 
 // --- join procedure ---
 
-// startJoin launches the measure-then-join procedure for a node. ranked is
-// the node's DNS recommendation if Bootstrap precomputed one; nil asks the
-// seed now.
-func (b *BCBPT) startJoin(id p2p.NodeID, ranked []p2p.NodeID) {
+// startJoin launches the measure-then-join procedure for a node: it asks
+// the DNS seed for the nodes geographically nearest to it (§IV.B) and
+// probes the clustered ones among them.
+func (b *BCBPT) startJoin(id p2p.NodeID) {
 	node, ok := b.net.Node(id)
 	if !ok {
 		return
@@ -441,10 +383,7 @@ func (b *BCBPT) startJoin(id p2p.NodeID, ranked []p2p.NodeID) {
 	}
 	b.joining[id] = true
 
-	if ranked == nil {
-		ranked = b.recommend(id, node.Location())
-	}
-	cands := b.clusteredPrefix(ranked)
+	cands := b.clusteredPrefix(b.recommend(id, node.Location()))
 	if len(cands) == 0 {
 		// First node (or empty world): found the first cluster.
 		b.finishJoin(id, 0, nil)
@@ -463,9 +402,11 @@ func (b *BCBPT) startJoin(id p2p.NodeID, ranked []p2p.NodeID) {
 }
 
 // recommend asks the DNS seed for the nodes geographically nearest to id
-// (§IV.B).
+// (§IV.B). The ranking is written to one buffer the BCBPT reuses, so it
+// holds only until the next call.
 func (b *BCBPT) recommend(id p2p.NodeID, loc geo.Location) []p2p.NodeID {
-	return b.seed.Recommend(id, loc, b.rankLen())
+	b.ranked = b.seed.AppendRecommend(b.ranked[:0], id, loc, b.rankLen())
+	return b.ranked
 }
 
 // rankLen is how many nodes a DNS recommendation asks for: four times

@@ -488,56 +488,6 @@ func TestBootstrapLanedClusteringCompletes(t *testing.T) {
 	}
 }
 
-// TestBootstrapPrecomputeMatchesLive verifies the sharded candidate
-// precompute is invisible to the protocol: a world bootstrapped with the
-// precompute (any worker count) matches one where every join ranked its
-// candidates live.
-func TestBootstrapPrecomputeMatchesLive(t *testing.T) {
-	run := func(workers int, live bool) map[p2p.NodeID]ClusterID {
-		net, proto, ids := buildWorld(t, 180, 33, nil)
-		proto.SetBuildWorkers(workers)
-		if live {
-			// Bootstrap's registration and join schedule, with every join
-			// left to ask the seed when it runs.
-			for _, id := range ids {
-				node, _ := net.Node(id)
-				proto.seed.Register(id, node.Location())
-				proto.installHandler(node)
-			}
-			lanes := proto.cfg.lanesFor(len(ids))
-			for i, id := range ids {
-				id := id
-				net.Scheduler().After(time.Duration(i/lanes)*proto.cfg.JoinStagger, func() {
-					proto.startJoin(id, nil)
-				})
-			}
-		} else if err := proto.Bootstrap(context.Background(), ids); err != nil {
-			t.Fatal(err)
-		}
-		if err := net.RunUntil(context.Background(), proto.BootstrapDeadline(len(ids))); err != nil {
-			t.Fatal(err)
-		}
-		out := make(map[p2p.NodeID]ClusterID, len(ids))
-		for _, id := range ids {
-			c, ok := proto.ClusterOf(id)
-			if !ok {
-				t.Fatalf("node %d never clustered", id)
-			}
-			out[id] = c
-		}
-		return out
-	}
-	live := run(1, true)
-	for _, workers := range []int{1, 4, 16} {
-		pre := run(workers, false)
-		for id, c := range live {
-			if pre[id] != c {
-				t.Fatalf("workers=%d: node %d cluster %d, live path gives %d", workers, id, pre[id], c)
-			}
-		}
-	}
-}
-
 // TestBootstrapOnePendingJoin: Bootstrap reserves every join's place and
 // queues only the first, so right after it the queue holds one event, not
 // one per node, and the joins still all run.
@@ -552,19 +502,6 @@ func TestBootstrapOnePendingJoin(t *testing.T) {
 	if err := net.RunUntil(context.Background(), proto.BootstrapDeadline(len(ids))); err != nil {
 		t.Fatal(err)
 	}
-	if got := proto.NumClustered(); got != len(ids) {
-		t.Errorf("clustered %d of %d nodes", got, len(ids))
-	}
-}
-
-// TestBootstrapShardsOnlyReadTheSeed is for the race detector: the seed's
-// geographic index is built lazily, so Bootstrap must have built it before
-// its ranking shards fan out, or the first Recommend of every shard would
-// write it. More than recsShardSize nodes, so there are shards to race.
-func TestBootstrapShardsOnlyReadTheSeed(t *testing.T) {
-	net, proto, ids := buildWorld(t, 4*recsShardSize, 41, nil)
-	proto.SetBuildWorkers(4)
-	bootstrap(t, net, proto, ids)
 	if got := proto.NumClustered(); got != len(ids) {
 		t.Errorf("clustered %d of %d nodes", got, len(ids))
 	}

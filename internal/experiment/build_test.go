@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,68 +10,6 @@ import (
 
 	"repro/internal/core"
 )
-
-// fingerprint serialises everything the sharded build computes — node
-// placement, the full peer graph, and (under BCBPT) every cluster
-// assignment — so two builds can be compared bit for bit.
-func fingerprint(b *Built) string {
-	var sb strings.Builder
-	for _, id := range b.Net.NodeIDs() {
-		node, ok := b.Net.Node(id)
-		if !ok {
-			continue
-		}
-		loc := node.Location()
-		fmt.Fprintf(&sb, "%d@%.9f,%.9f:", id, loc.Coord.LatDeg, loc.Coord.LonDeg)
-		for _, p := range node.Peers() {
-			fmt.Fprintf(&sb, "%d,", p)
-		}
-		if b.BCBPT != nil {
-			c, _ := b.BCBPT.ClusterOf(id)
-			fmt.Fprintf(&sb, "/c%d", c)
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// TestBuildShardedDeterminism is the tentpole invariant: the sharded
-// build is bit-identical to the serial build for any worker count — same
-// placement, same topology, same cluster registry, and same measurement
-// output downstream.
-func TestBuildShardedDeterminism(t *testing.T) {
-	spec := Spec{
-		Nodes:    700, // > placementShardSize, and wide enough for 2 join lanes
-		Seed:     5,
-		Protocol: ProtoBCBPT,
-		BCBPT:    fastBCBPT(25 * time.Millisecond),
-	}
-	var baseFP string
-	var baseDist string
-	for _, workers := range []int{1, 4, 16} {
-		spec.BuildWorkers = workers
-		b, err := Build(context.Background(), spec)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		fp := fingerprint(b)
-		res, err := b.CampaignContext(context.Background(), 8, time.Minute)
-		if err != nil {
-			t.Fatalf("workers=%d campaign: %v", workers, err)
-		}
-		dist := res.Dist.String()
-		if workers == 1 {
-			baseFP, baseDist = fp, dist
-			continue
-		}
-		if fp != baseFP {
-			t.Errorf("workers=%d: topology differs from serial build", workers)
-		}
-		if dist != baseDist {
-			t.Errorf("workers=%d: measurement output %s differs from serial %s", workers, dist, baseDist)
-		}
-	}
-}
 
 // TestBCBPTNodeFootprint holds the per-node memory of a BCBPT network at
 // the benchmark's bcbpt_build size — Fig. 3's BCBPT campaign, 3000 nodes —
@@ -85,34 +22,13 @@ func TestBCBPTNodeFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3000-node build")
 	}
-	spec := Figure3Campaigns(Options{Nodes: 3000, Seed: 1, BuildWorkers: 1})[2].Spec
+	spec := Figure3Campaigns(Options{Nodes: 3000, Seed: 1})[2].Spec
 	b, err := Build(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if perNode := b.Net.NodeFootprintBytes() / b.Net.NumNodes(); perNode > 1500 {
 		t.Fatalf("a node of a 3000-node BCBPT network holds %d B, budget 1,500", perNode)
-	}
-}
-
-// TestBuildShardedDeterminismBaselines covers the non-BCBPT protocols:
-// their bootstrap is serial, but placement still shards.
-func TestBuildShardedDeterminismBaselines(t *testing.T) {
-	for _, proto := range []ProtocolKind{ProtoBitcoin, ProtoLBC} {
-		spec := Spec{Nodes: 600, Seed: 11, Protocol: proto}
-		spec.BuildWorkers = 1
-		serial, err := Build(context.Background(), spec)
-		if err != nil {
-			t.Fatalf("%s serial: %v", proto, err)
-		}
-		spec.BuildWorkers = 8
-		sharded, err := Build(context.Background(), spec)
-		if err != nil {
-			t.Fatalf("%s sharded: %v", proto, err)
-		}
-		if fingerprint(serial) != fingerprint(sharded) {
-			t.Errorf("%s: sharded build differs from serial", proto)
-		}
 	}
 }
 
@@ -159,9 +75,8 @@ func TestBuildCancelMidBootstrap(t *testing.T) {
 }
 
 // TestFailedBuildLeavesNoGoroutines is the error-path leak regression
-// guard: a build that dies mid-way (here: cancelled during the sharded
-// phases) must join its worker pool and release the network before
-// returning.
+// guard: a build that dies mid-way (here: cancelled during the bootstrap)
+// must release the network and leave no goroutine behind.
 func TestFailedBuildLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
@@ -171,7 +86,7 @@ func TestFailedBuildLeavesNoGoroutines(t *testing.T) {
 			cancel()
 		}()
 		if _, err := Build(ctx, Spec{
-			Nodes: 4000, Seed: int64(i), Protocol: ProtoBCBPT, BuildWorkers: 8,
+			Nodes: 4000, Seed: int64(i), Protocol: ProtoBCBPT,
 		}); err == nil {
 			t.Fatal("build outran its cancellation; raise Nodes")
 		}

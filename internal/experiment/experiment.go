@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"time"
 
@@ -59,11 +58,6 @@ type Spec struct {
 	// exactly as given (a partially filled config fails validation loudly
 	// rather than being silently replaced).
 	BCBPT core.Config `json:"bcbpt"`
-	// BuildWorkers bounds the goroutines the build may use for its
-	// sharded phases (geo placement, BCBPT candidate ranking). <= 0
-	// means GOMAXPROCS; 1 forces the serial path. Purely a wall-clock
-	// knob: every worker count produces a bit-identical network.
-	BuildWorkers int `json:"build_workers,omitempty"`
 	// Churn, when non-nil, enables join/leave dynamics during the
 	// measurement phase.
 	Churn *churn.Model `json:"churn,omitempty"`
@@ -86,14 +80,6 @@ type Built struct {
 	Measurer *measure.MeasuringNode
 	// ChurnDriver is non-nil when churn was enabled.
 	ChurnDriver *churn.Driver
-}
-
-// buildWorkers resolves the sharding concurrency for a spec.
-func (s Spec) buildWorkers() int {
-	if s.BuildWorkers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return s.BuildWorkers
 }
 
 // bcbptConfig is the BCBPT configuration a build of the spec runs: the
@@ -131,29 +117,24 @@ func (s Spec) validate() error {
 
 // placementShardSize is how many nodes one placement shard covers. Each
 // shard draws from its own random stream derived via sim.DeriveSeed from
-// (spec seed, shard index), and shard boundaries depend only on the
-// population — so placements are a pure function of the spec, identical
-// for every worker count including the serial path.
+// (spec seed, shard index). The shards are walked in order on one
+// goroutine; the streams stay per shard because every network, golden CSV
+// and digest was generated from them, and one stream would move every
+// node.
 const placementShardSize = 512
 
-// shardedPlacements samples the bootstrap population's locations across
-// the build worker pool.
-func shardedPlacements(ctx context.Context, placer *geo.Placer, seed int64, n, workers int) ([]geo.Location, error) {
+// shardedPlacements samples the bootstrap population's locations, shard
+// by shard. ctx is polled between shards.
+func shardedPlacements(ctx context.Context, placer *geo.Placer, seed int64, n int) ([]geo.Location, error) {
 	locs := make([]geo.Location, n)
-	shards := (n + placementShardSize - 1) / placementShardSize
-	err := sim.ParallelFor(ctx, shards, workers, func(s int) {
-		r := rand.New(rand.NewSource(sim.DeriveSeed(seed, fmt.Sprintf("placement/shard/%d", s))))
-		lo := s * placementShardSize
-		hi := lo + placementShardSize
-		if hi > n {
-			hi = n
+	for s := 0; s*placementShardSize < n; s++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("experiment: placement: %w", err)
 		}
-		for i := lo; i < hi; i++ {
+		r := rand.New(rand.NewSource(sim.DeriveSeed(seed, fmt.Sprintf("placement/shard/%d", s))))
+		for i := s * placementShardSize; i < min((s+1)*placementShardSize, n); i++ {
 			locs[i] = placer.Place(r)
 		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiment: placement (%d shards): %w", shards, err)
 	}
 	return locs, nil
 }
@@ -161,14 +142,13 @@ func shardedPlacements(ctx context.Context, placer *geo.Placer, seed int64, n, w
 // Build constructs and bootstraps a network per spec. On return the
 // overlay is wired and virtual time has advanced past bootstrap.
 //
-// ctx cancels the build cooperatively at every expensive phase —
-// placement sharding, candidate precompute, and the virtual-time
-// bootstrap run — returning promptly with an error wrapping ctx.Err().
-// The placement and BCBPT candidate-ranking phases shard across up to
-// Spec.BuildWorkers goroutines; the resulting network is bit-identical
-// for every worker count. On any error the partially built network is
-// closed before returning, so a failed build leaves no scheduled work,
-// no running goroutines, and nothing pinning node state alive.
+// The build runs on the calling goroutine. ctx cancels it cooperatively
+// at every expensive phase — placement, the baselines' wiring, and the
+// virtual-time BCBPT bootstrap run, where every join ranks its DNS
+// candidates — returning promptly with an error wrapping ctx.Err(). On
+// any error the partially built network is closed before returning, so a
+// failed build leaves no scheduled work and nothing pinning node state
+// alive.
 func Build(ctx context.Context, spec Spec) (*Built, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
@@ -200,7 +180,7 @@ func (b *Built) build(ctx context.Context, spec Spec) error {
 	net := b.Net
 	seed := b.Seed
 	placer := geo.DefaultPlacer()
-	locs, err := shardedPlacements(ctx, placer, spec.Seed, spec.Nodes, spec.buildWorkers())
+	locs, err := shardedPlacements(ctx, placer, spec.Seed, spec.Nodes)
 	if err != nil {
 		return err
 	}
@@ -225,7 +205,6 @@ func (b *Built) build(ctx context.Context, spec Spec) error {
 		if err != nil {
 			return err
 		}
-		proto.SetBuildWorkers(spec.BuildWorkers)
 		b.BCBPT = proto
 		b.Protocol = proto
 		if err := proto.Bootstrap(ctx, ids); err != nil {

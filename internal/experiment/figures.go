@@ -33,9 +33,9 @@ type Options struct {
 	ChurnOn bool
 	// Workers bounds campaign-engine concurrency (default GOMAXPROCS).
 	Workers int
-	// BuildWorkers bounds the sharding concurrency inside each network
-	// build (see Spec.BuildWorkers; <= 0 means GOMAXPROCS). Results are
-	// identical for any value.
+	// Deprecated: BuildWorkers is read by nothing. A network build runs on
+	// one goroutine; the field stays only because the benchmark harness
+	// still sets it.
 	BuildWorkers int
 	// Replications fans each campaign over this many independently
 	// seeded networks (default 1); samples pool across replications.
@@ -55,15 +55,30 @@ type Options struct {
 
 // RegisterFlags binds the flags that set a sweep's scale to o's fields,
 // with the same defaults withDefaults fills in: -nodes, -runs, -seed,
-// -replications, -deadline and -build-workers. bcbpt-sim and bcbpt-fleet
-// both register them here, so the two frontends define identical sweeps.
+// -replications and -deadline. bcbpt-sim and bcbpt-fleet both register
+// them here, so the two frontends define identical sweeps, and both call
+// CheckFlags once the flags are parsed.
 func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.Nodes, "nodes", 1000, "network size (paper: ~5000)")
 	fs.IntVar(&o.Runs, "runs", 200, "measurement injections per replication (paper: ~1000)")
 	fs.Int64Var(&o.Seed, "seed", 1, "root random seed")
 	fs.IntVar(&o.Replications, "replications", 1, "independently seeded networks per series (samples pool)")
 	fs.DurationVar(&o.Deadline, "deadline", 2*time.Minute, "virtual-time deadline per run")
-	fs.IntVar(&o.BuildWorkers, "build-workers", 0, "worker pool size inside each network build (0 = GOMAXPROCS); any value builds an identical network")
+}
+
+// CheckFlags refuses a negative -runs, -replications or -deadline, naming
+// the flag. Zero takes the flag's default; a negative value would take it
+// too, silently, while the run's manifest recorded the value typed.
+func (o Options) CheckFlags() error {
+	switch {
+	case o.Runs < 0:
+		return fmt.Errorf("-runs %d: must not be negative (0 takes the default)", o.Runs)
+	case o.Replications < 0:
+		return fmt.Errorf("-replications %d: must not be negative (0 takes the default)", o.Replications)
+	case o.Deadline < 0:
+		return fmt.Errorf("-deadline %v: must not be negative (0 takes the default)", o.Deadline)
+	}
+	return nil
 }
 
 func (o Options) withDefaults() Options {
@@ -183,11 +198,10 @@ func (f FigureResult) String() string {
 // buildSpec assembles a Spec for one protocol under the shared options.
 func buildSpec(o Options, proto ProtocolKind, bcbpt core.Config) Spec {
 	spec := Spec{
-		Nodes:        o.Nodes,
-		Seed:         o.Seed,
-		Protocol:     proto,
-		BCBPT:        bcbpt,
-		BuildWorkers: o.BuildWorkers,
+		Nodes:    o.Nodes,
+		Seed:     o.Seed,
+		Protocol: proto,
+		BCBPT:    bcbpt,
 	}
 	if o.ChurnOn {
 		m := defaultChurn(o.Nodes)

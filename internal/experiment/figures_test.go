@@ -3,6 +3,8 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,6 +75,37 @@ func TestWriteCSVFileReportsFailure(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err == nil {
 		if err := fig.WriteCSVFile("/dev/full"); err == nil {
 			t.Error("/dev/full was reported as written")
+		}
+	}
+}
+
+// TestOptionsCheckFlags: a negative scale flag is refused by name once the
+// flags are parsed, where it used to run with the default while the run's
+// manifest recorded the negative value. Zero keeps its default, and the
+// retired -build-workers is an unknown flag.
+func TestOptionsCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // error substring; "" = accepted
+	}{
+		{nil, ""},
+		{[]string{"-runs", "0", "-replications", "0", "-deadline", "0s"}, ""},
+		{[]string{"-runs", "-3"}, "-runs -3"},
+		{[]string{"-replications", "-2"}, "-replications -2"},
+		{[]string{"-deadline", "-1s"}, "-deadline -1s"},
+		{[]string{"-runs", "-3", "-replications", "-2", "-deadline", "-1s"}, "-runs -3"},
+		{[]string{"-build-workers", "1"}, "-build-workers"},
+	} {
+		var o Options
+		fs := flag.NewFlagSet("bcbpt", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		o.RegisterFlags(fs)
+		err := fs.Parse(tc.args)
+		if err == nil {
+			err = o.CheckFlags()
+		}
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%q: error %v, want %q", tc.args, err, tc.want)
 		}
 	}
 }

@@ -98,8 +98,7 @@ func (c CampaignSpec) ReplicationSeed(i int) int64 {
 // Fingerprint returns a stable hash identifying the experiment this
 // campaign defines: an FNV-64a of the canonical JSON of the defaulted
 // spec, with the fields that cannot influence results excluded — Name (a
-// display label), Trace (an observational export path), and the
-// host-parallelism knob Spec.BuildWorkers, bit-identical for every value.
+// display label) and Trace (an observational export path).
 //
 // The campaign engine stamps every shard result with this fingerprint and
 // measure.MergeCampaignResults refuses to blend shards whose fingerprints
@@ -109,7 +108,6 @@ func (c CampaignSpec) Fingerprint() uint64 {
 	c = c.withDefaults()
 	c.Name = ""
 	c.Trace = ""
-	c.Spec.BuildWorkers = 0
 	data, err := json.Marshal(c)
 	if err != nil {
 		// Every serializable field is plain data; Marshal cannot fail.
@@ -487,14 +485,4 @@ func (r *Runner) Sweep(ctx context.Context, campaigns []CampaignSpec) ([]Campaig
 	// Partiality is a fact about the slots, not the context: a timeout
 	// that fires after the last unit finished delivered complete results.
 	return out, partialError(ctx, allDone)
-}
-
-// RunCampaign runs a single campaign through the engine: its replications
-// fan out across the pool and merge into one result.
-func (r *Runner) RunCampaign(ctx context.Context, cs CampaignSpec) (measure.CampaignResult, error) {
-	out, err := r.Sweep(ctx, []CampaignSpec{cs})
-	if len(out) == 1 {
-		return out[0].Result, err
-	}
-	return measure.CampaignResult{}, err
 }

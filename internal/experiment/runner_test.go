@@ -94,10 +94,11 @@ func TestEngineSingleReplicationMatchesSerialPath(t *testing.T) {
 	}
 
 	cs := o.campaign("bitcoin", spec)
-	engine, err := NewRunner(4).RunCampaign(context.Background(), cs)
+	out, err := NewRunner(4).Sweep(context.Background(), []CampaignSpec{cs})
 	if err != nil {
 		t.Fatal(err)
 	}
+	engine := out[0].Result
 	// The direct path leaves its result unstamped; the engine stamps the
 	// campaign's fingerprint and changes nothing else.
 	serial.Fingerprint = cs.Fingerprint()
@@ -274,7 +275,7 @@ func TestUnitCostTracksEvents(t *testing.T) {
 		t.Skip("runs 36 units")
 	}
 	for _, churn := range []bool{false, true} {
-		o := Options{Nodes: 300, Runs: 20, Seed: 1, ChurnOn: churn, BuildWorkers: 1}
+		o := Options{Nodes: 300, Runs: 20, Seed: 1, ChurnOn: churn}
 		campaigns := Figure3Campaigns(o)
 		campaigns = append(campaigns, ThresholdSweepCampaigns(o, Figure4Thresholds())...)
 		campaigns = append(campaigns, VarianceCampaigns(o, nil)...)
@@ -360,7 +361,7 @@ func TestCampaignContextPartial(t *testing.T) {
 }
 
 // TestCampaignSpecFingerprint pins the fingerprint's contract: stable
-// under defaulting and result-neutral knobs (Name, BuildWorkers),
+// under defaulting and the result-neutral series name,
 // sensitive to anything that changes the measured data.
 func TestCampaignSpecFingerprint(t *testing.T) {
 	base := CampaignSpec{Name: "a", Spec: Spec{Nodes: 40, Seed: 21, Protocol: ProtoBitcoin}}
@@ -369,8 +370,9 @@ func TestCampaignSpecFingerprint(t *testing.T) {
 		t.Fatal("fingerprint is zero (reserved for unstamped results)")
 	}
 	// Pinned at the commit before Spec lost its always-zeroed omitempty
-	// dispatch-worker field: removing the field must leave every campaign
-	// fingerprint, and so every spooled fleet shard, valid.
+	// dispatch-worker field, and held when its build-worker field went:
+	// removing a field the fingerprint always saw as zero must leave every
+	// campaign fingerprint, and so every spooled fleet shard, valid.
 	if want := uint64(0xc33e1069420a8f2c); fp != want {
 		t.Errorf("fingerprint %#016x, want %#016x: spooled shards stamped with the old value no longer merge", fp, want)
 	}
@@ -386,11 +388,6 @@ func TestCampaignSpecFingerprint(t *testing.T) {
 	renamed.Name = "b"
 	if renamed.Fingerprint() != fp {
 		t.Error("series name changed the fingerprint")
-	}
-	sharded := base
-	sharded.Spec.BuildWorkers = 16
-	if sharded.Fingerprint() != fp {
-		t.Error("BuildWorkers changed the fingerprint (results are identical for any value)")
 	}
 
 	for label, mutate := range map[string]func(*CampaignSpec){

@@ -120,6 +120,8 @@ func TestParseSweepErrors(t *testing.T) {
 		// retired validation-depth and relay-mode keys are unknown too.
 		{"retired validation key", `{"campaigns": [{"name": "a", "spec": {"nodes": 40, "seed": 1, "protocol": "bitcoin", "validation": 1}}]}`, `unknown field "validation"`},
 		{"retired relay key", `{"campaigns": [{"name": "a", "spec": {"nodes": 40, "seed": 1, "protocol": "bitcoin", "relay": 1}}]}`, `unknown field "relay"`},
+		// A network build has one path, so its retired width key is unknown.
+		{"retired build width key", `{"campaigns": [{"name": "a", "spec": {"nodes": 40, "seed": 1, "protocol": "bcbpt", "build_workers": 4}}]}`, `unknown field "build_workers"`},
 		{"missing name", `{"campaigns": [{"spec": {"nodes": 40, "seed": 1, "protocol": "bitcoin"}}]}`, "missing name"},
 		{"duplicate names", `{"campaigns": [
 			{"name": "a", "spec": {"nodes": 40, "seed": 1, "protocol": "bitcoin"}},

@@ -23,8 +23,8 @@ type Worker struct {
 	// Name labels this worker in coordinator diagnostics.
 	Name string
 	// Parallelism is how many units run concurrently (<= 0 means
-	// GOMAXPROCS). Each unit is itself single-threaded apart from the
-	// build's sharded phases, so GOMAXPROCS saturates the machine.
+	// GOMAXPROCS). Each unit is itself single-threaded, so GOMAXPROCS
+	// saturates the machine.
 	Parallelism int
 	// RetryInterval backs off transient coordinator errors (default 1s).
 	RetryInterval time.Duration

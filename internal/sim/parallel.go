@@ -6,13 +6,12 @@ import (
 )
 
 // ParallelFor runs fn(i) for every i in [0, n) on up to workers
-// goroutines, handing indices out in order. It exists for the sharded
-// phases of network construction: fn must write only to its own
-// pre-indexed slot (ParallelFor provides no synchronisation beyond the
-// completion barrier), and any randomness must come from a per-index or
-// per-shard stream derived with DeriveSeed — under those rules the result
-// is bit-identical for every worker count, including the workers == 1
-// serial fast path.
+// goroutines, handing indices out in order. It runs the campaign engine's
+// units (experiment.Runner): fn must write only to its own pre-indexed
+// slot (ParallelFor provides no synchronisation beyond the completion
+// barrier), and any randomness must come from a per-index stream derived
+// with DeriveSeed — under those rules the result is bit-identical for
+// every worker count, including the workers == 1 serial fast path.
 //
 // Cancellation is cooperative: once ctx is done no new index is handed
 // out, every started fn still runs to completion, and ParallelFor returns

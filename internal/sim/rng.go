@@ -82,25 +82,6 @@ func Exponential(r *rand.Rand, mean float64) float64 {
 	return r.ExpFloat64() * mean
 }
 
-// LogNormal draws a log-normally distributed value where mu and sigma are
-// the parameters of the underlying normal (i.e. the median is exp(mu)).
-func LogNormal(r *rand.Rand, mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
-}
-
-// Pareto draws from a Pareto distribution with scale xm > 0 and shape
-// alpha > 0. Heavy-tailed: used for congestion spikes and session lengths.
-func Pareto(r *rand.Rand, xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		return 0
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // Weibull draws from a Weibull distribution with scale lambda > 0 and
 // shape k > 0. Session-length measurement studies of Bitcoin peers are
 // well fit by Weibull with k < 1 (many short sessions, a long tail).

@@ -306,16 +306,6 @@ func TestDistributionMeans(t *testing.T) {
 		t.Errorf("Exponential mean = %.2f, want ~50", got)
 	}
 
-	// LogNormal(mu, sigma) has mean exp(mu + sigma^2/2).
-	sum = 0
-	for i := 0; i < n; i++ {
-		sum += LogNormal(r, 3, 0.5)
-	}
-	want := math.Exp(3 + 0.25/2)
-	if got := sum / n; math.Abs(got-want)/want > 0.05 {
-		t.Errorf("LogNormal mean = %.2f, want ~%.2f", got, want)
-	}
-
 	// Weibull(lambda, k) has mean lambda * Gamma(1 + 1/k); for k=1 it is
 	// exponential with mean lambda.
 	sum = 0
@@ -324,19 +314,6 @@ func TestDistributionMeans(t *testing.T) {
 	}
 	if got := sum / n; math.Abs(got-20) > 1 {
 		t.Errorf("Weibull(20,1) mean = %.2f, want ~20", got)
-	}
-}
-
-func TestParetoBounds(t *testing.T) {
-	r := NewStreams(5).Stream("p")
-	for i := 0; i < 10000; i++ {
-		v := Pareto(r, 2, 1.5)
-		if v < 2 {
-			t.Fatalf("Pareto sample %v below scale 2", v)
-		}
-	}
-	if Pareto(r, 0, 1) != 0 || Pareto(r, 1, 0) != 0 {
-		t.Error("degenerate Pareto parameters should return 0")
 	}
 }
 

@@ -149,7 +149,7 @@ func TestRecommendMatchesReference(t *testing.T) {
 		read := trial%2 == 0
 		if read {
 			d.All()
-			d.BuildIndex()
+			d.buildIndex()
 		}
 		maxID := 1 + r.Intn(400)
 		for step := 0; step < 60; step++ {
@@ -214,7 +214,7 @@ func TestOrderingsPatchCases(t *testing.T) {
 				}
 				if read {
 					d.All()
-					d.BuildIndex()
+					d.buildIndex()
 				}
 				for _, o := range tc.ops {
 					if o.remove {
@@ -228,7 +228,7 @@ func TestOrderingsPatchCases(t *testing.T) {
 					checkOrderings(t, d, read)
 				}
 				d.All()
-				d.BuildIndex()
+				d.buildIndex()
 				checkOrderings(t, d, true)
 				checkRecommend(t, d, 0, home, 3)
 			})

@@ -28,9 +28,10 @@ type Protocol interface {
 	// Bootstrap wires the initial population (nodes already added to the
 	// network). It may schedule virtual-time work; it returns once that
 	// work is scheduled (run the network to complete it). Bootstrap does
-	// host-time work proportional to the population (wiring, candidate
-	// ranking), so it polls ctx and returns an error wrapping ctx.Err()
-	// when cancelled mid-way.
+	// host-time work proportional to the population (registration,
+	// wiring), so it polls ctx and returns an error wrapping ctx.Err()
+	// when cancelled; work it schedules, such as BCBPT's joins and their
+	// candidate ranking, runs in virtual time.
 	Bootstrap(ctx context.Context, ids []p2p.NodeID) error
 	// OnJoin wires a newly arrived node (already added to the network).
 	OnJoin(id p2p.NodeID)
@@ -131,12 +132,9 @@ func (d *DNSSeed) All() []p2p.NodeID {
 	return d.all
 }
 
-// BuildIndex builds the geographic index if nothing has read it yet; once
-// built, Register/Remove keep it current and BuildIndex does nothing.
-// Recommend builds it itself, which makes it a writer on its first call
-// only: call BuildIndex first when several goroutines are about to call
-// Recommend on an unchanging registry, and they only read.
-func (d *DNSSeed) BuildIndex() {
+// buildIndex builds the geographic index if nothing has read it yet; once
+// built, Register/Remove keep it current and buildIndex does nothing.
+func (d *DNSSeed) buildIndex() {
 	if d.cells != nil {
 		return
 	}
@@ -163,7 +161,7 @@ func (d *DNSSeed) Recommend(self p2p.NodeID, loc geo.Location, k int) []p2p.Node
 // AppendRecommend is Recommend appending to dst: a dst with room for k
 // takes the ranking without an allocation.
 func (d *DNSSeed) AppendRecommend(dst []p2p.NodeID, self p2p.NodeID, loc geo.Location, k int) []p2p.NodeID {
-	d.BuildIndex()
+	d.buildIndex()
 	ids, _, _ := d.cells.nearest(dst, self, loc.Coord, k)
 	return ids
 }
@@ -173,7 +171,7 @@ func (d *DNSSeed) AppendRecommend(dst []p2p.NodeID, self p2p.NodeID, loc geo.Loc
 // choose them — the two units its cost scales in, which benchmarks report
 // next to the wall time.
 func (d *DNSSeed) RecommendCost(self p2p.NodeID, loc geo.Location, k int) (dists, chords int) {
-	d.BuildIndex()
+	d.buildIndex()
 	_, dists, chords = d.cells.nearest(nil, self, loc.Coord, k)
 	return
 }
