@@ -15,7 +15,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 # follow everywhere (test fixtures, generated tables).
 STATICCHECK_CHECKS ?= all,-ST1000,-ST1003
 
-.PHONY: build test race bench-smoke fmt vet lint lint-tools fuzz-smoke fleet-smoke trace-smoke escapecheck paper-digest ci
+.PHONY: build test race bench-smoke fmt vet lint lint-tools fuzz-smoke trace-smoke escapecheck paper-digest ci
 
 build:
 	$(GO) build ./...
@@ -23,28 +23,29 @@ build:
 test:
 	$(GO) test ./...
 
-# The engine runs campaign units on concurrent goroutines (sim.ParallelFor),
-# and the fleet coordinator serves concurrent HTTP workers and counts their
-# leases in its obs registry; keep the concurrent packages honest under the
+# The engine runs campaign units on concurrent goroutines (sim.ParallelFor)
+# and sums their observations under a lock (experiment.SweepTotals), and
+# the fleet coordinator serves concurrent HTTP lease and commit requests
+# against one queue mutex; keep the concurrent packages honest under the
 # race detector. A network build (placement, the BCBPT protocol, the DNS
-# seed and its geographic index) and a p2p.Network are single-goroutine by
-# contract and carry no lock, while several units build and run side by
-# side: running their tests here is what holds that claim.
+# seed and its geographic index), a p2p.Network and an obs.Tracer shard
+# are single-goroutine by contract and carry no lock, while several units
+# build, run and trace side by side: running their tests here is what
+# holds that claim.
 race:
 	$(GO) test -race ./internal/sim ./internal/experiment ./internal/core ./internal/topology ./internal/measure ./internal/fleet ./internal/p2p ./internal/wire ./internal/obs
 
 # Short fuzz passes over the differential fuzz targets that guard the
 # flat-node and arena-scheduler kernels and the DNS seed's pruned
 # k-nearest search against their reference implementations, over the
-# shard decoder the fleet runs on bytes from a socket (no panic, and what it
-# accepts re-encodes to the bytes it read), over the commit endpoint that hands
-# it those bytes (arbitrary query and body against a live lease: no wrong
-# acceptance, no temp file left, resend is stale), and over the sweep-file
-# parser (no panic; an accepted sweep written back out re-parses to the
-# same campaigns and fingerprints). 30s each: enough to shake out shallow
-# divergence regressions on every CI run without burning runner minutes. Set FUZZ_RACE=-race to also run the fuzz executions under
-# the race detector (the stable CI leg does; slower, so off by default
-# locally).
+# shard decoder the fleet coordinator runs on bytes from a socket (no
+# panic, and what it accepts re-encodes to the bytes it read), and over
+# the commit endpoint that hands it those bytes (arbitrary query and body
+# against a live lease: no wrong acceptance, no temp file left, a resend
+# is rejected). 30s each: enough to shake out shallow divergence
+# regressions on every CI run without burning runner minutes. Set
+# FUZZ_RACE=-race to also run the fuzz executions under the race detector
+# (the stable CI leg does; slower, so off by default locally).
 FUZZ_RACE ?=
 fuzz-smoke:
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzFlatNodeMatchesReference -fuzztime=30s ./internal/p2p
@@ -52,13 +53,6 @@ fuzz-smoke:
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzRecommendMatchesReference -fuzztime=30s ./internal/topology
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzDecodeCampaignResult -fuzztime=30s ./internal/measure
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzCommitBody -fuzztime=30s ./internal/fleet
-	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzParseSweep -fuzztime=30s ./internal/experiment
-
-# Distributed-campaign smoke: a coordinator + 2 local workers (one
-# induced worker failure) must merge a tiny sweep byte-identical to the
-# single-process engine. See scripts/fleetsmoke.sh.
-fleet-smoke:
-	sh scripts/fleetsmoke.sh
 
 # Observability smoke: a traced figure3 run must produce a CDF CSV
 # byte-identical to the untraced run, and its Perfetto JSON export must
@@ -120,4 +114,4 @@ lint:
 		echo "lint: govulncheck not installed; skipping (make lint-tools)"; \
 	fi
 
-ci: build fmt vet lint escapecheck test paper-digest bench-smoke race fuzz-smoke fleet-smoke trace-smoke
+ci: build fmt vet lint escapecheck test paper-digest bench-smoke race fuzz-smoke trace-smoke

@@ -28,6 +28,7 @@ import (
 	"runtime/debug"
 	"runtime/pprof"
 	"slices"
+	"strings"
 	"syscall"
 	"time"
 
@@ -36,7 +37,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/geo"
 	"repro/internal/measure"
-	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/topology"
 )
@@ -46,20 +46,23 @@ func main() {
 	o.RegisterFlags(flag.CommandLine)
 	flag.BoolVar(&o.ChurnOn, "churn", false, "enable join/leave churn during measurement")
 	flag.IntVar(&o.Workers, "workers", runtime.GOMAXPROCS(0), "campaign-engine worker pool size")
-	flag.StringVar(&o.Trace, "trace", "", "export a sim-time event trace of the first campaign (replication 0) as Chrome trace_event JSON to this file; open in Perfetto (ui.perfetto.dev) (figure3/figure4/variance-connections only)")
+	flag.StringVar(&o.Trace, "trace", "", "export a sim-time event trace of the first campaign (replication 0) as Chrome trace_event JSON to this file; open in Perfetto (ui.perfetto.dev)")
 	var (
-		exp         = flag.String("experiment", "figure3", "experiment: figure3|figure4|variance-connections|overhead|eclipse|partition|crawl|doublespend|forks")
+		exp         = flag.String("experiment", "figure3", "experiment: "+experimentNames())
 		threshold   = flag.Duration("dt", 25*time.Millisecond, "BCBPT latency threshold")
-		adversaries = flag.Int("adversaries", 16, "eclipse: adversarial nodes")
-		csvPath     = flag.String("csv", "", "write figure CDF data to this CSV file, and what ran to <file>.manifest.json (figure3/figure4 only)")
+		adversaries = flag.Int("adversaries", 16, "eclipse adversary budget (swept at 1/4, 1/2, 1 and 2 times this)")
+		csvPath     = flag.String("csv", "", "write figure CDF data to this CSV file, and what ran to <file>.manifest.json")
 		timeout     = flag.Duration("timeout", 0, "wall-clock budget for the whole experiment (0 = none)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file (diagnose hot-path regressions from a release binary)")
 		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
+	nameReaders(flag.CommandLine)
 	flag.Parse()
 	err := o.CheckFlags()
 	if err == nil {
-		err = checkFlags(*exp, o.Trace, *csvPath)
+		var set []string
+		flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+		err = checkFlags(*exp, set)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bcbpt-sim: %v\n", err)
@@ -67,7 +70,7 @@ func main() {
 	}
 	// The engine may not read the wall clock itself; with one injected it
 	// times every unit's build and run (printPhaseSplit).
-	o.Metrics = obs.NewRegistry()
+	o.Totals = new(experiment.SweepTotals)
 	o.Clock = func() int64 { return time.Now().UnixNano() }
 
 	// Profiles flush explicitly before every exit path: main leaves via
@@ -158,7 +161,7 @@ func run(ctx context.Context, exp string, o experiment.Options, dt time.Duration
 	defer func() {
 		fmt.Printf("\n(wall time %v)\n", time.Since(start).Round(time.Millisecond))
 		printPhaseSplit(newRunManifest(exp, o, campaigns))
-		printTraceLoss(o.Metrics)
+		printTraceLoss(o.Totals.All())
 	}()
 
 	switch exp {
@@ -221,17 +224,74 @@ func engineCampaigns(exp string, o experiment.Options) []experiment.CampaignSpec
 	return nil
 }
 
-// checkFlags refuses a flag the experiment would not honour: -csv is
-// written by the figures alone, and -trace by the experiments that sweep
-// through the campaign engine.
-func checkFlags(exp, trace, csvPath string) error {
-	if csvPath != "" && exp != "figure3" && exp != "figure4" {
-		return fmt.Errorf("-csv: experiment %q writes no CDF data (figure3 and figure4 do)", exp)
+// experiments lists every experiment with the flags it reads among those
+// that change a run's result and that not every experiment reads
+// (gatedFlags). Every experiment reads -nodes and -seed; -workers, -timeout
+// and the profile flags change no result.
+var experiments = []struct {
+	name  string
+	reads []string
+}{
+	{"figure3", []string{"runs", "replications", "deadline", "churn", "csv", "trace"}},
+	{"figure4", []string{"runs", "replications", "deadline", "churn", "csv", "trace"}},
+	{"variance-connections", []string{"runs", "replications", "deadline", "churn", "trace"}},
+	{"overhead", []string{"runs", "deadline", "churn"}},
+	{"eclipse", []string{"dt", "adversaries"}},
+	{"partition", nil},
+	{"crawl", nil},
+	{"doublespend", []string{"deadline", "dt"}},
+	{"forks", []string{"dt"}},
+}
+
+// gatedFlags are the flags checkFlags refuses where the experiment does not
+// read them.
+var gatedFlags = []string{"runs", "replications", "deadline", "churn", "dt", "adversaries", "csv", "trace"}
+
+// experimentNames lists the experiments for -experiment's help text.
+func experimentNames() string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
 	}
-	if trace != "" && engineCampaigns(exp, experiment.Options{}) == nil {
-		return fmt.Errorf("-trace: experiment %q is not a campaign sweep (figure3, figure4 and variance-connections are)", exp)
+	return strings.Join(names, "|")
+}
+
+// readers returns the experiments that read the named flag.
+func readers(flagName string) []string {
+	var names []string
+	for _, e := range experiments {
+		if slices.Contains(e.reads, flagName) {
+			names = append(names, e.name)
+		}
 	}
-	return nil
+	return names
+}
+
+// nameReaders appends to each gated flag's help text the experiments that
+// read it.
+func nameReaders(fs *flag.FlagSet) {
+	for _, name := range gatedFlags {
+		f := fs.Lookup(name)
+		f.Usage += " (read by " + strings.Join(readers(name), ", ") + ")"
+	}
+}
+
+// checkFlags refuses an unknown experiment, and any gated flag among the
+// flags set on the command line that the experiment does not read: a run
+// that dropped it would print what the run without it prints.
+func checkFlags(exp string, set []string) error {
+	for _, e := range experiments {
+		if e.name != exp {
+			continue
+		}
+		for _, name := range set {
+			if slices.Contains(gatedFlags, name) && !slices.Contains(e.reads, name) {
+				return fmt.Errorf("-%s: experiment %q does not read it (read by %s)", name, exp, strings.Join(readers(name), ", "))
+			}
+		}
+		return nil
+	}
+	return fmt.Errorf("unknown experiment %q (%s)", exp, experimentNames())
 }
 
 // runManifest is what a figure's CSV is written with (<csv>.manifest.json):
@@ -297,10 +357,10 @@ func printPhaseSplit(m runManifest) {
 // printTraceLoss says what a -trace run lost: the ring keeps the newest
 // events and counts the ones it overwrote, which the export alone says only
 // in its JSON.
-func printTraceLoss(reg *obs.Registry) {
-	if dropped := reg.Counter(experiment.TraceDroppedMetric).Value(); dropped > 0 {
-		kept := reg.Counter(experiment.TraceKeptMetric).Value()
-		fmt.Fprintf(os.Stderr, "trace: kept %d of %d events (ring overwrote %d)\n", kept, kept+dropped, dropped)
+func printTraceLoss(t experiment.UnitTotals) {
+	if t.TraceDropped > 0 {
+		fmt.Fprintf(os.Stderr, "trace: kept %d of %d events (ring overwrote %d)\n",
+			t.TraceKept, uint64(t.TraceKept)+t.TraceDropped, t.TraceDropped)
 	}
 }
 
@@ -452,6 +512,9 @@ func runPartition(ctx context.Context, o experiment.Options, dt time.Duration) e
 }
 
 func runCrawl(ctx context.Context, o experiment.Options) error {
+	if o.Nodes < 3 {
+		return fmt.Errorf("-nodes %d: need at least 3 nodes", o.Nodes)
+	}
 	fmt.Println("== crawler — ping/pong RTT census (methodology of refs [5],[12]) ==")
 	pcfg := p2p.DefaultConfig()
 	pcfg.Seed = o.Seed

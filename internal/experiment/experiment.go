@@ -42,9 +42,8 @@ const (
 
 // Spec describes one simulated network build.
 //
-// Specs serialize with encoding/json — the form the fleet subsystem ships
-// to workers and the form CampaignSpec.Fingerprint hashes. Every field is
-// plain data, so any spec can ship.
+// Specs serialize with encoding/json, the form CampaignSpec.Fingerprint
+// hashes. Every field is plain data.
 type Spec struct {
 	// Nodes is the network size. The paper matches the measured real-
 	// network size (~5000 reachable peers); tests use smaller worlds.

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/measure"
-	"repro/internal/obs"
 )
 
 // Options tune experiment scale. Zero values take paper-faithful defaults
@@ -47,17 +46,16 @@ type Options struct {
 	// does not. Purely observational: output is byte-identical with it on
 	// or off.
 	Trace string
-	// Metrics and Clock configure the campaign engine's telemetry (see
-	// Runner.Metrics and Runner.Clock). Both optional and observational.
-	Metrics *obs.Registry
-	Clock   func() int64
+	// Totals and Clock configure the campaign engine's telemetry (see
+	// Runner.Totals and Runner.Clock). Both optional and observational.
+	Totals *SweepTotals
+	Clock  func() int64
 }
 
 // RegisterFlags binds the flags that set a sweep's scale to o's fields,
 // with the same defaults withDefaults fills in: -nodes, -runs, -seed,
-// -replications and -deadline. bcbpt-sim and bcbpt-fleet both register
-// them here, so the two frontends define identical sweeps, and both call
-// CheckFlags once the flags are parsed.
+// -replications and -deadline. bcbpt-sim registers them here and calls
+// CheckFlags once they are parsed.
 func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.Nodes, "nodes", 1000, "network size (paper: ~5000)")
 	fs.IntVar(&o.Runs, "runs", 200, "measurement injections per replication (paper: ~1000)")
@@ -66,11 +64,14 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 	fs.DurationVar(&o.Deadline, "deadline", 2*time.Minute, "virtual-time deadline per run")
 }
 
-// CheckFlags refuses a negative -runs, -replications or -deadline, naming
-// the flag. Zero takes the flag's default; a negative value would take it
-// too, silently, while the run's manifest recorded the value typed.
+// CheckFlags refuses a negative -nodes, -runs, -replications or -deadline,
+// naming the flag. Zero takes the flag's default; a negative value would
+// take it too, silently, while the run's manifest recorded the value typed
+// (or, for -nodes, index a network of no nodes).
 func (o Options) CheckFlags() error {
 	switch {
+	case o.Nodes < 0:
+		return fmt.Errorf("-nodes %d: must not be negative", o.Nodes)
 	case o.Runs < 0:
 		return fmt.Errorf("-runs %d: must not be negative (0 takes the default)", o.Runs)
 	case o.Replications < 0:
@@ -103,7 +104,7 @@ func (o Options) withDefaults() Options {
 // runner returns the campaign engine configured by the options.
 func (o Options) runner() *Runner {
 	r := NewRunner(o.Workers)
-	r.Metrics = o.Metrics
+	r.Totals = o.Totals
 	r.Clock = o.Clock
 	return r
 }
@@ -130,11 +131,8 @@ func (o Options) campaign(name string, spec Spec) CampaignSpec {
 	}
 }
 
-// FigureCSVPoints is the canonical CDF resolution of exported figure
-// CSVs. Every frontend (bcbpt-sim, bcbpt-fleet) writes through
-// FigureResult.WriteCSV, so outputs of the same sweep diff byte for byte
-// — the contract the fleet CI smoke asserts.
-const FigureCSVPoints = 101
+// figureCSVPoints is the CDF resolution of exported figure CSVs.
+const figureCSVPoints = 101
 
 // WriteCSV writes the figure's CDF series in the canonical export
 // encoding (see measure.WriteCDFCSV).
@@ -145,7 +143,7 @@ func (f FigureResult) WriteCSV(w io.Writer) error {
 		names[i] = s.Name
 		dists[i] = s.Dist
 	}
-	return measure.WriteCDFCSV(w, names, dists, FigureCSVPoints)
+	return measure.WriteCDFCSV(w, names, dists, figureCSVPoints)
 }
 
 // WriteCSVFile creates path and writes WriteCSV's bytes to it, returning
@@ -232,9 +230,9 @@ func sweepFigure(ctx context.Context, o Options, title string, campaigns []Campa
 }
 
 // Figure3Campaigns returns the campaign list behind Fig. 3 — the three
-// protocol series under the shared options. Exported so sweep frontends
-// other than Figure3Ctx (the fleet coordinator, a saved sweep file) run
-// exactly the same experiment definition.
+// protocol series under the shared options. Exported so that what
+// Figure3Ctx sweeps can be described (a run's manifest) and run unit by
+// unit (the benchmark) from exactly the same experiment definition.
 func Figure3Campaigns(o Options) []CampaignSpec {
 	o = o.withDefaults()
 	bcbptCfg := core.DefaultConfig()
@@ -255,8 +253,8 @@ func Figure3Campaigns(o Options) []CampaignSpec {
 	return campaigns
 }
 
-// Figure3Title is the figure heading shared by every Fig. 3 frontend.
-const Figure3Title = "Fig. 3 — Δt(m,n) distribution: Bitcoin vs LBC vs BCBPT (dt=25ms)"
+// figure3Title is Fig. 3's heading.
+const figure3Title = "Fig. 3 — Δt(m,n) distribution: Bitcoin vs LBC vs BCBPT (dt=25ms)"
 
 // Figure3Ctx regenerates Fig. 3: the Δt(m,n) distribution of the simulated
 // Bitcoin protocol vs LBC vs BCBPT at dt = 25ms. The expected shape (the
@@ -265,7 +263,7 @@ const Figure3Title = "Fig. 3 — Δt(m,n) distribution: Bitcoin vs LBC vs BCBPT 
 // are scheduled on the campaign engine as one work queue.
 func Figure3Ctx(ctx context.Context, o Options) (FigureResult, error) {
 	o = o.withDefaults()
-	return sweepFigure(ctx, o, Figure3Title, Figure3Campaigns(o))
+	return sweepFigure(ctx, o, figure3Title, Figure3Campaigns(o))
 }
 
 // Figure4Ctx regenerates Fig. 4: BCBPT Δt distributions at the paper's
@@ -295,14 +293,14 @@ func Figure4Thresholds() []time.Duration {
 	return []time.Duration{30 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond}
 }
 
-// Figure4Title is the figure heading shared by every Fig. 4 frontend.
-const Figure4Title = "Fig. 4 — BCBPT Δt(m,n) distribution by threshold dt"
+// figure4Title is Fig. 4's heading.
+const figure4Title = "Fig. 4 — BCBPT Δt(m,n) distribution by threshold dt"
 
 // ThresholdSweepCtx generalises Fig. 4 to any threshold set, scheduled as
 // one engine work queue.
 func ThresholdSweepCtx(ctx context.Context, o Options, thresholds []time.Duration) (FigureResult, error) {
 	o = o.withDefaults()
-	return sweepFigure(ctx, o, Figure4Title, ThresholdSweepCampaigns(o, thresholds))
+	return sweepFigure(ctx, o, figure4Title, ThresholdSweepCampaigns(o, thresholds))
 }
 
 // VariancePoint is one (connections, spread) sample of the §V.C claim.

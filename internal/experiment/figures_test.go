@@ -81,8 +81,8 @@ func TestWriteCSVFileReportsFailure(t *testing.T) {
 
 // TestOptionsCheckFlags: a negative scale flag is refused by name once the
 // flags are parsed, where it used to run with the default while the run's
-// manifest recorded the negative value. Zero keeps its default, and the
-// retired -build-workers is an unknown flag.
+// manifest recorded the negative value (or, for -nodes, panic). Zero keeps
+// its default, and the retired -build-workers is an unknown flag.
 func TestOptionsCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -95,6 +95,7 @@ func TestOptionsCheckFlags(t *testing.T) {
 		{[]string{"-deadline", "-1s"}, "-deadline -1s"},
 		{[]string{"-runs", "-3", "-replications", "-2", "-deadline", "-1s"}, "-runs -3"},
 		{[]string{"-build-workers", "1"}, "-build-workers"},
+		{[]string{"-nodes", "-4"}, "-nodes -4"},
 	} {
 		var o Options
 		fs := flag.NewFlagSet("bcbpt", flag.ContinueOnError)

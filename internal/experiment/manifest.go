@@ -1,6 +1,9 @@
 package experiment
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // Manifest says what a sweep ran, in the part that is a pure function of
 // the experiment, its options and what its units dispatched — the same at
@@ -43,9 +46,9 @@ type CampaignManifest struct {
 
 // NewManifest builds the manifest of the named experiment's sweep of
 // campaigns under o. Each campaign's Events and walls are read from
-// o.Metrics, where the runner records every unit under the campaign's name
-// (zero without a registry or, for the walls, a clock; campaigns sharing a
-// name share one count).
+// o.Totals, where the runner sums every unit under the campaign's name
+// (zero without totals or, for the walls, a clock; campaigns sharing a
+// name share one total).
 func NewManifest(name string, o Options, campaigns []CampaignSpec) Manifest {
 	o = o.withDefaults()
 	m := Manifest{
@@ -66,11 +69,10 @@ func NewManifest(name string, o Options, campaigns []CampaignSpec) Manifest {
 			Units:          c.Replications,
 			ExpectedEvents: c.expectedEvents() * uint64(c.Replications),
 		}
-		if o.Metrics != nil {
-			label := seriesLabel(c.Name)
-			build, run := o.Metrics.Histogram(unitBuildMetric+label), o.Metrics.Histogram(unitRunMetric+label)
-			cm.Events = o.Metrics.Counter(unitEventsMetric + label).Value()
-			cm.BuildSeconds, cm.RunSeconds, cm.Timed = build.Sum().Seconds(), run.Sum().Seconds(), build.Count()
+		if o.Totals != nil {
+			t := o.Totals.Campaign(c.Name)
+			cm.Events, cm.Timed = t.Events, t.Timed
+			cm.BuildSeconds, cm.RunSeconds = time.Duration(t.BuildNanos).Seconds(), time.Duration(t.RunNanos).Seconds()
 		}
 		for i := range c.Replications {
 			cm.Seeds = append(cm.Seeds, c.ReplicationSeed(i))

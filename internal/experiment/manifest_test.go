@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // TestManifestReadsUnitWalls: a campaign's walls are the sums the runner
@@ -16,7 +14,7 @@ import (
 func TestManifestReadsUnitWalls(t *testing.T) {
 	var now atomic.Int64
 	o := tinyOpts()
-	o.Runs, o.Replications, o.Workers, o.Metrics = 2, 2, 1, obs.NewRegistry()
+	o.Runs, o.Replications, o.Workers, o.Totals = 2, 2, 1, new(SweepTotals)
 	o.Clock = func() int64 { return now.Add(int64(time.Millisecond)) }
 	if _, err := Figure3Ctx(context.Background(), o); err != nil {
 		t.Fatal(err)
@@ -35,7 +33,7 @@ func TestManifestReadsUnitWalls(t *testing.T) {
 func TestManifestSameAtEveryWorkerCount(t *testing.T) {
 	var manifests []Manifest
 	for _, workers := range []int{1, 2} {
-		o := Options{Nodes: 120, Runs: 5, Seed: 3, Replications: 2, Workers: workers, Metrics: obs.NewRegistry()}
+		o := Options{Nodes: 120, Runs: 5, Seed: 3, Replications: 2, Workers: workers, Totals: new(SweepTotals)}
 		if _, err := Figure3Ctx(context.Background(), o); err != nil {
 			t.Fatal(err)
 		}

@@ -26,6 +26,7 @@ import (
 	"os"
 	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/measure"
@@ -40,8 +41,8 @@ var ErrPartialResult = errors.New("experiment: partial campaign results")
 
 // CampaignSpec describes one campaign of a sweep: a network Spec measured
 // over Replications independently seeded builds of Runs injections each,
-// pooled into a single result. It serializes with encoding/json (the
-// fleet wire form; see Spec).
+// pooled into a single result. It serializes with encoding/json (see
+// Spec).
 type CampaignSpec struct {
 	// Name labels the campaign in outcomes (series name in figures).
 	Name string `json:"name"`
@@ -66,9 +67,9 @@ type CampaignSpec struct {
 }
 
 // WithDefaults returns the spec with the engine's defaults filled in —
-// the canonical form sweep frontends (the fleet coordinator) normalise to
-// before expanding units, so coordinator and workers agree on replication
-// counts and fingerprints.
+// the canonical form a sweep outside the Runner (the fleet coordinator)
+// normalises to before expanding units, so it agrees with RunUnit on
+// replication counts and fingerprints.
 func (c CampaignSpec) WithDefaults() CampaignSpec { return c.withDefaults() }
 
 func (c CampaignSpec) withDefaults() CampaignSpec {
@@ -149,8 +150,8 @@ func (c CampaignSpec) expectedEvents() uint64 {
 // events, ties in sweep order. Three figure units on two workers then pack
 // as longest-first does — the BCBPT unit starts at once instead of after
 // LBC. It is a pure function of the campaigns; Runner.Sweep and the fleet
-// coordinator both take their order from it, and since results land in
-// per-unit slots, no order changes a merged result.
+// coordinator's lease grants both take their order from it, and since
+// results land in per-unit slots, no order changes a merged result.
 func DispatchOrder(campaigns []CampaignSpec) []int {
 	var cost []uint64 // per unit
 	for _, c := range campaigns {
@@ -184,12 +185,9 @@ type CampaignOutcome struct {
 type Runner struct {
 	// Workers bounds concurrency; <= 0 means GOMAXPROCS.
 	Workers int
-	// Metrics, when non-nil, receives per-unit telemetry as the sweep
-	// runs: per-series event counters, build/run duration histograms
-	// labelled with the campaign's name as series (when Clock is set), and
-	// the trace-loss counters. Purely observational: the merged campaign
-	// results are bit-identical with or without it.
-	Metrics *obs.Registry
+	// Totals, when non-nil, sums each unit's observation under its
+	// campaign's name as the sweep runs (see SweepTotals).
+	Totals *SweepTotals
 	// Clock supplies wall-clock nanoseconds for unit timings. It is
 	// injected because experiment is a deterministic package (bcbpt-lint
 	// detrand bans time.Now here); non-deterministic frontends pass e.g.
@@ -239,11 +237,12 @@ type UnitObservation struct {
 
 // RunUnit executes one self-contained unit of a sweep — replication rep
 // of campaign cs — and returns its shard result, stamped with the
-// campaign's fingerprint. This is the single execution path shared by the
-// local Runner.Sweep and the fleet worker: a unit derives every bit of
-// randomness from its replication seed, so running it twice — or on two
-// different machines — produces bit-identical results, which is what
-// makes lease reassignment after a worker failure idempotent.
+// campaign's fingerprint. This is the execution path of every unit
+// Runner.Sweep runs, and of a unit leased from the fleet coordinator: a
+// unit derives every bit of randomness from its replication seed, so
+// running it twice — or on two different machines — produces
+// bit-identical results, which is what makes the coordinator's lease
+// reassignment idempotent.
 func RunUnit(ctx context.Context, cs CampaignSpec, rep int) (measure.CampaignResult, error) {
 	res, _, err := RunUnitObserved(ctx, cs, rep, nil)
 	return res, err
@@ -319,43 +318,69 @@ func exportTrace(tr *obs.Tracer, path string) error {
 	return nil
 }
 
-// TraceKeptMetric and TraceDroppedMetric name the registry counters of the
-// events a sweep's exported traces hold and of those their rings overwrote
-// first: a CLI reads them back to say what a -trace run lost.
-const (
-	TraceKeptMetric    = "bcbpt_trace_events_kept_total"
-	TraceDroppedMetric = "bcbpt_trace_events_dropped_total"
-)
+// UnitTotals sums the observations of a campaign's units: how many ran and
+// how many of those a clock timed, the events they dispatched, their build
+// and run wall, and what their exported traces kept and their rings
+// overwrote first.
+type UnitTotals struct {
+	Units, Timed         int
+	Events               uint64
+	BuildNanos, RunNanos int64
+	TraceKept            int
+	TraceDropped         uint64
+}
 
-// unitEventsMetric names the per-series counter of the events a sweep's
-// units dispatched, and unitBuildMetric and unitRunMetric the per-series
-// histograms of their build and run walls (label: seriesLabel).
-const (
-	unitEventsMetric = "bcbpt_sweep_unit_events_total"
-	unitBuildMetric  = "bcbpt_sweep_unit_build_seconds"
-	unitRunMetric    = "bcbpt_sweep_unit_run_seconds"
-)
+func (t *UnitTotals) add(uo UnitObservation, timed bool) {
+	t.Units++
+	t.Events += uo.Events
+	t.TraceKept += uo.TraceKept
+	t.TraceDropped += uo.TraceDropped
+	if timed {
+		t.Timed++
+		t.BuildNanos += uo.BuildNanos
+		t.RunNanos += uo.RunNanos
+	}
+}
 
-// seriesLabel is the label the per-unit metrics carry a campaign's name in.
-func seriesLabel(series string) string { return fmt.Sprintf("{series=%q}", series) }
+// SweepTotals collects the UnitTotals of a sweep's units by campaign name,
+// as the units finish; campaigns sharing a name share one total. It is
+// safe for concurrent use and its zero value is ready. Purely
+// observational: the merged campaign results are bit-identical with or
+// without one.
+type SweepTotals struct {
+	mu     sync.Mutex
+	series map[string]UnitTotals
+	all    UnitTotals
+}
 
-// observeUnit folds the telemetry of one unit of the named campaign into
-// the runner's registry. Counter and histogram handles are
-// concurrency-safe, so sweep workers fold directly.
-func (r *Runner) observeUnit(series string, uo UnitObservation) {
-	if r == nil || r.Metrics == nil {
+// add folds one unit of the named campaign in; a nil receiver drops it.
+func (s *SweepTotals) add(series string, uo UnitObservation, timed bool) {
+	if s == nil {
 		return
 	}
-	label := seriesLabel(series)
-	r.Metrics.Counter(unitEventsMetric + label).Add(uo.Events)
-	if uo.TraceKept > 0 {
-		r.Metrics.Counter(TraceKeptMetric).Add(uint64(uo.TraceKept))
-		r.Metrics.Counter(TraceDroppedMetric).Add(uo.TraceDropped)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.series == nil {
+		s.series = make(map[string]UnitTotals)
 	}
-	if r.Clock != nil {
-		r.Metrics.Histogram(unitBuildMetric + label).Observe(time.Duration(uo.BuildNanos))
-		r.Metrics.Histogram(unitRunMetric + label).Observe(time.Duration(uo.RunNanos))
-	}
+	t := s.series[series]
+	t.add(uo, timed)
+	s.series[series] = t
+	s.all.add(uo, timed)
+}
+
+// Campaign returns the totals of the units of the campaigns named name.
+func (s *SweepTotals) Campaign(name string) UnitTotals {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.series[name]
+}
+
+// All returns the totals over every unit.
+func (s *SweepTotals) All() UnitTotals {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.all
 }
 
 // isCancellation reports whether err is a context cancellation rather
@@ -445,7 +470,7 @@ func (r *Runner) Sweep(ctx context.Context, campaigns []CampaignSpec) ([]Campaig
 	completed, unitErr := r.runUnits(ctx, DispatchOrder(specs), func(ctx context.Context, i int) error {
 		u := units[i]
 		res, uo, err := RunUnitObserved(ctx, specs[u.campaign], u.replication, r.Clock)
-		r.observeUnit(specs[u.campaign].Name, uo)
+		r.Totals.add(specs[u.campaign].Name, uo, r.Clock != nil)
 		if err != nil {
 			return err
 		}

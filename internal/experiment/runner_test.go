@@ -454,12 +454,14 @@ func TestUnitObservationEventsAndTraceLoss(t *testing.T) {
 	if traced.TraceKept != obs.DefaultShardEvents || traced.TraceDropped == 0 {
 		t.Errorf("traced unit kept %d events and dropped %d, want a full ring of %d and a loss", traced.TraceKept, traced.TraceDropped, obs.DefaultShardEvents)
 	}
-	reg := obs.NewRegistry()
-	(&Runner{Metrics: reg}).observeUnit("unit", traced)
-	if got := reg.Counter(`bcbpt_sweep_unit_events_total{series="unit"}`).Value(); got != traced.Events {
-		t.Errorf("registry holds %d unit events, want %d", got, traced.Events)
+	var totals SweepTotals
+	totals.add("unit", plain, false)
+	totals.add("unit", traced, false)
+	want := UnitTotals{Units: 2, Events: plain.Events + traced.Events, TraceKept: traced.TraceKept, TraceDropped: traced.TraceDropped}
+	if got := totals.Campaign("unit"); got != want {
+		t.Errorf("campaign totals %+v, want %+v", got, want)
 	}
-	if kept, dropped := reg.Counter(TraceKeptMetric).Value(), reg.Counter(TraceDroppedMetric).Value(); kept != uint64(traced.TraceKept) || dropped != traced.TraceDropped {
-		t.Errorf("registry holds trace kept %d dropped %d, want %d and %d", kept, dropped, traced.TraceKept, traced.TraceDropped)
+	if got := totals.All(); got != want {
+		t.Errorf("sweep totals %+v, want %+v", got, want)
 	}
 }

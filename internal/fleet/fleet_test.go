@@ -1,12 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
-	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,7 +30,7 @@ func testSweep() []experiment.CampaignSpec {
 }
 
 // serialSweep runs the same specs through the local engine — the baseline
-// every fleet result must match bit for bit.
+// every fleet result must match byte for byte.
 func serialSweep(t *testing.T) []experiment.CampaignOutcome {
 	t.Helper()
 	out, err := experiment.NewRunner(1).Sweep(context.Background(), testSweep())
@@ -38,8 +40,9 @@ func serialSweep(t *testing.T) []experiment.CampaignOutcome {
 	return out
 }
 
-// sameOutcomes asserts the fleet outcomes are bit-identical to the serial
-// ones: distribution state, loss counts, fingerprints.
+// sameOutcomes asserts the fleet outcomes are the serial ones byte for
+// byte: names, replication counts, and each merged result's shard
+// encoding (every sample, the loss count, the fingerprint).
 func sameOutcomes(t *testing.T, fleet, serial []experiment.CampaignOutcome) {
 	t.Helper()
 	if len(fleet) != len(serial) {
@@ -50,20 +53,23 @@ func sameOutcomes(t *testing.T, fleet, serial []experiment.CampaignOutcome) {
 		if f.Name != s.Name || f.Replications != s.Replications {
 			t.Errorf("outcome %d: (%q, %d reps) vs (%q, %d reps)", i, f.Name, f.Replications, s.Name, s.Replications)
 		}
-		if !f.Result.Dist.Equal(s.Result.Dist) {
-			t.Errorf("campaign %s: distributions differ: %v vs %v", s.Name, f.Result.Dist, s.Result.Dist)
+		fb, err := measure.EncodeCampaignResult(f.Result)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if f.Result.Lost != s.Result.Lost {
-			t.Errorf("campaign %s: lost %d vs %d", s.Name, f.Result.Lost, s.Result.Lost)
+		sb, err := measure.EncodeCampaignResult(s.Result)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if f.Result.Fingerprint != s.Result.Fingerprint {
-			t.Errorf("campaign %s: fingerprint %x vs %x", s.Name, f.Result.Fingerprint, s.Result.Fingerprint)
+		if !bytes.Equal(fb, sb) {
+			t.Errorf("campaign %s: merged result differs from the serial sweep's: %v vs %v", s.Name, f.Result.Dist, s.Result.Dist)
 		}
 	}
 }
 
-// startCoordinator serves a coordinator over loopback HTTP.
-func startCoordinator(t *testing.T, campaigns []experiment.CampaignSpec, cfg CoordinatorConfig) (*Coordinator, *httptest.Server) {
+// startCoordinator serves a coordinator over loopback HTTP and returns a
+// client of it.
+func startCoordinator(t *testing.T, campaigns []experiment.CampaignSpec, cfg CoordinatorConfig) (*Coordinator, *Client) {
 	t.Helper()
 	c, err := NewCoordinator(campaigns, cfg)
 	if err != nil {
@@ -71,29 +77,63 @@ func startCoordinator(t *testing.T, campaigns []experiment.CampaignSpec, cfg Coo
 	}
 	ts := httptest.NewServer(c)
 	t.Cleanup(ts.Close)
-	return c, ts
+	return c, NewClient(ts.URL, ts.Client())
 }
 
-// TestFleetMatchesSerialSweep is the subsystem's core guarantee: a sweep
-// fanned over two workers merges bit-identical to the one-machine sweep.
-func TestFleetMatchesSerialSweep(t *testing.T) {
-	serial := serialSweep(t)
-	c, ts := startCoordinator(t, testSweep(), CoordinatorConfig{})
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	errc := make(chan error, 2)
-	for i, name := range []string{"worker-a", "worker-b"} {
-		w := &Worker{CoordinatorURL: ts.URL, Name: name, Parallelism: 1 + i, RetryInterval: 10 * time.Millisecond}
-		go func() { errc <- w.Run(ctx) }()
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-errc; err != nil {
-			t.Fatalf("worker: %v", err)
+// drain leases units over HTTP until the coordinator grants no more, runs
+// each through experiment.RunUnit and commits its shard, as a worker
+// would. It returns the status of the first lease request not granted.
+func drain(t *testing.T, client *Client, campaigns []experiment.CampaignSpec) LeaseStatus {
+	t.Helper()
+	ctx := context.Background()
+	for {
+		lr, err := client.Lease(ctx, "drain")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lr.Status != LeaseGranted {
+			return lr.Status
+		}
+		l := lr.Lease
+		cs := campaigns[l.Campaign]
+		if seed := cs.ReplicationSeed(l.Replication); seed != l.Seed {
+			t.Fatalf("lease %+v: coordinator seed %d, local derivation %d", l, l.Seed, seed)
+		}
+		res, err := experiment.RunUnit(ctx, cs, l.Replication)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard, err := measure.EncodeCampaignResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ack, err := client.Commit(ctx, CommitRequest{Worker: "drain", LeaseID: l.ID, Campaign: l.Campaign, Replication: l.Replication, Result: shard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ack.Accepted {
+			t.Fatalf("commit of unit (%d, %d) rejected: %s", l.Campaign, l.Replication, ack.Reason)
 		}
 	}
-	if err := c.Wait(ctx); err != nil {
-		t.Fatalf("sweep failed: %v", err)
+}
+
+// TestFleetMatchesSerialSweep is the subsystem's core guarantee: every
+// unit leased over HTTP, run through RunUnit and committed merges, from
+// the spool, byte for byte into what Runner.Sweep returns for the same
+// campaigns. The spool directory holds exactly the committed shards: a
+// previous sweep's leftovers are cleaned at startup, and a late commit
+// leaves no temp file behind.
+func TestFleetMatchesSerialSweep(t *testing.T) {
+	serial := serialSweep(t)
+	dir := t.TempDir()
+	for _, stale := range []string{"campaign-000-rep-00000.shard", "campaign-009-rep-00009.shard.tmp-lease3"} {
+		if err := os.WriteFile(filepath.Join(dir, stale), []byte("stale"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, client := startCoordinator(t, testSweep(), CoordinatorConfig{SpoolDir: dir})
+	if status := drain(t, client, testSweep()); status != LeaseDone {
+		t.Fatalf("queue after every unit committed: %q, want done", status)
 	}
 	out, err := c.Outcomes()
 	if err != nil {
@@ -101,46 +141,70 @@ func TestFleetMatchesSerialSweep(t *testing.T) {
 	}
 	sameOutcomes(t, out, serial)
 
-	status, err := NewClient(ts.URL, nil).Status(ctx)
+	// A late commit against the finished queue spools a temp file and
+	// must clean it up when rejected.
+	ack := c.commitUnit(CommitRequest{
+		Worker: "ghost", LeaseID: 9999, Campaign: 0, Replication: 0,
+		Result: fakeShard(t, c, 0),
+	})
+	if ack.Accepted || ack.Reason != "unit already committed" {
+		t.Errorf("late commit: %+v", ack)
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !status.Complete || status.Done != status.Units || status.Units != 7 {
-		t.Errorf("status after completion: %+v", status)
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
 	}
+	var want []string
+	for ci, cs := range testSweep() {
+		for rep := range cs.Replications {
+			want = append(want, spoolName(ci, rep))
+		}
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("spool dir holds %v, want exactly the committed shards %v", names, want)
+	}
+
+	// The merge is re-readable: Outcomes a second time still matches.
+	out, err = c.Outcomes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameOutcomes(t, out, serial)
 }
 
 // TestFleetFailoverMatchesSerialSweep kills a worker mid-lease: a
-// saboteur client leases a unit and goes silent, a real worker drains the
-// queue, and after the lease TTL the abandoned unit is reassigned — the
-// merged result must still be bit-identical to the serial sweep, and the
+// saboteur leases a unit and goes silent, the rest of the queue drains,
+// and once the lease has expired the abandoned unit is reassigned — the
+// merged result must still be byte-identical to the serial sweep, and the
 // dead worker's late commit must be rejected.
 func TestFleetFailoverMatchesSerialSweep(t *testing.T) {
 	serial := serialSweep(t)
-	c, ts := startCoordinator(t, testSweep(), CoordinatorConfig{LeaseTTL: 300 * time.Millisecond})
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	saboteur := NewClient(ts.URL, nil)
-	dead, err := saboteur.Lease(ctx, "doomed")
+	// The clock is read by the server's goroutines: atomic, not a captured
+	// time.Time.
+	var clock atomic.Int64
+	clock.Store(time.Unix(1_700_000_000, 0).UnixNano())
+	c, client := startCoordinator(t, testSweep(), CoordinatorConfig{
+		SpoolDir: t.TempDir(),
+		now:      func() time.Time { return time.Unix(0, clock.Load()) },
+	})
+	ctx := context.Background()
+	dead, err := client.Lease(ctx, "doomed")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dead.Status != LeaseGranted {
 		t.Fatalf("saboteur lease status %q, want granted", dead.Status)
 	}
-	// The saboteur never commits: its unit must come back after the TTL.
-
-	w := &Worker{CoordinatorURL: ts.URL, Name: "survivor", Parallelism: 2, RetryInterval: 20 * time.Millisecond}
-	if err := w.Run(ctx); err != nil {
-		t.Fatalf("surviving worker: %v", err)
+	if status := drain(t, client, testSweep()); status != LeaseWait {
+		t.Fatalf("queue with one live abandoned lease: %q, want wait", status)
 	}
-	if err := c.Wait(ctx); err != nil {
-		t.Fatalf("sweep failed: %v", err)
-	}
-	status := c.Status()
-	if status.Reassigned < 1 {
-		t.Errorf("no lease was reassigned; the saboteur's unit was never recovered (%+v)", status)
+	clock.Add(int64(leaseTTL))
+	if status := drain(t, client, testSweep()); status != LeaseDone {
+		t.Fatalf("queue after the abandoned unit's reassignment: %q, want done", status)
 	}
 	out, err := c.Outcomes()
 	if err != nil {
@@ -150,8 +214,8 @@ func TestFleetFailoverMatchesSerialSweep(t *testing.T) {
 
 	// The dead worker comes back from the grave with a bit-identical
 	// shard; at-most-once commit must turn it away.
-	sweep := c.Sweep()
-	res, err := experiment.RunUnit(ctx, sweep.Campaigns[dead.Lease.Campaign], dead.Lease.Replication)
+	l := dead.Lease
+	res, err := experiment.RunUnit(ctx, testSweep()[l.Campaign], l.Replication)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +223,7 @@ func TestFleetFailoverMatchesSerialSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ack, err := saboteur.Commit(ctx, CommitRequest{
-		Worker:      "doomed",
-		LeaseID:     dead.Lease.ID,
-		Campaign:    dead.Lease.Campaign,
-		Replication: dead.Lease.Replication,
-		Result:      data,
-	})
+	ack, err := client.Commit(ctx, CommitRequest{Worker: "doomed", LeaseID: l.ID, Campaign: l.Campaign, Replication: l.Replication, Result: data})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,9 +235,8 @@ func TestFleetFailoverMatchesSerialSweep(t *testing.T) {
 // TestCoordinatorRejectsForeignFingerprint: a shard measured under a
 // different spec must be rejected at commit, not pooled.
 func TestCoordinatorRejectsForeignFingerprint(t *testing.T) {
-	_, ts := startCoordinator(t, testSweep(), CoordinatorConfig{})
+	_, client := startCoordinator(t, testSweep(), CoordinatorConfig{SpoolDir: t.TempDir()})
 	ctx := context.Background()
-	client := NewClient(ts.URL, nil)
 	lease, err := client.Lease(ctx, "t")
 	if err != nil {
 		t.Fatal(err)
@@ -197,21 +254,17 @@ func TestCoordinatorRejectsForeignFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Not stale: resending would be rejected identically, so the worker
-	// must fail loudly rather than move on.
-	if ack.Accepted || ack.Stale || !strings.Contains(ack.Reason, "fingerprint") {
+	if ack.Accepted || !strings.Contains(ack.Reason, "fingerprint") {
 		t.Errorf("foreign-fingerprint commit: %+v", ack)
 	}
 }
 
 // TestCommitWireRoundTrip: what Client.Commit puts in the query and the
-// body is what the coordinator's parser reads back, for a shard commit
-// with timings and for an error commit.
+// body is what the coordinator's parser reads back.
 func TestCommitWireRoundTrip(t *testing.T) {
 	for _, req := range []CommitRequest{
-		{Worker: "w&=? 1", LeaseID: 1<<64 - 1, Campaign: 2, Replication: 7, Result: []byte{0, 1, 2, '&'},
-			BuildMicros: 1_200_000, RunMicros: 3, ShipMicros: 1},
-		{Worker: "w", LeaseID: 3, Error: "unit failed: 100% of runs & more"},
+		{Worker: "w&=? 1", LeaseID: 1<<64 - 1, Campaign: 2, Replication: 7, Result: []byte{0, 1, 2, '&'}},
+		{Worker: "w", LeaseID: 3, Result: []byte{}},
 		{},
 	} {
 		query, body := req.wire()
@@ -226,68 +279,15 @@ func TestCommitWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWorkerRefusesVersionSkew: a worker whose binary derives different
-// fingerprints than the coordinator must refuse before running anything.
-func TestWorkerRefusesVersionSkew(t *testing.T) {
-	c, err := NewCoordinator(testSweep(), CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A man-in-the-middle coordinator whose sweep fingerprints are off by
-	// one — standing in for a coordinator running different code.
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == PathSweep {
-			sweep := c.Sweep()
-			tampered := append([]uint64(nil), sweep.Fingerprints...)
-			for i := range tampered {
-				tampered[i]++
-			}
-			json.NewEncoder(w).Encode(SweepResponse{Campaigns: sweep.Campaigns, Fingerprints: tampered})
-			return
-		}
-		c.ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-
-	w := &Worker{CoordinatorURL: ts.URL, Name: "skewed", Parallelism: 1}
-	err = w.Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "version skew") {
-		t.Errorf("skewed worker ran anyway: %v", err)
-	}
-	if got := c.Status().Done; got != 0 {
-		t.Errorf("skewed worker committed %d units", got)
-	}
-}
-
-// TestFleetFailsFastOnBadSpec: a deterministically failing unit fails the
-// sweep (it would fail identically on every machine) instead of cycling
-// through the fleet forever.
-func TestFleetFailsFastOnBadSpec(t *testing.T) {
-	bad := []experiment.CampaignSpec{{
-		Name: "bad",
-		Spec: experiment.Spec{Nodes: 2, Seed: 1, Protocol: experiment.ProtoBitcoin},
-		Runs: 2, Replications: 2, Deadline: time.Second,
-	}}
-	c, ts := startCoordinator(t, bad, CoordinatorConfig{})
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	w := &Worker{CoordinatorURL: ts.URL, Name: "w", Parallelism: 1, RetryInterval: 10 * time.Millisecond}
-	if err := w.Run(ctx); err == nil {
-		t.Error("worker did not surface the unit failure")
-	}
-	if err := c.Wait(ctx); err == nil {
-		t.Error("coordinator did not record the sweep failure")
-	}
-	if _, err := c.Outcomes(); err == nil {
-		t.Error("outcomes of a failed sweep returned no error")
-	}
-}
-
-// TestCoordinatorRejectsUnshippableSweep: a sweep with nothing to ship
-// must be refused at construction, not discovered by a worker. Every spec
-// is plain data, so an empty sweep is the one sweep a coordinator refuses.
+// TestCoordinatorRejectsUnshippableSweep: a sweep with nothing to ship, or
+// nowhere to spool it, must be refused at construction, not discovered by
+// a worker. Every spec is plain data, so an empty sweep is the one sweep a
+// coordinator refuses.
 func TestCoordinatorRejectsUnshippableSweep(t *testing.T) {
-	if _, err := NewCoordinator(nil, CoordinatorConfig{}); err == nil {
+	if _, err := NewCoordinator(nil, CoordinatorConfig{SpoolDir: t.TempDir()}); err == nil {
 		t.Error("empty sweep accepted")
+	}
+	if _, err := NewCoordinator(testSweep(), CoordinatorConfig{}); err == nil {
+		t.Error("coordinator without a spool directory accepted")
 	}
 }

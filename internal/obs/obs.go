@@ -1,14 +1,13 @@
-// Package obs is the repo's telemetry layer: a fixed-capacity sim-time
-// event tracer and a registry of counters, gauges and histograms with
-// Prometheus text exposition.
+// Package obs is the repo's sim-time event tracer: fixed-capacity rings
+// of events merged in canonical order and exported as Chrome trace_event
+// JSON.
 //
 // The package is deliberately leaf-level — it imports nothing but the
 // standard library and internal/wire (for command names in trace
-// exports) — so every layer from the event kernel up through the fleet
-// can depend on it without cycles. It is also registered as a
-// deterministic package for bcbpt-lint: nothing in here may read the
-// wall clock or global randomness. Events carry simulation time only;
-// the durations a Histogram observes are measured by its callers.
+// exports) — so every layer from the event kernel up can depend on it
+// without cycles. It is also registered as a deterministic package for
+// the lint suite: nothing in here may read the wall clock or global
+// randomness. Events carry simulation time only.
 //
 // Recording is built to observe without perturbing: a Shard is a
 // single-writer ring of fixed-size Event cells, so the enabled hot path

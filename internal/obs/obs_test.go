@@ -129,52 +129,3 @@ func TestRecordDoesNotAllocate(t *testing.T) {
 		t.Fatalf("Record allocates %v per op, want 0", allocs)
 	}
 }
-
-func TestRegistryPrometheus(t *testing.T) {
-	r := NewRegistry()
-	r.Counter(`bcbpt_messages_total{command="inv"}`).Add(41)
-	r.Counter(`bcbpt_messages_total{command="inv"}`).Inc()
-	r.Counter(`bcbpt_messages_total{command="tx"}`).Add(7)
-	r.Gauge("bcbpt_fleet_units_pending").Set(12)
-	h := r.Histogram(`bcbpt_unit_run_seconds{campaign="bitcoin"}`)
-	h.Observe(2 * time.Second)
-	h.Observe(4 * time.Second)
-
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE bcbpt_fleet_units_pending gauge\n",
-		"bcbpt_fleet_units_pending 12\n",
-		"# TYPE bcbpt_messages_total counter\n",
-		`bcbpt_messages_total{command="inv"} 42` + "\n",
-		`bcbpt_messages_total{command="tx"} 7` + "\n",
-		"# TYPE bcbpt_unit_run_seconds summary\n",
-		`bcbpt_unit_run_seconds_sum{campaign="bitcoin"} 6` + "\n",
-		`bcbpt_unit_run_seconds_count{campaign="bitcoin"} 2` + "\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	// Quantiles are exact: the median interpolates halfway between the two
-	// observations, and p99 sits 0.99 of the way.
-	for _, want := range []string{
-		`bcbpt_unit_run_seconds{campaign="bitcoin",quantile="0.5"} 3` + "\n",
-		`bcbpt_unit_run_seconds{campaign="bitcoin",quantile="0.99"} 3.98` + "\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	// Deterministic: two renders are byte-identical.
-	var buf2 bytes.Buffer
-	if err := r.WritePrometheus(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != buf2.String() {
-		t.Fatal("exposition is not deterministic")
-	}
-}
