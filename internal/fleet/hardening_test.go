@@ -301,3 +301,63 @@ func TestCommitResendKeepsPublishedShard(t *testing.T) {
 		t.Errorf("published spool file is %d bytes, differs from the %d-byte shard committed", len(got), len(shard))
 	}
 }
+
+// TestSpooledOutcomesMatchSerial pins the spool directory's hygiene
+// around a full sweep: the merge still matches Runner.Sweep, the
+// directory ends holding exactly the committed shards, a late commit
+// leaves no temp file behind, and Outcomes can re-read the spool.
+func TestSpooledOutcomesMatchSerial(t *testing.T) {
+	serial := serialSweep(t)
+	dir := t.TempDir()
+	// A reused spool directory: leftovers of a previous sweep — a
+	// committed shard and a crash-orphaned temp file — must be cleaned
+	// at startup, not interleaved with this sweep's shards.
+	for _, stale := range []string{"campaign-000-rep-00000.shard", "campaign-009-rep-00009.shard.tmp-lease3"} {
+		if err := os.WriteFile(filepath.Join(dir, stale), []byte("stale"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, client := startCoordinator(t, testSweep(), CoordinatorConfig{SpoolDir: dir})
+	if status := drain(t, client, testSweep()); status != LeaseDone {
+		t.Fatalf("queue after every unit committed: %q, want done", status)
+	}
+	out, err := c.Outcomes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameOutcomes(t, out, serial)
+
+	// A late commit against the finished queue spools a temp file and
+	// must clean it up when rejected.
+	ack := c.commitUnit(CommitRequest{
+		Worker: "ghost", LeaseID: 9999, Campaign: 0, Replication: 0,
+		Result: fakeShard(t, c, 0),
+	})
+	if ack.Accepted || ack.Reason != "unit already committed" {
+		t.Errorf("late commit: %+v", ack)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	var want []string
+	for ci, cs := range testSweep() {
+		for rep := range cs.Replications {
+			want = append(want, spoolName(ci, rep))
+		}
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("spool dir holds %v, want exactly the committed shards %v", names, want)
+	}
+
+	// The merge is re-readable: Outcomes a second time still matches.
+	out, err = c.Outcomes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameOutcomes(t, out, serial)
+}
