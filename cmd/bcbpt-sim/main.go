@@ -62,7 +62,7 @@ func main() {
 	if err == nil {
 		var set []string
 		flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
-		err = checkFlags(*exp, set)
+		err = checkFlags(*exp, set, flagValues{nodes: o.Nodes, dt: *threshold, adversaries: *adversaries})
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bcbpt-sim: %v\n", err)
@@ -276,10 +276,23 @@ func nameReaders(fs *flag.FlagSet) {
 	}
 }
 
-// checkFlags refuses an unknown experiment, and any gated flag among the
-// flags set on the command line that the experiment does not read: a run
-// that dropped it would print what the run without it prints.
-func checkFlags(exp string, set []string) error {
+// flagValues are the values of the flags checkFlags bounds, as parsed.
+type flagValues struct {
+	nodes       int // 0 takes the default
+	dt          time.Duration
+	adversaries int
+}
+
+// forksMinNodes is the fewest nodes forks accepts: it races nodes/20
+// miners, and a race needs two.
+const forksMinNodes = 40
+
+// checkFlags refuses an unknown experiment; any gated flag among the flags
+// set on the command line that the experiment does not read, since a run
+// that dropped it would print what the run without it prints; and a value
+// the experiment cannot use, before anything runs: -dt not above 0 where it
+// is read, -adversaries below 1, and forks on fewer than 40 nodes.
+func checkFlags(exp string, set []string, v flagValues) error {
 	for _, e := range experiments {
 		if e.name != exp {
 			continue
@@ -288,6 +301,14 @@ func checkFlags(exp string, set []string) error {
 			if slices.Contains(gatedFlags, name) && !slices.Contains(e.reads, name) {
 				return fmt.Errorf("-%s: experiment %q does not read it (read by %s)", name, exp, strings.Join(readers(name), ", "))
 			}
+		}
+		switch {
+		case slices.Contains(e.reads, "dt") && v.dt <= 0:
+			return fmt.Errorf("-dt %v: experiment %q needs a threshold above 0", v.dt, exp)
+		case slices.Contains(e.reads, "adversaries") && v.adversaries < 1:
+			return fmt.Errorf("-adversaries %d: experiment %q needs at least 1", v.adversaries, exp)
+		case exp == "forks" && v.nodes > 0 && v.nodes < forksMinNodes:
+			return fmt.Errorf("-nodes %d: experiment %q needs at least %d (it races nodes/20 miners, and a race needs 2)", v.nodes, exp, forksMinNodes)
 		}
 		return nil
 	}

@@ -2,8 +2,10 @@ package main
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/experiment"
 )
@@ -47,8 +49,49 @@ func TestCheckFlags(t *testing.T) {
 		{"forks", []string{"deadline"}, false},
 		{"forks", []string{"churn"}, false},
 		{"figure5", nil, false},
+		// A value the experiment cannot use is refused before it runs,
+		// naming the flag ("name=value" sets a value; the rest keep
+		// bcbpt-sim's defaults).
+		{"eclipse", []string{"adversaries=0"}, false},
+		{"eclipse", []string{"adversaries=-4"}, false},
+		{"eclipse", []string{"adversaries=1"}, true},
+		{"forks", []string{"nodes=40", "dt=0s"}, false},
+		{"doublespend", []string{"dt=-5ms"}, false},
+		{"eclipse", []string{"dt=0s"}, false},
+		{"doublespend", []string{"dt=1ms"}, true},
+		{"forks", []string{"nodes=10"}, false},
+		{"forks", []string{"nodes=39"}, false},
+		{"forks", []string{"nodes=40"}, true},
+		{"forks", []string{"nodes=0"}, true},
+		{"figure3", []string{"nodes=10"}, true},
 	} {
-		err := checkFlags(tc.exp, tc.set)
+		v := flagValues{dt: 25 * time.Millisecond, adversaries: 16}
+		var set []string
+		valued := "" // the last flag given a value: what a refusal names
+		for _, s := range tc.set {
+			name, val, ok := strings.Cut(s, "=")
+			set = append(set, name)
+			if !ok {
+				continue
+			}
+			valued = name
+			var err error
+			switch name {
+			case "nodes":
+				v.nodes, err = strconv.Atoi(val)
+			case "adversaries":
+				v.adversaries, err = strconv.Atoi(val)
+			case "dt":
+				v.dt, err = time.ParseDuration(val)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		err := checkFlags(tc.exp, set, v)
+		if err != nil && valued != "" && !strings.Contains(err.Error(), "-"+valued) {
+			t.Errorf("%s with %v: error %q does not name -%s", tc.exp, tc.set, err, valued)
+		}
 		if (err == nil) != tc.ok {
 			t.Errorf("%s with %v set: err %v, want ok %v", tc.exp, tc.set, err, tc.ok)
 		}

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -339,6 +340,9 @@ func (b *BCBPT) assign(id p2p.NodeID, c ClusterID) {
 	m := b.members[c]
 	i, _ := slices.BinarySearch(m, id)
 	b.members[c] = slices.Insert(m, i, id)
+	if tr := b.net.Trace(); tr != nil {
+		tr.Record(obs.Event{At: b.net.Now(), Kind: obs.KindClusterAssign, P1: uint64(id), P2: uint64(c), P3: uint64(len(m) + 1)})
+	}
 }
 
 func (b *BCBPT) unassign(id p2p.NodeID) {
@@ -389,10 +393,8 @@ func (b *BCBPT) startJoin(id p2p.NodeID) {
 		b.finishJoin(id, 0, nil)
 		return
 	}
-	for _, c := range cands {
-		b.stats.Probes += uint64(b.cfg.ProbeCount)
-		node.ProbeN(c, b.cfg.ProbeCount, b.cfg.ProbeGap, nil)
-	}
+	b.stats.Probes += uint64(len(cands) * b.cfg.ProbeCount)
+	node.ProbeN(cands, b.cfg.ProbeCount, b.cfg.ProbeGap)
 	// Decide once the probing schedule plus slack has elapsed; replies
 	// that miss the deadline are treated as losses, like a real timeout.
 	deadline := time.Duration(b.cfg.ProbeCount)*b.cfg.ProbeGap + b.cfg.DecisionSlack
@@ -468,7 +470,18 @@ func (b *BCBPT) decide(id p2p.NodeID, cands []p2p.NodeID) {
 	if best == 0 {
 		best, bestRTT = anyBest, anyRTT
 	}
-	if best == 0 || bestRTT >= b.cfg.Threshold {
+	join := best != 0 && bestRTT < b.cfg.Threshold
+	if tr := b.net.Trace(); tr != nil {
+		ev := obs.Event{At: b.net.Now(), Kind: obs.KindJoinDecision, Code: obs.FoundCluster, P1: uint64(id), P2: uint64(best)}
+		if best != 0 {
+			ev.P3 = uint64(bestRTT)
+		}
+		if join {
+			ev.Code = obs.JoinCluster
+		}
+		tr.Record(ev)
+	}
+	if !join {
 		// No node within dt: the node founds its own cluster.
 		b.finishJoin(id, 0, nil)
 		return

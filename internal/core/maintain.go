@@ -53,10 +53,8 @@ func (b *BCBPT) reevaluate(id p2p.NodeID) {
 	if len(outside) > 4 {
 		outside = outside[:4]
 	}
-	for _, c := range outside {
-		b.stats.Probes += uint64(b.cfg.ProbeCount)
-		node.ProbeN(c, b.cfg.ProbeCount, b.cfg.ProbeGap, nil)
-	}
+	b.stats.Probes += uint64(len(outside) * b.cfg.ProbeCount)
+	node.ProbeN(outside, b.cfg.ProbeCount, b.cfg.ProbeGap)
 	deadline := time.Duration(b.cfg.ProbeCount)*b.cfg.ProbeGap + b.cfg.DecisionSlack
 	b.net.Scheduler().After(deadline, func() {
 		b.maybeMigrate(id, outside)

@@ -126,19 +126,20 @@ func (c CampaignSpec) Fingerprint() uint64 {
 // expectedEvents estimates how many events one unit of the campaign
 // dispatches, the cost DispatchOrder ranks units by. Every injection costs
 // each node four — its first INV landing, the GETDATA it sends landing, the
-// TX landing, the verification ending — and a BCBPT build three per probe a
-// joiner sends (the probe falling due, the ping landing, the pong landing),
-// Candidates × ProbeCount of them per node. Churn-free it is within 10 % of
-// the measured count from 300 to 5000 nodes; under churn it leaves out the
-// arrivals' joins and misses by up to 60 %, but not by enough to change
-// which unit is longest.
+// TX landing, the verification ending — and a BCBPT build one per probe a
+// joiner sends (the ping landing; its pong is a ticket) and one per probe
+// round (all of a round's pings leave from one event): ProbeCount rounds of
+// Candidates probes per node, Nodes × (Candidates + 1) × ProbeCount.
+// Churn-free it is within 15 % of the measured count; under churn it leaves
+// out the arrivals' joins, but not by enough to change which unit is
+// longest.
 func (c CampaignSpec) expectedEvents() uint64 {
 	c = c.withDefaults()
 	nodes := uint64(max(c.Spec.Nodes, 0))
 	events := 4 * nodes * uint64(c.Runs)
 	if c.Spec.Protocol == ProtoBCBPT {
 		cfg := c.Spec.bcbptConfig()
-		events += 3 * nodes * uint64(max(cfg.Candidates, 0)) * uint64(max(cfg.ProbeCount, 0))
+		events += nodes * uint64(max(cfg.Candidates, 0)+1) * uint64(max(cfg.ProbeCount, 0))
 	}
 	return events
 }

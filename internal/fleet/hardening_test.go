@@ -65,7 +65,7 @@ func TestLeasesFollowDispatchOrder(t *testing.T) {
 	sweep := []experiment.CampaignSpec{
 		{Name: "short", Spec: spec(experiment.ProtoBitcoin), Runs: 3, Replications: 2},
 		{Name: "long", Spec: spec(experiment.ProtoBCBPT), Runs: 3, Replications: 2},
-		{Name: "middle", Spec: spec(experiment.ProtoBitcoin), Runs: 30, Replications: 1},
+		{Name: "middle", Spec: spec(experiment.ProtoBitcoin), Runs: 10, Replications: 1},
 	}
 	type ref struct{ campaign, replication int }
 	var units []ref // flat, campaign-major: what DispatchOrder indexes

@@ -26,6 +26,8 @@ func eventCat(k Kind) string {
 		return "p2p"
 	case KindFirstSeen, KindInject:
 		return "measure"
+	case KindRTT, KindJoinDecision, KindClusterAssign:
+		return "protocol"
 	default:
 		return "obs"
 	}

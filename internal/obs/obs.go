@@ -57,19 +57,42 @@ const (
 	_
 	_
 	_
+	// KindRTT is a round-trip sample reaching a prober's estimator: a pong
+	// landing. P1 is the prober's node ID, P2 the target's, P3 the RTT in
+	// nanoseconds.
+	KindRTT
+	// KindJoinDecision is a BCBPT joiner's threshold test (eq. 1) once its
+	// probes are in. P1 is the joiner's node ID, P2 the closest measured
+	// candidate's (0 for none), P3 that candidate's RTT in nanoseconds (0
+	// for none); Code is JoinCluster when the joiner asks to join the
+	// candidate's cluster and FoundCluster when it founds its own.
+	KindJoinDecision
+	// KindClusterAssign is a node entering a BCBPT cluster, by a join, a
+	// founding or a migration. P1 is the node ID, P2 the cluster ID, P3 the
+	// cluster's size with the node in it.
+	KindClusterAssign
 
 	numKinds
 )
 
+// Codes of a KindJoinDecision event.
+const (
+	FoundCluster uint8 = iota
+	JoinCluster
+)
+
 // kindNames maps kinds to the names used in trace exports.
 var kindNames = [numKinds]string{
-	KindNone:      "none",
-	KindSend:      "send",
-	KindDeliver:   "deliver",
-	KindDrop:      "drop",
-	KindLoss:      "loss",
-	KindFirstSeen: "first-seen",
-	KindInject:    "inject",
+	KindNone:          "none",
+	KindSend:          "send",
+	KindDeliver:       "deliver",
+	KindDrop:          "drop",
+	KindLoss:          "loss",
+	KindFirstSeen:     "first-seen",
+	KindInject:        "inject",
+	KindRTT:           "rtt",
+	KindJoinDecision:  "join-decision",
+	KindClusterAssign: "cluster-assign",
 }
 
 // String names the kind for exports and errors.

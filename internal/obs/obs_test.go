@@ -103,14 +103,17 @@ func TestWriteTraceJSONShape(t *testing.T) {
 }
 
 // TestKindValues pins the kind values: a recorded kind keeps its number
-// for good, and the retired values 7–13 stay reserved and render as
-// "unknown".
+// for good, the retired values 7–13 stay reserved and render as
+// "unknown", and the protocol kinds append from 14.
 func TestKindValues(t *testing.T) {
 	if KindInject != 6 {
 		t.Fatalf("KindInject = %d, want 6", KindInject)
 	}
-	if numKinds != 14 {
-		t.Fatalf("numKinds = %d, want 14: a new kind appends after the reserved 7–13", numKinds)
+	if KindRTT != 14 || KindJoinDecision != 15 || KindClusterAssign != 16 {
+		t.Fatalf("protocol kinds are %d, %d, %d, want 14, 15, 16", KindRTT, KindJoinDecision, KindClusterAssign)
+	}
+	if numKinds != 17 {
+		t.Fatalf("numKinds = %d, want 17: a new kind appends after KindClusterAssign", numKinds)
 	}
 	for k := Kind(7); k <= 13; k++ {
 		if got := k.String(); got != "unknown" {

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/geo"
-	"repro/internal/latency"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -54,8 +53,8 @@ type diffHarness struct {
 	flatEvents []seenEvent
 	refEvents  []seenEvent
 	// flatPongs and refPongs count the probes whose callback fired on each
-	// side, and probeNDone the flat ProbeNs that completed.
-	flatPongs, refPongs, probeNDone int
+	// side.
+	flatPongs, refPongs int
 
 	hashes  []chain.Hash
 	nextTx  uint64
@@ -201,24 +200,44 @@ func (h *diffHarness) probe(a, b NodeID) {
 // probeGap spaces the pings of the harness's ProbeN, as a BCBPT join does.
 const probeGap = 20 * time.Millisecond
 
-// probeN starts a three-ping ProbeN on the flat side, which resolves the
-// target and the pair's link once and carries them through both legs of
-// every ping. The oracle has no ProbeN: its side is the three Probes that
-// stands for, scheduled the same way — one event per ping at the same
-// offsets — each finding prober and target by ID when it fires.
-func (h *diffHarness) probeN(a, b NodeID) {
+// probeN starts a three-round ProbeN of targets on the flat side, which
+// resolves each target and its pair's link once, sends each round from one
+// event and lets the pongs reach the prober as tickets. The oracle has no
+// ProbeN: its side is the Probes that stands for, three rounds of one per
+// target at the same offsets, each finding prober and target by ID when it
+// fires, each pong an event.
+func (h *diffHarness) probeN(a NodeID, targets ...NodeID) {
 	fn, ok := h.flat.Node(a)
 	if !ok {
 		return
 	}
-	fn.ProbeN(b, 3, probeGap, func(*latency.Estimator) { h.probeNDone++ })
+	fn.ProbeN(targets, 3, probeGap)
 	for i := 0; i < 3; i++ {
 		h.ref.sched.After(time.Duration(i)*probeGap, func() {
 			if rn, ok := h.ref.Node(a); ok {
-				rn.Probe(b, nil)
+				for _, b := range targets {
+					rn.Probe(b, nil)
+				}
 			}
 		})
 	}
+}
+
+// probeTargets picks up to three distinct targets for a ProbeN from a, the
+// live IDs from the one y picks on, and with y's high bit set the ID the
+// next joiner will get, which names nobody yet.
+func (h *diffHarness) probeTargets(a NodeID, y byte) []NodeID {
+	ids := h.liveIDs()
+	var out []NodeID
+	for j := 0; j < len(ids) && len(out) < 3; j++ {
+		if id := ids[(int(y)+j)%len(ids)]; id != a {
+			out = append(out, id)
+		}
+	}
+	if y&0x80 != 0 {
+		out = append(out, h.flat.nextID+1)
+	}
+	return out
 }
 
 func (h *diffHarness) runFor(d time.Duration) {
@@ -317,6 +336,7 @@ func (h *diffHarness) compare() {
 		if fn.Outbound() != rn.Outbound() {
 			h.t.Fatalf("node %d outbound: flat %d, ref %d", id, fn.Outbound(), rn.Outbound())
 		}
+		fn.foldPongs()
 		if len(fn.ests) != len(rn.estimators) {
 			h.t.Fatalf("node %d estimators: flat %d, ref %d", id, len(fn.ests), len(rn.estimators))
 		}
@@ -385,9 +405,7 @@ func runScript(t testing.TB, cfg Config, script []byte) {
 				h.probe(a, b)
 			}
 		case 8:
-			if a != b {
-				h.probeN(a, b)
-			}
+			h.probeN(a, h.probeTargets(a, y)...)
 		case 9:
 			h.submitBlock(a)
 		}
@@ -656,11 +674,11 @@ func TestInFlightRecordMatchesReference(t *testing.T) {
 
 // TestProbeNCarriedHandles names what a ProbeN resolves once — its target,
 // the pair's link baseline — and what its pings carry to the pong — the
-// prober, the same baseline, the send time and the callback handle — must
-// survive, each against the oracle, which looks everything up by ID at
-// every step. What shows is what was sent and dropped, how many round trips
-// reached the prober's estimator, and whether the ProbeN completed; the
-// harness's drain checks that no callback handle outlives its record.
+// prober, the same baseline and the send time — must survive, each against
+// the oracle, which looks everything up by ID at every step. What shows is
+// what was sent and dropped and how many round trips reached the prober's
+// estimator; the harness's drain checks that no callback handle outlives
+// its record.
 func TestProbeNCarriedHandles(t *testing.T) {
 	const a, b = NodeID(2), NodeID(7)
 	// until steps both networks until the flat side has sent n of cmd.
@@ -676,12 +694,11 @@ func TestProbeNCarriedHandles(t *testing.T) {
 	cases := []struct {
 		name string
 		run  func(t *testing.T, h *diffHarness)
-		// what the flat side must show once everything has drained: traffic,
-		// the samples in the prober's estimator for target (b unless set),
-		// and whether ProbeN's done fired
+		// what the flat side must show once everything has drained: traffic
+		// and the samples in the prober's estimator for target (b unless set)
 		pings, pongs, dropped uint64
 		target                NodeID
-		samples, done         int
+		samples               int
 	}{
 		{
 			name: "target removed between ProbeN and the second ping",
@@ -720,8 +737,7 @@ func TestProbeNCarriedHandles(t *testing.T) {
 				}
 			},
 			// ProbeN had nothing to resolve, so each ping looks the ID up:
-			// the first finds nobody, the other two find the joiner. Two
-			// round trips of three do not complete the ProbeN.
+			// the first finds nobody, the other two find the joiner.
 			pings: 2, pongs: 2, dropped: 1, target: 11, samples: 2,
 		},
 		{
@@ -782,7 +798,7 @@ func TestProbeNCarriedHandles(t *testing.T) {
 					t.Fatalf("one pair, four baselines: probe %v, peer entry %v, BaseRTT %v, oracle %v", probed, edge, truth, oracle)
 				}
 			},
-			pings: 3, pongs: 3, dropped: 0, samples: 3, done: 1,
+			pings: 3, pongs: 3, dropped: 0, samples: 3,
 		},
 	}
 	for _, tc := range cases {
@@ -804,8 +820,8 @@ func TestProbeNCarriedHandles(t *testing.T) {
 			if est, ok := fa.Estimator(target); ok {
 				samples = est.Samples()
 			}
-			if samples != tc.samples || h.probeNDone != tc.done {
-				t.Fatalf("%d round trips measured, ProbeN done %d times; want %d and %d", samples, h.probeNDone, tc.samples, tc.done)
+			if samples != tc.samples {
+				t.Fatalf("%d round trips measured, want %d", samples, tc.samples)
 			}
 		})
 	}

@@ -46,13 +46,12 @@ const (
 // when it left (word) and the handle of the callback waiting for its RTT
 // (hi, zero for none), and it also reads base, the baseline of the link it
 // travels; its pong carries all three back, so the pinger keeps nothing
-// while they travel and matches nothing when they return. A probe that is
-// due (Network.probeDue) is a record as well: the prober, the target's ID
-// (word), the handle, and — when ProbeN found a node by that ID — the node
-// (dst) and the pair's baseline. Anything else — GETADDR, ADDR, JOIN,
-// CLUSTER — stays a wire.Message, in the arena's side column at the
-// record's index, and cmd is zero. A verification wait (Network.verified)
-// is a record too: the sender, the verifying node and the object.
+// while they travel and matches nothing when they return — unless it has no
+// handle, and the pong travels as a ticket (pongTicket). Anything else —
+// GETADDR, ADDR, JOIN, CLUSTER — stays a wire.Message, in the arena's side
+// column at the record's index, and cmd is zero. A verification wait
+// (Network.verified) is a record too: the sender, the verifying node and the
+// object.
 //
 // The record is one cache line (TestDeliveryIsOneCacheLine).
 type delivery struct {
@@ -60,8 +59,8 @@ type delivery struct {
 	tx       *chain.Tx
 	block    *chain.Block
 	base     time.Duration
-	word     uint64 // a ping's or pong's send time; a due probe's target ID
-	hi       int32  // dense hash index; a ping's, pong's or due probe's callback handle
+	word     uint64 // a ping's or pong's send time
+	hi       int32  // dense hash index; a ping's or pong's callback handle
 	gen      uint32
 	dstEpoch uint32
 	srcPos   int16
@@ -121,9 +120,9 @@ type dispatchCtx struct {
 	// probeDone holds the completion callbacks of probes in flight and
 	// doneFree its free indices, LIFO. Handle h is index h-1 and zero is no
 	// callback, which is what all but a crawler's probes carry. A handle
-	// belongs to one record at a time — the due probe, then its ping, then
-	// the pong — and whatever ends that chain releases it (takeDone), so the
-	// table holds exactly the callbacks still awaited.
+	// belongs to one record at a time — the ping, then the pong — and
+	// whatever ends that chain releases it (takeDone), so the table holds
+	// exactly the callbacks still awaited.
 	probeDone []func(rtt time.Duration)
 	doneFree  []int32
 
@@ -217,3 +216,115 @@ func (dc *dispatchCtx) takeDone(h int32) func(rtt time.Duration) {
 	dc.doneFree = append(dc.doneFree, h-1)
 	return done
 }
+
+// probeSet is one ProbeN call: the prober, its targets in list order, and
+// how many of its rounds (Network.probeRound) are still to run. A target is
+// resolved once, when ProbeN runs: its ID, the node that ID named (nil for
+// nobody, and then every round looks the ID up again) and the pair's link
+// baseline. The sets are the network's (Network.probes), recycled with their
+// target slices once the last round has run.
+type probeSet struct {
+	src     *Node
+	targets []probeTarget
+	left    int
+}
+
+// probeTarget is one target of a probeSet.
+type probeTarget struct {
+	id   NodeID
+	dst  *Node
+	base time.Duration
+}
+
+// pongTicket is a pong on its way to a prober that has no callback waiting
+// for it: its place in the event order, the target that answered and the
+// round trip the prober's estimator will take in once the place has passed
+// (Node.foldPongs). It is what a pong record would have told handlePong.
+type pongTicket struct {
+	sim.Ticket
+	from *Node
+	rtt  time.Duration
+}
+
+// pongTable holds the pong tickets on their way, per prober, in landing
+// order. bySlot[s]-1 indexes lists for the prober in node slot s, zero for
+// one with none; lists whose prober has none in flight wait on free for the
+// next prober to take, with their capacity while no more of them wait than
+// are in use. Only probers with pongs in flight hold a list, so a node costs
+// nothing for it, a network that never probes allocates nothing and one
+// that has stopped probing keeps little more than bySlot.
+type pongTable struct {
+	bySlot []int32
+	lists  [][]pongTicket
+	free   []int32
+}
+
+// of returns the pending tickets of the prober in slot, nil for none.
+func (pt *pongTable) of(slot int32) []pongTicket {
+	if int(slot) >= len(pt.bySlot) || pt.bySlot[slot] == 0 {
+		return nil
+	}
+	return pt.lists[pt.bySlot[slot]-1]
+}
+
+// add files t for the prober in slot, in landing order among its others.
+// A new ticket lands after most of the ones in flight, so the search runs
+// from the back.
+func (pt *pongTable) add(slot int32, t pongTicket) {
+	if int(slot) >= len(pt.bySlot) || pt.bySlot[slot] == 0 {
+		pt.open(slot)
+	}
+	li := pt.bySlot[slot] - 1
+	list := append(pt.lists[li], t)
+	i := len(list) - 1
+	for ; i > 0 && t.Before(list[i-1].Ticket); i-- {
+		list[i] = list[i-1]
+	}
+	list[i] = t
+	pt.lists[li] = list
+}
+
+// open gives the prober in slot a list, a free one or a new one: where the
+// table grows, once per prober that has none. It stays out of line, so
+// add's own body is the append.
+//
+//go:noinline
+func (pt *pongTable) open(slot int32) {
+	if int(slot) >= len(pt.bySlot) {
+		pt.bySlot = append(pt.bySlot, make([]int32, int(slot)+1-len(pt.bySlot))...)
+	}
+	var li int32
+	if last := len(pt.free) - 1; last >= 0 {
+		li = pt.free[last]
+		pt.free = pt.free[:last]
+	} else {
+		li = int32(len(pt.lists))
+		pt.lists = append(pt.lists, nil)
+	}
+	if pt.lists[li] == nil {
+		pt.lists[li] = make([]pongTicket, 0, pongListCap)
+	}
+	pt.bySlot[slot] = li + 1
+}
+
+// drop removes the first k tickets of the prober in slot, releasing its
+// list when that empties it.
+func (pt *pongTable) drop(slot int32, k int) {
+	li := pt.bySlot[slot] - 1
+	list := pt.lists[li]
+	rest := copy(list, list[k:])
+	clear(list[rest:]) // a free ticket must not keep a departed target reachable
+	pt.lists[li] = list[:rest]
+	if rest == 0 {
+		pt.bySlot[slot] = 0
+		pt.free = append(pt.free, li)
+		if len(pt.free) > len(pt.lists)-len(pt.free) {
+			pt.lists[li] = nil // more lists wait than are in use: let this one go
+		}
+	}
+}
+
+// pongListCap is the capacity a prober's list starts at: room for what a
+// BCBPT join has in flight at most, three rounds of pongs from its 16
+// candidates.
+const pongListCap = 64

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/chain"
@@ -567,19 +566,38 @@ func (nd *Node) markPeerHas(peer *Node, pos, hi int32) {
 	nd.setHolderBit(hi, pos)
 }
 
-// Estimator returns the RTT estimator for a probed target, if any.
+// Estimator returns the RTT estimator for a probed target, if any. It
+// reflects every pong from the target whose landing has passed — the ones
+// that travelled as tickets are folded in first (foldPongs) — and none that
+// is still on its way.
 func (nd *Node) Estimator(target NodeID) (*latency.Estimator, bool) {
-	i := sort.Search(len(nd.ests), func(i int) bool { return nd.ests[i].target >= target })
-	if i < len(nd.ests) && nd.ests[i].target == target {
+	nd.foldPongs()
+	if i := nd.estIndex(target); i < len(nd.ests) && nd.ests[i].target == target {
 		return nd.ests[i].est, true
 	}
 	return nil, false
 }
 
+// estIndex returns where target's estimator is in ests, or where it would
+// go: a binary search, written out so that folding a batch of pongs calls
+// no closure per step.
+func (nd *Node) estIndex(target NodeID) int {
+	lo, hi := 0, len(nd.ests)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if nd.ests[m].target < target {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // estFor returns (creating if needed) the estimator for target, keeping
 // the slice sorted by target.
 func (nd *Node) estFor(target NodeID) *latency.Estimator {
-	i := sort.Search(len(nd.ests), func(i int) bool { return nd.ests[i].target >= target })
+	i := nd.estIndex(target)
 	if i < len(nd.ests) && nd.ests[i].target == target {
 		return nd.ests[i].est
 	}
@@ -836,11 +854,25 @@ func (nd *Node) ping(dst *Node, base time.Duration, h int32) {
 // the node nor the link, and the ping's send time and callback handle, which
 // go back as they came. A pinger that left with its ping in flight — its
 // slot empty, or recycled by a later joiner — gets none.
+//
+// A pong that carries no callback handle only feeds the pinger's estimator,
+// and with no tracer attached it travels as a ticket (pongTicket) instead of
+// a record and an event: it is counted, loss-tested, queued on the uplink
+// and delayed like any send, takes the place in the event order its landing
+// would have, and the pinger's estimator folds it in once that place has
+// passed (foldPongs).
 func (nd *Node) pong(ping *delivery) {
 	n := nd.net
 	if !ping.src.live() {
 		n.dc.stats.Dropped++
 		n.dc.takeDone(ping.hi)
+		return
+	}
+	if ping.hi == 0 && n.dc.trace == nil {
+		if delay, _, _, ok := n.launch(nd, ping.src, -1, ping.base, wire.CmdPong, pongSize); ok {
+			t := n.sched.Reserve(delay)
+			n.pongs.add(ping.src.slot, pongTicket{Ticket: t, from: nd, rtt: time.Duration(t.At() - sim.Time(ping.word))})
+		}
 		return
 	}
 	if d := n.deliver(nd, ping.src, -1, ping.base, wire.CmdPong, pongSize, nil, -1); d != &n.dc.lost {
@@ -850,50 +882,83 @@ func (nd *Node) pong(ping *delivery) {
 	}
 }
 
-// ProbeN sends n pings spaced by gap and calls done once all have
-// completed (or been lost to churn — lost probes simply never arrive, so
-// done fires only when all n pongs return; callers combine this with the
-// estimator's Ready check). The target and the pair's link are resolved
-// here, once, and ride in each due probe's record: the link is a pure
-// function of the seed and the pair, so it is drawn and not stored.
-func (nd *Node) ProbeN(target NodeID, n int, gap time.Duration, done func(est *latency.Estimator)) {
-	if n <= 0 {
+// ProbeN measures the round trip to each of targets n times: n rounds spaced
+// by gap, the first now, each one event (Network.probeRound) that sends every
+// target a ping, in list order. Each target and its pair's link are resolved
+// here, once, and ride in the call's probeSet: the link is a pure function
+// of the seed and the pair, so it is drawn and not stored. What the pongs
+// report shows in Estimator: an estimator reflects every pong whose landing
+// has passed. A ping or pong lost on the way, or to churn, never arrives.
+func (nd *Node) ProbeN(targets []NodeID, n int, gap time.Duration) {
+	if n <= 0 || len(targets) == 0 {
 		return
 	}
 	net := nd.net
-	// One completion callback shared by all n pings — the single
-	// allocation a ProbeN with a done costs — under a handle each.
-	var onPong func(time.Duration)
-	if done != nil {
-		remaining := n
-		onPong = func(time.Duration) {
-			remaining--
-			if remaining == 0 {
-				if est, ok := nd.Estimator(target); ok {
-					done(est)
-				}
-			}
+	idx := net.newProbeSet()
+	ps := &net.probes[idx]
+	ps.src, ps.left = nd, n
+	for _, id := range targets {
+		t := probeTarget{id: id}
+		if dst, ok := net.nodes[id]; ok {
+			t.dst, t.base = dst, net.makeLink(mkLinkKey(nd.id, id), nd, dst).Base()
 		}
-	}
-	due := delivery{src: nd, word: uint64(target)}
-	if dst, ok := net.nodes[target]; ok {
-		due.dst, due.base = dst, net.makeLink(mkLinkKey(nd.id, target), nd, dst).Base()
+		ps.targets = append(ps.targets, t)
 	}
 	for i := 0; i < n; i++ {
-		due.hi = net.dc.holdDone(onPong)
-		idx := net.dc.newFlight()
-		net.dc.flight[idx] = due
 		net.sched.AfterIndexed(time.Duration(i)*gap, net.probeTag, idx)
 	}
 }
 
 // handlePong feeds the estimator for the pong's sender the round trip its
-// record spans, and hands the same to the callback the probe came with.
+// record spans, after the pongs that travelled as tickets and landed before
+// it, and hands the same to the callback the probe came with.
 func (nd *Node) handlePong(pong *delivery) {
+	nd.foldPongs()
 	rtt := time.Duration(nd.now() - sim.Time(pong.word))
 	nd.estFor(pong.src.id).Observe(rtt)
+	if tr := nd.net.dc.trace; tr != nil {
+		tr.Record(obs.Event{At: nd.now(), Kind: obs.KindRTT, P1: uint64(nd.id), P2: uint64(pong.src.id), P3: uint64(rtt)})
+	}
 	if done := nd.net.dc.takeDone(pong.hi); done != nil {
 		done(rtt)
+	}
+}
+
+// foldPongs feeds the node's estimators the pongs that reached it as
+// tickets and whose landing has passed, in landing order: what handlePong
+// did with each when it landed, had it been an event. A node that has left
+// has none (settlePongs).
+func (nd *Node) foldPongs() {
+	n := nd.net
+	if !nd.live() {
+		return
+	}
+	list := n.pongs.of(nd.slot)
+	k := 0
+	for ; k < len(list) && n.sched.Passed(list[k].Ticket); k++ {
+		nd.estFor(list[k].from.id).Observe(list[k].rtt)
+	}
+	if k > 0 {
+		n.pongs.drop(nd.slot, k)
+	}
+}
+
+// settlePongs ends the node's pong tickets, before it leaves or a tracer is
+// attached: the ones that have passed are folded in, and the rest become
+// the pong records they stand for, in their own places (sim.Scheduler.Redeem)
+// — to land at a node that has gone and count as Dropped, or to land under
+// the tracer — as pongs that were events all along would.
+func (nd *Node) settlePongs() {
+	nd.foldPongs()
+	n := nd.net
+	list := n.pongs.of(nd.slot)
+	for _, t := range list {
+		idx := n.dc.newFlight()
+		n.dc.flight[idx] = delivery{src: t.from, dst: nd, word: uint64(t.At() - sim.Time(t.rtt)), srcPos: -1, cmd: wire.CmdPong}
+		n.sched.Redeem(t.Ticket, n.arriveTag, idx)
+	}
+	if len(list) > 0 {
+		n.pongs.drop(nd.slot, len(list))
 	}
 }
 

@@ -66,6 +66,19 @@
 // (TestFigure3CSVGoldenTraced, make trace-smoke, the twin tests here) a
 // differential between the two ways an INV can travel.
 //
+// A probe is cut down the same way. ProbeN's rounds are one event each
+// (Network.probeRound), sending every target's ping in list order, and a
+// pong that no callback waits for — every pong of a ProbeN and of a
+// keepalive — is a ticket when no tracer is attached: counted, loss-tested,
+// queued on the uplink and delayed like any send, then filed at its prober,
+// in landing order, with the RTT it reports (pongTicket). The prober's
+// estimator folds in every ticket that has passed before anyone reads it
+// (Node.foldPongs), and an event pong does the same before it lands, so an
+// estimator reflects every pong whose landing has passed, in the order the
+// events would have delivered them. A prober that leaves settles its
+// tickets first (Node.settlePongs): the passed ones fold, the rest become
+// the pong records they stand for and land at the empty slot as Dropped.
+//
 // The retired map-based layout, which builds a wire.Message per send and
 // finds everything by ID, lives on in this package's tests as
 // ReferenceNetwork (reference_test.go), the oracle that differential and
@@ -150,11 +163,11 @@ type Network struct {
 	// of BaseRTT queries. A link is a pure function of the seed and the
 	// pair (makeLink), so the table is only a memo, and the two heavy users
 	// do without it: relay traffic reads the connection's link from its
-	// peer entries (peerEntry.base), and ProbeN draws its pair's link once
-	// and carries the baseline through its pings and their pongs.
+	// peer entries (peerEntry.base), and ProbeN draws each target's link
+	// once and carries the baseline through its pings and their pongs.
 	links map[linkKey]latency.Link
 	// linkDraws counts makeLink calls: one per edge per connection, one
-	// per pair in links and one per ProbeN, which the tests pin.
+	// per pair in links and one per ProbeN target, which the tests pin.
 	linkDraws uint64
 
 	// slots is the dense node table: every live node occupies one slot
@@ -189,10 +202,16 @@ type Network struct {
 	// in-flight record arena, traffic counters and trace shard that every
 	// send and delivery goes through.
 	dc dispatchCtx
-	// arriveTag, verifyTag and probeTag are the scheduler tags of the three
-	// indexed events over that arena: a message landing, a verification
-	// ending, a ProbeN ping falling due.
+	// arriveTag and verifyTag are the scheduler tags of the two indexed
+	// events over that arena, a message landing and a verification ending;
+	// probeTag is that of a ProbeN round falling due, indexing probes.
 	arriveTag, verifyTag, probeTag uint32
+	// probes holds the ProbeN calls with rounds still to run and probeFree
+	// its free indices, LIFO (probeSet).
+	probes    []probeSet
+	probeFree []int32
+	// pongs holds the pongs on their way as tickets, per prober (pongTable).
+	pongs pongTable
 	// pingSize is the framed size of a ping, pad included.
 	pingSize int
 
@@ -252,7 +271,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	n.dc.krand = rand.New(&n.dc.ksrc)
 	n.arriveTag = n.sched.Handle(n.arrive)
 	n.verifyTag = n.sched.Handle(n.verified)
-	n.probeTag = n.sched.Handle(n.probeDue)
+	n.probeTag = n.sched.Handle(n.probeRound)
 	n.pingSize = pingMinSize + max(0, cfg.Latency.PingBytes-12) // pad: what nonce and length prefix leave
 	return n, nil
 }
@@ -290,14 +309,26 @@ func (n *Network) Stats() Stats { return n.dc.stats }
 // Tracing is purely observational: enabling it changes no schedule, no RNG
 // draw, and no output byte — the golden-CSV tests pin that.
 //
-// Enable between runs, not mid-flood. Passing nil disables.
+// Enable between runs, not mid-flood. Passing nil disables. A pong still on
+// its way as a ticket becomes the event it stands for first, so the tracer
+// sees it land (Node.settlePongs).
 func (n *Network) EnableTrace(t *obs.Tracer) {
 	if t == nil {
 		n.DisableTrace()
 		return
 	}
+	for slot, li := range n.pongs.bySlot {
+		if li != 0 {
+			n.slots[slot].settlePongs()
+		}
+	}
 	n.dc.trace = t.Shard(0)
 }
+
+// Trace returns the shard the network records its events into, nil while
+// no tracer is attached: what the topology layer records its protocol
+// events into, on the same goroutine.
+func (n *Network) Trace() *obs.Shard { return n.dc.trace }
 
 // DisableTrace detaches the tracer. Recorded events remain readable on
 // the tracer itself.
@@ -370,12 +401,14 @@ func (n *Network) NodeIDs() []NodeID {
 // Removing an unknown node is a no-op. The node is deleted from the
 // network before OnDisconnect fires, so refill logic running inside the
 // callback can never reconnect to the departing node; peers are processed
-// in sorted order for determinism.
+// in sorted order for determinism. Pongs on their way to the node as
+// tickets are settled before its slot is freed (Node.settlePongs).
 func (n *Network) RemoveNode(id NodeID) {
 	node, ok := n.nodes[id]
 	if !ok {
 		return
 	}
+	node.settlePongs()
 	delete(n.nodes, id)
 	n.slots[node.slot] = nil
 	n.slotFree = append(n.slotFree, node.slot)
@@ -564,6 +597,31 @@ func (n *Network) arrive(idx int32) {
 // dispatch context's scratch record when the message was lost or needs none.
 func (n *Network) deliver(src, dst *Node, pos int32, base time.Duration, cmd wire.Command, size int, msg wire.Message, inv int32) *delivery {
 	dc := &n.dc
+	delay, base, srcPos, ok := n.launch(src, dst, pos, base, cmd, size)
+	if !ok {
+		return &dc.lost
+	}
+	if inv >= 0 && dc.trace == nil && dst.lazyInv(srcPos, inv, delay) {
+		return &dc.lost
+	}
+	idx := dc.newFlight()
+	d := &dc.flight[idx]
+	*d = delivery{src: src, dst: dst, base: base, dstEpoch: dst.tabEpoch, srcPos: int16(srcPos), cmd: cmd}
+	if msg != nil {
+		d.cmd, dc.flightMsg[idx] = 0, msg
+	}
+	n.sched.AfterIndexed(delay, n.arriveTag, idx)
+	return d
+}
+
+// launch is what every send pays, whether it travels as a record or as a
+// ticket (deliver, Node.pong): the count and the trace, the sender's keyed
+// send sequence, the loss coin, the uplink queue and the delay draw. It
+// returns the delay, the baseline of the link the message travels and the
+// sender's position at dst (-1 for a message addressed by ID), or ok false
+// for a message lost on the way.
+func (n *Network) launch(src, dst *Node, pos int32, base time.Duration, cmd wire.Command, size int) (delay, linkBase time.Duration, srcPos int32, ok bool) {
+	dc := &n.dc
 	dc.stats.count(cmd, size)
 	if dc.trace != nil {
 		dc.trace.Record(obs.Event{At: n.sched.Now(), Kind: obs.KindSend, Code: uint8(cmd),
@@ -577,7 +635,7 @@ func (n *Network) deliver(src, dst *Node, pos int32, base time.Duration, cmd wir
 			dc.trace.Record(obs.Event{At: n.sched.Now(), Kind: obs.KindLoss, Code: uint8(cmd),
 				P1: uint64(src.id), P2: uint64(dst.id), P3: uint64(size)})
 		}
-		return &dc.lost
+		return 0, 0, -1, false
 	}
 	txTime := time.Duration(float64(size) / n.cfg.Latency.RateBytesPerSec * float64(time.Second))
 	now := n.sched.Now()
@@ -587,24 +645,14 @@ func (n *Network) deliver(src, dst *Node, pos int32, base time.Duration, cmd wir
 	}
 	src.uplinkFreeAt = start + txTime
 	var link latency.Link
-	srcPos := int32(-1)
+	srcPos = -1
 	if pos >= 0 {
 		link, srcPos = n.edgeLink(src, pos), src.peerTab[pos].rpos
 	} else {
 		link = n.model.NewLinkWithBase(base)
 	}
-	delay := (start + txTime - now) + link.SampleOneWay(dc.krand)
-	if inv >= 0 && dc.trace == nil && dst.lazyInv(srcPos, inv, delay) {
-		return &dc.lost
-	}
-	idx := dc.newFlight()
-	d := &dc.flight[idx]
-	*d = delivery{src: src, dst: dst, base: link.Base(), dstEpoch: dst.tabEpoch, srcPos: int16(srcPos), cmd: cmd}
-	if msg != nil {
-		d.cmd, dc.flightMsg[idx] = 0, msg
-	}
-	n.sched.AfterIndexed(delay, n.arriveTag, idx)
-	return d
+	delay = (start + txTime - now) + link.SampleOneWay(dc.krand)
+	return delay, link.Base(), srcPos, true
 }
 
 // Connection errors.
@@ -712,22 +760,47 @@ func (n *Network) verified(idx int32) {
 	_ = node.acceptBlock(d.block, d.src.id)
 }
 
-// probeDue is the indexed event of one of ProbeN's spaced pings falling due
-// (see delivery for what its record holds). A prober that churned out in
-// the meantime sends nothing; a target that did is a ping that cannot leave.
-func (n *Network) probeDue(idx int32) {
-	d := n.dc.takeFlight(idx)
-	switch {
-	case !d.src.live():
-		n.dc.takeDone(d.hi)
-	case d.dst == nil:
-		// The ID named nobody when ProbeN ran; it may name a node by now.
-		d.src.probe(NodeID(d.word), d.hi)
-	case !d.dst.live():
-		d.src.ping(nil, 0, d.hi)
-	default:
-		d.src.ping(d.dst, d.base, d.hi)
+// probeRound is the indexed event of one of a ProbeN call's rounds falling
+// due: idx is its probeSet. Every target is pinged in list order. A prober
+// that churned out in the meantime sends nothing; a target that did is a
+// ping that cannot leave. The last round recycles the set.
+//
+// One event for the round is exact against one per ping: a ProbeN call
+// schedules its rounds' places back to back, so no other event could fall
+// between the pings of one round, and no ping lands at the instant it
+// leaves — every send keeps its sequence number, uplink slot and delay draw.
+func (n *Network) probeRound(idx int32) {
+	ps := &n.probes[idx]
+	if src := ps.src; src.live() {
+		for _, t := range ps.targets {
+			switch {
+			case t.dst == nil:
+				// The ID named nobody when ProbeN ran; it may name a node by now.
+				src.probe(t.id, 0)
+			case !t.dst.live():
+				src.ping(nil, 0, 0)
+			default:
+				src.ping(t.dst, t.base, 0)
+			}
+		}
 	}
+	if ps.left--; ps.left == 0 {
+		clear(ps.targets)
+		*ps = probeSet{targets: ps.targets[:0]}
+		n.probeFree = append(n.probeFree, idx)
+	}
+}
+
+// newProbeSet returns the index of an empty probeSet, growing the table
+// when none is free.
+func (n *Network) newProbeSet() int32 {
+	if last := len(n.probeFree) - 1; last >= 0 {
+		idx := n.probeFree[last]
+		n.probeFree = n.probeFree[:last]
+		return idx
+	}
+	n.probes = append(n.probes, probeSet{})
+	return int32(len(n.probes) - 1)
 }
 
 // ResetInventory clears every node's seen-transaction state. Measurement
@@ -820,7 +893,8 @@ func (n *Network) RunUntil(ctx context.Context, limit sim.Time) error {
 // Close releases a network that will not run again: it stops the
 // scheduler, drops every pending event (whose closures otherwise pin
 // nodes and messages live) and with them the in-flight records they
-// index and the ticket pool, and detaches the measurement and topology hooks. Build harnesses
+// index, the probe sets, the pong tickets and the ticket pool, and detaches
+// the measurement and topology hooks. Build harnesses
 // call it on their error paths so an abandoned half-bootstrapped network
 // cannot keep state alive or resume by accident. Close is idempotent; node
 // state stays readable.
@@ -829,6 +903,7 @@ func (n *Network) Close() {
 	n.sched.Clear()
 	n.dc.flight, n.dc.flightMsg, n.dc.flightFree, n.dc.tickets = nil, nil, nil, ticketPool{}
 	n.dc.probeDone, n.dc.doneFree = nil, nil
+	n.probes, n.probeFree, n.pongs = nil, nil, pongTable{}
 	n.OnTxFirstSeen = nil
 	n.OnBlockFirstSeen = nil
 	n.OnDisconnect = nil

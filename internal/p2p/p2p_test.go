@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/geo"
-	"repro/internal/latency"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -463,17 +462,14 @@ func TestProbeMeasuresRTT(t *testing.T) {
 func TestProbeNFeedsEstimator(t *testing.T) {
 	net, nodes := testNetwork(t, 2, nil)
 	a, b := nodes[0], nodes[1]
-	var final int
-	a.ProbeN(b.ID(), 5, 10*time.Millisecond, func(est *latency.Estimator) {
-		final = est.Samples()
-	})
+	a.ProbeN([]NodeID{b.ID()}, 5, 10*time.Millisecond)
 	if err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if final != 5 {
-		t.Errorf("estimator samples at done = %d, want 5", final)
+	est, ok := a.Estimator(b.ID())
+	if !ok || est.Samples() != 5 {
+		t.Fatalf("estimator after 5 probes: %v, %v samples; want 5", ok, est.Samples())
 	}
-	est, _ := a.Estimator(b.ID())
 	if !est.Ready() {
 		t.Error("estimator not Ready after 5 probes")
 	}
@@ -515,9 +511,9 @@ func TestProbeOfDepartedNodeLeavesNothing(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		a.Probe(gone, never)
 	}
-	a.ProbeN(gone, 500, time.Millisecond, func(*latency.Estimator) { t.Error("ProbeN of a departed node completed") })
-	if held := net.heldCallbacks(); held != 500 {
-		t.Fatalf("%d callbacks held for 500 probes not yet due, want 500", held)
+	a.ProbeN([]NodeID{gone}, 500, time.Millisecond)
+	if held, due := net.heldCallbacks(), net.Scheduler().Len(); held != 0 || due != 500 {
+		t.Fatalf("%d callbacks held and %d events queued for 500 probe rounds not yet due, want 0 and 500", held, due)
 	}
 	if err := net.Run(); err != nil {
 		t.Fatal(err)

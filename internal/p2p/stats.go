@@ -92,8 +92,8 @@ func (s Stats) String() string {
 
 // NodeFootprintBytes sums the retained bytes of every node's hot state —
 // adjacency tables, flat inventory arrays, holder bitsets, spill sets,
-// estimator slices, ticket slots — without the shared network-level
-// state (links, hash registry, in-flight records). Divided by
+// estimator slices, ticket slots, pong tickets — without the shared
+// network-level state (links, hash registry, in-flight records). Divided by
 // NumNodes it is the marginal cost of one more node, the number the
 // 100k-node budget test pins so the flat layout cannot quietly regrow
 // pointer-rich per-node state.
@@ -116,6 +116,11 @@ func (n *Network) NodeFootprintBytes() int {
 	// holds the pool.
 	for _, chunk := range n.dc.tickets.chunks {
 		total += uintptr(len(chunk)) * unsafe.Sizeof(sim.Ticket{})
+	}
+	// So are the pong tickets, held per prober slot.
+	total += uintptr(cap(n.pongs.bySlot)) * unsafe.Sizeof(int32(0))
+	for _, list := range n.pongs.lists {
+		total += uintptr(cap(list)) * unsafe.Sizeof(pongTicket{})
 	}
 	return int(total)
 }

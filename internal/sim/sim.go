@@ -50,9 +50,12 @@
 // has not passed into the indexed event it stands for, in its original
 // place. The holder of a ticket therefore chooses, any time before the place
 // comes up, between reading the fact off Passed and having the event after
-// all — p2p's redundant INVs are tickets (see its package comment). A queue
-// that drains with tickets outstanding still ends where its last event would
-// have run: Run leaves the clock at the latest reserved time.
+// all — p2p's redundant INVs are tickets, and so are the pongs that only feed
+// an RTT estimator (see its package comment). Before orders two tickets as
+// the heap would order their events, so a holder of many can keep them in
+// landing order and find the passed ones at the front. A queue that drains
+// with tickets outstanding still ends where its last event would have run:
+// Run leaves the clock at the latest reserved time.
 package sim
 
 import (
@@ -154,6 +157,15 @@ func pick(a, b key, takeB int) key {
 type Ticket struct {
 	at  Time
 	seq uint64
+}
+
+// At returns the time of t's place.
+func (t Ticket) At() Time { return t.at }
+
+// Before reports whether t's place comes before u's in the (at, seq) order:
+// whether the heap would dispatch an event in t's place first.
+func (t Ticket) Before(u Ticket) bool {
+	return less(key{uint64(t.at), t.seq}, key{uint64(u.at), u.seq}) != 0
 }
 
 // Scheduler is a single-threaded discrete-event scheduler. It is not safe

@@ -154,3 +154,47 @@ func TestRedeemRefusals(t *testing.T) {
 		t.Fatalf("%d events queued by refused Redeems", s.Len())
 	}
 }
+
+// TestTicketBefore: Before orders tickets as the heap orders the events they
+// stand for — by time, ties by reservation order — so tickets sorted by it
+// come due in the order their redeemed events dispatch.
+func TestTicketBefore(t *testing.T) {
+	const ms = time.Millisecond
+	s := NewScheduler()
+	delays := []time.Duration{3 * ms, ms, 2 * ms, ms, 0, 3 * ms, 2 * ms}
+	places := make([]Ticket, len(delays))
+	for i, d := range delays {
+		places[i] = s.Reserve(d)
+		if places[i].At() != d {
+			t.Fatalf("ticket %d at %v, reserved for %v", i, places[i].At(), d)
+		}
+	}
+	var order []int32
+	s2 := NewScheduler()
+	tag2 := s2.Handle(func(idx int32) { order = append(order, idx) })
+	for i, d := range delays {
+		s2.AfterIndexed(d, tag2, int32(i))
+	}
+	if err := s2.Run(); err != nil {
+		t.Fatal(err)
+	}
+	sorted := make([]int32, len(places))
+	for i := range sorted {
+		sorted[i] = int32(i)
+	}
+	slices.SortFunc(sorted, func(a, b int32) int {
+		switch {
+		case places[a].Before(places[b]):
+			return -1
+		case places[b].Before(places[a]):
+			return 1
+		}
+		return 0
+	})
+	if !slices.Equal(sorted, order) {
+		t.Fatalf("tickets by Before %v, events dispatched %v", sorted, order)
+	}
+	if places[0].Before(places[0]) {
+		t.Fatal("a ticket is before itself")
+	}
+}

@@ -1,11 +1,14 @@
 // Command tracecheck validates a trace export produced by
 // `bcbpt-sim -trace` (or a CampaignSpec.Trace sweep): the Chrome
 // trace_event JSON must parse and carry the shape Perfetto needs (names,
-// categories, phase markers, microsecond timestamps). scripts/tracesmoke.sh
-// runs it in CI so a malformed export can never ship silently — a trace
-// nobody can open is worse than no trace. Neither can a partial one: an
-// export whose ring overwrote events fails, in the words bcbpt-sim uses
-// for it ("kept N of M events").
+// categories, phase markers, microsecond timestamps), and every event must
+// be of a kind the export names — message kinds ("send/inv"), measurement
+// kinds ("first-seen", "inject") and the protocol kinds ("rtt",
+// "join-decision", "cluster-assign"), never a reserved value.
+// scripts/tracesmoke.sh runs it in CI so a malformed export can never ship
+// silently — a trace nobody can open is worse than no trace. Neither can a
+// partial one: an export whose ring overwrote events fails, in the words
+// bcbpt-sim uses for it ("kept N of M events").
 //
 // Usage: tracecheck <trace.json>
 package main
@@ -81,6 +84,8 @@ func check(jsonPath string) (string, error) {
 		switch {
 		case ev.Name == "":
 			return "", fmt.Errorf("event %d has no name", i)
+		case ev.Name == "unknown":
+			return "", fmt.Errorf("event %d (cat %s) has a kind the export does not name", i, ev.Cat)
 		case ev.Cat == "":
 			return "", fmt.Errorf("event %d (%s) has no cat", i, ev.Name)
 		case ev.Ph != "i":

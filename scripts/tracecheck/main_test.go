@@ -59,3 +59,48 @@ func TestCheckFailsOnDrops(t *testing.T) {
 		t.Errorf("error %q, want it to say %q", err, want)
 	}
 }
+
+// TestCheckProtocolKinds passes a trace of the protocol kinds — a round-trip
+// sample, a join decision, a cluster assignment — under their names and
+// category, and fails one holding a reserved kind the export cannot name.
+func TestCheckProtocolKinds(t *testing.T) {
+	export := func(kinds ...obs.Kind) string {
+		tr := obs.NewTracer(16, 1)
+		tr.Shard(0).Record(obs.Event{At: time.Millisecond, Kind: obs.KindSend, Code: uint8(wire.CmdPing), P1: 1, P2: 2})
+		tr.Shard(0).Record(obs.Event{At: time.Millisecond, Kind: obs.KindFirstSeen, P1: 1})
+		for i, k := range kinds {
+			tr.Shard(0).Record(obs.Event{At: time.Duration(i+2) * time.Millisecond, Kind: k, P1: 1, P2: 2, P3: 3})
+		}
+		path := filepath.Join(t.TempDir(), "trace.json")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.WriteTraceJSON(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range kinds {
+			if !strings.Contains(string(data), `"name":"`+k.String()+`"`) {
+				t.Fatalf("export does not name kind %d %q", k, k)
+			}
+		}
+		return path
+	}
+	summary, err := check(export(obs.KindRTT, obs.KindJoinDecision, obs.KindClusterAssign))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "5 events (measure=1 p2p=1 protocol=3), 0 dropped"; !strings.Contains(summary, want) {
+		t.Errorf("summary %q, want it to say %q", summary, want)
+	}
+	if _, err := check(export(obs.Kind(9))); err == nil || !strings.Contains(err.Error(), "does not name") {
+		t.Errorf("a trace holding reserved kind 9: err %v, want one saying the export does not name it", err)
+	}
+}
