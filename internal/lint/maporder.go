@@ -45,7 +45,7 @@ var p2pOrderMethods = map[string]bool{
 	"send": true, "deliver": true, "connect": true, "teardown": true,
 	// *p2p.Node
 	"Send": true, "SubmitTx": true, "SubmitBlock": true,
-	"Probe": true, "ProbeN": true, "announce": true,
+	"ProbeN": true, "announce": true,
 }
 
 // fmtOutputFuncs are fmt package functions that emit formatted output.

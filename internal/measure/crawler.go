@@ -3,6 +3,7 @@ package measure
 import (
 	"context"
 	"errors"
+	"slices"
 	"time"
 
 	"repro/internal/p2p"
@@ -43,8 +44,10 @@ type CrawlResult struct {
 }
 
 // Crawl probes every reachable node `pingsPer` times, spaced by gap, and
-// aggregates the observed round trips. Runs the network until all probes
-// resolve or the deadline passes.
+// aggregates the observed round trips. The vantage pings them all in one
+// ProbeN, each round in ascending ID order, and the network runs until the
+// deadline passes. The round trips are pooled as the vantage's estimators
+// take them in (Network.OnRTT), which reading the estimators completes.
 func (c *Crawler) Crawl(pingsPer int, gap, deadline time.Duration) (CrawlResult, error) {
 	if pingsPer < 1 {
 		return CrawlResult{}, errors.New("measure: pingsPer must be >= 1")
@@ -53,30 +56,24 @@ func (c *Crawler) Crawl(pingsPer int, gap, deadline time.Duration) (CrawlResult,
 	if !ok {
 		return CrawlResult{}, errors.New("measure: vantage churned away")
 	}
-	targets := c.net.NodeIDs()
+	ids := c.net.NodeIDs()
 	res := CrawlResult{
-		Reachable: len(targets),
+		Reachable: len(ids),
 		PerTarget: make(map[p2p.NodeID]time.Duration),
 	}
+	targets := slices.DeleteFunc(slices.Clone(ids), func(id p2p.NodeID) bool { return id == c.vantage })
 	var samples []time.Duration
-	for _, t := range targets {
-		if t == c.vantage {
-			continue
+	prev := c.net.OnRTT
+	defer func() { c.net.OnRTT = prev }()
+	c.net.OnRTT = func(prober *p2p.Node, target p2p.NodeID, rtt time.Duration) {
+		if prev != nil {
+			prev(prober, target, rtt)
 		}
-		target := t
-		for i := 0; i < pingsPer; i++ {
-			delay := time.Duration(i) * gap
-			c.net.Scheduler().After(delay, func() {
-				nd, ok := c.net.Node(c.vantage)
-				if !ok {
-					return
-				}
-				nd.Probe(target, func(rtt time.Duration) {
-					samples = append(samples, rtt)
-				})
-			})
+		if prober == node {
+			samples = append(samples, rtt)
 		}
 	}
+	node.ProbeN(targets, pingsPer, gap)
 	start := c.net.Now()
 	if err := c.net.RunUntil(context.Background(), start+sim.Time(deadline)); err != nil && !errors.Is(err, sim.ErrStopped) {
 		return CrawlResult{}, err

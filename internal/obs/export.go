@@ -22,7 +22,7 @@ func eventName(ev Event) string {
 // eventCat groups events into Perfetto categories.
 func eventCat(k Kind) string {
 	switch k {
-	case KindSend, KindDeliver, KindDrop, KindLoss:
+	case KindSend, KindDeliver, KindDrop, KindLoss, KindConnect, KindDisconnect:
 		return "p2p"
 	case KindFirstSeen, KindInject:
 		return "measure"

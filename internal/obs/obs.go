@@ -71,6 +71,13 @@ const (
 	// founding or a migration. P1 is the node ID, P2 the cluster ID, P3 the
 	// cluster's size with the node in it.
 	KindClusterAssign
+	// KindConnect is a connection coming up. P1 is the initiator's node ID,
+	// P2 the other end's.
+	KindConnect
+	// KindDisconnect is a connection torn down. P1 is the node tearing it
+	// down — the one leaving, when a node leaves the network — and P2 the
+	// other end.
+	KindDisconnect
 
 	numKinds
 )
@@ -93,6 +100,8 @@ var kindNames = [numKinds]string{
 	KindRTT:           "rtt",
 	KindJoinDecision:  "join-decision",
 	KindClusterAssign: "cluster-assign",
+	KindConnect:       "connect",
+	KindDisconnect:    "disconnect",
 }
 
 // String names the kind for exports and errors.

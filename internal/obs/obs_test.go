@@ -53,15 +53,6 @@ func TestTracerMergeCanonicalOrder(t *testing.T) {
 	}
 }
 
-func TestTracerReset(t *testing.T) {
-	tr := NewTracer(8, 2)
-	tr.Shard(1).Record(Event{At: 1, Kind: KindSend})
-	tr.Reset()
-	if tr.Len() != 0 || len(tr.Events()) != 0 {
-		t.Fatalf("Reset left %d events", tr.Len())
-	}
-}
-
 func TestWriteTraceJSONShape(t *testing.T) {
 	tr := NewTracer(16, 1)
 	s := tr.Shard(0)
@@ -104,7 +95,8 @@ func TestWriteTraceJSONShape(t *testing.T) {
 
 // TestKindValues pins the kind values: a recorded kind keeps its number
 // for good, the retired values 7–13 stay reserved and render as
-// "unknown", and the protocol kinds append from 14.
+// "unknown", the protocol kinds append from 14 and the connection kinds
+// from 17.
 func TestKindValues(t *testing.T) {
 	if KindInject != 6 {
 		t.Fatalf("KindInject = %d, want 6", KindInject)
@@ -112,8 +104,11 @@ func TestKindValues(t *testing.T) {
 	if KindRTT != 14 || KindJoinDecision != 15 || KindClusterAssign != 16 {
 		t.Fatalf("protocol kinds are %d, %d, %d, want 14, 15, 16", KindRTT, KindJoinDecision, KindClusterAssign)
 	}
-	if numKinds != 17 {
-		t.Fatalf("numKinds = %d, want 17: a new kind appends after KindClusterAssign", numKinds)
+	if KindConnect != 17 || KindDisconnect != 18 {
+		t.Fatalf("connection kinds are %d, %d, want 17, 18", KindConnect, KindDisconnect)
+	}
+	if numKinds != 19 {
+		t.Fatalf("numKinds = %d, want 19: a new kind appends after KindDisconnect", numKinds)
 	}
 	for k := Kind(7); k <= 13; k++ {
 		if got := k.String(); got != "unknown" {

@@ -48,9 +48,6 @@ func (s *Shard) Dropped() uint64 {
 	return s.n - uint64(len(s.buf))
 }
 
-// reset forgets all recorded events, keeping the buffer.
-func (s *Shard) reset() { s.n = 0 }
-
 // events appends the retained events in record order.
 func (s *Shard) events(dst []Event) []Event {
 	if s.n <= uint64(len(s.buf)) {
@@ -121,13 +118,6 @@ func (t *Tracer) Len() int {
 		n += s.Len()
 	}
 	return n
-}
-
-// Reset forgets all recorded events on every shard.
-func (t *Tracer) Reset() {
-	for _, s := range t.shards {
-		s.reset()
-	}
 }
 
 // Events merges every shard's retained events into canonical order:

@@ -43,11 +43,10 @@ const (
 // tx or block, the other nil — and hi, the object's dense hash index under
 // inventory generation gen; a record that outlived that generation has its
 // index resolved again from the object's hash (delivery.hash). A ping is
-// when it left (word) and the handle of the callback waiting for its RTT
-// (hi, zero for none), and it also reads base, the baseline of the link it
-// travels; its pong carries all three back, so the pinger keeps nothing
-// while they travel and matches nothing when they return — unless it has no
-// handle, and the pong travels as a ticket (pongTicket). Anything else —
+// when it left (word), and it also reads base, the baseline of the link it
+// travels; under a tracer its pong carries both back, so the pinger keeps
+// nothing while they travel and matches nothing when they return, and
+// untraced the pong travels as a ticket (pongTicket). Anything else —
 // GETADDR, ADDR, JOIN, CLUSTER — stays a wire.Message, in the arena's side
 // column at the record's index, and cmd is zero. A verification wait
 // (Network.verified) is a record too: the sender, the verifying node and the
@@ -60,7 +59,7 @@ type delivery struct {
 	block    *chain.Block
 	base     time.Duration
 	word     uint64 // a ping's or pong's send time
-	hi       int32  // dense hash index; a ping's or pong's callback handle
+	hi       int32  // dense hash index
 	gen      uint32
 	dstEpoch uint32
 	srcPos   int16
@@ -76,8 +75,8 @@ func (d *delivery) hash() chain.Hash {
 }
 
 // dispatchCtx is the network's dispatch state: keyed RNG scratch, the
-// in-flight record arena, the probes' callback table, traffic counters and
-// the trace shard. The network owns exactly one (Network.dc) and every
+// in-flight record arena, the INV ticket pool, traffic counters and the
+// trace shard. The network owns exactly one (Network.dc) and every
 // event runs on the goroutine driving the scheduler, so none of it is
 // shared.
 type dispatchCtx struct {
@@ -116,15 +115,6 @@ type dispatchCtx struct {
 	// has passed, and a ResetInventory has nothing to redeem.
 	tickets ticketPool
 	lazyAt  sim.Time
-
-	// probeDone holds the completion callbacks of probes in flight and
-	// doneFree its free indices, LIFO. Handle h is index h-1 and zero is no
-	// callback, which is what all but a crawler's probes carry. A handle
-	// belongs to one record at a time — the ping, then the pong — and
-	// whatever ends that chain releases it (takeDone), so the table holds
-	// exactly the callbacks still awaited.
-	probeDone []func(rtt time.Duration)
-	doneFree  []int32
 
 	// trace is the event-trace shard, nil unless tracing is enabled
 	// (Network.EnableTrace): the disabled path costs one nil check.
@@ -189,34 +179,6 @@ func (p *ticketPool) reset() { p.next, p.used = 0, 0 }
 // empty reports whether no run has been handed out since the last reset.
 func (p *ticketPool) empty() bool { return p.next == 0 && p.used == 0 }
 
-// holdDone parks a probe's completion callback and returns its handle: zero
-// for nil, which needs none.
-func (dc *dispatchCtx) holdDone(done func(rtt time.Duration)) int32 {
-	if done == nil {
-		return 0
-	}
-	if last := len(dc.doneFree) - 1; last >= 0 {
-		i := dc.doneFree[last]
-		dc.doneFree = dc.doneFree[:last]
-		dc.probeDone[i] = done
-		return i + 1
-	}
-	dc.probeDone = append(dc.probeDone, done)
-	return int32(len(dc.probeDone))
-}
-
-// takeDone releases handle h and returns the callback it held, nil for zero.
-// The record that carried h is gone: its pong arrived, or it died on the way.
-func (dc *dispatchCtx) takeDone(h int32) func(rtt time.Duration) {
-	if h == 0 {
-		return nil
-	}
-	done := dc.probeDone[h-1]
-	dc.probeDone[h-1] = nil
-	dc.doneFree = append(dc.doneFree, h-1)
-	return done
-}
-
 // probeSet is one ProbeN call: the prober, its targets in list order, and
 // how many of its rounds (Network.probeRound) are still to run. A target is
 // resolved once, when ProbeN runs: its ID, the node that ID named (nil for
@@ -236,8 +198,8 @@ type probeTarget struct {
 	base time.Duration
 }
 
-// pongTicket is a pong on its way to a prober that has no callback waiting
-// for it: its place in the event order, the target that answered and the
+// pongTicket is a pong on its way to its prober while no tracer is
+// attached: its place in the event order, the target that answered and the
 // round trip the prober's estimator will take in once the place has passed
 // (Node.foldPongs). It is what a pong record would have told handlePong.
 type pongTicket struct {

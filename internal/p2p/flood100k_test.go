@@ -16,7 +16,6 @@ import (
 func buildFloodNet(tb testing.TB, n, chords int) (*Network, []*Node) {
 	tb.Helper()
 	cfg := DefaultConfig()
-	cfg.PingInterval = 0
 	net, err := NewNetwork(cfg)
 	if err != nil {
 		tb.Fatal(err)

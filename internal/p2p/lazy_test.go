@@ -226,7 +226,6 @@ func requireTwin(t *testing.T, cfg Config, n, chords int, script func(s *twinSid
 
 func twinConfig(loss float64) Config {
 	cfg := DefaultConfig()
-	cfg.PingInterval = 0
 	cfg.LossProb = loss
 	cfg.Seed = 11
 	return cfg

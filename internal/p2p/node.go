@@ -161,7 +161,7 @@ type Node struct {
 	// (JOIN/CLUSTER); the topology layer installs it.
 	extraHandler func(from NodeID, msg wire.Message)
 
-	// ests holds per-target RTT estimators fed by Probe, sorted by target.
+	// ests holds per-target RTT estimators fed by ProbeN, sorted by target.
 	ests []estEntry
 
 	loc geo.Location
@@ -813,73 +813,55 @@ func (nd *Node) handleObject(d *delivery) {
 
 // --- ping measurement ---
 
-// Probe sends a single measurement ping to target (connected or not) and
-// feeds the resulting RTT into this node's estimator for the target.
-// done, if non-nil, fires with the measured RTT.
-func (nd *Node) Probe(target NodeID, done func(rtt time.Duration)) {
-	nd.probe(target, nd.net.dc.holdDone(done))
-}
-
-// probe is Probe for a callback already in the table under handle h.
-func (nd *Node) probe(target NodeID, h int32) {
+// probe pings target by ID: a ProbeN target that named nobody when ProbeN
+// ran, looked up again each round (Network.probeRound).
+func (nd *Node) probe(target NodeID) {
 	dst := nd.net.nodes[target]
 	var base time.Duration
 	if dst != nil {
 		base = nd.net.link(nd, dst).Base()
 	}
-	nd.ping(dst, base, h)
+	nd.ping(dst, base)
 }
 
 // ping sends dst a ping over a link of the given baseline, stamped with the
-// time it leaves and carrying callback handle h. A ping that cannot leave —
-// dst is nil, the target being gone, or this node has left the network
-// itself — counts as Dropped; that one and a ping lost on the way release
-// the handle. Either way the node itself keeps nothing.
-func (nd *Node) ping(dst *Node, base time.Duration, h int32) {
+// time it leaves. A ping that cannot leave — dst is nil, the target being
+// gone, or this node has left the network itself — counts as Dropped.
+// Either way the node itself keeps nothing.
+func (nd *Node) ping(dst *Node, base time.Duration) {
 	n := nd.net
 	if dst == nil || !nd.live() {
 		n.dc.stats.Dropped++
-		n.dc.takeDone(h)
 		return
 	}
-	if d := n.deliver(nd, dst, -1, base, wire.CmdPing, n.pingSize, nil, -1); d != &n.dc.lost {
-		d.word, d.hi = uint64(nd.now()), h
-	} else {
-		n.dc.takeDone(h)
-	}
+	n.deliver(nd, dst, -1, base, wire.CmdPing, n.pingSize, nil, -1).word = uint64(nd.now())
 }
 
 // pong answers a ping from what its record carried: the pinger and the
 // baseline of the link the ping came over, so the reply looks up neither
-// the node nor the link, and the ping's send time and callback handle, which
-// go back as they came. A pinger that left with its ping in flight — its
-// slot empty, or recycled by a later joiner — gets none.
+// the node nor the link, and the ping's send time, which goes back as it
+// came. A pinger that left with its ping in flight — its slot empty, or
+// recycled by a later joiner — gets none.
 //
-// A pong that carries no callback handle only feeds the pinger's estimator,
-// and with no tracer attached it travels as a ticket (pongTicket) instead of
-// a record and an event: it is counted, loss-tested, queued on the uplink
-// and delayed like any send, takes the place in the event order its landing
-// would have, and the pinger's estimator folds it in once that place has
-// passed (foldPongs).
+// A pong only feeds the pinger's estimator, and with no tracer attached it
+// travels as a ticket (pongTicket) instead of a record and an event: it is
+// counted, loss-tested, queued on the uplink and delayed like any send,
+// takes the place in the event order its landing would have, and the
+// pinger's estimator folds it in once that place has passed (foldPongs).
 func (nd *Node) pong(ping *delivery) {
 	n := nd.net
 	if !ping.src.live() {
 		n.dc.stats.Dropped++
-		n.dc.takeDone(ping.hi)
 		return
 	}
-	if ping.hi == 0 && n.dc.trace == nil {
+	if n.dc.trace == nil {
 		if delay, _, _, ok := n.launch(nd, ping.src, -1, ping.base, wire.CmdPong, pongSize); ok {
 			t := n.sched.Reserve(delay)
 			n.pongs.add(ping.src.slot, pongTicket{Ticket: t, from: nd, rtt: time.Duration(t.At() - sim.Time(ping.word))})
 		}
 		return
 	}
-	if d := n.deliver(nd, ping.src, -1, ping.base, wire.CmdPong, pongSize, nil, -1); d != &n.dc.lost {
-		d.word, d.hi = ping.word, ping.hi
-	} else {
-		n.dc.takeDone(ping.hi)
-	}
+	n.deliver(nd, ping.src, -1, ping.base, wire.CmdPong, pongSize, nil, -1).word = ping.word
 }
 
 // ProbeN measures the round trip to each of targets n times: n rounds spaced
@@ -911,16 +893,23 @@ func (nd *Node) ProbeN(targets []NodeID, n int, gap time.Duration) {
 
 // handlePong feeds the estimator for the pong's sender the round trip its
 // record spans, after the pongs that travelled as tickets and landed before
-// it, and hands the same to the callback the probe came with.
+// it.
 func (nd *Node) handlePong(pong *delivery) {
 	nd.foldPongs()
 	rtt := time.Duration(nd.now() - sim.Time(pong.word))
-	nd.estFor(pong.src.id).Observe(rtt)
+	nd.observe(pong.src.id, rtt)
 	if tr := nd.net.dc.trace; tr != nil {
 		tr.Record(obs.Event{At: nd.now(), Kind: obs.KindRTT, P1: uint64(nd.id), P2: uint64(pong.src.id), P3: uint64(rtt)})
 	}
-	if done := nd.net.dc.takeDone(pong.hi); done != nil {
-		done(rtt)
+}
+
+// observe feeds one round trip to target into the node's estimator for it
+// and hands it to Network.OnRTT: what a pong does on landing, as an event
+// (handlePong) or a ticket folded in (foldPongs).
+func (nd *Node) observe(target NodeID, rtt time.Duration) {
+	nd.estFor(target).Observe(rtt)
+	if f := nd.net.OnRTT; f != nil {
+		f(nd, target, rtt)
 	}
 }
 
@@ -936,7 +925,7 @@ func (nd *Node) foldPongs() {
 	list := n.pongs.of(nd.slot)
 	k := 0
 	for ; k < len(list) && n.sched.Passed(list[k].Ticket); k++ {
-		nd.estFor(list[k].from.id).Observe(list[k].rtt)
+		nd.observe(list[k].from.id, list[k].rtt)
 	}
 	if k > 0 {
 		n.pongs.drop(nd.slot, k)

@@ -441,9 +441,19 @@ func TestProbeMeasuresRTT(t *testing.T) {
 	}
 
 	var got time.Duration
-	a.Probe(b.ID(), func(rtt time.Duration) { got = rtt })
+	net.OnRTT = func(prober *Node, target NodeID, rtt time.Duration) {
+		if prober != a || target != b.ID() {
+			t.Errorf("OnRTT for %d probing %d, want %d probing %d", prober.ID(), target, a.ID(), b.ID())
+		}
+		got = rtt
+	}
+	a.ProbeN([]NodeID{b.ID()}, 1, 0)
 	if err := net.Run(); err != nil {
 		t.Fatal(err)
+	}
+	est, ok := a.Estimator(b.ID())
+	if !ok || est.Samples() != 1 {
+		t.Error("estimator not updated by probe")
 	}
 	if got <= 0 {
 		t.Fatal("probe returned non-positive RTT")
@@ -452,10 +462,6 @@ func TestProbeMeasuresRTT(t *testing.T) {
 	// spikes can inflate, so allow generous headroom but require ballpark).
 	if got < base/2 || got > base*5 {
 		t.Errorf("measured RTT %v far from base %v", got, base)
-	}
-	est, ok := a.Estimator(b.ID())
-	if !ok || est.Samples() != 1 {
-		t.Error("estimator not updated by probe")
 	}
 }
 
@@ -479,12 +485,16 @@ func TestPingToChurnedNodeIsLost(t *testing.T) {
 	net, nodes := testNetwork(t, 2, nil)
 	a, b := nodes[0], nodes[1]
 	fired := false
-	a.Probe(b.ID(), func(time.Duration) { fired = true })
+	net.OnRTT = func(*Node, NodeID, time.Duration) { fired = true }
+	a.ProbeN([]NodeID{b.ID()}, 1, 0)
+	if _, err := net.Scheduler().RunN(1); err != nil { // the round: the ping leaves
+		t.Fatal(err)
+	}
 	net.RemoveNode(b.ID()) // leaves before the ping arrives
 	if err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fired {
+	if _, ok := a.Estimator(b.ID()); ok || fired {
 		t.Error("probe completed against removed node")
 	}
 	if net.Stats().Dropped == 0 {
@@ -492,28 +502,20 @@ func TestPingToChurnedNodeIsLost(t *testing.T) {
 	}
 }
 
-// heldCallbacks counts the probe completion callbacks the network still
-// holds: one per record in flight that carries a handle, none once they
-// have all arrived or died.
-func (n *Network) heldCallbacks() int { return len(n.dc.probeDone) - len(n.dc.doneFree) }
-
 // TestProbeOfDepartedNodeLeavesNothing: a ping that cannot leave — under
-// churn, every keepalive and re-probe of a node that has gone — is counted
-// as dropped, never completes, and leaves neither a callback held by the
-// network nor a byte on the prober; the same for a departed prober, and for
-// a ping whose target leaves while it is in flight.
+// churn, every re-probe of a node that has gone — is counted as dropped,
+// never completes, and leaves not a byte on the prober; a departed prober
+// sends nothing, and a ping whose target leaves while it is in flight dies
+// at the empty slot.
 func TestProbeOfDepartedNodeLeavesNothing(t *testing.T) {
 	net, nodes := testNetwork(t, 3, nil)
 	a, gone, c := nodes[0], nodes[1].ID(), nodes[2]
 	net.RemoveNode(gone)
 	footprint := net.NodeFootprintBytes()
-	never := func(time.Duration) { t.Error("probe of a departed node completed") }
-	for i := 0; i < 500; i++ {
-		a.Probe(gone, never)
-	}
-	a.ProbeN([]NodeID{gone}, 500, time.Millisecond)
-	if held, due := net.heldCallbacks(), net.Scheduler().Len(); held != 0 || due != 500 {
-		t.Fatalf("%d callbacks held and %d events queued for 500 probe rounds not yet due, want 0 and 500", held, due)
+	net.OnRTT = func(*Node, NodeID, time.Duration) { t.Error("probe of a departed node completed") }
+	a.ProbeN([]NodeID{gone}, 1000, time.Millisecond)
+	if due := net.Scheduler().Len(); due != 1000 {
+		t.Fatalf("%d events queued for 1000 probe rounds not yet due, want 1000", due)
 	}
 	if err := net.Run(); err != nil {
 		t.Fatal(err)
@@ -529,73 +531,98 @@ func TestProbeOfDepartedNodeLeavesNothing(t *testing.T) {
 	}
 	// The same from the other side: a departed prober sends nothing.
 	net.RemoveNode(a.ID())
-	a.Probe(c.ID(), never)
-	if got := net.Stats(); got.Dropped != 1001 || got.Messages[wire.CmdPing] != 0 {
+	a.ProbeN([]NodeID{c.ID()}, 1, 0)
+	if err := net.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := net.Stats(); got.Dropped != 1000 || got.Messages[wire.CmdPing] != 0 {
 		t.Fatalf("departed prober: Dropped %d, %d pings sent", got.Dropped, got.Messages[wire.CmdPing])
 	}
 	// A ping whose target leaves under it dies at the empty slot.
 	d := net.AddNode(c.Location())
-	c.Probe(d.ID(), never)
-	if held := net.heldCallbacks(); held != 1 {
-		t.Fatalf("%d callbacks held with one ping in flight, want 1", held)
+	c.ProbeN([]NodeID{d.ID()}, 1, 0)
+	if _, err := net.Scheduler().RunN(1); err != nil {
+		t.Fatal(err)
 	}
 	net.RemoveNode(d.ID())
 	if err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := net.Stats(); got.Dropped != 1002 || got.Messages[wire.CmdPing] != 1 || got.Messages[wire.CmdPong] != 0 {
+	if got := net.Stats(); got.Dropped != 1001 || got.Messages[wire.CmdPing] != 1 || got.Messages[wire.CmdPong] != 0 {
 		t.Fatalf("ping to a leaving node: Dropped %d, %d pings, %d pongs", got.Dropped, got.Messages[wire.CmdPing], got.Messages[wire.CmdPong])
 	}
-	if held := net.heldCallbacks(); held != 0 {
-		t.Fatalf("%d callbacks held with nothing in flight", held)
+	if _, ok := c.Estimator(d.ID()); ok {
+		t.Fatal("an estimator for a target that left under its ping")
 	}
+}
+
+// pongTableBytes is what the network's pong table adds to
+// NodeFootprintBytes: its lists, empty or not, keep their capacity while
+// few wait (pongTable).
+func (n *Network) pongTableBytes() int {
+	total := uintptr(cap(n.pongs.bySlot)) * unsafe.Sizeof(int32(0))
+	for _, list := range n.pongs.lists {
+		total += uintptr(cap(list)) * unsafe.Sizeof(pongTicket{})
+	}
+	return int(total)
 }
 
 // TestLostProbesLeaveNothing: whatever becomes of a probe — its ping or its
 // pong lost on the way (Config.LossProb), its target or its prober gone by
-// the time a leg lands — the network ends up holding no callback, the nodes
-// are no larger for the probes that passed through them, and a callback runs
-// exactly once if its pong arrived and never otherwise.
+// the time a leg lands — the network ends up holding no pong ticket, the
+// nodes are no larger for the probes that passed through them, and OnRTT
+// fires exactly once for each pong that lands and never otherwise.
 func TestLostProbesLeaveNothing(t *testing.T) {
 	net, nodes := testNetwork(t, 6, func(c *Config) { c.LossProb = 0.2 })
 	stable, target, prober := nodes[:4], nodes[4], nodes[5]
-	var calls []int
-	probe := func(from *Node, to NodeID) {
-		i := len(calls)
-		calls = append(calls, 0)
-		from.Probe(to, func(time.Duration) { calls[i]++ })
+	fired := map[[2]NodeID]int{}
+	net.OnRTT = func(p *Node, to NodeID, _ time.Duration) { fired[[2]NodeID{p.ID(), to}]++ }
+	ids := func(nds []*Node, except *Node) []NodeID {
+		var out []NodeID
+		for _, nd := range nds {
+			if nd != except {
+				out = append(out, nd.ID())
+			}
+		}
+		return out
 	}
 	// round sends per probes along every ordered pair of stable nodes.
 	round := func(per int) {
 		for _, from := range stable {
-			for _, to := range stable {
-				for i := 0; from != to && i < per; i++ {
-					probe(from, to.ID())
-				}
-			}
+			from.ProbeN(ids(stable, from), per, time.Millisecond)
 		}
 	}
-	run := func() {
+	// run drains the queue and reads every estimator, which folds in every
+	// pong ticket: the nodes' state is then what the probes left.
+	run := func() int {
 		t.Helper()
 		if err := net.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if held := net.heldCallbacks(); held != 0 {
-			t.Fatalf("%d callbacks held with nothing in flight", held)
+		for _, nd := range nodes {
+			nd.Estimator(0)
 		}
+		for slot, li := range net.pongs.bySlot {
+			if li != 0 {
+				t.Fatalf("prober in slot %d holds %d pong tickets with nothing in flight", slot, len(net.pongs.of(int32(slot))))
+			}
+		}
+		return net.NodeFootprintBytes() - net.pongTableBytes()
 	}
 	// Enough that every pair has its estimator before the footprint is read.
 	round(20)
-	run()
-	footprint := net.NodeFootprintBytes() - int(2*unsafe.Sizeof(Node{}))
+	footprint := run() - int(2*unsafe.Sizeof(Node{}))
 
 	round(830) // 12 pairs: 9,960 probes
-	for i := 0; i < 20; i++ {
-		probe(stable[i%4], target.ID())
-		probe(prober, stable[i%4].ID())
+	for _, from := range stable {
+		from.ProbeN([]NodeID{target.ID()}, 20, 50*time.Millisecond)
 	}
+	prober.ProbeN(ids(stable, nil), 20, 50*time.Millisecond)
 	// The target leaves under the pings to it; the prober leaves with some
-	// of its pings landed and their pongs on the way back.
+	// of its pongs landed, some on the way back and some rounds unsent.
+	if err := net.RunUntil(context.Background(), net.Now()+sim.Time(time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
 	net.RemoveNode(target.ID())
 	for net.Stats().Messages[wire.CmdPong] < 4000 {
 		if _, err := net.Scheduler().RunN(1); err != nil {
@@ -603,34 +630,31 @@ func TestLostProbesLeaveNothing(t *testing.T) {
 		}
 	}
 	net.RemoveNode(prober.ID())
-	if held := net.heldCallbacks(); held == 0 {
-		t.Fatal("no callback held with thousands of probes in flight")
-	}
-	run()
-
-	if got := net.NodeFootprintBytes(); got != footprint {
+	if got := run(); got != footprint {
 		t.Fatalf("NodeFootprintBytes %d after 10,000 probes, was %d", got, footprint)
 	}
-	arrived := 0
+	arrived, calls := 0, 0
 	for _, nd := range nodes {
 		for _, e := range nd.ests {
+			if n := fired[[2]NodeID{nd.ID(), e.target}]; n != e.est.Samples() {
+				t.Fatalf("OnRTT fired %d times for %d probing %d, which measured %d round trips", n, nd.ID(), e.target, e.est.Samples())
+			}
 			arrived += e.est.Samples()
 		}
 	}
-	fired := 0
-	for i, c := range calls {
-		if c > 1 {
-			t.Fatalf("probe %d completed %d times", i, c)
-		}
-		fired += c
+	for _, n := range fired {
+		calls += n
 	}
 	st := net.Stats()
-	if fired != arrived || uint64(fired) >= st.Messages[wire.CmdPong] || st.Lost == 0 || st.Dropped == 0 {
-		t.Fatalf("%d callbacks fired for %d round trips measured (%d pongs sent, %d messages lost, %d dropped)",
-			fired, arrived, st.Messages[wire.CmdPong], st.Lost, st.Dropped)
+	if calls != arrived || uint64(calls) >= st.Messages[wire.CmdPong] || st.Lost == 0 || st.Dropped == 0 {
+		t.Fatalf("OnRTT fired %d times for %d round trips measured (%d pongs sent, %d messages lost, %d dropped)",
+			calls, arrived, st.Messages[wire.CmdPong], st.Lost, st.Dropped)
 	}
 	if _, ok := stable[0].Estimator(target.ID()); ok {
 		t.Fatal("an estimator for the target that left under its pings")
+	}
+	if fired[[2]NodeID{prober.ID(), stable[0].ID()}] == 0 {
+		t.Fatal("the prober left before any of its pongs landed")
 	}
 }
 
@@ -703,7 +727,7 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	// Snapshot subtraction.
 	prev := st
-	nodes[0].Probe(nodes[1].ID(), nil)
+	nodes[0].ProbeN([]NodeID{nodes[1].ID()}, 1, 0)
 	if err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -1050,43 +1074,6 @@ func TestBlockRelayRejectsBadPoW(t *testing.T) {
 	}
 }
 
-func TestKeepaliveFeedsEstimators(t *testing.T) {
-	net, nodes := testNetwork(t, 4, func(c *Config) { c.PingInterval = 10 * time.Second })
-	connectRing(t, net, nodes)
-	tick := net.StartKeepalive()
-	if tick == nil {
-		t.Fatal("keepalive disabled despite PingInterval")
-	}
-	if err := net.RunUntil(context.Background(), 35*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	tick.Stop()
-	if err := net.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Three rounds of keepalive: estimators should be Ready for peers.
-	for _, nd := range nodes {
-		for _, p := range nd.Peers() {
-			est, ok := nd.Estimator(p)
-			if !ok || !est.Ready() {
-				t.Fatalf("node %d estimator for peer %d not ready after keepalive", nd.ID(), p)
-			}
-		}
-	}
-	msgs, _ := net.Stats().PingTraffic()
-	// 4 nodes x 2 peers x 3 rounds pings + pongs = 48.
-	if msgs != 48 {
-		t.Errorf("ping traffic = %d frames, want 48", msgs)
-	}
-}
-
-func TestKeepaliveDisabled(t *testing.T) {
-	net, _ := testNetwork(t, 2, func(c *Config) { c.PingInterval = 0 })
-	if net.StartKeepalive() != nil {
-		t.Error("keepalive should be nil when disabled")
-	}
-}
-
 // TestResetInventoryNoCrossRunLeakage pins the generation-bump reset:
 // every injection on a reused network must behave as one on a fresh
 // network would, whatever its delays. Any stale first-sight state, holder
@@ -1106,11 +1093,10 @@ func TestResetInventoryNoCrossRunLeakage(t *testing.T) {
 		}
 	}
 	tx := testTx(t, 77)
-	tr := obs.NewTracer(1<<12, 1)
-	net.EnableTrace(tr)
 
 	flood := func(origin *Node) (seen int) {
-		tr.Reset()
+		tr := obs.NewTracer(1<<12, 1)
+		net.EnableTrace(tr)
 		net.OnTxFirstSeen = func(*Node, chain.Hash, sim.Time) { seen++ }
 		defer func() { net.OnTxFirstSeen = nil }()
 		if err := origin.SubmitTx(tx); err != nil {
@@ -1210,10 +1196,12 @@ func TestDeliveryIsOneCacheLine(t *testing.T) {
 	}
 }
 
-// TestCloseResetsInFlightArena: a cleared queue must strand no record.
+// TestCloseResetsInFlightArena: a cleared queue must strand no record, and
+// a closed network keeps no measurement hook.
 func TestCloseResetsInFlightArena(t *testing.T) {
 	net, nodes := testNetwork(t, 3, nil)
 	connectRing(t, net, nodes)
+	net.OnRTT = func(*Node, NodeID, time.Duration) {}
 	key, err := chain.GenerateKey(rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
@@ -1228,6 +1216,9 @@ func TestCloseResetsInFlightArena(t *testing.T) {
 	net.Close()
 	if net.sched.Len() != 0 || len(net.dc.flight) != 0 || len(net.dc.flightMsg) != 0 || len(net.dc.flightFree) != 0 {
 		t.Fatalf("after Close: %d events, %d records, %d messages, %d free", net.sched.Len(), len(net.dc.flight), len(net.dc.flightMsg), len(net.dc.flightFree))
+	}
+	if net.OnRTT != nil {
+		t.Fatal("Close left OnRTT attached")
 	}
 }
 
@@ -1244,7 +1235,7 @@ func TestFreeRecordsAreZero(t *testing.T) {
 	if err := nodes[0].SubmitTx(chain.Coinbase(1, 1000, key.Address())); err != nil {
 		t.Fatal(err)
 	}
-	nodes[1].Probe(nodes[5].ID(), nil)
+	nodes[1].ProbeN([]NodeID{nodes[5].ID()}, 1, 0)
 	if err := net.Run(); err != nil {
 		t.Fatal(err)
 	}

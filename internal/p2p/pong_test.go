@@ -12,16 +12,16 @@ import (
 	"repro/internal/wire"
 )
 
-// Probe twin: one script of ProbeN rounds, callback probes, estimator reads
-// and churn, run three ways — on a network with a tracer attached, where
-// every pong is a record and an event; on the same network untraced, where a
-// pong with no callback waiting is a ticket its prober folds in when read
-// (Node.foldPongs); and on the oracle, ReferenceNetwork, which sends every
-// ping from an event of its own and looks everything up by ID. At every
-// checkpoint the clock, the traffic counters with Dropped and Lost, the
-// callbacks fired and every estimator's samples, RTT, deviation and minimum,
-// departed nodes' included, must agree, and so must what reader events saw
-// in the middle of a run.
+// Probe twin: one script of ProbeN rounds, estimator reads and churn, run
+// three ways — on a network with a tracer attached, where every pong is a
+// record and an event; on the same network untraced, where every pong is a
+// ticket its prober folds in when read (Node.foldPongs); and on the oracle,
+// ReferenceNetwork, which sends every ping from an event of its own and
+// looks everything up by ID. At every checkpoint the clock, the traffic
+// counters with Dropped and Lost, the round trips the estimators took in
+// (Network.OnRTT; the oracle's probe callbacks) and every estimator's
+// samples, RTT, deviation and minimum, departed nodes' included, must
+// agree, and so must what reader events saw in the middle of a run.
 
 // estRead is one estimator as a reader saw it: ok false for none.
 type estRead struct {
@@ -37,7 +37,8 @@ type probeNet interface {
 	add() NodeID
 	remove(id NodeID)
 	probeN(a NodeID, targets []NodeID)
-	probe(a, b NodeID, done func(time.Duration))
+	// onRTT has f called with every round trip a prober's estimator takes in.
+	onRTT(f func(a, b NodeID, rtt time.Duration))
 	est(a, b NodeID) estRead
 	live(id NodeID) bool
 }
@@ -79,10 +80,8 @@ func (f *flatProbeNet) probeN(a NodeID, targets []NodeID) {
 	}
 }
 
-func (f *flatProbeNet) probe(a, b NodeID, done func(time.Duration)) {
-	if nd, ok := f.net.Node(a); ok {
-		nd.Probe(b, done)
-	}
+func (f *flatProbeNet) onRTT(fn func(a, b NodeID, rtt time.Duration)) {
+	f.net.OnRTT = func(p *Node, b NodeID, rtt time.Duration) { fn(p.ID(), b, rtt) }
 }
 
 func (f *flatProbeNet) est(a, b NodeID) estRead {
@@ -96,6 +95,7 @@ func (f *flatProbeNet) est(a, b NodeID) estRead {
 type refProbeNet struct {
 	net   *ReferenceNetwork
 	nodes map[NodeID]*ReferenceNode
+	rtt   func(a, b NodeID, rtt time.Duration)
 }
 
 func (r *refProbeNet) sched() *sim.Scheduler { return r.net.sched }
@@ -119,18 +119,14 @@ func (r *refProbeNet) probeN(a NodeID, targets []NodeID) {
 		r.net.sched.After(time.Duration(i)*probeGap, func() {
 			if nd, ok := r.net.Node(a); ok {
 				for _, b := range targets {
-					nd.Probe(b, nil)
+					nd.Probe(b, func(rtt time.Duration) { r.rtt(a, b, rtt) })
 				}
 			}
 		})
 	}
 }
 
-func (r *refProbeNet) probe(a, b NodeID, done func(time.Duration)) {
-	if nd, ok := r.net.Node(a); ok {
-		nd.Probe(b, done)
-	}
-}
+func (r *refProbeNet) onRTT(f func(a, b NodeID, rtt time.Duration)) { r.rtt = f }
 
 func (r *refProbeNet) est(a, b NodeID) estRead {
 	e, ok := r.nodes[a].estimators[b]
@@ -144,7 +140,7 @@ func (r *refProbeNet) est(a, b NodeID) estRead {
 type probeShot struct {
 	now   sim.Time
 	stats Stats
-	calls int
+	rtts  int
 	reads int
 	ests  []estRead // every (prober, target) pair of nodes ever added
 }
@@ -158,13 +154,26 @@ type probeScript struct {
 	// probers are the nodes that started a ProbeN, most recent last: the
 	// ones readers and removals favour.
 	probers []NodeID
-	calls   []time.Duration
-	reads   []estRead
-	shots   []probeShot
+	// rtts holds, per prober, the round trips its estimators took in, in
+	// order, and nRTT counts them.
+	rtts  map[NodeID][]rttTaken
+	nRTT  int
+	reads []estRead
+	shots []probeShot
+}
+
+// rttTaken is one round trip an estimator took in.
+type rttTaken struct {
+	target NodeID
+	rtt    time.Duration
 }
 
 func newProbeScript(t *testing.T, net probeNet, n int) *probeScript {
-	s := &probeScript{t: t, net: net, r: rand.New(rand.NewSource(5))}
+	s := &probeScript{t: t, net: net, r: rand.New(rand.NewSource(5)), rtts: map[NodeID][]rttTaken{}}
+	net.onRTT(func(a, b NodeID, rtt time.Duration) {
+		s.rtts[a] = append(s.rtts[a], rttTaken{b, rtt})
+		s.nRTT++
+	})
 	for i := 0; i < n; i++ {
 		s.ids = append(s.ids, net.add())
 	}
@@ -229,21 +238,23 @@ func (s *probeScript) drain() {
 	s.shoot()
 }
 
+// shoot reads every estimator before it counts the round trips taken in:
+// untraced, the read is what folds the landed pongs in.
 func (s *probeScript) shoot() {
-	shot := probeShot{now: s.net.sched().Now(), stats: s.net.stats(), calls: len(s.calls), reads: len(s.reads)}
+	shot := probeShot{now: s.net.sched().Now(), stats: s.net.stats(), reads: len(s.reads)}
 	for _, a := range s.ids {
 		for _, b := range s.ids {
 			shot.ests = append(shot.ests, s.net.est(a, b))
 		}
 	}
+	shot.rtts = s.nRTT
 	s.shots = append(s.shots, shot)
 }
 
 // churnProbes is the twin's script: probers with rounds and pongs in flight
 // leave, some of their pongs landed unread and some still on their way,
-// targets leave under their pings, joiners take the freed slots,
-// callback probes share probers with ProbeNs, and readers look at the
-// estimators from inside the run.
+// targets leave under their pings, joiners take the freed slots, and
+// readers look at the estimators from inside the run.
 func churnProbes(s *probeScript) {
 	for step := 0; step < 400; step++ {
 		a := s.pickLive()
@@ -253,14 +264,9 @@ func churnProbes(s *probeScript) {
 			}
 		}
 		switch op := s.r.Intn(10); {
-		case op < 4:
+		case op < 5:
 			s.net.probeN(a, s.targets(a))
 			s.probers = append(s.probers, a)
-		case op == 4:
-			b := s.pickLive()
-			if b != a {
-				s.net.probe(a, b, func(rtt time.Duration) { s.calls = append(s.calls, rtt) })
-			}
 		case op == 5 || op == 6:
 			s.read(a, time.Duration(s.r.Intn(80_000))*time.Microsecond)
 		case op == 7:
@@ -318,8 +324,8 @@ func requireProbeTwin(t *testing.T, cfg Config, n int, script func(*probeScript)
 				t.Fatalf("checkpoint %d: clock %v traced, %v %s", k, a.now, b.now, name)
 			case a.stats != b.stats:
 				t.Fatalf("checkpoint %d: stats\ntraced %+v\n%s %+v", k, a.stats, name, b.stats)
-			case a.calls != b.calls || a.reads != b.reads:
-				t.Fatalf("checkpoint %d: %d callbacks and %d reads traced, %d and %d %s", k, a.calls, a.reads, b.calls, b.reads, name)
+			case a.rtts != b.rtts || a.reads != b.reads:
+				t.Fatalf("checkpoint %d: %d round trips taken in and %d reads traced, %d and %d %s", k, a.rtts, a.reads, b.rtts, b.reads, name)
 			case !reflect.DeepEqual(a.ests, b.ests):
 				for j := range a.ests {
 					if a.ests[j] != b.ests[j] {
@@ -328,8 +334,8 @@ func requireProbeTwin(t *testing.T, cfg Config, n int, script func(*probeScript)
 				}
 			}
 		}
-		if !reflect.DeepEqual(want.calls, s.calls) {
-			t.Fatalf("callback RTTs differ traced and %s", name)
+		if !reflect.DeepEqual(want.rtts, s.rtts) {
+			t.Fatalf("round trips taken in differ traced and %s", name)
 		}
 		for j := range want.reads {
 			if want.reads[j] != s.reads[j] {
@@ -357,9 +363,9 @@ func TestPongTicketsMatchTracedProbes(t *testing.T) {
 				seen++
 			}
 		}
-		if st.Dropped == 0 || (loss > 0) != (st.Lost > 0) || untraced.folded < 5 || untraced.redeemed < 5 || len(s.calls) == 0 || seen < 100 {
-			t.Errorf("loss %g: %d dropped, %d lost, %d tickets folded and %d redeemed at removal, %d callbacks, %d reads with an estimator: the script did not exercise what it is for",
-				loss, st.Dropped, st.Lost, untraced.folded, untraced.redeemed, len(s.calls), seen)
+		if st.Dropped == 0 || (loss > 0) != (st.Lost > 0) || untraced.folded < 5 || untraced.redeemed < 5 || s.nRTT == 0 || seen < 100 {
+			t.Errorf("loss %g: %d dropped, %d lost, %d tickets folded and %d redeemed at removal, %d round trips taken in, %d reads with an estimator: the script did not exercise what it is for",
+				loss, st.Dropped, st.Lost, untraced.folded, untraced.redeemed, s.nRTT, seen)
 		}
 	}
 }
@@ -371,7 +377,7 @@ func TestPongTicketsMatchTracedProbes(t *testing.T) {
 // (traced) and a ticket (untraced) alike.
 func TestPongTicketExactTie(t *testing.T) {
 	setup := func(traced bool) (*Network, *Node, *Node) {
-		net, nodes := testNetwork(t, 2, func(c *Config) { c.PingInterval = 0 })
+		net, nodes := testNetwork(t, 2, nil)
 		if traced {
 			net.EnableTrace(obs.NewTracer(1<<8, 1))
 		}

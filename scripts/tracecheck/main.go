@@ -3,8 +3,9 @@
 // trace_event JSON must parse and carry the shape Perfetto needs (names,
 // categories, phase markers, microsecond timestamps), and every event must
 // be of a kind the export names — message kinds ("send/inv"), measurement
-// kinds ("first-seen", "inject") and the protocol kinds ("rtt",
-// "join-decision", "cluster-assign"), never a reserved value.
+// kinds ("first-seen", "inject"), the connection kinds ("connect",
+// "disconnect") and the protocol kinds ("rtt", "join-decision",
+// "cluster-assign"), never a reserved value.
 // scripts/tracesmoke.sh runs it in CI so a malformed export can never ship
 // silently — a trace nobody can open is worse than no trace. Neither can a
 // partial one: an export whose ring overwrote events fails, in the words

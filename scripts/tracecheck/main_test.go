@@ -61,8 +61,9 @@ func TestCheckFailsOnDrops(t *testing.T) {
 }
 
 // TestCheckProtocolKinds passes a trace of the protocol kinds — a round-trip
-// sample, a join decision, a cluster assignment — under their names and
-// category, and fails one holding a reserved kind the export cannot name.
+// sample, a join decision, a cluster assignment — and of the connection
+// kinds under their names and categories, and fails one holding a reserved
+// kind the export cannot name.
 func TestCheckProtocolKinds(t *testing.T) {
 	export := func(kinds ...obs.Kind) string {
 		tr := obs.NewTracer(16, 1)
@@ -93,11 +94,11 @@ func TestCheckProtocolKinds(t *testing.T) {
 		}
 		return path
 	}
-	summary, err := check(export(obs.KindRTT, obs.KindJoinDecision, obs.KindClusterAssign))
+	summary, err := check(export(obs.KindRTT, obs.KindJoinDecision, obs.KindClusterAssign, obs.KindConnect, obs.KindDisconnect))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "5 events (measure=1 p2p=1 protocol=3), 0 dropped"; !strings.Contains(summary, want) {
+	if want := "7 events (measure=1 p2p=3 protocol=3), 0 dropped"; !strings.Contains(summary, want) {
 		t.Errorf("summary %q, want it to say %q", summary, want)
 	}
 	if _, err := check(export(obs.Kind(9))); err == nil || !strings.Contains(err.Error(), "does not name") {
