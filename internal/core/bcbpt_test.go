@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/topology"
 )
@@ -339,42 +340,43 @@ func TestChurnedJoinerDoesNotCorruptRegistry(t *testing.T) {
 	}
 }
 
-func TestMaintenanceMigratesMisplacedNode(t *testing.T) {
-	// Build a world, then force a node into a far-away cluster and check
-	// maintenance pulls it back toward a latency-closer one.
-	net, proto, ids := buildWorld(t, 80, 11, nil)
+func TestChurnKeepsRegistryConsistent(t *testing.T) {
+	net, proto, ids := buildWorld(t, 50, 42, nil)
 	bootstrap(t, net, proto, ids)
 	net.OnDisconnect = proto.OnDisconnect
 
-	// Find two clusters with at least 3 members each.
-	var big []ClusterID
-	for c, members := range proto.Clusters() {
-		if len(members) >= 3 {
-			big = append(big, c)
+	// Interleave leaves and joins.
+	placer := geo.DefaultPlacer()
+	r := net.Streams().Stream("churn-test")
+	for i := 0; i < 10; i++ {
+		live := net.NodeIDs()
+		victim := live[r.Intn(len(live))]
+		proto.OnLeave(victim)
+		net.RemoveNode(victim)
+		nd := net.AddNode(placer.Place(r))
+		proto.OnJoin(nd.ID())
+		if err := net.RunUntil(context.Background(), net.Now()+5*time.Second); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(big) < 2 {
-		t.Skip("world did not produce two big clusters")
-	}
-	// Pick a member of big[0] and graft it into big[1]'s registry (a
-	// "misplacement" as could arise from stale measurements).
-	victim := proto.Clusters()[big[0]][0]
-	proto.assign(victim, big[1])
-
-	tick := proto.StartMaintenance(50 * time.Millisecond)
-	defer tick.Stop()
-	if err := net.RunUntil(context.Background(), net.Now()+5*time.Minute); err != nil {
+	if err := net.RunUntil(context.Background(), net.Now()+10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := proto.ClusterOf(victim)
-	if !ok {
-		t.Fatal("victim lost its cluster")
+	// Registry only references live nodes.
+	for c, members := range proto.Clusters() {
+		for _, id := range members {
+			if _, ok := net.Node(id); !ok {
+				t.Fatalf("cluster %d references dead node %d", c, id)
+			}
+		}
 	}
-	if got == big[1] {
-		// Maintenance may legitimately keep it if big[1] happens to be
-		// close too; require at least that migrations occur in general.
-		if proto.Stats().Migrations == 0 {
-			t.Error("no migrations at all during maintenance")
+	// All live nodes clustered (joins settle within the run windows).
+	for _, id := range net.NodeIDs() {
+		if _, ok := proto.ClusterOf(id); !ok {
+			if proto.joining[id] {
+				continue // a join may still legitimately be in flight
+			}
+			t.Errorf("live node %d neither clustered nor joining", id)
 		}
 	}
 }
@@ -410,6 +412,96 @@ func TestRejectedJoinFallsBack(t *testing.T) {
 	}
 	if got := len(proto.Clusters()); got != len(ids) {
 		t.Errorf("clusters = %d, want %d singletons", got, len(ids))
+	}
+}
+
+func TestSingleProbeStillClusters(t *testing.T) {
+	// ProbeCount below the estimator's convergence floor must degrade to
+	// noisy decisions, not disable clustering entirely.
+	net, proto, ids := buildWorld(t, 60, 43, func(c *Config) {
+		c.ProbeCount = 1
+	})
+	bootstrap(t, net, proto, ids)
+	if proto.NumClustered() != len(ids) {
+		t.Fatalf("clustered %d of %d with single probes", proto.NumClustered(), len(ids))
+	}
+	// With world-spanning placement, some multi-member clusters must
+	// still form in dense regions.
+	multi := 0
+	for _, members := range proto.Clusters() {
+		if len(members) > 1 {
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Error("single-probe clustering produced only singletons")
+	}
+}
+
+// TestTraceRecordsProtocolKinds pins BCBPT's protocol trace over a
+// bootstrap and a few churn arrivals: a node enters exactly one cluster
+// and stays in it for its session, each cluster's assignments count its
+// size up from 1, and a joiner's threshold test is recorded at most once,
+// as a join exactly when its closest candidate is within dt.
+func TestTraceRecordsProtocolKinds(t *testing.T) {
+	net, proto, ids := buildWorld(t, 60, 44, nil)
+	tr := obs.NewTracer(0, 1)
+	net.EnableTrace(tr)
+	bootstrap(t, net, proto, ids)
+	placer := geo.DefaultPlacer()
+	r := net.Streams().Stream("trace-test")
+	for i := 0; i < 5; i++ {
+		nd := net.AddNode(placer.Place(r))
+		ids = append(ids, nd.ID())
+		proto.OnJoin(nd.ID())
+	}
+	if err := net.RunUntil(context.Background(), net.Now()+10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Dropped() != 0 {
+		t.Fatalf("ring overwrote %d events", tr.Dropped())
+	}
+
+	assigned := make(map[p2p.NodeID]ClusterID)
+	size := make(map[ClusterID]uint64)
+	decided := make(map[p2p.NodeID]bool)
+	joins := 0
+	for _, ev := range tr.Events() {
+		id := p2p.NodeID(ev.P1)
+		switch ev.Kind {
+		case obs.KindClusterAssign:
+			if c, dup := assigned[id]; dup {
+				t.Errorf("node %d assigned to cluster %d, then to %d", id, c, ev.P2)
+			}
+			c := ClusterID(ev.P2)
+			assigned[id] = c
+			size[c]++
+			if ev.P3 != size[c] {
+				t.Errorf("node %d entered cluster %d as member %d, want %d", id, c, ev.P3, size[c])
+			}
+		case obs.KindJoinDecision:
+			if decided[id] {
+				t.Errorf("node %d decided twice", id)
+			}
+			decided[id] = true
+			within := ev.P3 > 0 && time.Duration(ev.P3) < proto.Config().Threshold
+			if join := ev.Code == obs.JoinCluster; join != within {
+				t.Errorf("node %d: join = %v with closest RTT %v", id, join, time.Duration(ev.P3))
+			} else if join {
+				joins++
+			}
+		}
+	}
+	if len(assigned) != len(ids) {
+		t.Errorf("%d assignments recorded for %d nodes", len(assigned), len(ids))
+	}
+	for _, id := range ids {
+		if c, ok := proto.ClusterOf(id); !ok || assigned[id] != c {
+			t.Errorf("node %d: traced cluster %d, registry (%d, %v)", id, assigned[id], c, ok)
+		}
+	}
+	if joins == 0 {
+		t.Error("no joiner asked to join a cluster")
 	}
 }
 

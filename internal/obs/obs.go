@@ -67,9 +67,9 @@ const (
 	// for none); Code is JoinCluster when the joiner asks to join the
 	// candidate's cluster and FoundCluster when it founds its own.
 	KindJoinDecision
-	// KindClusterAssign is a node entering a BCBPT cluster, by a join, a
-	// founding or a migration. P1 is the node ID, P2 the cluster ID, P3 the
-	// cluster's size with the node in it.
+	// KindClusterAssign is a node entering a BCBPT cluster, by a join or a
+	// founding. P1 is the node ID, P2 the cluster ID, P3 the cluster's size
+	// with the node in it.
 	KindClusterAssign
 	// KindConnect is a connection coming up. P1 is the initiator's node ID,
 	// P2 the other end's.

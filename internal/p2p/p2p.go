@@ -336,9 +336,6 @@ func (n *Network) Trace() *obs.Shard { return n.dc.trace }
 // the tracer itself.
 func (n *Network) DisableTrace() { n.dc.trace = nil }
 
-// ResetStats zeroes the message counters (used between measurement runs).
-func (n *Network) ResetStats() { n.dc.stats = Stats{} }
-
 // Now returns the current virtual time.
 func (n *Network) Now() sim.Time { return n.sched.Now() }
 

@@ -17,7 +17,7 @@ import (
 func floodOnce(t *testing.T, net *Network, nodes []*Node, seed int64) ([]sim.Time, Stats) {
 	t.Helper()
 	net.ResetInventory()
-	net.ResetStats()
+	before := net.Stats()
 	seen := make([]sim.Time, len(nodes))
 	net.OnTxFirstSeen = func(nd *Node, _ chain.Hash, at sim.Time) {
 		seen[int(nd.ID()-nodes[0].ID())] = at
@@ -34,7 +34,7 @@ func floodOnce(t *testing.T, net *Network, nodes []*Node, seed int64) ([]sim.Tim
 		t.Fatal(err)
 	}
 	net.OnTxFirstSeen = nil
-	return seen, net.Stats()
+	return seen, net.Stats().Sub(before)
 }
 
 // TestTraceObservesWithoutPerturbing is the core telemetry contract at

@@ -200,45 +200,6 @@ func TestRunN(t *testing.T) {
 	}
 }
 
-func TestTicker(t *testing.T) {
-	s := NewScheduler()
-	var fires []Time
-	tk := s.NewTicker(10*time.Millisecond, func() {
-		fires = append(fires, s.Now())
-	})
-	s.At(35*time.Millisecond, func() { tk.Stop() })
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	want := []Time{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
-	if len(fires) != len(want) {
-		t.Fatalf("fires = %v, want %v", fires, want)
-	}
-	for i := range want {
-		if fires[i] != want[i] {
-			t.Fatalf("fires = %v, want %v", fires, want)
-		}
-	}
-}
-
-func TestTickerStopFromOwnCallback(t *testing.T) {
-	s := NewScheduler()
-	count := 0
-	var tk *Ticker
-	tk = s.NewTicker(time.Millisecond, func() {
-		count++
-		if count == 2 {
-			tk.Stop()
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if count != 2 {
-		t.Errorf("ticker fired %d times after self-stop, want 2", count)
-	}
-}
-
 func TestStreamsDeterministicAndIndependent(t *testing.T) {
 	a := NewStreams(42)
 	b := NewStreams(42)

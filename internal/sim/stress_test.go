@@ -117,43 +117,6 @@ func TestPropertyRunUntilSplit(t *testing.T) {
 	}
 }
 
-// TestTickerSurvivesHeavyLoad runs a ticker among thousands of competing
-// events and checks exact periodicity.
-func TestTickerSurvivesHeavyLoad(t *testing.T) {
-	s := NewScheduler()
-	var ticks []Time
-	tk := s.NewTicker(100*time.Microsecond, func() { ticks = append(ticks, s.Now()) })
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 5000; i++ {
-		s.After(time.Duration(r.Intn(1000))*time.Microsecond, func() {})
-	}
-	if err := s.RunUntil(time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	tk.Stop()
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ticks) != 10 {
-		t.Fatalf("ticks = %d, want 10", len(ticks))
-	}
-	for i, at := range ticks {
-		want := Time(i+1) * 100 * time.Microsecond
-		if at != want {
-			t.Fatalf("tick %d at %v, want %v", i, at, want)
-		}
-	}
-}
-
-func TestNewTickerPanicsOnZeroPeriod(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero-period ticker did not panic")
-		}
-	}()
-	NewScheduler().NewTicker(0, func() {})
-}
-
 func TestScheduleNilPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
