@@ -9,7 +9,8 @@
 //     indication of topologic distance", §IV.B);
 //  2. measures the round-trip ping latency to each candidate repeatedly
 //     ("multiple messages between pairs of nodes ... to determine
-//     variance", §IV.A), feeding an RTT estimator per candidate;
+//     variance", §IV.A), feeding an RTT estimator per candidate that the
+//     join keeps until it decides;
 //  3. if the best measured distance is below the threshold dt (eq. 1:
 //     D(i,j) < Dth), sends a JOIN to that closest node K and receives the
 //     membership list of K's cluster (CLUSTER message), then peers with
@@ -41,6 +42,7 @@ import (
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/latency"
 	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/sim"
@@ -156,6 +158,8 @@ type BCBPT struct {
 	nextID    ClusterID
 
 	joining map[p2p.NodeID]bool
+	// probes holds the measurements of the joins that have not decided.
+	probes joinProbes
 
 	// perm is handleJoin's scratch for the permutation it samples a large
 	// cluster's members by.
@@ -181,7 +185,7 @@ func New(net *p2p.Network, seed *topology.DNSSeed, cfg Config) (*BCBPT, error) {
 			intra = 1
 		}
 	}
-	return &BCBPT{
+	b := &BCBPT{
 		net:       net,
 		seed:      seed,
 		cfg:       cfg,
@@ -190,7 +194,15 @@ func New(net *p2p.Network, seed *topology.DNSSeed, cfg Config) (*BCBPT, error) {
 		clusterOf: make(map[p2p.NodeID]ClusterID),
 		members:   make(map[ClusterID][]p2p.NodeID),
 		joining:   make(map[p2p.NodeID]bool),
-	}, nil
+	}
+	prev := net.OnRTT
+	net.OnRTT = func(prober *p2p.Node, target p2p.NodeID, rtt time.Duration) {
+		if prev != nil {
+			prev(prober, target, rtt)
+		}
+		b.probes.observe(prober, target, rtt)
+	}
+	return b, nil
 }
 
 // Name implements topology.Protocol.
@@ -324,6 +336,9 @@ func (b *BCBPT) OnLeave(id p2p.NodeID) {
 	b.seed.Remove(id)
 	b.unassign(id)
 	delete(b.joining, id)
+	if node, ok := b.net.Node(id); ok {
+		b.probes.release(node.Slot(), id)
+	}
 }
 
 // OnDisconnect implements topology.Protocol: survivors refill their
@@ -392,19 +407,24 @@ func (b *BCBPT) startJoin(id p2p.NodeID) {
 	}
 	b.joining[id] = true
 
-	cands := b.clusteredPrefix(b.recommend(id, node.Location()))
-	if len(cands) == 0 {
+	slot := node.Slot()
+	j := b.probes.open(slot, id)
+	j.cands = b.clusteredPrefix(j.cands[:0], b.recommend(id, node.Location()))
+	if len(j.cands) == 0 {
 		// First node (or empty world): found the first cluster.
+		b.probes.release(slot, id)
 		b.finishJoin(id, 0, nil)
 		return
 	}
-	b.stats.Probes += uint64(len(cands) * b.cfg.ProbeCount)
-	node.ProbeN(cands, b.cfg.ProbeCount, b.cfg.ProbeGap)
+	j.ests = slices.Grow(j.ests[:0], len(j.cands))[:len(j.cands)]
+	clear(j.ests)
+	b.stats.Probes += uint64(len(j.cands) * b.cfg.ProbeCount)
+	node.ProbeN(j.cands, b.cfg.ProbeCount, b.cfg.ProbeGap)
 	// Decide once the probing schedule plus slack has elapsed; replies
 	// that miss the deadline are treated as losses, like a real timeout.
 	deadline := time.Duration(b.cfg.ProbeCount)*b.cfg.ProbeGap + b.cfg.DecisionSlack
 	b.net.Scheduler().After(deadline, func() {
-		b.decide(id, cands)
+		b.decide(id, slot)
 	})
 }
 
@@ -421,10 +441,9 @@ func (b *BCBPT) recommend(id p2p.NodeID, loc geo.Location) []p2p.NodeID {
 // probing.
 func (b *BCBPT) rankLen() int { return 4 * b.cfg.Candidates }
 
-// clusteredPrefix returns the first Candidates clustered nodes of a DNS
-// recommendation, keeping its nearest-first order.
-func (b *BCBPT) clusteredPrefix(ranked []p2p.NodeID) []p2p.NodeID {
-	out := make([]p2p.NodeID, 0, b.cfg.Candidates)
+// clusteredPrefix appends to out the first Candidates clustered nodes of a
+// DNS recommendation, keeping its nearest-first order.
+func (b *BCBPT) clusteredPrefix(out, ranked []p2p.NodeID) []p2p.NodeID {
 	for _, r := range ranked {
 		if _, clustered := b.clusterOf[r]; !clustered {
 			continue
@@ -438,10 +457,13 @@ func (b *BCBPT) clusteredPrefix(ranked []p2p.NodeID) []p2p.NodeID {
 }
 
 // decide picks the closest measured candidate and either JOINs its
-// cluster or founds a new one (eq. 1 threshold test).
-func (b *BCBPT) decide(id p2p.NodeID, cands []p2p.NodeID) {
+// cluster or founds a new one (eq. 1 threshold test), from the join's
+// estimators, which it releases: nothing measured outlives the decision.
+func (b *BCBPT) decide(id p2p.NodeID, slot int) {
+	j := b.probes.of(slot, id)
+	defer b.probes.release(slot, id)
 	node, ok := b.net.Node(id)
-	if !ok {
+	if !ok || j == nil {
 		delete(b.joining, id)
 		return
 	}
@@ -449,6 +471,7 @@ func (b *BCBPT) decide(id p2p.NodeID, cands []p2p.NodeID) {
 		delete(b.joining, id)
 		return
 	}
+	node.FoldPongs()
 	// Prefer converged estimators (>= 3 samples); if the probe budget is
 	// too small for any to converge, fall back to whatever was measured —
 	// a noisy decision is the protocol's behaviour at low probe budgets,
@@ -459,9 +482,9 @@ func (b *BCBPT) decide(id p2p.NodeID, cands []p2p.NodeID) {
 	var best, anyBest p2p.NodeID
 	bestRTT := time.Duration(1<<62 - 1)
 	anyRTT := bestRTT
-	for _, c := range cands {
-		est, ok := node.Estimator(c)
-		if !ok || est.Samples() == 0 {
+	for k, c := range j.cands {
+		est := &j.ests[k]
+		if est.Samples() == 0 {
 			continue
 		}
 		rtt := est.Min()
@@ -523,6 +546,88 @@ func (b *BCBPT) finishJoin(id p2p.NodeID, cluster ClusterID, members []p2p.NodeI
 		b.assign(id, cluster)
 	}
 	b.fillWith(id, members)
+}
+
+// joinProbes holds the measurements of the joins that have not decided
+// (§IV.A): per joiner, its candidates in clusteredPrefix order and one RTT
+// estimator each, fed by Network.OnRTT. bySlot[s]-1 indexes joins for the
+// joiner in node slot s, zero for none, and the entry names the joiner by
+// ID, so a round trip or a decision of a node that has left, its slot since
+// taken, finds nothing of the newcomer's. An entry is released when its
+// join decides or its node leaves, and waits on free, buffers and all, for
+// the next joiner; once no join is left undecided the entries go too, so
+// a built network keeps no measurement.
+type joinProbes struct {
+	bySlot []int32
+	joins  []joinProbe
+	free   []int32
+}
+
+// joinProbe is one undecided join: est[k] measures cands[k].
+type joinProbe struct {
+	id    p2p.NodeID
+	cands []p2p.NodeID
+	ests  []latency.Estimator
+}
+
+// open gives the joiner id in slot an entry, the one a node that left the
+// slot still held included.
+func (p *joinProbes) open(slot int, id p2p.NodeID) *joinProbe {
+	if slot >= len(p.bySlot) {
+		p.bySlot = append(p.bySlot, make([]int32, slot+1-len(p.bySlot))...)
+	}
+	if p.bySlot[slot] != 0 {
+		p.release(slot, p.joins[p.bySlot[slot]-1].id)
+	}
+	var ji int32
+	if last := len(p.free) - 1; last >= 0 {
+		ji = p.free[last]
+		p.free = p.free[:last]
+	} else {
+		ji = int32(len(p.joins))
+		p.joins = append(p.joins, joinProbe{})
+	}
+	p.bySlot[slot] = ji + 1
+	j := &p.joins[ji]
+	j.id = id
+	return j
+}
+
+// of returns the entry of the joiner id in slot, nil for none.
+func (p *joinProbes) of(slot int, id p2p.NodeID) *joinProbe {
+	if slot >= len(p.bySlot) || p.bySlot[slot] == 0 {
+		return nil
+	}
+	if j := &p.joins[p.bySlot[slot]-1]; j.id == id {
+		return j
+	}
+	return nil
+}
+
+// release ends the entry of the joiner id in slot, if it has one.
+func (p *joinProbes) release(slot int, id p2p.NodeID) {
+	if p.of(slot, id) == nil {
+		return
+	}
+	ji := p.bySlot[slot] - 1
+	p.bySlot[slot] = 0
+	p.joins[ji].id = 0
+	p.free = append(p.free, ji)
+	if len(p.free) == len(p.joins) {
+		p.joins, p.free = nil, nil
+	}
+}
+
+// observe feeds a round trip the prober took in to its join's estimator
+// for target; one that no undecided join asked for is not kept.
+func (p *joinProbes) observe(prober *p2p.Node, target p2p.NodeID, rtt time.Duration) {
+	j := p.of(prober.Slot(), prober.ID())
+	if j == nil {
+		return
+	}
+	if k := slices.Index(j.cands, target); k >= 0 {
+		j.ests[k].Observe(rtt)
+	}
 }
 
 // --- wire message handling (JOIN / CLUSTER) ---

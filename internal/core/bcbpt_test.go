@@ -8,9 +8,11 @@ import (
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/latency"
 	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/topology"
+	"repro/internal/wire"
 )
 
 // buildWorld creates a network of n nodes placed around the world and a
@@ -502,6 +504,91 @@ func TestTraceRecordsProtocolKinds(t *testing.T) {
 	}
 	if joins == 0 {
 		t.Error("no joiner asked to join a cluster")
+	}
+}
+
+// TestDecisionFollowsMeasuredStream pins a joiner's threshold decision to
+// the round trips it measured, read off the trace alone: its candidates
+// are the targets of its pings in the order they left, and the RTT samples
+// it took in before it decided, folded into an estimator per candidate,
+// must give the decision's closest candidate and RTT by decide's rule —
+// the closest ready estimator by minimum RTT, any estimator when none is
+// ready, and a join exactly when that RTT is under dt. With two probes per
+// candidate none is ever ready, which puts the fallback to the test. Once
+// the joins have decided and settled, BCBPT holds no join state.
+func TestDecisionFollowsMeasuredStream(t *testing.T) {
+	for _, probes := range []int{3, 2} {
+		net, proto, ids := buildWorld(t, 60, 45, func(c *Config) { c.ProbeCount = probes })
+		tr := obs.NewTracer(0, 1)
+		net.EnableTrace(tr)
+		bootstrap(t, net, proto, ids)
+		placer := geo.DefaultPlacer()
+		r := net.Streams().Stream("decision-test")
+		for i := 0; i < 5; i++ {
+			nd := net.AddNode(placer.Place(r))
+			proto.OnJoin(nd.ID())
+		}
+		if err := net.RunUntil(context.Background(), net.Now()+10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Dropped() != 0 {
+			t.Fatalf("ring overwrote %d events", tr.Dropped())
+		}
+
+		cands := map[p2p.NodeID][]p2p.NodeID{}
+		ests := map[[2]p2p.NodeID]*latency.Estimator{}
+		decisions, joins, fallbacks := 0, 0, 0
+		for _, ev := range tr.Events() {
+			id := p2p.NodeID(ev.P1)
+			switch {
+			case ev.Kind == obs.KindSend && ev.Code == uint8(wire.CmdPing):
+				if to := p2p.NodeID(ev.P2); !slices.Contains(cands[id], to) {
+					cands[id] = append(cands[id], to)
+				}
+			case ev.Kind == obs.KindRTT:
+				key := [2]p2p.NodeID{id, p2p.NodeID(ev.P2)}
+				if ests[key] == nil {
+					ests[key] = &latency.Estimator{}
+				}
+				ests[key].Observe(time.Duration(ev.P3))
+			case ev.Kind == obs.KindJoinDecision:
+				decisions++
+				var best, anyBest p2p.NodeID
+				var bestRTT, anyRTT time.Duration
+				for _, c := range cands[id] {
+					est := ests[[2]p2p.NodeID{id, c}]
+					if est == nil {
+						continue
+					}
+					if anyBest == 0 || est.Min() < anyRTT {
+						anyBest, anyRTT = c, est.Min()
+					}
+					if est.Ready() && (best == 0 || est.Min() < bestRTT) {
+						best, bestRTT = c, est.Min()
+					}
+				}
+				if best == 0 {
+					best, bestRTT = anyBest, anyRTT
+					fallbacks++
+				}
+				code := obs.FoundCluster
+				if best != 0 && bestRTT < proto.Config().Threshold {
+					code = obs.JoinCluster
+					joins++
+				}
+				if p2p.NodeID(ev.P2) != best || time.Duration(ev.P3) != bestRTT || ev.Code != code {
+					t.Errorf("probes %d: node %d decided (closest %d at %v, code %d); its measurements give (%d at %v, code %d)",
+						probes, id, ev.P2, time.Duration(ev.P3), ev.Code, best, bestRTT, code)
+				}
+			}
+		}
+		if decisions < len(ids)/2 || joins == 0 || joins == decisions || (probes < 3) != (fallbacks == decisions) {
+			t.Errorf("probes %d: %d decisions, %d joins, %d with no ready estimator: the build did not exercise the rule", probes, decisions, joins, fallbacks)
+		}
+		if len(proto.joining) != 0 || len(proto.probes.joins) != 0 || slices.ContainsFunc(proto.probes.bySlot, func(j int32) bool { return j != 0 }) {
+			t.Errorf("probes %d: join state left after every join settled: %d joining, %d entries, slots %v",
+				probes, len(proto.joining), len(proto.probes.joins), proto.probes.bySlot)
+		}
 	}
 }
 

@@ -13,11 +13,11 @@ import (
 
 // TestBCBPTNodeFootprint holds the per-node memory of a BCBPT network at
 // the benchmark's bcbpt_build size — Fig. 3's BCBPT campaign, 3000 nodes —
-// to what the nodes need once built: peer tables and one estimator entry
-// per candidate probed. The up to 48 join-time pings of a node (§IV.A's
-// repeated measurement) are in flight together and used to leave it a
-// 2 KB slice for life, 2,289 B per node in all; a probe's state rides its
-// flight record now and the node reads 1,289 B.
+// to what the nodes need once built: the node itself, its peer table and
+// its inventory arrays, 962 B at seed 1; the budget is that plus 5 %. A
+// node keeps no RTT estimate: §IV.A's measurements are the join's, which
+// drops them when it decides (core's joinProbes), so a node that kept an
+// estimator per candidate probed would break the budget.
 func TestBCBPTNodeFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3000-node build")
@@ -27,8 +27,9 @@ func TestBCBPTNodeFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if perNode := b.Net.NodeFootprintBytes() / b.Net.NumNodes(); perNode > 1500 {
-		t.Fatalf("a node of a 3000-node BCBPT network holds %d B, budget 1,500", perNode)
+	t.Logf("perNode %d, node %d", b.Net.NodeFootprintBytes()/b.Net.NumNodes(), 0)
+	if perNode := b.Net.NodeFootprintBytes() / b.Net.NumNodes(); perNode > 1010 {
+		t.Fatalf("a node of a 3000-node BCBPT network holds %d B, budget 1,010", perNode)
 	}
 }
 

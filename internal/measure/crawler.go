@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/latency"
 	"repro/internal/p2p"
 	"repro/internal/sim"
 )
@@ -46,8 +47,9 @@ type CrawlResult struct {
 // Crawl probes every reachable node `pingsPer` times, spaced by gap, and
 // aggregates the observed round trips. The vantage pings them all in one
 // ProbeN, each round in ascending ID order, and the network runs until the
-// deadline passes. The round trips are pooled as the vantage's estimators
-// take them in (Network.OnRTT), which reading the estimators completes.
+// deadline passes. The round trips are pooled as the vantage takes them in
+// (Network.OnRTT), and folded into an estimator per target; folding the
+// vantage's landed pongs (Node.FoldPongs) completes both.
 func (c *Crawler) Crawl(pingsPer int, gap, deadline time.Duration) (CrawlResult, error) {
 	if pingsPer < 1 {
 		return CrawlResult{}, errors.New("measure: pingsPer must be >= 1")
@@ -63,6 +65,7 @@ func (c *Crawler) Crawl(pingsPer int, gap, deadline time.Duration) (CrawlResult,
 	}
 	targets := slices.DeleteFunc(slices.Clone(ids), func(id p2p.NodeID) bool { return id == c.vantage })
 	var samples []time.Duration
+	ests := make([]latency.Estimator, len(targets))
 	prev := c.net.OnRTT
 	defer func() { c.net.OnRTT = prev }()
 	c.net.OnRTT = func(prober *p2p.Node, target p2p.NodeID, rtt time.Duration) {
@@ -71,6 +74,9 @@ func (c *Crawler) Crawl(pingsPer int, gap, deadline time.Duration) (CrawlResult,
 		}
 		if prober == node {
 			samples = append(samples, rtt)
+			if i, ok := slices.BinarySearch(targets, target); ok {
+				ests[i].Observe(rtt)
+			}
 		}
 	}
 	node.ProbeN(targets, pingsPer, gap)
@@ -78,9 +84,10 @@ func (c *Crawler) Crawl(pingsPer int, gap, deadline time.Duration) (CrawlResult,
 	if err := c.net.RunUntil(context.Background(), start+sim.Time(deadline)); err != nil && !errors.Is(err, sim.ErrStopped) {
 		return CrawlResult{}, err
 	}
-	for _, t := range targets {
-		if est, ok := node.Estimator(t); ok && est.Samples() > 0 {
-			res.PerTarget[t] = est.RTT()
+	node.FoldPongs()
+	for i, t := range targets {
+		if ests[i].Samples() > 0 {
+			res.PerTarget[t] = ests[i].RTT()
 		}
 	}
 	res.RTTs = NewDistribution(samples)

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/geo"
+	"repro/internal/latency"
 	"repro/internal/p2p"
 	"repro/internal/topology"
 )
@@ -386,17 +387,38 @@ func rttFloor(base time.Duration) time.Duration {
 	return time.Duration(0.76*float64(base)) - 4
 }
 
-// requireRTTFloor checks every target's smallest sample at the vantage
-// against rttFloor of the pair's baseline, and returns how many fell below
-// the baseline itself.
-func requireRTTFloor(t *testing.T, net *p2p.Network, vantage p2p.NodeID, targets []p2p.NodeID) (belowBase int) {
+// rttEstimators folds every round trip the vantage takes in from now on
+// into an estimator per target, through a hook on Network.OnRTT that
+// chains the one attached before it. A reader folds the vantage's landed
+// pongs (p2p.Node.FoldPongs) before it reads them; Crawl does.
+func rttEstimators(net *p2p.Network, vantage p2p.NodeID) map[p2p.NodeID]*latency.Estimator {
+	ests := map[p2p.NodeID]*latency.Estimator{}
+	prev := net.OnRTT
+	net.OnRTT = func(prober *p2p.Node, target p2p.NodeID, rtt time.Duration) {
+		if prev != nil {
+			prev(prober, target, rtt)
+		}
+		if prober.ID() != vantage {
+			return
+		}
+		if ests[target] == nil {
+			ests[target] = &latency.Estimator{}
+		}
+		ests[target].Observe(rtt)
+	}
+	return ests
+}
+
+// requireRTTFloor checks every target's smallest sample at the vantage,
+// from the estimators rttEstimators kept, against rttFloor of the pair's
+// baseline, and returns how many fell below the baseline itself.
+func requireRTTFloor(t *testing.T, net *p2p.Network, ests map[p2p.NodeID]*latency.Estimator, vantage p2p.NodeID, targets []p2p.NodeID) (belowBase int) {
 	t.Helper()
-	nd, _ := net.Node(vantage)
 	for _, id := range targets {
 		if id == vantage {
 			continue
 		}
-		est, ok := nd.Estimator(id)
+		est, ok := ests[id]
 		base, _ := net.BaseRTT(vantage, id)
 		if !ok {
 			t.Fatalf("no estimator for target %d", id)
@@ -421,11 +443,17 @@ func TestCrawlerCollectsRTTs(t *testing.T) {
 	// place once the crawl returns.
 	var chained int
 	net.OnRTT = func(*p2p.Node, p2p.NodeID, time.Duration) { chained++ }
+	ests := rttEstimators(net, ids[0])
 	res, err := c.Crawl(4, 10*time.Millisecond, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireRTTFloor(t, net, ids[0], ids)
+	requireRTTFloor(t, net, ests, ids[0], ids)
+	for id, rtt := range res.PerTarget {
+		if want := ests[id].RTT(); rtt != want {
+			t.Errorf("PerTarget[%d] = %v, the vantage's round trips to it smooth to %v", id, rtt, want)
+		}
+	}
 	if net.OnRTT == nil || chained != res.RTTs.N() {
 		t.Errorf("the hook attached before the crawl heard %d of %d samples, and is attached after it: %v", chained, res.RTTs.N(), net.OnRTT != nil)
 	}
@@ -475,10 +503,11 @@ func TestCrawlerRTTFloor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ests := rttEstimators(net, ids[0])
 		if _, err := c.Crawl(4, 10*time.Millisecond, time.Minute); err != nil {
 			t.Fatal(err)
 		}
-		if below := requireRTTFloor(t, net, ids[0], ids); below < 30 {
+		if below := requireRTTFloor(t, net, ests, ids[0], ids); below < 30 {
 			t.Errorf("seed %d: %d of %d targets measured below BaseRTT, want the wobble to show", seed, below, len(ids)-1)
 		}
 	}

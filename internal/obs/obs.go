@@ -57,9 +57,9 @@ const (
 	_
 	_
 	_
-	// KindRTT is a round-trip sample reaching a prober's estimator: a pong
-	// landing. P1 is the prober's node ID, P2 the target's, P3 the RTT in
-	// nanoseconds.
+	// KindRTT is a round-trip sample a prober takes in, handed to
+	// p2p.Network.OnRTT: a pong landing. P1 is the prober's node ID, P2
+	// the target's, P3 the RTT in nanoseconds.
 	KindRTT
 	// KindJoinDecision is a BCBPT joiner's threshold test (eq. 1) once its
 	// probes are in. P1 is the joiner's node ID, P2 the closest measured

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,9 +18,9 @@ import (
 // Differential harness: drive the flat struct-of-arrays Network and the
 // map-based ReferenceNetwork through an identical operation script and
 // require every observable to match bit for bit — first-seen event order
-// and times, final FirstSeen state, traffic counters, adjacency, the RTT
-// estimators that probes feed, and the holder facts ("peer P is known to
-// have hash H") behind relay suppression.
+// and times, final FirstSeen state, traffic counters, adjacency, each
+// prober's ordered stream of the round trips its probes measured, and the
+// holder facts ("peer P is known to have hash H") behind relay suppression.
 // Both networks derive their randomness from the same named streams with
 // the same seed, so any divergence is a real behavioural difference in
 // the flat layout, not noise.
@@ -51,10 +52,9 @@ type diffHarness struct {
 
 	flatEvents []seenEvent
 	refEvents  []seenEvent
-	// flatPongs and refPongs count the round trips the probers' estimators
-	// took in on each side: OnRTT on the flat one, the probes' callbacks on
-	// the oracle.
-	flatPongs, refPongs int
+	// flatRTTs and refRTTs keep the round trips the probers took in on
+	// each side: OnRTT on the flat one, the probes' callbacks on the oracle.
+	flatRTTs, refRTTs *rttBook
 
 	hashes  []chain.Hash
 	nextTx  uint64
@@ -83,7 +83,8 @@ func newDiffHarness(t testing.TB, cfg Config, nodes int) *diffHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &diffHarness{t: t, flat: flat, ref: ref, addr: key.Address(), removed: map[NodeID]bool{}}
+	h := &diffHarness{t: t, flat: flat, ref: ref, addr: key.Address(), removed: map[NodeID]bool{},
+		flatRTTs: watchRTTs(flat), refRTTs: newRTTBook()}
 	flat.OnTxFirstSeen = func(nd *Node, hash chain.Hash, at sim.Time) {
 		h.flatEvents = append(h.flatEvents, seenEvent{node: nd.ID(), hash: hash, at: at})
 	}
@@ -96,7 +97,6 @@ func newDiffHarness(t testing.TB, cfg Config, nodes int) *diffHarness {
 	ref.OnBlockFirstSeen = func(id NodeID, hash chain.Hash, at sim.Time) {
 		h.refEvents = append(h.refEvents, seenEvent{node: id, hash: hash, at: at, block: true})
 	}
-	flat.OnRTT = func(*Node, NodeID, time.Duration) { h.flatPongs++ }
 	return h
 }
 
@@ -207,7 +207,7 @@ func (h *diffHarness) probeN(a NodeID, rounds int, targets ...NodeID) {
 		h.ref.sched.After(time.Duration(i)*probeGap, func() {
 			if rn, ok := h.ref.Node(a); ok {
 				for _, b := range targets {
-					rn.Probe(b, func(time.Duration) { h.refPongs++ })
+					rn.Probe(b, func(rtt time.Duration) { h.refRTTs.observe(a, b, rtt) })
 				}
 			}
 		})
@@ -319,15 +319,7 @@ func (h *diffHarness) compare() {
 		if fn.Outbound() != rn.Outbound() {
 			h.t.Fatalf("node %d outbound: flat %d, ref %d", id, fn.Outbound(), rn.Outbound())
 		}
-		fn.foldPongs()
-		if len(fn.ests) != len(rn.estimators) {
-			h.t.Fatalf("node %d estimators: flat %d, ref %d", id, len(fn.ests), len(rn.estimators))
-		}
-		for _, fe := range fn.ests {
-			if re, ok := rn.estimators[fe.target]; !ok || *fe.est != *re {
-				h.t.Fatalf("node %d estimator for %d: flat %+v, ref %+v", id, fe.target, *fe.est, re)
-			}
-		}
+		fn.FoldPongs()
 		for _, hash := range h.hashes {
 			ft, fok := fn.FirstSeen(hash)
 			rt, rok := rn.FirstSeen(hash)
@@ -339,9 +331,16 @@ func (h *diffHarness) compare() {
 			}
 		}
 	}
-	// Every prober has folded its pongs in: the ones still unread just now.
-	if h.flatPongs != h.refPongs {
-		h.t.Fatalf("round trips measured: flat %d, ref %d", h.flatPongs, h.refPongs)
+	// Every live prober has folded its pongs in just now, and every
+	// departed one when it left: each prober's round trips, departed ones'
+	// included, in the order it took them in.
+	if h.flatRTTs.n != h.refRTTs.n {
+		h.t.Fatalf("round trips measured: flat %d, ref %d", h.flatRTTs.n, h.refRTTs.n)
+	}
+	for p, fs := range h.flatRTTs.streams {
+		if rs := h.refRTTs.streams[p]; !slices.Equal(fs, rs) {
+			h.t.Fatalf("round trips node %d measured:\nflat %v\nref  %v", p, fs, rs)
+		}
 	}
 }
 
@@ -803,7 +802,7 @@ func TestProbeNCarriedHandles(t *testing.T) {
 			if target == 0 {
 				target = b
 			}
-			if est, ok := fa.Estimator(target); ok {
+			if est, ok := h.flatRTTs.estimator(fa, target); ok {
 				samples = est.Samples()
 			}
 			if samples != tc.samples {

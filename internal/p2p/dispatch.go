@@ -200,8 +200,8 @@ type probeTarget struct {
 
 // pongTicket is a pong on its way to its prober while no tracer is
 // attached: its place in the event order, the target that answered and the
-// round trip the prober's estimator will take in once the place has passed
-// (Node.foldPongs). It is what a pong record would have told handlePong.
+// round trip the prober will report once the place has passed
+// (Node.FoldPongs). It is what a pong record would have told handlePong.
 type pongTicket struct {
 	sim.Ticket
 	from *Node

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/geo"
-	"repro/internal/latency"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -41,13 +40,6 @@ type peerEntry struct {
 	base     time.Duration
 	rpos     int32
 	outbound bool
-}
-
-// estEntry is one per-target RTT estimator, kept sorted by target in a
-// contiguous per-node slice.
-type estEntry struct {
-	target NodeID
-	est    *latency.Estimator
 }
 
 // invEntry is one hash's bookkeeping on one node, addressed by the
@@ -160,9 +152,6 @@ type Node struct {
 	// extraHandler receives messages the base node does not consume
 	// (JOIN/CLUSTER); the topology layer installs it.
 	extraHandler func(from NodeID, msg wire.Message)
-
-	// ests holds per-target RTT estimators fed by ProbeN, sorted by target.
-	ests []estEntry
 
 	loc geo.Location
 }
@@ -566,48 +555,6 @@ func (nd *Node) markPeerHas(peer *Node, pos, hi int32) {
 	nd.setHolderBit(hi, pos)
 }
 
-// Estimator returns the RTT estimator for a probed target, if any. It
-// reflects every pong from the target whose landing has passed — the ones
-// that travelled as tickets are folded in first (foldPongs) — and none that
-// is still on its way.
-func (nd *Node) Estimator(target NodeID) (*latency.Estimator, bool) {
-	nd.foldPongs()
-	if i := nd.estIndex(target); i < len(nd.ests) && nd.ests[i].target == target {
-		return nd.ests[i].est, true
-	}
-	return nil, false
-}
-
-// estIndex returns where target's estimator is in ests, or where it would
-// go: a binary search, written out so that folding a batch of pongs calls
-// no closure per step.
-func (nd *Node) estIndex(target NodeID) int {
-	lo, hi := 0, len(nd.ests)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if nd.ests[m].target < target {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
-// estFor returns (creating if needed) the estimator for target, keeping
-// the slice sorted by target.
-func (nd *Node) estFor(target NodeID) *latency.Estimator {
-	i := nd.estIndex(target)
-	if i < len(nd.ests) && nd.ests[i].target == target {
-		return nd.ests[i].est
-	}
-	est := &latency.Estimator{}
-	nd.ests = append(nd.ests, estEntry{})
-	copy(nd.ests[i+1:], nd.ests[i:])
-	nd.ests[i] = estEntry{target: target, est: est}
-	return est
-}
-
 // --- transaction origination and relay (Fig. 1) ---
 
 // SubmitTx injects a locally created transaction: the node validates it
@@ -843,11 +790,12 @@ func (nd *Node) ping(dst *Node, base time.Duration) {
 // came. A pinger that left with its ping in flight — its slot empty, or
 // recycled by a later joiner — gets none.
 //
-// A pong only feeds the pinger's estimator, and with no tracer attached it
-// travels as a ticket (pongTicket) instead of a record and an event: it is
-// counted, loss-tested, queued on the uplink and delayed like any send,
-// takes the place in the event order its landing would have, and the
-// pinger's estimator folds it in once that place has passed (foldPongs).
+// A pong only reports a round trip to the pinger, and with no tracer
+// attached it travels as a ticket (pongTicket) instead of a record and an
+// event: it is counted, loss-tested, queued on the uplink and delayed like
+// any send, takes the place in the event order its landing would have, and
+// reaches Network.OnRTT once that place has passed and the pinger is folded
+// (FoldPongs).
 func (nd *Node) pong(ping *delivery) {
 	n := nd.net
 	if !ping.src.live() {
@@ -869,8 +817,9 @@ func (nd *Node) pong(ping *delivery) {
 // target a ping, in list order. Each target and its pair's link are resolved
 // here, once, and ride in the call's probeSet: the link is a pure function
 // of the seed and the pair, so it is drawn and not stored. What the pongs
-// report shows in Estimator: an estimator reflects every pong whose landing
-// has passed. A ping or pong lost on the way, or to churn, never arrives.
+// report reaches Network.OnRTT, every pong whose landing has passed by the
+// time the prober is folded (FoldPongs). A ping or pong lost on the way, or
+// to churn, never arrives.
 func (nd *Node) ProbeN(targets []NodeID, n int, gap time.Duration) {
 	if n <= 0 || len(targets) == 0 {
 		return
@@ -891,11 +840,10 @@ func (nd *Node) ProbeN(targets []NodeID, n int, gap time.Duration) {
 	}
 }
 
-// handlePong feeds the estimator for the pong's sender the round trip its
-// record spans, after the pongs that travelled as tickets and landed before
-// it.
+// handlePong reports the round trip the pong's record spans, after the
+// pongs that travelled as tickets and landed before it.
 func (nd *Node) handlePong(pong *delivery) {
-	nd.foldPongs()
+	nd.FoldPongs()
 	rtt := time.Duration(nd.now() - sim.Time(pong.word))
 	nd.observe(pong.src.id, rtt)
 	if tr := nd.net.dc.trace; tr != nil {
@@ -903,21 +851,22 @@ func (nd *Node) handlePong(pong *delivery) {
 	}
 }
 
-// observe feeds one round trip to target into the node's estimator for it
-// and hands it to Network.OnRTT: what a pong does on landing, as an event
-// (handlePong) or a ticket folded in (foldPongs).
+// observe hands one round trip to target to Network.OnRTT: what a pong does
+// on landing, as an event (handlePong) or a ticket folded in (FoldPongs).
+// The node keeps nothing of it.
 func (nd *Node) observe(target NodeID, rtt time.Duration) {
-	nd.estFor(target).Observe(rtt)
 	if f := nd.net.OnRTT; f != nil {
 		f(nd, target, rtt)
 	}
 }
 
-// foldPongs feeds the node's estimators the pongs that reached it as
-// tickets and whose landing has passed, in landing order: what handlePong
-// did with each when it landed, had it been an event. A node that has left
+// FoldPongs hands Network.OnRTT the pongs that reached the node as tickets
+// and whose landing has passed, in landing order: what handlePong did with
+// each when it landed, had it been an event. A reader of the node's round
+// trips calls it before reading, so that what it read reflects every pong
+// whose landing has passed and none still on its way. A node that has left
 // has none (settlePongs).
-func (nd *Node) foldPongs() {
+func (nd *Node) FoldPongs() {
 	n := nd.net
 	if !nd.live() {
 		return
@@ -938,7 +887,7 @@ func (nd *Node) foldPongs() {
 // — to land at a node that has gone and count as Dropped, or to land under
 // the tracer — as pongs that were events all along would.
 func (nd *Node) settlePongs() {
-	nd.foldPongs()
+	nd.FoldPongs()
 	n := nd.net
 	list := n.pongs.of(nd.slot)
 	for _, t := range list {

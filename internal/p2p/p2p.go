@@ -70,13 +70,13 @@
 // ping in list order, and every pong is a ticket when no tracer is
 // attached: counted, loss-tested, queued on the uplink and delayed like any
 // send, then filed at its prober, in landing order, with the RTT it reports
-// (pongTicket). The prober's
-// estimator folds in every ticket that has passed before anyone reads it
-// (Node.foldPongs), and an event pong does the same before it lands, so an
-// estimator reflects every pong whose landing has passed, in the order the
-// events would have delivered them. A prober that leaves settles its
-// tickets first (Node.settlePongs): the passed ones fold, the rest become
-// the pong records they stand for and land at the empty slot as Dropped.
+// (pongTicket). A reader of the prober's round trips folds in every ticket
+// that has passed before it reads (Node.FoldPongs), and an event pong does
+// the same before it lands, so the reader has heard every pong whose
+// landing has passed, in the order the events would have delivered them.
+// A prober that leaves settles its tickets first (Node.settlePongs): the
+// passed ones fold, the rest become the pong records they stand for and
+// land at the empty slot as Dropped.
 //
 // The retired map-based layout, which builds a wire.Message per send and
 // finds everything by ID, lives on in this package's tests as
@@ -165,6 +165,12 @@ type Network struct {
 	// linkDraws counts makeLink calls: one per edge per connection, one
 	// per pair in links and one per ProbeN target, which the tests pin.
 	linkDraws uint64
+	// linkSrc/linkRand are makeLink's keyed RNG, re-keyed per pair as
+	// dispatchCtx.krand is per send; a draw can happen inside a send's
+	// (edgeLink under launch), so the two do not share a source.
+	// NewNetwork points linkRand at the embedded linkSrc.
+	linkSrc  sim.KeyedSource
+	linkRand *rand.Rand
 
 	// slots is the dense node table: every live node occupies one slot
 	// for its lifetime, freed slots recycle LIFO. A node is live while its
@@ -221,11 +227,13 @@ type Network struct {
 	// OnDisconnect fires after a connection is torn down, letting the
 	// topology manager refill the peer's slots.
 	OnDisconnect func(a, b NodeID)
-	// OnRTT fires when a prober's estimator for target takes in a round
-	// trip: when the pong lands, under a tracer, and otherwise when its
-	// ticket is folded in (Node.foldPongs) — when the prober's estimators
-	// are next read (Node.Estimator) or the prober leaves. It must not read
-	// the prober's estimators itself.
+	// OnRTT is the only way a round trip leaves the network: it fires when
+	// a prober takes in a round trip to target, when the pong lands under a
+	// tracer, and otherwise when its ticket is folded in (Node.FoldPongs) —
+	// when a reader next folds the prober, or the prober leaves. Nodes keep
+	// no estimate: whoever reads round trips installs the hook (chaining
+	// any earlier one), keeps its own estimators and folds the prober
+	// before reading them. The hook must not fold the prober itself.
 	OnRTT func(prober *Node, target NodeID, rtt time.Duration)
 }
 
@@ -271,6 +279,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		peerWords: int32((cfg.MaxPeers + 63) / 64),
 	}
 	n.dc.krand = rand.New(&n.dc.ksrc)
+	n.linkRand = rand.New(&n.linkSrc)
 	n.arriveTag = n.sched.Handle(n.arrive)
 	n.verifyTag = n.sched.Handle(n.verified)
 	n.probeTag = n.sched.Handle(n.probeRound)
@@ -495,11 +504,8 @@ func (n *Network) resolveEdge(nd *Node, pos int32) {
 // makeLink draws the link's latency parameters from the pair-keyed source.
 func (n *Network) makeLink(key linkKey, a, b *Node) latency.Link {
 	n.linkDraws++
-	var ks sim.KeyedSource
-	ks.SeedKey(sim.MixKey3(uint64(n.cfg.Seed)^linkKeyTag, uint64(key.lo), uint64(key.hi)))
-	// Cold path: runs once per node pair at link creation.
-	r := rand.New(&ks)
-	return n.model.NewLink(r, a.loc.Coord, b.loc.Coord)
+	n.linkSrc.SeedKey(sim.MixKey3(uint64(n.cfg.Seed)^linkKeyTag, uint64(key.lo), uint64(key.hi)))
+	return n.model.NewLink(n.linkRand, a.loc.Coord, b.loc.Coord)
 }
 
 // BaseRTT returns the congestion-free round-trip time between two nodes —

@@ -3,10 +3,12 @@ package p2p
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/latency"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -15,13 +17,76 @@ import (
 // Probe twin: one script of ProbeN rounds, estimator reads and churn, run
 // three ways — on a network with a tracer attached, where every pong is a
 // record and an event; on the same network untraced, where every pong is a
-// ticket its prober folds in when read (Node.foldPongs); and on the oracle,
+// ticket its prober folds in when read (Node.FoldPongs); and on the oracle,
 // ReferenceNetwork, which sends every ping from an event of its own and
 // looks everything up by ID. At every checkpoint the clock, the traffic
-// counters with Dropped and Lost, the round trips the estimators took in
-// (Network.OnRTT; the oracle's probe callbacks) and every estimator's
-// samples, RTT, deviation and minimum, departed nodes' included, must
-// agree, and so must what reader events saw in the middle of a run.
+// counters with Dropped and Lost, each prober's ordered stream of the round
+// trips it took in (Network.OnRTT; the oracle's probe callbacks) and every
+// estimator folded from those streams (rttBook) — samples, RTT, deviation
+// and minimum, departed nodes' included — must agree, and so must what
+// reader events saw in the middle of a run.
+
+// rttBook is what a reader of a network's round trips keeps: every round
+// trip a prober took in, per prober in the order taken in, and an
+// estimator per (prober, target) pair folded from them. On a Network it
+// hears Network.OnRTT (watchRTTs); the oracle's probe callbacks feed it
+// the same way.
+type rttBook struct {
+	streams map[NodeID][]rttTaken
+	ests    map[[2]NodeID]*latency.Estimator
+	n       int // round trips taken in, all probers together
+}
+
+// rttTaken is one round trip a prober took in.
+type rttTaken struct {
+	target NodeID
+	rtt    time.Duration
+}
+
+func newRTTBook() *rttBook {
+	return &rttBook{streams: map[NodeID][]rttTaken{}, ests: map[[2]NodeID]*latency.Estimator{}}
+}
+
+// watchRTTs attaches a new book to net's OnRTT, after whatever hook is
+// attached already.
+func watchRTTs(net *Network) *rttBook {
+	b := newRTTBook()
+	prev := net.OnRTT
+	net.OnRTT = func(p *Node, target NodeID, rtt time.Duration) {
+		if prev != nil {
+			prev(p, target, rtt)
+		}
+		b.observe(p.ID(), target, rtt)
+	}
+	return b
+}
+
+func (b *rttBook) observe(prober, target NodeID, rtt time.Duration) {
+	b.streams[prober] = append(b.streams[prober], rttTaken{target, rtt})
+	b.n++
+	key := [2]NodeID{prober, target}
+	if b.ests[key] == nil {
+		b.ests[key] = &latency.Estimator{}
+	}
+	b.ests[key].Observe(rtt)
+}
+
+// estimator folds in the pongs that have landed at nd and returns its
+// estimator for target, if it took in any round trip to it.
+func (b *rttBook) estimator(nd *Node, target NodeID) (*latency.Estimator, bool) {
+	nd.FoldPongs()
+	e, ok := b.ests[[2]NodeID{nd.ID(), target}]
+	return e, ok
+}
+
+// read is what the book holds of the prober's estimator for target.
+func (b *rttBook) read(prober, target NodeID) estRead {
+	e, ok := b.ests[[2]NodeID{prober, target}]
+	if !ok {
+		return estRead{}
+	}
+	return estRead{true, e.Samples(), e.RTT(), e.Var(), e.Min()}
+}
 
 // estRead is one estimator as a reader saw it: ok false for none.
 type estRead struct {
@@ -37,14 +102,15 @@ type probeNet interface {
 	add() NodeID
 	remove(id NodeID)
 	probeN(a NodeID, targets []NodeID)
-	// onRTT has f called with every round trip a prober's estimator takes in.
-	onRTT(f func(a, b NodeID, rtt time.Duration))
+	// book is where the round trips the probers take in are kept.
+	book() *rttBook
 	est(a, b NodeID) estRead
 	live(id NodeID) bool
 }
 
 type flatProbeNet struct {
 	net   *Network
+	rtts  *rttBook
 	nodes map[NodeID]*Node // every node ever added
 	// folded and redeemed count the pong tickets that removals found passed
 	// and still on their way.
@@ -80,22 +146,15 @@ func (f *flatProbeNet) probeN(a NodeID, targets []NodeID) {
 	}
 }
 
-func (f *flatProbeNet) onRTT(fn func(a, b NodeID, rtt time.Duration)) {
-	f.net.OnRTT = func(p *Node, b NodeID, rtt time.Duration) { fn(p.ID(), b, rtt) }
-}
-
+func (f *flatProbeNet) book() *rttBook { return f.rtts }
 func (f *flatProbeNet) est(a, b NodeID) estRead {
-	e, ok := f.nodes[a].Estimator(b)
-	if !ok {
-		return estRead{}
-	}
-	return estRead{true, e.Samples(), e.RTT(), e.Var(), e.Min()}
+	f.nodes[a].FoldPongs()
+	return f.rtts.read(a, b)
 }
 
 type refProbeNet struct {
-	net   *ReferenceNetwork
-	nodes map[NodeID]*ReferenceNode
-	rtt   func(a, b NodeID, rtt time.Duration)
+	net  *ReferenceNetwork
+	rtts *rttBook
 }
 
 func (r *refProbeNet) sched() *sim.Scheduler { return r.net.sched }
@@ -104,9 +163,7 @@ func (r *refProbeNet) remove(id NodeID)      { r.net.RemoveNode(id) }
 func (r *refProbeNet) live(id NodeID) bool   { _, ok := r.net.Node(id); return ok }
 
 func (r *refProbeNet) add() NodeID {
-	nd := r.net.AddNode(geo.DefaultPlacer().Place(r.net.streams.Stream("placement")))
-	r.nodes[nd.ID()] = nd
-	return nd.ID()
+	return r.net.AddNode(geo.DefaultPlacer().Place(r.net.streams.Stream("placement"))).ID()
 }
 
 // probeN is the three rounds a ProbeN stands for, each finding prober and
@@ -119,22 +176,15 @@ func (r *refProbeNet) probeN(a NodeID, targets []NodeID) {
 		r.net.sched.After(time.Duration(i)*probeGap, func() {
 			if nd, ok := r.net.Node(a); ok {
 				for _, b := range targets {
-					nd.Probe(b, func(rtt time.Duration) { r.rtt(a, b, rtt) })
+					nd.Probe(b, func(rtt time.Duration) { r.rtts.observe(a, b, rtt) })
 				}
 			}
 		})
 	}
 }
 
-func (r *refProbeNet) onRTT(f func(a, b NodeID, rtt time.Duration)) { r.rtt = f }
-
-func (r *refProbeNet) est(a, b NodeID) estRead {
-	e, ok := r.nodes[a].estimators[b]
-	if !ok {
-		return estRead{}
-	}
-	return estRead{true, e.Samples(), e.RTT(), e.Var(), e.Min()}
-}
+func (r *refProbeNet) book() *rttBook          { return r.rtts }
+func (r *refProbeNet) est(a, b NodeID) estRead { return r.rtts.read(a, b) }
 
 // probeShot is everything compared at one checkpoint.
 type probeShot struct {
@@ -143,6 +193,10 @@ type probeShot struct {
 	rtts  int
 	reads int
 	ests  []estRead // every (prober, target) pair of nodes ever added
+	// taken is how many round trips each node ever added had taken in:
+	// with the streams equal at the end, equal lengths here make them
+	// equal at the checkpoint too, each stream only growing.
+	taken []int
 }
 
 // probeScript is one side's run of the script.
@@ -154,26 +208,12 @@ type probeScript struct {
 	// probers are the nodes that started a ProbeN, most recent last: the
 	// ones readers and removals favour.
 	probers []NodeID
-	// rtts holds, per prober, the round trips its estimators took in, in
-	// order, and nRTT counts them.
-	rtts  map[NodeID][]rttTaken
-	nRTT  int
-	reads []estRead
-	shots []probeShot
-}
-
-// rttTaken is one round trip an estimator took in.
-type rttTaken struct {
-	target NodeID
-	rtt    time.Duration
+	reads   []estRead
+	shots   []probeShot
 }
 
 func newProbeScript(t *testing.T, net probeNet, n int) *probeScript {
-	s := &probeScript{t: t, net: net, r: rand.New(rand.NewSource(5)), rtts: map[NodeID][]rttTaken{}}
-	net.onRTT(func(a, b NodeID, rtt time.Duration) {
-		s.rtts[a] = append(s.rtts[a], rttTaken{b, rtt})
-		s.nRTT++
-	})
+	s := &probeScript{t: t, net: net, r: rand.New(rand.NewSource(5))}
 	for i := 0; i < n; i++ {
 		s.ids = append(s.ids, net.add())
 	}
@@ -247,7 +287,11 @@ func (s *probeScript) shoot() {
 			shot.ests = append(shot.ests, s.net.est(a, b))
 		}
 	}
-	shot.rtts = s.nRTT
+	book := s.net.book()
+	for _, a := range s.ids {
+		shot.taken = append(shot.taken, len(book.streams[a]))
+	}
+	shot.rtts = book.n
 	s.shots = append(s.shots, shot)
 }
 
@@ -299,14 +343,14 @@ func requireProbeTwin(t *testing.T, cfg Config, n int, script func(*probeScript)
 		if i == 0 {
 			net.EnableTrace(obs.NewTracer(1<<10, 1))
 		}
-		flats[i] = &flatProbeNet{net: net, nodes: map[NodeID]*Node{}}
+		flats[i] = &flatProbeNet{net: net, rtts: watchRTTs(net), nodes: map[NodeID]*Node{}}
 		sides[i] = newProbeScript(t, flats[i], n)
 	}
 	ref, err := NewReferenceNetwork(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sides[2] = newProbeScript(t, &refProbeNet{net: ref, nodes: map[NodeID]*ReferenceNode{}}, n)
+	sides[2] = newProbeScript(t, &refProbeNet{net: ref, rtts: newRTTBook()}, n)
 	for _, s := range sides {
 		script(s)
 	}
@@ -326,6 +370,12 @@ func requireProbeTwin(t *testing.T, cfg Config, n int, script func(*probeScript)
 				t.Fatalf("checkpoint %d: stats\ntraced %+v\n%s %+v", k, a.stats, name, b.stats)
 			case a.rtts != b.rtts || a.reads != b.reads:
 				t.Fatalf("checkpoint %d: %d round trips taken in and %d reads traced, %d and %d %s", k, a.rtts, a.reads, b.rtts, b.reads, name)
+			case !slices.Equal(a.taken, b.taken):
+				for j := range a.taken {
+					if a.taken[j] != b.taken[j] {
+						t.Fatalf("checkpoint %d: node %d had taken in %d round trips traced, %d %s", k, want.ids[j], a.taken[j], b.taken[j], name)
+					}
+				}
 			case !reflect.DeepEqual(a.ests, b.ests):
 				for j := range a.ests {
 					if a.ests[j] != b.ests[j] {
@@ -334,7 +384,12 @@ func requireProbeTwin(t *testing.T, cfg Config, n int, script func(*probeScript)
 				}
 			}
 		}
-		if !reflect.DeepEqual(want.rtts, s.rtts) {
+		if ws, ss := want.net.book().streams, s.net.book().streams; !reflect.DeepEqual(ws, ss) {
+			for a := range ws {
+				if !slices.Equal(ws[a], ss[a]) {
+					t.Fatalf("the round trips node %d took in differ traced and %s:\n%v\n%v", a, name, ws[a], ss[a])
+				}
+			}
 			t.Fatalf("round trips taken in differ traced and %s", name)
 		}
 		for j := range want.reads {
@@ -363,9 +418,9 @@ func TestPongTicketsMatchTracedProbes(t *testing.T) {
 				seen++
 			}
 		}
-		if st.Dropped == 0 || (loss > 0) != (st.Lost > 0) || untraced.folded < 5 || untraced.redeemed < 5 || s.nRTT == 0 || seen < 100 {
+		if st.Dropped == 0 || (loss > 0) != (st.Lost > 0) || untraced.folded < 5 || untraced.redeemed < 5 || untraced.rtts.n == 0 || seen < 100 {
 			t.Errorf("loss %g: %d dropped, %d lost, %d tickets folded and %d redeemed at removal, %d round trips taken in, %d reads with an estimator: the script did not exercise what it is for",
-				loss, st.Dropped, st.Lost, untraced.folded, untraced.redeemed, s.nRTT, seen)
+				loss, st.Dropped, st.Lost, untraced.folded, untraced.redeemed, untraced.rtts.n, seen)
 		}
 	}
 }
@@ -395,13 +450,14 @@ func TestPongTicketExactTie(t *testing.T) {
 	for _, readerFirst := range []bool{true, false} {
 		for _, traced := range []bool{false, true} {
 			net, a, b := setup(traced)
+			rtts := watchRTTs(net)
 			seen := -1
 			reader := func() {
 				if net.Now() != landing {
 					t.Fatalf("reader at %v, pong lands at %v", net.Now(), landing)
 				}
 				seen = 0
-				if e, ok := a.Estimator(b.ID()); ok {
+				if e, ok := rtts.estimator(a, b.ID()); ok {
 					seen = e.Samples()
 				}
 			}

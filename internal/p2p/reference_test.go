@@ -75,8 +75,6 @@ type ReferenceNode struct {
 
 	pending   map[uint64]refPendingPing
 	nextNonce uint64
-
-	estimators map[NodeID]*latency.Estimator
 }
 
 // ID returns the node's identifier.
@@ -138,12 +136,6 @@ func (nd *ReferenceNode) IsPeer(id NodeID) bool {
 func (nd *ReferenceNode) FirstSeen(h chain.Hash) (sim.Time, bool) {
 	t, ok := nd.known[h]
 	return t, ok
-}
-
-// Estimator returns the RTT estimator for a probed target, if any.
-func (nd *ReferenceNode) Estimator(target NodeID) (*latency.Estimator, bool) {
-	e, ok := nd.estimators[target]
-	return e, ok
 }
 
 // SubmitTx injects a locally created transaction.
@@ -301,18 +293,8 @@ func (nd *ReferenceNode) handlePong(from NodeID, m *wire.MsgPong) {
 		return
 	}
 	delete(nd.pending, m.Nonce)
-	rtt := time.Duration(nd.net.Now() - p.sentAt)
-	if nd.estimators == nil {
-		nd.estimators = make(map[NodeID]*latency.Estimator)
-	}
-	est, ok := nd.estimators[from]
-	if !ok {
-		est = &latency.Estimator{}
-		nd.estimators[from] = est
-	}
-	est.Observe(rtt)
 	if p.done != nil {
-		p.done(rtt)
+		p.done(time.Duration(nd.net.Now() - p.sentAt))
 	}
 }
 

@@ -92,7 +92,7 @@ func (s Stats) String() string {
 
 // NodeFootprintBytes sums the retained bytes of every node's hot state —
 // adjacency tables, flat inventory arrays, holder bitsets, spill sets,
-// estimator slices, ticket slots, pong tickets — without the shared
+// ticket slots, pong tickets — without the shared
 // network-level state (links, hash registry, in-flight records). Divided by
 // NumNodes it is the marginal cost of one more node, the number the
 // 100k-node budget test pins so the flat layout cannot quietly regrow
@@ -110,7 +110,6 @@ func (n *Network) NodeFootprintBytes() int {
 		total += uintptr(cap(nd.inv.tx)+cap(nd.inv.block)) * unsafe.Sizeof(uintptr(0))
 		total += uintptr(cap(nd.inv.holderBits)) * unsafe.Sizeof(uint64(0))
 		total += uintptr(len(nd.inv.spill)) * (unsafe.Sizeof(spillFact{}) + 8)
-		total += uintptr(cap(nd.ests)) * unsafe.Sizeof(estEntry{})
 	}
 	// The ticket slots are per-position state of the nodes too, whoever
 	// holds the pool.
