@@ -10,7 +10,7 @@
 //  2. measures the round-trip ping latency to each candidate repeatedly
 //     ("multiple messages between pairs of nodes ... to determine
 //     variance", §IV.A), feeding an RTT estimator per candidate that the
-//     join keeps until it decides;
+//     join record keeps until it decides;
 //  3. if the best measured distance is below the threshold dt (eq. 1:
 //     D(i,j) < Dth), sends a JOIN to that closest node K and receives the
 //     membership list of K's cluster (CLUSTER message), then peers with
@@ -157,9 +157,9 @@ type BCBPT struct {
 	members   map[ClusterID][]p2p.NodeID
 	nextID    ClusterID
 
-	joining map[p2p.NodeID]bool
-	// probes holds the measurements of the joins that have not decided.
-	probes joinProbes
+	// joins holds the joins under way, from startJoin until finishJoin or
+	// OnLeave.
+	joins joinTable
 
 	// perm is handleJoin's scratch for the permutation it samples a large
 	// cluster's members by.
@@ -193,14 +193,25 @@ func New(net *p2p.Network, seed *topology.DNSSeed, cfg Config) (*BCBPT, error) {
 		intra:     intra,
 		clusterOf: make(map[p2p.NodeID]ClusterID),
 		members:   make(map[ClusterID][]p2p.NodeID),
-		joining:   make(map[p2p.NodeID]bool),
 	}
-	prev := net.OnRTT
+	prevRTT := net.OnRTT
 	net.OnRTT = func(prober *p2p.Node, target p2p.NodeID, rtt time.Duration) {
-		if prev != nil {
-			prev(prober, target, rtt)
+		if prevRTT != nil {
+			prevRTT(prober, target, rtt)
 		}
-		b.probes.observe(prober, target, rtt)
+		b.joins.observe(prober, target, rtt)
+	}
+	prevMsg := net.OnMessage
+	net.OnMessage = func(node *p2p.Node, from p2p.NodeID, msg wire.Message) {
+		if prevMsg != nil {
+			prevMsg(node, from, msg)
+		}
+		switch m := msg.(type) {
+		case *wire.MsgJoin:
+			b.handleJoin(node, from, m)
+		case *wire.MsgCluster:
+			b.handleCluster(node, from, m)
+		}
 	}
 	return b, nil
 }
@@ -272,7 +283,6 @@ func (b *BCBPT) Bootstrap(ctx context.Context, ids []p2p.NodeID) error {
 	for _, id := range ids {
 		if node, ok := b.net.Node(id); ok {
 			b.seed.Register(id, node.Location())
-			b.installHandler(node)
 		}
 	}
 	if len(ids) == 0 {
@@ -326,7 +336,6 @@ func (b *BCBPT) OnJoin(id p2p.NodeID) {
 		return
 	}
 	b.seed.Register(id, node.Location())
-	b.installHandler(node)
 	b.startJoin(id)
 }
 
@@ -335,9 +344,8 @@ func (b *BCBPT) OnJoin(id p2p.NodeID) {
 func (b *BCBPT) OnLeave(id p2p.NodeID) {
 	b.seed.Remove(id)
 	b.unassign(id)
-	delete(b.joining, id)
 	if node, ok := b.net.Node(id); ok {
-		b.probes.release(node.Slot(), id)
+		b.joins.release(node.Slot(), id)
 	}
 }
 
@@ -399,21 +407,18 @@ func (b *BCBPT) startJoin(id p2p.NodeID) {
 	if !ok {
 		return
 	}
-	if b.joining[id] {
+	slot := node.Slot()
+	if b.joins.of(slot, id) != nil {
 		return
 	}
 	if _, clustered := b.clusterOf[id]; clustered {
 		return
 	}
-	b.joining[id] = true
-
-	slot := node.Slot()
-	j := b.probes.open(slot, id)
+	j := b.joins.open(slot, id)
 	j.cands = b.clusteredPrefix(j.cands[:0], b.recommend(id, node.Location()))
 	if len(j.cands) == 0 {
 		// First node (or empty world): found the first cluster.
-		b.probes.release(slot, id)
-		b.finishJoin(id, 0, nil)
+		b.finishJoin(node, 0, nil)
 		return
 	}
 	j.ests = slices.Grow(j.ests[:0], len(j.cands))[:len(j.cands)]
@@ -424,7 +429,7 @@ func (b *BCBPT) startJoin(id p2p.NodeID) {
 	// that miss the deadline are treated as losses, like a real timeout.
 	deadline := time.Duration(b.cfg.ProbeCount)*b.cfg.ProbeGap + b.cfg.DecisionSlack
 	b.net.Scheduler().After(deadline, func() {
-		b.decide(id, slot)
+		b.decide(node)
 	})
 }
 
@@ -458,17 +463,15 @@ func (b *BCBPT) clusteredPrefix(out, ranked []p2p.NodeID) []p2p.NodeID {
 
 // decide picks the closest measured candidate and either JOINs its
 // cluster or founds a new one (eq. 1 threshold test), from the join's
-// estimators, which it releases: nothing measured outlives the decision.
-func (b *BCBPT) decide(id p2p.NodeID, slot int) {
-	j := b.probes.of(slot, id)
-	defer b.probes.release(slot, id)
-	node, ok := b.net.Node(id)
-	if !ok || j == nil {
-		delete(b.joining, id)
-		return
+// estimators. Round trips taken in after the decision feed nothing.
+func (b *BCBPT) decide(node *p2p.Node) {
+	id, slot := node.ID(), node.Slot()
+	j := b.joins.of(slot, id)
+	if j == nil {
+		return // the node left
 	}
-	if _, clustered := b.clusterOf[id]; clustered {
-		delete(b.joining, id)
+	if _, ok := b.net.Node(id); !ok {
+		b.joins.release(slot, id)
 		return
 	}
 	node.FoldPongs()
@@ -495,6 +498,7 @@ func (b *BCBPT) decide(id p2p.NodeID, slot int) {
 			best, bestRTT = c, rtt
 		}
 	}
+	j.cands = j.cands[:0]
 	if best == 0 {
 		best, bestRTT = anyBest, anyRTT
 	}
@@ -511,7 +515,7 @@ func (b *BCBPT) decide(id p2p.NodeID, slot int) {
 	}
 	if !join {
 		// No node within dt: the node founds its own cluster.
-		b.finishJoin(id, 0, nil)
+		b.finishJoin(node, 0, nil)
 		return
 	}
 	// JOIN the closest node K's cluster.
@@ -522,21 +526,18 @@ func (b *BCBPT) decide(id p2p.NodeID, slot int) {
 	// If the CLUSTER reply never arrives (K churned away), fall back to
 	// founding a cluster.
 	b.net.Scheduler().After(b.cfg.DecisionSlack, func() {
-		if _, clustered := b.clusterOf[id]; !clustered && b.joining[id] {
-			if _, alive := b.net.Node(id); alive {
-				b.finishJoin(id, 0, nil)
-			} else {
-				delete(b.joining, id)
-			}
+		if b.joins.of(slot, id) != nil {
+			b.finishJoin(node, 0, nil)
 		}
 	})
 }
 
-// finishJoin completes a join: cluster == 0 founds a new cluster,
-// otherwise the node enters the given cluster and connects to the
-// provided members.
-func (b *BCBPT) finishJoin(id p2p.NodeID, cluster ClusterID, members []p2p.NodeID) {
-	delete(b.joining, id)
+// finishJoin completes a join and releases its record: cluster == 0 founds
+// a new cluster, otherwise the node enters the given cluster and connects
+// to the provided members. A node that has left enters nothing.
+func (b *BCBPT) finishJoin(node *p2p.Node, cluster ClusterID, members []p2p.NodeID) {
+	id := node.ID()
+	b.joins.release(node.Slot(), id)
 	if _, ok := b.net.Node(id); !ok {
 		return
 	}
@@ -548,31 +549,32 @@ func (b *BCBPT) finishJoin(id p2p.NodeID, cluster ClusterID, members []p2p.NodeI
 	b.fillWith(id, members)
 }
 
-// joinProbes holds the measurements of the joins that have not decided
-// (§IV.A): per joiner, its candidates in clusteredPrefix order and one RTT
-// estimator each, fed by Network.OnRTT. bySlot[s]-1 indexes joins for the
-// joiner in node slot s, zero for none, and the entry names the joiner by
-// ID, so a round trip or a decision of a node that has left, its slot since
-// taken, finds nothing of the newcomer's. An entry is released when its
-// join decides or its node leaves, and waits on free, buffers and all, for
-// the next joiner; once no join is left undecided the entries go too, so
-// a built network keeps no measurement.
-type joinProbes struct {
+// joinTable holds the joins under way (§IV.A), one record per joiner from
+// startJoin until finishJoin or OnLeave: its candidates in clusteredPrefix
+// order and one RTT estimator each, fed by Network.OnRTT until the join
+// decides. A node has a record exactly while it is joining. bySlot[s]-1
+// indexes joins for the joiner in node slot s, zero for none, and the record
+// names the joiner by ID, so a round trip, a decision or a reply of a node
+// that has left, its slot since taken, finds nothing of the newcomer's. A
+// released record waits on free, buffers and all, for the next joiner; once
+// no join is under way the records go too, so a built network keeps none.
+type joinTable struct {
 	bySlot []int32
-	joins  []joinProbe
+	joins  []joinRecord
 	free   []int32
 }
 
-// joinProbe is one undecided join: est[k] measures cands[k].
-type joinProbe struct {
+// joinRecord is one join under way: ests[k] measures cands[k]. The
+// decision empties cands, so nothing measured after it is kept.
+type joinRecord struct {
 	id    p2p.NodeID
 	cands []p2p.NodeID
 	ests  []latency.Estimator
 }
 
-// open gives the joiner id in slot an entry, the one a node that left the
+// open gives the joiner id in slot a record, the one a node that left the
 // slot still held included.
-func (p *joinProbes) open(slot int, id p2p.NodeID) *joinProbe {
+func (p *joinTable) open(slot int, id p2p.NodeID) *joinRecord {
 	if slot >= len(p.bySlot) {
 		p.bySlot = append(p.bySlot, make([]int32, slot+1-len(p.bySlot))...)
 	}
@@ -585,7 +587,7 @@ func (p *joinProbes) open(slot int, id p2p.NodeID) *joinProbe {
 		p.free = p.free[:last]
 	} else {
 		ji = int32(len(p.joins))
-		p.joins = append(p.joins, joinProbe{})
+		p.joins = append(p.joins, joinRecord{})
 	}
 	p.bySlot[slot] = ji + 1
 	j := &p.joins[ji]
@@ -593,8 +595,8 @@ func (p *joinProbes) open(slot int, id p2p.NodeID) *joinProbe {
 	return j
 }
 
-// of returns the entry of the joiner id in slot, nil for none.
-func (p *joinProbes) of(slot int, id p2p.NodeID) *joinProbe {
+// of returns the record of the joiner id in slot, nil for none.
+func (p *joinTable) of(slot int, id p2p.NodeID) *joinRecord {
 	if slot >= len(p.bySlot) || p.bySlot[slot] == 0 {
 		return nil
 	}
@@ -604,8 +606,8 @@ func (p *joinProbes) of(slot int, id p2p.NodeID) *joinProbe {
 	return nil
 }
 
-// release ends the entry of the joiner id in slot, if it has one.
-func (p *joinProbes) release(slot int, id p2p.NodeID) {
+// release ends the record of the joiner id in slot, if it has one.
+func (p *joinTable) release(slot int, id p2p.NodeID) {
 	if p.of(slot, id) == nil {
 		return
 	}
@@ -620,7 +622,7 @@ func (p *joinProbes) release(slot int, id p2p.NodeID) {
 
 // observe feeds a round trip the prober took in to its join's estimator
 // for target; one that no undecided join asked for is not kept.
-func (p *joinProbes) observe(prober *p2p.Node, target p2p.NodeID, rtt time.Duration) {
+func (p *joinTable) observe(prober *p2p.Node, target p2p.NodeID, rtt time.Duration) {
 	j := p.of(prober.Slot(), prober.ID())
 	if j == nil {
 		return
@@ -630,29 +632,12 @@ func (p *joinProbes) observe(prober *p2p.Node, target p2p.NodeID, rtt time.Durat
 	}
 }
 
-// --- wire message handling (JOIN / CLUSTER) ---
-
-// installHandler hooks BCBPT message processing into a node.
-func (b *BCBPT) installHandler(node *p2p.Node) {
-	id := node.ID()
-	node.SetExtraHandler(func(from p2p.NodeID, msg wire.Message) {
-		switch m := msg.(type) {
-		case *wire.MsgJoin:
-			b.handleJoin(id, from, m)
-		case *wire.MsgCluster:
-			b.handleCluster(id, from, m)
-		}
-	})
-}
+// --- wire message handling (JOIN / CLUSTER), from Network.OnMessage ---
 
 // handleJoin runs at the closest node K: accept if the reported distance
 // is within K's threshold and K itself is clustered.
-func (b *BCBPT) handleJoin(self, from p2p.NodeID, m *wire.MsgJoin) {
-	node, ok := b.net.Node(self)
-	if !ok {
-		return
-	}
-	cluster, clustered := b.clusterOf[self]
+func (b *BCBPT) handleJoin(node *p2p.Node, from p2p.NodeID, m *wire.MsgJoin) {
+	cluster, clustered := b.clusterOf[node.ID()]
 	rtt := time.Duration(m.MeasuredRTTMicros) * time.Microsecond
 	if !clustered || rtt >= b.cfg.Threshold {
 		b.stats.Rejects++
@@ -697,15 +682,13 @@ func permInto(r *rand.Rand, buf []int, n int) []int {
 }
 
 // handleCluster runs at the joiner when K's reply arrives.
-func (b *BCBPT) handleCluster(self, from p2p.NodeID, m *wire.MsgCluster) {
-	if !b.joining[self] {
+func (b *BCBPT) handleCluster(node *p2p.Node, from p2p.NodeID, m *wire.MsgCluster) {
+	self := node.ID()
+	if b.joins.of(node.Slot(), self) == nil {
 		return // late or duplicate reply
 	}
-	if _, clustered := b.clusterOf[self]; clustered {
-		return
-	}
 	if !m.Accepted {
-		b.finishJoin(self, 0, nil)
+		b.finishJoin(node, 0, nil)
 		return
 	}
 	members := make([]p2p.NodeID, 0, len(m.Members)+1)
@@ -715,7 +698,7 @@ func (b *BCBPT) handleCluster(self, from p2p.NodeID, m *wire.MsgCluster) {
 			members = append(members, id)
 		}
 	}
-	b.finishJoin(self, ClusterID(m.ClusterID), members)
+	b.finishJoin(node, ClusterID(m.ClusterID), members)
 }
 
 // --- link management ---

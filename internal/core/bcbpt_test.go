@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -19,18 +20,7 @@ import (
 // BCBPT instance over it.
 func buildWorld(t testing.TB, n int, seed int64, mutate func(*Config)) (*p2p.Network, *BCBPT, []p2p.NodeID) {
 	t.Helper()
-	pcfg := p2p.DefaultConfig()
-	pcfg.Seed = seed
-	net, err := p2p.NewNetwork(pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	placer := geo.DefaultPlacer()
-	r := net.Streams().Stream("placement")
-	ids := make([]p2p.NodeID, n)
-	for i := range ids {
-		ids[i] = net.AddNode(placer.Place(r)).ID()
-	}
+	net, ids := placeWorld(t, n, seed)
 	cfg := DefaultConfig()
 	// Keep unit-test bootstraps quick.
 	cfg.JoinStagger = 20 * time.Millisecond
@@ -43,6 +33,38 @@ func buildWorld(t testing.TB, n int, seed int64, mutate func(*Config)) (*p2p.Net
 		t.Fatal(err)
 	}
 	return net, proto, ids
+}
+
+// placeWorld is buildWorld's network: n placed nodes and no protocol yet.
+func placeWorld(t testing.TB, n int, seed int64) (*p2p.Network, []p2p.NodeID) {
+	t.Helper()
+	pcfg := p2p.DefaultConfig()
+	pcfg.Seed = seed
+	net, err := p2p.NewNetwork(pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	placer := geo.DefaultPlacer()
+	r := net.Streams().Stream("placement")
+	ids := make([]p2p.NodeID, n)
+	for i := range ids {
+		ids[i] = net.AddNode(placer.Place(r)).ID()
+	}
+	return net, ids
+}
+
+// joining reports whether id has a join record.
+func joining(net *p2p.Network, proto *BCBPT, id p2p.NodeID) bool {
+	nd, ok := net.Node(id)
+	return ok && proto.joins.of(nd.Slot(), id) != nil
+}
+
+// requireNoJoinRecord fails t if any join record is left.
+func requireNoJoinRecord(t testing.TB, proto *BCBPT, when string) {
+	t.Helper()
+	if len(proto.joins.joins) != 0 || slices.ContainsFunc(proto.joins.bySlot, func(j int32) bool { return j != 0 }) {
+		t.Errorf("%s: join records left: %d records, slots %v", when, len(proto.joins.joins), proto.joins.bySlot)
+	}
 }
 
 // bootstrap runs the full join procedure to completion.
@@ -241,6 +263,47 @@ func TestJoinExchangeUsesWireMessages(t *testing.T) {
 	if msgs == 0 {
 		t.Error("no ping traffic on the wire")
 	}
+	requireNoJoinRecord(t, proto, "after the build")
+}
+
+// TestMessageHookChains: a Network.OnMessage hook attached before New still
+// hears every JOIN and CLUSTER, as BCBPT chains it, and watching changes
+// nothing about the build.
+func TestMessageHookChains(t *testing.T) {
+	plain, plainProto, ids := buildWorld(t, 60, 6, nil)
+	bootstrap(t, plain, plainProto, ids)
+
+	net, _ := placeWorld(t, 60, 6)
+	heard := map[wire.Command]uint64{}
+	net.OnMessage = func(node *p2p.Node, from p2p.NodeID, msg wire.Message) {
+		if _, ok := net.Node(from); !ok || node == nil {
+			t.Errorf("message from %d to %v: an end is unknown", from, node)
+		}
+		heard[msg.Command()]++
+	}
+	proto, err := New(net, topology.NewDNSSeed(), plainProto.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bootstrap(t, net, proto, ids)
+
+	st, sent := proto.Stats(), net.Stats()
+	if heard[wire.CmdJoin] == 0 || heard[wire.CmdJoin] != sent.Messages[wire.CmdJoin] || heard[wire.CmdCluster] != sent.Messages[wire.CmdCluster] {
+		t.Fatalf("the earlier hook heard %d JOIN and %d CLUSTER; %d and %d were sent",
+			heard[wire.CmdJoin], heard[wire.CmdCluster], sent.Messages[wire.CmdJoin], sent.Messages[wire.CmdCluster])
+	}
+	if heard[wire.CmdJoin] != st.Joins+st.Rejects || len(heard) != 2 {
+		t.Fatalf("BCBPT answered %d JOINs of the %d heard; hook heard %v", st.Joins+st.Rejects, heard[wire.CmdJoin], heard)
+	}
+	if st != plainProto.Stats() || sent != plain.Stats() {
+		t.Fatalf("the hook changed the build: stats %+v / %+v", st, plainProto.Stats())
+	}
+	for _, id := range ids {
+		c, _ := proto.ClusterOf(id)
+		if pc, _ := plainProto.ClusterOf(id); c != pc {
+			t.Fatalf("node %d in cluster %d with the hook, %d without", id, c, pc)
+		}
+	}
 }
 
 func TestLateJoinerEntersExistingCluster(t *testing.T) {
@@ -340,6 +403,45 @@ func TestChurnedJoinerDoesNotCorruptRegistry(t *testing.T) {
 	if _, ok := proto.ClusterOf(nd.ID()); ok {
 		t.Error("churned joiner ended up registered")
 	}
+	requireNoJoinRecord(t, proto, "a joiner left before deciding")
+}
+
+// TestJoinerLeavesWithJoinInFlight: a joiner that leaves after its decision,
+// with its JOIN on the wire, enters no cluster — K's reply cannot reach it
+// and the fallback finds no record — and leaves no record behind.
+func TestJoinerLeavesWithJoinInFlight(t *testing.T) {
+	// Every candidate is close enough: the decision is a JOIN.
+	net, proto, ids := buildWorld(t, 50, 10, func(c *Config) { c.Threshold = time.Hour })
+	bootstrap(t, net, proto, ids)
+	nd := net.AddNode(geo.Location{
+		Coord: geo.Coord{LatDeg: 50, LonDeg: 8}, Country: "DE", Region: "EU",
+	})
+	proto.OnJoin(nd.ID())
+	sent := net.Stats().Messages[wire.CmdJoin]
+	for net.Stats().Messages[wire.CmdJoin] == sent {
+		if _, err := net.Scheduler().RunN(1); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := proto.ClusterOf(nd.ID()); ok || net.Scheduler().Len() == 0 {
+			t.Fatal("the joiner decided without a JOIN")
+		}
+	}
+	if !joining(net, proto, nd.ID()) {
+		t.Fatal("the joiner has no record with its JOIN in flight")
+	}
+	proto.OnLeave(nd.ID())
+	net.RemoveNode(nd.ID())
+	if err := net.RunUntil(context.Background(), net.Now()+10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := proto.ClusterOf(nd.ID()); ok {
+		t.Error("the joiner ended up registered")
+	}
+	// K's reply, addressed to a node that has gone, cannot leave.
+	if st := net.Stats(); st.Messages[wire.CmdCluster] != sent || st.Dropped != 1 {
+		t.Errorf("%d CLUSTER replies sent for %d JOINs, %d dropped; want %d and 1", st.Messages[wire.CmdCluster], sent+1, st.Dropped, sent)
+	}
+	requireNoJoinRecord(t, proto, "a joiner left with its JOIN in flight")
 }
 
 func TestChurnKeepsRegistryConsistent(t *testing.T) {
@@ -375,12 +477,15 @@ func TestChurnKeepsRegistryConsistent(t *testing.T) {
 	// All live nodes clustered (joins settle within the run windows).
 	for _, id := range net.NodeIDs() {
 		if _, ok := proto.ClusterOf(id); !ok {
-			if proto.joining[id] {
+			if joining(net, proto, id) {
 				continue // a join may still legitimately be in flight
 			}
 			t.Errorf("live node %d neither clustered nor joining", id)
 		}
 	}
+	// The last joiner decided well inside the final run: its record, like
+	// every departed node's, is gone.
+	requireNoJoinRecord(t, proto, "after the churn")
 }
 
 func TestBootstrapDeterministic(t *testing.T) {
@@ -585,10 +690,7 @@ func TestDecisionFollowsMeasuredStream(t *testing.T) {
 		if decisions < len(ids)/2 || joins == 0 || joins == decisions || (probes < 3) != (fallbacks == decisions) {
 			t.Errorf("probes %d: %d decisions, %d joins, %d with no ready estimator: the build did not exercise the rule", probes, decisions, joins, fallbacks)
 		}
-		if len(proto.joining) != 0 || len(proto.probes.joins) != 0 || slices.ContainsFunc(proto.probes.bySlot, func(j int32) bool { return j != 0 }) {
-			t.Errorf("probes %d: join state left after every join settled: %d joining, %d entries, slots %v",
-				probes, len(proto.joining), len(proto.probes.joins), proto.probes.bySlot)
-		}
+		requireNoJoinRecord(t, proto, fmt.Sprintf("probes %d, every join settled", probes))
 	}
 }
 

@@ -14,10 +14,11 @@ import (
 // TestBCBPTNodeFootprint holds the per-node memory of a BCBPT network at
 // the benchmark's bcbpt_build size — Fig. 3's BCBPT campaign, 3000 nodes —
 // to what the nodes need once built: the node itself, its peer table and
-// its inventory arrays, 962 B at seed 1; the budget is that plus 5 %. A
+// its inventory arrays, 954 B at seed 1 (962 B while every node carried a
+// message-handler closure; the budget, that plus 5 %, is unchanged). A
 // node keeps no RTT estimate: §IV.A's measurements are the join's, which
-// drops them when it decides (core's joinProbes), so a node that kept an
-// estimator per candidate probed would break the budget.
+// drops them when the join finishes (core's joinTable), so a node that kept
+// an estimator per candidate probed would break the budget.
 func TestBCBPTNodeFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3000-node build")

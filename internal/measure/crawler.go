@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/latency"
 	"repro/internal/p2p"
 	"repro/internal/sim"
 )
@@ -40,16 +39,14 @@ type CrawlResult struct {
 	Reachable int
 	// RTTs pools every observed ping round trip.
 	RTTs Distribution
-	// PerTarget maps each probed node to its smoothed estimate.
-	PerTarget map[p2p.NodeID]time.Duration
 }
 
 // Crawl probes every reachable node `pingsPer` times, spaced by gap, and
 // aggregates the observed round trips. The vantage pings them all in one
 // ProbeN, each round in ascending ID order, and the network runs until the
 // deadline passes. The round trips are pooled as the vantage takes them in
-// (Network.OnRTT), and folded into an estimator per target; folding the
-// vantage's landed pongs (Node.FoldPongs) completes both.
+// (Network.OnRTT); folding the vantage's landed pongs (Node.FoldPongs)
+// completes the pool.
 func (c *Crawler) Crawl(pingsPer int, gap, deadline time.Duration) (CrawlResult, error) {
 	if pingsPer < 1 {
 		return CrawlResult{}, errors.New("measure: pingsPer must be >= 1")
@@ -59,13 +56,8 @@ func (c *Crawler) Crawl(pingsPer int, gap, deadline time.Duration) (CrawlResult,
 		return CrawlResult{}, errors.New("measure: vantage churned away")
 	}
 	ids := c.net.NodeIDs()
-	res := CrawlResult{
-		Reachable: len(ids),
-		PerTarget: make(map[p2p.NodeID]time.Duration),
-	}
 	targets := slices.DeleteFunc(slices.Clone(ids), func(id p2p.NodeID) bool { return id == c.vantage })
 	var samples []time.Duration
-	ests := make([]latency.Estimator, len(targets))
 	prev := c.net.OnRTT
 	defer func() { c.net.OnRTT = prev }()
 	c.net.OnRTT = func(prober *p2p.Node, target p2p.NodeID, rtt time.Duration) {
@@ -74,9 +66,6 @@ func (c *Crawler) Crawl(pingsPer int, gap, deadline time.Duration) (CrawlResult,
 		}
 		if prober == node {
 			samples = append(samples, rtt)
-			if i, ok := slices.BinarySearch(targets, target); ok {
-				ests[i].Observe(rtt)
-			}
 		}
 	}
 	node.ProbeN(targets, pingsPer, gap)
@@ -85,11 +74,5 @@ func (c *Crawler) Crawl(pingsPer int, gap, deadline time.Duration) (CrawlResult,
 		return CrawlResult{}, err
 	}
 	node.FoldPongs()
-	for i, t := range targets {
-		if ests[i].Samples() > 0 {
-			res.PerTarget[t] = ests[i].RTT()
-		}
-	}
-	res.RTTs = NewDistribution(samples)
-	return res, nil
+	return CrawlResult{Reachable: len(ids), RTTs: NewDistribution(samples)}, nil
 }

@@ -448,12 +448,8 @@ func TestCrawlerCollectsRTTs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every target answered: requireRTTFloor finds an estimator for each.
 	requireRTTFloor(t, net, ests, ids[0], ids)
-	for id, rtt := range res.PerTarget {
-		if want := ests[id].RTT(); rtt != want {
-			t.Errorf("PerTarget[%d] = %v, the vantage's round trips to it smooth to %v", id, rtt, want)
-		}
-	}
 	if net.OnRTT == nil || chained != res.RTTs.N() {
 		t.Errorf("the hook attached before the crawl heard %d of %d samples, and is attached after it: %v", chained, res.RTTs.N(), net.OnRTT != nil)
 	}
@@ -463,9 +459,6 @@ func TestCrawlerCollectsRTTs(t *testing.T) {
 	want := 49 * 4
 	if res.RTTs.N() != want {
 		t.Errorf("observed %d RTTs, want %d", res.RTTs.N(), want)
-	}
-	if len(res.PerTarget) != 49 {
-		t.Errorf("PerTarget = %d, want 49", len(res.PerTarget))
 	}
 	if res.RTTs.Min() <= 0 {
 		t.Error("non-positive RTT sample")

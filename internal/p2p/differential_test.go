@@ -194,29 +194,22 @@ const probeGap = 20 * time.Millisecond
 // probeN starts a ProbeN of targets on the flat side, of the given number
 // of rounds, which resolves each target and its pair's link once, sends
 // each round from one event and lets the pongs reach the prober as
-// tickets. The oracle has no ProbeN: its side is the Probes that stands
-// for, rounds of one per target at the same offsets, each finding prober
-// and target by ID when it fires, each pong an event.
+// tickets. The oracle's side is the Probes that stands for
+// (ReferenceNode.ProbeN), each pong an event.
 func (h *diffHarness) probeN(a NodeID, rounds int, targets ...NodeID) {
 	fn, ok := h.flat.Node(a)
 	if !ok {
 		return
 	}
 	fn.ProbeN(targets, rounds, probeGap)
-	for i := 0; i < rounds; i++ {
-		h.ref.sched.After(time.Duration(i)*probeGap, func() {
-			if rn, ok := h.ref.Node(a); ok {
-				for _, b := range targets {
-					rn.Probe(b, func(rtt time.Duration) { h.refRTTs.observe(a, b, rtt) })
-				}
-			}
-		})
-	}
+	rn, _ := h.ref.Node(a)
+	rn.ProbeN(targets, rounds, probeGap, func(b NodeID, rtt time.Duration) { h.refRTTs.observe(a, b, rtt) })
 }
 
 // probeTargets picks up to three distinct targets for a ProbeN from a, the
 // live IDs from the one y picks on, and with y's high bit set the ID the
-// next joiner will get, which names nobody yet.
+// next joiner will get, which names nobody yet and so is dropped every
+// round.
 func (h *diffHarness) probeTargets(a NodeID, y byte) []NodeID {
 	ids := h.liveIDs()
 	var out []NodeID
@@ -712,7 +705,7 @@ func TestProbeNCarriedHandles(t *testing.T) {
 			pings: 1, pongs: 0, dropped: 3,
 		},
 		{
-			name: "target joins between pings",
+			name: "a target that names nobody is dropped every round",
 			run: func(t *testing.T, h *diffHarness) {
 				const next = NodeID(11) // the harness starts with ten nodes
 				h.probeN(a, 3, next)
@@ -721,9 +714,9 @@ func TestProbeNCarriedHandles(t *testing.T) {
 					t.Fatalf("joiner got id %d, want %d", id, next)
 				}
 			},
-			// ProbeN had nothing to resolve, so each ping looks the ID up:
-			// the first finds nobody, the other two find the joiner.
-			pings: 2, pongs: 2, dropped: 1, target: 11, samples: 2,
+			// ProbeN found nobody to resolve: no ping leaves, not even
+			// once the ID names the joiner.
+			pings: 0, pongs: 0, dropped: 3, target: 11, samples: 0,
 		},
 		{
 			name: "prober removed with a pong in flight",
@@ -770,10 +763,10 @@ func TestProbeNCarriedHandles(t *testing.T) {
 				fb, _ := h.flat.Node(b)
 				h.probeN(a, 3, b)
 				h.drain()
-				if len(h.flat.links) != 0 || h.flat.linkDraws != 1 {
-					t.Fatalf("ProbeN left %d pairs in the table after %d draws; want 0 after 1", len(h.flat.links), h.flat.linkDraws)
+				if h.flat.linkDraws != 1 {
+					t.Fatalf("ProbeN made %d link draws; want 1", h.flat.linkDraws)
 				}
-				probed := h.flat.makeLink(mkLinkKey(a, b), fa, fb).Base()
+				probed := h.flat.link(fa, fb).Base()
 				h.connect(a, b)
 				h.submitTx(a)
 				h.drain()

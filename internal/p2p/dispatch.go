@@ -46,8 +46,8 @@ const (
 // when it left (word), and it also reads base, the baseline of the link it
 // travels; under a tracer its pong carries both back, so the pinger keeps
 // nothing while they travel and matches nothing when they return, and
-// untraced the pong travels as a ticket (pongTicket). Anything else —
-// GETADDR, ADDR, JOIN, CLUSTER — stays a wire.Message, in the arena's side
+// untraced the pong travels as a ticket (pongTicket). Anything else — what
+// Send carries, JOIN and CLUSTER — stays a wire.Message, in the arena's side
 // column at the record's index, and cmd is zero. A verification wait
 // (Network.verified) is a record too: the sender, the verifying node and the
 // object.
@@ -181,9 +181,8 @@ func (p *ticketPool) empty() bool { return p.next == 0 && p.used == 0 }
 
 // probeSet is one ProbeN call: the prober, its targets in list order, and
 // how many of its rounds (Network.probeRound) are still to run. A target is
-// resolved once, when ProbeN runs: its ID, the node that ID named (nil for
-// nobody, and then every round looks the ID up again) and the pair's link
-// baseline. The sets are the network's (Network.probes), recycled with their
+// resolved once, when ProbeN runs: the node its ID named (nil for nobody)
+// and the pair's link baseline. The sets are the network's (Network.probes), recycled with their
 // target slices once the last round has run.
 type probeSet struct {
 	src     *Node
@@ -193,7 +192,6 @@ type probeSet struct {
 
 // probeTarget is one target of a probeSet.
 type probeTarget struct {
-	id   NodeID
 	dst  *Node
 	base time.Duration
 }

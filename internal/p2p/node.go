@@ -149,29 +149,20 @@ type Node struct {
 	nPeers       int
 	nOut         int
 
-	// extraHandler receives messages the base node does not consume
-	// (JOIN/CLUSTER); the topology layer installs it.
-	extraHandler func(from NodeID, msg wire.Message)
-
 	loc geo.Location
 }
 
 // now returns the current virtual time.
 func (nd *Node) now() sim.Time { return nd.net.sched.Now() }
 
-// SetExtraHandler installs a handler for protocol-extension messages
-// (JOIN/CLUSTER). Passing nil removes it.
-func (nd *Node) SetExtraHandler(h func(from NodeID, msg wire.Message)) {
-	nd.extraHandler = h
-}
-
-// Send transmits an arbitrary wire message to any live node, addressed by
-// ID: the overlay's "any host can dial any other". Topology protocols use
-// it for their extension messages, and address discovery for GETADDR and
-// ADDR; the message is silently dropped if either end is gone (matching a
-// TCP RST on a dead host). Relay traffic between peers does not come this
-// way — it has no wire.Message to send (sendTo) — nor do pings and pongs
-// (ping, pong).
+// Send transmits a wire message to any live node, addressed by ID: the
+// overlay's "any host can dial any other". Topology protocols use it for
+// their extension messages, JOIN and CLUSTER, which land at
+// Network.OnMessage; the message is silently dropped if either end is gone
+// (matching a TCP RST on a dead host). The pair's link is drawn per send
+// (Network.link), not stored. Relay traffic between peers does not come
+// this way — it has no wire.Message to send (sendTo) — nor do pings and
+// pongs (ping, pong).
 func (nd *Node) Send(to NodeID, msg wire.Message) {
 	n := nd.net
 	dst, ok := n.nodes[to]
@@ -187,8 +178,8 @@ func (nd *Node) Send(to NodeID, msg wire.Message) {
 // (Network.deliver). With pos >= 0, the receiver's adjacency position
 // here, it is reached through the peer entry — destination, link and
 // reverse position all read from it, no map touched. With pos < 0 it is
-// to, a sender that is no longer a peer: the link comes from the network's
-// memo of by-ID pairs, and the message is dropped if either end is gone (a
+// to, a sender that is no longer a peer: the pair's link is drawn for the
+// send (Network.link), and the message is dropped if either end is gone (a
 // removed node has no peers, so only this branch can see one).
 func (nd *Node) sendTo(pos int32, to *Node, cmd wire.Command, size int) *delivery {
 	n := nd.net
@@ -674,23 +665,13 @@ func (nd *Node) hashIdx(d *delivery) int32 {
 	return nd.net.hashSlot(d.hash())
 }
 
-// handleMessage dispatches a delivered wire.Message: what Send carries.
-// Address requests are answered by ID, the way they came; everything the
-// relay and the probes exchange arrives as record fields and is dispatched
-// by Network.arrive.
+// handleMessage hands a delivered wire.Message — what Send carries — to
+// Network.OnMessage; the base node consumes none. Everything the relay and
+// the probes exchange arrives as record fields and is dispatched by
+// Network.arrive.
 func (nd *Node) handleMessage(from NodeID, msg wire.Message) {
-	switch msg.(type) {
-	case *wire.MsgGetAddr:
-		nd.handleGetAddr(from)
-	case *wire.MsgAddr:
-		// Address gossip terminates here; topology managers pull
-		// addresses via the discovery API rather than per-node state.
-	default:
-		// JOIN/CLUSTER and handshake messages are consumed by the
-		// topology layer, which installs its own handler.
-		if nd.extraHandler != nil {
-			nd.extraHandler(from, msg)
-		}
+	if f := nd.net.OnMessage; f != nil {
+		f(nd, from, msg)
 	}
 }
 
@@ -760,24 +741,13 @@ func (nd *Node) handleObject(d *delivery) {
 
 // --- ping measurement ---
 
-// probe pings target by ID: a ProbeN target that named nobody when ProbeN
-// ran, looked up again each round (Network.probeRound).
-func (nd *Node) probe(target NodeID) {
-	dst := nd.net.nodes[target]
-	var base time.Duration
-	if dst != nil {
-		base = nd.net.link(nd, dst).Base()
-	}
-	nd.ping(dst, base)
-}
-
 // ping sends dst a ping over a link of the given baseline, stamped with the
-// time it leaves. A ping that cannot leave — dst is nil, the target being
-// gone, or this node has left the network itself — counts as Dropped.
-// Either way the node itself keeps nothing.
+// time it leaves. A ping that cannot leave — dst is nil, the target having
+// named nobody when ProbeN ran, or dst has left — counts as Dropped. Either
+// way the node itself keeps nothing.
 func (nd *Node) ping(dst *Node, base time.Duration) {
 	n := nd.net
-	if dst == nil || !nd.live() {
+	if dst == nil || !dst.live() {
 		n.dc.stats.Dropped++
 		return
 	}
@@ -815,11 +785,11 @@ func (nd *Node) pong(ping *delivery) {
 // ProbeN measures the round trip to each of targets n times: n rounds spaced
 // by gap, the first now, each one event (Network.probeRound) that sends every
 // target a ping, in list order. Each target and its pair's link are resolved
-// here, once, and ride in the call's probeSet: the link is a pure function
-// of the seed and the pair, so it is drawn and not stored. What the pongs
-// report reaches Network.OnRTT, every pong whose landing has passed by the
-// time the prober is folded (FoldPongs). A ping or pong lost on the way, or
-// to churn, never arrives.
+// here, once, and ride in the call's probeSet: a target that names nobody
+// now is a ping dropped every round, like one that has left by then. What
+// the pongs report reaches Network.OnRTT, every pong whose landing has
+// passed by the time the prober is folded (FoldPongs). A ping or pong lost
+// on the way, or to churn, never arrives.
 func (nd *Node) ProbeN(targets []NodeID, n int, gap time.Duration) {
 	if n <= 0 || len(targets) == 0 {
 		return
@@ -829,9 +799,9 @@ func (nd *Node) ProbeN(targets []NodeID, n int, gap time.Duration) {
 	ps := &net.probes[idx]
 	ps.src, ps.left = nd, n
 	for _, id := range targets {
-		t := probeTarget{id: id}
+		var t probeTarget
 		if dst, ok := net.nodes[id]; ok {
-			t.dst, t.base = dst, net.makeLink(mkLinkKey(nd.id, id), nd, dst).Base()
+			t.dst, t.base = dst, net.link(nd, dst).Base()
 		}
 		ps.targets = append(ps.targets, t)
 	}
@@ -898,17 +868,4 @@ func (nd *Node) settlePongs() {
 	if len(list) > 0 {
 		n.pongs.drop(nd.slot, len(list))
 	}
-}
-
-// handleGetAddr replies with a sample of this node's peer addresses —
-// "the normal Bitcoin network nodes discovery mechanism" (§IV.B).
-func (nd *Node) handleGetAddr(from NodeID) {
-	addrs := make([]wire.NetAddr, 0, nd.nPeers)
-	nd.EachPeer(func(id NodeID) bool {
-		if id != from {
-			addrs = append(addrs, wire.NetAddr{NodeID: uint64(id)})
-		}
-		return true
-	})
-	nd.Send(from, &wire.MsgAddr{Addrs: addrs})
 }

@@ -1,7 +1,7 @@
 // Package p2p implements the simulated Bitcoin peer-to-peer network: nodes
 // with the INV/GETDATA/TX relay protocol of Fig. 1 of the paper, latency-
-// weighted message delivery, ping measurement, address gossip, and churn
-// hooks. Neighbour selection policy is deliberately NOT here — the
+// weighted message delivery, ping measurement, and the hooks through which
+// measurement and topology layers hear it. Neighbour selection policy is deliberately NOT here — the
 // internal/topology package wires nodes together (randomly, by locality,
 // or by ping time) on top of these primitives.
 //
@@ -22,12 +22,13 @@
 // thousand-injection campaigns in bounded memory.
 //
 // A node's peers are walked in the order of its adjacency table: the INV
-// fan-out, address replies and EachPeer all visit positions in ascending
-// order, and no sorted view is kept beside the table. A connection holds
-// its position for its life and takes the most recently freed one, else a
-// new one at the end, so the order — and with it the sender's keyed send
-// sequence — is a fixed function of the connect and disconnect sequence. Only Peers sorts: it hands out ascending IDs, in a
-// copy, for the callers whose own order must not depend on the table.
+// fan-out and EachPeer visit positions in ascending order, and no sorted
+// view is kept beside the table. A connection holds its position for its
+// life and takes the most recently freed one, else a new one at the end, so
+// the order — and with it the sender's keyed send sequence — is a fixed
+// function of the connect and disconnect sequence. Only Peers sorts: it
+// hands out ascending IDs, in a copy, for the callers whose own order must
+// not depend on the table.
 //
 // A message in flight is a value, not an object: one 64-byte record in the
 // network's arena (delivery), scheduled as an indexed event whose index it
@@ -36,8 +37,12 @@
 // command byte plus the object it names and that object's dense hash index;
 // a ping is the time it left, which its pong brings back, so a probe leaves
 // nothing on the node that sent it. Only what Send carries for the topology
-// layer — GETADDR, ADDR, JOIN, CLUSTER — is a wire.Message, kept beside the
-// record.
+// layer — JOIN and CLUSTER — is a wire.Message, kept beside the record and
+// handed on landing to Network.OnMessage; the network serves no address
+// requests itself. No pair's link is stored: a link is a pure function of
+// the seed and the pair (Network.link), so a connection keeps its baseline
+// in its peer entries, a ProbeN in its probe set, and a by-ID send or a
+// BaseRTT query draws it afresh.
 //
 // An INV that cannot be the first is not even that. Every edge carries one
 // INV per object but only one per node makes it ask, and for most of the
@@ -153,19 +158,11 @@ type Network struct {
 
 	nodes  map[NodeID]*Node
 	nextID NodeID
-	// links caches the latency links of pairs that Send reaches by ID —
-	// JOIN/CLUSTER and address gossip — of the pings to a ProbeN target
-	// that named nobody when ProbeN ran (Node.probe), and of BaseRTT
-	// queries. A link is a pure function of the seed and the pair
-	// (makeLink), so the table is only a memo, and the two heavy users
-	// do without it: relay traffic reads the connection's link from its
-	// peer entries (peerEntry.base), and ProbeN draws each target's link
-	// once and carries the baseline through its pings and their pongs.
-	links map[linkKey]latency.Link
-	// linkDraws counts makeLink calls: one per edge per connection, one
-	// per pair in links and one per ProbeN target, which the tests pin.
+	// linkDraws counts link calls: one per edge per connection, one per
+	// ProbeN target and one per by-ID send or BaseRTT query, which the
+	// tests pin.
 	linkDraws uint64
-	// linkSrc/linkRand are makeLink's keyed RNG, re-keyed per pair as
+	// linkSrc/linkRand are link's keyed RNG, re-keyed per pair as
 	// dispatchCtx.krand is per send; a draw can happen inside a send's
 	// (edgeLink under launch), so the two do not share a source.
 	// NewNetwork points linkRand at the embedded linkSrc.
@@ -227,6 +224,11 @@ type Network struct {
 	// OnDisconnect fires after a connection is torn down, letting the
 	// topology manager refill the peer's slots.
 	OnDisconnect func(a, b NodeID)
+	// OnMessage fires when a node receives a wire.Message — what Send
+	// carries, JOIN and CLUSTER — with the receiving node and the sender's
+	// ID: the one way a topology protocol hears its messages. Whoever reads
+	// them installs the hook, chaining any earlier one.
+	OnMessage func(node *Node, from NodeID, msg wire.Message)
 	// OnRTT is the only way a round trip leaves the network: it fires when
 	// a prober takes in a round trip to target, when the pong lands under a
 	// tracer, and otherwise when its ticket is folded in (Node.FoldPongs) —
@@ -235,15 +237,6 @@ type Network struct {
 	// any earlier one), keeps its own estimators and folds the prober
 	// before reading them. The hook must not fold the prober itself.
 	OnRTT func(prober *Node, target NodeID, rtt time.Duration)
-}
-
-type linkKey struct{ lo, hi NodeID }
-
-func mkLinkKey(a, b NodeID) linkKey {
-	if a > b {
-		a, b = b, a
-	}
-	return linkKey{lo: a, hi: b}
 }
 
 // NewNetwork creates an empty network.
@@ -272,7 +265,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 		streams:   streams,
 		model:     model,
 		nodes:     make(map[NodeID]*Node),
-		links:     make(map[linkKey]latency.Link),
 		invGen:    1,
 		hashIdx:   make(map[chain.Hash]int32, 16),
 		spenders:  make(map[chain.Outpoint][]int32),
@@ -290,9 +282,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 // Reserve pre-sizes the network's node tables for an expected
 // population, so a large build does not pay incremental map and slice
 // growth. Calling it after nodes exist, or not at all, only costs
-// amortised growth — behaviour is identical either way. The links table
-// is not pre-sized: how many pairs a topology policy will message by ID
-// (none, for a random overlay) is not something the node count says.
+// amortised growth — behaviour is identical either way.
 func (n *Network) Reserve(nodes int) {
 	if nodes <= 0 || len(n.nodes) > 0 {
 		return
@@ -462,21 +452,21 @@ func (n *Network) findHash(h chain.Hash) (int32, bool) {
 	return hi, ok
 }
 
-// link returns (drawing on first use) the memoised latency link of a pair
-// that messages by ID; a connection's link is edgeLink's. Link parameters
-// are drawn from a keyed source derived from the (seed, endpoint pair), not
-// from a shared sequential stream, so a link's last-mile draw is
-// independent of creation order and of who asks — the reason a pair gets
-// the same link here, in its peer entries once it connects, and from the
-// ProbeN that measured it. The slow path runs once per pair.
+// link draws the latency link of a pair; a connection's is edgeLink's,
+// drawn here once per edge. Link parameters come from a keyed source derived
+// from the (seed, endpoint pair), not from a shared sequential stream, so a
+// link is a pure function of the pair, independent of creation order and of
+// who asks — the reason a pair gets the same link in its peer entries once
+// it connects, from the ProbeN that measured it and from every by-ID send,
+// and the reason no pair's link is stored. A draw allocates nothing.
 func (n *Network) link(a, b *Node) latency.Link {
-	key := mkLinkKey(a.id, b.id)
-	if l, ok := n.links[key]; ok {
-		return l
+	lo, hi := a.id, b.id
+	if lo > hi {
+		lo, hi = hi, lo
 	}
-	l := n.makeLink(key, a, b)
-	n.links[key] = l
-	return l
+	n.linkDraws++
+	n.linkSrc.SeedKey(sim.MixKey3(uint64(n.cfg.Seed)^linkKeyTag, uint64(lo), uint64(hi)))
+	return n.model.NewLink(n.linkRand, a.loc.Coord, b.loc.Coord)
 }
 
 // edgeLink returns the latency link of the connection at nd's adjacency
@@ -496,16 +486,9 @@ func (n *Network) edgeLink(nd *Node, pos int32) latency.Link {
 // stores its baseline in both peer entries.
 func (n *Network) resolveEdge(nd *Node, pos int32) {
 	peer, rpos := nd.peerTab[pos].node, nd.peerTab[pos].rpos
-	base := n.makeLink(mkLinkKey(nd.id, peer.id), nd, peer).Base()
+	base := n.link(nd, peer).Base()
 	nd.peerTab[pos].base = base
 	peer.peerTab[rpos].base = base
-}
-
-// makeLink draws the link's latency parameters from the pair-keyed source.
-func (n *Network) makeLink(key linkKey, a, b *Node) latency.Link {
-	n.linkDraws++
-	n.linkSrc.SeedKey(sim.MixKey3(uint64(n.cfg.Seed)^linkKeyTag, uint64(key.lo), uint64(key.hi)))
-	return n.model.NewLink(n.linkRand, a.loc.Coord, b.loc.Coord)
 }
 
 // BaseRTT returns the congestion-free round-trip time between two nodes —
@@ -765,8 +748,9 @@ func (n *Network) verified(idx int32) {
 
 // probeRound is the indexed event of one of a ProbeN call's rounds falling
 // due: idx is its probeSet. Every target is pinged in list order. A prober
-// that churned out in the meantime sends nothing; a target that did is a
-// ping that cannot leave. The last round recycles the set.
+// that churned out in the meantime sends nothing; a target that did, or
+// that named nobody when ProbeN ran, is a ping that cannot leave. The last
+// round recycles the set.
 //
 // One event for the round is exact against one per ping: a ProbeN call
 // schedules its rounds' places back to back, so no other event could fall
@@ -776,15 +760,7 @@ func (n *Network) probeRound(idx int32) {
 	ps := &n.probes[idx]
 	if src := ps.src; src.live() {
 		for _, t := range ps.targets {
-			switch {
-			case t.dst == nil:
-				// The ID named nobody when ProbeN ran; it may name a node by now.
-				src.probe(t.id)
-			case !t.dst.live():
-				src.ping(nil, 0)
-			default:
-				src.ping(t.dst, t.base)
-			}
+			src.ping(t.dst, t.base)
 		}
 	}
 	if ps.left--; ps.left == 0 {
@@ -886,5 +862,6 @@ func (n *Network) Close() {
 	n.OnBlockFirstSeen = nil
 	n.OnDisconnect = nil
 	n.OnRTT = nil
+	n.OnMessage = nil
 	n.DisableTrace()
 }

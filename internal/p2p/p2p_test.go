@@ -650,25 +650,6 @@ func TestLostProbesLeaveNothing(t *testing.T) {
 	}
 }
 
-func TestGetAddrDiscovery(t *testing.T) {
-	net, nodes := testNetwork(t, 4, nil)
-	hub := nodes[0]
-	for _, nd := range nodes[1:] {
-		if err := net.Connect(hub.ID(), nd.ID()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// nodes[1] asks the hub for addresses; the reply is observable in
-	// stats (ADDR sent) and carries the hub's other peers.
-	nodes[1].Send(hub.ID(), &wire.MsgGetAddr{})
-	if err := net.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if net.Stats().Messages[wire.CmdAddr] != 1 {
-		t.Errorf("addr replies = %d, want 1", net.Stats().Messages[wire.CmdAddr])
-	}
-}
-
 func TestResetInventoryAllowsReinjection(t *testing.T) {
 	net, nodes := testNetwork(t, 5, nil)
 	connectRing(t, net, nodes)
@@ -766,10 +747,9 @@ func edgesOf(net *Network) [][2]NodeID {
 }
 
 // TestPeerLinkMatchesBaseRTT pins the link baseline the two peer entries
-// of an edge hold: symmetric, equal to what BaseRTT draws for the pair
-// through the by-ID pair table, unchanged by a disconnect + reconnect —
-// and drawn exactly once per edge per connection, whichever side uses it
-// first.
+// of an edge hold: symmetric, equal to what BaseRTT draws for the pair,
+// unchanged by a disconnect + reconnect — and drawn exactly once per edge
+// per connection, whichever side uses it first.
 func TestPeerLinkMatchesBaseRTT(t *testing.T) {
 	net, nodes := testNetwork(t, 40, nil)
 	r := net.Streams().Stream("wire")
@@ -780,13 +760,11 @@ func TestPeerLinkMatchesBaseRTT(t *testing.T) {
 		}
 	}
 	edges := edgesOf(net)
-	// edgeDraws is the makeLink calls made for peer entries: all of them
-	// less the one behind each pair-table entry, which BaseRTT is the only
-	// thing here to add — nothing in this test sends by ID, and no ProbeN
-	// makes its unstored draw (TestProbeNCarriedHandles counts that one).
-	edgeDraws := func() int { return int(net.linkDraws) - len(net.links) }
-	if edgeDraws() != 0 {
-		t.Fatalf("Connect drew %d links; resolution must stay lazy", edgeDraws())
+	// Nothing in this test sends by ID or probes, so every link draw is a
+	// peer entry's until BaseRTT, which draws on every call
+	// (TestProbeNCarriedHandles counts a ProbeN's).
+	if net.linkDraws != 0 {
+		t.Fatalf("Connect drew %d links; resolution must stay lazy", net.linkDraws)
 	}
 
 	// check verifies every resolved edge against BaseRTT and returns how
@@ -823,12 +801,9 @@ func TestPeerLinkMatchesBaseRTT(t *testing.T) {
 	if err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(net.links) != 0 {
-		t.Fatalf("relay traffic put %d pairs in the pair table", len(net.links))
-	}
-	used := edgeDraws()
-	if got := check("after flood"); used == 0 || got != used || edgeDraws() != used {
-		t.Fatalf("flood over %d edges: %d draws, %d edges resolved, %d draws after BaseRTT", len(edges), used, got, edgeDraws())
+	used := int(net.linkDraws)
+	if got := check("after flood"); used == 0 || got != used || int(net.linkDraws) != used+2*got {
+		t.Fatalf("flood over %d edges: %d draws, %d edges resolved, %d draws after two BaseRTT each", len(edges), used, got, net.linkDraws)
 	}
 
 	// Reconnecting drops the baseline with the entry; the next use draws
@@ -847,17 +822,13 @@ func TestPeerLinkMatchesBaseRTT(t *testing.T) {
 
 // TestChurnLeavesNoLinkState pins that a connection's link state dies
 // with it: after floods under churn every free adjacency position is the
-// zero entry, a departed node holds none, and the network-level pair
-// table holds only pairs that messaged by ID — here, at most the cut edges
-// whose ends answered a message that was in flight when they stopped being
-// peers.
+// zero entry and a departed node holds none.
 func TestChurnLeavesNoLinkState(t *testing.T) {
 	net, nodes := testNetwork(t, 30, nil)
 	connectRing(t, net, nodes)
 	for i := range nodes {
 		_ = net.Connect(nodes[i].ID(), nodes[(i+7)%len(nodes)].ID())
 	}
-	cut := map[linkKey]bool{}
 	for round := 0; round < 5; round++ {
 		net.ResetInventory()
 		if err := nodes[(3*round+1)%10].SubmitTx(testTx(t, int64(20+round))); err != nil {
@@ -868,15 +839,9 @@ func TestChurnLeavesNoLinkState(t *testing.T) {
 			t.Fatal(err)
 		}
 		net.Disconnect(nodes[round].ID(), nodes[round+1].ID())
-		cut[mkLinkKey(nodes[round].ID(), nodes[round+1].ID())] = true
 		net.RemoveNode(nodes[29-round].ID())
 		if err := net.Run(); err != nil {
 			t.Fatal(err)
-		}
-	}
-	for key := range net.links {
-		if !cut[key] {
-			t.Fatalf("links table holds %v, which only ever talked as peers", key)
 		}
 	}
 	for _, nd := range nodes {
@@ -1185,11 +1150,12 @@ func TestDeliveryIsOneCacheLine(t *testing.T) {
 }
 
 // TestCloseResetsInFlightArena: a cleared queue must strand no record, and
-// a closed network keeps no measurement hook.
+// a closed network keeps no measurement or message hook.
 func TestCloseResetsInFlightArena(t *testing.T) {
 	net, nodes := testNetwork(t, 3, nil)
 	connectRing(t, net, nodes)
 	net.OnRTT = func(*Node, NodeID, time.Duration) {}
+	net.OnMessage = func(*Node, NodeID, wire.Message) {}
 	key, err := chain.GenerateKey(rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
@@ -1197,7 +1163,7 @@ func TestCloseResetsInFlightArena(t *testing.T) {
 	if err := nodes[0].SubmitTx(chain.Coinbase(1, 1000, key.Address())); err != nil {
 		t.Fatal(err)
 	}
-	nodes[0].Send(nodes[2].ID(), &wire.MsgGetAddr{})
+	nodes[0].Send(nodes[2].ID(), &wire.MsgJoin{Self: wire.NetAddr{NodeID: uint64(nodes[0].ID())}})
 	if len(net.dc.flight) == 0 || net.sched.Len() == 0 {
 		t.Fatal("nothing in flight")
 	}
@@ -1205,8 +1171,8 @@ func TestCloseResetsInFlightArena(t *testing.T) {
 	if net.sched.Len() != 0 || len(net.dc.flight) != 0 || len(net.dc.flightMsg) != 0 || len(net.dc.flightFree) != 0 {
 		t.Fatalf("after Close: %d events, %d records, %d messages, %d free", net.sched.Len(), len(net.dc.flight), len(net.dc.flightMsg), len(net.dc.flightFree))
 	}
-	if net.OnRTT != nil {
-		t.Fatal("Close left OnRTT attached")
+	if net.OnRTT != nil || net.OnMessage != nil {
+		t.Fatal("Close left OnRTT or OnMessage attached")
 	}
 }
 

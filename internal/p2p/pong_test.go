@@ -166,20 +166,10 @@ func (r *refProbeNet) add() NodeID {
 	return r.net.AddNode(geo.DefaultPlacer().Place(r.net.streams.Stream("placement"))).ID()
 }
 
-// probeN is the three rounds a ProbeN stands for, each finding prober and
-// targets by ID when it fires (diffHarness.probeN).
+// probeN is the three rounds a ProbeN stands for (ReferenceNode.ProbeN).
 func (r *refProbeNet) probeN(a NodeID, targets []NodeID) {
-	if _, ok := r.net.Node(a); !ok {
-		return
-	}
-	for i := 0; i < 3; i++ {
-		r.net.sched.After(time.Duration(i)*probeGap, func() {
-			if nd, ok := r.net.Node(a); ok {
-				for _, b := range targets {
-					nd.Probe(b, func(rtt time.Duration) { r.rtts.observe(a, b, rtt) })
-				}
-			}
-		})
+	if nd, ok := r.net.Node(a); ok {
+		nd.ProbeN(targets, 3, probeGap, func(b NodeID, rtt time.Duration) { r.rtts.observe(a, b, rtt) })
 	}
 }
 

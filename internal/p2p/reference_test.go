@@ -287,6 +287,35 @@ func (nd *ReferenceNode) Probe(target NodeID, done func(rtt time.Duration)) {
 	nd.net.send(nd.id, target, &wire.MsgPing{Nonce: nonce, Pad: nd.net.sharedPad(pad)})
 }
 
+// ProbeN stands for the flat ProbeN with rounds of Probes: rounds spaced by
+// gap, the first now, each an event of its own that finds the prober by ID
+// and probes every target in list order, done hearing each round trip. A
+// target is resolved once, here, as the flat side resolves it: one that
+// names nobody now is a ping dropped every round, whoever takes its ID
+// later.
+func (nd *ReferenceNode) ProbeN(targets []NodeID, rounds int, gap time.Duration, done func(target NodeID, rtt time.Duration)) {
+	n, a := nd.net, nd.id
+	named := make([]bool, len(targets))
+	for k, b := range targets {
+		_, named[k] = n.nodes[b]
+	}
+	for i := 0; i < rounds; i++ {
+		n.sched.After(time.Duration(i)*gap, func() {
+			rn, ok := n.nodes[a]
+			if !ok {
+				return
+			}
+			for k, b := range targets {
+				if !named[k] {
+					n.stats.Dropped++
+					continue
+				}
+				rn.Probe(b, func(rtt time.Duration) { done(b, rtt) })
+			}
+		})
+	}
+}
+
 func (nd *ReferenceNode) handlePong(from NodeID, m *wire.MsgPong) {
 	p, ok := nd.pending[m.Nonce]
 	if !ok || p.target != from {
@@ -388,7 +417,6 @@ type ReferenceNetwork struct {
 
 	nodes  map[NodeID]*ReferenceNode
 	nextID NodeID
-	links  map[linkKey]latency.Link
 
 	// Keyed delivery RNG — the exact mirror of the flat network's
 	// per-send keying (see Network.deliver), so the two stay comparable
@@ -434,7 +462,6 @@ func NewReferenceNetwork(cfg Config) (*ReferenceNetwork, error) {
 		streams: streams,
 		model:   model,
 		nodes:   make(map[NodeID]*ReferenceNode),
-		links:   make(map[linkKey]latency.Link),
 	}
 	n.krand = rand.New(&n.ksrc)
 	return n, nil
@@ -515,17 +542,13 @@ func (n *ReferenceNetwork) RemoveNode(id NodeID) {
 	}
 }
 
+// link draws the pair's link from pair-keyed parameters, mirroring
+// Network.link exactly.
 func (n *ReferenceNetwork) link(a, b *ReferenceNode) latency.Link {
-	key := mkLinkKey(a.id, b.id)
-	if l, ok := n.links[key]; ok {
-		return l
-	}
-	// Pair-keyed link parameters, mirroring Network.makeLink exactly.
+	lo, hi := min(a.id, b.id), max(a.id, b.id)
 	var ks sim.KeyedSource
-	ks.SeedKey(sim.MixKey3(uint64(n.cfg.Seed)^linkKeyTag, uint64(key.lo), uint64(key.hi)))
-	l := n.model.NewLink(rand.New(&ks), a.loc.Coord, b.loc.Coord)
-	n.links[key] = l
-	return l
+	ks.SeedKey(sim.MixKey3(uint64(n.cfg.Seed)^linkKeyTag, uint64(lo), uint64(hi)))
+	return n.model.NewLink(rand.New(&ks), a.loc.Coord, b.loc.Coord)
 }
 
 func (n *ReferenceNetwork) sharedPad(size int) []byte {

@@ -93,7 +93,7 @@ func (s Stats) String() string {
 // NodeFootprintBytes sums the retained bytes of every node's hot state —
 // adjacency tables, flat inventory arrays, holder bitsets, spill sets,
 // ticket slots, pong tickets — without the shared
-// network-level state (links, hash registry, in-flight records). Divided by
+// network-level state (hash registry, in-flight records, probe sets). Divided by
 // NumNodes it is the marginal cost of one more node, the number the
 // 100k-node budget test pins so the flat layout cannot quietly regrow
 // pointer-rich per-node state.

@@ -3,10 +3,10 @@
 // and a double-SHA256 checksum, followed by a typed payload.
 //
 // The simulator charges a message's framed size against link bandwidth:
-// EncodedSize for the messages it sends as values (GETADDR, ADDR, JOIN,
-// CLUSTER), and compact sizes held equal to EncodedSize by p2p's tests for
-// the ones it carries as record fields. Encode is the reference
-// serialization those sizes are tested against.
+// EncodedSize for the messages it sends as values — p2p's Node.Send carries
+// JOIN and CLUSTER only — and compact sizes held equal to EncodedSize by
+// p2p's tests for the ones it carries as record fields. Encode is the
+// reference serialization those sizes are tested against.
 //
 // Message set: the standard Bitcoin handshake and relay messages
 // (VERSION/VERACK/PING/PONG/ADDR/GETADDR/INV/GETDATA/TX/BLOCK) plus the
