@@ -14,11 +14,10 @@ import (
 // TestBCBPTNodeFootprint holds the per-node memory of a BCBPT network at
 // the benchmark's bcbpt_build size — Fig. 3's BCBPT campaign, 3000 nodes —
 // to what the nodes need once built: the node itself, its peer table and
-// its inventory arrays, 954 B at seed 1 (962 B while every node carried a
-// message-handler closure; the budget, that plus 5 %, is unchanged). A
+// its inventory arrays, 636 B at seed 1; the budget is that plus 5 %. A
 // node keeps no RTT estimate: §IV.A's measurements are the join's, which
-// drops them when the join finishes (core's joinTable), so a node that kept
-// an estimator per candidate probed would break the budget.
+// drops them when the join finishes (core's joinTable), so a node that
+// kept an estimator per candidate probed would break the budget.
 func TestBCBPTNodeFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3000-node build")
@@ -28,9 +27,10 @@ func TestBCBPTNodeFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("perNode %d, node %d", b.Net.NodeFootprintBytes()/b.Net.NumNodes(), 0)
-	if perNode := b.Net.NodeFootprintBytes() / b.Net.NumNodes(); perNode > 1010 {
-		t.Fatalf("a node of a 3000-node BCBPT network holds %d B, budget 1,010", perNode)
+	perNode := b.Net.NodeFootprintBytes() / b.Net.NumNodes()
+	t.Logf("%d B per node", perNode)
+	if perNode > 667 {
+		t.Fatalf("a node of a 3000-node BCBPT network holds %d B, budget 667", perNode)
 	}
 }
 

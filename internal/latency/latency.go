@@ -222,6 +222,18 @@ func (m *Model) NewLink(r *rand.Rand, a, b geo.Coord) Link {
 	return Link{model: m, base: base}
 }
 
+// maxNormalDraw bounds the magnitude of what math/rand's NormFloat64
+// returns, short of two zero Float64 draws in a row: a tail draw is 3.44
+// plus at most sqrt(2·ln 2⁶³), about 9.35.
+const maxNormalDraw = 13
+
+// MaxBase bounds the baseline of every link NewLink draws: the utility at
+// the antipode plus the last mile at its largest draw.
+func (m *Model) MaxBase() time.Duration {
+	lastMileMs := math.Exp(m.lastMileMu + m.lastMileSigma*maxNormalDraw)
+	return m.params.Utility(math.Pi*geo.EarthRadiusMeters) + time.Duration(lastMileMs*float64(time.Millisecond))
+}
+
 // NewLinkWithBase creates a link with an explicit congestion-free RTT,
 // bypassing geography. Used by tests and by trace-driven topologies.
 func (m *Model) NewLinkWithBase(base time.Duration) Link {

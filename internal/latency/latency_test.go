@@ -128,6 +128,27 @@ func TestNewModelRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestMaxBaseBoundsLinks: no link drawn between antipodes — the longest
+// utility — reaches MaxBase, and the default model's bound stays under a
+// minute.
+func TestMaxBaseBoundsLinks(t *testing.T) {
+	m, err := NewModel(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := m.MaxBase()
+	if bound <= 0 || bound > time.Minute {
+		t.Fatalf("MaxBase = %v, want within (0, 1m]", bound)
+	}
+	r := rand.New(rand.NewSource(1))
+	a, b := geo.Coord{LatDeg: 0, LonDeg: 0}, geo.Coord{LatDeg: 0, LonDeg: 180}
+	for i := 0; i < 10_000; i++ {
+		if l := m.NewLink(r, a, b); l.Base() > bound {
+			t.Fatalf("link base %v above MaxBase %v", l.Base(), bound)
+		}
+	}
+}
+
 func TestLinkBaseIncludesGeoAndLastMile(t *testing.T) {
 	m, err := NewModel(DefaultParams())
 	if err != nil {

@@ -22,11 +22,12 @@ var errBadBlock = errors.New("p2p: block fails its proof of work or Merkle commi
 // SubmitBlock injects a locally mined block: records it and announces it
 // to all peers.
 func (nd *Node) SubmitBlock(b *chain.Block) error {
-	return nd.acceptBlock(b, 0)
+	return nd.acceptBlock(b, nil)
 }
 
-// acceptBlock records and relays a block. from == 0 means local origin.
-func (nd *Node) acceptBlock(b *chain.Block, from NodeID) error {
+// acceptBlock records and relays a block to every peer but from, the peer
+// it came from — nil for local origin.
+func (nd *Node) acceptBlock(b *chain.Block, from *Node) error {
 	h := b.Header.Hash()
 	if e := nd.entryFor(h); e != nil && e.seenGen == nd.net.invGen {
 		return nil

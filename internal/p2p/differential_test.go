@@ -258,8 +258,8 @@ func flatHolders(nd *Node, h chain.Hash) map[NodeID]struct{} {
 		return out
 	}
 	for pos := range nd.peerTab {
-		if id := nd.peerTab[pos].id; id != 0 && nd.holderHas(hi, int32(pos)) {
-			out[id] = struct{}{}
+		if p := nd.peerTab[pos].node; p != nil && nd.holderHas(hi, int32(pos)) {
+			out[p.id] = struct{}{}
 		}
 	}
 	if nd.inv.spillGen == nd.net.invGen {
@@ -554,7 +554,7 @@ func TestStalePositionMatchesReference(t *testing.T) {
 					h.runFor(100 * time.Microsecond)
 				}
 				fn, _ := h.flat.Node(leg.recv)
-				sender := a + b - leg.recv
+				sender, _ := h.flat.Node(a + b - leg.recv)
 				carried, epoch := fn.peerPos(sender), fn.tabEpoch
 				v.churn(h, leg.recv)
 				if fn.tabEpoch == epoch {
@@ -772,7 +772,7 @@ func TestProbeNCarriedHandles(t *testing.T) {
 				h.drain()
 				truth, _ := h.flat.BaseRTT(a, b)
 				oracle := h.ref.link(h.ref.nodes[a], h.ref.nodes[b]).Base()
-				if edge := fa.peerTab[fa.peerPos(b)].base; edge != probed || truth != probed || oracle != probed {
+				if edge := fa.peerTab[fa.peerPos(fb)].base(); edge != probed || truth != probed || oracle != probed {
 					t.Fatalf("one pair, four baselines: probe %v, peer entry %v, BaseRTT %v, oracle %v", probed, edge, truth, oracle)
 				}
 			},

@@ -48,18 +48,18 @@ func buildFloodNet(tb testing.TB, n, chords int) (*Network, []*Node) {
 // TestFlood100kFootprintBudget is the memory line the struct-of-arrays
 // layout must hold: a 100k-node network floods one transaction to every
 // node entirely in RAM, and afterwards the retained per-node hot state
-// stays under a pinned bytes/node budget. Measured ~1.4 KB/node after a
-// degree-16 flood (dominated by the adjacency table at 32 B/edge-side, the
-// only per-peer state a node keeps: every peer loop walks it in place);
-// pinned at 1.5 KB for slice growth-policy headroom across Go versions.
+// stays under a pinned bytes/node budget. Measured 949 B/node after a
+// degree-16 flood (the adjacency table, at 16 B per edge side, is the only
+// per-peer state a node keeps: every peer loop walks it in place); pinned
+// at that plus 5 %, for slice growth-policy headroom across Go versions.
 // The ceiling is what keeps the ROADMAP's million-node target plausible:
-// node state for 1M nodes stays ~1.5 GB.
+// node state for 1M nodes stays under 1 GB.
 func TestFlood100kFootprintBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-node flood; skipped in -short")
 	}
 	const n = 100_000
-	const budgetPerNode = 1536
+	const budgetPerNode = 996
 
 	net, nodes := buildFloodNet(t, n, 7)
 	reached := 0

@@ -120,7 +120,7 @@ func (s *twinSide) peekTickets(nd *Node, peer NodeID) {
 		if at == nil || from == nil {
 			continue
 		}
-		if t := at.lazyAt(at.inv.lazyHi, at.peerPos(from.id)); t != nil && *t != (sim.Ticket{}) {
+		if t := at.lazyAt(at.inv.lazyHi, at.peerPos(from)); t != nil && *t != (sim.Ticket{}) {
 			if s.net.sched.Passed(*t) {
 				s.folded++
 			} else {
@@ -377,7 +377,7 @@ func TestLazyInvExactTie(t *testing.T) {
 				net.sched.AfterIndexed(delay, net.verifyTag, idx)
 			}
 			inv := func() {
-				pos := r.peerPos(s.ID())
+				pos := r.peerPos(s)
 				if ticket {
 					if !r.lazyInv(pos, hi, delay) {
 						t.Fatal("r has a GETDATA out and still wants the INV as an event")
@@ -401,7 +401,7 @@ func TestLazyInvExactTie(t *testing.T) {
 			if at, ok := r.FirstSeen(tx.ID()); !ok || at != sim.Time(delay) {
 				t.Fatalf("r accepted the transaction at %v (%v), want %v", at, ok, delay)
 			}
-			if !r.holderHas(hi, r.peerPos(s.ID())) {
+			if !r.holderHas(hi, r.peerPos(s)) {
 				t.Errorf("INV first %v, ticket %v: r does not know s holds the transaction once the instant is over", invFirst, ticket)
 			}
 			sent[k] = net.Stats().Messages[wire.CmdInv]

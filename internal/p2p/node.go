@@ -27,20 +27,52 @@ func hashPrefix(h chain.Hash) uint64 { return binary.LittleEndian.Uint64(h[:8]) 
 // peer it names, it holds the edge's link baseline and rpos, this node's
 // position in the peer's own table. Both are fixed when two nodes
 // connect, so a send through the entry needs no map lookup and the
-// record it puts in flight tells the receiver where its sender sits. The
-// zero value is a free position; removePeer restores it, so nothing about
-// a connection outlives the connection.
+// record it puts in flight tells the receiver where its sender sits.
+//
+// The entry is 16 bytes (TestPeerEntryIs16Bytes): the peer itself, whose
+// ID is read through it, and one word packing the rest — the baseline
+// (latency.Link.Base) in bits 17–63, rpos in bits 1–16 and whether this
+// side initiated the connection in bit 0. The baseline is zero until
+// first use: Network.edgeLink resolves it once per edge and fills both
+// sides. A free position has no node, and its word links the node's
+// free list (Node.freeHead), so nothing about a connection outlives the
+// connection.
 type peerEntry struct {
-	id   NodeID
 	node *Node
-	// base is the edge's congestion-free RTT (latency.Link.Base), zero
-	// until first use: Network.edgeLink resolves it once per edge and
-	// fills both sides. A duration rather than a latency.Link keeps the
-	// entry at 32 bytes.
-	base     time.Duration
-	rpos     int32
-	outbound bool
+	word uint64
 }
+
+// The layout of peerEntry.word. rpos takes 16 bits, and NewNetwork caps
+// MaxPeers at MaxInt16; the baseline takes the other 47, about 39 hours
+// of nanoseconds, and NewNetwork refuses latency parameters that could
+// draw a longer one.
+const (
+	entryOutbound  = 1
+	entryRposShift = 1
+	entryBaseShift = 17
+	entryRposMask  = 1<<(entryBaseShift-entryRposShift) - 1
+	// maxEntryBase is the largest baseline a peer entry holds.
+	maxEntryBase = time.Duration(1<<(64-entryBaseShift) - 1)
+)
+
+// packEntry packs a peer entry's word. base must lie in [0, maxEntryBase]
+// and rpos in [0, MaxInt16].
+func packEntry(base time.Duration, rpos int32, outbound bool) uint64 {
+	w := uint64(base)<<entryBaseShift | uint64(rpos)<<entryRposShift
+	if outbound {
+		w |= entryOutbound
+	}
+	return w
+}
+
+// base returns the edge's link baseline, zero while unresolved.
+func (e *peerEntry) base() time.Duration { return time.Duration(e.word >> entryBaseShift) }
+
+// rpos returns this node's position in the peer's table.
+func (e *peerEntry) rpos() int32 { return int32(e.word >> entryRposShift & entryRposMask) }
+
+// outbound reports whether this side initiated the connection.
+func (e *peerEntry) outbound() bool { return e.word&entryOutbound != 0 }
 
 // invEntry is one hash's bookkeeping on one node, addressed by the
 // network's dense hash index. Every marker is a generation stamp: a
@@ -112,10 +144,10 @@ func (nd *Node) lazyAt(hi, pos int32) *sim.Ticket {
 }
 
 // Node is one simulated Bitcoin peer. Hot state lives in flat slices —
-// adjacency in stable peerTab positions, inventory in generation-stamped
-// arrays keyed by dense hash index — so a node costs a few hundred bytes
-// instead of four maps, and a 100k-node network floods without touching
-// the allocator.
+// adjacency in stable peerTab positions at 16 bytes a peer, inventory in
+// generation-stamped arrays keyed by dense hash index — so a node costs a
+// few hundred bytes instead of four maps, and a 100k-node network floods
+// without touching the allocator.
 type Node struct {
 	// What a receive reads comes first and together — identity, the table
 	// epoch and table that place the sender, the inventory arrays its INV
@@ -130,9 +162,9 @@ type Node struct {
 	// own epoch again.
 	tabEpoch uint32
 	net      *Network
-	// peerTab is the stable-position adjacency table (id == 0 marks a
-	// free position, recycled through peerFree LIFO), walked in position
-	// order by every loop over the peers; only Peers sorts what it collects.
+	// peerTab is the stable-position adjacency table (a nil node marks a
+	// free position), walked in position order by every loop over the
+	// peers; only Peers sorts what it collects.
 	peerTab []peerEntry
 	// inv is the flat inventory replacing the known/peerInv/requested/
 	// txData/blockData maps of the reference layout.
@@ -145,9 +177,13 @@ type Node struct {
 	// uplinkFreeAt is when the node's serial uplink finishes its current
 	// transmission; Network.deliver queues sends behind it.
 	uplinkFreeAt sim.Time
-	peerFree     []int32
-	nPeers       int
-	nOut         int
+	// freeHead is one more than the most recently freed position of
+	// peerTab, 0 when none is free; each free entry's word holds the same
+	// for the position freed before it, so positions are reused LIFO with
+	// no list beside the table.
+	freeHead int32
+	nPeers   int32
+	nOut     int32
 
 	loc geo.Location
 }
@@ -210,20 +246,21 @@ func (nd *Node) Location() geo.Location { return nd.loc }
 // --- adjacency ---
 
 // addPeer installs peer at a stable position and returns it; connect
-// links the two sides' positions through rpos once both exist. Recycled
+// writes the entry's word, rpos and outbound, once both sides have their
+// positions. Recycled
 // positions may carry holder bits or spill facts from an earlier peer,
 // so both are reconciled here: stale bits for the position are cleared,
 // and spill facts about this peer migrate into the bitset.
 func (nd *Node) addPeer(peer *Node, outbound bool) int32 {
 	var pos int32
-	if last := len(nd.peerFree) - 1; last >= 0 {
-		pos = nd.peerFree[last]
-		nd.peerFree = nd.peerFree[:last]
+	if nd.freeHead > 0 {
+		pos = nd.freeHead - 1
+		nd.freeHead = int32(nd.peerTab[pos].word)
 	} else {
 		pos = int32(len(nd.peerTab))
 		nd.peerTab = append(nd.peerTab, peerEntry{})
 	}
-	nd.peerTab[pos] = peerEntry{id: peer.id, node: peer, outbound: outbound}
+	nd.peerTab[pos] = peerEntry{node: peer}
 	nd.nPeers++
 	if outbound {
 		nd.nOut++
@@ -246,7 +283,7 @@ func (nd *Node) addPeer(peer *Node, outbound bool) int32 {
 	return pos
 }
 
-// removePeer tears down the adjacency entry for id, preserving holder
+// removePeer tears down the adjacency entry for peer, preserving holder
 // facts about the departing peer in the spill set — the reference
 // semantics remember that a disconnected peer holds a hash, and so a
 // reconnect within the same generation must too. A fact is kept only
@@ -255,13 +292,13 @@ func (nd *Node) addPeer(peer *Node, outbound bool) int32 {
 // again (its ID is never reused), so when RemoveNode — which clears the
 // departing node's slot first — tears an edge down, neither end's facts
 // about the other could ever be read.
-func (nd *Node) removePeer(id NodeID) {
-	pos := nd.peerPos(id)
+func (nd *Node) removePeer(peer *Node) {
+	pos := nd.peerPos(peer)
 	if pos < 0 {
 		return
 	}
 	nd.settleLazy(pos)
-	keep := nd.live() && nd.peerTab[pos].node.live()
+	keep := nd.live() && peer.live()
 	gen := nd.net.invGen
 	w := nd.net.peerWords
 	for hi := range nd.inv.entries {
@@ -272,32 +309,44 @@ func (nd *Node) removePeer(id NodeID) {
 		if *word&(1<<uint(pos%64)) != 0 {
 			*word &^= 1 << uint(pos%64)
 			if keep {
-				nd.spillAdd(int32(hi), id)
+				nd.spillAdd(int32(hi), peer.id)
 			}
 		}
 	}
-	if nd.peerTab[pos].outbound {
+	if nd.peerTab[pos].outbound() {
 		nd.nOut--
 	}
-	nd.peerTab[pos] = peerEntry{}
+	nd.peerTab[pos] = peerEntry{word: uint64(nd.freeHead)}
+	nd.freeHead = pos + 1
 	nd.tabEpoch++
-	nd.peerFree = append(nd.peerFree, pos)
 	nd.nPeers--
 }
 
-// peerPos returns id's adjacency position, or -1 if not a peer: a linear
-// scan of a table that is at most MaxPeers entries and usually ~16. The
-// relay path does not call it — sends go through positions and records in
-// flight carry the sender's — so it serves connect/disconnect and the last
-// step of senderPos, for a message that a removePeer at the receiver
-// overtook and whose position no longer names its sender.
-func (nd *Node) peerPos(id NodeID) int32 {
+// peerPos returns peer's adjacency position, or -1 if not a peer: a
+// linear scan of a table that is at most MaxPeers entries and usually ~16,
+// comparing pointers. The relay path does not call it — sends go through
+// positions and records in flight carry the sender's — so it serves
+// connect/disconnect and the last step of senderPos, for a message that a
+// removePeer at the receiver overtook and whose position no longer names
+// its sender.
+func (nd *Node) peerPos(peer *Node) int32 {
 	for i := range nd.peerTab {
-		if nd.peerTab[i].id == id {
+		if nd.peerTab[i].node == peer {
 			return int32(i)
 		}
 	}
 	return -1
+}
+
+// peerByID returns the peer with the given ID, or nil if none: the same
+// scan as peerPos, for callers that hold an ID.
+func (nd *Node) peerByID(id NodeID) *Node {
+	for i := range nd.peerTab {
+		if p := nd.peerTab[i].node; p != nil && p.id == id {
+			return p
+		}
+	}
+	return nil
 }
 
 // Peers returns the connected peer IDs in ascending order. The slice is
@@ -319,20 +368,20 @@ func (nd *Node) Peers() []NodeID {
 // depend on the order. f must not connect or disconnect peers.
 func (nd *Node) EachPeer(f func(NodeID) bool) {
 	for i := range nd.peerTab {
-		if id := nd.peerTab[i].id; id != 0 && !f(id) {
+		if p := nd.peerTab[i].node; p != nil && !f(p.id) {
 			return
 		}
 	}
 }
 
 // NumPeers returns the number of connections.
-func (nd *Node) NumPeers() int { return nd.nPeers }
+func (nd *Node) NumPeers() int { return int(nd.nPeers) }
 
 // Outbound returns the number of connections this node initiated.
-func (nd *Node) Outbound() int { return nd.nOut }
+func (nd *Node) Outbound() int { return int(nd.nOut) }
 
 // IsPeer reports whether id is a connected peer.
-func (nd *Node) IsPeer(id NodeID) bool { return nd.peerPos(id) >= 0 }
+func (nd *Node) IsPeer(id NodeID) bool { return nd.peerByID(id) != nil }
 
 // --- inventory primitives ---
 
@@ -551,7 +600,7 @@ func (nd *Node) markPeerHas(peer *Node, pos, hi int32) {
 // SubmitTx injects a locally created transaction: the node validates it
 // and announces it to all peers, exactly as if a wallet had handed it in.
 func (nd *Node) SubmitTx(tx *chain.Tx) error {
-	if err := nd.acceptTx(tx, 0); err != nil {
+	if err := nd.acceptTx(tx, nil); err != nil {
 		return err
 	}
 	return nil
@@ -561,8 +610,8 @@ func (nd *Node) SubmitTx(tx *chain.Tx) error {
 // transaction the node already holds spends.
 var errConflict = errors.New("p2p: transaction conflicts with one the node holds")
 
-// acceptTx validates and records a transaction, then announces it.
-// from == 0 means locally submitted.
+// acceptTx validates and records a transaction, then announces it to
+// every peer but from, the peer it came from — nil when locally submitted.
 //
 // Of two transactions spending the same output, a node keeps the one it
 // accepted first and rejects the other, as a Bitcoin node's mempool does:
@@ -570,7 +619,7 @@ var errConflict = errors.New("p2p: transaction conflicts with one the node holds
 // holds a transaction iff it has seen its hash this generation, so the rule
 // needs no per-node state, only the network's list of the spenders of each
 // output. A coinbase spends nothing: the flood path pays an empty loop.
-func (nd *Node) acceptTx(tx *chain.Tx, from NodeID) error {
+func (nd *Node) acceptTx(tx *chain.Tx, from *Node) error {
 	id := tx.ID()
 	if e := nd.entryFor(id); e != nil && e.seenGen == nd.net.invGen {
 		return nil
@@ -610,20 +659,21 @@ func (nd *Node) acceptTx(tx *chain.Tx, from NodeID) error {
 }
 
 // announce offers the object at dense index hi — tx or block, the other
-// nil — to every peer not already known to have it, as an INV (Fig. 1).
+// nil — to every peer but except and those known to have it, as an INV
+// (Fig. 1).
 // Peers are offered in peerTab position order: each send advances the
 // sender's keyed delivery sequence, so the order must be reproducible, and a
 // position is — it is held for the life of a connection, and which one a
 // connection takes (the most recently freed, else a new one at the end) is
 // fixed by the connect/disconnect sequence.
-func (nd *Node) announce(hi int32, tx *chain.Tx, block *chain.Block, except NodeID) {
+func (nd *Node) announce(hi int32, tx *chain.Tx, block *chain.Block, except *Node) {
 	gen := nd.net.invGen
 	for i := range nd.peerTab {
-		e, pos := &nd.peerTab[i], int32(i)
-		if e.id == 0 || e.id == except || nd.holderHas(hi, pos) {
+		p, pos := nd.peerTab[i].node, int32(i)
+		if p == nil || p == except || nd.holderHas(hi, pos) {
 			continue
 		}
-		d := nd.net.deliver(nd, e.node, pos, 0, wire.CmdInv, invSize, nil, hi)
+		d := nd.net.deliver(nd, p, pos, 0, wire.CmdInv, invSize, nil, hi)
 		d.tx, d.block, d.hi, d.gen = tx, block, hi, gen
 	}
 }
@@ -651,7 +701,7 @@ func (nd *Node) senderPos(d *delivery) int32 {
 	if uint(pos) < uint(len(nd.peerTab)) && nd.peerTab[pos].node == d.src {
 		return pos
 	}
-	return nd.peerPos(d.src.id)
+	return nd.peerPos(d.src)
 }
 
 // hashIdx returns the dense hash index of the object a relay record names:

@@ -90,11 +90,13 @@
 package p2p
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/chain"
@@ -176,6 +178,9 @@ type Network struct {
 	// by slot.
 	slots    []*Node
 	slotFree []int32
+	// leaving is RemoveNode's buffer for the departing node's peers, empty
+	// between calls and nil while one runs.
+	leaving []*Node
 
 	// invGen is the current inventory generation. Every per-node
 	// inventory marker is a stamp compared against it: bumping the
@@ -257,6 +262,10 @@ func NewNetwork(cfg Config) (*Network, error) {
 	model, err := latency.NewModel(cfg.Latency)
 	if err != nil {
 		return nil, err
+	}
+	if worst := model.MaxBase(); worst < 0 || worst > maxEntryBase {
+		// A peer entry holds an edge's baseline in 47 bits (peerEntry).
+		return nil, fmt.Errorf("p2p: latency parameters allow link baselines up to %v, over the %v a peer entry holds", worst, maxEntryBase)
 	}
 	streams := sim.NewStreams(cfg.Seed)
 	n := &Network{
@@ -399,8 +408,13 @@ func (n *Network) NodeIDs() []NodeID {
 // Removing an unknown node is a no-op. The node is deleted from the
 // network before OnDisconnect fires, so refill logic running inside the
 // callback can never reconnect to the departing node; peers are processed
-// in sorted order for determinism. Pongs on their way to the node as
+// in ascending ID order for determinism. Pongs on their way to the node as
 // tickets are settled before its slot is freed (Node.settlePongs).
+//
+// The peers are sorted in the network's leaving buffer, taken for the
+// teardown loop and put back after it, so a warmed network removes a node
+// without allocating, and a RemoveNode that an OnDisconnect hook calls
+// inside the loop finds no buffer and makes its own.
 func (n *Network) RemoveNode(id NodeID) {
 	node, ok := n.nodes[id]
 	if !ok {
@@ -410,9 +424,19 @@ func (n *Network) RemoveNode(id NodeID) {
 	delete(n.nodes, id)
 	n.slots[node.slot] = nil
 	n.slotFree = append(n.slotFree, node.slot)
-	for _, peerID := range node.Peers() {
-		n.teardown(node, peerID)
+	peers := n.leaving[:0]
+	n.leaving = nil
+	for i := range node.peerTab {
+		if p := node.peerTab[i].node; p != nil {
+			peers = append(peers, p)
+		}
 	}
+	slices.SortFunc(peers, func(a, b *Node) int { return cmp.Compare(a.id, b.id) })
+	for _, p := range peers {
+		n.teardown(node, p)
+	}
+	clear(peers)
+	n.leaving = peers[:0]
 }
 
 // --- dense hash registry ---
@@ -476,19 +500,26 @@ func (n *Network) link(a, b *Node) latency.Link {
 // side sends first.
 func (n *Network) edgeLink(nd *Node, pos int32) latency.Link {
 	e := &nd.peerTab[pos]
-	if e.base == 0 {
+	if e.base() == 0 {
 		n.resolveEdge(nd, pos)
 	}
-	return n.model.NewLinkWithBase(e.base)
+	return n.model.NewLinkWithBase(e.base())
 }
 
 // resolveEdge draws the link of the connection at nd's position pos and
-// stores its baseline in both peer entries.
+// stores its baseline in both peer entries, whose baseline bits are still
+// zero. NewNetwork refuses latency parameters that could draw a baseline
+// longer than an entry holds (latency.Model.MaxBase), so one that does not
+// fit is a bug.
 func (n *Network) resolveEdge(nd *Node, pos int32) {
-	peer, rpos := nd.peerTab[pos].node, nd.peerTab[pos].rpos
+	e := &nd.peerTab[pos]
+	peer, rpos := e.node, e.rpos()
 	base := n.link(nd, peer).Base()
-	nd.peerTab[pos].base = base
-	peer.peerTab[rpos].base = base
+	if base < 0 || base > maxEntryBase {
+		panic("p2p: link baseline does not fit a peer entry")
+	}
+	e.word |= uint64(base) << entryBaseShift
+	peer.peerTab[rpos].word |= uint64(base) << entryBaseShift
 }
 
 // BaseRTT returns the congestion-free round-trip time between two nodes —
@@ -626,7 +657,7 @@ func (n *Network) launch(src, dst *Node, pos int32, base time.Duration, cmd wire
 	var link latency.Link
 	srcPos = -1
 	if pos >= 0 {
-		link, srcPos = n.edgeLink(src, pos), src.peerTab[pos].rpos
+		link, srcPos = n.edgeLink(src, pos), src.peerTab[pos].rpos()
 	} else {
 		link = n.model.NewLinkWithBase(base)
 	}
@@ -671,16 +702,16 @@ func (n *Network) connect(a, b NodeID, enforceOutbound bool) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, b)
 	}
-	if na.peerPos(b) >= 0 {
+	if na.peerPos(nb) >= 0 {
 		return ErrAlreadyPeers
 	}
-	if enforceOutbound && na.nOut >= n.cfg.MaxOutbound {
+	if enforceOutbound && int(na.nOut) >= n.cfg.MaxOutbound {
 		return ErrOutboundLimit
 	}
-	if na.nPeers >= n.cfg.MaxPeers {
+	if int(na.nPeers) >= n.cfg.MaxPeers {
 		return ErrOutboundLimit
 	}
-	if nb.nPeers >= n.cfg.MaxPeers {
+	if int(nb.nPeers) >= n.cfg.MaxPeers {
 		return ErrPeerCapacity
 	}
 	// Charge the handshake: version + verack each way.
@@ -690,14 +721,16 @@ func (n *Network) connect(a, b NodeID, enforceOutbound bool) error {
 	n.dc.stats.count(wire.CmdVerack, verackSize)
 	pa := na.addPeer(nb, true)
 	pb := nb.addPeer(na, false)
-	na.peerTab[pa].rpos, nb.peerTab[pb].rpos = pb, pa
+	na.peerTab[pa].word = packEntry(0, pb, true)
+	nb.peerTab[pb].word = packEntry(0, pa, false)
 	if tr := n.dc.trace; tr != nil {
 		tr.Record(obs.Event{At: n.sched.Now(), Kind: obs.KindConnect, P1: uint64(a), P2: uint64(b)})
 	}
 	return nil
 }
 
-// approximate handshake frame sizes (header + typical payload).
+// Handshake frame sizes: a VERSION whose user agent is 10 bytes long, and a
+// VERACK (TestCompactSizesMatchWire).
 const (
 	versionSize = 13 + 4 + 26 + 4 + 1 + 10
 	verackSize  = 13
@@ -709,24 +742,24 @@ func (n *Network) Disconnect(a, b NodeID) {
 	if !ok {
 		return
 	}
-	if na.peerPos(b) < 0 {
-		return
+	if nb := na.peerByID(b); nb != nil {
+		n.teardown(na, nb)
 	}
-	n.teardown(na, b)
 }
 
 // teardown removes the edge from both sides and fires OnDisconnect: na is
-// the side tearing it down, b the other end.
-func (n *Network) teardown(na *Node, b NodeID) {
-	na.removePeer(b)
-	if nb, ok := n.nodes[b]; ok {
-		nb.removePeer(na.id)
+// the side tearing it down, nb the other end, whose side is left alone if
+// it has already left the network (RemoveNode).
+func (n *Network) teardown(na, nb *Node) {
+	na.removePeer(nb)
+	if nb.live() {
+		nb.removePeer(na)
 	}
 	if tr := n.dc.trace; tr != nil {
-		tr.Record(obs.Event{At: n.sched.Now(), Kind: obs.KindDisconnect, P1: uint64(na.id), P2: uint64(b)})
+		tr.Record(obs.Event{At: n.sched.Now(), Kind: obs.KindDisconnect, P1: uint64(na.id), P2: uint64(nb.id)})
 	}
 	if n.OnDisconnect != nil {
-		n.OnDisconnect(na.id, b)
+		n.OnDisconnect(na.id, nb.id)
 	}
 }
 
@@ -740,10 +773,10 @@ func (n *Network) verified(idx int32) {
 		return // verifier churned out
 	}
 	if d.tx != nil {
-		_ = node.acceptTx(d.tx, d.src.id) // invalid txs die here, by design
+		_ = node.acceptTx(d.tx, d.src) // invalid txs die here, by design
 		return
 	}
-	_ = node.acceptBlock(d.block, d.src.id)
+	_ = node.acceptBlock(d.block, d.src)
 }
 
 // probeRound is the indexed event of one of a ProbeN call's rounds falling

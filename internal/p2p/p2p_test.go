@@ -3,6 +3,7 @@ package p2p
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -72,6 +73,17 @@ func TestNewNetworkValidation(t *testing.T) {
 	cfg.Latency.PingBytes = 0
 	if _, err := NewNetwork(cfg); err == nil {
 		t.Error("accepted invalid latency params")
+	}
+	// At 1e-4 B/s a ping takes 89 h to send: no peer entry holds the
+	// baseline. At 1e-3 B/s, 8.9 h, it fits.
+	cfg = DefaultConfig()
+	cfg.Latency.RateBytesPerSec = 1e-4
+	if _, err := NewNetwork(cfg); err == nil {
+		t.Error("accepted link baselines a peer entry cannot hold")
+	}
+	cfg.Latency.RateBytesPerSec = 1e-3
+	if _, err := NewNetwork(cfg); err != nil {
+		t.Errorf("refused an 8.9 h baseline: %v", err)
 	}
 }
 
@@ -164,7 +176,7 @@ func tableHub(t *testing.T) (*Network, *Node) {
 // its place in the walk.
 func TestAnnounceWalksTableOrder(t *testing.T) {
 	net, hub := tableHub(t)
-	if pos := hub.peerPos(7); pos != 1 {
+	if pos := hub.peerPos(net.nodes[7]); pos != 1 {
 		t.Fatalf("peer 7 at position %d, want 2's recycled position 1", pos)
 	}
 	tr := obs.NewTracer(1<<10, 1)
@@ -774,21 +786,24 @@ func TestPeerLinkMatchesBaseRTT(t *testing.T) {
 		for _, e := range edges {
 			na, _ := net.Node(e[0])
 			nb, _ := net.Node(e[1])
-			ea, eb := &na.peerTab[na.peerPos(e[1])], &nb.peerTab[nb.peerPos(e[0])]
-			if na.peerTab[eb.rpos].id != e[1] || nb.peerTab[ea.rpos].id != e[0] {
+			ea, eb := &na.peerTab[na.peerPos(nb)], &nb.peerTab[nb.peerPos(na)]
+			if na.peerTab[eb.rpos()].node != nb || nb.peerTab[ea.rpos()].node != na {
 				t.Fatalf("%s: edge %v reverse positions do not point back", stage, e)
 			}
-			if ea.base != eb.base {
-				t.Fatalf("%s: edge %v baselines differ: %v vs %v", stage, e, ea.base, eb.base)
+			if ea.outbound() == eb.outbound() {
+				t.Fatalf("%s: edge %v has %v on both sides for outbound", stage, e, ea.outbound())
 			}
-			if ea.base == 0 {
+			if ea.base() != eb.base() {
+				t.Fatalf("%s: edge %v baselines differ: %v vs %v", stage, e, ea.base(), eb.base())
+			}
+			if ea.base() == 0 {
 				continue
 			}
 			resolved++
 			ab, _ := net.BaseRTT(e[0], e[1])
 			ba, _ := net.BaseRTT(e[1], e[0])
-			if ea.base != ab || ab != ba {
-				t.Fatalf("%s: edge %v: entries hold %v, BaseRTT %v/%v", stage, e, ea.base, ab, ba)
+			if ea.base() != ab || ab != ba {
+				t.Fatalf("%s: edge %v: entries hold %v, BaseRTT %v/%v", stage, e, ea.base(), ab, ba)
 			}
 		}
 		return resolved
@@ -821,8 +836,9 @@ func TestPeerLinkMatchesBaseRTT(t *testing.T) {
 }
 
 // TestChurnLeavesNoLinkState pins that a connection's link state dies
-// with it: after floods under churn every free adjacency position is the
-// zero entry and a departed node holds none.
+// with it: after floods under churn every free adjacency position holds
+// nothing but its free-list link, the free list threads exactly the free
+// positions, and a departed node holds none.
 func TestChurnLeavesNoLinkState(t *testing.T) {
 	net, nodes := testNetwork(t, 30, nil)
 	connectRing(t, net, nodes)
@@ -847,15 +863,15 @@ func TestChurnLeavesNoLinkState(t *testing.T) {
 	for _, nd := range nodes {
 		free := 0
 		for _, e := range nd.peerTab {
-			if e.id == 0 {
+			if e.node == nil {
 				free++
-				if e != (peerEntry{}) {
+				if e.word > uint64(len(nd.peerTab)) {
 					t.Fatalf("node %d: freed position keeps state %+v", nd.ID(), e)
 				}
 			}
 		}
-		if free != len(nd.peerFree) {
-			t.Fatalf("node %d: %d empty positions, %d on the free list", nd.ID(), free, len(nd.peerFree))
+		if listed := freeListLen(t, nd); listed != free {
+			t.Fatalf("node %d: %d empty positions, %d on the free list", nd.ID(), free, listed)
 		}
 		if _, live := net.Node(nd.ID()); !live && nd.NumPeers() != 0 {
 			t.Fatalf("departed node %d keeps %d peer entries", nd.ID(), nd.NumPeers())
@@ -1112,8 +1128,9 @@ func TestResetInventoryNoCrossRunLeakage(t *testing.T) {
 	}
 }
 
-// TestCompactSizesMatchWire pins the framed sizes the relay and the probes
-// charge for messages they never build to what wire says of the real ones.
+// TestCompactSizesMatchWire pins the framed sizes the relay, the probes and
+// the handshake charge for messages they never build to what wire says of
+// the real ones; a VERSION is charged with a 10-byte user agent.
 func TestCompactSizesMatchWire(t *testing.T) {
 	net, _ := testNetwork(t, 2, nil)
 	key, err := chain.GenerateKey(rand.New(rand.NewSource(3)))
@@ -1134,6 +1151,8 @@ func TestCompactSizesMatchWire(t *testing.T) {
 		{&wire.MsgBlock{Block: blk}, frameLen + blk.Size()},
 		{&wire.MsgPing{Nonce: 1, Pad: pad}, net.pingSize},
 		{&wire.MsgPong{Nonce: 1}, pongSize},
+		{&wire.MsgVersion{Protocol: 70015, UserAgent: "/bcbpt:1.0"}, versionSize},
+		{&wire.MsgVerack{}, verackSize},
 	} {
 		if want := wire.EncodedSize(c.msg); c.size != want {
 			t.Errorf("%v charged %d bytes, wire.EncodedSize says %d", c.msg.Command(), c.size, want)
@@ -1146,6 +1165,159 @@ func TestCompactSizesMatchWire(t *testing.T) {
 func TestDeliveryIsOneCacheLine(t *testing.T) {
 	if size := unsafe.Sizeof(delivery{}); size != 64 {
 		t.Fatalf("delivery is %d bytes, want 64", size)
+	}
+}
+
+// TestPeerEntryIs16Bytes holds the adjacency entry to 16 bytes, the peer
+// and one packed word: a connection costs two of them, one per side, and
+// the tables they fill are most of a simulated network's memory.
+func TestPeerEntryIs16Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(peerEntry{}); size != 16 {
+		t.Fatalf("peerEntry is %d bytes, want 16", size)
+	}
+}
+
+// TestPeerEntryWordRoundTrip packs each field of a peer entry's word at
+// its extremes and reads every field back, so no field bleeds into
+// another.
+func TestPeerEntryWordRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		base     time.Duration
+		rpos     int32
+		outbound bool
+	}{
+		{0, 0, false},
+		{maxEntryBase, 0, false},
+		{0, math.MaxInt16, false},
+		{0, 0, true},
+		{maxEntryBase, math.MaxInt16, true},
+		{1, 1, false},
+		{maxEntryBase - 1, math.MaxInt16 - 1, true},
+	} {
+		e := peerEntry{word: packEntry(c.base, c.rpos, c.outbound)}
+		if e.base() != c.base || e.rpos() != c.rpos || e.outbound() != c.outbound {
+			t.Errorf("packed (%d, %d, %v), read back (%d, %d, %v)", c.base, c.rpos, c.outbound, e.base(), e.rpos(), e.outbound())
+		}
+	}
+	if maxEntryBase != 1<<47-1 {
+		t.Fatalf("maxEntryBase = %d, want 2^47-1", maxEntryBase)
+	}
+}
+
+// TestFreePositionsReusedLIFO pins the order in which a node reuses its
+// freed adjacency positions, which fixes the INV fan-out order and with
+// it every sender's keyed send sequence: the last freed is the first
+// taken, and a new position is appended only when none is free.
+func TestFreePositionsReusedLIFO(t *testing.T) {
+	net, nodes := testNetwork(t, 8, nil)
+	hub := nodes[0]
+	for _, nd := range nodes[1:5] {
+		if err := net.Connect(hub.ID(), nd.ID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := hub.peerPos(nodes[1]), hub.peerPos(nodes[3])
+	net.Disconnect(hub.ID(), nodes[1].ID())
+	net.Disconnect(hub.ID(), nodes[3].ID())
+	if got := freeListLen(t, hub); got != 2 {
+		t.Fatalf("%d positions on the free list, want 2", got)
+	}
+	for i, want := range []int32{b, a, 4} {
+		nd := nodes[5+i]
+		if err := net.Connect(nd.ID(), hub.ID()); err != nil {
+			t.Fatal(err)
+		}
+		if got := hub.peerPos(nd); got != want {
+			t.Fatalf("connect %d took position %d, want %d", i, got, want)
+		}
+	}
+	if got := freeListLen(t, hub); got != 0 {
+		t.Fatalf("%d positions on the free list after reusing both, want 0", got)
+	}
+}
+
+// freeListLen walks nd's free list and returns its length, failing if the
+// list names a position out of range or in use, or runs longer than the
+// table (a cycle).
+func freeListLen(t *testing.T, nd *Node) int {
+	t.Helper()
+	n := 0
+	for link := nd.freeHead; link != 0; link = int32(nd.peerTab[link-1].word) {
+		if n++; n > len(nd.peerTab) || int(link) > len(nd.peerTab) || nd.peerTab[link-1].node != nil {
+			t.Fatalf("node %d: free list broken at link %d after %d steps", nd.ID(), link, n)
+		}
+	}
+	return n
+}
+
+// TestRewiringAllocatesNothing: on a warmed network — its slot free list,
+// tables and RemoveNode's buffer grown — a RemoveNode, and a Disconnect
+// followed by a Connect that reuses the freed positions, allocate nothing.
+func TestRewiringAllocatesNothing(t *testing.T) {
+	const n, leave = 120, 40
+	net, nodes := testNetwork(t, n+leave, nil)
+	for _, nd := range nodes[n:] {
+		net.RemoveNode(nd.ID()) // grows the slot free list; AddNode reuses the slots
+	}
+	for i := n; i < n+leave; i++ {
+		nodes[i] = net.AddNode(geo.Location{})
+	}
+	for i := range nodes {
+		for k := 1; k <= 3; k++ {
+			if err := net.Connect(nodes[i].ID(), nodes[(i+k)%len(nodes)].ID()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a, b := nodes[0].ID(), nodes[1].ID()
+	if allocs := testing.AllocsPerRun(50, func() {
+		net.Disconnect(a, b)
+		if err := net.Connect(a, b); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Disconnect + Connect allocates %v per run", allocs)
+	}
+	// Every leaver has six peers; the first one removed, AllocsPerRun's
+	// warm-up call, grows the buffer.
+	next := n
+	if allocs := testing.AllocsPerRun(leave-1, func() {
+		net.RemoveNode(nodes[next].ID())
+		next++
+	}); allocs != 0 {
+		t.Errorf("RemoveNode allocates %v per run", allocs)
+	}
+	if next != n+leave {
+		t.Fatalf("removed %d nodes, want %d", next-n, leave)
+	}
+}
+
+// TestRemoveNodeFromOnDisconnect: a RemoveNode that an OnDisconnect hook
+// calls inside another's teardown loop works on its own buffer, so the
+// outer loop still visits every one of its peers in ID order.
+func TestRemoveNodeFromOnDisconnect(t *testing.T) {
+	net, nodes := testNetwork(t, 5, nil)
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 2}} {
+		if err := net.Connect(nodes[e[0]].ID(), nodes[e[1]].ID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got [][2]NodeID
+	net.OnDisconnect = func(a, b NodeID) {
+		got = append(got, [2]NodeID{a, b})
+		if a == 1 && b == 2 {
+			net.RemoveNode(3)
+		}
+	}
+	net.RemoveNode(1)
+	want := [][2]NodeID{{1, 2}, {3, 1}, {3, 2}, {1, 3}, {1, 4}, {1, 5}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("disconnects %v, want %v", got, want)
+	}
+	for _, nd := range nodes {
+		if nd.NumPeers() != 0 {
+			t.Errorf("node %d keeps %d peers", nd.ID(), nd.NumPeers())
+		}
 	}
 }
 

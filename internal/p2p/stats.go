@@ -91,7 +91,8 @@ func (s Stats) String() string {
 }
 
 // NodeFootprintBytes sums the retained bytes of every node's hot state —
-// adjacency tables, flat inventory arrays, holder bitsets, spill sets,
+// the node, its adjacency table (free list included, threaded through the
+// free entries), flat inventory arrays, holder bitsets, spill sets,
 // ticket slots, pong tickets — without the shared
 // network-level state (hash registry, in-flight records, probe sets). Divided by
 // NumNodes it is the marginal cost of one more node, the number the
@@ -105,7 +106,6 @@ func (n *Network) NodeFootprintBytes() int {
 		}
 		total += unsafe.Sizeof(*nd)
 		total += uintptr(cap(nd.peerTab)) * unsafe.Sizeof(peerEntry{})
-		total += uintptr(cap(nd.peerFree)) * unsafe.Sizeof(int32(0))
 		total += uintptr(cap(nd.inv.entries)) * unsafe.Sizeof(invEntry{})
 		total += uintptr(cap(nd.inv.tx)+cap(nd.inv.block)) * unsafe.Sizeof(uintptr(0))
 		total += uintptr(cap(nd.inv.holderBits)) * unsafe.Sizeof(uint64(0))

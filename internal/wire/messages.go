@@ -115,37 +115,6 @@ func (m *MsgPong) encodePayload(dst []byte) []byte { return appendU64(dst, m.Non
 
 func (*MsgPong) payloadSize() int { return 8 }
 
-// --- GETADDR / ADDR ---
-
-// MsgGetAddr requests known peer addresses (the discovery mechanism the
-// paper calls "the normal Bitcoin network nodes discovery mechanism").
-type MsgGetAddr struct{}
-
-// Command implements Message.
-func (*MsgGetAddr) Command() Command { return CmdGetAddr }
-
-func (*MsgGetAddr) encodePayload(dst []byte) []byte { return dst }
-
-func (*MsgGetAddr) payloadSize() int { return 0 }
-
-// MsgAddr gossips known peer addresses.
-type MsgAddr struct {
-	Addrs []NetAddr
-}
-
-// Command implements Message.
-func (*MsgAddr) Command() Command { return CmdAddr }
-
-func (m *MsgAddr) encodePayload(dst []byte) []byte {
-	dst = appendU32(dst, uint32(len(m.Addrs)))
-	for _, a := range m.Addrs {
-		dst = appendNetAddr(dst, a)
-	}
-	return dst
-}
-
-func (m *MsgAddr) payloadSize() int { return 4 + netAddrSize*len(m.Addrs) }
-
 // --- INV / GETDATA ---
 
 // MsgInv announces inventory availability (Fig. 1, step 1): hashes only,

@@ -66,10 +66,6 @@ func decodePayload(cmd Command, payload []byte) (Message, error) {
 		msg = m
 	case CmdPong:
 		msg = &MsgPong{Nonce: r.u64()}
-	case CmdGetAddr:
-		msg = &MsgGetAddr{}
-	case CmdAddr:
-		msg = &MsgAddr{Addrs: r.netAddrs()}
 	case CmdInv:
 		msg = &MsgInv{Items: r.invList()}
 	case CmdGetData:

@@ -9,7 +9,7 @@
 // reference serialization those sizes are tested against.
 //
 // Message set: the standard Bitcoin handshake and relay messages
-// (VERSION/VERACK/PING/PONG/ADDR/GETADDR/INV/GETDATA/TX/BLOCK) plus the
+// (VERSION/VERACK/PING/PONG/INV/GETDATA/TX/BLOCK) plus the
 // BCBPT extensions from §IV.B of the paper: JOIN (a node asks the closest
 // discovered node for membership) and CLUSTER (the accepting node returns
 // the IPs of its cluster members).
@@ -40,6 +40,10 @@ const (
 	CmdVerack
 	CmdPing
 	CmdPong
+	// CmdGetAddr and CmdAddr are reserved: no message of either kind is
+	// built or decoded (nothing sends address gossip), and the numbers are
+	// kept so that no later command, nor a trace event's Code, is
+	// renumbered.
 	CmdGetAddr
 	CmdAddr
 	CmdInv
@@ -102,8 +106,8 @@ type InvVect struct {
 	Hash chain.Hash
 }
 
-// NetAddr is a peer address as carried in ADDR/CLUSTER messages. NodeID
-// is authoritative; Host/Port are informational.
+// NetAddr is a peer address as carried in VERSION, JOIN and CLUSTER
+// messages. NodeID is authoritative; Host/Port are informational.
 type NetAddr struct {
 	NodeID uint64
 	Host   [16]byte // IPv6-mapped address bytes

@@ -45,8 +45,6 @@ func allMessages(t testing.TB) []Message {
 		&MsgVerack{},
 		&MsgPing{Nonce: 0xDEADBEEF, Pad: bytes.Repeat([]byte{0xAA}, 19)},
 		&MsgPong{Nonce: 0xDEADBEEF},
-		&MsgGetAddr{},
-		&MsgAddr{Addrs: []NetAddr{sampleAddr(1), sampleAddr(2), sampleAddr(3)}},
 		&MsgInv{Items: []InvVect{{Type: InvTx, Hash: cb.ID()}, {Type: InvBlock, Hash: chain.Hash{9}}}},
 		&MsgGetData{Items: []InvVect{{Type: InvTx, Hash: cb.ID()}}},
 		&MsgTx{Tx: cb},
@@ -115,7 +113,6 @@ func TestRoundTripStructEquality(t *testing.T) {
 	// For plain-struct messages, check deep equality too.
 	msgs := []Message{
 		&MsgVersion{Protocol: 1, Self: sampleAddr(9), Height: 7, UserAgent: "x"},
-		&MsgAddr{Addrs: []NetAddr{sampleAddr(1)}},
 		&MsgPong{Nonce: 77},
 		&MsgJoin{Self: sampleAddr(3), MeasuredRTTMicros: 123},
 		&MsgCluster{ClusterID: 8, Accepted: false, Members: []NetAddr{sampleAddr(2)}},
@@ -157,14 +154,19 @@ func TestDecodeRejectsBadChecksum(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnknownCommand: a command byte with no message type —
+// a number never assigned, or one of the reserved address-gossip numbers —
+// does not decode.
 func TestDecodeRejectsUnknownCommand(t *testing.T) {
-	buf, err := Encode(&MsgVerack{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[4] = 0xEE
-	if _, _, err := decode(buf); !errors.Is(err, errUnknownCommand) {
-		t.Errorf("error = %v, want ErrUnknownCommand", err)
+	for _, cmd := range []Command{0xEE, CmdGetAddr, CmdAddr} {
+		buf, err := Encode(&MsgVerack{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf[4] = byte(cmd)
+		if _, _, err := decode(buf); !errors.Is(err, errUnknownCommand) {
+			t.Errorf("command %d: error = %v, want ErrUnknownCommand", cmd, err)
+		}
 	}
 }
 
@@ -208,12 +210,8 @@ func TestDecodeTrailingPayloadBytesRejected(t *testing.T) {
 }
 
 func TestHostileListLengths(t *testing.T) {
-	// An ADDR message claiming 2^32-1 entries must be rejected without
-	// allocating.
+	// A list claiming 2^32-1 entries must be rejected without allocating.
 	payload := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := decodePayload(CmdAddr, payload); err == nil {
-		t.Error("hostile addr count accepted")
-	}
 	if _, err := decodePayload(CmdInv, payload); err == nil {
 		t.Error("hostile inv count accepted")
 	}
@@ -316,7 +314,6 @@ func TestPayloadSizeMatchesEncoding(t *testing.T) {
 	msgs = append(msgs,
 		&MsgVersion{},
 		&MsgPing{},
-		&MsgAddr{},
 		&MsgInv{},
 		&MsgGetData{},
 		&MsgCluster{},

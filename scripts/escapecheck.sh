@@ -6,7 +6,8 @@
 # packages and compares the escapes attributed to the watched functions
 # in scripts/escape-manifest.json — arena scheduler ops, the flood
 # dispatch chain, the trace record — against the
-# pinned budget. A new escape in a watched function exits nonzero.
+# pinned budget. A new escape in a watched function exits nonzero, and
+# so does a watched key that names no function of these packages.
 #
 # The -m diagnostics replay from the build cache, so this is cheap on a
 # warm tree. After a deliberate hot-path change, regenerate the budget:

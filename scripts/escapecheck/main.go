@@ -8,8 +8,10 @@
 // it can show up as an allocs/op regression.
 //
 // Messages, not line numbers, key the comparison, so unrelated edits to a
-// watched file do not churn the manifest. Regenerate after a deliberate
-// change with:
+// watched file do not churn the manifest. A watched key must name a function
+// declared in one of the checked packages — those the diagnostics come from
+// — or the check fails: a key left behind by a rename or a deletion would
+// otherwise guard nothing. Regenerate after a deliberate change with:
 //
 //	./scripts/escapecheck.sh -write
 package main
@@ -53,8 +55,10 @@ func main() {
 		fatalf("parsing manifest %s: %v", *manifestPath, err)
 	}
 
-	// observed: watched key → escape messages, in input order.
+	// observed: watched key → escape messages, in input order. checked:
+	// the package directories the diagnostics come from.
 	observed := map[string][]string{}
+	checked := map[string]bool{}
 	funcs := funcIndex{}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -63,6 +67,7 @@ func main() {
 		if parts == nil {
 			continue
 		}
+		checked[filepath.Dir(parts[1])] = true
 		msg := parts[3]
 		if !strings.Contains(msg, "escapes to heap") && !strings.Contains(msg, "moved to heap") {
 			continue
@@ -75,6 +80,13 @@ func main() {
 	}
 	if err := sc.Err(); err != nil {
 		fatalf("reading stdin: %v", err)
+	}
+	if stale := undeclared(m.Watch, checked); len(stale) > 0 {
+		for _, key := range stale {
+			fmt.Printf("escapecheck: watched %s names no function declared in the checked packages\n", key)
+		}
+		fmt.Println("escapecheck: remove or rename the stale keys in the manifest")
+		os.Exit(1)
 	}
 
 	if *write {
@@ -117,6 +129,39 @@ func main() {
 	fmt.Printf("escapecheck: %d watched functions within budget\n", len(keys))
 }
 
+// undeclared returns, sorted, the watched keys that name no function
+// declared in the non-test files of a checked package directory.
+func undeclared(watch map[string][]string, checked map[string]bool) []string {
+	declared := map[string]bool{}
+	parsed := map[string]bool{}
+	var stale []string
+	for key := range watch {
+		// The package directory ends at the first dot after the last slash.
+		slash := strings.LastIndex(key, "/") + 1
+		dir := key[:slash+max(strings.Index(key[slash:], "."), 0)]
+		if checked[dir] && !parsed[dir] {
+			parsed[dir] = true
+			files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+			if err != nil {
+				fatalf("listing %s: %v", dir, err)
+			}
+			for _, file := range files {
+				if strings.HasSuffix(file, "_test.go") {
+					continue
+				}
+				for _, s := range parseSpans(file) {
+					declared[dir+"."+s.name] = true
+				}
+			}
+		}
+		if !declared[key] {
+			stale = append(stale, key)
+		}
+	}
+	sort.Strings(stale)
+	return stale
+}
+
 // diffMultiset returns the elements of got not covered by allowed,
 // counting duplicates.
 func diffMultiset(got, allowed []string) []string {
@@ -147,7 +192,8 @@ type funcSpan struct {
 }
 
 // keyFor returns "<pkg dir>.<func>" for the declaration enclosing
-// file:line — "internal/sim.(*Scheduler).AfterIndexed" — attributing function
+// file:line — "internal/sim.(*Scheduler).AfterIndexed",
+// "internal/sim.Ticket.Before" — attributing function
 // literals to their enclosing declaration. Lines outside any declaration
 // (package-level values) key as "<pkg dir>.<package scope>".
 func (fi *funcIndex) keyFor(file string, line int) string {
@@ -182,9 +228,15 @@ func parseSpans(file string) []funcSpan {
 		}
 		name := fd.Name.Name
 		if fd.Recv != nil && len(fd.Recv.List) == 1 {
+			// As the toolchain names methods: "(*Scheduler).Push" for a
+			// pointer receiver, "Ticket.Before" for a value one.
 			var b strings.Builder
 			printRecvType(&b, fd.Recv.List[0].Type)
-			name = "(" + b.String() + ")." + name
+			recv := b.String()
+			if strings.HasPrefix(recv, "*") {
+				recv = "(" + recv + ")"
+			}
+			name = recv + "." + name
 		}
 		spans = append(spans, funcSpan{
 			name: name,
