@@ -173,7 +173,10 @@ type BCBPT struct {
 
 var _ topology.Protocol = (*BCBPT)(nil)
 
-// New creates a BCBPT instance over the network.
+// New creates a BCBPT instance over the network. It hears JOIN and
+// CLUSTER through Network.OnMessage and takes each back to send again once
+// read, so a network carries one BCBPT: a second would answer, and take
+// back, the first one's messages too.
 func New(net *p2p.Network, seed *topology.DNSSeed, cfg Config) (*BCBPT, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -212,6 +215,8 @@ func New(net *p2p.Network, seed *topology.DNSSeed, cfg Config) (*BCBPT, error) {
 		case *wire.MsgCluster:
 			b.handleCluster(node, from, m)
 		}
+		// Read, a JOIN or CLUSTER is BCBPT's to send again.
+		b.joins.recycle(msg)
 	}
 	return b, nil
 }
@@ -519,10 +524,7 @@ func (b *BCBPT) decide(node *p2p.Node) {
 		return
 	}
 	// JOIN the closest node K's cluster.
-	node.Send(best, &wire.MsgJoin{
-		Self:              wire.NetAddr{NodeID: uint64(id)},
-		MeasuredRTTMicros: uint64(bestRTT / time.Microsecond),
-	})
+	b.sendJoin(node, best, bestRTT)
 	// If the CLUSTER reply never arrives (K churned away), fall back to
 	// founding a cluster.
 	b.net.Scheduler().After(b.cfg.DecisionSlack, func() {
@@ -530,6 +532,17 @@ func (b *BCBPT) decide(node *p2p.Node) {
 			b.finishJoin(node, 0, nil)
 		}
 	})
+}
+
+// sendJoin sends node's JOIN to to, claiming the measured round trip rtt,
+// in a JOIN from the join table's free list.
+func (b *BCBPT) sendJoin(node *p2p.Node, to p2p.NodeID, rtt time.Duration) {
+	m := b.joins.newJoin()
+	*m = wire.MsgJoin{
+		Self:              wire.NetAddr{NodeID: uint64(node.ID())},
+		MeasuredRTTMicros: uint64(rtt / time.Microsecond),
+	}
+	node.Send(to, m)
 }
 
 // finishJoin completes a join and releases its record: cluster == 0 founds
@@ -558,10 +571,20 @@ func (b *BCBPT) finishJoin(node *p2p.Node, cluster ClusterID, members []p2p.Node
 // that has left, its slot since taken, finds nothing of the newcomer's. A
 // released record waits on free, buffers and all, for the next joiner; once
 // no join is under way the records go too, so a built network keeps none.
+//
+// The exchange's memory lives here as well and goes by the same rule: the
+// JOINs and CLUSTER replies their receivers have read, waiting to be sent
+// again, and the member list handleCluster hands finishJoin. A message
+// lost on the way, or addressed to a node that has gone, never comes back,
+// and the collector takes it.
 type joinTable struct {
 	bySlot []int32
 	joins  []joinRecord
 	free   []int32
+
+	joinMsgs    []*wire.MsgJoin
+	clusterMsgs []*wire.MsgCluster
+	members     []p2p.NodeID
 }
 
 // joinRecord is one join under way: ests[k] measures cands[k]. The
@@ -616,7 +639,43 @@ func (p *joinTable) release(slot int, id p2p.NodeID) {
 	p.joins[ji].id = 0
 	p.free = append(p.free, ji)
 	if len(p.free) == len(p.joins) {
-		p.joins, p.free = nil, nil
+		*p = joinTable{bySlot: p.bySlot}
+	}
+}
+
+// newJoin returns a JOIN to fill: one a receiver has read, or a new one.
+func (p *joinTable) newJoin() *wire.MsgJoin {
+	if last := len(p.joinMsgs) - 1; last >= 0 {
+		m := p.joinMsgs[last]
+		p.joinMsgs = p.joinMsgs[:last]
+		return m
+	}
+	return new(wire.MsgJoin)
+}
+
+// newCluster returns a CLUSTER reply to fill: one a receiver has read, or a
+// new one whose Members has room for sample addresses.
+func (p *joinTable) newCluster(sample int) *wire.MsgCluster {
+	if last := len(p.clusterMsgs) - 1; last >= 0 {
+		m := p.clusterMsgs[last]
+		p.clusterMsgs = p.clusterMsgs[:last]
+		return m
+	}
+	return &wire.MsgCluster{Members: make([]wire.NetAddr, 0, sample)}
+}
+
+// recycle takes back a JOIN or CLUSTER reply its receiver has read, for
+// the next send, and ignores any other message. With no join under way it
+// keeps nothing, as it keeps no record.
+func (p *joinTable) recycle(msg wire.Message) {
+	if len(p.joins) == 0 {
+		return
+	}
+	switch m := msg.(type) {
+	case *wire.MsgJoin:
+		p.joinMsgs = append(p.joinMsgs, m)
+	case *wire.MsgCluster:
+		p.clusterMsgs = append(p.clusterMsgs, m)
 	}
 }
 
@@ -635,20 +694,23 @@ func (p *joinTable) observe(prober *p2p.Node, target p2p.NodeID, rtt time.Durati
 // --- wire message handling (JOIN / CLUSTER), from Network.OnMessage ---
 
 // handleJoin runs at the closest node K: accept if the reported distance
-// is within K's threshold and K itself is clustered.
+// is within K's threshold and K itself is clustered. The reply comes from
+// the join table's free list, and its Members is filled in place.
 func (b *BCBPT) handleJoin(node *p2p.Node, from p2p.NodeID, m *wire.MsgJoin) {
 	cluster, clustered := b.clusterOf[node.ID()]
 	rtt := time.Duration(m.MeasuredRTTMicros) * time.Microsecond
+	reply := b.joins.newCluster(b.cfg.MemberSample)
+	sample := reply.Members[:0]
 	if !clustered || rtt >= b.cfg.Threshold {
 		b.stats.Rejects++
-		node.Send(from, &wire.MsgCluster{Accepted: false})
+		*reply = wire.MsgCluster{Members: sample}
+		node.Send(from, reply)
 		return
 	}
 	b.stats.Joins++
 	// Sample members for the reply ("a list of IPs of nodes that belong
 	// to the same cluster", §IV.B), capped to keep the message bounded.
 	all := b.members[cluster]
-	sample := make([]wire.NetAddr, 0, min(len(all), b.cfg.MemberSample))
 	if len(all) <= b.cfg.MemberSample {
 		for _, mID := range all {
 			sample = append(sample, wire.NetAddr{NodeID: uint64(mID)})
@@ -661,11 +723,8 @@ func (b *BCBPT) handleJoin(node *p2p.Node, from p2p.NodeID, m *wire.MsgJoin) {
 			sample = append(sample, wire.NetAddr{NodeID: uint64(all[i])})
 		}
 	}
-	node.Send(from, &wire.MsgCluster{
-		ClusterID: uint64(cluster),
-		Accepted:  true,
-		Members:   sample,
-	})
+	*reply = wire.MsgCluster{ClusterID: uint64(cluster), Accepted: true, Members: sample}
+	node.Send(from, reply)
 }
 
 // permInto is r.Perm(n) written into buf, grown as needed: the same Intn
@@ -681,7 +740,10 @@ func permInto(r *rand.Rand, buf []int, n int) []int {
 	return buf
 }
 
-// handleCluster runs at the joiner when K's reply arrives.
+// handleCluster runs at the joiner when K's reply arrives. The member list
+// is read into the join table's buffer, which the next reply overwrites:
+// finishJoin's fillWith only reads it, and Connect fires no hook that
+// could bring that reply in first.
 func (b *BCBPT) handleCluster(node *p2p.Node, from p2p.NodeID, m *wire.MsgCluster) {
 	self := node.ID()
 	if b.joins.of(node.Slot(), self) == nil {
@@ -691,13 +753,13 @@ func (b *BCBPT) handleCluster(node *p2p.Node, from p2p.NodeID, m *wire.MsgCluste
 		b.finishJoin(node, 0, nil)
 		return
 	}
-	members := make([]p2p.NodeID, 0, len(m.Members)+1)
-	members = append(members, from)
+	members := append(slices.Grow(b.joins.members[:0], len(m.Members)+1), from)
 	for _, a := range m.Members {
 		if id := p2p.NodeID(a.NodeID); id != self && id != from {
 			members = append(members, id)
 		}
 	}
+	b.joins.members = members
 	b.finishJoin(node, ClusterID(m.ClusterID), members)
 }
 

@@ -59,11 +59,17 @@ func joining(net *p2p.Network, proto *BCBPT, id p2p.NodeID) bool {
 	return ok && proto.joins.of(nd.Slot(), id) != nil
 }
 
-// requireNoJoinRecord fails t if any join record is left.
+// requireNoJoinRecord fails t if any join record is left, or any of the
+// exchange's memory that goes with the records: a free-listed JOIN or
+// CLUSTER reply, or the member buffer.
 func requireNoJoinRecord(t testing.TB, proto *BCBPT, when string) {
 	t.Helper()
-	if len(proto.joins.joins) != 0 || slices.ContainsFunc(proto.joins.bySlot, func(j int32) bool { return j != 0 }) {
-		t.Errorf("%s: join records left: %d records, slots %v", when, len(proto.joins.joins), proto.joins.bySlot)
+	p := &proto.joins
+	if len(p.joins) != 0 || slices.ContainsFunc(p.bySlot, func(j int32) bool { return j != 0 }) {
+		t.Errorf("%s: join records left: %d records, slots %v", when, len(p.joins), p.bySlot)
+	}
+	if p.joinMsgs != nil || p.clusterMsgs != nil || p.members != nil {
+		t.Errorf("%s: %d JOINs and %d CLUSTER replies free-listed, member buffer of %d kept", when, len(p.joinMsgs), len(p.clusterMsgs), cap(p.members))
 	}
 }
 
@@ -807,4 +813,61 @@ func TestPermIntoMatchesRandPerm(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() { buf = permInto(b, buf, 1000) }); allocs != 0 {
 		t.Fatalf("permInto into a large enough buffer allocated %.0f times", allocs)
 	}
+}
+
+// TestJoinExchangeAllocatesNothing: once one exchange has filled the free
+// lists, a JOIN -> CLUSTER round trip between two clustered nodes, sent the
+// way decide sends it and run until the reply is handled, allocates
+// nothing: the JOIN and the reply are taken back and sent again, and the
+// reply's member sample is drawn into its own buffer. The lists live while a
+// join is under way, and a completed build keeps none of them.
+func TestJoinExchangeAllocatesNothing(t *testing.T) {
+	// A sample smaller than K's cluster, so the reply draws its members.
+	net, proto, ids := buildWorld(t, 60, 6, func(c *Config) { c.MemberSample = 2 })
+	bootstrap(t, net, proto, ids)
+	requireNoJoinRecord(t, proto, "after the build")
+
+	// K is the lowest ID of the first largest cluster.
+	clusters := proto.Clusters()
+	var largest []p2p.NodeID
+	for c := ClusterID(1); int(c) <= len(clusters); c++ {
+		if len(clusters[c]) > len(largest) {
+			largest = clusters[c]
+		}
+	}
+	if len(largest) <= proto.Config().MemberSample {
+		t.Fatalf("the largest cluster has %d members, no more than the sample", len(largest))
+	}
+	k := largest[0]
+	a, _ := net.Node(ids[0])
+	if a.ID() == k {
+		a, _ = net.Node(ids[1])
+	}
+	// A newcomer's join, opened and never decided, keeps the exchange's
+	// free lists for the test's round trips.
+	nd := net.AddNode(geo.Location{Coord: geo.Coord{LatDeg: 50, LonDeg: 8}, Country: "DE", Region: "EU"})
+	proto.joins.open(nd.Slot(), nd.ID())
+
+	exchange := func() {
+		proto.sendJoin(a, k, time.Millisecond)
+		if err := net.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, sent := proto.Stats().Joins, net.Stats().Messages[wire.CmdCluster]
+	exchange()
+	if got := proto.Stats().Joins; got != before+1 || net.Stats().Messages[wire.CmdCluster] != sent+1 {
+		t.Fatalf("the warm-up exchange: %d JOINs accepted, %d CLUSTER replies sent; want 1 and 1", got-before, net.Stats().Messages[wire.CmdCluster]-sent)
+	}
+	if p := &proto.joins; len(p.joinMsgs) != 1 || len(p.clusterMsgs) != 1 || len(p.clusterMsgs[0].Members) != proto.Config().MemberSample {
+		t.Fatalf("after one exchange %d JOINs and %d replies are free-listed, want 1 and 1 carrying %d members", len(p.joinMsgs), len(p.clusterMsgs), proto.Config().MemberSample)
+	}
+	if allocs := testing.AllocsPerRun(20, exchange); allocs != 0 {
+		t.Errorf("a JOIN -> CLUSTER round trip allocates %v per run", allocs)
+	}
+	if got := proto.Stats().Joins; got != before+22 {
+		t.Fatalf("%d JOINs accepted over 22 exchanges", got-before)
+	}
+	proto.joins.release(nd.Slot(), nd.ID())
+	requireNoJoinRecord(t, proto, "after the last join ended")
 }

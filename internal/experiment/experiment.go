@@ -164,6 +164,7 @@ func Build(ctx context.Context, spec Spec) (*Built, error) {
 	}
 	net.Reserve(spec.Nodes)
 	b := &Built{Net: net, Seed: topology.NewDNSSeed()}
+	b.Seed.Reserve(spec.Nodes)
 	if err := b.build(ctx, spec); err != nil {
 		b.Close()
 		return nil, err

@@ -232,7 +232,10 @@ type Network struct {
 	// OnMessage fires when a node receives a wire.Message — what Send
 	// carries, JOIN and CLUSTER — with the receiving node and the sender's
 	// ID: the one way a topology protocol hears its messages. Whoever reads
-	// them installs the hook, chaining any earlier one.
+	// them installs the hook, chaining any earlier one. The network keeps
+	// no reference to the message once it has landed, and after the hook
+	// returns the message is its sender's to reuse: a hook must not keep
+	// it, only copy what it needs.
 	OnMessage func(node *Node, from NodeID, msg wire.Message)
 	// OnRTT is the only way a round trip leaves the network: it fires when
 	// a prober takes in a round trip to target, when the pong lands under a

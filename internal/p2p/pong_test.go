@@ -478,3 +478,33 @@ func TestPongTicketExactTie(t *testing.T) {
 		}
 	}
 }
+
+// TestProbeRoundAllocatesNothing: on a warmed network a lone prober's
+// ProbeN round trip — pings sent, every pong filed as a ticket and folded
+// in — allocates nothing: its probe set and its pong list are reused, not
+// made afresh each round (pongTable keeps one spare list).
+func TestProbeRoundAllocatesNothing(t *testing.T) {
+	const targets, rounds = 16, 3
+	net, nodes := testNetwork(t, 40, nil)
+	prober := nodes[0]
+	ids := make([]NodeID, targets)
+	for i := range ids {
+		ids[i] = nodes[1+i].ID()
+	}
+	taken := 0
+	net.OnRTT = func(*Node, NodeID, time.Duration) { taken++ }
+	round := func() {
+		prober.ProbeN(ids, rounds, 20*time.Millisecond)
+		if err := net.Run(); err != nil {
+			t.Fatal(err)
+		}
+		prober.FoldPongs()
+	}
+	round()
+	if taken == 0 || len(net.pongs.of(prober.slot)) != 0 {
+		t.Fatalf("warm-up round took in %d round trips and left %d pong tickets", taken, len(net.pongs.of(prober.slot)))
+	}
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Errorf("a ProbeN round allocates %v per run", allocs)
+	}
+}

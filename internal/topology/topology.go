@@ -71,6 +71,18 @@ func NewDNSSeed() *DNSSeed {
 	return &DNSSeed{locs: make(map[p2p.NodeID]geo.Location)}
 }
 
+// Reserve sizes an empty registry for an expected population, as
+// p2p.Network.Reserve sizes the network, so a large build does not grow
+// the registry one registration at a time. Calling it on a registry that
+// holds nodes, or not at all, only costs that growth: behaviour is the
+// same either way.
+func (d *DNSSeed) Reserve(nodes int) {
+	if nodes <= 0 || len(d.locs) > 0 {
+		return
+	}
+	d.locs = make(map[p2p.NodeID]geo.Location, nodes)
+}
+
 // Register adds a reachable node, or moves a known one to loc. IDs from
 // AddNode ascend, so an arrival appends to all; in the geographic index it
 // patches the one cell loc falls in, a binary search and an insert among

@@ -102,6 +102,33 @@ func TestDNSSeedRecommendNearest(t *testing.T) {
 	}
 }
 
+// TestDNSSeedReserve: a registry reserved for n nodes takes n
+// registrations without allocating, and Reserve leaves a registry that
+// already holds nodes as it is.
+func TestDNSSeedReserve(t *testing.T) {
+	const n = 500
+	loc := geo.Location{Coord: geo.Coord{LatDeg: 50.11, LonDeg: 8.68}, Country: "DE"}
+	var seed *DNSSeed
+	reserved := func() {
+		seed = NewDNSSeed()
+		seed.Reserve(n)
+	}
+	empty := testing.AllocsPerRun(3, reserved)
+	filled := testing.AllocsPerRun(3, func() {
+		reserved()
+		for id := p2p.NodeID(1); id <= n; id++ {
+			seed.Register(id, loc)
+		}
+	})
+	if filled != empty {
+		t.Errorf("%d registrations into a reserved registry allocate %v", n, filled-empty)
+	}
+	seed.Reserve(2 * n)
+	if got, ok := seed.Location(n); seed.Len() != n || !ok || got != loc {
+		t.Fatalf("Reserve on a filled registry left %d of %d nodes, node %d at %v, %v", seed.Len(), n, n, got, ok)
+	}
+}
+
 func TestRandomBootstrapDegreeAndConnectivity(t *testing.T) {
 	net, ids := buildNetwork(t, 200, 1)
 	proto := NewRandom(net, NewDNSSeed(), 0)

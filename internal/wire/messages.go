@@ -185,7 +185,9 @@ func (m *MsgBlock) payloadSize() int { return m.Block.Size() }
 
 // MsgJoin asks the receiver — the closest node the sender has measured —
 // to admit the sender to its cluster (paper §IV.B: "the node N sends a
-// JOIN request destined for the closest node K").
+// JOIN request destined for the closest node K"). Once the receiver's
+// handler returns, the message is its sender's to reuse: a receiver copies
+// what it needs and keeps no reference.
 type MsgJoin struct {
 	Self NetAddr
 	// MeasuredRTTMicros is the sender's smoothed RTT estimate to the
@@ -205,6 +207,9 @@ func (*MsgJoin) payloadSize() int { return netAddrSize + 8 }
 
 // MsgCluster answers a JOIN with the membership list: "it receives a list
 // of IPs of nodes that belong to the same cluster of the node K" (§IV.B).
+// Like a JOIN, it is its sender's to reuse, Members included, once the
+// receiver's handler returns: a receiver copies what it needs and keeps no
+// reference.
 type MsgCluster struct {
 	ClusterID uint64
 	Members   []NetAddr
