@@ -14,7 +14,7 @@ import (
 // TestBCBPTNodeFootprint holds the per-node memory of a BCBPT network at
 // the benchmark's bcbpt_build size — Fig. 3's BCBPT campaign, 3000 nodes —
 // to what the nodes need once built: the node itself, its peer table and
-// its inventory arrays, 636 B at seed 1; the budget is that plus 5 %. A
+// its inventory arrays, 499 B at seed 1; the budget is that plus 5 %. A
 // node keeps no RTT estimate: §IV.A's measurements are the join's, which
 // drops them when the join finishes (core's joinTable), so a node that
 // kept an estimator per candidate probed would break the budget.
@@ -29,8 +29,8 @@ func TestBCBPTNodeFootprint(t *testing.T) {
 	}
 	perNode := b.Net.NodeFootprintBytes() / b.Net.NumNodes()
 	t.Logf("%d B per node", perNode)
-	if perNode > 667 {
-		t.Fatalf("a node of a 3000-node BCBPT network holds %d B, budget 667", perNode)
+	if perNode > 524 {
+		t.Fatalf("a node of a 3000-node BCBPT network holds %d B, budget 524", perNode)
 	}
 }
 

@@ -209,16 +209,19 @@ type pongTicket struct {
 // pongTable holds the pong tickets on their way, per prober, in landing
 // order. bySlot[s]-1 indexes lists for the prober in node slot s, zero for
 // one with none; lists whose prober has none in flight wait on free for the
-// next prober to take, with their capacity while at most one more of them
-// waits than are in use — so a lone prober's rounds reuse one list. Only
-// probers with pongs in flight hold a list, so a node costs nothing for it
-// and a network that never probes allocates nothing. One that has stopped
-// probing keeps bySlot and the spare lists that kept their capacity as its
-// probers wound down, about half of the most it had in use at once.
+// next prober to take. At every moment at most one more of the waiting
+// lists keeps its capacity than there are lists in use — so a lone
+// prober's rounds reuse one list, and a burst of probers that winds down
+// lets the lists it grew go. The ones that keep their capacity are the
+// last spare of free, taken first. Only probers with pongs in flight hold
+// a list, so a node costs nothing for it and a network that never probes
+// allocates nothing. One that has stopped probing keeps bySlot and one
+// spare list.
 type pongTable struct {
 	bySlot []int32
 	lists  [][]pongTicket
 	free   []int32
+	spare  int // how many lists at the end of free keep their capacity
 }
 
 // of returns the pending tickets of the prober in slot, nil for none.
@@ -259,6 +262,7 @@ func (pt *pongTable) open(slot int32) {
 	if last := len(pt.free) - 1; last >= 0 {
 		li = pt.free[last]
 		pt.free = pt.free[:last]
+		pt.spare = max(pt.spare-1, 0)
 	} else {
 		li = int32(len(pt.lists))
 		pt.lists = append(pt.lists, nil)
@@ -280,8 +284,11 @@ func (pt *pongTable) drop(slot int32, k int) {
 	if rest == 0 {
 		pt.bySlot[slot] = 0
 		pt.free = append(pt.free, li)
-		if inUse := len(pt.lists) - len(pt.free); len(pt.free) > inUse+1 {
-			pt.lists[li] = nil // more than one spare list waits: let this one go
+		pt.spare++
+		// One list fewer in use allows one spare fewer, and this list is one
+		// more: let the oldest spares go until the bound holds again.
+		for inUse := len(pt.lists) - len(pt.free); pt.spare > inUse+1; pt.spare-- {
+			pt.lists[pt.free[len(pt.free)-pt.spare]] = nil
 		}
 	}
 }

@@ -87,8 +87,8 @@ func (e *peerEntry) outbound() bool { return e.word&entryOutbound != 0 }
 type invEntry struct {
 	seenGen   uint32 // hash accepted, at at
 	reqGen    uint32 // GETDATA in flight
-	txGen     uint32 // inv.tx[hi] holds the transaction
-	blockGen  uint32 // inv.block[hi] holds the block
+	txGen     uint32 // the node holds the transaction Network.objTx[hi]
+	blockGen  uint32 // the node holds the block Network.objBlock[hi]
 	holderGen uint32 // holder bitset words for this hash are live
 	firstGen  uint32 // not heard of yet, and an INV event is queued to land at at, none earlier
 	at        sim.Time
@@ -106,10 +106,13 @@ type spillFact struct {
 }
 
 // nodeInv is one node's inventory state, laid out as flat arrays keyed
-// by the network's dense hash index. entries/tx/block grow to the
-// number of distinct hashes seen this generation (one or two in a
-// measurement run); holderBits holds peerWords() words per hash — one
-// bit per adjacency position.
+// by the network's dense hash index. entries grows to the number of
+// distinct hashes seen this generation (one or two in a measurement run);
+// holderBits holds peerWords() words per hash — one bit per adjacency
+// position. The objects themselves are not here: a dense index names one
+// content hash in a generation, so every node that holds it holds the same
+// object, which the network keeps once (Network.objTx, Network.objBlock)
+// and an entry's txGen/blockGen stamp says this node holds.
 //
 // lazy holds the INVs on their way here that are not events (Node.lazyInv):
 // one ticket per adjacency position, at the sender's, all for the hash at
@@ -123,8 +126,6 @@ type spillFact struct {
 type nodeInv struct {
 	entries    []invEntry
 	holderBits []uint64
-	tx         []*chain.Tx
-	block      []*chain.Block
 	spill      map[spillFact]struct{}
 	lazy       []sim.Ticket
 	spillGen   uint32
@@ -148,6 +149,13 @@ func (nd *Node) lazyAt(hi, pos int32) *sim.Ticket {
 // generation-stamped arrays keyed by dense hash index — so a node costs a
 // few hundred bytes instead of four maps, and a 100k-node network floods
 // without touching the allocator.
+//
+// A node keeps only what differs between nodes. What it shares with others
+// lives once, in the network: the names of the place it is in (place
+// indexes Network.places) and the objects it relays (Network.objTx,
+// Network.objBlock). The struct is 192 bytes, a size class of its own
+// (TestNodeIs192Bytes); a field that copies a shared fact onto every node
+// breaks the pin.
 type Node struct {
 	// What a receive reads comes first and together — identity, the table
 	// epoch and table that place the sender, the inventory arrays its INV
@@ -184,8 +192,12 @@ type Node struct {
 	freeHead int32
 	nPeers   int32
 	nOut     int32
+	// place indexes the network's table of place names (Network.places):
+	// the node's City, Country and Region, shared with every node there.
+	place int32
 
-	loc geo.Location
+	// coord is where the node is, what its links are drawn from.
+	coord geo.Coord
 }
 
 // now returns the current virtual time.
@@ -240,8 +252,12 @@ func (nd *Node) ID() NodeID { return nd.id }
 // Measurement hooks key flat per-node arrays by it.
 func (nd *Node) Slot() int { return int(nd.slot) }
 
-// Location returns the node's (self-reported) geographic placement.
-func (nd *Node) Location() geo.Location { return nd.loc }
+// Location returns the node's (self-reported) geographic placement: its
+// coordinate, with the names of its place read from the network's table.
+func (nd *Node) Location() geo.Location {
+	p := &nd.net.places[nd.place]
+	return geo.Location{Coord: nd.coord, City: p.City, Country: p.Country, Region: p.Region}
+}
 
 // --- adjacency ---
 
@@ -419,40 +435,45 @@ func (nd *Node) FirstSeen(h chain.Hash) (sim.Time, bool) {
 	return 0, false
 }
 
-// txFor returns the stored transaction for hi, if present this generation.
+// txFor returns the transaction at hi, if the node holds it this
+// generation.
 func (nd *Node) txFor(hi int32) (*chain.Tx, bool) {
 	if int(hi) < len(nd.inv.entries) && nd.inv.entries[hi].txGen == nd.net.invGen {
-		return nd.inv.tx[hi], true
+		return nd.net.objTx[hi], true
 	}
 	return nil, false
 }
 
-// storeTx records the full transaction for hi.
+// storeTx records that the node holds tx, the transaction at hi. The first
+// node to store it files it in the network's table; every later one stores
+// the same object, the one transaction the hash names.
 func (nd *Node) storeTx(hi int32, tx *chain.Tx) {
 	e := nd.invEnsure(hi)
-	for int(hi) >= len(nd.inv.tx) {
-		nd.inv.tx = append(nd.inv.tx, nil)
+	n := nd.net
+	for int(hi) >= len(n.objTx) {
+		n.objTx = append(n.objTx, nil)
 	}
-	nd.inv.tx[hi] = tx
-	e.txGen = nd.net.invGen
+	n.objTx[hi] = tx
+	e.txGen = n.invGen
 }
 
-// blockFor returns the stored block for hi, if present this generation.
+// blockFor returns the block at hi, if the node holds it this generation.
 func (nd *Node) blockFor(hi int32) (*chain.Block, bool) {
 	if int(hi) < len(nd.inv.entries) && nd.inv.entries[hi].blockGen == nd.net.invGen {
-		return nd.inv.block[hi], true
+		return nd.net.objBlock[hi], true
 	}
 	return nil, false
 }
 
-// storeBlock records the full block for hi.
+// storeBlock records that the node holds b, the block at hi (storeTx).
 func (nd *Node) storeBlock(hi int32, b *chain.Block) {
 	e := nd.invEnsure(hi)
-	for int(hi) >= len(nd.inv.block) {
-		nd.inv.block = append(nd.inv.block, nil)
+	n := nd.net
+	for int(hi) >= len(n.objBlock) {
+		n.objBlock = append(n.objBlock, nil)
 	}
-	nd.inv.block[hi] = b
-	e.blockGen = nd.net.invGen
+	n.objBlock[hi] = b
+	e.blockGen = n.invGen
 }
 
 // holderWords returns hi's live holder bitset, zeroing recycled words on

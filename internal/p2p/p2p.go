@@ -19,7 +19,9 @@
 // delivery tells the receiver where its sender sits. ResetInventory is a
 // generation bump plus an O(active hashes) registry clear — not a
 // per-node map rebuild — which is what lets a 100k+ node network run
-// thousand-injection campaigns in bounded memory.
+// thousand-injection campaigns in bounded memory. What nodes share is kept
+// once, by the network: the object a dense hash index names, and the names
+// of the place a node is in; a node keeps its own coordinate and stamps.
 //
 // A node's peers are walked in the order of its adjacency table: the INV
 // fan-out and EachPeer visit positions in ascending order, and no sorted
@@ -198,9 +200,24 @@ type Network struct {
 	// them: what Node.acceptTx reads to keep the first of two conflicting
 	// spends. ResetInventory clears it with hashIdx, whose indices it holds.
 	spenders map[chain.Outpoint][]int32
+	// objTx and objBlock are the objects of this generation by dense hash
+	// index: a node that holds the object at hi holds objTx[hi] or
+	// objBlock[hi], the one object the hash names, and says so by its
+	// entry's stamp (Node.storeTx). ResetInventory clears them with
+	// hashIdx, whose indices they are keyed by, so no earlier flood's
+	// object stays reachable through them.
+	objTx    []*chain.Tx
+	objBlock []*chain.Block
 	// peerWords is the per-hash holder bitset width in uint64 words,
 	// fixed by MaxPeers.
 	peerWords int32
+
+	// places is the table of distinct place names, interned by AddNode
+	// through placeIdx: a node keeps its coordinate and an index here
+	// (Node.place), not a copy of names it shares with every node in its
+	// city.
+	places   []placeName
+	placeIdx map[placeName]int32
 
 	// dc is the network's one dispatch context: the keyed RNG scratch,
 	// in-flight record arena, traffic counters and trace shard that every
@@ -279,6 +296,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		nodes:     make(map[NodeID]*Node),
 		invGen:    1,
 		hashIdx:   make(map[chain.Hash]int32, 16),
+		placeIdx:  make(map[placeName]int32),
 		spenders:  make(map[chain.Outpoint][]int32),
 		peerWords: int32((cfg.MaxPeers + 63) / 64),
 	}
@@ -367,6 +385,9 @@ func (n *Network) SlotOf(id NodeID) (int, bool) {
 	return int(node.slot), true
 }
 
+// placeName is the part of a geo.Location that nodes in one place share.
+type placeName struct{ City, Country, Region string }
+
 // AddNode creates a node at the given location and returns it, with no
 // peers and an empty inventory. It keeps no ledger of its own: every node
 // validates by the same rule (Config), whatever the experiment.
@@ -374,9 +395,10 @@ func (n *Network) AddNode(loc geo.Location) *Node {
 	n.nextID++
 	id := n.nextID
 	node := &Node{
-		id:  id,
-		loc: loc,
-		net: n,
+		id:    id,
+		place: n.intern(placeName{City: loc.City, Country: loc.Country, Region: loc.Region}),
+		coord: loc.Coord,
+		net:   n,
 	}
 	if last := len(n.slotFree) - 1; last >= 0 {
 		node.slot = n.slotFree[last]
@@ -388,6 +410,19 @@ func (n *Network) AddNode(loc geo.Location) *Node {
 	}
 	n.nodes[id] = node
 	return node
+}
+
+// intern returns the index of p in the network's place table, adding it
+// the first time a node is placed there. The table grows to the number of
+// distinct places, one per city of the placer's world.
+func (n *Network) intern(p placeName) int32 {
+	i, ok := n.placeIdx[p]
+	if !ok {
+		i = int32(len(n.places))
+		n.places = append(n.places, p)
+		n.placeIdx[p] = i
+	}
+	return i
 }
 
 // Node returns the node with the given ID, if it exists.
@@ -493,7 +528,7 @@ func (n *Network) link(a, b *Node) latency.Link {
 	}
 	n.linkDraws++
 	n.linkSrc.SeedKey(sim.MixKey3(uint64(n.cfg.Seed)^linkKeyTag, uint64(lo), uint64(hi)))
-	return n.model.NewLink(n.linkRand, a.loc.Coord, b.loc.Coord)
+	return n.model.NewLink(n.linkRand, a.coord, b.coord)
 }
 
 // edgeLink returns the latency link of the connection at nd's adjacency
@@ -821,8 +856,9 @@ func (n *Network) newProbeSet() int32 {
 // ResetInventory clears every node's seen-transaction state. Measurement
 // harnesses call this between runs so memory stays bounded over thousands
 // of injected transactions. With the generation-stamped layout this is a
-// generation bump plus an O(active hashes) clear of the hash registry and
-// of the spenders of each output: no per-node work at all.
+// generation bump plus an O(active hashes) clear of the hash registry, of
+// the spenders of each output and of the object tables: no per-node work
+// at all.
 //
 // INVs still on their way as tickets are turned into the records they stand
 // for first (Node.settleLazy), so that they land stale, as a record that the
@@ -859,6 +895,8 @@ func (n *Network) ResetInventory() {
 	}
 	clear(n.hashIdx)
 	clear(n.spenders)
+	clear(n.objTx)
+	clear(n.objBlock)
 	n.hashN = 0
 }
 

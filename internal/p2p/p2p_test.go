@@ -1177,6 +1177,17 @@ func TestPeerEntryIs16Bytes(t *testing.T) {
 	}
 }
 
+// TestNodeIs192Bytes holds the node to 192 bytes, a size class of the Go
+// allocator: a node keeps only what differs between nodes, and what it
+// shares — the names of its place, the objects it relays — lives once, in
+// the network. A field that copies a shared fact onto every node, or any
+// field past the 192nd byte, moves every node up to the next class.
+func TestNodeIs192Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(Node{}); size != 192 {
+		t.Fatalf("Node is %d bytes, want 192", size)
+	}
+}
+
 // TestPeerEntryWordRoundTrip packs each field of a peer entry's word at
 // its extremes and reads every field back, so no field bleeds into
 // another.

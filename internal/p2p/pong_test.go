@@ -508,3 +508,55 @@ func TestProbeRoundAllocatesNothing(t *testing.T) {
 		t.Errorf("a ProbeN round allocates %v per run", allocs)
 	}
 }
+
+// TestIdlePongListsLetGo: a burst of concurrent probers that winds down
+// leaves no more pong lists with capacity than the probers still in flight
+// use, plus one spare — at every step, not only for the list just freed —
+// so a network that once probed in a burst does not keep the burst's lists
+// for its life.
+func TestIdlePongListsLetGo(t *testing.T) {
+	const probers, targets = 12, 4
+	net, nodes := testNetwork(t, probers+targets, nil)
+	ids := make([]NodeID, targets)
+	for i := range ids {
+		ids[i] = nodes[probers+i].ID()
+	}
+	for _, p := range nodes[:probers] {
+		p.ProbeN(ids, 2, time.Millisecond)
+	}
+	if err := net.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Nobody has folded: every prober holds a list of passed tickets.
+	withCap := func() (inUse, spare int) {
+		for li, list := range net.pongs.lists {
+			switch {
+			case slices.Contains(net.pongs.free, int32(li)):
+				if cap(list) > 0 {
+					spare++
+				}
+			case cap(list) == 0:
+				t.Fatalf("list %d is in use with no capacity", li)
+			default:
+				inUse++
+			}
+		}
+		return inUse, spare
+	}
+	if inUse, _ := withCap(); inUse != probers {
+		t.Fatalf("%d lists in use after a burst of %d probers", inUse, probers)
+	}
+	for i, p := range nodes[:probers] {
+		p.FoldPongs()
+		inUse, spare := withCap()
+		if inUse != probers-1-i || spare > inUse+1 {
+			t.Fatalf("after %d of %d probers folded: %d lists in use, %d spares with capacity", i+1, probers, inUse, spare)
+		}
+		if i == probers-2 && spare > 2 {
+			t.Fatalf("a burst wound down to one prober leaves %d spare lists with capacity, want at most 2", spare)
+		}
+	}
+	if _, spare := withCap(); spare != 1 {
+		t.Fatalf("a network that has stopped probing keeps %d spare lists with capacity, want 1", spare)
+	}
+}

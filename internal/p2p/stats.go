@@ -93,10 +93,10 @@ func (s Stats) String() string {
 // NodeFootprintBytes sums the retained bytes of every node's hot state —
 // the node, its adjacency table (free list included, threaded through the
 // free entries), flat inventory arrays, holder bitsets, spill sets,
-// ticket slots, pong tickets — without the shared
-// network-level state (hash registry, in-flight records, probe sets). Divided by
-// NumNodes it is the marginal cost of one more node, the number the
-// 100k-node budget test pins so the flat layout cannot quietly regrow
+// ticket slots, pong tickets — without the shared network-level state
+// (hash registry, object and place tables, in-flight records, probe sets).
+// Divided by NumNodes it is the marginal cost of one more node, the number
+// the 100k-node budget test pins so the flat layout cannot quietly regrow
 // pointer-rich per-node state.
 func (n *Network) NodeFootprintBytes() int {
 	var total uintptr
@@ -107,7 +107,6 @@ func (n *Network) NodeFootprintBytes() int {
 		total += unsafe.Sizeof(*nd)
 		total += uintptr(cap(nd.peerTab)) * unsafe.Sizeof(peerEntry{})
 		total += uintptr(cap(nd.inv.entries)) * unsafe.Sizeof(invEntry{})
-		total += uintptr(cap(nd.inv.tx)+cap(nd.inv.block)) * unsafe.Sizeof(uintptr(0))
 		total += uintptr(cap(nd.inv.holderBits)) * unsafe.Sizeof(uint64(0))
 		total += uintptr(len(nd.inv.spill)) * (unsafe.Sizeof(spillFact{}) + 8)
 	}

@@ -123,35 +123,21 @@ type cellIndex struct {
 	n    int
 }
 
-// newCellIndex builds the index over every registered location: one slice
-// of entries sorted by (cell, id), so each cell is a run of it, its
-// capacity capped at its length so that a later insert reallocates that
-// cell alone.
-func newCellIndex(locs map[p2p.NodeID]geo.Location) *cellIndex {
-	type keyed struct {
-		cell int
-		e    entry
+// newCellIndex builds the index over the registered nodes ids, ascending,
+// at coords: one slice of entries made in ID order and stable-sorted by
+// cell, so each cell is a run of it in ascending ID, its capacity capped at
+// its length so that a later insert reallocates that cell alone.
+func newCellIndex(ids []p2p.NodeID, coords []geo.Coord) *cellIndex {
+	ents := make([]entry, len(ids))
+	for i, id := range ids {
+		ents[i] = newEntry(id, coords[i])
 	}
-	ks := make([]keyed, 0, len(locs))
-	for id, loc := range locs {
-		r, c := cellOf(loc.Coord)
-		ks = append(ks, keyed{cell: r*numCols + c, e: newEntry(id, loc.Coord)})
-	}
-	slices.SortFunc(ks, func(a, b keyed) int {
-		if c := cmp.Compare(a.cell, b.cell); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.e.id, b.e.id)
-	})
-	ents := make([]entry, len(ks))
-	for i := range ks {
-		ents[i] = ks[i].e
-	}
+	slices.SortStableFunc(ents, func(a, b entry) int { return cmp.Compare(cellKey(a.coord), cellKey(b.coord)) })
 	ix := &cellIndex{n: len(ents)}
 	for i := 0; i < len(ents); {
-		k := ks[i].cell
+		k := cellKey(ents[i].coord)
 		j := i + 1
-		for j < len(ents) && ks[j].cell == k {
+		for j < len(ents) && cellKey(ents[j].coord) == k {
 			j++
 		}
 		c := cell{col: k % numCols, ents: ents[i:j:j]}
@@ -160,6 +146,13 @@ func newCellIndex(locs map[p2p.NodeID]geo.Location) *cellIndex {
 		i = j
 	}
 	return ix
+}
+
+// cellKey numbers the cell c falls in, row-major: the order of the rows,
+// and within a row of the columns.
+func cellKey(c geo.Coord) int {
+	r, col := cellOf(c)
+	return r*numCols + col
 }
 
 // find returns the position of column col in row r, and whether that cell

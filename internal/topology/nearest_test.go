@@ -20,12 +20,12 @@ func referenceRecommend(d *DNSSeed, self p2p.NodeID, loc geo.Location, k int) []
 		id p2p.NodeID
 		d  float64
 	}
-	cands := make([]cand, 0, len(d.locs))
-	for id, l := range d.locs {
+	cands := make([]cand, 0, len(d.ids))
+	for i, id := range d.ids {
 		if id == self {
 			continue
 		}
-		cands = append(cands, cand{id: id, d: geo.DistanceMeters(loc.Coord, l.Coord)})
+		cands = append(cands, cand{id: id, d: geo.DistanceMeters(loc.Coord, d.coords[i])})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].d != cands[j].d {
@@ -51,16 +51,20 @@ func checkRecommend(t *testing.T, d *DNSSeed, self p2p.NodeID, c geo.Coord, k in
 	}
 }
 
-// rebuiltOrderings is what the registry did after every mutation before it
-// patched its orderings in place, kept as the oracle: both orderings from
-// scratch, straight from the location map.
-func rebuiltOrderings(d *DNSSeed) ([]p2p.NodeID, *cellIndex) {
-	all := make([]p2p.NodeID, 0, len(d.locs))
-	for id := range d.locs {
-		all = append(all, id)
+// rebuiltIndex is what the registry did after every mutation before it
+// patched its index in place, kept as the oracle: the index from scratch,
+// straight from the ID and coordinate lists.
+func rebuiltIndex(d *DNSSeed) *cellIndex {
+	return newCellIndex(d.ids, d.coords)
+}
+
+// coordOf returns the coordinate the registry holds for id.
+func coordOf(d *DNSSeed, id p2p.NodeID) (geo.Coord, bool) {
+	i, ok := slices.BinarySearch(d.ids, id)
+	if !ok {
+		return geo.Coord{}, false
 	}
-	slices.Sort(all)
-	return all, newCellIndex(d.locs)
+	return d.coords[i], true
 }
 
 // sameCells reports whether two indexes hold the same cells, row for row:
@@ -80,24 +84,24 @@ func sameCells(a, b *cellIndex) bool {
 }
 
 // checkOrderings looks inside the registry without reading through it (a
-// read would build what it is about to inspect): an ordering nothing has
-// read must still be nil, and one that has been read must equal the
-// from-scratch rebuild entry for entry, coordinates and cell boxes
-// included.
+// read would build what it is about to inspect): the ID list, the registry
+// itself, must ascend strictly with a coordinate beside every ID; an index
+// nothing has read must still be nil, and one that has been read must
+// equal the from-scratch rebuild entry for entry, coordinates and cell
+// boxes included.
 func checkOrderings(t *testing.T, d *DNSSeed, read bool) {
 	t.Helper()
+	if len(d.coords) != len(d.ids) || !slices.IsSorted(d.ids) || len(slices.Compact(slices.Clone(d.ids))) != len(d.ids) {
+		t.Fatalf("registry of %d IDs and %d coordinates is not one ascending list: %v", len(d.ids), len(d.coords), d.ids)
+	}
 	if !read {
-		if d.all != nil || d.cells != nil {
-			t.Fatalf("orderings exist before any read: all=%v cells=%v", d.all, d.cells)
+		if d.cells != nil {
+			t.Fatalf("index exists before any read: %+v", d.cells)
 		}
 		return
 	}
-	wantAll, wantCells := rebuiltOrderings(d)
-	if d.all == nil || !slices.Equal(d.all, wantAll) {
-		t.Fatalf("all over %d nodes\n got %v\nwant %v", d.Len(), d.all, wantAll)
-	}
-	if d.cells == nil || !sameCells(d.cells, wantCells) {
-		t.Fatalf("cells over %d nodes\n got %+v\nwant %+v", d.Len(), d.cells, wantCells)
+	if want := rebuiltIndex(d); d.cells == nil || !sameCells(d.cells, want) {
+		t.Fatalf("cells over %d nodes\n got %+v\nwant %+v", d.Len(), d.cells, want)
 	}
 }
 
@@ -136,11 +140,11 @@ func randomCoord(r *rand.Rand, placer *geo.Placer) geo.Coord {
 // interleaved Register / Remove / relocate and, between mutations, requires
 // Recommend to equal the full-sort oracle element for element — ties,
 // absent self, and k at and beyond the population included. After every
-// single mutation both orderings must equal the from-scratch rebuild. Even
-// trials read the empty registry first, so every mutation patches built
-// orderings; odd trials run their first round of mutations with nothing
-// read, so the orderings must stay nil until the round's queries build
-// them from the populated map.
+// single mutation the ID list must ascend and the index equal the
+// from-scratch rebuild. Even trials read the empty registry first, so every
+// mutation patches a built index; odd trials run their first round of
+// mutations with nothing read, so the index must stay nil until the round's
+// queries build it from the populated lists.
 func TestRecommendMatchesReference(t *testing.T) {
 	placer := geo.DefaultPlacer()
 	for trial := int64(0); trial < 40; trial++ {
@@ -168,8 +172,8 @@ func TestRecommendMatchesReference(t *testing.T) {
 			for _, k := range []int{-1, 0, 1, 16, 64, n - 1, n, n + 5} {
 				self := p2p.NodeID(r.Intn(maxID + 1)) // 0 is never registered
 				q := randomCoord(r, placer)
-				if loc, ok := d.Location(self); ok && r.Intn(2) == 0 {
-					q = loc.Coord // a node asking about its own surroundings
+				if c, ok := coordOf(d, self); ok && r.Intn(2) == 0 {
+					q = c // a node asking about its own surroundings
 				}
 				checkRecommend(t, d, self, q, k)
 			}
@@ -180,9 +184,9 @@ func TestRecommendMatchesReference(t *testing.T) {
 }
 
 // TestOrderingsPatchCases names the mutations a patch could get wrong and
-// runs each over a small population twice: with both orderings read before
-// the script (every step patches them) and with nothing read until after it
-// (every step must leave them nil, and the first read then builds them).
+// runs each over a small population twice: with the index read before the
+// script (every step patches it) and with nothing read until after it
+// (every step must leave it nil, and the first read then builds it).
 func TestOrderingsPatchCases(t *testing.T) {
 	type op struct {
 		id     p2p.NodeID
@@ -221,8 +225,8 @@ func TestOrderingsPatchCases(t *testing.T) {
 						d.Remove(o.id)
 					} else {
 						d.Register(o.id, geo.Location{Coord: o.at, Country: "updated"})
-						if loc, _ := d.Location(o.id); loc.Country != "updated" || loc.Coord != o.at {
-							t.Fatalf("Location(%d) = %+v after Register at %v", o.id, loc, o.at)
+						if c, ok := coordOf(d, o.id); !ok || c != o.at {
+							t.Fatalf("node %d at %v, %v after Register at %v", o.id, c, ok, o.at)
 						}
 					}
 					checkOrderings(t, d, read)
@@ -487,8 +491,8 @@ func TestRecommendGuardBandRandom(t *testing.T) {
 // awkward geometry are one byte away; every query record is checked
 // against the oracle for a k taken from the op byte. A query is also the
 // registry's reader: the mutations before the script's first query must
-// leave both orderings nil, and every mutation after it must leave them
-// equal to the from-scratch rebuild.
+// leave the index nil, and every mutation after it must leave it equal to
+// the from-scratch rebuild.
 func FuzzRecommendMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 1, 127, 0, 0, 2, 129, 0, 3, 0, 0, 0})
 	f.Add([]byte{0, 1, 10, 127, 0, 2, 10, 129, 0, 3, 10, 127, 7, 0, 10, 128})

@@ -49,18 +49,19 @@ type Protocol interface {
 // should recommend available nodes to the node N based on the proximity in
 // the physical geographical location", §IV.B).
 //
-// The registry keeps two orderings of its nodes, all and the geographic
-// index, under one rule: an ordering is built the first time it is read,
-// and from then on every Register/Remove patches it in place. Until that
-// first read it stays nil and mutations skip it, so registering a whole
-// population before anything reads costs one build whatever order the IDs
-// arrive in.
+// Of a node's location the registry keeps the one fact both roles read,
+// its coordinate: ids holds every registered ID, ascending, and coords the
+// coordinate of each at the same position. The geographic index Recommend
+// searches is built from them the first time it is read, and from then on
+// every Register/Remove patches it in place. Until that first read it stays
+// nil and mutations skip it, so registering a whole population before
+// anything reads costs one build whatever order the IDs arrive in.
 type DNSSeed struct {
-	locs map[p2p.NodeID]geo.Location
-	// all is every registered ID, ascending; nil = never read. Link refill
-	// consults All on every disconnect, so under churn it is read about as
-	// often as it changes.
-	all []p2p.NodeID
+	// ids is every registered ID, ascending, and what All returns. Link
+	// refill consults All on every disconnect, so under churn it is read
+	// about as often as it changes.
+	ids    []p2p.NodeID
+	coords []geo.Coord
 	// cells is the geographic index Recommend searches (see nearest.go);
 	// nil = never read.
 	cells *cellIndex
@@ -68,7 +69,7 @@ type DNSSeed struct {
 
 // NewDNSSeed returns an empty seed registry.
 func NewDNSSeed() *DNSSeed {
-	return &DNSSeed{locs: make(map[p2p.NodeID]geo.Location)}
+	return &DNSSeed{}
 }
 
 // Reserve sizes an empty registry for an expected population, as
@@ -77,54 +78,69 @@ func NewDNSSeed() *DNSSeed {
 // holds nodes, or not at all, only costs that growth: behaviour is the
 // same either way.
 func (d *DNSSeed) Reserve(nodes int) {
-	if nodes <= 0 || len(d.locs) > 0 {
+	if nodes <= 0 || len(d.ids) > 0 {
 		return
 	}
-	d.locs = make(map[p2p.NodeID]geo.Location, nodes)
+	d.ids = make([]p2p.NodeID, 0, nodes)
+	d.coords = make([]geo.Coord, 0, nodes)
 }
 
-// Register adds a reachable node, or moves a known one to loc. IDs from
-// AddNode ascend, so an arrival appends to all; in the geographic index it
-// patches the one cell loc falls in, a binary search and an insert among
-// that cell's nodes, and pays the four sines and cosines of the entry's
-// unit vector. Re-registering at the same coordinate touches neither.
+// find returns id's position in ids, or where it would go, and whether it
+// is registered. IDs from AddNode ascend, so an arrival is checked against
+// the last ID before any search.
+func (d *DNSSeed) find(id p2p.NodeID) (int, bool) {
+	if n := len(d.ids); n == 0 || d.ids[n-1] < id {
+		return n, false
+	}
+	return slices.BinarySearch(d.ids, id)
+}
+
+// Register adds a reachable node, or moves a known one to loc; only
+// loc.Coord is kept. IDs from AddNode ascend, so an arrival appends; in the
+// geographic index it patches the one cell loc falls in, a binary search
+// and an insert among that cell's nodes, and pays the four sines and
+// cosines of the entry's unit vector. Re-registering at the same
+// coordinate touches nothing.
 func (d *DNSSeed) Register(id p2p.NodeID, loc geo.Location) {
-	old, known := d.locs[id]
-	d.locs[id] = loc
-	if !known && d.all != nil {
-		i, _ := slices.BinarySearch(d.all, id)
-		d.all = slices.Insert(d.all, i, id)
-	}
-	if d.cells == nil || (known && old.Coord == loc.Coord) {
+	at := loc.Coord
+	i, known := d.find(id)
+	if known {
+		old := d.coords[i]
+		if old == at {
+			return
+		}
+		d.coords[i] = at
+		if d.cells != nil {
+			d.cells.remove(id, old)
+			d.cells.insert(newEntry(id, at))
+		}
 		return
 	}
-	if known {
-		d.cells.remove(id, old.Coord)
+	d.ids = slices.Insert(d.ids, i, id)
+	d.coords = slices.Insert(d.coords, i, at)
+	if d.cells != nil {
+		d.cells.insert(newEntry(id, at))
 	}
-	d.cells.insert(newEntry(id, loc.Coord))
 }
 
-// Remove forgets a node: a binary search and a delete in each ordering that
-// has been read, and in the geographic index a refit of the box of the one
-// cell the node leaves. Removing an unknown ID does nothing.
+// Remove forgets a node: a binary search and a delete from the ID list,
+// and in the geographic index, if it has been read, a refit of the box of
+// the one cell the node leaves. Removing an unknown ID does nothing.
 func (d *DNSSeed) Remove(id p2p.NodeID) {
-	loc, known := d.locs[id]
+	i, known := d.find(id)
 	if !known {
 		return
 	}
-	delete(d.locs, id)
-	if d.all != nil {
-		if i, ok := slices.BinarySearch(d.all, id); ok {
-			d.all = slices.Delete(d.all, i, i+1)
-		}
-	}
+	at := d.coords[i]
+	d.ids = slices.Delete(d.ids, i, i+1)
+	d.coords = slices.Delete(d.coords, i, i+1)
 	if d.cells != nil {
-		d.cells.remove(id, loc.Coord)
+		d.cells.remove(id, at)
 	}
 }
 
 // Len returns the number of registered nodes.
-func (d *DNSSeed) Len() int { return len(d.locs) }
+func (d *DNSSeed) Len() int { return len(d.ids) }
 
 // All returns every registered node ID, sorted. The slice is the
 // registry's own: callers must not mutate it, and the next Register/Remove
@@ -132,17 +148,7 @@ func (d *DNSSeed) Len() int { return len(d.locs) }
 // while nothing registers or removes. The link-refill loops that call All
 // hold it across p2p.Network.Connect, which evicts nobody and fires no
 // hook.
-func (d *DNSSeed) All() []p2p.NodeID {
-	if d.all == nil {
-		ids := make([]p2p.NodeID, 0, len(d.locs))
-		for id := range d.locs {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		d.all = ids
-	}
-	return d.all
-}
+func (d *DNSSeed) All() []p2p.NodeID { return d.ids }
 
 // buildIndex builds the geographic index if nothing has read it yet; once
 // built, Register/Remove keep it current and buildIndex does nothing.
@@ -150,7 +156,7 @@ func (d *DNSSeed) buildIndex() {
 	if d.cells != nil {
 		return
 	}
-	d.cells = newCellIndex(d.locs)
+	d.cells = newCellIndex(d.ids, d.coords)
 }
 
 // Recommend returns up to k registered nodes closest to loc by great-
@@ -186,10 +192,4 @@ func (d *DNSSeed) RecommendCost(self p2p.NodeID, loc geo.Location, k int) (dists
 	d.buildIndex()
 	_, dists, chords = d.cells.nearest(nil, self, loc.Coord, k)
 	return
-}
-
-// Location returns the registered location of a node.
-func (d *DNSSeed) Location(id p2p.NodeID) (geo.Location, bool) {
-	loc, ok := d.locs[id]
-	return loc, ok
 }

@@ -97,8 +97,8 @@ func TestDNSSeedRecommendNearest(t *testing.T) {
 	if seed.Len() != 3 {
 		t.Errorf("Len = %d after remove, want 3", seed.Len())
 	}
-	if _, ok := seed.Location(3); ok {
-		t.Error("removed node still has location")
+	if _, ok := coordOf(seed, 3); ok {
+		t.Error("removed node still has a coordinate")
 	}
 }
 
@@ -124,7 +124,7 @@ func TestDNSSeedReserve(t *testing.T) {
 		t.Errorf("%d registrations into a reserved registry allocate %v", n, filled-empty)
 	}
 	seed.Reserve(2 * n)
-	if got, ok := seed.Location(n); seed.Len() != n || !ok || got != loc {
+	if got, ok := coordOf(seed, n); seed.Len() != n || !ok || got != loc.Coord {
 		t.Fatalf("Reserve on a filled registry left %d of %d nodes, node %d at %v, %v", seed.Len(), n, n, got, ok)
 	}
 }
