@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
@@ -862,11 +863,18 @@ func TestJoinExchangeAllocatesNothing(t *testing.T) {
 	if p := &proto.joins; len(p.joinMsgs) != 1 || len(p.clusterMsgs) != 1 || len(p.clusterMsgs[0].Members) != proto.Config().MemberSample {
 		t.Fatalf("after one exchange %d JOINs and %d replies are free-listed, want 1 and 1 carrying %d members", len(p.joinMsgs), len(p.clusterMsgs), proto.Config().MemberSample)
 	}
-	if allocs := testing.AllocsPerRun(20, exchange); allocs != 0 {
-		t.Errorf("a JOIN -> CLUSTER round trip allocates %v per run", allocs)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection mid-count allocates in the runtime
+	// Twenty exchanges count as one run, so that growth amortised over
+	// exchanges shows; AllocsPerRun runs them once more first.
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 20; i++ {
+			exchange()
+		}
+	}); allocs != 0 {
+		t.Errorf("20 JOIN -> CLUSTER round trips allocate %v times", allocs)
 	}
-	if got := proto.Stats().Joins; got != before+22 {
-		t.Fatalf("%d JOINs accepted over 22 exchanges", got-before)
+	if got := proto.Stats().Joins; got != before+41 {
+		t.Fatalf("%d JOINs accepted over 41 exchanges", got-before)
 	}
 	proto.joins.release(nd.Slot(), nd.ID())
 	requireNoJoinRecord(t, proto, "after the last join ended")

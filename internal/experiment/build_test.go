@@ -60,8 +60,10 @@ func TestBuildCancelMidBootstrap(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	// Big enough that the build cannot finish before cancel fires.
-	_, err := Build(ctx, Spec{Nodes: 4000, Seed: 2, Protocol: ProtoBCBPT})
+	// Big enough that the build cannot finish before cancel fires: a
+	// 4000-node build takes about 0.15 s on a 2-vCPU host, close enough to
+	// the 100 ms cancel that it sometimes won.
+	_, err := Build(ctx, Spec{Nodes: 16000, Seed: 2, Protocol: ProtoBCBPT})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("build outran its cancellation; raise Nodes")
@@ -88,7 +90,7 @@ func TestFailedBuildLeavesNoGoroutines(t *testing.T) {
 			cancel()
 		}()
 		if _, err := Build(ctx, Spec{
-			Nodes: 4000, Seed: int64(i), Protocol: ProtoBCBPT,
+			Nodes: 16000, Seed: int64(i), Protocol: ProtoBCBPT,
 		}); err == nil {
 			t.Fatal("build outran its cancellation; raise Nodes")
 		}

@@ -7,8 +7,8 @@ import (
 )
 
 // Hotalloc flags per-event allocation idioms in the flood hot-path
-// packages (see hotPathPkgs), whose benchmarks hold a pinned allocs/op
-// budget with zero-tolerance diffing in CI:
+// packages (see hotPathPkgs), everywhere in them — the block relay too,
+// which no zero-allocation test runs:
 //
 //   - closure-form Scheduler.At/After: every call allocates the closure
 //     plus its captures. The closure-free form dispatches at 0 allocs/op:

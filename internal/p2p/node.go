@@ -607,13 +607,15 @@ func (nd *Node) spillAdd(hi int32, holder NodeID) {
 // markPeerHas records that peer (at adjacency position pos, or -1 for a
 // non-peer) is known to hold the hash at dense index hi. This is the
 // standard Bitcoin relay optimisation: never announce a hash back to
-// whoever announced or sent it to us.
+// whoever announced or sent it to us. A fact about a non-peer that has
+// left the network is not kept, as removePeer keeps none: addPeer, the
+// spill set's one reader, can never ask about it.
 func (nd *Node) markPeerHas(peer *Node, pos, hi int32) {
-	if pos < 0 {
+	if pos >= 0 {
+		nd.setHolderBit(hi, pos)
+	} else if peer.live() {
 		nd.spillAdd(hi, peer.id)
-		return
 	}
-	nd.setHolderBit(hi, pos)
 }
 
 // --- transaction origination and relay (Fig. 1) ---

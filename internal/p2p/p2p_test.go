@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
@@ -1264,6 +1265,7 @@ func freeListLen(t *testing.T, nd *Node) int {
 // TestRewiringAllocatesNothing: on a warmed network — its slot free list,
 // tables and RemoveNode's buffer grown — a RemoveNode, and a Disconnect
 // followed by a Connect that reuses the freed positions, allocate nothing.
+// Each count is the total over many operations, not a rounded mean.
 func TestRewiringAllocatesNothing(t *testing.T) {
 	const n, leave = 120, 40
 	net, nodes := testNetwork(t, n+leave, nil)
@@ -1281,25 +1283,56 @@ func TestRewiringAllocatesNothing(t *testing.T) {
 		}
 	}
 	a, b := nodes[0].ID(), nodes[1].ID()
-	if allocs := testing.AllocsPerRun(50, func() {
-		net.Disconnect(a, b)
-		if err := net.Connect(a, b); err != nil {
-			t.Fatal(err)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection mid-count allocates in the runtime
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 50; i++ {
+			net.Disconnect(a, b)
+			if err := net.Connect(a, b); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}); allocs != 0 {
-		t.Errorf("Disconnect + Connect allocates %v per run", allocs)
+		t.Errorf("50 Disconnect + Connect pairs allocate %v times", allocs)
 	}
-	// Every leaver has six peers; the first one removed, AllocsPerRun's
+	// Every leaver has six peers; the first half, removed in AllocsPerRun's
 	// warm-up call, grows the buffer.
 	next := n
-	if allocs := testing.AllocsPerRun(leave-1, func() {
-		net.RemoveNode(nodes[next].ID())
-		next++
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < leave/2; i++ {
+			net.RemoveNode(nodes[next].ID())
+			next++
+		}
 	}); allocs != 0 {
-		t.Errorf("RemoveNode allocates %v per run", allocs)
+		t.Errorf("%d RemoveNodes allocate %v times", leave/2, allocs)
 	}
 	if next != n+leave {
 		t.Fatalf("removed %d nodes, want %d", next-n, leave)
+	}
+}
+
+// TestAddNodeAllocatesOnlyTheNode: on a network reserved for its
+// population, AddNode at a place the network knows allocates the node and
+// nothing else — the node map and slot table were sized by Reserve.
+func TestAddNodeAllocatesOnlyTheNode(t *testing.T) {
+	const n = 1000
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection mid-count allocates in the runtime
+	net, err := NewNetwork(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Reserve(1 + 2*n)
+	loc := geo.Location{Coord: geo.Coord{LatDeg: 50.11, LonDeg: 8.68}, City: "Frankfurt", Country: "DE", Region: "EU"}
+	net.AddNode(loc)
+	// AllocsPerRun runs its function once before the measured run.
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n; i++ {
+			net.AddNode(loc)
+		}
+	}); allocs != n {
+		t.Errorf("%d AddNodes allocate %v times, want one node each", n, allocs)
+	}
+	if net.NumNodes() != 1+2*n {
+		t.Fatalf("%d nodes, want %d", net.NumNodes(), 1+2*n)
 	}
 }
 

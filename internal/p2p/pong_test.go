@@ -3,6 +3,7 @@ package p2p
 import (
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
@@ -482,7 +483,10 @@ func TestPongTicketExactTie(t *testing.T) {
 // TestProbeRoundAllocatesNothing: on a warmed network a lone prober's
 // ProbeN round trip — pings sent, every pong filed as a ticket and folded
 // in — allocates nothing: its probe set and its pong list are reused, not
-// made afresh each round (pongTable keeps one spare list).
+// made afresh each round (pongTable keeps one spare list). Traced, every
+// pong is an event that handlePong takes, and a round allocates nothing
+// either. Twenty rounds count as one run, so that growth amortised over
+// rounds shows.
 func TestProbeRoundAllocatesNothing(t *testing.T) {
 	const targets, rounds = 16, 3
 	net, nodes := testNetwork(t, 40, nil)
@@ -504,8 +508,23 @@ func TestProbeRoundAllocatesNothing(t *testing.T) {
 	if taken == 0 || len(net.pongs.of(prober.slot)) != 0 {
 		t.Fatalf("warm-up round took in %d round trips and left %d pong tickets", taken, len(net.pongs.of(prober.slot)))
 	}
-	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
-		t.Errorf("a ProbeN round allocates %v per run", allocs)
+	rounds20 := func() {
+		for i := 0; i < 20; i++ {
+			round()
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection mid-count allocates in the runtime
+	if allocs := testing.AllocsPerRun(1, rounds20); allocs != 0 {
+		t.Errorf("20 ProbeN rounds allocate %v times", allocs)
+	}
+	tr := obs.NewTracer(1<<12, 1)
+	net.EnableTrace(tr)
+	round()
+	if allocs := testing.AllocsPerRun(1, rounds20); allocs != 0 {
+		t.Errorf("20 traced ProbeN rounds allocate %v times", allocs)
+	}
+	if tr.Len() == 0 {
+		t.Fatal("the traced rounds recorded nothing")
 	}
 }
 

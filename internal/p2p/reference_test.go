@@ -189,7 +189,12 @@ func (nd *ReferenceNode) announce(h chain.Hash, except NodeID) {
 	}
 }
 
+// markPeerHas records that peer holds h, unless peer has left the
+// network: its ID is never reused, so no later edge can read the fact.
 func (nd *ReferenceNode) markPeerHas(peer NodeID, h chain.Hash) {
+	if _, live := nd.net.nodes[peer]; !live {
+		return
+	}
 	set, ok := nd.peerInv[h]
 	if !ok {
 		set = make(map[NodeID]struct{}, 8)
@@ -520,7 +525,7 @@ func (n *ReferenceNetwork) NodeIDs() []NodeID {
 // IDs are never reused and no node can ask about the removed one again.
 // A fact an earlier Disconnect left at a non-peer stays, as the flat
 // layout's spill set keeps it, and what a message still in flight from
-// the removed node says is recorded when it lands, as from any non-peer.
+// the removed node says is not recorded when it lands (markPeerHas).
 func (n *ReferenceNetwork) RemoveNode(id NodeID) {
 	node, ok := n.nodes[id]
 	if !ok {

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
@@ -407,10 +408,11 @@ func TestIndexedEvents(t *testing.T) {
 	s.AfterIndexed(0, other+1, 0)
 }
 
-// TestSteadyStateZeroAllocs is the tentpole's core guarantee: after
+// TestSteadyStateZeroAllocs is the arena's core guarantee: after
 // warm-up, schedule + cancel + dispatch cycles perform no heap
 // allocations, and neither does taking a place, asking after it or having
-// its event after all.
+// its event after all, whether Run or RunUntil dispatches. A hundred
+// cycles count as one run, so that growth amortised over cycles shows.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	s := NewScheduler()
 	fn := func() {}
@@ -423,7 +425,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tickets [512]Ticket
-	allocs := testing.AllocsPerRun(100, func() {
+	cycle := func() {
 		for i := 0; i < 512; i++ {
 			s.After(time.Duration(i%64)*time.Microsecond, fn)
 			s.AfterIndexed(time.Duration(i%64)*time.Microsecond, tag, int32(i))
@@ -436,11 +438,22 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			h := s.After(time.Duration(i%64)*time.Microsecond, fn)
 			s.Cancel(h)
 		}
+		// The first half by RunUntil, whose loop (RunUntilCtx) a
+		// measurement's deadline runs, the rest by Run.
+		if err := s.RunUntil(s.Now() + 32*time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection mid-count allocates in the runtime
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 100; i++ {
+			cycle()
+		}
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state schedule/cancel/dispatch allocated %.1f times per run, want 0", allocs)
+		t.Errorf("100 steady-state schedule/cancel/dispatch cycles allocated %v times, want 0", allocs)
 	}
 }

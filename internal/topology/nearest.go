@@ -121,6 +121,10 @@ func (c *cell) widen(u unitVec) {
 type cellIndex struct {
 	rows [numRows][]cell
 	n    int
+	// spare is the entry buffer of the last cell remove dropped, which the
+	// next cell insert makes takes over: a node leaving a cell of its own
+	// and one arriving in an empty cell cost no allocation between them.
+	spare []entry
 }
 
 // newCellIndex builds the index over the registered nodes ids, ascending,
@@ -171,7 +175,8 @@ func (ix *cellIndex) insert(e entry) {
 	ix.n++
 	i, ok := ix.find(r, col)
 	if !ok {
-		c := cell{col: col, lo: e.unit, hi: e.unit, ents: append([]entry(nil), e)}
+		c := cell{col: col, lo: e.unit, hi: e.unit, ents: append(ix.spare, e)}
+		ix.spare = nil
 		ix.rows[r] = slices.Insert(ix.rows[r], i, c)
 		return
 	}
@@ -197,6 +202,7 @@ func (ix *cellIndex) remove(id p2p.NodeID, at geo.Coord) {
 	ix.n--
 	c.ents = slices.Delete(c.ents, j, j+1)
 	if len(c.ents) == 0 {
+		ix.spare = c.ents
 		ix.rows[r] = slices.Delete(ix.rows[r], i, i+1)
 		return
 	}

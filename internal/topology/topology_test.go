@@ -2,6 +2,8 @@ package topology
 
 import (
 	"context"
+	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/geo"
@@ -126,6 +128,50 @@ func TestDNSSeedReserve(t *testing.T) {
 	seed.Reserve(2 * n)
 	if got, ok := coordOf(seed, n); seed.Len() != n || !ok || got != loc.Coord {
 		t.Fatalf("Reserve on a filled registry left %d of %d nodes, node %d at %v, %v", seed.Len(), n, n, got, ok)
+	}
+}
+
+// TestIndexedSeedAllocations: on a 3000-node registry whose index is
+// built, a query for BCBPT's ranking (4 × 16 candidates) appended into a
+// reused buffer allocates nothing, Recommend allocates its result and
+// nothing else, and a Remove followed by a Register of the same node
+// allocates nothing. Each count is the total over one query or one
+// re-registration per node, not a rounded mean.
+func TestIndexedSeedAllocations(t *testing.T) {
+	const n, k = 3000, 64
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection mid-count allocates in the runtime
+	locs := geo.DefaultPlacer().PlaceN(rand.New(rand.NewSource(1)), n)
+	d := NewDNSSeed()
+	for i, loc := range locs {
+		d.Register(p2p.NodeID(i+1), loc)
+	}
+	buf := d.AppendRecommend(nil, 1, locs[0], k) // builds the index
+	perNode := func(f func(id p2p.NodeID, loc geo.Location)) float64 {
+		return testing.AllocsPerRun(1, func() {
+			for i, loc := range locs {
+				f(p2p.NodeID(i+1), loc)
+			}
+		})
+	}
+	if got := perNode(func(id p2p.NodeID, loc geo.Location) {
+		buf = d.AppendRecommend(buf[:0], id, loc, k)
+	}); got != 0 {
+		t.Errorf("%d AppendRecommends into a reused buffer allocate %v times", n, got)
+	}
+	var ranked []p2p.NodeID
+	if got := perNode(func(id p2p.NodeID, loc geo.Location) {
+		ranked = d.Recommend(id, loc, k)
+	}); got != n || len(ranked) != k {
+		t.Errorf("%d Recommends allocate %v times and return %d nodes, want %d and %d", n, got, len(ranked), n, k)
+	}
+	if got := perNode(func(id p2p.NodeID, loc geo.Location) {
+		d.Remove(id)
+		d.Register(id, loc)
+	}); got != 0 {
+		t.Errorf("%d Removes, each followed by a Register, allocate %v times", n, got)
+	}
+	if d.Len() != n {
+		t.Fatalf("%d nodes registered, want %d", d.Len(), n)
 	}
 }
 
