@@ -26,7 +26,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/measure"
 	"repro/internal/p2p"
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -114,35 +113,11 @@ func (s Spec) validate() error {
 	return nil
 }
 
-// placementShardSize is how many nodes one placement shard covers. Each
-// shard draws from its own random stream derived via sim.DeriveSeed from
-// (spec seed, shard index). The shards are walked in order on one
-// goroutine; the streams stay per shard because every network, golden CSV
-// and digest was generated from them, and one stream would move every
-// node.
-const placementShardSize = 512
-
-// shardedPlacements samples the bootstrap population's locations, shard
-// by shard. ctx is polled between shards.
-func shardedPlacements(ctx context.Context, placer *geo.Placer, seed int64, n int) ([]geo.Location, error) {
-	locs := make([]geo.Location, n)
-	for s := 0; s*placementShardSize < n; s++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("experiment: placement: %w", err)
-		}
-		r := rand.New(rand.NewSource(sim.DeriveSeed(seed, fmt.Sprintf("placement/shard/%d", s))))
-		for i := s * placementShardSize; i < min((s+1)*placementShardSize, n); i++ {
-			locs[i] = placer.Place(r)
-		}
-	}
-	return locs, nil
-}
-
 // Build constructs and bootstraps a network per spec. On return the
 // overlay is wired and virtual time has advanced past bootstrap.
 //
 // The build runs on the calling goroutine. ctx cancels it cooperatively
-// at every expensive phase — placement, the baselines' wiring, and the
+// at every expensive phase — the baselines' wiring, and the
 // virtual-time BCBPT bootstrap run, where every join ranks its DNS
 // candidates — returning promptly with an error wrapping ctx.Err(). On
 // any error the partially built network is closed before returning, so a
@@ -179,14 +154,12 @@ func Build(ctx context.Context, spec Spec) (*Built, error) {
 func (b *Built) build(ctx context.Context, spec Spec) error {
 	net := b.Net
 	seed := b.Seed
-	placer := geo.DefaultPlacer()
-	locs, err := shardedPlacements(ctx, placer, spec.Seed, spec.Nodes)
-	if err != nil {
-		return err
-	}
+	// One placement stream places the bootstrap population, in ID order,
+	// and after it every churn arrival.
+	placer, r := geo.DefaultPlacer(), net.Streams().Stream("placement")
 	ids := make([]p2p.NodeID, spec.Nodes)
 	for i := range ids {
-		ids[i] = net.AddNode(locs[i]).ID()
+		ids[i] = net.AddNode(placer.Place(r)).ID()
 	}
 
 	switch spec.Protocol {
@@ -241,9 +214,6 @@ func (b *Built) build(ctx context.Context, spec Spec) error {
 		if err != nil {
 			return err
 		}
-		// Churn arrivals keep their own serial placement stream: they are
-		// placed one at a time inside the single-threaded event loop.
-		r := net.Streams().Stream("placement")
 		drv.OnLeave = func(id uint64) {
 			nid := p2p.NodeID(id)
 			if nid == mID {

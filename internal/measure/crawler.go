@@ -41,11 +41,13 @@ type CrawlResult struct {
 	RTTs Distribution
 }
 
-// Crawl probes every reachable node `pingsPer` times, spaced by gap, and
-// aggregates the observed round trips. The vantage pings them all in one
-// ProbeN, each round in ascending ID order, and the network runs until the
-// deadline passes. The round trips are pooled as the vantage takes them in
-// (Network.OnRTT); folding the vantage's landed pongs (Node.FoldPongs)
+// Crawl probes every reachable node `pingsPer` times and aggregates the
+// observed round trips. Each round pings the targets in ascending ID order,
+// spread so that none waits behind another on the vantage's uplink: target
+// k is a ProbeN of its own, started k ping times (Network.PingTime) in, with
+// rounds gap apart or as long as one takes to leave. The network runs until
+// the deadline passes. The round trips are pooled as the vantage takes them
+// in (Network.OnRTT); folding the vantage's landed pongs (Node.FoldPongs)
 // completes the pool.
 func (c *Crawler) Crawl(pingsPer int, gap, deadline time.Duration) (CrawlResult, error) {
 	if pingsPer < 1 {
@@ -68,8 +70,16 @@ func (c *Crawler) Crawl(pingsPer int, gap, deadline time.Duration) (CrawlResult,
 			samples = append(samples, rtt)
 		}
 	}
-	node.ProbeN(targets, pingsPer, gap)
-	start := c.net.Now()
+	start, space := c.net.Now(), c.net.PingTime()
+	round := max(gap, time.Duration(len(targets))*space)
+	for k := range targets {
+		if k > 0 {
+			if err := c.net.RunUntil(context.Background(), start+sim.Time(k)*sim.Time(space)); err != nil && !errors.Is(err, sim.ErrStopped) {
+				return CrawlResult{}, err
+			}
+		}
+		node.ProbeN(targets[k:k+1], pingsPer, round)
+	}
 	if err := c.net.RunUntil(context.Background(), start+sim.Time(deadline)); err != nil && !errors.Is(err, sim.ErrStopped) {
 		return CrawlResult{}, err
 	}

@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/chain"
@@ -25,7 +25,6 @@ import (
 type MeasuringNode struct {
 	net  *p2p.Network
 	node *p2p.Node
-	r    *rand.Rand
 
 	// watchGen and watchID form MeasureOnce's per-run wait set as a flat
 	// array keyed by dense node slot: slot s is watched this run iff
@@ -60,8 +59,11 @@ func NewMeasuringNode(net *p2p.Network, id p2p.NodeID) (*MeasuringNode, error) {
 	if !ok {
 		return nil, fmt.Errorf("measure: unknown node %d", id)
 	}
-	return &MeasuringNode{net: net, node: node, r: net.Streams().Stream("measure")}, nil
+	return &MeasuringNode{net: net, node: node}, nil
 }
+
+// firstKeyTag keys an injection's first connection apart from sends and links.
+const firstKeyTag uint64 = 0x696e6a6563744b31 // "injectK1"
 
 // ID returns the measuring node's ID.
 func (m *MeasuringNode) ID() p2p.NodeID { return m.node.ID() }
@@ -93,13 +95,9 @@ func (r RunResult) All() []time.Duration {
 func sortedIDs(m map[p2p.NodeID]time.Duration) []p2p.NodeID {
 	ids := make([]p2p.NodeID, 0, len(m))
 	for id := range m {
-		ids = append(ids, id) //bcbptlint:allow maporder — the insertion sort below canonicalises the order
+		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.Sort(ids)
 	return ids
 }
 
@@ -112,6 +110,9 @@ var ErrNoConnections = errors.New("measure: measuring node has no connections")
 // has received it or deadline virtual time has passed. ctx cancels the
 // run mid-flood: the partial run is discarded and the error wraps
 // ctx.Err().
+// The connection is chosen by a key of (seed, m, transaction), as the
+// flood's sends are keyed by the transaction: no stream carries a draw
+// from one injection into the next.
 func (m *MeasuringNode) MeasureOnce(ctx context.Context, tx *chain.Tx, deadline time.Duration) (RunResult, error) {
 	peers := m.node.Peers()
 	if len(peers) == 0 {
@@ -171,7 +172,8 @@ func (m *MeasuringNode) MeasureOnce(ctx context.Context, tx *chain.Tx, deadline 
 	// Inject: hand the tx to ONE connection, not to m's relay logic —
 	// m itself does not broadcast (Fig. 2). The submission runs directly at
 	// the current simulation time.
-	first := peers[m.r.Intn(len(peers))]
+	key := sim.MixKey3(uint64(m.net.Config().Seed)^firstKeyTag, uint64(m.node.ID()), binary.LittleEndian.Uint64(txID[:8]))
+	first := peers[key%uint64(len(peers))]
 	firstNode, ok := m.net.Node(first)
 	if !ok {
 		return RunResult{}, fmt.Errorf("measure: connection %d vanished", first)
@@ -192,8 +194,8 @@ func (m *MeasuringNode) MeasureOnce(ctx context.Context, tx *chain.Tx, deadline 
 		return RunResult{}, err
 	}
 	// Drain any still-pending events up to the deadline if we stopped
-	// early; later runs must not inherit a half-flooded network. Letting
-	// the flood finish keeps runs independent after ResetInventory.
+	// early, so the clock reaches the deadline and churn runs its course;
+	// the next run's ResetInventory ends whatever is still on its way.
 	if errors.Is(err, sim.ErrStopped) {
 		if err := m.net.RunUntil(ctx, start+sim.Time(deadline)); err != nil && !errors.Is(err, sim.ErrStopped) {
 			return RunResult{}, err
@@ -203,9 +205,6 @@ func (m *MeasuringNode) MeasureOnce(ctx context.Context, tx *chain.Tx, deadline 
 	// stamped with this run's generation was never consumed: that
 	// connection missed the deadline.
 	for _, p := range peers {
-		if _, dup := res.Deltas[p]; dup {
-			continue
-		}
 		slot, ok := m.net.SlotOf(p)
 		if ok && slot < len(m.watchGen) && m.watchGen[slot] == m.watchRun-1 && m.watchID[slot] == p {
 			res.Deltas[p] = time.Duration(m.deltaAt[slot] - start)
@@ -220,8 +219,10 @@ func (m *MeasuringNode) MeasureOnce(ctx context.Context, tx *chain.Tx, deadline 
 }
 
 // Campaign runs the full §V.B methodology: `runs` independent injections
-// (the paper averages ~1000), resetting inventory between runs, and
-// pools all Δt samples into a Distribution.
+// (the paper averages ~1000), resetting inventory before each run, and
+// pools all Δt samples into a Distribution. A reset ends the run before it
+// (p2p.Network.ResetInventory), so churn-free, injection i's result depends
+// on the built network and MakeTx(i) alone, in any order.
 type Campaign struct {
 	// Runs is the number of transaction injections.
 	Runs int

@@ -470,7 +470,7 @@ func TestCrawlerCollectsRTTs(t *testing.T) {
 	// The pooled distribution at this seed, pinned: how the crawl sends
 	// its pings and collects their round trips may change, what it
 	// measures may not.
-	const wantDist = "n=196 mean=136.048ms std=73.269ms iqr=147.351ms p10=49.681ms p50=142.603ms p90=227.813ms max=382.953ms"
+	const wantDist = "n=196 mean=135.018ms std=73.252ms iqr=148.022ms p10=48.35ms p50=141.766ms p90=226.804ms max=382.267ms"
 	if got := res.RTTs.String(); got != wantDist {
 		t.Errorf("pooled RTTs = %s, want %s", got, wantDist)
 	}
@@ -478,7 +478,7 @@ func TestCrawlerCollectsRTTs(t *testing.T) {
 	for _, v := range res.RTTs.Samples() {
 		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(v)))
 	}
-	const wantSum = "d761644ee1fd1ede9685abc054dcb3b175d94d27c000859ebfa63217d45a646e"
+	const wantSum = "ccea55eb2b07835f266c2fe88555d547662df7d69d2c447d01bd60c833b7c0eb"
 	if got := hex.EncodeToString(h.Sum(nil)); got != wantSum {
 		t.Errorf("sha256 of sorted RTTs = %s, want %s", got, wantSum)
 	}
@@ -502,6 +502,40 @@ func TestCrawlerRTTFloor(t *testing.T) {
 		}
 		if below := requireRTTFloor(t, net, ests, ids[0], ids); below < 30 {
 			t.Errorf("seed %d: %d of %d targets measured below BaseRTT, want the wobble to show", seed, below, len(ids)-1)
+		}
+	}
+}
+
+// TestCrawlerMeasuresTheNetwork pins the crawl's pacing at the paper's
+// scale (§V.A: about 5000 peers, 20,000 pings): its median round trip lies
+// within 5 % of the median BaseRTT from the vantage to its targets, at
+// seeds 1–3. Sent in one burst per round, the pings queued on the
+// vantage's uplink, and the median read about three times the baseline's.
+func TestCrawlerMeasuresTheNetwork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three 5000-node crawls; skipped in -short")
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		net, ids := buildNet(t, 5000, seed)
+		c, err := NewCrawler(net, ids[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Crawl(4, 50*time.Millisecond, 10*time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RTTs.N() != 4*(len(ids)-1) {
+			t.Fatalf("seed %d: %d round trips, want %d", seed, res.RTTs.N(), 4*(len(ids)-1))
+		}
+		bases := make([]time.Duration, 0, len(ids)-1)
+		for _, id := range ids[1:] {
+			base, _ := net.BaseRTT(ids[0], id)
+			bases = append(bases, base)
+		}
+		crawl, base := res.RTTs.Median(), NewDistribution(bases).Median()
+		if ratio := float64(crawl) / float64(base); ratio < 0.95 || ratio > 1.05 {
+			t.Errorf("seed %d: crawl p50 %v against BaseRTT p50 %v (ratio %.3f), want within 5%%", seed, crawl, base, ratio)
 		}
 	}
 }

@@ -582,7 +582,8 @@ func TestStalePositionMatchesReference(t *testing.T) {
 // under (reset), the peer-table epoch and position of its sender
 // (disconnect), or an end of it (the receiver or the sender removed). The
 // oracle's messages spell the hash out and find everything by ID, so it is
-// what each stale arm of the record must come out equal to.
+// what each stale arm of the record must come out equal to; a record that a
+// reset overtook lands as nothing on both sides.
 func TestInFlightRecordMatchesReference(t *testing.T) {
 	// a floods; b is its only peer and relays on to d.
 	const a, b, d = NodeID(1), NodeID(2), NodeID(3)
@@ -606,7 +607,8 @@ func TestInFlightRecordMatchesReference(t *testing.T) {
 		{"sender-removed", func(h *diffHarness, recv NodeID) { h.removeNode(a + b - recv) }},
 		{"reset-and-disconnect", func(h *diffHarness, recv NodeID) { h.reset(); h.disconnect(a, b) }},
 		// The next generation hands the stale record's hash index to
-		// another transaction, which the receiver holds when it lands.
+		// another transaction, which the receiver holds when it lands: the
+		// record must still do nothing.
 		{"reset-and-flood", func(h *diffHarness, recv NodeID) { h.reset(); h.submitTx(recv) }},
 	}
 	for _, block := range []bool{false, true} {
@@ -808,11 +810,10 @@ func TestProbeNCarriedHandles(t *testing.T) {
 // TestHashMemoMatchesReference keeps two hashes in the air at once and
 // resets the inventory under them, so the registry's one-entry memo is
 // evicted by every other lookup and outlives its generation again and
-// again. The messages still on the wire land in the next generation and
-// register their hashes afresh, in arrival order: an answer carried across
-// the ResetInventory hands the first of them its old dense index without
-// registering it, the next hash is assigned the same one, and the two
-// share first-seen times and holders from then on.
+// again. The messages still on the wire land in the next generation as
+// nothing, while a third flood takes the dense indices they carry: neither
+// the memo's answer carried across the ResetInventory nor an index handed
+// to another hash may let one of them through.
 func TestHashMemoMatchesReference(t *testing.T) {
 	// "inv" names the exchange, INV/GETDATA/TX, the floods relay over.
 	t.Run("inv", func(t *testing.T) {
@@ -874,11 +875,15 @@ func FuzzFlatNodeMatchesReference(f *testing.F) {
 	// What an in-flight record carries going stale: a block and a
 	// transaction flood, then ResetInventory, Disconnect or RemoveNode at
 	// once (INVs on the wire) and again 100 ms on (GETDATAs, TX, BLOCK).
-	// Seed 4 draws another network; seed 5 also loses messages.
+	// Seed 4 draws another network; seed 5 also loses messages. The last
+	// script resets under a flood and floods again from the same node at
+	// once, 100 ms and 200 ms in, so that every leg and verification of the
+	// old generation lands among the new one's records and sends.
 	for _, seed := range []int64{1, 4, 5} {
 		f.Add(seed, []byte{9, 0, 0, 2, 6, 0, 4, 0, 0, 3, 0, 0, 4, 0, 0, 3, 0, 0, 4, 0, 0})
 		f.Add(seed, []byte{9, 0, 0, 2, 6, 0, 1, 0, 1, 1, 6, 7, 3, 0, 0, 1, 0, 11, 1, 6, 5, 3, 0, 0})
 		f.Add(seed, []byte{9, 0, 0, 2, 6, 0, 5, 1, 0, 5, 6, 0, 3, 0, 0, 5, 10, 0, 5, 4, 0, 6, 0, 2, 3, 0, 0})
+		f.Add(seed, []byte{2, 0, 0, 4, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 2, 0, 0, 3, 1, 0})
 	}
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
 		if len(script) > 96 {

@@ -41,16 +41,17 @@ const (
 // What the message says is in the record too. cmd is its command. An INV,
 // GETDATA, TX or BLOCK is the object it announces, asks for or carries —
 // tx or block, the other nil — and hi, the object's dense hash index under
-// inventory generation gen; a record that outlived that generation has its
-// index resolved again from the object's hash (delivery.hash). A ping is
+// inventory generation gen; a record that outlived that generation lands as
+// nothing (Network.arrive), and gen is zero on every record that is not
+// relay. A ping is
 // when it left (word), and it also reads base, the baseline of the link it
 // travels; under a tracer its pong carries both back, so the pinger keeps
 // nothing while they travel and matches nothing when they return, and
 // untraced the pong travels as a ticket (pongTicket). Anything else — what
 // Send carries, JOIN and CLUSTER — stays a wire.Message, in the arena's side
 // column at the record's index, and cmd is zero. A verification wait
-// (Network.verified) is a record too: the sender, the verifying node and the
-// object.
+// (Network.verified) is a record too: the sender, the verifying node, the
+// object and its generation.
 //
 // The record is one cache line (TestDeliveryIsOneCacheLine).
 type delivery struct {
@@ -64,14 +65,6 @@ type delivery struct {
 	dstEpoch uint32
 	srcPos   int16
 	cmd      wire.Command
-}
-
-// hash returns the hash of the object a relay record names.
-func (d *delivery) hash() chain.Hash {
-	if d.tx != nil {
-		return d.tx.ID()
-	}
-	return d.block.Header.Hash()
 }
 
 // dispatchCtx is the network's dispatch state: keyed RNG scratch, the
@@ -110,11 +103,8 @@ type dispatchCtx struct {
 	lost delivery
 
 	// tickets is where nodes take their ticket slots from, for the INVs that
-	// leave as tickets and not as records (Node.lazyInv), and lazyAt when the
-	// last of this generation's lands: once the clock is past it every one
-	// has passed, and a ResetInventory has nothing to redeem.
+	// leave as tickets and not as records (Node.lazyInv).
 	tickets ticketPool
-	lazyAt  sim.Time
 
 	// trace is the event-trace shard, nil unless tracing is enabled
 	// (Network.EnableTrace): the disabled path costs one nil check.
@@ -175,9 +165,6 @@ func (p *ticketPool) take(n int) []sim.Ticket {
 
 // reset frees every run handed out; whoever held one must not use it again.
 func (p *ticketPool) reset() { p.next, p.used = 0, 0 }
-
-// empty reports whether no run has been handed out since the last reset.
-func (p *ticketPool) empty() bool { return p.next == 0 && p.used == 0 }
 
 // probeSet is one ProbeN call: the prober, its targets in list order, and
 // how many of its rounds (Network.probeRound) are still to run. A target is

@@ -320,18 +320,23 @@ func TestLazyInvOccupiedSlots(t *testing.T) {
 }
 
 // TestLazyInvResetMidFlood resets the inventory with tickets outstanding:
-// each becomes the stale INV record it stands for, which re-registers its
-// hash on landing and is answered as a first INV, while the next flood is
+// they are abandoned with the pool, while the traced side's INVs of the old
+// generation are records that land, as do its GETDATAs, TXs and
+// verifications — and all of them do nothing, while the next flood is
 // already under way.
 func TestLazyInvResetMidFlood(t *testing.T) {
 	for _, loss := range []float64{0, 0.2} {
 		requireTwin(t, twinConfig(loss), 80, 4, func(s *twinSide) {
 			s.submitTx(0)
-			s.runFor(150 * time.Millisecond)
+			for i := 0; i < 4; i++ {
+				s.runFor(100 * time.Millisecond)
+			}
 			s.net.ResetInventory()
 			s.shoot()
 			s.submitTx(30)
-			s.runFor(100 * time.Millisecond)
+			for i := 0; i < 4; i++ {
+				s.runFor(100 * time.Millisecond)
+			}
 			s.net.ResetInventory()
 			s.net.ResetInventory()
 			s.runFor(100 * time.Millisecond)
@@ -373,7 +378,7 @@ func TestLazyInvExactTie(t *testing.T) {
 			r.invEnsure(hi).reqGen = gen // r has asked a for it
 			verify := func() {
 				idx := net.dc.newFlight()
-				net.dc.flight[idx] = delivery{src: a, dst: r, tx: tx}
+				net.dc.flight[idx] = delivery{src: a, dst: r, tx: tx, hi: hi, gen: gen}
 				net.sched.AfterIndexed(delay, net.verifyTag, idx)
 			}
 			inv := func() {

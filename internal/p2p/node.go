@@ -119,10 +119,13 @@ type spillFact struct {
 // dense index lazyHi, and the node's while lazyGen is the current generation
 // — the zero Ticket is none. A ticket that has passed is the holder bit it
 // stands for; settleLazy makes it that bit, or the INV event after all,
-// before the position changes hands or the generation turns. The slots are a
-// run of the network's per-generation pool (ticketPool), taken
-// when a lazy INV first reaches the node in a generation, so a network that
-// never floods does not pay for them.
+// before the position changes hands, and when the generation turns it dies
+// unread. The slots are a run of the network's per-generation pool
+// (ticketPool), taken when a lazy INV first reaches the node in a
+// generation, so a network that never floods does not pay for them.
+//
+// sendGen is the generation the node's send sequence and uplink count in
+// (Network.launch): the stamp sits in what would be the struct's padding.
 type nodeInv struct {
 	entries    []invEntry
 	holderBits []uint64
@@ -131,6 +134,7 @@ type nodeInv struct {
 	spillGen   uint32
 	lazyGen    uint32
 	lazyHi     int32
+	sendGen    uint32
 }
 
 // lazyAt returns the node's ticket slot for adjacency position pos under
@@ -178,12 +182,13 @@ type Node struct {
 	// txData/blockData maps of the reference layout.
 	inv nodeInv
 
-	// sendSeq counts this node's deliver calls. It keys the per-send
-	// delivery RNG; being per-sender, it does not depend on what other
-	// nodes send in between.
+	// sendSeq counts this node's sends in the inventory generation
+	// nodeInv.sendGen. With the seed and the generation's epoch it keys the
+	// send's draws (Network.launch); being per-sender, it does not depend on
+	// what other nodes send in between.
 	sendSeq uint64
 	// uplinkFreeAt is when the node's serial uplink finishes its current
-	// transmission; Network.deliver queues sends behind it.
+	// transmission of that generation; Network.launch queues sends behind it.
 	uplinkFreeAt sim.Time
 	// freeHead is one more than the most recently freed position of
 	// peerTab, 0 when none is free; each free entry's word holds the same
@@ -541,14 +546,13 @@ func (nd *Node) lazyInv(pos, hi int32, delay time.Duration) bool {
 		slot = nd.lazyAt(hi, pos)
 	}
 	*slot = n.sched.Reserve(delay)
-	n.dc.lazyAt = max(n.dc.lazyAt, at)
 	return true
 }
 
 // claimLazy gives the node one ticket slot per adjacency position, for hash
 // index hi under the current generation. Slots it held under an older
-// generation are dead — ResetInventory redeemed what had not passed, holder
-// facts do not outlive their generation, and the pool started over — and
+// generation are dead — ResetInventory abandoned them, holder facts do not
+// outlive their generation, and the pool started over — and
 // slots it holds under this one, taken when its table was shorter, move.
 // Cold by construction: once per node and flood.
 //
@@ -685,7 +689,7 @@ func (nd *Node) acceptTx(tx *chain.Tx, from *Node) error {
 // nil — to every peer but except and those known to have it, as an INV
 // (Fig. 1).
 // Peers are offered in peerTab position order: each send advances the
-// sender's keyed delivery sequence, so the order must be reproducible, and a
+// sender's keyed send sequence, so the order must be reproducible, and a
 // position is — it is held for the life of a connection, and which one a
 // connection takes (the most recently freed, else a new one at the end) is
 // fixed by the connect/disconnect sequence.
@@ -727,17 +731,6 @@ func (nd *Node) senderPos(d *delivery) int32 {
 	return nd.peerPos(d.src)
 }
 
-// hashIdx returns the dense hash index of the object a relay record names:
-// the one it carries, unless a ResetInventory overtook the message, in
-// which case the object's hash is registered afresh, as a message that
-// spelled the hash out would have it.
-func (nd *Node) hashIdx(d *delivery) int32 {
-	if d.gen == nd.net.invGen {
-		return d.hi
-	}
-	return nd.net.hashSlot(d.hash())
-}
-
 // handleMessage hands a delivered wire.Message — what Send carries — to
 // Network.OnMessage; the base node consumes none. Everything the relay and
 // the probes exchange arrives as record fields and is dispatched by
@@ -752,8 +745,7 @@ func (nd *Node) handleMessage(from NodeID, msg wire.Message) {
 // seen it nor asked for it. The sender's position is resolved once here,
 // so the holder fact is one bit and the reply goes through the peer entry.
 func (nd *Node) handleInv(d *delivery) {
-	fromPos := nd.senderPos(d)
-	hi := nd.hashIdx(d)
+	fromPos, hi := nd.senderPos(d), d.hi
 	nd.markPeerHas(d.src, fromPos, hi)
 	e := nd.invEnsure(hi)
 	gen := nd.net.invGen
@@ -768,12 +760,6 @@ func (nd *Node) handleInv(d *delivery) {
 // handleGetData serves the full transaction or block if we hold it.
 func (nd *Node) handleGetData(d *delivery) {
 	hi := d.hi
-	if d.gen != nd.net.invGen {
-		var ok bool
-		if hi, ok = nd.net.findHash(d.hash()); !ok {
-			return
-		}
-	}
 	if d.tx != nil {
 		if tx, ok := nd.txFor(hi); ok {
 			fromPos := nd.senderPos(d)
@@ -795,8 +781,7 @@ func (nd *Node) handleGetData(d *delivery) {
 // the peer verifies BEFORE announcing onward. The verification delay is
 // virtual time, not host CPU; the wait is a record like the message was.
 func (nd *Node) handleObject(d *delivery) {
-	n := nd.net
-	hi := nd.hashIdx(d)
+	n, hi := nd.net, d.hi
 	nd.markPeerHas(d.src, nd.senderPos(d), hi)
 	if nd.seenIdx(hi) {
 		return
@@ -808,7 +793,7 @@ func (nd *Node) handleObject(d *delivery) {
 		cost = n.cfg.VerifyCost.BlockCost(d.block)
 	}
 	idx := n.dc.newFlight()
-	n.dc.flight[idx] = delivery{src: d.src, dst: nd, tx: d.tx, block: d.block}
+	n.dc.flight[idx] = delivery{src: d.src, dst: nd, tx: d.tx, block: d.block, hi: hi, gen: d.gen}
 	n.sched.AfterIndexed(cost, n.verifyTag, idx)
 }
 

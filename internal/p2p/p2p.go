@@ -19,9 +19,13 @@
 // delivery tells the receiver where its sender sits. ResetInventory is a
 // generation bump plus an O(active hashes) registry clear — not a
 // per-node map rebuild — which is what lets a 100k+ node network run
-// thousand-injection campaigns in bounded memory. What nodes share is kept
-// once, by the network: the object a dense hash index names, and the names
-// of the place a node is in; a node keeps its own coordinate and stamps.
+// thousand-injection campaigns in bounded memory. A reset ends the
+// generation before it: what that one has on its way lands as nothing, and
+// every send key starts over, so the injection that follows depends on the
+// network and the object injected alone (Network.launch). What nodes share
+// is kept once, by the network: the object a dense hash index names, and
+// the names of the place a node is in; a node keeps its own coordinate and
+// stamps.
 //
 // A node's peers are walked in the order of its adjacency table: the INV
 // fan-out and EachPeer visit positions in ascending order, and no sorted
@@ -64,13 +68,14 @@
 // unpassed one as an ordinary INV record addressed by ID (so a receiver that
 // left counts it Dropped, and an edge torn down between live nodes ends in
 // the spill fact; one torn down by RemoveNode ends in nothing, no node being
-// able to ask about the departed ID again), and
-// ResetInventory redeems whatever is still on its way before the generation
-// turns. A redeemed ticket, a first INV and a traced INV all land in the one
-// handleInv. With a tracer attached every INV stays an event — a trace shows
-// every message landing — which makes every traced-against-untraced pin
-// (TestFigure3CSVGoldenTraced, make trace-smoke, the twin tests here) a
-// differential between the two ways an INV can travel.
+// able to ask about the departed ID again). ResetInventory abandons the
+// rest with the pool, as an INV of an earlier generation does nothing where
+// it lands (Network.arrive). A redeemed ticket, a first INV and a traced INV
+// all land in the one handleInv. With a tracer attached every INV stays an
+// event — a trace shows every message landing — which makes every
+// traced-against-untraced pin (TestFigure3CSVGoldenTraced, make
+// trace-smoke, the twin tests here) a differential between the two ways an
+// INV can travel.
 //
 // A probe is cut down the same way. ProbeN, the one way a node pings, runs
 // its rounds as one event each (Network.probeRound), sending every target's
@@ -189,6 +194,10 @@ type Network struct {
 	// generation invalidates all node state at once, which is all
 	// ResetInventory does.
 	invGen uint32
+	// epoch is the generation's part of every send key (launch): zero
+	// until its first object registers (hashSlot), then that object's hash
+	// prefix, so an injection fixes it.
+	epoch uint64
 	// hashIdx assigns each distinct inventory hash of the current
 	// generation a dense index; hashN counts them. The registry is the
 	// only inventory state cleared on reset, and its size is the number
@@ -492,6 +501,9 @@ func (n *Network) hashSlot(h chain.Hash) int32 {
 	}
 	hi, ok := n.hashIdx[h]
 	if !ok {
+		if n.hashN == 0 {
+			n.epoch = hashPrefix(h)
+		}
 		hi = n.hashN
 		n.hashN++
 		n.hashIdx[h] = hi
@@ -578,10 +590,15 @@ func (n *Network) BaseRTT(a, b NodeID) (time.Duration, bool) {
 // arrive is the indexed event of a message landing: idx is its record in
 // the arena. The record is copied out and freed before the message is
 // handled, so handlers that immediately send (relay) write into the
-// record just read.
+// record just read. A relay record of an earlier inventory generation does
+// nothing and counts nothing — checked first, so a traced run counts what
+// an untraced one, whose tickets ResetInventory abandoned, counts.
 func (n *Network) arrive(idx int32) {
 	dc := &n.dc
 	d := dc.takeFlight(idx)
+	if d.gen != 0 && d.gen != n.invGen {
+		return
+	}
 	cmd := d.cmd
 	var msg wire.Message
 	if cmd == 0 {
@@ -625,10 +642,9 @@ func (n *Network) arrive(idx int32) {
 // pings) — this is what makes announcing to many peers progressively
 // slower for the later ones.
 //
-// Every random draw here is keyed by (seed, sender, per-sender send
-// sequence) rather than pulled from a shared sequential stream: the loss
-// coin and the delay sample for a given send are the same values no
-// matter what else the network sent before it.
+// Every random draw here is keyed (launch) rather than pulled from a
+// shared sequential stream: the loss coin and the delay sample for a given
+// send are the same values no matter what else the network sent before it.
 //
 // pos is dst's adjacency position at src, or -1 for a message addressed
 // by ID: it selects where the link comes from (the peer entry, or base,
@@ -668,6 +684,10 @@ func (n *Network) deliver(src, dst *Node, pos int32, base time.Duration, cmd wir
 // returns the delay, the baseline of the link the message travels and the
 // sender's position at dst (-1 for a message addressed by ID), or ok false
 // for a message lost on the way.
+//
+// A send is keyed by (seed, sender, epoch, sequence). The sender's sequence
+// and uplink start over at its first send of a generation (nodeInv.sendGen),
+// so a reset walks no nodes.
 func (n *Network) launch(src, dst *Node, pos int32, base time.Duration, cmd wire.Command, size int) (delay, linkBase time.Duration, srcPos int32, ok bool) {
 	dc := &n.dc
 	dc.stats.count(cmd, size)
@@ -675,8 +695,11 @@ func (n *Network) launch(src, dst *Node, pos int32, base time.Duration, cmd wire
 		dc.trace.Record(obs.Event{At: n.sched.Now(), Kind: obs.KindSend, Code: uint8(cmd),
 			P1: uint64(src.id), P2: uint64(dst.id), P3: uint64(size)})
 	}
+	if src.inv.sendGen != n.invGen {
+		src.inv.sendGen, src.sendSeq, src.uplinkFreeAt = n.invGen, 0, 0
+	}
 	src.sendSeq++
-	dc.ksrc.SeedKey(sim.MixKey3(uint64(n.cfg.Seed)^sendKeyTag, uint64(src.id), src.sendSeq))
+	dc.ksrc.SeedKey(sim.MixKey3(uint64(n.cfg.Seed)^sendKeyTag^n.epoch, uint64(src.id), src.sendSeq))
 	if n.cfg.LossProb > 0 && dc.krand.Float64() < n.cfg.LossProb {
 		dc.stats.Lost++
 		if dc.trace != nil {
@@ -685,7 +708,7 @@ func (n *Network) launch(src, dst *Node, pos int32, base time.Duration, cmd wire
 		}
 		return 0, 0, -1, false
 	}
-	txTime := time.Duration(float64(size) / n.cfg.Latency.RateBytesPerSec * float64(time.Second))
+	txTime := n.txTime(size)
 	now := n.sched.Now()
 	start := now
 	if src.uplinkFreeAt > start {
@@ -702,6 +725,14 @@ func (n *Network) launch(src, dst *Node, pos int32, base time.Duration, cmd wire
 	delay = (start + txTime - now) + link.SampleOneWay(dc.krand)
 	return delay, link.Base(), srcPos, true
 }
+
+// txTime returns how long a node's uplink takes to send size bytes.
+func (n *Network) txTime(size int) time.Duration {
+	return time.Duration(float64(size) / n.cfg.Latency.RateBytesPerSec * float64(time.Second))
+}
+
+// PingTime returns how long a node's uplink takes to send one ping.
+func (n *Network) PingTime() time.Duration { return n.txTime(n.pingSize) }
 
 // Connection errors.
 var (
@@ -807,8 +838,8 @@ func (n *Network) teardown(na, nb *Node) {
 func (n *Network) verified(idx int32) {
 	d := n.dc.takeFlight(idx)
 	node := d.dst
-	if !node.live() {
-		return // verifier churned out
+	if d.gen != n.invGen || !node.live() {
+		return // a reset overtook it, or the verifier churned out
 	}
 	if d.tx != nil {
 		_ = node.acceptTx(d.tx, d.src) // invalid txs die here, by design
@@ -860,25 +891,12 @@ func (n *Network) newProbeSet() int32 {
 // the spenders of each output and of the object tables: no per-node work
 // at all.
 //
-// INVs still on their way as tickets are turned into the records they stand
-// for first (Node.settleLazy), so that they land stale, as a record that the
-// reset overtook does. A campaign resets a network it has run quiet, where
-// the clock is past the last ticket and there is nothing to walk; only a
-// reset in mid-flood visits the nodes.
+// A reset ends the generation before it: its INV tickets are abandoned with
+// the pool, its relay and verification records land as nothing, and every
+// send key and uplink starts over (launch). Pings, pongs and what Send
+// carries belong to no generation.
 func (n *Network) ResetInventory() {
-	if dc := &n.dc; !dc.tickets.empty() {
-		if dc.lazyAt >= n.sched.Now() {
-			for _, node := range n.slots {
-				if node != nil && node.inv.lazyGen == n.invGen {
-					for pos := range node.inv.lazy {
-						node.settleLazy(int32(pos))
-					}
-				}
-			}
-		}
-		dc.tickets.reset()
-		dc.lazyAt = 0
-	}
+	n.dc.tickets.reset()
 	n.invGen++
 	if n.invGen == 0 {
 		// Generation counter wrapped (after ~4 billion resets): stale
@@ -893,6 +911,7 @@ func (n *Network) ResetInventory() {
 			}
 		}
 	}
+	n.epoch = 0
 	clear(n.hashIdx)
 	clear(n.spenders)
 	clear(n.objTx)

@@ -3,6 +3,7 @@ package p2p
 import (
 	"context"
 	"errors"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime/debug"
@@ -1046,13 +1047,14 @@ func TestBlockRelayRejectsBadPoW(t *testing.T) {
 
 // TestResetInventoryNoCrossRunLeakage pins the generation-bump reset:
 // every injection on a reused network must behave as one on a fresh
-// network would, whatever its delays. Any stale first-sight state, holder
-// bit or in-flight GETDATA marker surviving a reset would suppress the
-// next run's first-seen events or its requests: in each run every node
-// but the origin asks for the transaction exactly once and gets it exactly
-// once. (The runs' message counts need not match: the keyed delivery
-// sequence runs on across a reset, so their delays, and with them which
-// INVs cross, differ.)
+// network would. Any stale first-sight state, holder bit or in-flight
+// GETDATA marker surviving a reset would suppress the next run's
+// first-seen events or its requests: in each run every node but the origin
+// asks for the transaction exactly once and gets it exactly once. And the
+// send keys start over with the generation, under the epoch the injected
+// transaction sets, so the same transaction injected at the same origin
+// again floods exactly as it did: every node sees it as long after the
+// injection.
 func TestResetInventoryNoCrossRunLeakage(t *testing.T) {
 	net, nodes := testNetwork(t, 8, nil)
 	connectRing(t, net, nodes)
@@ -1064,11 +1066,12 @@ func TestResetInventoryNoCrossRunLeakage(t *testing.T) {
 	}
 	tx := testTx(t, 77)
 
-	flood := func(origin *Node) (seen int) {
+	flood := func(origin *Node) (seen int, after map[NodeID]sim.Time) {
 		tr := obs.NewTracer(1<<12, 1)
 		net.EnableTrace(tr)
 		net.OnTxFirstSeen = func(*Node, chain.Hash, sim.Time) { seen++ }
 		defer func() { net.OnTxFirstSeen = nil }()
+		start := net.Now()
 		if err := origin.SubmitTx(tx); err != nil {
 			t.Fatal(err)
 		}
@@ -1084,6 +1087,7 @@ func TestResetInventoryNoCrossRunLeakage(t *testing.T) {
 				got[NodeID(ev.P2)]++
 			}
 		}
+		after = map[NodeID]sim.Time{}
 		for _, nd := range nodes {
 			want := 1
 			if nd == origin {
@@ -1093,11 +1097,13 @@ func TestResetInventoryNoCrossRunLeakage(t *testing.T) {
 				t.Errorf("origin %d: node %d sent %d GETDATAs and received %d TXs, want %d of each",
 					origin.ID(), nd.ID(), asked[nd.ID()], got[nd.ID()], want)
 			}
+			at, _ := nd.FirstSeen(tx.ID())
+			after[nd.ID()] = at - start
 		}
-		return seen
+		return seen, after
 	}
 
-	seen1 := flood(nodes[0])
+	seen1, after1 := flood(nodes[0])
 	if seen1 != len(nodes) {
 		t.Fatalf("first run reached %d of %d nodes", seen1, len(nodes))
 	}
@@ -1116,16 +1122,101 @@ func TestResetInventoryNoCrossRunLeakage(t *testing.T) {
 
 	// Same transaction, same origin: with no stale holder bits or seen
 	// markers, the reflooded run reaches everyone by the same requests.
-	if seen2 := flood(nodes[0]); seen2 != len(nodes) {
+	seen2, after2 := flood(nodes[0])
+	if seen2 != len(nodes) {
 		t.Fatalf("second run reached %d of %d nodes", seen2, len(nodes))
+	}
+	if !maps.Equal(after1, after2) {
+		t.Fatalf("one transaction injected at one origin twice: first seen\n%v after the first injection,\n%v after the second", after1, after2)
 	}
 
 	// A third run from a different origin still reaches everyone — no
 	// residual suppression tied to the first origin.
 	net.ResetInventory()
-	seen3 := flood(nodes[5])
+	seen3, _ := flood(nodes[5])
 	if seen3 != len(nodes) {
 		t.Fatalf("third run reached %d of %d nodes", seen3, len(nodes))
+	}
+}
+
+// TestStaleRecordsLandAsNothing resets the inventory under a flood at every
+// 10 ms of its course, traced and untraced, and drains the network. What the
+// flood had on its way — INV records, INV tickets, GETDATAs, TXs and
+// verifications — lands as nothing: no GETDATA or anything else is sent,
+// nothing is accepted or registered, no holder fact is kept and no counter
+// moves, Dropped included. Not vacuous: every kind was on its way at some
+// reset.
+func TestStaleRecordsLandAsNothing(t *testing.T) {
+	onWay := map[string]int{}
+	for _, traced := range []bool{false, true} {
+		for ms := 0; ms <= 600; ms += 10 {
+			net, nodes := testNetwork(t, 30, nil)
+			connectRing(t, net, nodes)
+			for i := range nodes {
+				_ = net.Connect(nodes[i].ID(), nodes[(i+7)%len(nodes)].ID())
+			}
+			if traced {
+				net.EnableTrace(obs.NewTracer(1<<12, 1))
+			}
+			accepted := 0
+			net.OnTxFirstSeen = func(*Node, chain.Hash, sim.Time) { accepted++ }
+			tx := testTx(t, 9)
+			if err := nodes[0].SubmitTx(tx); err != nil {
+				t.Fatal(err)
+			}
+			if err := net.RunUntil(context.Background(), sim.Time(ms)*sim.Time(time.Millisecond)); err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range net.dc.flight {
+				switch {
+				case d.cmd == wire.CmdInv:
+					onWay["INV record"]++
+				case d.cmd == wire.CmdGetData:
+					onWay["GETDATA"]++
+				case d.cmd == wire.CmdTx:
+					onWay["TX"]++
+				case d.cmd == 0 && d.tx != nil:
+					onWay["verification"]++
+				}
+			}
+			for _, nd := range nodes {
+				if nd.inv.lazyGen != net.invGen {
+					continue
+				}
+				for _, tk := range nd.inv.lazy {
+					if tk != (sim.Ticket{}) && !net.sched.Passed(tk) {
+						onWay["INV ticket"]++
+					}
+				}
+			}
+			net.ResetInventory()
+			stats, before := net.Stats(), accepted
+			if err := net.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := net.Stats(); got != stats || accepted != before {
+				t.Fatalf("traced %v, reset at %d ms: the drain accepted %d and moved the counters\nfrom %+v\nto   %+v",
+					traced, ms, accepted-before, stats, got)
+			}
+			if net.hashN != 0 || net.epoch != 0 {
+				t.Fatalf("traced %v, reset at %d ms: %d hashes registered after the drain, epoch %x", traced, ms, net.hashN, net.epoch)
+			}
+			for _, nd := range nodes {
+				for hi, e := range nd.inv.entries {
+					if g := net.invGen; e.seenGen == g || e.reqGen == g || e.txGen == g || e.holderGen == g || e.firstGen == g {
+						t.Fatalf("traced %v, reset at %d ms: node %d keeps %+v for hash index %d", traced, ms, nd.ID(), e, hi)
+					}
+				}
+				if nd.inv.spillGen == net.invGen && len(nd.inv.spill) > 0 {
+					t.Fatalf("traced %v, reset at %d ms: node %d keeps spill facts %v", traced, ms, nd.ID(), nd.inv.spill)
+				}
+			}
+		}
+	}
+	for _, kind := range []string{"INV record", "INV ticket", "GETDATA", "TX", "verification"} {
+		if onWay[kind] == 0 {
+			t.Errorf("no reset overtook a %s", kind)
+		}
 	}
 }
 

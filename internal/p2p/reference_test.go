@@ -69,8 +69,8 @@ type ReferenceNode struct {
 
 	uplinkFreeAt sim.Time
 
-	// sendSeq counts sends by this node; it keys the per-send delivery
-	// RNG, mirroring the flat Node exactly.
+	// sendSeq counts sends by this node since the last ResetInventory; it
+	// keys the per-send delivery RNG, mirroring the flat Node exactly.
 	sendSeq uint64
 
 	pending   map[uint64]refPendingPing
@@ -159,6 +159,7 @@ func (nd *ReferenceNode) acceptTx(tx *chain.Tx, from NodeID) error {
 	for i := range tx.Inputs {
 		nd.spent[tx.Inputs[i].PrevOut] = id
 	}
+	nd.net.register(id)
 	nd.known[id] = nd.net.Now()
 	if nd.txData == nil {
 		nd.txData = make(map[chain.Hash]*chain.Tx)
@@ -345,6 +346,7 @@ func (nd *ReferenceNode) acceptBlock(b *chain.Block, from NodeID) error {
 	if !b.Header.CheckPoW() || b.Header.MerkleRoot != chain.MerkleRoot(b.Txs) {
 		return errBadBlock
 	}
+	nd.net.register(h)
 	nd.known[h] = nd.net.Now()
 	if nd.blockData == nil {
 		nd.blockData = make(map[chain.Hash]*chain.Block)
@@ -424,10 +426,17 @@ type ReferenceNetwork struct {
 	nextID NodeID
 
 	// Keyed delivery RNG — the exact mirror of the flat network's
-	// per-send keying (see Network.deliver), so the two stay comparable
+	// per-send keying (see Network.launch), so the two stay comparable
 	// draw for draw.
 	ksrc  sim.KeyedSource
 	krand *rand.Rand
+	// gen counts ResetInventory calls: a relay message or a verification
+	// of an earlier count does nothing where it lands. epoch keys the sends
+	// with the seed, zero until the first object of the generation is
+	// accepted somewhere (registered), then that object's hash prefix.
+	gen        uint64
+	epoch      uint64
+	registered bool
 
 	pingPad []byte
 
@@ -566,9 +575,9 @@ func (n *ReferenceNetwork) sharedPad(size int) []byte {
 func (n *ReferenceNetwork) deliver(src, dst *ReferenceNode, msg wire.Message) {
 	size := wire.EncodedSize(msg)
 	n.stats.count(msg.Command(), size)
-	// Per-send keyed draws, mirroring Network.deliver exactly.
+	// Per-send keyed draws, mirroring Network.launch exactly.
 	src.sendSeq++
-	n.ksrc.SeedKey(sim.MixKey3(uint64(n.cfg.Seed)^sendKeyTag, uint64(src.id), src.sendSeq))
+	n.ksrc.SeedKey(sim.MixKey3(uint64(n.cfg.Seed)^sendKeyTag^n.epoch, uint64(src.id), src.sendSeq))
 	if n.cfg.LossProb > 0 && n.krand.Float64() < n.cfg.LossProb {
 		n.stats.Lost++
 		return
@@ -580,8 +589,16 @@ func (n *ReferenceNetwork) deliver(src, dst *ReferenceNode, msg wire.Message) {
 	}
 	src.uplinkFreeAt = start + txTime
 	delay := (start + txTime - n.sched.Now()) + n.link(src, dst).SampleOneWay(n.krand)
-	from, to := src.id, dst.id
+	from, to, gen := src.id, dst.id, n.gen
+	relay := false
+	switch msg.(type) {
+	case *wire.MsgInv, *wire.MsgGetData, *wire.MsgTx, *wire.MsgBlock:
+		relay = true
+	}
 	n.sched.After(delay, func() {
+		if relay && gen != n.gen {
+			return
+		}
 		if node, ok := n.nodes[to]; ok {
 			node.handleMessage(from, msg)
 		} else {
@@ -668,9 +685,10 @@ func (n *ReferenceNetwork) Disconnect(a, b NodeID) {
 // verifyLater schedules the end of a modelled verification delay: the node,
 // found by ID when it fires, accepts the object it got from from.
 func (n *ReferenceNetwork) verifyLater(cost time.Duration, nodeID, from NodeID, tx *chain.Tx, block *chain.Block) {
+	gen := n.gen
 	n.sched.After(cost, func() {
 		node, ok := n.nodes[nodeID]
-		if !ok {
+		if gen != n.gen || !ok {
 			return
 		}
 		if tx != nil {
@@ -681,11 +699,24 @@ func (n *ReferenceNetwork) verifyLater(cost time.Duration, nodeID, from NodeID, 
 	})
 }
 
+// register sets the generation's epoch from h, the hash of an object a node
+// has just accepted, if it is the generation's first.
+func (n *ReferenceNetwork) register(h chain.Hash) {
+	if !n.registered {
+		n.epoch, n.registered = hashPrefix(h), true
+	}
+}
+
 // ResetInventory clears every node's seen-transaction state in place —
 // the map-rebuild behaviour the generation-bump implementation must
-// match observably.
+// match observably — and starts a generation: what the last one has on
+// its way lands as nothing, and every node's send sequence and uplink
+// start over.
 func (n *ReferenceNetwork) ResetInventory() {
+	n.gen++
+	n.epoch, n.registered = 0, false
 	for _, node := range n.nodes {
+		node.sendSeq, node.uplinkFreeAt = 0, 0
 		clear(node.known)
 		clear(node.peerInv)
 		clear(node.txData)

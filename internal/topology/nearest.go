@@ -49,17 +49,16 @@ func outside(v, lo, hi float64) float64 {
 	return 0
 }
 
-// entry is one registered node in DNSSeed's geographic index. It carries
-// the node's unit vector, a pure function of coord computed once when the
-// entry is made.
+// entry is one registered node in DNSSeed's geographic index: its ID and
+// unit vector, computed once from its coordinate, which stays the
+// registry's (DNSSeed.coord).
 type entry struct {
-	unit  unitVec
-	coord geo.Coord
-	id    p2p.NodeID
+	unit unitVec
+	id   p2p.NodeID
 }
 
 func newEntry(id p2p.NodeID, c geo.Coord) entry {
-	return entry{unit: unitOf(c), coord: c, id: id}
+	return entry{unit: unitOf(c), id: id}
 }
 
 // cellDeg is the side of an index cell, in degrees of latitude and of
@@ -128,20 +127,24 @@ type cellIndex struct {
 }
 
 // newCellIndex builds the index over the registered nodes ids, ascending,
-// at coords: one slice of entries made in ID order and stable-sorted by
-// cell, so each cell is a run of it in ascending ID, its capacity capped at
-// its length so that a later insert reallocates that cell alone.
+// at coords: one slice of entries in (cell, ID) order, so each cell is a
+// run of it in ascending ID, its capacity capped at its length so that a
+// later insert reallocates that cell alone.
 func newCellIndex(ids []p2p.NodeID, coords []geo.Coord) *cellIndex {
-	ents := make([]entry, len(ids))
-	for i, id := range ids {
-		ents[i] = newEntry(id, coords[i])
+	keys := make([]uint64, len(ids)) // each node's cell above its position
+	for i := range ids {
+		keys[i] = uint64(cellKey(coords[i]))<<32 | uint64(i)
 	}
-	slices.SortStableFunc(ents, func(a, b entry) int { return cmp.Compare(cellKey(a.coord), cellKey(b.coord)) })
+	slices.Sort(keys)
+	ents := make([]entry, len(ids))
+	for j, key := range keys {
+		ents[j] = newEntry(ids[uint32(key)], coords[uint32(key)])
+	}
 	ix := &cellIndex{n: len(ents)}
 	for i := 0; i < len(ents); {
-		k := cellKey(ents[i].coord)
+		k := int(keys[i] >> 32)
 		j := i + 1
-		for j < len(ents) && cellKey(ents[j].coord) == k {
+		for j < len(ents) && int(keys[j]>>32) == k {
 			j++
 		}
 		c := cell{col: k % numCols, ents: ents[i:j:j]}
@@ -168,10 +171,10 @@ func (ix *cellIndex) find(r, col int) (int, bool) {
 // byID orders a cell's entries.
 func byID(e entry, id p2p.NodeID) int { return cmp.Compare(e.id, id) }
 
-// insert adds e to its cell, making the cell if it is new, and widens the
-// cell's box.
-func (ix *cellIndex) insert(e entry) {
-	r, col := cellOf(e.coord)
+// insert adds e, registered at at, to its cell, making the cell if it is
+// new, and widens the cell's box.
+func (ix *cellIndex) insert(e entry, at geo.Coord) {
+	r, col := cellOf(at)
 	ix.n++
 	i, ok := ix.find(r, col)
 	if !ok {
@@ -353,8 +356,8 @@ type pending struct {
 //     distance order already. A run of neighbours it does not tell apart —
 //     exact duplicates, separations of centimetres, near-ties a thousand
 //     kilometres out — is put in (distance, id) order by evaluating
-//     geo.DistanceMeters for the run. On a population without coincidences
-//     that is no evaluation at all.
+//     geo.DistanceMeters for the run, on the coordinates registered in reg.
+//     On a population without coincidences that is no evaluation at all.
 //
 // Every entry left out, reached or not, has a squared chord beyond the
 // guard band of k others', so by guard's argument k entries are strictly
@@ -362,7 +365,7 @@ type pending struct {
 // run comes before every entry of the next. So the first k are the first k
 // of a sort of the whole registry by (geo.DistanceMeters, id), ties
 // included. On the placer's world a query computes about twice k chords.
-func (ix *cellIndex) nearest(dst []p2p.NodeID, self p2p.NodeID, q geo.Coord, k int) (ids []p2p.NodeID, dists, chords int) {
+func (ix *cellIndex) nearest(reg *DNSSeed, dst []p2p.NodeID, self p2p.NodeID, q geo.Coord, k int) (ids []p2p.NodeID, dists, chords int) {
 	k = min(k, ix.n)
 	if k <= 0 {
 		return dst, 0, 0
@@ -442,7 +445,7 @@ func (ix *cellIndex) nearest(dst []p2p.NodeID, self p2p.NodeID, q geo.Coord, k i
 		}
 		if j-i > 1 {
 			for r := i; r < j; r++ {
-				at(r).d = geo.DistanceMeters(q, at(r).e.coord)
+				at(r).d = geo.DistanceMeters(q, reg.coord(at(r).e.id))
 			}
 			dists += j - i
 			slices.SortFunc(keys[i:j], func(a, b uint64) int { return byDistance(&keep[a&mask], &keep[b&mask]) })

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geo"
 	"repro/internal/p2p"
@@ -51,6 +52,15 @@ func checkRecommend(t *testing.T, d *DNSSeed, self p2p.NodeID, c geo.Coord, k in
 	}
 }
 
+// TestIndexEntryIs32Bytes holds an index entry to its ID and unit vector:
+// the coordinate is the registry's, and a second copy of it in every entry
+// would be half as much again.
+func TestIndexEntryIs32Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(entry{}); size != 32 {
+		t.Fatalf("entry is %d bytes, want 32", size)
+	}
+}
+
 // rebuiltIndex is what the registry did after every mutation before it
 // patched its index in place, kept as the oracle: the index from scratch,
 // straight from the ID and coordinate lists.
@@ -68,7 +78,7 @@ func coordOf(d *DNSSeed, id p2p.NodeID) (geo.Coord, bool) {
 }
 
 // sameCells reports whether two indexes hold the same cells, row for row:
-// the same columns, boxes and entries, coordinates included.
+// the same columns, boxes and entries, unit vectors included.
 func sameCells(a, b *cellIndex) bool {
 	if a.n != b.n {
 		return false
@@ -87,7 +97,7 @@ func sameCells(a, b *cellIndex) bool {
 // read would build what it is about to inspect): the ID list, the registry
 // itself, must ascend strictly with a coordinate beside every ID; an index
 // nothing has read must still be nil, and one that has been read must
-// equal the from-scratch rebuild entry for entry, coordinates and cell
+// equal the from-scratch rebuild entry for entry, unit vectors and cell
 // boxes included.
 func checkOrderings(t *testing.T, d *DNSSeed, read bool) {
 	t.Helper()

@@ -112,14 +112,14 @@ func (d *DNSSeed) Register(id p2p.NodeID, loc geo.Location) {
 		d.coords[i] = at
 		if d.cells != nil {
 			d.cells.remove(id, old)
-			d.cells.insert(newEntry(id, at))
+			d.cells.insert(newEntry(id, at), at)
 		}
 		return
 	}
 	d.ids = slices.Insert(d.ids, i, id)
 	d.coords = slices.Insert(d.coords, i, at)
 	if d.cells != nil {
-		d.cells.insert(newEntry(id, at))
+		d.cells.insert(newEntry(id, at), at)
 	}
 }
 
@@ -137,6 +137,12 @@ func (d *DNSSeed) Remove(id p2p.NodeID) {
 	if d.cells != nil {
 		d.cells.remove(id, at)
 	}
+}
+
+// coord returns the coordinate of id, which must be registered.
+func (d *DNSSeed) coord(id p2p.NodeID) geo.Coord {
+	i, _ := d.find(id)
+	return d.coords[i]
 }
 
 // Len returns the number of registered nodes.
@@ -180,7 +186,7 @@ func (d *DNSSeed) Recommend(self p2p.NodeID, loc geo.Location, k int) []p2p.Node
 // takes the ranking without an allocation.
 func (d *DNSSeed) AppendRecommend(dst []p2p.NodeID, self p2p.NodeID, loc geo.Location, k int) []p2p.NodeID {
 	d.buildIndex()
-	ids, _, _ := d.cells.nearest(dst, self, loc.Coord, k)
+	ids, _, _ := d.cells.nearest(d, dst, self, loc.Coord, k)
 	return ids
 }
 
@@ -190,6 +196,6 @@ func (d *DNSSeed) AppendRecommend(dst []p2p.NodeID, self p2p.NodeID, loc geo.Loc
 // next to the wall time.
 func (d *DNSSeed) RecommendCost(self p2p.NodeID, loc geo.Location, k int) (dists, chords int) {
 	d.buildIndex()
-	_, dists, chords = d.cells.nearest(nil, self, loc.Coord, k)
+	_, dists, chords = d.cells.nearest(d, nil, self, loc.Coord, k)
 	return
 }
